@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -533,17 +534,23 @@ func (g *Graph) ConstValA(x Atom) (int64, bool) {
 // EqualWitnesses returns, for variable x, every pair (y, c) with the graph
 // entailing x = y + c, including (ZeroVar, v) when x has a known constant
 // value. x itself is excluded. Results are sorted by variable name.
-func (g *Graph) EqualWitnesses(x string) []Witness {
+func (g *Graph) EqualWitnesses(x string) []Witness { return g.AppendEqualWitnesses(nil, x) }
+
+// AppendEqualWitnesses appends x's equality witnesses, sorted by variable
+// name, to dst and returns the extended slice. Callers on the hot path pass
+// a stack buffer so the witness list costs no allocation.
+func (g *Graph) AppendEqualWitnesses(dst []Witness, x string) []Witness {
 	a, ok := LookupAtom(x)
 	if !ok || !g.consistent {
-		return nil
+		return dst
 	}
 	i := g.s.slot(a)
 	if i < 0 {
-		return nil
+		return dst
 	}
 	names := atomNames()
-	var out []Witness
+	out := dst
+	base := len(dst)
 	for j := range g.s.atoms {
 		if j == i {
 			continue
@@ -556,7 +563,7 @@ func (g *Graph) EqualWitnesses(x string) []Witness {
 			// allocations on a very hot path (bound enrichment).
 			w := Witness{Var: names[g.s.atoms[j]], C: up}
 			pos := len(out)
-			for pos > 0 && out[pos-1].Var > w.Var {
+			for pos > base && out[pos-1].Var > w.Var {
 				pos--
 			}
 			out = append(out, Witness{})
@@ -936,7 +943,7 @@ func Leq(a, b *Graph) bool {
 func Equal(a, b *Graph) bool { return Leq(a, b) && Leq(b, a) }
 
 // String renders all non-trivial constraints, sorted, e.g.
-// "i <= np - 1; x = 5".
+// "i <= np - 1; x = 5". An equality is rendered once, from its lower slot.
 func (g *Graph) String() string {
 	if !g.consistent {
 		return "inconsistent"
@@ -945,10 +952,9 @@ func (g *Graph) String() string {
 	atoms := g.s.atoms
 	var parts []string
 	n := len(atoms)
-	done := map[[2]int]bool{}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i == j || done[[2]int{i, j}] {
+			if i == j {
 				continue
 			}
 			up := g.s.get(i, j)
@@ -957,8 +963,9 @@ func (g *Graph) String() string {
 			}
 			down := g.s.get(j, i)
 			if down < Inf && down == -up {
-				done[[2]int{j, i}] = true
-				parts = append(parts, renderEq(names[atoms[i]], names[atoms[j]], up))
+				if j > i {
+					parts = append(parts, renderEq(names[atoms[i]], names[atoms[j]], up))
+				}
 			} else {
 				parts = append(parts, renderLE(names[atoms[i]], names[atoms[j]], up))
 			}
@@ -973,34 +980,32 @@ func (g *Graph) String() string {
 
 func renderEq(x, y string, c int64) string {
 	if y == ZeroVar {
-		return fmt.Sprintf("%s = %d", x, c)
+		return x + " = " + strconv.FormatInt(c, 10)
 	}
 	if x == ZeroVar {
 		return renderEq(y, ZeroVar, -c)
 	}
-	switch {
-	case c == 0:
-		return fmt.Sprintf("%s = %s", x, y)
-	case c > 0:
-		return fmt.Sprintf("%s = %s + %d", x, y, c)
-	default:
-		return fmt.Sprintf("%s = %s - %d", x, y, -c)
-	}
+	return x + " = " + y + renderOffset(c)
 }
 
 func renderLE(x, y string, c int64) string {
 	if y == ZeroVar {
-		return fmt.Sprintf("%s <= %d", x, c)
+		return x + " <= " + strconv.FormatInt(c, 10)
 	}
 	if x == ZeroVar {
-		return fmt.Sprintf("%s >= %d", y, -c)
+		return y + " >= " + strconv.FormatInt(-c, 10)
 	}
+	return x + " <= " + y + renderOffset(c)
+}
+
+// renderOffset renders the "+ c" tail of a two-variable constraint.
+func renderOffset(c int64) string {
 	switch {
 	case c == 0:
-		return fmt.Sprintf("%s <= %s", x, y)
+		return ""
 	case c > 0:
-		return fmt.Sprintf("%s <= %s + %d", x, y, c)
+		return " + " + strconv.FormatInt(c, 10)
 	default:
-		return fmt.Sprintf("%s <= %s - %d", x, y, -c)
+		return " - " + strconv.FormatInt(-c, 10)
 	}
 }

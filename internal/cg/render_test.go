@@ -1,0 +1,154 @@
+package cg
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// refString is the fmt-based Graph.String the concatenating renderer
+// replaced, kept as the reference it must match byte for byte.
+func refString(g *Graph) string {
+	if !g.consistent {
+		return "inconsistent"
+	}
+	names := atomNames()
+	atoms := g.s.atoms
+	var parts []string
+	n := len(atoms)
+	done := map[[2]int]bool{}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j || done[[2]int{i, j}] {
+				continue
+			}
+			up := g.s.get(i, j)
+			if up >= Inf {
+				continue
+			}
+			down := g.s.get(j, i)
+			if down < Inf && down == -up {
+				done[[2]int{j, i}] = true
+				parts = append(parts, refRenderEq(names[atoms[i]], names[atoms[j]], up))
+			} else {
+				parts = append(parts, refRenderLE(names[atoms[i]], names[atoms[j]], up))
+			}
+		}
+	}
+	sort.Strings(parts)
+	if len(parts) == 0 {
+		return "true"
+	}
+	return strings.Join(parts, "; ")
+}
+
+func refRenderEq(x, y string, c int64) string {
+	if y == ZeroVar {
+		return fmt.Sprintf("%s = %d", x, c)
+	}
+	if x == ZeroVar {
+		return refRenderEq(y, ZeroVar, -c)
+	}
+	switch {
+	case c == 0:
+		return fmt.Sprintf("%s = %s", x, y)
+	case c > 0:
+		return fmt.Sprintf("%s = %s + %d", x, y, c)
+	default:
+		return fmt.Sprintf("%s = %s - %d", x, y, -c)
+	}
+}
+
+func refRenderLE(x, y string, c int64) string {
+	if y == ZeroVar {
+		return fmt.Sprintf("%s <= %d", x, c)
+	}
+	if x == ZeroVar {
+		return fmt.Sprintf("%s >= %d", y, -c)
+	}
+	switch {
+	case c == 0:
+		return fmt.Sprintf("%s <= %s", x, y)
+	case c > 0:
+		return fmt.Sprintf("%s <= %s + %d", x, y, c)
+	default:
+		return fmt.Sprintf("%s <= %s - %d", x, y, -c)
+	}
+}
+
+// TestRenderMatchesReference pins the concatenating renderers to the fmt
+// reference: single constraints over every offset sign with ZeroVar on
+// either side, then random graphs whose equalities are added in both slot
+// orders, some of which end up inconsistent.
+func TestRenderMatchesReference(t *testing.T) {
+	for _, c := range []int64{-7, -1, 0, 1, 7} {
+		for _, xy := range [][2]string{{"a", "b"}, {"a", ZeroVar}, {ZeroVar, "b"}} {
+			x, y := xy[0], xy[1]
+			if got, want := renderEq(x, y, c), refRenderEq(x, y, c); got != want {
+				t.Errorf("renderEq(%q, %q, %d) = %q, want %q", x, y, c, got, want)
+			}
+			if got, want := renderLE(x, y, c), refRenderLE(x, y, c); got != want {
+				t.Errorf("renderLE(%q, %q, %d) = %q, want %q", x, y, c, got, want)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	names := []string{"i", "j", "np", "k0", "ps2.x", ZeroVar}
+	var eqs, inconsistent int
+	for iter := 0; iter < 3000; iter++ {
+		g := NewDefault()
+		for n := rng.Intn(8); n > 0; n-- {
+			x, y := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
+			if x == y {
+				continue
+			}
+			c := int64(rng.Intn(11) - 5)
+			switch rng.Intn(3) {
+			case 0:
+				g.AddLE(x, y, c)
+			case 1:
+				g.AddEq(x, y, c)
+			default:
+				g.AddEq(y, x, -c)
+			}
+		}
+		got, want := g.String(), refString(g)
+		if got != want {
+			t.Fatalf("String = %q, want %q", got, want)
+		}
+		if !g.Consistent() {
+			inconsistent++
+		} else if strings.Contains(got, " = ") {
+			eqs++
+		}
+	}
+	if eqs == 0 || inconsistent == 0 {
+		t.Fatalf("coverage: %d graphs with equalities, %d inconsistent; want both > 0", eqs, inconsistent)
+	}
+}
+
+// TestAppendEqualWitnesses checks that the append form keeps the caller's
+// prefix, sorts only what it appends, and agrees with EqualWitnesses.
+func TestAppendEqualWitnesses(t *testing.T) {
+	g := NewDefault()
+	g.AddEq("x", "np", -1)
+	g.AddEq("x", "b", 2)
+	g.SetConst("a", 4)
+	g.AddEq("x", "a", 0)
+	prefix := []Witness{{Var: "zz", C: 9}}
+	got := g.AppendEqualWitnesses(prefix, "x")
+	want := append([]Witness{{Var: "zz", C: 9}}, g.EqualWitnesses("x")...)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("AppendEqualWitnesses = %v, want %v", got, want)
+	}
+	if fmt.Sprint(want[1:]) != "[{$0 4} {a 0} {b 2} {np -1}]" {
+		t.Fatalf("EqualWitnesses(x) = %v", want[1:])
+	}
+	var buf [8]Witness
+	if n := testing.AllocsPerRun(1000, func() { _ = g.AppendEqualWitnesses(buf[:0], "x") }); n != 0 {
+		t.Errorf("AppendEqualWitnesses into a stack buffer allocates %v per op, want 0", n)
+	}
+}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"regexp"
+	"strings"
 
 	"repro/internal/cg"
 	"repro/internal/procset"
@@ -17,9 +17,27 @@ import (
 // renames them by order of first appearance in the state's canonical
 // rendering, so equivalent states become syntactically equal.
 
-var helperVarRe = regexp.MustCompile(`^(wp|fz|k|f)\d+$`)
-
-func isHelperVar(v string) bool { return helperVarRe.MatchString(v) }
+// isHelperVar reports whether v matches ^(wp|fz|k|f)[0-9]+$.
+func isHelperVar(v string) bool {
+	var digits string
+	switch {
+	case strings.HasPrefix(v, "wp"), strings.HasPrefix(v, "fz"):
+		digits = v[2:]
+	case strings.HasPrefix(v, "k"), strings.HasPrefix(v, "f"):
+		digits = v[1:]
+	default:
+		return false
+	}
+	if digits == "" {
+		return false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
 
 // CanonicalizeParams renames helper variables to canonical names and drops
 // stale ones from the constraint graph. It returns the applied renaming so
@@ -30,17 +48,26 @@ func (st *State) CanonicalizeParams() map[string]string {
 	st.sortPending()
 	var order []string
 	seen := map[string]bool{}
+	noteVar := func(v string) {
+		if isHelperVar(v) && !seen[v] {
+			seen[v] = true
+			order = append(order, v)
+		}
+	}
 	note := func(e sym.Expr) {
 		for _, v := range e.Vars() {
-			if isHelperVar(v) && !seen[v] {
-				seen[v] = true
-				order = append(order, v)
-			}
+			noteVar(v)
 		}
 	}
 	scanBound := func(b procset.Bound) {
 		for _, a := range b.Atoms() {
-			note(a)
+			// Bound atoms are almost always var+c: read the variable
+			// directly instead of allocating the Vars set.
+			if v, _, ok := a.AsVarPlusConst(); ok {
+				noteVar(v)
+			} else {
+				note(a)
+			}
 		}
 	}
 	scanSet := func(s procset.Set) { scanBound(s.LB); scanBound(s.UB) }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -32,6 +34,27 @@ func TestHelperVarDetection(t *testing.T) {
 		if isHelperVar(v) {
 			t.Errorf("%q wrongly detected as helper", v)
 		}
+	}
+}
+
+// TestHelperVarMatchesPattern pins the byte-level isHelperVar to the
+// pattern it replaced, ^(wp|fz|k|f)[0-9]+$, on random strings over the
+// pattern's alphabet, and gates it at zero allocations.
+func TestHelperVarMatchesPattern(t *testing.T) {
+	re := regexp.MustCompile(`^(wp|fz|k|f)\d+$`)
+	rng := rand.New(rand.NewSource(5))
+	const alphabet = "wpfzk0129.x"
+	for iter := 0; iter < 20000; iter++ {
+		b := make([]byte, rng.Intn(6))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		if v := string(b); isHelperVar(v) != re.MatchString(v) {
+			t.Fatalf("isHelperVar(%q) = %v, pattern says %v", v, isHelperVar(v), re.MatchString(v))
+		}
+	}
+	if n := testing.AllocsPerRun(1000, func() { _ = isHelperVar("wp12") || isHelperVar("ps0.i") }); n != 0 {
+		t.Errorf("isHelperVar allocates %v per op, want 0", n)
 	}
 }
 

@@ -37,28 +37,46 @@ func NewBound(atoms ...sym.Expr) Bound {
 const maxAtoms = 8
 
 // Insert returns a bound extended with another equivalent expression.
-// Atoms stay sorted by key, so membership and position come from one pass
-// of allocation-free key comparisons instead of rendered key strings.
+// Atoms stay sorted by key. A full bound or a duplicate atom (the common
+// case under enrichment) returns before any key rendering; only a new atom
+// pays for the ordered position search.
 func (b Bound) Insert(e sym.Expr) Bound {
+	if len(b.atoms) >= maxAtoms || b.has(e) {
+		return b
+	}
 	pos := len(b.atoms)
 	for i, a := range b.atoms {
-		c := a.CompareKey(e)
-		if c == 0 {
-			return b
-		}
-		if c > 0 {
+		if a.CompareKey(e) > 0 {
 			pos = i
 			break
 		}
-	}
-	if len(b.atoms) >= maxAtoms {
-		return b
 	}
 	atoms := make([]sym.Expr, 0, len(b.atoms)+1)
 	atoms = append(atoms, b.atoms[:pos]...)
 	atoms = append(atoms, e)
 	atoms = append(atoms, b.atoms[pos:]...)
 	return Bound{atoms: atoms}
+}
+
+// has reports whether e is already an atom of b.
+func (b Bound) has(e sym.Expr) bool {
+	for _, a := range b.atoms {
+		if sym.Equal(a, e) {
+			return true
+		}
+	}
+	return false
+}
+
+// hasVarPlus reports whether v + c is already an atom of b; v == "" means
+// the bare constant c.
+func (b Bound) hasVarPlus(v string, c int64) bool {
+	for _, a := range b.atoms {
+		if av, ac, ok := a.AsVarPlusConst(); ok && av == v && ac == c {
+			return true
+		}
+	}
+	return false
 }
 
 // Atoms returns the equivalent expressions (do not mutate).
@@ -142,11 +160,8 @@ func (b Bound) DropUses(name string) Bound {
 func (b Bound) Intersect(o Bound) Bound {
 	out := Bound{}
 	for _, a := range b.atoms {
-		for _, oa := range o.atoms {
-			if a.CompareKey(oa) == 0 {
-				out = out.Insert(a)
-				break
-			}
+		if o.has(a) {
+			out = out.Insert(a)
 		}
 	}
 	return out
@@ -318,12 +333,18 @@ func (ctx Ctx) CoherentSet(s Set) bool {
 }
 
 // Enrich adds to b every var+c expression the context proves equal to it.
+// A witness that is already an atom is recognized before any expression is
+// built, so enriching an already-enriched bound allocates nothing.
 func (ctx Ctx) Enrich(b Bound) Bound {
 	if ctx.G == nil || !b.IsValid() {
 		return b
 	}
 	out := b
+	var buf [16]cg.Witness // witness lists are short; a longer one spills to the heap
 	for _, a := range b.atoms {
+		if len(out.atoms) >= maxAtoms {
+			break // Insert would drop every further witness
+		}
 		v, c, ok := a.AsVarPlusConst()
 		if !ok {
 			continue
@@ -335,12 +356,19 @@ func (ctx Ctx) Enrich(b Bound) Bound {
 		if !ctx.G.HasVar(name) {
 			continue
 		}
-		for _, w := range ctx.G.EqualWitnesses(name) {
+		for _, w := range ctx.G.AppendEqualWitnesses(buf[:0], name) {
 			// name = w.Var + w.C, so a = name + c = w.Var + w.C + c.
-			if w.Var == cg.ZeroVar {
+			wv := w.Var
+			if wv == cg.ZeroVar {
+				wv = ""
+			}
+			if out.hasVarPlus(wv, w.C+c) {
+				continue
+			}
+			if wv == "" {
 				out = out.Insert(sym.Const(w.C + c))
 			} else {
-				out = out.Insert(sym.VarPlus(w.Var, w.C+c))
+				out = out.Insert(sym.VarPlus(wv, w.C+c))
 			}
 		}
 	}
@@ -594,7 +622,7 @@ func (s Set) String() string {
 	if !s.IsValid() {
 		return "[invalid]"
 	}
-	if len(s.LB.atoms) == 1 && len(s.UB.atoms) == 1 && s.LB.atoms[0].CompareKey(s.UB.atoms[0]) == 0 {
+	if len(s.LB.atoms) == 1 && len(s.UB.atoms) == 1 && sym.Equal(s.LB.atoms[0], s.UB.atoms[0]) {
 		return fmt.Sprintf("[%s]", s.LB)
 	}
 	return fmt.Sprintf("[%s..%s]", s.LB, s.UB)

@@ -8,7 +8,6 @@ package sym
 
 import (
 	"bytes"
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -261,14 +260,22 @@ func (e Expr) IsConst() (int64, bool) {
 	return 0, false
 }
 
-// Equal reports whether a and b are syntactically equal normal forms.
+// Equal reports whether a and b are syntactically equal normal forms. It
+// walks the terms directly; since variable names never contain '*' or '|',
+// this agrees exactly with a.CompareKey(b) == 0.
 func Equal(a, b Expr) bool {
 	if len(a.terms) != len(b.terms) {
 		return false
 	}
 	for i := range a.terms {
-		if a.terms[i].coef != b.terms[i].coef || a.terms[i].key() != b.terms[i].key() {
+		ta, tb := a.terms[i], b.terms[i]
+		if ta.coef != tb.coef || len(ta.vars) != len(tb.vars) {
 			return false
+		}
+		for j := range ta.vars {
+			if ta.vars[j] != tb.vars[j] {
+				return false
+			}
 		}
 	}
 	return true
@@ -323,21 +330,13 @@ func (e Expr) appendKey(dst []byte) []byte {
 	return dst
 }
 
-// keyScratch recycles the render buffer CompareKey works in.
-var keyScratch = sync.Pool{New: func() any { b := make([]byte, 0, 128); return &b }}
-
 // CompareKey orders e and o exactly as strings.Compare(e.Key(), o.Key())
 // would, without materializing the key strings — the comparison the bound
-// atom-set operations run in their inner loops.
+// atom-set operations run in their inner loops. Both keys render into stack
+// buffers; only a key longer than 64 bytes spills to the heap.
 func (e Expr) CompareKey(o Expr) int {
-	bp := keyScratch.Get().(*[]byte)
-	buf := e.appendKey((*bp)[:0])
-	n := len(buf)
-	buf = o.appendKey(buf)
-	c := bytes.Compare(buf[:n], buf[n:])
-	*bp = buf[:0]
-	keyScratch.Put(bp)
-	return c
+	var ea, oa [64]byte
+	return bytes.Compare(e.appendKey(ea[:0]), o.appendKey(oa[:0]))
 }
 
 // Vars returns the sorted set of distinct variables appearing in e.
@@ -584,11 +583,12 @@ func (e Expr) String() string {
 			}
 		}
 		if len(t.vars) == 0 {
-			fmt.Fprintf(&b, "%d", c)
+			b.WriteString(strconv.FormatInt(c, 10))
 			continue
 		}
 		if c != 1 {
-			fmt.Fprintf(&b, "%d*", c)
+			b.WriteString(strconv.FormatInt(c, 10))
+			b.WriteByte('*')
 		}
 		b.WriteString(strings.Join(t.vars, "*"))
 	}

@@ -8,10 +8,13 @@ import (
 
 // TestCompareKeyMatchesStringCompare pins CompareKey to the exact order of
 // strings.Compare over rendered keys, across randomized polynomials
-// (including negative coefficients, multi-variable monomials and zero).
+// (including negative coefficients, multi-variable monomials, zero, and
+// keys longer than CompareKey's 64-byte stack buffers), and pins Equal to
+// CompareKey(a, b) == 0.
 func TestCompareKeyMatchesStringCompare(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	names := []string{"i", "j", "np", "wp0", "ps12", "$0", "x"}
+	long := strings.Repeat("long", 12)
+	names := []string{"i", "j", "np", "wp0", "ps12", "$0", "x", long + "a", long + "b"}
 	randExpr := func() Expr {
 		e := Expr{}
 		for n := rng.Intn(4); n >= 0; n-- {
@@ -23,8 +26,15 @@ func TestCompareKeyMatchesStringCompare(t *testing.T) {
 		}
 		return e
 	}
+	var longKeys, equal int
 	for iter := 0; iter < 5000; iter++ {
 		a, b := randExpr(), randExpr()
+		switch rng.Intn(4) {
+		case 0:
+			b = Add(Sub(a, One), One) // equal, through distinct term slices
+		case 1:
+			b = Subst(a, "i", Var("j")) // same shape, one name differs
+		}
 		want := strings.Compare(a.Key(), b.Key())
 		if got := a.CompareKey(b); got != want {
 			t.Fatalf("CompareKey(%q, %q) = %d, want %d", a.Key(), b.Key(), got, want)
@@ -32,6 +42,36 @@ func TestCompareKeyMatchesStringCompare(t *testing.T) {
 		if a.CompareKey(a) != 0 || b.CompareKey(b) != 0 {
 			t.Fatalf("CompareKey not reflexive for %q / %q", a.Key(), b.Key())
 		}
+		if Equal(a, b) != (want == 0) {
+			t.Fatalf("Equal(%q, %q) = %v, CompareKey = %d", a.Key(), b.Key(), Equal(a, b), want)
+		}
+		if len(a.Key()) > 64 || len(b.Key()) > 64 {
+			longKeys++
+		}
+		if want == 0 {
+			equal++
+		}
+	}
+	if longKeys == 0 || equal == 0 {
+		t.Fatalf("coverage: %d long keys, %d equal pairs; want both > 0", longKeys, equal)
+	}
+}
+
+// TestCompareZeroAlloc gates the comparisons the bound atom-set operations
+// run on every join and widen: Equal and CompareKey on keys that fit the
+// stack buffers must not allocate.
+func TestCompareZeroAlloc(t *testing.T) {
+	a := Add(Mul(Const(2), Var("nrows")), VarPlus("ps3.i", -7))
+	b := VarPlus("np", -1)
+	c := Add(Sub(a, One), One)
+	allocs := testing.AllocsPerRun(1000, func() {
+		_ = a.CompareKey(b)
+		_ = a.CompareKey(c)
+		_ = Equal(a, b)
+		_ = Equal(a, c)
+	})
+	if allocs != 0 {
+		t.Errorf("CompareKey/Equal allocate %v per op, want 0", allocs)
 	}
 }
 

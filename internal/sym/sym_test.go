@@ -170,16 +170,18 @@ func TestCoeffAndConstTerm(t *testing.T) {
 
 func TestString(t *testing.T) {
 	cases := map[string]Expr{
-		"0":           Zero,
-		"5":           Const(5),
-		"-3":          Const(-3),
-		"x":           Var("x"),
-		"x + 1":       VarPlus("x", 1),
-		"x - 1":       VarPlus("x", -1),
-		"2*x":         Scale(Var("x"), 2),
-		"-x":          Neg(Var("x")),
-		"nrows*nrows": Mul(Var("nrows"), Var("nrows")),
-		"x*y + 2":     Add(Mul(Var("x"), Var("y")), Const(2)),
+		"0":               Zero,
+		"5":               Const(5),
+		"-3":              Const(-3),
+		"x":               Var("x"),
+		"x + 1":           VarPlus("x", 1),
+		"x - 1":           VarPlus("x", -1),
+		"2*x":             Scale(Var("x"), 2),
+		"-x":              Neg(Var("x")),
+		"nrows*nrows":     Mul(Var("nrows"), Var("nrows")),
+		"x*y + 2":         Add(Mul(Var("x"), Var("y")), Const(2)),
+		"-2*x - 3*y + 10": Add(Add(Scale(Var("x"), -2), Scale(Var("y"), -3)), Const(10)),
+		"-12*i*j - 1":     Add(Scale(Mul(Var("i"), Var("j")), -12), Const(-1)),
 	}
 	for want, e := range cases {
 		if got := e.String(); got != want {
