@@ -1,6 +1,9 @@
 package cg
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Atom is a process-wide interned variable name. Graphs store atoms, not
 // strings, so the hot closure/entailment paths never hash or compare string
@@ -10,14 +13,19 @@ import "sync"
 type Atom uint32
 
 // atomTab is the process-wide symbol table. It only grows; names are never
-// removed, so a snapshot of the names slice taken under the read lock stays
-// valid forever (appends may move the backing array, but every atom already
-// interned indexes into the snapshot).
-var atomTab = struct {
-	sync.RWMutex
-	ids   map[string]Atom
-	names []string
-}{ids: map[string]Atom{}}
+// removed. Reads take no lock and execute no atomic read-modify-write: ids
+// is a sync.Map (lock-free loads), and names is published as an immutable
+// slice header through an atomic pointer. Writers serialize on mu, append
+// the name (amortized growth: only a full backing array is copied), publish
+// the new header, and only then publish the id — so any goroutine that
+// obtained an atom can index it in the names snapshot it loads afterwards.
+// Appending past a published header's length never touches an element a
+// reader of that header can see.
+var atomTab struct {
+	mu    sync.Mutex
+	ids   sync.Map // string -> Atom
+	names atomic.Pointer[[]string]
+}
 
 // AtomZero is the interned ZeroVar ($0), fixed at atom 0 by init order.
 var AtomZero = Intern(ZeroVar)
@@ -25,45 +33,40 @@ var AtomZero = Intern(ZeroVar)
 // Intern returns the atom for name, assigning the next dense id on first
 // sight. Safe for concurrent use.
 func Intern(name string) Atom {
-	atomTab.RLock()
-	a, ok := atomTab.ids[name]
-	atomTab.RUnlock()
-	if ok {
+	if a, ok := LookupAtom(name); ok {
 		return a
 	}
-	atomTab.Lock()
-	defer atomTab.Unlock()
-	if a, ok := atomTab.ids[name]; ok {
+	atomTab.mu.Lock()
+	defer atomTab.mu.Unlock()
+	if a, ok := LookupAtom(name); ok {
 		return a
 	}
-	a = Atom(len(atomTab.names))
-	atomTab.names = append(atomTab.names, name)
-	atomTab.ids[name] = a
+	names := atomNames()
+	a := Atom(len(names))
+	names = append(names, name)
+	atomTab.names.Store(&names)
+	atomTab.ids.Store(name, a)
 	return a
 }
 
 // LookupAtom returns the atom for name without interning it, so read-only
 // queries against arbitrary strings do not grow the symbol table.
 func LookupAtom(name string) (Atom, bool) {
-	atomTab.RLock()
-	a, ok := atomTab.ids[name]
-	atomTab.RUnlock()
-	return a, ok
+	v, ok := atomTab.ids.Load(name)
+	if !ok {
+		return 0, false
+	}
+	return v.(Atom), true
 }
 
 // String returns the interned name.
-func (a Atom) String() string {
-	atomTab.RLock()
-	n := atomTab.names[a]
-	atomTab.RUnlock()
-	return n
-}
+func (a Atom) String() string { return atomNames()[a] }
 
 // atomNames returns a read snapshot of the name table. Every atom interned
 // before the call indexes validly into the returned slice.
 func atomNames() []string {
-	atomTab.RLock()
-	n := atomTab.names
-	atomTab.RUnlock()
-	return n
+	if p := atomTab.names.Load(); p != nil {
+		return *p
+	}
+	return nil
 }

@@ -91,3 +91,32 @@ func BenchmarkCloneMutateArena(b *testing.B) {
 		c.Release()
 	}
 }
+
+// atomSink keeps benchmarked lookups from being optimized away.
+var atomSink Atom
+
+// BenchmarkLookupAtom measures an atom-table read hit, the symbol lookup
+// behind every string-keyed graph query, single-threaded and with every
+// worker reading at once.
+func BenchmarkLookupAtom(b *testing.B) {
+	for i := 0; i < 200; i++ {
+		Intern(fmt.Sprintf("ps%d.x", i))
+	}
+	name := fmt.Sprintf("ps%d.x", 17)
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			atomSink, _ = LookupAtom(name)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			var a Atom
+			for pb.Next() {
+				a, _ = LookupAtom(name)
+			}
+			_ = a
+		})
+	})
+}

@@ -25,6 +25,7 @@
 package cg
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -187,6 +188,18 @@ func (g *Graph) Vars() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// AnyVar reports whether some variable of the graph other than ZeroVar
+// satisfies pred, without building the sorted Vars slice.
+func (g *Graph) AnyVar(pred func(string) bool) bool {
+	names := atomNames()
+	for _, a := range g.s.atoms {
+		if a != AtomZero && pred(names[a]) {
+			return true
+		}
+	}
+	return false
 }
 
 // HasVar reports whether name has been interned into this graph.
@@ -976,6 +989,84 @@ func (g *Graph) String() string {
 		return "true"
 	}
 	return strings.Join(parts, "; ")
+}
+
+// Record tags of AppendCanonical's encoding.
+const (
+	canonInconsistent byte = iota + 1
+	canonEnd
+	canonLE
+	canonEq
+)
+
+// AppendCanonical appends a binary identity of g to dst: two graphs append
+// the same bytes exactly when String renders them the same. Each rendered
+// constraint becomes one fixed-width record (tag, x, y, c) — x - y <= c for
+// canonLE, x = y + c for canonEq — with variables as atom ids, so no name
+// is looked up, no number formatted and no string sorted. Records follow
+// the atom-id order of their variable pair, which depends only on the
+// constraint set, as String's sort does. The content mirrors String:
+// unconstrained variables emit nothing, an equality is oriented from its
+// lower slot with a ZeroVar side normalized to the right (renderEq), and an
+// inconsistent graph is a single tag. canonEnd closes the record list, so
+// the encoding is self-delimiting inside a larger key.
+func (g *Graph) AppendCanonical(dst []byte) []byte {
+	if !g.consistent {
+		return append(dst, canonInconsistent)
+	}
+	s := g.s
+	n := len(s.atoms)
+	// Slots in atom-id order, by insertion sort into a stack buffer: slot
+	// counts are tens, and only a larger graph spills to the heap.
+	var buf [64]int32
+	order := buf[:0]
+	if n > len(buf) {
+		order = make([]int32, 0, n)
+	}
+	for i := 0; i < n; i++ {
+		a := s.atoms[i]
+		pos := len(order)
+		for pos > 0 && s.atoms[order[pos-1]] > a {
+			pos--
+		}
+		order = append(order, 0)
+		copy(order[pos+1:], order[pos:])
+		order[pos] = int32(i)
+	}
+	for k, i32 := range order {
+		i := int(i32)
+		for _, j32 := range order[k+1:] {
+			j := int(j32)
+			up, down := s.get(i, j), s.get(j, i)
+			if up < Inf && down < Inf && down == -up {
+				lo, hi, c := i, j, up
+				if j < i {
+					lo, hi, c = j, i, down
+				}
+				x, y := s.atoms[lo], s.atoms[hi]
+				if x == AtomZero {
+					x, y, c = y, x, -c
+				}
+				dst = appendRecord(dst, canonEq, x, y, c)
+				continue
+			}
+			if up < Inf {
+				dst = appendRecord(dst, canonLE, s.atoms[i], s.atoms[j], up)
+			}
+			if down < Inf {
+				dst = appendRecord(dst, canonLE, s.atoms[j], s.atoms[i], down)
+			}
+		}
+	}
+	return append(dst, canonEnd)
+}
+
+// appendRecord appends one 17-byte AppendCanonical record.
+func appendRecord(dst []byte, tag byte, x, y Atom, c int64) []byte {
+	dst = append(dst, tag)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(x))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(y))
+	return binary.LittleEndian.AppendUint64(dst, uint64(c))
 }
 
 func renderEq(x, y string, c int64) string {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -150,5 +151,102 @@ func TestAppendEqualWitnesses(t *testing.T) {
 	var buf [8]Witness
 	if n := testing.AllocsPerRun(1000, func() { _ = g.AppendEqualWitnesses(buf[:0], "x") }); n != 0 {
 		t.Errorf("AppendEqualWitnesses into a stack buffer allocates %v per op, want 0", n)
+	}
+}
+
+// TestAppendCanonicalMatchesString checks that the binary identity relates
+// graphs exactly as their renderings do: over random graphs whose variables
+// enter in random slot orders (so equalities render in either orientation,
+// with ZeroVar on either side, some graphs inconsistent), two graphs append
+// equal bytes if and only if String renders them equal.
+func TestAppendCanonicalMatchesString(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	names := []string{"i", "j", "np", "k0", ZeroVar}
+	byString := map[string]string{}
+	byCanon := map[string]string{}
+	var shared int
+	for iter := 0; iter < 20000; iter++ {
+		g := NewDefault()
+		for _, k := range rng.Perm(len(names) - 1) {
+			if rng.Intn(3) > 0 {
+				g.AddVar(names[k])
+			}
+		}
+		for n := rng.Intn(4); n > 0; n-- {
+			x, y := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
+			if x == y {
+				continue
+			}
+			c := int64(rng.Intn(5) - 2)
+			switch rng.Intn(3) {
+			case 0:
+				g.AddLE(x, y, c)
+			case 1:
+				g.AddEq(x, y, c)
+			default:
+				g.AddEq(y, x, -c)
+			}
+		}
+		str, canon := g.String(), string(g.AppendCanonical(nil))
+		if prev, ok := byString[str]; ok {
+			shared++
+			if prev != canon {
+				t.Fatalf("graphs rendering %q have different identities", str)
+			}
+		}
+		if prev, ok := byCanon[canon]; ok && prev != str {
+			t.Fatalf("graphs rendering %q and %q share one identity", prev, str)
+		}
+		byString[str], byCanon[canon] = canon, str
+	}
+	if shared == 0 {
+		t.Fatal("coverage: no two graphs rendered alike")
+	}
+	g := NewDefault()
+	g.AddEq("i", "np", -1)
+	g.AddLE("j", "i", 2)
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(1000, func() { _ = g.AppendCanonical(buf[:0]) }); n != 0 {
+		t.Errorf("AppendCanonical into a sized buffer allocates %v per op, want 0", n)
+	}
+}
+
+// TestAtomTableConcurrent interns overlapping fresh names from several
+// goroutines while others read them back (run it under -race): every name
+// gets exactly one dense atom, and lookups and String agree with Intern.
+func TestAtomTableConcurrent(t *testing.T) {
+	const workers, perWorker = 8, 300
+	base := len(atomNames())
+	// Names unique to this run, so -count=N interns fresh ones each time.
+	name := func(i int) string { return fmt.Sprintf("concurrent%d.v%d", base, i) }
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				k := (i*7 + w*13) % perWorker
+				a := Intern(name(k))
+				if b, ok := LookupAtom(name(k)); !ok || b != a || a.String() != name(k) {
+					t.Errorf("Intern(%q) = %d, but LookupAtom = %d,%v and String = %q", name(k), a, b, ok, a.String())
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	ids := map[Atom]string{}
+	for i := 0; i < perWorker; i++ {
+		a, ok := LookupAtom(name(i))
+		if !ok || int(a) < base || int(a) >= base+perWorker {
+			t.Fatalf("atom of %q = %d,%v; want one of the %d fresh dense ids from %d", name(i), a, ok, perWorker, base)
+		}
+		if prev, dup := ids[a]; dup {
+			t.Fatalf("%q and %q share atom %d", prev, name(i), a)
+		}
+		ids[a] = name(i)
+	}
+	if n := len(atomNames()); n != base+perWorker {
+		t.Fatalf("table grew by %d, want %d", n-base, perWorker)
 	}
 }

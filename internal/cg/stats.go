@@ -80,11 +80,11 @@ func (s *Stats) ArenaHits() int64 { return s.arenaHits.Load() }
 // ArenaMisses returns how many matrix acquisitions had to allocate.
 func (s *Stats) ArenaMisses() int64 { return s.arenaMisses.Load() }
 
-// KeyCacheHits returns how many FullKey/ShapeKey requests were served from
-// the per-state key cache.
+// KeyCacheHits returns how many state-key requests (FullKey, ShapeKey and
+// the engine's binary identity) were served from the per-state key cache.
 func (s *Stats) KeyCacheHits() int64 { return s.keyCacheHits.Load() }
 
-// KeyCacheMisses returns how many FullKey/ShapeKey requests rebuilt the key.
+// KeyCacheMisses returns how many state-key requests rebuilt the key.
 func (s *Stats) KeyCacheMisses() int64 { return s.keyCacheMisses.Load() }
 
 // KeyCacheHitRate returns the fraction of key requests served from cache.

@@ -20,9 +20,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
-	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/cfg"
@@ -34,10 +35,10 @@ import (
 
 // PV builds the namespaced constraint-graph variable for per-set variable
 // name on process set id, e.g. PV(0, "x") == "ps0.x".
-func PV(id int, name string) string { return fmt.Sprintf("ps%d.%s", id, name) }
+func PV(id int, name string) string { return pvPrefix(id) + name }
 
 // pvPrefix returns the namespace prefix of a set.
-func pvPrefix(id int) string { return fmt.Sprintf("ps%d.", id) }
+func pvPrefix(id int) string { return "ps" + strconv.Itoa(id) + "." }
 
 // ProcSet is one symbolic process set within a configuration: the paper's
 // (process set id, CFG node) tuple element plus its pSets entry.
@@ -96,7 +97,7 @@ type State struct {
 	// TopNode is the CFG node blamed for the give-up (0 = unknown; node 0
 	// is Entry, which never causes ⊤). TopKey is the shape key of the
 	// configuration the give-up transition left from. Both are provenance
-	// only: they never enter FullKey/ShapeKey, so they cannot affect
+	// only: they never enter FullKey/ShapeKey/identity, so they cannot affect
 	// fixpoint detection or the parallel/sequential equivalence of keys.
 	TopNode int
 	TopKey  string
@@ -115,8 +116,8 @@ type State struct {
 	// the same element set) need no copy.
 	sharedMatches bool
 	sharedPending bool
-	// Canonical-key cache: FullKey/ShapeKey serializations are expensive
-	// (sorts plus a full constraint-graph rendering), and the engine asks
+	// Canonical-key cache: ShapeKey/identity serializations cost sorts
+	// plus a walk of the whole constraint graph, and the engine asks
 	// for them on every table revisit. A cached key is valid while the
 	// configuration content is unchanged: constraint-graph changes are
 	// tracked by (graph identity, graph version); Sets/Matches/Pending/Top
@@ -124,14 +125,16 @@ type State struct {
 	// Clone deliberately does not copy the cache — transfer functions
 	// mutate fresh clones through direct field writes that bypass
 	// dirtyKeys, so clones must start cold.
-	ckFull  keyCache
 	ckShape keyCache
+	ckID    keyCache
 }
 
 // keyCache is one cached canonical-key rendering, stamped with the graph
-// identity and version it was built against.
+// identity and version it was built against. The binary identity lives in
+// id, a buffer reused across rebuilds.
 type keyCache struct {
 	key  string
+	id   []byte
 	ok   bool
 	g    *cg.Graph
 	gVer uint64
@@ -151,8 +154,8 @@ func (c *keyCache) store(key string, g *cg.Graph) {
 // changes key-relevant content (Sets, Matches, Pending, Top) must call it;
 // constraint-graph mutations are caught by the graph version instead.
 func (st *State) dirtyKeys() {
-	st.ckFull.ok = false
 	st.ckShape.ok = false
+	st.ckID.ok = false
 }
 
 // SetAssignedVars installs the set of program variables that are written
@@ -457,12 +460,34 @@ func copyBounds(g *cg.Graph, from, to string) {
 // ---------------------------------------------------------------------------
 // Canonical ordering, shape keys, alignment
 
-var psVarRe = regexp.MustCompile(`ps\d+\.`)
-
 // anonRangeKey renders a range with set prefixes erased, for stable
 // tie-breaking independent of set IDs.
-func anonRangeKey(s procset.Set) string {
-	return psVarRe.ReplaceAllString(s.String(), "ps.")
+func anonRangeKey(s procset.Set) string { return anonSetIDs(s.String()) }
+
+// anonSetIDs replaces every "ps<digits>." in r with "ps.", scanning left to
+// right exactly as a regexp replace of `ps\d+\.` would. A string without
+// "ps" is returned as is.
+func anonSetIDs(r string) string {
+	if !strings.Contains(r, "ps") {
+		return r
+	}
+	b := make([]byte, 0, len(r))
+	for i := 0; i < len(r); {
+		if r[i] == 'p' && i+1 < len(r) && r[i+1] == 's' {
+			j := i + 2
+			for j < len(r) && r[j] >= '0' && r[j] <= '9' {
+				j++
+			}
+			if j > i+2 && j < len(r) && r[j] == '.' {
+				b = append(b, "ps."...)
+				i = j + 1
+				continue
+			}
+		}
+		b = append(b, r[i])
+		i++
+	}
+	return string(b)
 }
 
 // sortCanonical orders sets by (CFG node, blocked, anonymized range).
@@ -518,33 +543,159 @@ func (st *State) ShapeKey() string {
 	st.G.StatsHandle().AddKeyCacheMisses(1)
 	st.sortCanonical()
 	st.sortPending()
-	parts := make([]string, len(st.Sets))
+	var buf [64]byte
+	b := buf[:0]
 	for i, p := range st.Sets {
-		b := ""
-		if p.Blocked {
-			b = "*"
+		if i > 0 {
+			b = append(b, '|')
 		}
-		parts[i] = fmt.Sprintf("n%d%s", p.Node.ID, b)
+		b = append(b, 'n')
+		b = strconv.AppendInt(b, int64(p.Node.ID), 10)
+		if p.Blocked {
+			b = append(b, '*')
+		}
 	}
-	key := strings.Join(parts, "|")
 	for _, p := range st.Pending {
-		key += fmt.Sprintf("|p%d%s", p.Node, p.Shape)
+		b = append(b, "|p"...)
+		b = strconv.AppendInt(b, int64(p.Node), 10)
+		b = append(b, p.Shape.String()...)
 	}
+	key := string(b)
 	st.ckShape.store(key, st.G)
 	return key
 }
 
-// FullKey identifies the configuration including ranges, dataflow state and
-// matches; used for fixpoint detection.
+// Tags of the binary identity's variable-shape fields. A non-⊤ identity
+// starts with a zero byte, a ⊤ one with idTop.
+const (
+	idTop byte = iota + 1
+	idSetInvalid
+	idSetPoint
+	idSetRange
+	idExprVarPlus
+	idExprPoly
+)
+
+// identity is the configuration's binary identity, the engine's fixpoint
+// and duplicate-delivery key: two states have equal identities exactly when
+// their FullKey strings are equal. It encodes the same content FullKey
+// renders — every atom of every range, node IDs and Blocked/Approx flags,
+// the constraint graph through cg.Graph.AppendCanonical, and the match and
+// pending records as far as Set.String shows them — with fixed tags and
+// length prefixes instead of fmt, so the encoding is canonical and exact
+// (no hash, no collision fallback). The result aliases a buffer the state
+// reuses: it stays valid until the next identity call on the same state.
+func (st *State) identity() []byte {
+	if st.Top {
+		b := append(st.ckID.id[:0], idTop)
+		st.ckID.id = append(b, st.TopWhy...)
+		return st.ckID.id
+	}
+	if st.ckID.valid(st.G) {
+		st.G.StatsHandle().AddKeyCacheHits(1)
+		return st.ckID.id
+	}
+	st.G.StatsHandle().AddKeyCacheMisses(1)
+	st.sortCanonical()
+	b := binary.AppendUvarint(append(st.ckID.id[:0], 0), uint64(len(st.Sets)))
+	for _, p := range st.Sets {
+		b = appendBoundAll(b, p.Range.LB)
+		b = appendBoundAll(b, p.Range.UB)
+		b = binary.AppendUvarint(b, uint64(p.Node.ID))
+		var flags byte
+		if p.Blocked {
+			flags |= 1
+		}
+		if p.Approx {
+			flags |= 2
+		}
+		b = append(b, flags)
+	}
+	b = st.G.AppendCanonical(b)
+	b = binary.AppendUvarint(b, uint64(len(st.Matches)))
+	for _, m := range st.Matches {
+		b = binary.AppendUvarint(b, uint64(m.SendNode))
+		b = binary.AppendUvarint(b, uint64(m.RecvNode))
+		b = appendSetShown(b, m.Sender)
+		b = appendSetShown(b, m.Receiver)
+	}
+	st.sortPending()
+	b = binary.AppendUvarint(b, uint64(len(st.Pending)))
+	for _, p := range st.Pending {
+		b = binary.AppendUvarint(b, uint64(p.Node))
+		b = append(b, byte(p.Shape))
+		b = appendSetShown(b, p.Senders)
+		if p.Shape == PendShift {
+			b = appendExpr(b, p.Offset)
+		} else {
+			b = appendSetShown(b, p.Dests)
+		}
+		if p.ValOK {
+			b = appendExpr(append(b, 1), p.Val)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	st.ckID = keyCache{id: b, ok: true, g: st.G, gVer: st.G.Version()}
+	return b
+}
+
+// appendBoundAll encodes every atom of b, as Bound.StringAll renders them.
+func appendBoundAll(b []byte, bd procset.Bound) []byte {
+	atoms := bd.Atoms()
+	b = binary.AppendUvarint(b, uint64(len(atoms)))
+	for _, a := range atoms {
+		b = appendExpr(b, a)
+	}
+	return b
+}
+
+// appendSetShown encodes what Set.String renders: the primary atom of each
+// bound, and whether the set prints as the point form [x] or as [x..y].
+func appendSetShown(b []byte, s procset.Set) []byte {
+	switch {
+	case !s.IsValid():
+		return append(b, idSetInvalid)
+	case len(s.LB.Atoms()) == 1 && len(s.UB.Atoms()) == 1 && sym.Equal(s.LB.Atoms()[0], s.UB.Atoms()[0]):
+		return appendExpr(append(b, idSetPoint), s.LB.Atoms()[0])
+	}
+	b = appendExpr(append(b, idSetRange), s.LB.Primary())
+	return appendExpr(b, s.UB.Primary())
+}
+
+// appendExpr encodes a polynomial's normal form. The var+c shape (a
+// constant when the variable is "") is read without allocating; any other
+// polynomial walks its terms.
+func appendExpr(b []byte, e sym.Expr) []byte {
+	if v, c, ok := e.AsVarPlusConst(); ok {
+		b = appendString(append(b, idExprVarPlus), v)
+		return binary.AppendVarint(b, c)
+	}
+	terms := e.Terms()
+	b = binary.AppendUvarint(append(b, idExprPoly), uint64(len(terms)))
+	for _, t := range terms {
+		b = binary.AppendVarint(b, t.Coef)
+		b = binary.AppendUvarint(b, uint64(len(t.Vars)))
+		for _, v := range t.Vars {
+			b = appendString(b, v)
+		}
+	}
+	return b
+}
+
+// appendString appends s with a length prefix.
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// FullKey is the readable rendering of the configuration's identity:
+// ranges, dataflow state and matches. The engine compares identity()
+// instead; FullKey orders the reported finals and serves tests and dumps,
+// so it is not cached.
 func (st *State) FullKey() string {
 	if st.Top {
 		return "TOP:" + st.TopWhy
 	}
-	if st.ckFull.valid(st.G) {
-		st.G.StatsHandle().AddKeyCacheHits(1)
-		return st.ckFull.key
-	}
-	st.G.StatsHandle().AddKeyCacheMisses(1)
 	st.sortCanonical()
 	var b strings.Builder
 	for _, p := range st.Sets {
@@ -572,9 +723,7 @@ func (st *State) FullKey() string {
 		}
 		b.WriteString(";")
 	}
-	key := b.String()
-	st.ckFull.store(key, st.G)
-	return key
+	return b.String()
 }
 
 // AlignTo renames st's set IDs positionally onto ref's (both must share the

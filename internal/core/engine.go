@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"log/slog"
@@ -318,7 +319,7 @@ type tableEntry struct {
 	// fire identically for any revision arrival order.
 	rev        int
 	widenParam string
-	// seen records the full keys of every state delivered to (or committed
+	// seen records the identities of every state delivered to (or committed
 	// on) this entry. The entry only ascends, so each of those states stays
 	// below it forever: a re-delivery with a key in this set — the parallel
 	// engine's stale-re-step churn — is dropped before the combine runs.
@@ -947,9 +948,12 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string, tid int) 
 		old.Release()
 		return true
 	}
-	fk := st.FullKey()
-	before := entry.st.FullKey()
-	if _, dup := entry.seen[fk]; dup || fk == before {
+	// Identities alias their states' reusable buffers. before stays intact
+	// through AlignTo and combine: nothing recomputes entry.st's identity
+	// until the next revision, and widened is a fresh state.
+	fk := st.identity()
+	before := entry.st.identity()
+	if _, dup := entry.seen[string(fk)]; dup || bytes.Equal(fk, before) {
 		// fk == before matters when the entry was just created and seen is
 		// still empty: combining a state with itself is not a representation
 		// no-op (multi-atom bounds normalize under G), so without the check
@@ -960,8 +964,10 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string, tid int) 
 	if entry.seen == nil {
 		entry.seen = make(map[string]struct{}, 8)
 	}
-	entry.seen[fk] = struct{}{}
-	entry.seen[before] = struct{}{}
+	entry.seen[string(fk)] = struct{}{}
+	if _, ok := entry.seen[string(before)]; !ok {
+		entry.seen[string(before)] = struct{}{}
+	}
 	st.AlignTo(entry.st)
 	combinePhase := obs.PhaseJoin
 	if entry.rev >= e.opts.joinVisits() {
@@ -984,8 +990,8 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string, tid int) 
 		return true
 	}
 	remap := widened.CanonicalizeParams()
-	after := widened.FullKey()
-	if after == before {
+	after := widened.identity()
+	if bytes.Equal(after, before) {
 		// Absorbed without change: the ladder does not advance, and the
 		// canonicalization remap is dropped along with the discarded trial
 		// state. Applying the remap here would orphan the widening
@@ -1015,7 +1021,7 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string, tid int) 
 		return true
 	}
 	e.widenings.Add(1)
-	entry.seen[after] = struct{}{}
+	entry.seen[string(after)] = struct{}{}
 	old := entry.st
 	entry.st = widened
 	old.Release()

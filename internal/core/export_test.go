@@ -43,14 +43,7 @@ type ReplayResult struct {
 // reviseEntry — and reports the converged entry. Input states are cloned,
 // never consumed.
 func ReplayRevisions(opts Options, key string, states []*State) ReplayResult {
-	e := &engine{
-		opts:    opts,
-		in:      newInterner(),
-		res:     &Result{},
-		obsSeen: map[string]bool{},
-	}
-	e.shards = make([]tableShard, 1)
-	e.shards[0].m = map[uint64]*tableEntry{}
+	e := newReplayEngine(opts)
 	entry := &tableEntry{st: states[0].Clone()}
 	for _, st := range states[1:] {
 		e.reviseEntry(entry, st.Clone(), key, 0)
@@ -67,3 +60,48 @@ func ReplayRevisions(opts Options, key string, states []*State) ReplayResult {
 		Terminal:    entry.st.Top || e.allAtExit(entry.st),
 	}
 }
+
+// newReplayEngine is a bare engine holding one table shard, for replays.
+func newReplayEngine(opts Options) *engine {
+	e := &engine{
+		opts:    opts,
+		in:      newInterner(),
+		res:     &Result{},
+		obsSeen: map[string]bool{},
+	}
+	e.shards = make([]tableShard, 1)
+	e.shards[0].m = map[uint64]*tableEntry{}
+	return e
+}
+
+// ReplayCombines replays states into a fresh table entry like
+// ReplayRevisions and returns the combine result each later non-⊤ revision
+// produces against the entry, canonicalized as reviseEntry canonicalizes
+// it. Each combine runs on a copy of the entry, so the replay itself is
+// undisturbed. Input states are cloned, never consumed.
+func ReplayCombines(opts Options, key string, states []*State) []*State {
+	e := newReplayEngine(opts)
+	entry := &tableEntry{st: states[0].Clone()}
+	var out []*State
+	for _, st := range states[1:] {
+		if !entry.st.Top && !st.Top {
+			trial := &tableEntry{st: entry.st.Clone(), rev: entry.rev, widenParam: entry.widenParam}
+			in := st.Clone()
+			in.AlignTo(trial.st)
+			res := e.combine(trial, in, 0)
+			if !res.Top {
+				res.CanonicalizeParams()
+			}
+			out = append(out, res)
+		}
+		e.reviseEntry(entry, st.Clone(), key, 0)
+	}
+	return out
+}
+
+// Identity exposes the engine's binary state identity.
+func Identity(st *State) []byte { return st.identity() }
+
+// DirtyKeys drops st's cached keys, so the next ShapeKey or Identity call
+// rebuilds its key.
+func DirtyKeys(st *State) { st.dirtyKeys() }

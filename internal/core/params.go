@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/cg"
@@ -39,38 +39,32 @@ func isHelperVar(v string) bool {
 	return true
 }
 
-// CanonicalizeParams renames helper variables to canonical names and drops
-// stale ones from the constraint graph. It returns the applied renaming so
-// callers can translate names they hold (e.g. the table entry's widening
-// parameter).
-func (st *State) CanonicalizeParams() map[string]string {
-	st.sortCanonical()
-	st.sortPending()
-	var order []string
-	seen := map[string]bool{}
-	noteVar := func(v string) {
-		if isHelperVar(v) && !seen[v] {
-			seen[v] = true
-			order = append(order, v)
+// forEachExprVar calls fn for each variable of e in sorted order. Bound
+// atoms and pending offsets are almost always var+c, whose one variable is
+// read directly instead of allocating the Vars set.
+func forEachExprVar(e sym.Expr, fn func(string)) {
+	if v, _, ok := e.AsVarPlusConst(); ok {
+		if v != "" {
+			fn(v)
+		}
+		return
+	}
+	for _, v := range e.Vars() {
+		fn(v)
+	}
+}
+
+// forEachRangeVar calls fn for every variable occurrence in the state's
+// ranges, match records and pending sends, in canonical rendering order.
+func (st *State) forEachRangeVar(fn func(string)) {
+	scanSet := func(s procset.Set) {
+		for _, a := range s.LB.Atoms() {
+			forEachExprVar(a, fn)
+		}
+		for _, a := range s.UB.Atoms() {
+			forEachExprVar(a, fn)
 		}
 	}
-	note := func(e sym.Expr) {
-		for _, v := range e.Vars() {
-			noteVar(v)
-		}
-	}
-	scanBound := func(b procset.Bound) {
-		for _, a := range b.Atoms() {
-			// Bound atoms are almost always var+c: read the variable
-			// directly instead of allocating the Vars set.
-			if v, _, ok := a.AsVarPlusConst(); ok {
-				noteVar(v)
-			} else {
-				note(a)
-			}
-		}
-	}
-	scanSet := func(s procset.Set) { scanBound(s.LB); scanBound(s.UB) }
 	for _, p := range st.Sets {
 		scanSet(p.Range)
 	}
@@ -83,10 +77,34 @@ func (st *State) CanonicalizeParams() map[string]string {
 		if p.Shape == PendFan {
 			scanSet(p.Dests)
 		}
-		note(p.Offset)
+		forEachExprVar(p.Offset, fn)
 		if p.ValOK {
-			note(p.Val)
+			forEachExprVar(p.Val, fn)
 		}
+	}
+}
+
+// CanonicalizeParams renames helper variables to canonical names and drops
+// stale ones from the constraint graph. It returns the applied renaming so
+// callers can translate names they hold (e.g. the table entry's widening
+// parameter); a state with no helper variable at all returns nil without
+// allocating.
+func (st *State) CanonicalizeParams() map[string]string {
+	st.sortCanonical()
+	st.sortPending()
+	var order []string
+	var seen map[string]bool // allocated at the first helper
+	st.forEachRangeVar(func(v string) {
+		if isHelperVar(v) && !seen[v] {
+			if seen == nil {
+				seen = map[string]bool{}
+			}
+			seen[v] = true
+			order = append(order, v)
+		}
+	})
+	if order == nil && !st.G.AnyVar(isHelperVar) {
+		return nil
 	}
 	// Desired canonical names in appearance order.
 	mapping := map[string]string{}
@@ -94,10 +112,10 @@ func (st *State) CanonicalizeParams() map[string]string {
 	for _, v := range order {
 		var want string
 		if v[0] == 'f' { // fz<n> or f<n>
-			want = fmt.Sprintf("f%d", nf)
+			want = "f" + strconv.Itoa(nf)
 			nf++
 		} else { // wp<n> or k<n>
-			want = fmt.Sprintf("k%d", nk)
+			want = "k" + strconv.Itoa(nk)
 			nk++
 		}
 		mapping[v] = want
@@ -127,12 +145,12 @@ func (st *State) CanonicalizeParams() map[string]string {
 	// Two-phase rename in the constraint graph (deterministic order).
 	for i, from := range order {
 		if st.G.HasVar(from) {
-			st.G.Rename(from, fmt.Sprintf("$p%d", i))
+			st.G.Rename(from, "$p"+strconv.Itoa(i))
 		}
 	}
 	for i, from := range order {
-		if st.G.HasVar(fmt.Sprintf("$p%d", i)) {
-			st.G.Rename(fmt.Sprintf("$p%d", i), mapping[from])
+		if tmp := "$p" + strconv.Itoa(i); st.G.HasVar(tmp) {
+			st.G.Rename(tmp, mapping[from])
 		}
 	}
 	// Substitute in ranges, matches and pendings (simultaneous).
@@ -222,38 +240,11 @@ func (st *State) ResolveHelpers() {
 	// graph is kept transitively closed, so dropping a row projects the
 	// variable out while preserving every consequence among the survivors.
 	used := map[string]bool{}
-	note := func(e sym.Expr) {
-		for _, v := range e.Vars() {
-			if isHelperVar(v) {
-				used[v] = true
-			}
+	st.forEachRangeVar(func(v string) {
+		if isHelperVar(v) {
+			used[v] = true
 		}
-	}
-	scanSet := func(s procset.Set) {
-		for _, a := range s.LB.Atoms() {
-			note(a)
-		}
-		for _, a := range s.UB.Atoms() {
-			note(a)
-		}
-	}
-	for _, p := range st.Sets {
-		scanSet(p.Range)
-	}
-	for _, m := range st.Matches {
-		scanSet(m.Sender)
-		scanSet(m.Receiver)
-	}
-	for _, p := range st.Pending {
-		scanSet(p.Senders)
-		if p.Shape == PendFan {
-			scanSet(p.Dests)
-		}
-		note(p.Offset)
-		if p.ValOK {
-			note(p.Val)
-		}
-	}
+	})
 	dropped := false
 	for _, v := range st.G.Vars() {
 		if isHelperVar(v) && !used[v] {

@@ -6,7 +6,6 @@
 package procset
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/cg"
@@ -353,9 +352,8 @@ func (ctx Ctx) Enrich(b Bound) Bound {
 		if name == "" {
 			name = cg.ZeroVar
 		}
-		if !ctx.G.HasVar(name) {
-			continue
-		}
+		// A variable the graph lacks has no witnesses: the append returns
+		// buf empty, with one atom-table lookup instead of two.
 		for _, w := range ctx.G.AppendEqualWitnesses(buf[:0], name) {
 			// name = w.Var + w.C, so a = name + c = w.Var + w.C + c.
 			wv := w.Var
@@ -623,12 +621,12 @@ func (s Set) String() string {
 		return "[invalid]"
 	}
 	if len(s.LB.atoms) == 1 && len(s.UB.atoms) == 1 && sym.Equal(s.LB.atoms[0], s.UB.atoms[0]) {
-		return fmt.Sprintf("[%s]", s.LB)
+		return "[" + s.LB.String() + "]"
 	}
-	return fmt.Sprintf("[%s..%s]", s.LB, s.UB)
+	return "[" + s.LB.String() + ".." + s.UB.String() + "]"
 }
 
 // StringAll renders both bounds with all atoms.
 func (s Set) StringAll() string {
-	return fmt.Sprintf("[%s..%s]", s.LB.StringAll(), s.UB.StringAll())
+	return "[" + s.LB.StringAll() + ".." + s.UB.StringAll() + "]"
 }
