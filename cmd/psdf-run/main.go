@@ -77,7 +77,7 @@ func main() {
 		parallel    = flag.Int("parallel", 0, "with -analyze: worker bound (0 = one per CPU, 1 = sequential)")
 		nonblocking = flag.Bool("nonblocking", false, "with -analyze: enable the Section X non-blocking send extension")
 		workers     = flag.Int("workers", 1, "with -analyze: worker goroutines inside each analysis (parallel worklist engine)")
-		schedule    = flag.String("schedule", "", "with -analyze: worklist order (fifo, lifo or shape; default fifo)")
+		schedule    = flag.String("schedule", "", "with -analyze: worklist order (lifo or fifo; default lifo)")
 		failOnFind  = flag.Bool("fail-on-findings", false, "exit nonzero on verification findings (analyze) or leaks/assert failures (simulate)")
 		traceOut    = flag.String("trace", "", "with -analyze: write a Chrome trace-event file (Perfetto-loadable)")
 		traceJSONL  = flag.String("trace-jsonl", "", "with -analyze: write the span trace as JSON lines")

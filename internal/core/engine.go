@@ -23,17 +23,11 @@ import (
 
 // Worklist schedule names accepted by Options.Schedule.
 const (
-	// ScheduleFIFO visits configurations breadth-first in discovery order
-	// (the default; Workers=1 with this schedule reproduces the classic
-	// sequential worklist exactly).
-	ScheduleFIFO = "fifo"
-	// ScheduleLIFO explores depth-first: loop bodies reach their local
-	// fixpoint before sibling configurations are expanded.
+	// ScheduleLIFO explores depth-first (the default): loop bodies reach
+	// their local fixpoint before sibling configurations are expanded.
 	ScheduleLIFO = "lifo"
-	// ScheduleShape pops the lexicographically smallest shape key first,
-	// grouping configurations of the same control region so queued
-	// revisions coalesce into fewer visits.
-	ScheduleShape = "shape"
+	// ScheduleFIFO visits configurations breadth-first in discovery order.
+	ScheduleFIFO = "fifo"
 )
 
 // Options configures the pCFG analysis engine.
@@ -42,12 +36,6 @@ type Options struct {
 	Matcher Matcher
 	// CGOpts selects the constraint-graph backend and instrumentation.
 	CGOpts cg.Options
-	// JoinVisits is how many revisits of a pCFG shape use plain join before
-	// switching to widening (default 12). The join ladder must run long
-	// enough for stable relations (e.g. between widening parameters and np)
-	// to separate from genuinely growing bounds before widening drops the
-	// latter.
-	JoinVisits int
 	// MaxVisits bounds revisits of one shape before giving up (default 64).
 	MaxVisits int
 	// MaxSteps bounds total propagate steps (default 100000).
@@ -63,14 +51,16 @@ type Options struct {
 	NonBlockingSends bool
 	// Trace receives step-by-step analysis logging when non-nil.
 	Trace io.Writer
-	// Workers is the number of goroutines driving the worklist (default 1:
-	// the sequential engine). With Workers > 1 the configuration table is
-	// sharded and workers step snapshots of distinct configurations
-	// concurrently; the Matcher must then be safe for concurrent use (the
-	// bundled clients are).
+	// Workers is the number of goroutines driving the worklist (default 1).
+	// Every worker count runs the same fixpoint loop over the sharded,
+	// coalescing scheduler; the one-worker run is deterministic and is the
+	// reference the multi-worker runs are checked against. With Workers > 1
+	// workers step snapshots of distinct configurations concurrently, so
+	// the Matcher must be safe for concurrent use (the bundled clients are).
 	Workers int
-	// Schedule selects the worklist order: ScheduleFIFO (default),
-	// ScheduleLIFO or ScheduleShape. Any other value is an error.
+	// Schedule selects each scheduler shard's queue order: ScheduleLIFO
+	// (the default at every worker count) or ScheduleFIFO. Any other value
+	// is an error.
 	Schedule string
 	// RecordCommBounds enables rank-bounds observations: every process set
 	// reaching a communication operation has its partner expression checked
@@ -78,19 +68,19 @@ type Options struct {
 	// accumulate in Result.CommBounds (for the lint rank-bounds pass). Off
 	// by default — the checks cost extra entailment queries per comm site.
 	RecordCommBounds bool
-	// Shards is the configuration-table shard count for the parallel
-	// engine, rounded up to a power of two (default 32). Smaller values
-	// increase lock contention; useful in tests to stress the locking.
+	// Shards is the configuration-table and scheduler shard count, rounded
+	// up to a power of two (default 32). Smaller values increase lock
+	// contention; useful in tests to stress the locking.
 	Shards int
 	// Tracer receives a span per engine phase (step, transfer, match,
-	// split, insert, join, widen, give-up commit, finish; plus dequeue on
-	// the parallel path) when non-nil. Tracing only observes — results are
-	// byte-identical with it on or off — and the nil default costs nothing.
+	// split, insert, commit, join, widen, dequeue, give-up commit, finish)
+	// when non-nil. Tracing only observes — results are byte-identical with
+	// it on or off — and the nil default costs nothing.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, receives the engine's counters and gauges:
 	// final step/widening/config counts, interned-key count, per-shard
-	// table sizes, and (parallel path) live + high-water scheduler
-	// queue-depth and pending gauges.
+	// table sizes, and live + high-water scheduler queue-depth and pending
+	// gauges.
 	Metrics *obs.Registry
 	// TracePID labels this analysis's spans and metric series when several
 	// jobs share one tracer or registry (AnalyzeAll assigns input position
@@ -126,7 +116,7 @@ type Options struct {
 	// smoke path for the stall machinery. Requires StallTimeout > 0.
 	ForceStall bool
 	// ProfileLabels attaches runtime/pprof goroutine labels (psdf_job,
-	// psdf_worker, psdf_phase) to the parallel workers and the finish
+	// psdf_worker, psdf_phase) to the fixpoint workers and the finish
 	// post-pass, so CPU profiles attribute samples per analysis and phase.
 	ProfileLabels bool
 	// Profiler, when non-nil, collects the source-attribution profile:
@@ -137,23 +127,27 @@ type Options struct {
 	// profiler once, after convergence. Nil costs one pointer check.
 	Profiler *prof.Profiler
 	// onRevision, when non-nil, observes every canonicalized successor
-	// state the sequential engine delivers to the configuration table,
-	// keyed by shape. Recording hook for the arrival-order permutation
-	// suite (installed via WithRevisionHook in tests).
+	// state delivered to the configuration table, keyed by shape, in the
+	// order the table receives them. It runs under the target shard's lock,
+	// so with Workers > 1 it must be safe for concurrent use. Recording
+	// hook for the identity and arrival-order suites (installed via
+	// WithRevisionHook in tests).
 	onRevision func(key string, st *State)
 }
 
-// parallelJoinVisits is the join→widen rung the parallel engine defaults
-// to (Options.JoinVisits overrides it). See the resolution in Analyze for
-// why coalesced delivery makes the sequential default an over-delay.
-const parallelJoinVisits = 3
-
-func (o *Options) joinVisits() int {
-	if o.JoinVisits <= 0 {
-		return 12
-	}
-	return o.JoinVisits
-}
+// joinRung is how many state-changing revisions of a table entry use plain
+// join before the combine switches to widening. Deliveries are coalesced:
+// one step covers every revision its entry received since it was last
+// stepped, so one delivery downstream carries what a worklist that steps
+// every revision spreads over roughly frontier-width many, and three joins
+// let stable relations (e.g. between widening parameters and np) separate
+// from genuinely growing bounds. Two is too few: on the stencil workloads
+// the parametric range widening (atom-intersection failure minting a
+// fresh bound parameter) can then fire before enough lineages have
+// joined. The rung counts state changes, not arrivals, so arrival order
+// cannot move it; the chain *content* at rung time is order-dependent
+// (DESIGN.md §12).
+const joinRung = 3
 
 func (o *Options) maxVisits() int {
 	if o.MaxVisits <= 0 {
@@ -197,15 +191,13 @@ func (o *Options) shardCount() int {
 
 func (o *Options) schedule() (string, error) {
 	switch o.Schedule {
-	case "", ScheduleFIFO:
-		return ScheduleFIFO, nil
-	case ScheduleLIFO:
+	case "", ScheduleLIFO:
 		return ScheduleLIFO, nil
-	case ScheduleShape:
-		return ScheduleShape, nil
+	case ScheduleFIFO:
+		return ScheduleFIFO, nil
 	}
-	return "", fmt.Errorf("core: unknown Options.Schedule %q (want %q, %q or %q)",
-		o.Schedule, ScheduleFIFO, ScheduleLIFO, ScheduleShape)
+	return "", fmt.Errorf("core: unknown Options.Schedule %q (want %q or %q)",
+		o.Schedule, ScheduleLIFO, ScheduleFIFO)
 }
 
 // PCFGEdge is one explored pCFG edge: a transition between configurations.
@@ -321,8 +313,8 @@ type tableEntry struct {
 	widenParam string
 	// seen records the identities of every state delivered to (or committed
 	// on) this entry. The entry only ascends, so each of those states stays
-	// below it forever: a re-delivery with a key in this set — the parallel
-	// engine's stale-re-step churn — is dropped before the combine runs.
+	// below it forever: a re-delivery with a key in this set — stale-re-step
+	// churn from concurrent workers — is dropped before the combine runs.
 	// Beyond saving the combine, this keeps the widen rung reductive on
 	// duplicates (cg.Widen against an already-absorbed state is not a
 	// representation no-op, so without the filter duplicate traffic could
@@ -337,15 +329,14 @@ type tableEntry struct {
 	// version that is later revised is transient — the revised entry may
 	// step past the dead end — so give-ups become real only at convergence,
 	// when finish() commits the verdicts of the final entry versions
-	// (commitStuckTops). Without the deferral a parallel worker stepping a
-	// stale intermediate version could permanently poison the result with a
-	// ⊤ the sequential engine never sees.
+	// (commitStuckTops). Without the deferral a worker stepping a stale
+	// intermediate version could permanently poison the result with a ⊤ the
+	// one-worker run never sees.
 	stuckTops []succ
 }
 
 // tableShard is one lock-striped slice of the configuration table, indexed
-// by interned shape-key ids. The sequential engine uses the shards as plain
-// maps (no locking); the parallel engine locks a shard around entry reads,
+// by interned shape-key ids. Workers lock a shard around entry reads,
 // snapshots and revisions.
 type tableShard struct {
 	mu sync.Mutex
@@ -366,24 +357,16 @@ type engine struct {
 	widenings atomic.Int64
 	giveUps   atomic.Int64
 	budgetHit atomic.Bool
-	parallel  bool
 	started   time.Time
 	dumpOnce  sync.Once
 	// visited marks CFG nodes some non-empty process set was positioned at
 	// in a reachable configuration (indexed by node ID; used by the
-	// dead-code lint pass). Atomic because parallel workers normalize
-	// concurrently.
+	// dead-code lint pass). Atomic because workers normalize concurrently.
 	visited []atomic.Bool
 	// obsMu/obsSeen dedupe rank-bounds observations across revisits.
 	obsMu   sync.Mutex
 	obsSeen map[string]bool
 
-	// Sequential path (Workers == 1).
-	queue      workQueue
-	inWork     map[uint64]bool
-	seqDepthHW int // queue-depth high-water mark
-
-	// Parallel path (Workers > 1).
 	sched *scheduler
 
 	// Source-attribution profiler (nil when Options.Profiler is nil):
@@ -403,7 +386,7 @@ func (e *engine) shard(id uint64) *tableShard { return &e.shards[id&e.shardMask]
 func (e *engine) stats() *cg.Stats { return e.opts.CGOpts.Stats }
 
 // span opens a phase span on this engine's trace lane (tid 0 is the
-// sequential engine / driver goroutine; parallel workers use 1..Workers).
+// driver goroutine; workers use 1..Workers).
 // Free when Options.Tracer is nil.
 func (e *engine) span(tid int, ph obs.Phase, key string) obs.Span {
 	return e.opts.Tracer.Begin(e.opts.TracePID, tid, ph, key)
@@ -491,7 +474,9 @@ func blameNode(st *State) int {
 	return 0
 }
 
-// Analyze runs the parallel dataflow analysis over the program's CFG.
+// Analyze runs the parallel dataflow analysis over the program's CFG: one
+// worklist fixpoint over the sharded, coalescing scheduler, driven by
+// Options.Workers goroutines.
 func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 	if opts.Matcher == nil {
 		return nil, fmt.Errorf("core: Options.Matcher is required")
@@ -499,37 +484,6 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 	schedule, err := opts.schedule()
 	if err != nil {
 		return nil, err
-	}
-	if opts.Schedule == "" && opts.workers() > 1 {
-		// State-derived revision counters make every schedule
-		// equivalence-safe (the converged result is interleaving- and
-		// order-independent by construction), so the parallel engine is free
-		// to default to the depth-first order: it reaches each
-		// configuration's widest pending state soonest, which shortens the
-		// realized revision chains and lets the coalescing scheduler absorb
-		// the most stale traffic. Sequential runs keep FIFO — the classic
-		// worklist order the paper's step counts are quoted against.
-		schedule = ScheduleLIFO
-	}
-	if opts.JoinVisits == 0 && opts.workers() > 1 {
-		// The parallel engine's revision chains are built from coalesced
-		// deliveries: one revision reaching a table entry is the join of
-		// every successor produced since the entry was last stepped, so a
-		// single chain link carries what the sequential engine spreads over
-		// roughly frontier-width many links. Counting the sequential default
-		// of 12 links before the widen rung therefore over-delays widening
-		// by about that factor; three coalesced joins carry the same
-		// information. Two is too few: on the stencil workloads the
-		// parametric range widening (atom-intersection failure minting a
-		// fresh bound parameter) can then fire before enough lineages have
-		// joined, and while the rung itself is order-independent, the chain
-		// *content* at rung time is not — a 300-iteration race-detector
-		// sweep showed rare spurious ⊤ verdicts at 2 and none at 3. The
-		// rung is still a pure function of the joined states (arrival order
-		// cannot move it), and the equivalence and arrival-order stress
-		// suites hold the converged results byte-identical to the
-		// sequential engine's across every workload and worker count.
-		opts.JoinVisits = parallelJoinVisits
 	}
 	e := &engine{
 		g:       g,
@@ -547,8 +501,8 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 		e.shards[i].m = map[uint64]*tableEntry{}
 	}
 	if opts.Profiler != nil {
-		// opts.workers() is an upper bound: runParallel may clamp the
-		// worker count to GOMAXPROCS, which only leaves lanes idle.
+		// opts.workers() is an upper bound: run may clamp the worker count
+		// to GOMAXPROCS, which only leaves lanes idle.
 		e.prof = opts.Profiler.NewLanes(opts.workers(), len(g.Nodes))
 		if mp, ok := opts.Matcher.(interface{ Memo() *MatchMemo }); ok {
 			e.profMemo = mp.Memo()
@@ -573,11 +527,7 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 	e.normalize(init)
 	e.logStart(schedule)
 	wd := e.armWatchdog()
-	if opts.workers() > 1 {
-		e.runParallel(init, schedule)
-	} else {
-		e.runSequential(init, schedule)
-	}
+	e.run(init, schedule)
 	e.settleWatchdog(wd)
 	if e.budgetHit.Load() {
 		if lg := e.opts.Log; lg != nil {
@@ -598,60 +548,12 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 	return e.res, nil
 }
 
-// runSequential is the single-goroutine fixpoint loop: pop an id, step the
-// table state, insert the successors. With the FIFO queue it visits
-// configurations in exactly the order the classic string-keyed worklist
-// did (ids are assigned densely in first-insert order).
-func (e *engine) runSequential(init *State, schedule string) {
-	e.queue = newQueue(schedule, e.in)
-	e.inWork = map[uint64]bool{}
-	// The sequential queue is driver-goroutine-private, so the sampler
-	// exposes only the race-safe counters (steps, configs, ladder); the
-	// queue-depth fields stay zero on this path.
-	e.registerProgress(false)
-	e.insert("", init, "start", 0)
-	for {
-		id, ok := e.queue.pop()
-		if !ok {
-			break
-		}
-		if int(e.steps.Load()) >= e.opts.maxSteps() {
-			e.budgetHit.Store(true)
-			break
-		}
-		e.inWork[id] = false
-		entry := e.shard(id).m[id]
-		if entry == nil {
-			continue
-		}
-		st := entry.st
-		if st.Top || e.allAtExit(st) {
-			continue
-		}
-		e.steps.Add(1)
-		key := e.in.keyOf(id)
-		e.rec().Record("step", e.opts.TracePID, 0, key, "")
-		sp := e.span(0, obs.PhaseStep, key)
-		var tops []succ
-		for _, sa := range e.step(st, 0, key) {
-			if sa.st.Top {
-				tops = append(tops, sa)
-				continue
-			}
-			e.insert(key, sa.st, sa.action, 0)
-		}
-		entry.stuckTops = tops
-		sp.End()
-	}
-}
-
-// finish derives the result from the converged table: a deterministic
-// post-pass shared by the sequential and parallel engines. Terminal
-// configurations are classified by inspection (an entry widened after
-// first being visited keeps its shape, so all-at-exit and Top are stable
-// properties of the final entry), helper parameters are resolved, and
-// every output slice is sorted by content so the result is independent of
-// table iteration and — in the parallel case — worker interleaving.
+// finish derives the result from the converged table in a deterministic
+// post-pass. Terminal configurations are classified by inspection (an
+// entry widened after first being visited keeps its shape, so all-at-exit
+// and Top are stable properties of the final entry), helper parameters are
+// resolved, and every output slice is sorted by content so the result is
+// independent of table iteration and worker interleaving.
 func (e *engine) finish() {
 	sp := e.span(0, obs.PhaseFinish, "")
 	defer sp.End()
@@ -694,7 +596,7 @@ func (e *engine) finish() {
 	}
 	e.res.Finals = finals
 	sort.Slice(e.res.Finals, func(i, j int) bool { return e.res.Finals[i].FullKey() < e.res.Finals[j].FullKey() })
-	sort.Slice(e.res.Tops, func(i, j int) bool { return e.res.Tops[i].TopWhy < e.res.Tops[j].TopWhy })
+	sortTops(e.res.Tops)
 	e.res.Configs = configs
 	e.res.Steps = int(e.steps.Load())
 	e.res.Widenings = int(e.widenings.Load())
@@ -718,38 +620,53 @@ func (e *engine) finish() {
 		}
 		return a.Detail < b.Detail
 	})
-	if e.parallel {
-		// Edge and print discovery order depends on the interleaving; sort
-		// for run-to-run stability.
-		sort.Slice(e.res.Edges, func(i, j int) bool {
-			a, b := e.res.Edges[i], e.res.Edges[j]
-			if a.From != b.From {
-				return a.From < b.From
-			}
-			if a.To != b.To {
-				return a.To < b.To
-			}
-			return a.Action < b.Action
-		})
-		sort.Slice(e.res.Prints, func(i, j int) bool {
-			a, b := e.res.Prints[i], e.res.Prints[j]
-			if a.Node != b.Node {
-				return a.Node < b.Node
-			}
-			if a.Range != b.Range {
-				return a.Range < b.Range
-			}
-			return a.Val < b.Val
-		})
-	}
+	// Edge and print discovery order depends on the interleaving; sort for
+	// run-to-run stability.
+	sort.Slice(e.res.Edges, func(i, j int) bool {
+		a, b := e.res.Edges[i], e.res.Edges[j]
+		if a.From != b.From {
+			return a.From < b.From
+		}
+		if a.To != b.To {
+			return a.To < b.To
+		}
+		return a.Action < b.Action
+	})
+	sort.Slice(e.res.Prints, func(i, j int) bool {
+		a, b := e.res.Prints[i], e.res.Prints[j]
+		if a.Node != b.Node {
+			return a.Node < b.Node
+		}
+		if a.Range != b.Range {
+			return a.Range < b.Range
+		}
+		return a.Val < b.Val
+	})
 	e.collectMatches()
+}
+
+// sortTops orders ⊤ states by reason, then source key, then blamed node.
+// ⊤ states sharing a reason come out of the table in map order, and lint's
+// top-blame pass keeps the first one per reason, so the tie-breaks keep
+// that choice stable.
+func sortTops(tops []*State) {
+	sort.Slice(tops, func(i, j int) bool {
+		a, b := tops[i], tops[j]
+		if a.TopWhy != b.TopWhy {
+			return a.TopWhy < b.TopWhy
+		}
+		if a.TopKey != b.TopKey {
+			return a.TopKey < b.TopKey
+		}
+		return a.TopNode < b.TopNode
+	})
 }
 
 // commitStuckTops merges the deferred give-up successors of still-stuck
 // entries into the table. During the run a ⊤ successor is only recorded on
 // its source entry (tableEntry.stuckTops), so it becomes real only if the
 // source's final converged version still produces it. Sources are ordered
-// by shape key — not by interned id, which in the parallel engine depends
+// by shape key — not by interned id, which with several workers depends
 // on the interleaving — so the surviving ⊤ state (all ⊤ states share the
 // one "TOP" table key) is deterministic.
 func (e *engine) commitStuckTops() {
@@ -892,36 +809,6 @@ type succ struct {
 	action string
 }
 
-// insert merges a successor configuration into the table, joining/widening
-// on revisit, and schedules it (sequential path).
-func (e *engine) insert(fromKey string, st *State, action string, tid int) {
-	if !st.Top && len(st.Sets) == 0 {
-		// Unreachable configuration (inconsistent constraints): drop.
-		st.Release()
-		return
-	}
-	st.CanonicalizeParams()
-	key := st.ShapeKey()
-	if e.opts.onRevision != nil {
-		e.opts.onRevision(key, st.Clone())
-	}
-	sp := e.span(tid, obs.PhaseInsert, key)
-	defer sp.End()
-	e.recordEdge(fromKey, key, action)
-	id := e.in.intern(key)
-	sh := e.shard(id)
-	entry := sh.m[id]
-	if entry == nil {
-		sh.m[id] = &tableEntry{st: st}
-		e.push(id)
-		e.tracef("new    %-40s %s", key, st)
-		return
-	}
-	if e.reviseEntry(entry, st, key, tid) {
-		e.push(id)
-	}
-}
-
 // reviseEntry merges incoming state st into an existing table entry,
 // advancing the join→widen ladder, and reports whether the entry changed
 // and must be rescheduled. The ladder is driven by entry.rev, which counts
@@ -930,12 +817,11 @@ func (e *engine) insert(fromKey string, st *State, action string, tid int) {
 // snapshot whose successors the entry already absorbed) leaves the ladder
 // untouched. That makes join→widen escalation and the give-up threshold a
 // pure function of the sequence of distinct entry states — identical for
-// any revision arrival order — so the sequential and parallel engines
-// share one counting rule with no interleaving-dependent carve-outs. In
-// the parallel engine the caller holds the entry's shard lock; concurrent
-// snapshot holders of the previous entry state are protected by
-// copy-on-write (the revision never writes storage shared with a clone in
-// place).
+// any revision arrival order — so every worker count shares one counting
+// rule with no interleaving-dependent carve-outs. The caller holds the
+// entry's shard lock; concurrent snapshot holders of the previous entry
+// state are protected by copy-on-write (the revision never writes storage
+// shared with a clone in place).
 func (e *engine) reviseEntry(entry *tableEntry, st *State, key string, tid int) bool {
 	if entry.st.Top {
 		// ⊤ absorbs every revision; nothing to count, nothing to reschedule.
@@ -970,7 +856,7 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string, tid int) 
 	}
 	st.AlignTo(entry.st)
 	combinePhase := obs.PhaseJoin
-	if entry.rev >= e.opts.joinVisits() {
+	if entry.rev >= joinRung {
 		combinePhase = obs.PhaseWiden
 	}
 	// blameNode (not firstActiveNode) on purpose: the attribution must not
@@ -1030,20 +916,8 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string, tid int) 
 	return true
 }
 
-func (e *engine) push(id uint64) {
-	if e.inWork[id] {
-		e.stats().AddSchedCoalesced(1)
-		return
-	}
-	e.inWork[id] = true
-	e.queue.push(id)
-	if d := e.queue.size(); d > e.seqDepthHW {
-		e.seqDepthHW = d
-	}
-}
-
 // recordEdge appends an explored pCFG edge (res.Edges is shared across
-// workers in the parallel engine).
+// workers).
 func (e *engine) recordEdge(from, to, action string) {
 	e.resMu.Lock()
 	e.res.Edges = append(e.res.Edges, PCFGEdge{From: from, To: to, Action: action})
@@ -1255,7 +1129,7 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int, tid int
 	}
 	sortMatches(out.Matches)
 	cloned := out.G
-	if entry.rev < e.opts.joinVisits() {
+	if entry.rev < joinRung {
 		out.G = cg.Join(old.G, nw.G)
 	} else {
 		// Textbook widening form: old ∇ (old ⊔ nw), never old ∇ nw. Widening

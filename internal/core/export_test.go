@@ -5,10 +5,10 @@ package core
 // packages, which import core), so the pieces it drives — the revision
 // recording hook and a bare revision-replay harness — are surfaced here.
 
-// WithRevisionHook returns opts with the sequential engine's revision
-// recording hook installed: fn observes a private clone of every
-// canonicalized successor state delivered to the configuration table,
-// keyed by shape.
+// WithRevisionHook returns opts with the engine's revision recording hook
+// installed: fn observes a private clone of every canonicalized successor
+// state delivered to the configuration table, keyed by shape. With
+// Workers > 1, fn must be safe for concurrent use.
 func WithRevisionHook(opts Options, fn func(key string, st *State)) Options {
 	opts.onRevision = fn
 	return opts

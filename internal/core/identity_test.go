@@ -75,7 +75,7 @@ func (c *identityAgrees) add(t *testing.T, st *core.State) {
 }
 
 // TestStateIdentityMatchesFullKey checks that the engine's binary identity
-// relates states exactly as FullKey does, on every state the sequential
+// relates states exactly as FullKey does, on every state the one-worker
 // engine delivers to its table and every combine result a replay of those
 // deliveries produces, over the paper programs and 40 generated programs
 // in safe and buggy mode; the paper programs also run with non-blocking
@@ -134,7 +134,7 @@ func checkStreams(t *testing.T, streams map[string][]*core.State) (states, pairs
 }
 
 // midRunState returns the stencil1d configuration with the most
-// constraint-graph variables among the second half of the sequential
+// constraint-graph variables among the second half of the one-worker
 // engine's table deliveries.
 func midRunState(b *testing.B) *core.State {
 	var g *cfg.Graph

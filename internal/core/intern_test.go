@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/cg"
 )
 
 func TestInternerDenseIDs(t *testing.T) {
@@ -80,40 +82,8 @@ func TestLIFOQueue(t *testing.T) {
 	}
 }
 
-func TestShapeQueuePopsSmallestKey(t *testing.T) {
-	in := newInterner()
-	q := &shapeQueue{keyOf: in.keyOf}
-	ids := []uint64{in.intern("m"), in.intern("a"), in.intern("z"), in.intern("b")}
-	for _, id := range ids {
-		q.push(id)
-	}
-	var got []string
-	for {
-		id, ok := q.pop()
-		if !ok {
-			break
-		}
-		got = append(got, in.keyOf(id))
-	}
-	want := "a,b,m,z"
-	if joined := joinStrings(got); joined != want {
-		t.Fatalf("pop order = %s, want %s", joined, want)
-	}
-}
-
-func joinStrings(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ","
-		}
-		out += s
-	}
-	return out
-}
-
 func TestSchedulerCoalescesAndTerminates(t *testing.T) {
-	s := newScheduler(ScheduleFIFO, nil, 4, nil)
+	s := newScheduler(ScheduleFIFO, 4, 2, nil)
 	s.push(1)
 	s.push(1) // coalesced: still queued
 	id, ok := s.pop(0)
@@ -132,32 +102,40 @@ func TestSchedulerCoalescesAndTerminates(t *testing.T) {
 	}
 }
 
+// TestSchedulerStealsAcrossShards: ids 1,2,3 land on shards 1,2,3, so a
+// worker homed on shard 0 must take all of them off other shards, then
+// observe the fixpoint. Those pops count as steals only when another
+// worker exists to steal from.
 func TestSchedulerStealsAcrossShards(t *testing.T) {
-	s := newScheduler(ScheduleFIFO, nil, 4, nil)
-	// ids 1,2,3 land on shards 1,2,3; a worker homed on shard 0 must steal
-	// all of them, then observe the fixpoint.
-	s.pushShard(1, []uint64{1})
-	s.pushShard(2, []uint64{2})
-	s.pushShard(3, []uint64{3})
-	seen := map[uint64]bool{}
-	for i := 0; i < 3; i++ {
-		id, ok := s.pop(0)
-		if !ok {
-			t.Fatalf("pop %d failed", i)
+	for _, c := range []struct{ workers, steals int }{{1, 0}, {2, 3}} {
+		stats := &cg.Stats{}
+		s := newScheduler(ScheduleFIFO, 4, c.workers, stats)
+		s.pushShard(1, []uint64{1})
+		s.pushShard(2, []uint64{2})
+		s.pushShard(3, []uint64{3})
+		seen := map[uint64]bool{}
+		for i := 0; i < 3; i++ {
+			id, ok := s.pop(0)
+			if !ok {
+				t.Fatalf("workers=%d: pop %d failed", c.workers, i)
+			}
+			seen[id] = true
+			s.done(id)
 		}
-		seen[id] = true
-		s.done(id)
-	}
-	if len(seen) != 3 {
-		t.Fatalf("stole %d distinct ids, want 3", len(seen))
-	}
-	if _, ok := s.pop(0); ok {
-		t.Fatal("pop after fixpoint should report done")
+		if len(seen) != 3 {
+			t.Fatalf("workers=%d: popped %d distinct ids, want 3", c.workers, len(seen))
+		}
+		if _, ok := s.pop(0); ok {
+			t.Fatalf("workers=%d: pop after fixpoint should report done", c.workers)
+		}
+		if got := stats.SchedSteals(); got != int64(c.steals) {
+			t.Errorf("workers=%d: steals = %d, want %d", c.workers, got, c.steals)
+		}
 	}
 }
 
 func TestSchedulerBatchPush(t *testing.T) {
-	s := newScheduler(ScheduleFIFO, nil, 2, nil)
+	s := newScheduler(ScheduleFIFO, 2, 2, nil)
 	// One batch of same-shard ids (shard 0 owns even ids with mask 1).
 	s.pushShard(0, []uint64{0, 2, 4, 2}) // duplicate 2 coalesces
 	if got := s.liveDepth(); got != 3 {
@@ -176,7 +154,7 @@ func TestSchedulerBatchPush(t *testing.T) {
 }
 
 func TestSchedulerStop(t *testing.T) {
-	s := newScheduler(ScheduleFIFO, nil, 4, nil)
+	s := newScheduler(ScheduleFIFO, 4, 2, nil)
 	s.push(7)
 	s.stop()
 	if _, ok := s.pop(0); ok {

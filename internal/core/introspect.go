@@ -41,10 +41,9 @@ func (e *engine) progressCount() int64 {
 }
 
 // sampleProgress builds a point-in-time progress snapshot. Safe to call
-// from any goroutine: everything it reads is atomic, mutex-protected, or
-// read under a brief shard lock. parallel tells it whether the scheduler
-// exists (captured at registration time, before the sampler is published).
-func (e *engine) sampleProgress(parallel bool) obs.Progress {
+// from any goroutine once the scheduler exists: everything it reads is
+// atomic, mutex-protected, or read under a brief shard lock.
+func (e *engine) sampleProgress() obs.Progress {
 	p := obs.Progress{
 		Job:       e.opts.TracePID,
 		Name:      e.opts.Name,
@@ -76,25 +75,20 @@ func (e *engine) sampleProgress(parallel bool) obs.Progress {
 		p.ProverSearches = pp.ProverSearches()
 		p.ProverNs = pp.ProverSearchNs()
 	}
-	if parallel {
-		p.Pending = int64(e.sched.livePending())
-		p.Queued = int64(e.sched.liveDepth())
-		p.ShardQueued = e.sched.shardDepths()
-	}
+	p.Pending = int64(e.sched.livePending())
+	p.Queued = int64(e.sched.liveDepth())
+	p.ShardQueued = e.sched.shardDepths()
 	return p
 }
 
 // registerProgress publishes this analysis's live sampler on the tracker.
-// Called from the driver goroutine after the engine's run-mode state
-// (scheduler, shards) is fully constructed, so the sampler never observes
-// a half-built engine.
-func (e *engine) registerProgress(parallel bool) {
+// Called from the driver goroutine after the scheduler and shards are
+// fully constructed, so the sampler never observes a half-built engine.
+func (e *engine) registerProgress() {
 	if e.opts.Progress == nil {
 		return
 	}
-	e.opts.Progress.Register(e.opts.TracePID, func() obs.Progress {
-		return e.sampleProgress(parallel)
-	})
+	e.opts.Progress.Register(e.opts.TracePID, e.sampleProgress)
 }
 
 // finishProgress replaces the live sampler with the final snapshot (the
@@ -103,7 +97,7 @@ func (e *engine) finishProgress() {
 	if e.opts.Progress == nil {
 		return
 	}
-	final := e.sampleProgress(e.parallel)
+	final := e.sampleProgress()
 	// The run is over: nothing is pending, and the totals are the
 	// result's (finish() has already folded the counters into e.res).
 	final.Steps = int64(e.res.Steps)

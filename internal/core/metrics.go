@@ -32,7 +32,7 @@ func (e *engine) publishMetrics() {
 		"distinct shape keys interned", job).Set(float64(e.in.size()))
 
 	// Table occupancy per shard: the spread diagnoses shard-mask skew (one
-	// hot shard serializes the parallel engine).
+	// hot shard serializes the workers).
 	for si := range e.shards {
 		n := len(e.shards[si].m)
 		reg.NewGaugeVec("psdf_table_shard_entries", "configuration-table entries per shard",
@@ -40,19 +40,13 @@ func (e *engine) publishMetrics() {
 			Set(float64(n))
 	}
 
-	// Worklist high-water marks. The parallel scheduler tracks both depth
-	// (queued) and pending (queued or running); the sequential queue only
-	// has depth.
-	if e.parallel {
-		depth, pending := e.sched.highWater()
-		reg.NewGaugeVec("psdf_sched_queue_depth_max",
-			"scheduler queue depth high-water mark", job).SetMax(float64(depth))
-		reg.NewGaugeVec("psdf_sched_pending_max",
-			"scheduler pending (queued or running) high-water mark", job).SetMax(float64(pending))
-	} else {
-		reg.NewGaugeVec("psdf_sched_queue_depth_max",
-			"scheduler queue depth high-water mark", job).SetMax(float64(e.seqDepthHW))
-	}
+	// Scheduler high-water marks: depth (queued) and pending (queued or
+	// running).
+	depth, pending := e.sched.highWater()
+	reg.NewGaugeVec("psdf_sched_queue_depth_max",
+		"scheduler queue depth high-water mark", job).SetMax(float64(depth))
+	reg.NewGaugeVec("psdf_sched_pending_max",
+		"scheduler pending (queued or running) high-water mark", job).SetMax(float64(pending))
 
 	if s := e.stats(); s != nil {
 		s.RegisterMetrics(reg, job)

@@ -12,8 +12,8 @@ import (
 )
 
 // TestTracingDoesNotPerturb is the observability overhead contract: with a
-// retaining tracer and a metrics registry attached, the sequential and
-// parallel engines must produce byte-identical results to the untraced
+// retaining tracer and a metrics registry attached, one-worker and
+// four-worker runs must produce byte-identical results to the untraced
 // baseline on every paper workload. Tracing only observes.
 func TestTracingDoesNotPerturb(t *testing.T) {
 	for _, w := range bench.All() {
@@ -92,14 +92,16 @@ func TestMetricsPublished(t *testing.T) {
 			t.Errorf("metrics output missing %s", want)
 		}
 	}
-	// The sequential engine publishes its own queue high-water mark.
+	// A one-worker run publishes the same scheduler high-water marks.
 	reg2 := obs.NewRegistry()
 	_, g2 := bench.Stencil1D().Parse()
 	analyzeWith(t, g2, core.Options{Metrics: reg2, TracePID: 1})
 	var sb2 strings.Builder
 	_ = reg2.WritePrometheus(&sb2)
-	if !strings.Contains(sb2.String(), `psdf_sched_queue_depth_max{job="1"}`) {
-		t.Error("sequential run missing queue depth high-water metric")
+	for _, want := range []string{`psdf_sched_queue_depth_max{job="1"}`, `psdf_sched_pending_max{job="1"}`} {
+		if !strings.Contains(sb2.String(), want) {
+			t.Errorf("one-worker run missing %s", want)
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ func signature(res *core.Result) string {
 	return b.String()
 }
 
-// topoSignature is the schedule-independent part: a non-FIFO schedule
+// topoSignature is the schedule-independent part: a non-default schedule
 // reorders the join/widen ladder and may converge to a syntactically
 // different (equally sound) final constraint graph, but cleanliness, the
 // give-up set and the communication topology must not move.
@@ -56,9 +56,9 @@ func analyzeWith(t *testing.T, g *cfg.Graph, opts core.Options) *core.Result {
 	return res
 }
 
-// TestParallelEquivalenceWorkloads checks that the parallel engine and the
-// alternative schedules produce byte-identical results to the sequential
-// FIFO engine on every paper workload.
+// TestParallelEquivalenceWorkloads checks that every worker count gives
+// byte-identical results to the one-worker run under the default (LIFO)
+// schedule, and the same topology under FIFO, on every paper workload.
 func TestParallelEquivalenceWorkloads(t *testing.T) {
 	for _, w := range bench.All() {
 		w := w
@@ -67,10 +67,10 @@ func TestParallelEquivalenceWorkloads(t *testing.T) {
 			base := analyzeWith(t, g, core.Options{})
 			want, wantTopo := signature(base), topoSignature(base)
 			for _, workers := range []int{1, 2, 8} {
-				for _, sched := range []string{core.ScheduleFIFO, core.ScheduleLIFO, core.ScheduleShape} {
+				for _, sched := range []string{core.ScheduleLIFO, core.ScheduleFIFO} {
 					_, g := w.Parse()
 					res := analyzeWith(t, g, core.Options{Workers: workers, Schedule: sched})
-					if sched == core.ScheduleFIFO {
+					if sched == core.ScheduleLIFO {
 						if got := signature(res); got != want {
 							t.Errorf("workers=%d schedule=%s diverged:\n got: %s\nwant: %s",
 								workers, sched, got, want)
@@ -166,6 +166,22 @@ func TestParallelStatsPlumbed(t *testing.T) {
 	}
 	if stats.KeyCacheHits() == 0 {
 		t.Error("key cache never hit")
+	}
+}
+
+// TestOneWorkerReportsNoSteals: a lone worker pops configurations off every
+// shard, not just its home shard, and none of those pops is a steal.
+func TestOneWorkerReportsNoSteals(t *testing.T) {
+	_, g := bench.Stencil1D().Parse()
+	stats := &cg.Stats{}
+	res := analyzeWith(t, g, core.Options{CGOpts: cg.Options{Stats: stats}})
+	// Ids are dense and shard = id mod shard count, so a second
+	// configuration lives off the home shard (0).
+	if res.Configs < 2 {
+		t.Fatalf("configs = %d: no pop left the home shard", res.Configs)
+	}
+	if got := stats.SchedSteals(); got != 0 {
+		t.Errorf("one-worker run reported %d steals, want 0", got)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 	"repro/internal/core"
 )
 
-// recordStreams runs the sequential engine with the revision recording
+// recordStreams runs the one-worker engine with the revision recording
 // hook and returns every configuration key's arrival stream: the
 // canonicalized states delivered to its table entry, in delivery order.
 func recordStreams(t *testing.T, g *cfg.Graph) map[string][]*core.State {
@@ -36,7 +36,7 @@ func recordStreams(t *testing.T, g *cfg.Graph) map[string][]*core.State {
 // stated as a test, in two parts.
 //
 // Re-delivery churn: replaying the recorded stream with injected duplicate
-// deliveries — the parallel engine's stale-re-step traffic — must leave
+// deliveries — the stale-re-step traffic of concurrent workers — must leave
 // everything byte-identical, including the revision-chain length and the
 // widening counter. This is exactly the bug the state-derived counters
 // remove: arrival events no longer advance the ladder, only state changes
@@ -54,9 +54,13 @@ func recordStreams(t *testing.T, g *cfg.Graph) map[string][]*core.State {
 // aliasing constraints recording the combine pairing order, so only their
 // constraint-free portion (ranges, blocked/approx flags, matches, pending)
 // is asserted.
+//
+// The suite fails when no workload records a key with two or more
+// revisions: with nothing to permute it would pass on no data.
 func TestRevisionOrderPermutations(t *testing.T) {
 	const trials = 8
 	rng := rand.New(rand.NewSource(0x5EED))
+	replayed := 0
 	for _, w := range bench.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -69,6 +73,8 @@ func TestRevisionOrderPermutations(t *testing.T) {
 				}
 			}
 			sort.Strings(keys)
+			t.Logf("%d of %d keys have two or more revisions", len(keys), len(streams))
+			replayed += len(keys)
 			for _, key := range keys {
 				states := streams[key]
 				base := core.ReplayRevisions(core.Options{}, key, states)
@@ -118,6 +124,9 @@ func TestRevisionOrderPermutations(t *testing.T) {
 			}
 		})
 	}
+	if replayed == 0 {
+		t.Fatal("no configuration key recorded two or more revisions: nothing was permuted")
+	}
 }
 
 // stripConstraints removes the `#...#` constraint-graph block from a full
@@ -147,7 +156,7 @@ func stressIters(t *testing.T, def int) int {
 // TestParallelArrivalOrderStress repeatedly runs the parallel engine at
 // workers 2/4/8 with a deliberately tiny shard count (maximum lock
 // contention and batching pressure) and requires byte-identical signatures
-// against the sequential engine on every iteration. The default budget
+// against the one-worker run on every iteration. The default budget
 // keeps `go test` fast; CI and the acceptance stress loop raise it via
 // PSDF_STRESS_ITERS.
 func TestParallelArrivalOrderStress(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 )
 
 // TestProfilerDoesNotPerturb is the profiler's overhead contract: with a
-// profiler attached, the sequential and parallel engines must produce
+// profiler attached, one-worker and four-worker runs must produce
 // byte-identical results to the unprofiled baseline on every paper
 // workload, and the profiled step count must equal the engine's own.
 func TestProfilerDoesNotPerturb(t *testing.T) {
@@ -60,7 +60,7 @@ func TestProfilerDoesNotPerturb(t *testing.T) {
 	}
 }
 
-// TestProfilerSequentialDeterminism: two profiled sequential runs of the
+// TestProfilerSequentialDeterminism: two profiled one-worker runs of the
 // same program render byte-identical reports (modulo timing fields, which
 // are zeroed for the comparison) — the property the fuzz-sweep
 // attribution's reproducibility rests on.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"sync"
 	"sync/atomic"
 
@@ -67,48 +66,13 @@ func (q *lifoQueue) pop() (uint64, bool) {
 
 func (q *lifoQueue) size() int { return len(q.buf) }
 
-// shapeQueue pops the lexicographically smallest shape key first. Shape
-// keys render the per-node partition of process sets, so neighbouring
-// configurations of the same control region sort together: revisits of a
-// configuration whose predecessors are still queued tend to be coalesced
-// into one visit instead of re-stepping the state once per predecessor.
-type shapeQueue struct {
-	keyOf func(uint64) string
-	ids   []uint64
-}
-
-func (q *shapeQueue) Len() int           { return len(q.ids) }
-func (q *shapeQueue) Less(i, j int) bool { return q.keyOf(q.ids[i]) < q.keyOf(q.ids[j]) }
-func (q *shapeQueue) Swap(i, j int)      { q.ids[i], q.ids[j] = q.ids[j], q.ids[i] }
-func (q *shapeQueue) Push(x interface{}) { q.ids = append(q.ids, x.(uint64)) }
-func (q *shapeQueue) Pop() interface{} {
-	id := q.ids[len(q.ids)-1]
-	q.ids = q.ids[:len(q.ids)-1]
-	return id
-}
-
-func (q *shapeQueue) push(id uint64) { heap.Push(q, id) }
-
-func (q *shapeQueue) pop() (uint64, bool) {
-	if len(q.ids) == 0 {
-		return 0, false
-	}
-	return heap.Pop(q).(uint64), true
-}
-
-func (q *shapeQueue) size() int { return len(q.ids) }
-
 // newQueue builds the queue backend for a schedule name (validated by
 // Options.schedule).
-func newQueue(schedule string, in *interner) workQueue {
-	switch schedule {
-	case ScheduleLIFO:
-		return &lifoQueue{}
-	case ScheduleShape:
-		return &shapeQueue{keyOf: in.keyOf}
-	default:
+func newQueue(schedule string) workQueue {
+	if schedule == ScheduleFIFO {
 		return &ringQueue{}
 	}
+	return &lifoQueue{}
 }
 
 // Per-configuration scheduler states. A configuration is idle (not
@@ -133,7 +97,7 @@ type schedShard struct {
 	state map[uint64]uint8
 }
 
-// scheduler coordinates the parallel worklist: sharded run queues, a
+// scheduler coordinates the worklist: sharded run queues, a
 // per-configuration state machine, and termination detection. The
 // invariant behind the termination detector: pending counts configurations
 // that are queued or running; a worker holds its pop "in flight" until it
@@ -151,6 +115,10 @@ type scheduler struct {
 	queued  atomic.Int64
 	stopped atomic.Bool
 	stats   *cg.Stats
+	// stealing is set when more than one worker pops: only then is a pop
+	// off the home shard taken from another worker's slice and counted as
+	// a steal. A lone worker's home is every shard.
+	stealing bool
 	// High-water marks for the observability gauges: deepest the queues got
 	// (summed) and most configurations simultaneously queued-or-running.
 	depthHW   atomic.Int64
@@ -163,10 +131,11 @@ type scheduler struct {
 	sleepers atomic.Int64
 }
 
-func newScheduler(schedule string, in *interner, nshards int, stats *cg.Stats) *scheduler {
-	s := &scheduler{shards: make([]schedShard, nshards), mask: uint64(nshards - 1), stats: stats}
+func newScheduler(schedule string, nshards, workers int, stats *cg.Stats) *scheduler {
+	s := &scheduler{shards: make([]schedShard, nshards), mask: uint64(nshards - 1), stats: stats,
+		stealing: workers > 1}
 	for i := range s.shards {
-		s.shards[i].q = newQueue(schedule, in)
+		s.shards[i].q = newQueue(schedule)
 		s.shards[i].state = make(map[uint64]uint8, 8)
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -290,7 +259,7 @@ func (s *scheduler) tryPop(home int) (uint64, bool) {
 		sh.mu.Unlock()
 		if ok {
 			s.queued.Add(-1)
-			if i != 0 {
+			if i != 0 && s.stealing {
 				s.stats.AddSchedSteals(1)
 			}
 			return id, true

@@ -8,12 +8,12 @@
 //   - ClassSoundness — the analysis misses a real communication edge or
 //     wrongly proves no configuration admits an np the program runs at;
 //     a soundness bug, the worst class.
-//   - ClassEngine — a parallel-engine configuration loses soundness the
-//     sequential engine keeps: it misses real communication without a
+//   - ClassEngine — a multi-worker configuration loses soundness the
+//     one-worker run keeps: it misses real communication without a
 //     covering ⊤, so the parallelization itself is broken. (Byte-level
-//     cross-engine equality is deliberately NOT policed here: the engines
-//     run different join→widen rungs, and coalesced delivery makes
-//     parallel precision interleaving-sensitive on arbitrary programs —
+//     equality across worker counts is deliberately NOT policed here:
+//     how deliveries coalesce under real parallelism makes multi-worker
+//     precision interleaving-sensitive on arbitrary programs —
 //     only soundness is invariant. The core engine's equivalence suites
 //     keep the byte-level promise on the curated workloads.)
 //   - ClassPrecision — the analysis over-approximates: a spurious edge or
@@ -54,7 +54,7 @@ const (
 	ClassSkipped         // no oracle verdict (deadlock, runtime error, failed assume)
 	ClassPrecision       // sound but imprecise: spurious edge/rank or ⊤
 	ClassError           // harness failure: parse/sem/analysis error
-	ClassEngine          // a parallel configuration lost soundness sequential keeps
+	ClassEngine          // a multi-worker configuration lost soundness one worker keeps
 	ClassSoundness       // analysis misses real behavior
 )
 
@@ -120,12 +120,12 @@ type Options struct {
 	SkipEngineCompare bool
 	// Env provides concrete values for free symbols when simulating.
 	Env map[string]int64
-	// Core seeds the analysis options: tuning overrides (JoinVisits,
-	// MaxVisits, NonBlockingSends, ...) flow into every engine run.
+	// Core seeds the analysis options: tuning overrides (MaxVisits,
+	// MaxSets, NonBlockingSends, ...) flow into every engine run.
 	// Matcher, Workers and Schedule are managed by the harness.
 	Core core.Options
 	// Profiler, when non-nil, collects the source-attribution profile of
-	// the sequential reference analysis only — the parallel comparison
+	// the one-worker reference analysis only — the parallel comparison
 	// runs stay unprofiled so the attribution is deterministic across
 	// sweep repeats (the parallel fixpoints legally vary).
 	Profiler *prof.Profiler
@@ -178,13 +178,13 @@ func Check(src string, opts Options) *Finding {
 		}
 	}
 
-	// Parallel-engine runs. Byte-level cross-engine equality is a
-	// curated-workload property, not a general invariant: the sequential
-	// and parallel engines run different join→widen rungs by design (12
-	// fine-grained revision links vs 3 coalesced deliveries), and the
-	// *content* reaching the rung under real parallelism depends on how
-	// deliveries coalesce — so on arbitrary programs the engines (and even
-	// two runs of one parallel configuration) legally converge to
+	// Parallel-engine runs. Byte-level equality across worker counts is a
+	// curated-workload property, not a general invariant: every worker
+	// count runs the same loop and join→widen rung (3 state-changing
+	// coalesced revisions), but the *content* reaching the rung under real
+	// parallelism depends on how deliveries coalesce — so on arbitrary
+	// programs the one-worker run and a multi-worker run (and even two
+	// runs of one multi-worker configuration) legally converge to
 	// different, separately sound fixpoints that differ in precision.
 	// Differential fuzzing confirmed this: cleanliness and topology both
 	// vary run-to-run on generated programs while every result stays

@@ -22,7 +22,7 @@ type Progress struct {
 	// Job is the analysis's TracePID; Name its workload label.
 	Job  int    `json:"job"`
 	Name string `json:"name,omitempty"`
-	// Workers is the configured worker count (1 = sequential engine).
+	// Workers is the configured worker count.
 	Workers int `json:"workers,omitempty"`
 	// Done marks a final snapshot: the analysis has converged and the
 	// counters are its end-of-run totals.
@@ -33,7 +33,7 @@ type Progress struct {
 	Configs int64 `json:"configs"`
 	// Pending counts configurations queued or running; Queued counts
 	// configurations sitting in run queues right now. ShardQueued is the
-	// per-shard queue breakdown (parallel engine only).
+	// per-shard queue breakdown.
 	Pending     int64 `json:"pending"`
 	Queued      int64 `json:"queued"`
 	ShardQueued []int `json:"shard_queued,omitempty"`

@@ -28,7 +28,7 @@ type Phase uint8
 
 // Instrumented phases.
 const (
-	// PhaseDequeue is time a parallel worker spends popping the scheduler,
+	// PhaseDequeue is time a worker spends popping the scheduler,
 	// including blocking waits for work (idle time).
 	PhaseDequeue Phase = iota
 	// PhaseStep covers one whole propagate step of a configuration
@@ -52,7 +52,7 @@ const (
 	PhaseJoin
 	// PhaseWiden is the same combine after the ladder switched to widening.
 	PhaseWiden
-	// PhaseCommit is the parallel engine's batched shard-commit critical
+	// PhaseCommit is the engine's batched shard-commit critical
 	// section: one table-shard lock acquisition under which a whole step's
 	// successors for that shard are revised and their scheduler pushes
 	// collected. Join and widen spans nest inside it.
