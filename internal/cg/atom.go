@@ -14,16 +14,18 @@ type Atom uint32
 
 // atomTab is the process-wide symbol table. It only grows; names are never
 // removed. Reads take no lock and execute no atomic read-modify-write: ids
-// is a sync.Map (lock-free loads), and names is published as an immutable
-// slice header through an atomic pointer. Writers serialize on mu, append
-// the name (amortized growth: only a full backing array is copied), publish
-// the new header, and only then publish the id — so any goroutine that
-// obtained an atom can index it in the names snapshot it loads afterwards.
-// Appending past a published header's length never touches an element a
-// reader of that header can see.
+// and names are immutable snapshots published through atomic pointers, and
+// a lookup is one plain string-keyed map probe. Writers serialize on mu,
+// append the name (amortized growth: only a full backing array is copied),
+// publish the new names header, and only then publish a copy of ids with
+// the new entry — so any goroutine that obtained an atom can index it in
+// the names snapshot it loads afterwards. Appending past a published
+// header's length never touches an element a reader of that header can
+// see. Copying ids on every write is cheap because the table stays small:
+// a few hundred names after thousands of analyzed programs.
 var atomTab struct {
 	mu    sync.Mutex
-	ids   sync.Map // string -> Atom
+	ids   atomic.Pointer[map[string]Atom]
 	names atomic.Pointer[[]string]
 }
 
@@ -45,18 +47,26 @@ func Intern(name string) Atom {
 	a := Atom(len(names))
 	names = append(names, name)
 	atomTab.names.Store(&names)
-	atomTab.ids.Store(name, a)
+	ids := make(map[string]Atom, len(names))
+	if p := atomTab.ids.Load(); p != nil {
+		for n, id := range *p {
+			ids[n] = id
+		}
+	}
+	ids[name] = a
+	atomTab.ids.Store(&ids)
 	return a
 }
 
 // LookupAtom returns the atom for name without interning it, so read-only
 // queries against arbitrary strings do not grow the symbol table.
 func LookupAtom(name string) (Atom, bool) {
-	v, ok := atomTab.ids.Load(name)
-	if !ok {
+	p := atomTab.ids.Load()
+	if p == nil {
 		return 0, false
 	}
-	return v.(Atom), true
+	a, ok := (*p)[name]
+	return a, ok
 }
 
 // String returns the interned name.

@@ -250,3 +250,16 @@ func TestAtomTableConcurrent(t *testing.T) {
 		t.Fatalf("table grew by %d, want %d", n-base, perWorker)
 	}
 }
+
+// TestLookupAtomZeroAlloc gates the atom-table read behind every
+// string-keyed graph query: a hit is one map probe and allocates nothing.
+func TestLookupAtomZeroAlloc(t *testing.T) {
+	Intern("lookup.hit")
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, ok := LookupAtom("lookup.hit"); !ok {
+			t.Fatal("interned name not found")
+		}
+	}); n != 0 {
+		t.Errorf("LookupAtom hit allocates %v per op, want 0", n)
+	}
+}

@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/ast"
@@ -70,20 +71,30 @@ func (o CommBoundsObs) String() string {
 // symbolic expressions. It handles the difference-constraint fragment:
 // constants, single variables and two-variable differences with unit
 // coefficients (everything else returns false, i.e. "not provable").
+// Two var+c operands are read directly; anything else goes through r - l.
 func (st *State) EntailsLE(l, r sym.Expr) bool {
-	d := sym.Sub(r, l) // need d >= 0
+	// Need d = r - l = pos - neg + c >= 0.
 	var pos, neg string
 	var c int64
-	for _, t := range d.Terms() {
-		switch {
-		case len(t.Vars) == 0:
-			c += t.Coef
-		case len(t.Vars) == 1 && t.Coef == 1 && pos == "":
-			pos = t.Vars[0]
-		case len(t.Vars) == 1 && t.Coef == -1 && neg == "":
-			neg = t.Vars[0]
-		default:
-			return false
+	vl, cl, okl := l.AsVarPlusConst()
+	vr, cr, okr := r.AsVarPlusConst()
+	if okl && okr {
+		c = cr - cl
+		if vl != vr { // equal variables cancel
+			pos, neg = vr, vl
+		}
+	} else {
+		for _, t := range sym.Sub(r, l).Terms() {
+			switch {
+			case len(t.Vars) == 0:
+				c += t.Coef
+			case len(t.Vars) == 1 && t.Coef == 1 && pos == "":
+				pos = t.Vars[0]
+			case len(t.Vars) == 1 && t.Coef == -1 && neg == "":
+				neg = t.Vars[0]
+			default:
+				return false
+			}
 		}
 	}
 	// pos - neg + c >= 0  <=>  neg <= pos + c.
@@ -163,7 +174,7 @@ func (st *State) CheckCommBounds(ps *ProcSet, dir string, expr ast.Expr) CommBou
 	}
 	if loOK && hiOK {
 		obs.Status = BoundsProven
-		obs.Detail = fmt.Sprintf("every process in %s targets a rank in [0, np - 1]", obs.Range)
+		obs.Detail = "every process in " + obs.Range + " targets a rank in [0, np - 1]"
 		return obs
 	}
 	// A violation needs a witness end: some endpoint provably below 0 or at
@@ -172,7 +183,7 @@ func (st *State) CheckCommBounds(ps *ProcSet, dir string, expr ast.Expr) CommBou
 		v := sym.Subst(e, IDMarker, atom)
 		if st.EntailsLE(sym.Var("np"), v) {
 			obs.Status = BoundsViolated
-			obs.Detail = fmt.Sprintf("process %s %s %s, beyond the last rank np - 1", atom, verb, v)
+			obs.Detail = "process " + atom.String() + " " + verb + " " + v.String() + ", beyond the last rank np - 1"
 			return obs
 		}
 	}
@@ -180,12 +191,12 @@ func (st *State) CheckCommBounds(ps *ProcSet, dir string, expr ast.Expr) CommBou
 		v := sym.Subst(e, IDMarker, atom)
 		if st.EntailsLE(v, sym.Const(-1)) {
 			obs.Status = BoundsViolated
-			obs.Detail = fmt.Sprintf("process %s %s %s, below rank 0", atom, verb, v)
+			obs.Detail = "process " + atom.String() + " " + verb + " " + v.String() + ", below rank 0"
 			return obs
 		}
 	}
 	obs.Status = BoundsUnknown
-	obs.Detail = fmt.Sprintf("cannot prove the target stays in [0, np - 1] for %s", obs.Range)
+	obs.Detail = "cannot prove the target stays in [0, np - 1] for " + obs.Range
 	return obs
 }
 
@@ -201,8 +212,13 @@ func (e *engine) recordCommBounds(st *State, ps *ProcSet) {
 	}
 }
 
+// boundsObsKey is the dedupe key of an observation: its fields joined by '|'.
+func boundsObsKey(obs CommBoundsObs) string {
+	return strconv.Itoa(obs.Node) + "|" + obs.Dir + "|" + strconv.Itoa(int(obs.Status)) + "|" + obs.Range + "|" + obs.Detail
+}
+
 func (e *engine) addBoundsObs(obs CommBoundsObs) {
-	key := fmt.Sprintf("%d|%s|%d|%s|%s", obs.Node, obs.Dir, obs.Status, obs.Range, obs.Detail)
+	key := boundsObsKey(obs)
 	e.obsMu.Lock()
 	defer e.obsMu.Unlock()
 	if e.obsSeen[key] {

@@ -105,3 +105,6 @@ func Identity(st *State) []byte { return st.identity() }
 // DirtyKeys drops st's cached keys, so the next ShapeKey or Identity call
 // rebuilds its key.
 func DirtyKeys(st *State) { st.dirtyKeys() }
+
+// BoundsObsKey exposes the rank-bounds observation dedupe key.
+func BoundsObsKey(o CommBoundsObs) string { return boundsObsKey(o) }

@@ -67,17 +67,6 @@ func (b Bound) has(e sym.Expr) bool {
 	return false
 }
 
-// hasVarPlus reports whether v + c is already an atom of b; v == "" means
-// the bare constant c.
-func (b Bound) hasVarPlus(v string, c int64) bool {
-	for _, a := range b.atoms {
-		if av, ac, ok := a.AsVarPlusConst(); ok && av == v && ac == c {
-			return true
-		}
-	}
-	return false
-}
-
 // Atoms returns the equivalent expressions (do not mutate).
 func (b Bound) Atoms() []sym.Expr { return b.atoms }
 
@@ -108,8 +97,12 @@ func (b Bound) Offset(c int64) Bound {
 }
 
 // Subst applies a variable substitution to every atom, dropping atoms that
-// stop being affine var+c forms.
+// stop being affine var+c forms. A bound of var+c atoms none of which uses
+// name is returned as is.
 func (b Bound) Subst(name string, repl sym.Expr) Bound {
+	if b.varPlusWithout(name) {
+		return b
+	}
 	out := Bound{}
 	for _, a := range b.atoms {
 		na := sym.Subst(a, name, repl)
@@ -131,6 +124,17 @@ func (b Bound) SubstAll(env map[string]sym.Expr) Bound {
 		}
 	}
 	return out
+}
+
+// varPlusWithout reports whether every atom is a var+c form and none uses
+// name, so substituting name keeps every atom as it is.
+func (b Bound) varPlusWithout(name string) bool {
+	for _, a := range b.atoms {
+		if v, _, ok := a.AsVarPlusConst(); !ok || v == name {
+			return false
+		}
+	}
+	return true
 }
 
 // Uses reports whether any atom references the variable.
@@ -155,15 +159,27 @@ func (b Bound) DropUses(name string) Bound {
 }
 
 // Intersect keeps atoms present in both bounds (by key) — the paper's
-// widening of bounds. The result may be invalid (no common atom).
+// widening of bounds. The result may be invalid (no common atom). b's atoms
+// are already in key order, so a filtered copy keeps that order; when every
+// atom survives, b itself is the result.
 func (b Bound) Intersect(o Bound) Bound {
-	out := Bound{}
-	for _, a := range b.atoms {
+	for i, a := range b.atoms {
 		if o.has(a) {
-			out = out.Insert(a)
+			continue
 		}
+		atoms := make([]sym.Expr, i, len(b.atoms)-1)
+		copy(atoms, b.atoms[:i])
+		for _, a := range b.atoms[i+1:] {
+			if o.has(a) {
+				atoms = append(atoms, a)
+			}
+		}
+		if len(atoms) == 0 {
+			return Bound{}
+		}
+		return Bound{atoms: atoms}
 	}
-	return out
+	return b
 }
 
 func (b Bound) String() string {
@@ -332,45 +348,95 @@ func (ctx Ctx) CoherentSet(s Set) bool {
 }
 
 // Enrich adds to b every var+c expression the context proves equal to it.
-// A witness that is already an atom is recognized before any expression is
-// built, so enriching an already-enriched bound allocates nothing.
+// Each witness is checked against the decoded atoms before any expression is
+// built, so enriching an already-enriched bound allocates nothing; the new
+// atoms are merged into b in one allocation.
 func (ctx Ctx) Enrich(b Bound) Bound {
-	if ctx.G == nil || !b.IsValid() {
+	if ctx.G == nil || !b.IsValid() || len(b.atoms) >= maxAtoms {
 		return b
 	}
-	out := b
+	// have holds b's atoms decoded as var+c, then each new atom; fresh holds
+	// the new atoms in arrival order, so the cap keeps the first ones found.
+	var have [maxAtoms]varPlus
+	var fresh [maxAtoms]sym.Expr
+	for i, a := range b.atoms {
+		have[i].v, have[i].c, have[i].ok = a.AsVarPlusConst()
+	}
+	n, k := len(b.atoms), 0
 	var buf [16]cg.Witness // witness lists are short; a longer one spills to the heap
-	for _, a := range b.atoms {
-		if len(out.atoms) >= maxAtoms {
-			break // Insert would drop every further witness
-		}
-		v, c, ok := a.AsVarPlusConst()
-		if !ok {
+	for i := 0; i < len(b.atoms) && n < maxAtoms; i++ {
+		if !have[i].ok {
 			continue
 		}
-		name := v
+		name := have[i].v
 		if name == "" {
 			name = cg.ZeroVar
 		}
 		// A variable the graph lacks has no witnesses: the append returns
 		// buf empty, with one atom-table lookup instead of two.
 		for _, w := range ctx.G.AppendEqualWitnesses(buf[:0], name) {
-			// name = w.Var + w.C, so a = name + c = w.Var + w.C + c.
-			wv := w.Var
-			if wv == cg.ZeroVar {
-				wv = ""
+			// name = w.Var + w.C, so the atom name + c = w.Var + w.C + c.
+			nv := varPlus{v: w.Var, c: w.C + have[i].c, ok: true}
+			if nv.v == cg.ZeroVar {
+				nv.v = ""
 			}
-			if out.hasVarPlus(wv, w.C+c) {
+			if containsVarPlus(have[:n], nv) {
 				continue
 			}
-			if wv == "" {
-				out = out.Insert(sym.Const(w.C + c))
+			have[n] = nv
+			if nv.v == "" {
+				fresh[k] = sym.Const(nv.c)
 			} else {
-				out = out.Insert(sym.VarPlus(wv, w.C+c))
+				fresh[k] = sym.VarPlus(nv.v, nv.c)
+			}
+			n, k = n+1, k+1
+			if n == maxAtoms {
+				break // the cap drops every further witness
 			}
 		}
 	}
-	return out
+	if k == 0 {
+		return b
+	}
+	return b.merge(fresh[:k])
+}
+
+// varPlus is an atom decoded by AsVarPlusConst; v == "" is the bare constant
+// c, and ok is false for an atom of any other shape.
+type varPlus struct {
+	v  string
+	c  int64
+	ok bool
+}
+
+func containsVarPlus(have []varPlus, x varPlus) bool {
+	for _, h := range have {
+		if h == x {
+			return true
+		}
+	}
+	return false
+}
+
+// merge returns b extended with fresh, atoms that are new to b and to each
+// other, keeping key order: fresh is sorted in place, then merged with b's
+// atoms into one new slice.
+func (b Bound) merge(fresh []sym.Expr) Bound {
+	for i := 1; i < len(fresh); i++ {
+		for j := i; j > 0 && fresh[j-1].CompareKey(fresh[j]) > 0; j-- {
+			fresh[j-1], fresh[j] = fresh[j], fresh[j-1]
+		}
+	}
+	atoms := make([]sym.Expr, 0, len(b.atoms)+len(fresh))
+	i := 0
+	for _, e := range fresh {
+		for i < len(b.atoms) && b.atoms[i].CompareKey(e) < 0 {
+			atoms = append(atoms, b.atoms[i])
+			i++
+		}
+		atoms = append(atoms, e)
+	}
+	return Bound{atoms: append(atoms, b.atoms[i:]...)}
 }
 
 // ---------------------------------------------------------------------------

@@ -63,7 +63,8 @@ func Var(name string) Expr {
 }
 
 // VarPlus returns name + c, the paper's "var + c" message-expression form.
-func VarPlus(name string, c int64) Expr { return Add(Var(name), Const(c)) }
+// AddConst builds it in one allocation on the cached Var (none for c == 0).
+func VarPlus(name string, c int64) Expr { return AddConst(Var(name), c) }
 
 // normalize sorts terms and merges equal monomials, dropping zeros.
 func normalize(ts []term) Expr {
@@ -435,9 +436,14 @@ func (e Expr) ConstTerm() int64 {
 }
 
 // Subst returns e with every occurrence of variable name replaced by repl.
+// A var+c expression that uses name is name + c, so it becomes repl + c
+// without the general product.
 func Subst(e Expr, name string, repl Expr) Expr {
 	if !e.Uses(name) {
 		return e
+	}
+	if _, c, ok := e.AsVarPlusConst(); ok {
+		return AddConst(repl, c)
 	}
 	out := Zero
 	for _, t := range e.terms {
@@ -596,7 +602,22 @@ func (e Expr) String() string {
 }
 
 // Cmp compares two constant differences: it returns the constant value of
-// a-b if that difference is constant.
+// a-b if that difference is constant. Normal forms are unique and the
+// constant term sorts first, so a-b is constant exactly when the remaining
+// terms of a and b are equal; no difference is built.
 func Cmp(a, b Expr) (int64, bool) {
-	return Sub(a, b).IsConst()
+	ca, ta := splitConst(a)
+	cb, tb := splitConst(b)
+	if !Equal(ta, tb) {
+		return 0, false
+	}
+	return ca - cb, true
+}
+
+// splitConst splits e into its constant term and the rest.
+func splitConst(e Expr) (int64, Expr) {
+	if len(e.terms) > 0 && len(e.terms[0].vars) == 0 {
+		return e.terms[0].coef, Expr{terms: e.terms[1:]}
+	}
+	return 0, e
 }

@@ -75,6 +75,37 @@ func TestCompareZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestVarPlusAllocs gates the var+c builders: Cmp allocates nothing on any
+// shape, and VarPlus allocates one two-term list (none for c == 0, which
+// returns the cached Var).
+func TestVarPlusAllocs(t *testing.T) {
+	a, b, c := VarPlus("np", -1), VarPlus("np", 3), VarPlus("i", 2)
+	k := Const(4)
+	if n := testing.AllocsPerRun(1000, func() {
+		_, _ = Cmp(a, b)
+		_, _ = Cmp(a, c)
+		_, _ = Cmp(k, a)
+		_, _ = Cmp(k, Zero)
+	}); n != 0 {
+		t.Errorf("Cmp on var+c pairs allocates %v per op, want 0", n)
+	}
+	p := Mul(Var("nrows"), Var("ncols"))
+	q, r := AddConst(p, 3), AddConst(Scale(Var("np"), 2), -1)
+	if n := testing.AllocsPerRun(1000, func() {
+		_, _ = Cmp(p, q)
+		_, _ = Cmp(q, r)
+		_, _ = Cmp(r, a)
+	}); n != 0 {
+		t.Errorf("Cmp on polynomials allocates %v per op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { _ = VarPlus("np", -1) }); n != 1 {
+		t.Errorf("VarPlus allocates %v per op, want 1", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { _ = VarPlus("np", 0) }); n != 0 {
+		t.Errorf("VarPlus with c == 0 allocates %v per op, want 0", n)
+	}
+}
+
 // TestVarCacheImmutability guards the interned Var exprs: operations on a
 // cached Var must never mutate the shared value.
 func TestVarCacheImmutability(t *testing.T) {
