@@ -103,34 +103,6 @@ func BenchmarkAnalyzeAllWorkloads(b *testing.B) {
 	}
 }
 
-// Parallel intra-analysis worklist: one analysis driven by N worker
-// goroutines over the sharded configuration table. The speedup is bounded
-// by the pCFG frontier width (stencil1d averages ~4 independent
-// configurations, fig7_shift ~2) and of course by GOMAXPROCS; workers-1
-// uses the plain sequential loop and must match BenchmarkStencil1D.
-func BenchmarkEngineWorkers(b *testing.B) {
-	for _, w := range []*bench.Workload{bench.Fig7Shift(), bench.Stencil1D()} {
-		w := w
-		for _, workers := range []int{1, 2, 4, 8} {
-			workers := workers
-			b.Run(fmt.Sprintf("%s/workers-%d", w.Name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					_, g := w.Parse()
-					m := cartesian.New(core.ScanInvariants(g))
-					res, err := core.Analyze(g, core.Options{Matcher: m, Workers: workers})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !res.Clean() {
-						b.Fatalf("%s: analysis incomplete: %v", w.Name, res.TopReasons())
-					}
-				}
-			})
-		}
-	}
-}
-
 // E5 / Table I: the HSM operation suite (mod, div, adjacency, interleave,
 // swap, and the symbolic square-grid derivation).
 func BenchmarkTableIHSMOps(b *testing.B) {

@@ -10,17 +10,13 @@
 //	                            run one experiment (fig2, fig5, fig6, fig7,
 //	                            table1, profile, storage, scaling,
 //	                            precision, verify, stencil, aggregation,
-//	                            parallel, engine) or all (default). With
+//	                            parallel) or all (default). With
 //	                            all, -parallel bounds how many experiments
 //	                            run concurrently (0 = one per CPU,
 //	                            1 = serial). Every spec that runs also
 //	                            writes a machine-readable BENCH_<spec>.json
 //	                            (wall time + obs phase breakdown) under
 //	                            -bench-dir (default: current directory).
-//	psdf-bench -engine-workers 1,2,4,8 [-engine-out BENCH_engine_workers.json]
-//	                            benchmark the parallel worklist engine at
-//	                            each worker count (testing.Benchmark) and
-//	                            write the machine-readable results.
 package main
 
 import (
@@ -30,15 +26,9 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
-	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/benchhist"
-	"repro/internal/clients/cartesian"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
@@ -47,8 +37,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id or 'all'")
 	parallel := flag.Int("parallel", 0, "worker bound for -exp all (0 = one per CPU, 1 = sequential)")
 	benchDir := flag.String("bench-dir", ".", "directory for the per-spec BENCH_<spec>.json records")
-	engineWorkers := flag.String("engine-workers", "", "comma-separated worker counts (e.g. 1,2,4,8): benchmark the parallel worklist engine and write machine-readable results")
-	engineOut := flag.String("engine-out", "BENCH_engine_workers.json", "output path for -engine-workers results")
 	logLevel := flag.String("log", "off", "structured log level: off, debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	flag.Parse()
@@ -57,14 +45,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psdf-bench:", err)
 		os.Exit(2)
-	}
-
-	if *engineWorkers != "" {
-		if err := runEngineBench(*engineWorkers, *engineOut); err != nil {
-			fmt.Fprintln(os.Stderr, "psdf-bench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *exp == "all" {
@@ -132,88 +112,5 @@ func writeBenchRecord(dir string, rec *experiments.SpecResult) error {
 		return err
 	}
 	fmt.Printf("wrote %s (wall %dms, %d phases)\n", path, rec.WallNs/1e6, len(rec.Phases))
-	return nil
-}
-
-// engineBenchRecord is one machine-readable benchmark measurement of the
-// parallel worklist engine.
-type engineBenchRecord struct {
-	Workload    string `json:"workload"`
-	Workers     int    `json:"workers"`
-	Iterations  int    `json:"iterations"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	BytesPerOp  int64  `json:"bytes_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
-}
-
-// engineBenchFile is the versioned envelope written to -engine-out. The
-// schema_version field lets longitudinal tooling reject records from a
-// different layout rather than silently misreading them.
-type engineBenchFile struct {
-	SchemaVersion int                 `json:"schema_version"`
-	Records       []engineBenchRecord `json:"records"`
-}
-
-// runEngineBench benchmarks the intra-analysis engine at each requested
-// worker count on the wide-frontier workloads and writes the results as
-// JSON (one record per workload x worker count).
-func runEngineBench(spec, outPath string) error {
-	var counts []int
-	for _, f := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -engine-workers entry %q", f)
-		}
-		counts = append(counts, n)
-	}
-	ws := []*bench.Workload{bench.Fig7Shift(), bench.Stencil1D(), bench.TransposeSquare(), bench.TransposeRect()}
-	var recs []engineBenchRecord
-	for _, w := range ws {
-		for _, workers := range counts {
-			w, workers := w, workers
-			var failure error
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					_, g := w.Parse()
-					m := cartesian.New(core.ScanInvariants(g))
-					res, err := core.Analyze(g, core.Options{Matcher: m, Workers: workers})
-					if err != nil {
-						failure = err
-						b.FailNow()
-					}
-					if !res.Clean() {
-						failure = fmt.Errorf("analysis not clean: %v", res.TopReasons())
-						b.FailNow()
-					}
-				}
-			})
-			if failure != nil {
-				return fmt.Errorf("%s workers=%d: %w", w.Name, workers, failure)
-			}
-			rec := engineBenchRecord{
-				Workload:    w.Name,
-				Workers:     workers,
-				Iterations:  r.N,
-				NsPerOp:     r.NsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				AllocsPerOp: r.AllocsPerOp(),
-			}
-			recs = append(recs, rec)
-			fmt.Printf("%-18s workers=%d  %12d ns/op  %8d B/op  %6d allocs/op\n",
-				rec.Workload, rec.Workers, rec.NsPerOp, rec.BytesPerOp, rec.AllocsPerOp)
-		}
-	}
-	data, err := json.MarshalIndent(engineBenchFile{
-		SchemaVersion: experiments.BenchSchemaVersion,
-		Records:       recs,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := benchhist.WriteFileAtomic(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d records)\n", outPath, len(recs))
 	return nil
 }

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	psdf-run -np N [-env k=v,k=v] [-rendezvous] program.mpl
-//	psdf-run -analyze [-parallel n] [-workers n] [-schedule s] [-nonblocking]
+//	psdf-run -analyze [-parallel n] [-nonblocking]
 //	         [-trace out.json] [-trace-jsonl out.jsonl] [-metrics]
 //	         [-metrics-out m.prom] [-http addr] [-http-linger]
 //	         [-log level] [-log-format f] [-stall-timeout d] [-stall-dump f]
@@ -16,9 +16,8 @@
 //	         [-profile] [-profile-out p.json]
 //	         program.mpl [more.mpl ...]
 //
-// -parallel bounds how many programs are analyzed at once; -workers sets
-// the number of goroutines driving the worklist inside each analysis
-// (the parallel intra-analysis engine), and -schedule its visit order.
+// -parallel bounds how many programs are analyzed at once; each analysis
+// runs its fixpoint on one goroutine.
 //
 // Observability: -trace writes a Chrome trace-event file (load it at
 // https://ui.perfetto.dev or summarize it with `psdf trace`); -trace-jsonl
@@ -35,7 +34,7 @@
 // no-progress watchdog that dumps the flight recorder to -stall-dump;
 // -force-stall holds each (converged) analysis open until its watchdog
 // fires, smoke-testing that path deterministically. -pprof-labels tags
-// analysis goroutines (job, worker, phase) for CPU-profile attribution.
+// analysis goroutines (job, phase) for CPU-profile attribution.
 // -profile attaches the source-attribution profiler (internal/prof) to
 // each analysis and prints its hottest source lines; -profile-out writes
 // the combined psdf-profile/1 JSON report, renderable as a heat listing,
@@ -76,8 +75,6 @@ func main() {
 		analyze     = flag.Bool("analyze", false, "run the static analysis instead of the simulator (accepts multiple programs)")
 		parallel    = flag.Int("parallel", 0, "with -analyze: worker bound (0 = one per CPU, 1 = sequential)")
 		nonblocking = flag.Bool("nonblocking", false, "with -analyze: enable the Section X non-blocking send extension")
-		workers     = flag.Int("workers", 1, "with -analyze: worker goroutines inside each analysis (parallel worklist engine)")
-		schedule    = flag.String("schedule", "", "with -analyze: worklist order (lifo or fifo; default lifo)")
 		failOnFind  = flag.Bool("fail-on-findings", false, "exit nonzero on verification findings (analyze) or leaks/assert failures (simulate)")
 		traceOut    = flag.String("trace", "", "with -analyze: write a Chrome trace-event file (Perfetto-loadable)")
 		traceJSONL  = flag.String("trace-jsonl", "", "with -analyze: write the span trace as JSON lines")
@@ -91,7 +88,7 @@ func main() {
 		stallDump   = flag.String("stall-dump", "", "with -analyze: write flight-recorder dumps to this file (default stderr)")
 		forceStall  = flag.Bool("force-stall", false, "with -analyze: hold each analysis open until its stall watchdog fires (smoke-tests the stall path; requires -stall-timeout)")
 		flightBuf   = flag.Int("flight-buffer", 4096, "with -analyze: flight-recorder ring capacity in events")
-		pprofLabels = flag.Bool("pprof-labels", false, "with -analyze: attach pprof goroutine labels (job, worker, phase) to analysis goroutines and the HSM prover")
+		pprofLabels = flag.Bool("pprof-labels", false, "with -analyze: attach pprof goroutine labels (job, phase) to analysis goroutines and the HSM prover")
 		profile     = flag.Bool("profile", false, "with -analyze: profile each analysis and print its hottest source lines")
 		profileOut  = flag.String("profile-out", "", "with -analyze: write the combined source-attribution profile as psdf-profile/1 JSON (render with `psdf profile`)")
 	)
@@ -109,8 +106,6 @@ func main() {
 		cfg := analyzeConfig{
 			parallelism: *parallel,
 			nonblocking: *nonblocking,
-			workers:     *workers,
-			schedule:    *schedule,
 			failOnFind:  *failOnFind,
 			traceOut:    *traceOut,
 			traceJSONL:  *traceJSONL,
@@ -185,8 +180,6 @@ func buildCFG(path string) (*cfg.Graph, string, error) {
 type analyzeConfig struct {
 	parallelism int
 	nonblocking bool
-	workers     int
-	schedule    string
 	failOnFind  bool
 	traceOut    string
 	traceJSONL  string
@@ -294,8 +287,6 @@ func runAnalyses(paths []string, c analyzeConfig) error {
 			Opts: core.Options{
 				Matcher:          m,
 				NonBlockingSends: c.nonblocking,
-				Workers:          c.workers,
-				Schedule:         c.schedule,
 				Tracer:           tracer,
 				Metrics:          reg,
 				TracePID:         i + 1,

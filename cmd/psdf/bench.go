@@ -8,7 +8,6 @@ import (
 	"os/exec"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -94,8 +93,6 @@ func benchRecord(args []string) int {
 		commit   = fs.String("commit", "", "commit SHA to anchor the entry to (default: git rev-parse HEAD)")
 		note     = fs.String("note", "", "free-form annotation stored on the entry")
 		expList  = fs.String("exp", "", "comma-separated spec ids to record (default: all)")
-		scalingW = fs.String("scaling-workers", "2,4,8", "comma-separated worker counts for the engine scaling capture (empty = skip)")
-		scalingR = fs.Int("scaling-reps", 3, "repetitions per (workload, workers) scaling point; best-of wins")
 		fuzzSum  = fs.String("fuzz-summary", "", "attach a differential-fuzz sweep summary JSON (from `psdf fuzz -summary-out`) to the entry")
 	)
 	lf := addLogFlags(fs)
@@ -159,18 +156,6 @@ func benchRecord(args []string) int {
 			return 2
 		}
 	}
-	var scaling map[string]*benchhist.WorkerScaling
-	if *scalingW != "" {
-		counts, err := parseWorkerCounts(*scalingW)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "psdf bench record:", err)
-			return 2
-		}
-		if scaling, err = experiments.MeasureWorkerScaling(counts, *scalingR); err != nil {
-			fmt.Fprintln(os.Stderr, "psdf bench record:", err)
-			return 1
-		}
-	}
 
 	entry := &benchhist.Entry{
 		SchemaVersion: benchhist.SchemaVersion,
@@ -181,7 +166,6 @@ func benchRecord(args []string) int {
 		Samples:       *samples,
 		Specs:         map[string]*benchhist.SpecTiming{},
 		Fingerprints:  fps,
-		Scaling:       scaling,
 		Fuzz:          fuzz,
 	}
 	for _, s := range sampled {
@@ -209,45 +193,12 @@ func benchRecord(args []string) int {
 			s.ID, time.Duration(st.MedianNs).Round(time.Microsecond),
 			time.Duration(st.StddevNs).Round(time.Microsecond), len(st.WallNs), allocs)
 	}
-	for _, name := range sortedScalingNames(scaling) {
-		ws := scaling[name]
-		w := ws.MaxWorkers()
-		fmt.Printf("  scaling %-14s %12v at 1 worker, %v at %d (%.2fx)\n",
-			name, time.Duration(ws.NsPerOp[1]).Round(time.Microsecond),
-			time.Duration(ws.NsPerOp[w]).Round(time.Microsecond), w, ws.Speedup[w])
-	}
 	if fuzz != nil {
-		fmt.Printf("  fuzz sweep seed %d: %d programs, ok=%d precision=%d (%.1f%%) soundness=%d engine=%d error=%d\n",
+		fmt.Printf("  fuzz sweep seed %d: %d programs, ok=%d precision=%d (%.1f%%) soundness=%d error=%d\n",
 			fuzz.Seed, fuzz.Programs, fuzz.OK, fuzz.Precision, 100*fuzz.PrecisionRate(),
-			fuzz.Soundness, fuzz.Engine, fuzz.Errors)
+			fuzz.Soundness, fuzz.Errors)
 	}
 	return 0
-}
-
-// parseWorkerCounts parses a "2,4,8"-style worker-count list.
-func parseWorkerCounts(spec string) ([]int, error) {
-	var counts []int
-	for _, f := range strings.Split(spec, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -scaling-workers entry %q", f)
-		}
-		counts = append(counts, n)
-	}
-	return counts, nil
-}
-
-func sortedScalingNames(scaling map[string]*benchhist.WorkerScaling) []string {
-	names := make([]string, 0, len(scaling))
-	for n := range scaling {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // humanBytes renders a byte count with a binary-prefix unit.
@@ -331,7 +282,6 @@ func benchCheck(args []string) int {
 		failOnTime   = fs.Bool("fail-on-time", false, "fail (not just warn) on significant same-host slowdowns")
 		failOnAllocs = fs.Bool("fail-on-allocs", false, "fail (not just warn) on allocs/op regressions past -max-alloc-delta")
 		maxAlloc     = fs.Float64("max-alloc-delta", 0.20, "relative allocs/op growth past which a spec regresses")
-		minSpeedup   = fs.Float64("min-speedup", 0, "warn when the entry under test's engine speedup at its highest recorded worker count falls below this ratio (0 = off)")
 	)
 	lf := addLogFlags(fs)
 	_ = fs.Parse(args)
@@ -348,24 +298,6 @@ func benchCheck(args []string) int {
 	}
 	fmt.Print(r)
 	failures, warnings := r.GateWith(benchhist.GatePolicy{FailOnTime: *failOnTime, FailOnAllocs: *failOnAllocs})
-	if *minSpeedup > 0 {
-		// Warn-level by design: the ratio depends on the host, so a drop is
-		// a prompt to look, never a red build.
-		entries, err := benchhist.Read(*history)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "psdf bench check:", err)
-			return 1
-		}
-		newE, _, err := benchhist.Select(entries, *target)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "psdf bench check:", err)
-			return 1
-		}
-		if len(newE.Scaling) == 0 {
-			warnings = append(warnings, fmt.Sprintf("-min-speedup %.2f set but entry %s carries no scaling capture", *minSpeedup, newE.ShortCommit()))
-		}
-		warnings = append(warnings, newE.MinSpeedupWarnings(*minSpeedup)...)
-	}
 	for _, w := range warnings {
 		fmt.Printf("WARN: %s\n", w)
 	}
@@ -501,11 +433,11 @@ func trajectoryMarkdown(path string, entries []*benchhist.Entry) string {
 	}
 	if anyFuzz {
 		b.WriteString("\n## Differential-fuzz trajectory\n\n")
-		b.WriteString("| entry | seed | programs | ok | precision | rate | soundness | engine | error | top construct |\n")
-		b.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---:|---|\n")
+		b.WriteString("| entry | seed | programs | ok | precision | rate | soundness | error | top construct |\n")
+		b.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---|\n")
 		for i, e := range entries {
 			if e.Fuzz == nil {
-				fmt.Fprintf(&b, "| #%d `%s` | - | - | - | - | - | - | - | - | - |\n", i, e.ShortCommit())
+				fmt.Fprintf(&b, "| #%d `%s` | - | - | - | - | - | - | - | - |\n", i, e.ShortCommit())
 				continue
 			}
 			fz := e.Fuzz
@@ -517,9 +449,9 @@ func trajectoryMarkdown(path string, entries []*benchhist.Entry) string {
 				c := fz.Constructs[0]
 				top = fmt.Sprintf("`%s` (%d fails)", c.Construct, c.WidenFailures)
 			}
-			fmt.Fprintf(&b, "| #%d `%s` | %d | %d | %d | %d | %.1f%% | %d | %d | %d | %s |\n",
+			fmt.Fprintf(&b, "| #%d `%s` | %d | %d | %d | %d | %.1f%% | %d | %d | %s |\n",
 				i, e.ShortCommit(), fz.Seed, fz.Programs, fz.OK, fz.Precision,
-				100*fz.PrecisionRate(), fz.Soundness, fz.Engine, fz.Errors, top)
+				100*fz.PrecisionRate(), fz.Soundness, fz.Errors, top)
 		}
 	}
 

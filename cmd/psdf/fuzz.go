@@ -24,11 +24,10 @@ func runFuzz(args []string) int {
 		seed    = fs.Int64("seed", 1, "base sweep seed (program i uses sub-seed seed+i*1000003)")
 		n       = fs.Int("n", 100, "number of programs to generate and triage")
 		nps     = fs.String("np", "", "comma-separated oracle process counts (default 2..6)")
-		workers = fs.String("workers", "", "comma-separated parallel-engine worker counts (default 2,8)")
 		buggy   = fs.Float64("buggy", 0, "fraction of programs generated with a deliberate defect")
 		shrink  = fs.Bool("shrink", false, "minimize each divergent program (class-preserving ddmin)")
 		out     = fs.String("out", "", "directory to write divergent programs (and minimized repros) to")
-		gate    = fs.String("gate", "error", "fail the sweep when a finding reaches this class (error|engine|soundness|precision)")
+		gate    = fs.String("gate", "error", "fail the sweep when a finding reaches this class (error|soundness|precision)")
 		verbose = fs.Bool("v", false, "log every program as it is triaged")
 		in      = fs.String("in", "", "triage (and with -shrink, minimize) one MPL file instead of sweeping")
 		sumOut  = fs.String("summary-out", "", "write the sweep summary as JSON (benchhist.FuzzSweep) for `psdf bench record -fuzz-summary`")
@@ -44,7 +43,7 @@ func runFuzz(args []string) int {
 	}
 	gateClass, err := differ.ParseClass(*gate)
 	if err != nil || gateClass <= differ.ClassSkipped {
-		fmt.Fprintf(os.Stderr, "psdf fuzz: bad -gate %q (want precision, error, engine or soundness)\n", *gate)
+		fmt.Fprintf(os.Stderr, "psdf fuzz: bad -gate %q (want precision, error or soundness)\n", *gate)
 		return 2
 	}
 	do := differ.Options{}
@@ -54,10 +53,6 @@ func runFuzz(args []string) int {
 	}
 	if do.NPs, err = parseIntList(*nps); err != nil {
 		fmt.Fprintf(os.Stderr, "psdf fuzz: bad -np: %v\n", err)
-		return 2
-	}
-	if do.Workers, err = parseIntList(*workers); err != nil {
-		fmt.Fprintf(os.Stderr, "psdf fuzz: bad -workers: %v\n", err)
 		return 2
 	}
 	if *out != "" {
@@ -130,9 +125,9 @@ func runFuzz(args []string) int {
 			}
 		}
 	}
-	fmt.Printf("fuzz sweep: %d programs: ok=%d precision=%d skipped=%d soundness=%d engine=%d error=%d (precision rate %.1f%%)\n",
+	fmt.Printf("fuzz sweep: %d programs: ok=%d precision=%d skipped=%d soundness=%d error=%d (precision rate %.1f%%)\n",
 		res.Programs, res.Count(differ.ClassOK), res.Count(differ.ClassPrecision), res.Count(differ.ClassSkipped),
-		res.Count(differ.ClassSoundness), res.Count(differ.ClassEngine), res.Count(differ.ClassError),
+		res.Count(differ.ClassSoundness), res.Count(differ.ClassError),
 		100*res.PrecisionRate())
 	if res.Attribution != nil {
 		res.Attribution.WriteTable(os.Stdout)
@@ -159,7 +154,6 @@ func runFuzz(args []string) int {
 			Skipped:   res.Count(differ.ClassSkipped),
 			Precision: res.Count(differ.ClassPrecision),
 			Errors:    res.Count(differ.ClassError),
-			Engine:    res.Count(differ.ClassEngine),
 			Soundness: res.Count(differ.ClassSoundness),
 		}
 		if res.Attribution != nil {

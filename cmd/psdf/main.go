@@ -26,11 +26,10 @@
 //
 // The fuzz subcommand is the differential-soundness sweep: it generates
 // deterministic random MPL programs, triages each against the
-// explicit-state oracle (sequential and parallel engines), optionally
-// minimizes divergences with a class-preserving delta-debugging shrinker,
-// and exits nonzero when any finding reaches the gate class. CI runs
-// `psdf fuzz -seed 1 -n 2000` as the acceptance gate: zero soundness or
-// engine findings allowed.
+// explicit-state oracle, optionally minimizes divergences with a
+// class-preserving delta-debugging shrinker, and exits nonzero when any
+// finding reaches the gate class. CI runs `psdf fuzz -seed 1 -n 2000` as
+// the acceptance gate: zero soundness findings allowed.
 //
 // The trace subcommand summarizes a span trace written by `psdf-run
 // -analyze -trace` into a per-phase / per-configuration cost table, or

@@ -23,11 +23,10 @@ import (
 func runProfile(args []string) int {
 	fs := flag.NewFlagSet("psdf profile", flag.ExitOnError)
 	var (
-		format  = fs.String("format", "text", "output format: text (heat listing), json (psdf-profile/1) or folded (flamegraph stacks)")
-		out     = fs.String("out", "", "write output to this file instead of stdout")
-		top     = fs.Int("top", 0, "with -format text, rank only the n hottest source lines instead of the full listing")
-		workers = fs.Int("workers", 1, "analysis worker goroutines when profiling .mpl inputs (1 = sequential, exact attribution)")
-		check   = fs.Bool("check", false, "validate JSON report inputs against the psdf-profile/1 schema and exit")
+		format = fs.String("format", "text", "output format: text (heat listing), json (psdf-profile/1) or folded (flamegraph stacks)")
+		out    = fs.String("out", "", "write output to this file instead of stdout")
+		top    = fs.Int("top", 0, "with -format text, rank only the n hottest source lines instead of the full listing")
+		check  = fs.Bool("check", false, "validate JSON report inputs against the psdf-profile/1 schema and exit")
 	)
 	lf := addLogFlags(fs)
 	fs.Usage = func() {
@@ -69,7 +68,7 @@ func runProfile(args []string) int {
 			fmt.Fprintf(os.Stderr, "psdf profile: -check takes JSON reports, got %s\n", path)
 			return 2
 		}
-		rep, err := profileProgram(path, *workers, logger)
+		rep, err := profileProgram(path, logger)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "psdf profile: %s: %v\n", path, err)
 			return 2
@@ -100,7 +99,7 @@ func runProfile(args []string) int {
 
 // profileProgram analyzes one MPL source file with a profiler attached
 // and returns its source-attributed report.
-func profileProgram(path string, workers int, logger *slog.Logger) (*prof.Report, error) {
+func profileProgram(path string, logger *slog.Logger) (*prof.Report, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -116,7 +115,6 @@ func profileProgram(path string, workers int, logger *slog.Logger) (*prof.Report
 	p := prof.New()
 	if _, err := core.Analyze(g, core.Options{
 		Matcher:  cartesian.New(core.ScanInvariants(g)),
-		Workers:  workers,
 		Name:     path,
 		Log:      logger,
 		Profiler: p,

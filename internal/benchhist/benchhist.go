@@ -241,35 +241,10 @@ func (f *Fingerprint) DiffFields(g *Fingerprint) []string {
 	return diffs
 }
 
-// WorkerScaling is the parallel-engine scaling measurement of one
-// workload: best-of-N wall time per worker count and the derived speedup
-// ratios against the workers=1 run of the same record. On few-core hosts
-// the ratio mostly measures how much work the coalescing scheduler saves
-// (stale revisions absorbed before they are re-stepped), not parallel
-// hardware — which is exactly why it belongs in the longitudinal history:
-// a batching or scheduling regression shows up as a ratio drop even when
-// absolute times drift with the host.
-type WorkerScaling struct {
-	NsPerOp map[int]int64 `json:"ns_per_op"`
-	// Speedup maps worker count w (>1) to NsPerOp[1]/NsPerOp[w].
-	Speedup map[int]float64 `json:"speedup,omitempty"`
-}
-
-// MaxWorkers returns the highest measured worker count, or 0.
-func (ws *WorkerScaling) MaxWorkers() int {
-	max := 0
-	for w := range ws.NsPerOp {
-		if w > max {
-			max = w
-		}
-	}
-	return max
-}
-
 // FuzzSweep summarizes one differential-fuzz sweep (`psdf fuzz`): the
 // fixed generation seed, the program count, and how many programs landed
-// in each divergence class. Soundness and engine divergences are CI-fatal
-// before an entry is ever recorded, so in practice the longitudinal signal
+// in each divergence class. Soundness divergences are CI-fatal before an
+// entry is ever recorded, so in practice the longitudinal signal
 // here is the precision-loss rate: a PR that makes the analysis give up
 // (⊤) or report spurious edges on more generated programs moves Precision
 // up even when every curated fingerprint is unchanged.
@@ -280,7 +255,6 @@ type FuzzSweep struct {
 	Skipped   int   `json:"skipped,omitempty"`
 	Precision int   `json:"precision"`
 	Errors    int   `json:"errors"`
-	Engine    int   `json:"engine"`
 	Soundness int   `json:"soundness"`
 	// Constructs is the ranked per-construct precision attribution the
 	// sweep captured (`psdf fuzz -profile-out`): which generated source
@@ -328,43 +302,10 @@ type Entry struct {
 	Samples      int                     `json:"samples"`
 	Specs        map[string]*SpecTiming  `json:"specs"`
 	Fingerprints map[string]*Fingerprint `json:"fingerprints"`
-	// Scaling holds the per-workload worker-scaling measurement when the
-	// record captured one. Nil on older entries and on records that skipped
-	// it (-scaling-workers ""), with exactly that meaning, so the schema
-	// stays at version 1.
-	Scaling map[string]*WorkerScaling `json:"scaling,omitempty"`
 	// Fuzz holds the differential-fuzz sweep summary when the record
 	// attached one (-fuzz-summary). Nil on entries recorded without a
 	// sweep, with exactly that meaning, so the schema stays at version 1.
 	Fuzz *FuzzSweep `json:"fuzz,omitempty"`
-}
-
-// MinSpeedupWarnings reports, for each workload in the entry's scaling
-// measurement, when the speedup at the highest recorded worker count falls
-// below min. Warn-level by design: the ratio depends on host core count
-// and load, so a drop is a prompt to look, not a hard gate like a
-// precision change.
-func (e *Entry) MinSpeedupWarnings(min float64) []string {
-	if min <= 0 || len(e.Scaling) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(e.Scaling))
-	for n := range e.Scaling {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var out []string
-	for _, n := range names {
-		ws := e.Scaling[n]
-		w := ws.MaxWorkers()
-		if w <= 1 {
-			continue
-		}
-		if got := ws.Speedup[w]; got < min {
-			out = append(out, fmt.Sprintf("scaling %s: %.2fx at %d workers, below -min-speedup %.2fx", n, got, w, min))
-		}
-	}
-	return out
 }
 
 // ShortCommit renders the entry's commit for tables.

@@ -1,51 +1,62 @@
 package benchhist
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-func TestWorkerScalingRoundTrip(t *testing.T) {
-	e := &Entry{
-		SchemaVersion: SchemaVersion,
-		Scaling: map[string]*WorkerScaling{
-			"fig7_shift": {
-				NsPerOp: map[int]int64{1: 4_000_000, 8: 1_000_000},
-				Speedup: map[int]float64{8: 4.0},
-			},
-		},
+// oldScalingLine is a history line as records before the worker-scaling
+// capture was dropped wrote it: it carries a "scaling" block.
+const oldScalingLine = `{"schema_version":1,"commit":"a0361b5fe658cf70d2958be6752393c5229b8063",` +
+	`"time":"2026-10-17T00:54:25Z","samples":5,"specs":{},"fingerprints":{},` +
+	`"scaling":{"fig7_shift":{"ns_per_op":{"1":344480,"8":296952},"speedup":{"8":1.16}}},` +
+	`"fuzz":{"seed":1,"programs":2000,"ok":1322,"precision":672,"errors":0,"engine":6,"soundness":0}}` + "\n"
+
+// readOldLine reads oldScalingLine back through Read.
+func readOldLine(t *testing.T) *Entry {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "BENCH_HISTORY.jsonl")
+	if err := os.WriteFile(path, []byte(oldScalingLine), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	data, err := json.Marshal(e)
+	entries, err := Read(path)
 	if err != nil {
-		t.Fatalf("marshal: %v", err)
+		t.Fatalf("read: %v", err)
 	}
-	var back Entry
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("unmarshal: %v", err)
+	if len(entries) != 1 {
+		t.Fatalf("entries = %d, want 1", len(entries))
 	}
-	ws := back.Scaling["fig7_shift"]
-	if ws == nil || ws.NsPerOp[8] != 1_000_000 || ws.Speedup[8] != 4.0 {
-		t.Fatalf("scaling did not round-trip: %+v", back.Scaling)
+	return entries[0]
+}
+
+// TestWorkerScalingRoundTrip: a history line with a worker-scaling block
+// (and a fuzz summary with an engine count) still reads; the block is
+// ignored, and the rest of the entry survives.
+func TestWorkerScalingRoundTrip(t *testing.T) {
+	e := readOldLine(t)
+	if e.ShortCommit() != "a0361b5fe658" || e.Samples != 5 {
+		t.Fatalf("entry = %+v", e)
 	}
-	if got := ws.MaxWorkers(); got != 8 {
-		t.Fatalf("MaxWorkers = %d, want 8", got)
+	if e.Fuzz == nil || e.Fuzz.Programs != 2000 || e.Fuzz.Precision != 672 {
+		t.Fatalf("fuzz summary = %+v", e.Fuzz)
 	}
 }
 
+// TestWorkerScalingOmittedWhenAbsent: re-writing an old entry drops the
+// worker-scaling block and the engine count.
 func TestWorkerScalingOmittedWhenAbsent(t *testing.T) {
-	data, err := json.Marshal(&Entry{SchemaVersion: SchemaVersion})
+	data, err := json.Marshal(readOldLine(t))
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	if string(data) != "" && jsonHasKey(data, "scaling") {
-		t.Fatalf("empty scaling serialized: %s", data)
+	if jsonHasKey(data, "scaling") {
+		t.Fatalf("scaling serialized: %s", data)
 	}
-	var back Entry
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if back.Scaling != nil {
-		t.Fatalf("absent scaling read back non-nil: %+v", back.Scaling)
+	if bytes.Contains(data, []byte(`"engine"`)) {
+		t.Fatalf("engine count serialized: %s", data)
 	}
 }
 
@@ -56,25 +67,4 @@ func jsonHasKey(data []byte, key string) bool {
 	}
 	_, ok := m[key]
 	return ok
-}
-
-func TestMinSpeedupWarnings(t *testing.T) {
-	e := &Entry{Scaling: map[string]*WorkerScaling{
-		"slow": {NsPerOp: map[int]int64{1: 100, 8: 50}, Speedup: map[int]float64{8: 2.0}},
-		"fast": {NsPerOp: map[int]int64{1: 100, 8: 20}, Speedup: map[int]float64{8: 5.0}},
-		"solo": {NsPerOp: map[int]int64{1: 100}},
-	}}
-	warns := e.MinSpeedupWarnings(3.0)
-	if len(warns) != 1 {
-		t.Fatalf("warnings = %v, want exactly one (for slow)", warns)
-	}
-	if want := "scaling slow: 2.00x at 8 workers, below -min-speedup 3.00x"; warns[0] != want {
-		t.Fatalf("warning = %q, want %q", warns[0], want)
-	}
-	if got := e.MinSpeedupWarnings(0); got != nil {
-		t.Fatalf("disabled threshold produced warnings: %v", got)
-	}
-	if got := (&Entry{}).MinSpeedupWarnings(3.0); got != nil {
-		t.Fatalf("entry without scaling produced warnings: %v", got)
-	}
 }

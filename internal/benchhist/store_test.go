@@ -37,7 +37,7 @@ func TestFuzzSweepRoundTrip(t *testing.T) {
 	withFuzz := testEntry("bbbb2222")
 	withFuzz.Fuzz = &FuzzSweep{
 		Seed: 1, Programs: 2000, OK: 1160, Skipped: 100,
-		Precision: 740, Errors: 0, Engine: 0, Soundness: 0,
+		Precision: 740, Errors: 0, Soundness: 0,
 	}
 	if err := Append(path, plain); err != nil {
 		t.Fatal(err)

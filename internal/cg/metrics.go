@@ -25,9 +25,6 @@ func (s *Stats) RegisterMetrics(reg *obs.Registry, job string) {
 	counter("psdf_cg_key_cache_hits_total", "shape-key cache hits", s.KeyCacheHits)
 	counter("psdf_cg_key_cache_misses_total", "shape-key cache misses", s.KeyCacheMisses)
 	counter("psdf_cg_sched_coalesced_total", "worklist pushes coalesced into an already-queued visit", s.SchedCoalesced)
-	counter("psdf_cg_shard_contention_total", "contended configuration-table shard acquisitions", s.ShardContention)
-	counter("psdf_cg_sched_steals_total", "scheduler pops stolen from a non-home shard", s.SchedSteals)
-	counter("psdf_cg_batched_saved_total", "lock acquisitions saved by batched shard commits", s.BatchedSaved)
 	counter("psdf_cg_closure_ns_total", "nanoseconds spent in full closures", func() int64 { return int64(s.ClosureTime()) })
 	counter("psdf_cg_maintain_ns_total", "nanoseconds spent in incremental closure maintenance", func() int64 { return int64(s.MaintainTime()) })
 }

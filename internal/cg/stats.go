@@ -37,20 +37,12 @@ type Stats struct {
 	// sync.Pool vs freshly allocated.
 	arenaHits   atomic.Int64
 	arenaMisses atomic.Int64
-	// Parallel-engine accounting: canonical-key serializations served from
-	// the per-state cache vs rebuilt, worklist pushes coalesced into an
-	// already-queued configuration (re-visits the scheduler saved), and
-	// configuration-table shard lock acquisitions that had to wait.
-	keyCacheHits    atomic.Int64
-	keyCacheMisses  atomic.Int64
-	schedCoalesced  atomic.Int64
-	shardContention atomic.Int64
-	// Sharded-scheduler accounting: pops a worker stole from another
-	// worker's home shard, and lock acquisitions saved by committing a
-	// step's same-shard revisions (table writes and scheduler pushes) in
-	// one critical section instead of one per successor.
-	schedSteals  atomic.Int64
-	batchedSaved atomic.Int64
+	// Engine accounting: canonical-key serializations served from the
+	// per-state cache vs rebuilt, and worklist pushes coalesced into an
+	// already-queued configuration (re-visits the worklist saved).
+	keyCacheHits   atomic.Int64
+	keyCacheMisses atomic.Int64
+	schedCoalesced atomic.Int64
 }
 
 // FullClosures returns the number of O(n^3) closure passes.
@@ -97,21 +89,28 @@ func (s *Stats) KeyCacheHitRate() float64 {
 }
 
 // SchedCoalesced returns how many worklist pushes were absorbed into an
-// already-queued configuration — re-visits the scheduler saved.
+// already-queued configuration — re-visits the worklist saved.
 func (s *Stats) SchedCoalesced() int64 { return s.schedCoalesced.Load() }
 
-// ShardContention returns how many shard lock acquisitions found the lock
-// already held (parallel engine only).
-func (s *Stats) ShardContention() int64 { return s.shardContention.Load() }
+// ShardContention returns 0: the engine has no shard locks.
+//
+// Deprecated: nothing increments it; kept only so that existing callers
+// still compile.
+func (s *Stats) ShardContention() int64 { return 0 }
 
-// SchedSteals returns how many scheduler pops were served from a shard
-// other than the popping worker's home shard (work stealing).
-func (s *Stats) SchedSteals() int64 { return s.schedSteals.Load() }
+// SchedSteals returns 0: one goroutine drives each analysis, so nothing
+// steals work.
+//
+// Deprecated: nothing increments it; kept only so that existing callers
+// still compile.
+func (s *Stats) SchedSteals() int64 { return 0 }
 
-// BatchedSaved returns how many lock acquisitions the batched shard-commit
-// path saved by folding a step's same-shard revisions into one critical
-// section.
-func (s *Stats) BatchedSaved() int64 { return s.batchedSaved.Load() }
+// BatchedSaved returns 0: the engine commits a step's successors one by
+// one.
+//
+// Deprecated: nothing increments it; kept only so that existing callers
+// still compile.
+func (s *Stats) BatchedSaved() int64 { return 0 }
 
 // AddKeyCacheHits bumps the key-cache hit counter. Safe on a nil receiver.
 func (s *Stats) AddKeyCacheHits(n int64) {
@@ -131,29 +130,6 @@ func (s *Stats) AddKeyCacheMisses(n int64) {
 func (s *Stats) AddSchedCoalesced(n int64) {
 	if s != nil {
 		s.schedCoalesced.Add(n)
-	}
-}
-
-// AddShardContention bumps the shard-contention counter. Safe on a nil
-// receiver.
-func (s *Stats) AddShardContention(n int64) {
-	if s != nil {
-		s.shardContention.Add(n)
-	}
-}
-
-// AddSchedSteals bumps the work-stealing counter. Safe on a nil receiver.
-func (s *Stats) AddSchedSteals(n int64) {
-	if s != nil {
-		s.schedSteals.Add(n)
-	}
-}
-
-// AddBatchedSaved bumps the batched-commit savings counter. Safe on a nil
-// receiver.
-func (s *Stats) AddBatchedSaved(n int64) {
-	if s != nil {
-		s.batchedSaved.Add(n)
 	}
 }
 
@@ -191,8 +167,8 @@ func (s *Stats) AvgIncrVars() float64 {
 	return float64(s.incrVarsSum.Load()) / float64(s.incrClosures.Load())
 }
 
-// Merge folds the counters of o into s (the sharded-and-merged pattern for
-// per-worker stats).
+// Merge folds the counters of o into s (for per-analysis stats summed over
+// a suite).
 func (s *Stats) Merge(o *Stats) {
 	s.fullClosures.Add(o.fullClosures.Load())
 	s.fullVarsSum.Add(o.fullVarsSum.Load())
@@ -210,9 +186,6 @@ func (s *Stats) Merge(o *Stats) {
 	s.keyCacheHits.Add(o.keyCacheHits.Load())
 	s.keyCacheMisses.Add(o.keyCacheMisses.Load())
 	s.schedCoalesced.Add(o.schedCoalesced.Load())
-	s.shardContention.Add(o.shardContention.Load())
-	s.schedSteals.Add(o.schedSteals.Load())
-	s.batchedSaved.Add(o.batchedSaved.Load())
 }
 
 // Reset zeroes the counters.
@@ -233,7 +206,4 @@ func (s *Stats) Reset() {
 	s.keyCacheHits.Store(0)
 	s.keyCacheMisses.Store(0)
 	s.schedCoalesced.Store(0)
-	s.shardContention.Store(0)
-	s.schedSteals.Store(0)
-	s.batchedSaved.Store(0)
 }

@@ -219,8 +219,6 @@ func boundsObsKey(obs CommBoundsObs) string {
 
 func (e *engine) addBoundsObs(obs CommBoundsObs) {
 	key := boundsObsKey(obs)
-	e.obsMu.Lock()
-	defer e.obsMu.Unlock()
 	if e.obsSeen[key] {
 		return
 	}

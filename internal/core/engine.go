@@ -21,15 +21,6 @@ import (
 	"repro/internal/tri"
 )
 
-// Worklist schedule names accepted by Options.Schedule.
-const (
-	// ScheduleLIFO explores depth-first (the default): loop bodies reach
-	// their local fixpoint before sibling configurations are expanded.
-	ScheduleLIFO = "lifo"
-	// ScheduleFIFO visits configurations breadth-first in discovery order.
-	ScheduleFIFO = "fifo"
-)
-
 // Options configures the pCFG analysis engine.
 type Options struct {
 	// Matcher is the client analysis's send-receive matcher (required).
@@ -51,36 +42,25 @@ type Options struct {
 	NonBlockingSends bool
 	// Trace receives step-by-step analysis logging when non-nil.
 	Trace io.Writer
-	// Workers is the number of goroutines driving the worklist (default 1).
-	// Every worker count runs the same fixpoint loop over the sharded,
-	// coalescing scheduler; the one-worker run is deterministic and is the
-	// reference the multi-worker runs are checked against. With Workers > 1
-	// workers step snapshots of distinct configurations concurrently, so
-	// the Matcher must be safe for concurrent use (the bundled clients are).
+	// Workers is ignored: every analysis runs its fixpoint on the calling
+	// goroutine. Run independent analyses concurrently with AnalyzeAll.
+	//
+	// Deprecated: kept only so that existing callers still compile.
 	Workers int
-	// Schedule selects each scheduler shard's queue order: ScheduleLIFO
-	// (the default at every worker count) or ScheduleFIFO. Any other value
-	// is an error.
-	Schedule string
 	// RecordCommBounds enables rank-bounds observations: every process set
 	// reaching a communication operation has its partner expression checked
 	// against [0, np-1] with the constraint-graph client, and the verdicts
 	// accumulate in Result.CommBounds (for the lint rank-bounds pass). Off
 	// by default — the checks cost extra entailment queries per comm site.
 	RecordCommBounds bool
-	// Shards is the configuration-table and scheduler shard count, rounded
-	// up to a power of two (default 32). Smaller values increase lock
-	// contention; useful in tests to stress the locking.
-	Shards int
 	// Tracer receives a span per engine phase (step, transfer, match,
 	// split, insert, commit, join, widen, dequeue, give-up commit, finish)
 	// when non-nil. Tracing only observes — results are byte-identical with
 	// it on or off — and the nil default costs nothing.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, receives the engine's counters and gauges:
-	// final step/widening/config counts, interned-key count, per-shard
-	// table sizes, and live + high-water scheduler queue-depth and pending
-	// gauges.
+	// final step/widening/config counts, interned-key count, and live +
+	// high-water worklist queue-depth and pending gauges.
 	Metrics *obs.Registry
 	// TracePID labels this analysis's spans and metric series when several
 	// jobs share one tracer or registry (AnalyzeAll assigns input position
@@ -96,10 +76,10 @@ type Options struct {
 	// Progress, when non-nil, receives this analysis's live progress
 	// sampler (and, after convergence, its final snapshot) keyed by
 	// TracePID — the backing store of the /statusz surface. Sampling reads
-	// only atomics, mutex-protected counters and brief shard-lock queue
-	// sizes, so it never stalls the fixpoint.
+	// only atomics and mutex-protected counters, so it never stalls the
+	// fixpoint.
 	Progress *obs.ProgressTracker
-	// FlightRecorder, when non-nil, continuously records recent scheduler,
+	// FlightRecorder, when non-nil, continuously records recent dequeue,
 	// step and commit events into a bounded ring buffer for post-mortem
 	// dumps (stall watchdog, step-budget abort).
 	FlightRecorder *obs.FlightRecorder
@@ -116,22 +96,20 @@ type Options struct {
 	// smoke path for the stall machinery. Requires StallTimeout > 0.
 	ForceStall bool
 	// ProfileLabels attaches runtime/pprof goroutine labels (psdf_job,
-	// psdf_worker, psdf_phase) to the fixpoint workers and the finish
-	// post-pass, so CPU profiles attribute samples per analysis and phase.
+	// psdf_phase) to the fixpoint loop and the finish post-pass, so CPU
+	// profiles attribute samples per analysis and phase.
 	ProfileLabels bool
 	// Profiler, when non-nil, collects the source-attribution profile:
 	// per-CFG-node step time, spawned configurations, matcher/memo/prover
 	// cost, joins, widenings and their failing bound pairs, give-ups and ⊤
-	// demotions. Workers record into private per-tid lanes (no hot-path
-	// synchronization); the engine commits the merged lanes into the
-	// profiler once, after convergence. Nil costs one pointer check.
+	// demotions. The engine records into a private lane and commits it
+	// into the profiler once, after convergence. Nil costs one pointer
+	// check.
 	Profiler *prof.Profiler
 	// onRevision, when non-nil, observes every canonicalized successor
 	// state delivered to the configuration table, keyed by shape, in the
-	// order the table receives them. It runs under the target shard's lock,
-	// so with Workers > 1 it must be safe for concurrent use. Recording
-	// hook for the identity and arrival-order suites (installed via
-	// WithRevisionHook in tests).
+	// order the table receives them. Recording hook for the identity and
+	// arrival-order suites (installed via WithRevisionHook in tests).
 	onRevision func(key string, st *State)
 }
 
@@ -168,36 +146,6 @@ func (o *Options) maxSteps() int {
 		return 100000
 	}
 	return o.MaxSteps
-}
-
-func (o *Options) workers() int {
-	if o.Workers <= 1 {
-		return 1
-	}
-	return o.Workers
-}
-
-func (o *Options) shardCount() int {
-	n := o.Shards
-	if n <= 0 {
-		n = 32
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-func (o *Options) schedule() (string, error) {
-	switch o.Schedule {
-	case "", ScheduleLIFO:
-		return ScheduleLIFO, nil
-	case ScheduleFIFO:
-		return ScheduleFIFO, nil
-	}
-	return "", fmt.Errorf("core: unknown Options.Schedule %q (want %q or %q)",
-		o.Schedule, ScheduleLIFO, ScheduleFIFO)
 }
 
 // PCFGEdge is one explored pCFG edge: a transition between configurations.
@@ -313,83 +261,71 @@ type tableEntry struct {
 	widenParam string
 	// seen records the identities of every state delivered to (or committed
 	// on) this entry. The entry only ascends, so each of those states stays
-	// below it forever: a re-delivery with a key in this set — stale-re-step
-	// churn from concurrent workers — is dropped before the combine runs.
-	// Beyond saving the combine, this keeps the widen rung reductive on
-	// duplicates (cg.Widen against an already-absorbed state is not a
-	// representation no-op, so without the filter duplicate traffic could
-	// advance the revision chain).
+	// below it forever: a re-delivery with a key in this set is dropped
+	// before the combine runs. Re-deliveries are routine: a configuration
+	// re-stepped after a revision sends again every successor the revision
+	// did not change. Beyond saving the combine, the filter keeps the widen
+	// rung reductive on duplicates (cg.Widen against an already-absorbed
+	// state is not a representation no-op, so without the filter duplicate
+	// traffic could advance the revision chain).
 	seen map[string]struct{}
 	// paramMints counts fresh widening parameters anchored at this key; a
 	// key that keeps needing new parameters is not converging.
 	paramMints int
 	// stuckTops are the give-up (⊤) successors produced by this entry's most
 	// recent step, replaced wholesale on every re-step. They are not merged
-	// into the table during the run: a ⊤ verdict derived from an entry
-	// version that is later revised is transient — the revised entry may
-	// step past the dead end — so give-ups become real only at convergence,
-	// when finish() commits the verdicts of the final entry versions
-	// (commitStuckTops). Without the deferral a worker stepping a stale
-	// intermediate version could permanently poison the result with a ⊤ the
-	// one-worker run never sees.
+	// into the table during the run: a ⊤ once in the table never goes away,
+	// but a later revision of this entry may step past the dead end or give
+	// up for another reason (on the 508 benchmark programs a re-step
+	// replaced a recorded give-up 45 times). So give-ups become real only
+	// at convergence, when finish() commits the verdicts of the final entry
+	// versions (commitStuckTops).
 	stuckTops []succ
 }
 
-// tableShard is one lock-striped slice of the configuration table, indexed
-// by interned shape-key ids. Workers lock a shard around entry reads,
-// snapshots and revisions.
-type tableShard struct {
-	mu sync.Mutex
-	m  map[uint64]*tableEntry
-}
-
 type engine struct {
-	g         *cfg.Graph
-	opts      Options
-	in        *interner
-	shards    []tableShard
-	shardMask uint64
-	inv       *Invariants
-	res       *Result
-	resMu     sync.Mutex // guards res.Edges, res.Prints and Trace output
-	nParam    atomic.Int64
+	g    *cfg.Graph
+	opts Options
+	in   *interner
+	// table is the configuration table, indexed by interned shape-key id.
+	table  []*tableEntry
+	work   *worklist
+	inv    *Invariants
+	res    *Result
+	nParam int
+	// steps, widenings and giveUps are atomics because the progress
+	// sampler and the stall watchdog read them from another goroutine.
 	steps     atomic.Int64
 	widenings atomic.Int64
 	giveUps   atomic.Int64
-	budgetHit atomic.Bool
+	budgetHit bool
 	started   time.Time
 	dumpOnce  sync.Once
 	// visited marks CFG nodes some non-empty process set was positioned at
 	// in a reachable configuration (indexed by node ID; used by the
-	// dead-code lint pass). Atomic because workers normalize concurrently.
-	visited []atomic.Bool
-	// obsMu/obsSeen dedupe rank-bounds observations across revisits.
-	obsMu   sync.Mutex
+	// dead-code lint pass).
+	visited []bool
+	// obsSeen dedupes rank-bounds observations across revisits.
 	obsSeen map[string]bool
 
-	sched *scheduler
-
-	// Source-attribution profiler (nil when Options.Profiler is nil):
-	// per-tid private counter lanes merged into Options.Profiler once at
-	// commit, after all workers have joined. profMemo/profProver expose
+	// Source-attribution profiler (nil when Options.Profiler is nil): a
+	// private counter lane merged into Options.Profiler once, after the
+	// run. profMemo/profProver expose
 	// the matcher's cumulative memo-miss and prover-search counters so
 	// per-callsite deltas can be attributed; both are optional client
 	// capabilities discovered by interface assertion (keeping core free of
 	// a client/hsm dependency, same pattern as sampleProgress).
-	prof       *prof.Lanes
+	prof       *prof.Lane
 	profMemo   *MatchMemo
 	profProver func() (searches, ns int64)
 }
 
-func (e *engine) shard(id uint64) *tableShard { return &e.shards[id&e.shardMask] }
-
 func (e *engine) stats() *cg.Stats { return e.opts.CGOpts.Stats }
 
-// span opens a phase span on this engine's trace lane (tid 0 is the
-// driver goroutine; workers use 1..Workers).
-// Free when Options.Tracer is nil.
-func (e *engine) span(tid int, ph obs.Phase, key string) obs.Span {
-	return e.opts.Tracer.Begin(e.opts.TracePID, tid, ph, key)
+// span opens a phase span on this engine's trace lane (tid 0). Free when
+// Options.Tracer is nil.
+func (e *engine) span(ph obs.Phase, key string) obs.Span {
+	return e.opts.Tracer.Begin(e.opts.TracePID, 0, ph, key)
 }
 
 // profNow reads the clock only when profiling is on; the zero time is the
@@ -401,12 +337,12 @@ func (e *engine) profNow() time.Time {
 	return time.Now()
 }
 
-// profStep records one step event against node on the caller's lane.
-func (e *engine) profStep(tid, node int, t0 time.Time, spawned int) {
+// profStep records one step event against node.
+func (e *engine) profStep(node int, t0 time.Time, spawned int) {
 	if e.prof == nil {
 		return
 	}
-	e.prof.Step(tid, node, time.Since(t0).Nanoseconds(), spawned)
+	e.prof.Step(node, time.Since(t0).Nanoseconds(), spawned)
 }
 
 // matchProbe captures the matcher-shared counters around one Matcher call
@@ -434,7 +370,7 @@ func (e *engine) profMatchStart() matchProbe {
 	return pr
 }
 
-func (e *engine) profMatchEnd(tid, node int, pr matchProbe, matched bool) {
+func (e *engine) profMatchEnd(node int, pr matchProbe, matched bool) {
 	if e.prof == nil {
 		return
 	}
@@ -447,7 +383,7 @@ func (e *engine) profMatchEnd(tid, node int, pr matchProbe, matched bool) {
 		s, n := e.profProver()
 		searches, proverNs = s-pr.searches, n-pr.proverNs
 	}
-	e.prof.Match(tid, node, ns, misses, searches, proverNs, matched)
+	e.prof.Match(node, ns, misses, searches, proverNs, matched)
 }
 
 // blameNode picks a deterministic attribution node for combine events:
@@ -475,35 +411,23 @@ func blameNode(st *State) int {
 }
 
 // Analyze runs the parallel dataflow analysis over the program's CFG: one
-// worklist fixpoint over the sharded, coalescing scheduler, driven by
-// Options.Workers goroutines.
+// worklist fixpoint on the calling goroutine.
 func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 	if opts.Matcher == nil {
 		return nil, fmt.Errorf("core: Options.Matcher is required")
-	}
-	schedule, err := opts.schedule()
-	if err != nil {
-		return nil, err
 	}
 	e := &engine{
 		g:       g,
 		opts:    opts,
 		in:      newInterner(),
-		shards:  make([]tableShard, opts.shardCount()),
 		inv:     NewInvariants(),
 		res:     &Result{},
-		visited: make([]atomic.Bool, len(g.Nodes)),
+		visited: make([]bool, len(g.Nodes)),
 		obsSeen: map[string]bool{},
 		started: time.Now(),
 	}
-	e.shardMask = uint64(len(e.shards) - 1)
-	for i := range e.shards {
-		e.shards[i].m = map[uint64]*tableEntry{}
-	}
 	if opts.Profiler != nil {
-		// opts.workers() is an upper bound: run may clamp the worker count
-		// to GOMAXPROCS, which only leaves lanes idle.
-		e.prof = opts.Profiler.NewLanes(opts.workers(), len(g.Nodes))
+		e.prof = opts.Profiler.NewLane(len(g.Nodes))
 		if mp, ok := opts.Matcher.(interface{ Memo() *MatchMemo }); ok {
 			e.profMemo = mp.Memo()
 		}
@@ -525,21 +449,19 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 	init.SetAssignedVars(assignedVars(g))
 	InjectAffineConsequences(init.G, e.inv)
 	e.normalize(init)
-	e.logStart(schedule)
+	e.logStart()
 	wd := e.armWatchdog()
-	e.run(init, schedule)
+	e.run(init)
 	e.settleWatchdog(wd)
-	if e.budgetHit.Load() {
+	if e.budgetHit {
 		if lg := e.opts.Log; lg != nil {
 			lg.Error("analysis aborted: step budget exhausted",
 				"job", e.opts.TracePID, "name", e.jobLabel(), "max_steps", opts.maxSteps())
 		}
 		e.dumpFlight("step-budget")
 	}
-	e.withProfileLabels("finish", -1, e.finish)
+	e.withProfileLabels("finish", e.finish)
 	e.finishProgress()
-	// Lanes are quiescent here (workers joined, finish post-pass done), so
-	// the merge reads them without synchronization.
 	opts.Profiler.Commit(g, e.prof)
 	e.logDone()
 	if opts.Metrics != nil {
@@ -552,26 +474,26 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 // post-pass. Terminal configurations are classified by inspection (an
 // entry widened after first being visited keeps its shape, so all-at-exit
 // and Top are stable properties of the final entry), helper parameters are
-// resolved, and every output slice is sorted by content so the result is
-// independent of table iteration and worker interleaving.
+// resolved, and every output slice is sorted by content.
 func (e *engine) finish() {
-	sp := e.span(0, obs.PhaseFinish, "")
+	sp := e.span(obs.PhaseFinish, "")
 	defer sp.End()
-	gsp := e.span(0, obs.PhaseGiveupCommit, "")
+	gsp := e.span(obs.PhaseGiveupCommit, "")
 	e.commitStuckTops()
 	gsp.End()
 	configs := 0
-	for si := range e.shards {
-		configs += len(e.shards[si].m)
-		for _, entry := range e.shards[si].m {
-			if entry.st.Top {
-				e.res.Tops = append(e.res.Tops, entry.st)
-			} else if e.allAtExit(entry.st) {
-				e.res.Finals = append(e.res.Finals, entry.st)
-			}
+	for _, entry := range e.table {
+		if entry == nil {
+			continue
+		}
+		configs++
+		if entry.st.Top {
+			e.res.Tops = append(e.res.Tops, entry.st)
+		} else if e.allAtExit(entry.st) {
+			e.res.Finals = append(e.res.Finals, entry.st)
 		}
 	}
-	if e.budgetHit.Load() {
+	if e.budgetHit {
 		e.res.Tops = append(e.res.Tops, &State{Top: true, TopWhy: "step budget exhausted"})
 	}
 	// Certify each final before publishing it: every match witness class
@@ -589,7 +511,7 @@ func (e *engine) finish() {
 			fin.Top = true
 			fin.TopWhy = "stale match witness survived widening: " + why
 			e.res.Tops = append(e.res.Tops, fin)
-			e.prof.TopDemotion(0, node)
+			e.prof.TopDemotion(node)
 			continue
 		}
 		finals = append(finals, fin)
@@ -600,10 +522,7 @@ func (e *engine) finish() {
 	e.res.Configs = configs
 	e.res.Steps = int(e.steps.Load())
 	e.res.Widenings = int(e.widenings.Load())
-	e.res.Visited = make([]bool, len(e.visited))
-	for i := range e.visited {
-		e.res.Visited[i] = e.visited[i].Load()
-	}
+	e.res.Visited = e.visited
 	sort.Slice(e.res.CommBounds, func(i, j int) bool {
 		a, b := e.res.CommBounds[i], e.res.CommBounds[j]
 		if a.Node != b.Node {
@@ -620,8 +539,7 @@ func (e *engine) finish() {
 		}
 		return a.Detail < b.Detail
 	})
-	// Edge and print discovery order depends on the interleaving; sort for
-	// run-to-run stability.
+	// Edges and prints come out in discovery order; sort them by content.
 	sort.Slice(e.res.Edges, func(i, j int) bool {
 		a, b := e.res.Edges[i], e.res.Edges[j]
 		if a.From != b.From {
@@ -646,9 +564,8 @@ func (e *engine) finish() {
 }
 
 // sortTops orders ⊤ states by reason, then source key, then blamed node.
-// ⊤ states sharing a reason come out of the table in map order, and lint's
-// top-blame pass keeps the first one per reason, so the tie-breaks keep
-// that choice stable.
+// Lint's top-blame pass keeps the first ⊤ state per reason, so the
+// tie-breaks make that choice depend on content, not on table order.
 func sortTops(tops []*State) {
 	sort.Slice(tops, func(i, j int) bool {
 		a, b := tops[i], tops[j]
@@ -666,20 +583,17 @@ func sortTops(tops []*State) {
 // entries into the table. During the run a ⊤ successor is only recorded on
 // its source entry (tableEntry.stuckTops), so it becomes real only if the
 // source's final converged version still produces it. Sources are ordered
-// by shape key — not by interned id, which with several workers depends
-// on the interleaving — so the surviving ⊤ state (all ⊤ states share the
-// one "TOP" table key) is deterministic.
+// by shape key, which decides the surviving ⊤ state (all ⊤ states share
+// the one "TOP" table key).
 func (e *engine) commitStuckTops() {
 	type stuckSrc struct {
 		fromKey string
 		succs   []succ
 	}
 	var srcs []stuckSrc
-	for si := range e.shards {
-		for id, entry := range e.shards[si].m {
-			if len(entry.stuckTops) > 0 {
-				srcs = append(srcs, stuckSrc{e.in.keyOf(id), entry.stuckTops})
-			}
+	for id, entry := range e.table {
+		if entry != nil && len(entry.stuckTops) > 0 {
+			srcs = append(srcs, stuckSrc{e.in.keyOf(uint64(id)), entry.stuckTops})
 		}
 	}
 	sort.Slice(srcs, func(i, j int) bool { return srcs[i].fromKey < srcs[j].fromKey })
@@ -689,12 +603,12 @@ func (e *engine) commitStuckTops() {
 				sa.st.TopKey = s.fromKey
 			}
 			key := sa.st.ShapeKey()
-			e.recordEdge(s.fromKey, key, sa.action)
+			e.res.Edges = append(e.res.Edges, PCFGEdge{From: s.fromKey, To: key, Action: sa.action})
 			id := e.in.intern(key)
-			if sh := e.shard(id); sh.m[id] == nil {
-				sh.m[id] = &tableEntry{st: sa.st}
+			if e.entry(id) == nil {
+				e.setEntry(id, &tableEntry{st: sa.st})
 				e.giveUps.Add(1)
-				e.prof.GiveUp(0, sa.st.TopNode)
+				e.prof.GiveUp(sa.st.TopNode)
 				e.rec().Record("giveup", e.opts.TracePID, 0, key, "stuck: "+sa.action)
 			}
 		}
@@ -760,9 +674,7 @@ func (e *engine) collectMatches() {
 
 func (e *engine) tracef(format string, args ...any) {
 	if e.opts.Trace != nil {
-		e.resMu.Lock()
 		fmt.Fprintf(e.opts.Trace, format+"\n", args...)
-		e.resMu.Unlock()
 	}
 }
 
@@ -816,13 +728,11 @@ type succ struct {
 // the current entry state (a re-delivery, or a re-step of a stale
 // snapshot whose successors the entry already absorbed) leaves the ladder
 // untouched. That makes join→widen escalation and the give-up threshold a
-// pure function of the sequence of distinct entry states — identical for
-// any revision arrival order — so every worker count shares one counting
-// rule with no interleaving-dependent carve-outs. The caller holds the
-// entry's shard lock; concurrent snapshot holders of the previous entry
-// state are protected by copy-on-write (the revision never writes storage
-// shared with a clone in place).
-func (e *engine) reviseEntry(entry *tableEntry, st *State, key string, tid int) bool {
+// pure function of the sequence of distinct entry states, identical for
+// any revision arrival order. Snapshots of the previous entry state are
+// protected by copy-on-write (the revision never writes storage shared
+// with a clone in place).
+func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	if entry.st.Top {
 		// ⊤ absorbs every revision; nothing to count, nothing to reschedule.
 		st.Release()
@@ -861,9 +771,9 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string, tid int) 
 	}
 	// blameNode (not firstActiveNode) on purpose: the attribution must not
 	// reorder entry.st.Sets between AlignTo and combine.
-	e.prof.Combine(tid, blameNode(entry.st), combinePhase == obs.PhaseWiden)
-	csp := e.span(tid, combinePhase, key)
-	widened := e.combine(entry, st, tid)
+	e.prof.Combine(blameNode(entry.st), combinePhase == obs.PhaseWiden)
+	csp := e.span(combinePhase, key)
+	widened := e.combine(entry, st)
 	csp.End()
 	if widened.Top {
 		if widened.TopKey == "" {
@@ -896,11 +806,11 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string, tid int) 
 	entry.rev++
 	if entry.rev > e.opts.maxVisits() {
 		e.giveUps.Add(1)
-		e.rec().Record("giveup", e.opts.TracePID, tid, key, "widening did not converge")
+		e.rec().Record("giveup", e.opts.TracePID, 0, key, "widening did not converge")
 		old := entry.st
 		entry.st = &State{Top: true, TopWhy: "widening did not converge at " + key,
 			TopNode: firstActiveNode(old), TopKey: key}
-		e.prof.GiveUp(tid, entry.st.TopNode)
+		e.prof.GiveUp(entry.st.TopNode)
 		old.Release()
 		widened.Release()
 		st.Release()
@@ -916,26 +826,17 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string, tid int) 
 	return true
 }
 
-// recordEdge appends an explored pCFG edge (res.Edges is shared across
-// workers).
-func (e *engine) recordEdge(from, to, action string) {
-	e.resMu.Lock()
-	e.res.Edges = append(e.res.Edges, PCFGEdge{From: from, To: to, Action: action})
-	e.resMu.Unlock()
-}
-
 // ---------------------------------------------------------------------------
 // Combining states at a shared pCFG node (join / widen, Section VII-D)
 
 type nodePair struct{ s, r int }
 
-// combine merges incoming state nw into the table entry's state. tid
-// identifies the caller's profiler lane only.
-func (e *engine) combine(entry *tableEntry, nw *State, tid int) *State {
-	return e.combineRetry(entry, nw, 4, tid)
+// combine merges incoming state nw into the table entry's state.
+func (e *engine) combine(entry *tableEntry, nw *State) *State {
+	return e.combineRetry(entry, nw, 4)
 }
 
-func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int, tid int) *State {
+func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State {
 	old := entry.st
 	old.EnrichEverywhere()
 	nw.EnrichEverywhere()
@@ -1101,14 +1002,14 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int, tid int
 				} else if len(detail) > 0 {
 					fb = detail[0]
 				}
-				e.prof.WidenFail(tid, pnode, fa, fb)
+				e.prof.WidenFail(pnode, fa, fb)
 			}
 			return &State{Top: true, TopWhy: "widening failed: no common bound expressions: " + strings.Join(detail, "; "),
 				TopNode: blame}
 		}
 		// Retry after parametric generalization. nw2 is an intermediate
 		// trial state; the recursion only reads it.
-		res := e.combineRetry(entry, nw2, retries-1, tid)
+		res := e.combineRetry(entry, nw2, retries-1)
 		nw2.Release()
 		return res
 	}
@@ -1309,7 +1210,8 @@ func (e *engine) parametricWiden(entry *tableEntry, old, nw *State) (*State, boo
 			return nil, false
 		}
 		entry.paramMints++
-		k := fmt.Sprintf("wp%d", e.nParam.Add(1)-1)
+		k := fmt.Sprintf("wp%d", e.nParam)
+		e.nParam++
 		entry.widenParam = k
 		old.G.AddEq(k, vOld, cOld)
 		trial.G.AddEq(k, vNew, cNew)
@@ -1475,9 +1377,9 @@ func advancesBy(a, b procset.Bound, delta int64) bool {
 // ---------------------------------------------------------------------------
 // Propagate: one analysis step (Fig 4's propagate)
 
-// step computes the successor configurations of st. tid and key identify
-// the worker lane and configuration for phase tracing only.
-func (e *engine) step(st *State, tid int, key string) []succ {
+// step computes the successor configurations of st. key identifies the
+// configuration for phase tracing only.
+func (e *engine) step(st *State, key string) []succ {
 	// 1. An unblocked set at a sequential node advances (transfer function).
 	st.sortCanonical()
 	for _, ps := range st.Sets {
@@ -1486,26 +1388,26 @@ func (e *engine) step(st *State, tid int, key string) []succ {
 		}
 		if ps.Node.IsComm() {
 			if e.opts.NonBlockingSends && ps.Node.Kind == cfg.Send {
-				sp := e.span(tid, obs.PhaseTransfer, key)
+				sp := e.span(obs.PhaseTransfer, key)
 				t0 := e.profNow()
 				out := e.issueSendStep(st, ps.ID)
-				e.profStep(tid, ps.Node.ID, t0, len(out))
+				e.profStep(ps.Node.ID, t0, len(out))
 				sp.End()
 				return out
 			}
 			continue
 		}
-		sp := e.span(tid, obs.PhaseTransfer, key)
+		sp := e.span(obs.PhaseTransfer, key)
 		t0 := e.profNow()
 		out := e.advanceSet(st, ps.ID)
-		e.profStep(tid, ps.Node.ID, t0, len(out))
+		e.profStep(ps.Node.ID, t0, len(out))
 		sp.End()
 		return out
 	}
 	t0 := e.profNow()
-	out := e.stepBlocked(st, len(st.Sets)+1, tid, key)
+	out := e.stepBlocked(st, len(st.Sets)+1, key)
 	if e.prof != nil {
-		e.profStep(tid, firstBlockedNode(st), t0, len(out))
+		e.profStep(firstBlockedNode(st), t0, len(out))
 	}
 	return out
 }
@@ -1528,27 +1430,27 @@ func firstBlockedNode(st *State) int {
 // stepBlocked handles a configuration whose sets are all blocked or at
 // exit: matching, self-matching, emptiness case-splits, then ⊤. depth
 // bounds nested emptiness splits.
-func (e *engine) stepBlocked(st *State, depth, tid int, key string) []succ {
-	msp := e.span(tid, obs.PhaseMatch, key)
+func (e *engine) stepBlocked(st *State, depth int, key string) []succ {
+	msp := e.span(obs.PhaseMatch, key)
 	// 2a. Satisfy receives from pending (non-blocking) sends.
-	if s, ok := e.tryPendingMatches(st, tid); ok {
+	if s, ok := e.tryPendingMatches(st); ok {
 		msp.End()
 		return s
 	}
 	// 2b. Match blocked sends to receives.
-	if s, ok := e.tryMatches(st, tid); ok {
+	if s, ok := e.tryMatches(st); ok {
 		msp.End()
 		return s
 	}
 	// 3. Self-matches (permutation exchanges).
-	if s, ok := e.trySelfMatches(st, tid); ok {
+	if s, ok := e.trySelfMatches(st); ok {
 		msp.End()
 		return s
 	}
 	msp.End()
 	// 4. Case-split on possibly-empty blocked sets.
-	ssp := e.span(tid, obs.PhaseSplit, key)
-	if s, ok := e.tryEmptinessSplit(st, depth, tid, key); ok {
+	ssp := e.span(obs.PhaseSplit, key)
+	if s, ok := e.tryEmptinessSplit(st, depth, key); ok {
 		ssp.End()
 		return s
 	}
@@ -1612,8 +1514,6 @@ func (e *engine) recordPrint(ns *State, ps *ProcSet, node *cfg.Node) {
 			}
 		}
 	}
-	e.resMu.Lock()
-	defer e.resMu.Unlock()
 	for _, p := range e.res.Prints {
 		if p == obs {
 			return
@@ -1798,7 +1698,7 @@ func (e *engine) issueSendStep(st *State, id int) []succ {
 
 // tryPendingMatches satisfies a blocked receive from an in-flight pending
 // send, respecting per-channel FIFO order conservatively.
-func (e *engine) tryPendingMatches(st *State, tid int) ([]succ, bool) {
+func (e *engine) tryPendingMatches(st *State) ([]succ, bool) {
 	for _, r := range st.Sets {
 		if !r.Blocked || r.Node.Kind != cfg.Recv {
 			continue
@@ -1843,7 +1743,7 @@ func (e *engine) tryPendingMatches(st *State, tid int) ([]succ, bool) {
 			if e.prof != nil {
 				// Pending delivery needs no Matcher call; count the match
 				// against the pending send's node with zero probe deltas.
-				e.prof.Match(tid, pm.Pending.Node, 0, 0, 0, 0, true)
+				e.prof.Match(pm.Pending.Node, 0, 0, 0, 0, true)
 			}
 			ns.AddMatch(pm.Pending.Node, recvNode.ID, pm.SendersMatched, pm.RecvMatched)
 			advance(nr)
@@ -1886,7 +1786,7 @@ func (e *engine) fifoConflict(st *State, idx int, pm *PendingMatch) bool {
 // tryMatches attempts pairwise send-receive matching in deterministic order;
 // the first success forms the successor (the framework propagates real
 // state only along the matched edge).
-func (e *engine) tryMatches(st *State, tid int) ([]succ, bool) {
+func (e *engine) tryMatches(st *State) ([]succ, bool) {
 	for _, sender := range st.Sets {
 		if !sender.Blocked || sender.Node.Kind != cfg.Send {
 			continue
@@ -1896,7 +1796,7 @@ func (e *engine) tryMatches(st *State, tid int) ([]succ, bool) {
 				continue
 			}
 			ns := st.Clone()
-			if out, ok := e.applyPairMatch(ns, ns.Set(sender.ID), ns.Set(receiver.ID), tid); ok {
+			if out, ok := e.applyPairMatch(ns, ns.Set(sender.ID), ns.Set(receiver.ID)); ok {
 				return out, true
 			}
 			ns.Release()
@@ -1912,7 +1812,7 @@ func (e *engine) tryMatches(st *State, tid int) ([]succ, bool) {
 				continue
 			}
 			ns := st.Clone()
-			if out, ok := e.applySendRecvPair(ns, ns.Set(a.ID), ns.Set(b.ID), tid); ok {
+			if out, ok := e.applySendRecvPair(ns, ns.Set(a.ID), ns.Set(b.ID)); ok {
 				return out, true
 			}
 			ns.Release()
@@ -1922,10 +1822,10 @@ func (e *engine) tryMatches(st *State, tid int) ([]succ, bool) {
 }
 
 // applyPairMatch matches sender's send against receiver's recv.
-func (e *engine) applyPairMatch(ns *State, sender, receiver *ProcSet, tid int) ([]succ, bool) {
+func (e *engine) applyPairMatch(ns *State, sender, receiver *ProcSet) ([]succ, bool) {
 	pr := e.profMatchStart()
 	plan, ok := e.opts.Matcher.Match(ns, sender, sender.Node.Dest, receiver, receiver.Node.Src)
-	e.profMatchEnd(tid, sender.Node.ID, pr, ok)
+	e.profMatchEnd(sender.Node.ID, pr, ok)
 	if !ok {
 		return nil, false
 	}
@@ -1947,16 +1847,16 @@ func (e *engine) applyPairMatch(ns *State, sender, receiver *ProcSet, tid int) (
 
 // applySendRecvPair matches two sets blocked on sendrecv against each other
 // in both directions; both directions must agree on whole-set matches.
-func (e *engine) applySendRecvPair(ns *State, a, b *ProcSet, tid int) ([]succ, bool) {
+func (e *engine) applySendRecvPair(ns *State, a, b *ProcSet) ([]succ, bool) {
 	pr := e.profMatchStart()
 	planAB, ok := e.opts.Matcher.Match(ns, a, a.Node.Dest, b, b.Node.Src)
-	e.profMatchEnd(tid, a.Node.ID, pr, ok)
+	e.profMatchEnd(a.Node.ID, pr, ok)
 	if !ok || len(planAB.SenderRests) > 0 || len(planAB.RecvRests) > 0 {
 		return nil, false
 	}
 	pr = e.profMatchStart()
 	planBA, ok := e.opts.Matcher.Match(ns, b, b.Node.Dest, a, a.Node.Src)
-	e.profMatchEnd(tid, b.Node.ID, pr, ok)
+	e.profMatchEnd(b.Node.ID, pr, ok)
 	if !ok || len(planBA.SenderRests) > 0 || len(planBA.RecvRests) > 0 {
 		return nil, false
 	}
@@ -2006,14 +1906,14 @@ func (e *engine) propagateValue(ns *State, sender *ProcSet, senderRange procset.
 // markVisited records that some non-empty process set reached a CFG node.
 func (e *engine) markVisited(id int) {
 	if id >= 0 && id < len(e.visited) {
-		e.visited[id].Store(true)
+		e.visited[id] = true
 	}
 }
 
 // trySelfMatches looks for a set blocked at a send (or sendrecv) whose own
 // subsequent receive completes a whole-set permutation exchange — the
 // paper's transpose pattern (Section VIII-B), justified by eager buffering.
-func (e *engine) trySelfMatches(st *State, tid int) ([]succ, bool) {
+func (e *engine) trySelfMatches(st *State) ([]succ, bool) {
 	for _, ps := range st.Sets {
 		if !ps.Blocked {
 			continue
@@ -2022,7 +1922,7 @@ func (e *engine) trySelfMatches(st *State, tid int) ([]succ, bool) {
 		case cfg.SendRecv:
 			pr := e.profMatchStart()
 			ok := e.opts.Matcher.SelfMatch(st, ps, ps.Node.Dest, ps.Node.Src)
-			e.profMatchEnd(tid, ps.Node.ID, pr, ok)
+			e.profMatchEnd(ps.Node.ID, pr, ok)
 			if ok {
 				ns := st.Clone()
 				nps := ns.Set(ps.ID)
@@ -2040,7 +1940,7 @@ func (e *engine) trySelfMatches(st *State, tid int) ([]succ, bool) {
 			}
 			pr := e.profMatchStart()
 			ok := e.opts.Matcher.SelfMatch(st, ps, ps.Node.Dest, recvNode.Src)
-			e.profMatchEnd(tid, ps.Node.ID, pr, ok)
+			e.profMatchEnd(ps.Node.ID, pr, ok)
 			if !ok {
 				continue
 			}
@@ -2100,7 +2000,7 @@ func straightLineRecv(send *cfg.Node) (*cfg.Node, []*cfg.Node) {
 // the other assumes it non-empty and immediately continues the blocked-step
 // logic under that assumption (so the extra fact is not lost by folding
 // back into the same pCFG node).
-func (e *engine) tryEmptinessSplit(st *State, depth, tid int, key string) ([]succ, bool) {
+func (e *engine) tryEmptinessSplit(st *State, depth int, key string) ([]succ, bool) {
 	if depth <= 0 {
 		return nil, false
 	}
@@ -2127,7 +2027,7 @@ func (e *engine) tryEmptinessSplit(st *State, depth, tid int, key string) ([]suc
 		nonEmpty.G.AddLE(lbv, ubv, ubc-lbc)
 		e.normalize(nonEmpty)
 		out := []succ{{emptySt, fmt.Sprintf("assume %s empty", ps.Range)}}
-		out = append(out, e.stepBlocked(nonEmpty, depth-1, tid, key)...)
+		out = append(out, e.stepBlocked(nonEmpty, depth-1, key)...)
 		// stepBlocked clones for every successor it returns; the inline
 		// continuation state itself is dead.
 		nonEmpty.Release()

@@ -7,8 +7,7 @@ package core
 
 // WithRevisionHook returns opts with the engine's revision recording hook
 // installed: fn observes a private clone of every canonicalized successor
-// state delivered to the configuration table, keyed by shape. With
-// Workers > 1, fn must be safe for concurrent use.
+// state delivered to the configuration table, keyed by shape.
 func WithRevisionHook(opts Options, fn func(key string, st *State)) Options {
 	opts.onRevision = fn
 	return opts
@@ -46,7 +45,7 @@ func ReplayRevisions(opts Options, key string, states []*State) ReplayResult {
 	e := newReplayEngine(opts)
 	entry := &tableEntry{st: states[0].Clone()}
 	for _, st := range states[1:] {
-		e.reviseEntry(entry, st.Clone(), key, 0)
+		e.reviseEntry(entry, st.Clone(), key)
 	}
 	resolved := entry.st.Clone()
 	resolved.ResolveHelpers()
@@ -61,17 +60,14 @@ func ReplayRevisions(opts Options, key string, states []*State) ReplayResult {
 	}
 }
 
-// newReplayEngine is a bare engine holding one table shard, for replays.
+// newReplayEngine is a bare engine with an empty table, for replays.
 func newReplayEngine(opts Options) *engine {
-	e := &engine{
+	return &engine{
 		opts:    opts,
 		in:      newInterner(),
 		res:     &Result{},
 		obsSeen: map[string]bool{},
 	}
-	e.shards = make([]tableShard, 1)
-	e.shards[0].m = map[uint64]*tableEntry{}
-	return e
 }
 
 // ReplayCombines replays states into a fresh table entry like
@@ -88,13 +84,13 @@ func ReplayCombines(opts Options, key string, states []*State) []*State {
 			trial := &tableEntry{st: entry.st.Clone(), rev: entry.rev, widenParam: entry.widenParam}
 			in := st.Clone()
 			in.AlignTo(trial.st)
-			res := e.combine(trial, in, 0)
+			res := e.combine(trial, in)
 			if !res.Top {
 				res.CanonicalizeParams()
 			}
 			out = append(out, res)
 		}
-		e.reviseEntry(entry, st.Clone(), key, 0)
+		e.reviseEntry(entry, st.Clone(), key)
 	}
 	return out
 }

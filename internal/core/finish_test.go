@@ -21,14 +21,12 @@ func TestTopsOrderIndependentOfTable(t *testing.T) {
 	const want = "no send-receive match possible n3|n9 9; no send-receive match possible n5|n9 5; " +
 		"no send-receive match possible n5|n9 9; widening did not converge at n4 n4 4"
 	for _, perm := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1}} {
-		// One entry per shard: finish walks the shards in order, so perm is
-		// the order the table yields the ⊤ states in.
+		// finish walks the table in id order, so perm is the order the
+		// table yields the ⊤ states in.
 		e := newReplayEngine(Options{})
-		e.shards = make([]tableShard, len(perm))
-		e.shardMask = uint64(len(perm) - 1)
 		sts := tops()
 		for i, p := range perm {
-			e.shards[i].m = map[uint64]*tableEntry{uint64(i): {st: sts[p]}}
+			e.setEntry(uint64(i), &tableEntry{st: sts[p]})
 		}
 		e.finish()
 		var got []string

@@ -4,15 +4,14 @@ import "sync"
 
 // interner maps configuration shape keys to compact uint64 ids. The
 // fixpoint engine hashes a state's shape key once on insert and from then
-// on indexes the configuration table and the scheduler by the id:
-// comparisons and map probes on 8-byte ids are cheaper than on the
-// multi-line key strings, and the sharded table can pick a shard with a
-// single mask instead of re-hashing the string.
+// on indexes the configuration table and the worklist by the id, a dense
+// slice index instead of a string hash.
 //
-// Ids are assigned densely in first-intern order, so a one-worker run
-// assigns the same ids, and visits configurations in the same order, on
-// every run. Safe for concurrent use: lookups of already-interned keys
-// take a read lock only.
+// Ids are assigned densely in first-intern order, so a run assigns the
+// same ids, and visits configurations in the same order, on every run.
+// Safe for concurrent use (the progress sampler reads size while the
+// analysis interns): lookups of already-interned keys take a read lock
+// only.
 type interner struct {
 	mu   sync.RWMutex
 	ids  map[string]uint64

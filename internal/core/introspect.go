@@ -41,13 +41,12 @@ func (e *engine) progressCount() int64 {
 }
 
 // sampleProgress builds a point-in-time progress snapshot. Safe to call
-// from any goroutine once the scheduler exists: everything it reads is
-// atomic, mutex-protected, or read under a brief shard lock.
+// from any goroutine once the worklist exists: everything it reads is
+// atomic or mutex-protected.
 func (e *engine) sampleProgress() obs.Progress {
 	p := obs.Progress{
 		Job:       e.opts.TracePID,
 		Name:      e.opts.Name,
-		Workers:   e.opts.workers(),
 		Steps:     e.steps.Load(),
 		Configs:   int64(e.in.size()),
 		Widenings: e.widenings.Load(),
@@ -56,7 +55,6 @@ func (e *engine) sampleProgress() obs.Progress {
 	}
 	if s := e.stats(); s != nil {
 		p.Joins = s.Joins()
-		p.Steals = s.SchedSteals()
 		p.Coalesced = s.SchedCoalesced()
 	}
 	if mp, ok := e.opts.Matcher.(interface{ Memo() *MatchMemo }); ok {
@@ -75,15 +73,14 @@ func (e *engine) sampleProgress() obs.Progress {
 		p.ProverSearches = pp.ProverSearches()
 		p.ProverNs = pp.ProverSearchNs()
 	}
-	p.Pending = int64(e.sched.livePending())
-	p.Queued = int64(e.sched.liveDepth())
-	p.ShardQueued = e.sched.shardDepths()
+	p.Pending = e.work.pending.Load()
+	p.Queued = e.work.queued.Load()
 	return p
 }
 
 // registerProgress publishes this analysis's live sampler on the tracker.
-// Called from the driver goroutine after the scheduler and shards are
-// fully constructed, so the sampler never observes a half-built engine.
+// Called after the worklist is constructed, so the sampler never observes
+// a half-built engine.
 func (e *engine) registerProgress() {
 	if e.opts.Progress == nil {
 		return
@@ -105,7 +102,6 @@ func (e *engine) finishProgress() {
 	final.Widenings = int64(e.res.Widenings)
 	final.Pending = 0
 	final.Queued = 0
-	final.ShardQueued = nil
 	e.opts.Progress.Finish(e.opts.TracePID, final)
 }
 
@@ -162,25 +158,20 @@ func (e *engine) dumpFlight(reason string) {
 }
 
 // withProfileLabels runs fn under pprof goroutine labels when
-// Options.ProfileLabels is set; otherwise it calls fn directly. worker -1
-// omits the worker label (driver-goroutine phases).
-func (e *engine) withProfileLabels(phase string, worker int, fn func()) {
+// Options.ProfileLabels is set; otherwise it calls fn directly.
+func (e *engine) withProfileLabels(phase string, fn func()) {
 	if !e.opts.ProfileLabels {
 		fn()
 		return
 	}
-	kv := []string{"psdf_job", e.jobLabel(), "psdf_phase", phase}
-	if worker >= 0 {
-		kv = append(kv, "psdf_worker", strconv.Itoa(worker))
-	}
-	pprof.Do(context.Background(), pprof.Labels(kv...), func(context.Context) { fn() })
+	labels := pprof.Labels("psdf_job", e.jobLabel(), "psdf_phase", phase)
+	pprof.Do(context.Background(), labels, func(context.Context) { fn() })
 }
 
 // logStart/logDone are the engine's lifecycle log lines.
-func (e *engine) logStart(schedule string) {
+func (e *engine) logStart() {
 	if lg := e.opts.Log; lg != nil {
-		lg.Info("analysis started", "job", e.opts.TracePID, "name", e.jobLabel(),
-			"workers", e.opts.workers(), "schedule", schedule, "shards", len(e.shards))
+		lg.Info("analysis started", "job", e.opts.TracePID, "name", e.jobLabel())
 	}
 }
 

@@ -41,7 +41,6 @@ func TestForcedStallDumpsOnce(t *testing.T) {
 	_, g := bench.Stencil1D().Parse()
 	var dump lockedBuf
 	res := analyzeWith(t, g, core.Options{
-		Workers:        4,
 		StallTimeout:   50 * time.Millisecond,
 		ForceStall:     true,
 		FlightRecorder: obs.NewFlightRecorder(1024),
@@ -60,7 +59,7 @@ func TestForcedStallDumpsOnce(t *testing.T) {
 	if n := strings.Count(out, `"kind":"stall"`); n != 1 {
 		t.Errorf("want exactly 1 stall event, got %d", n)
 	}
-	// The recorder must carry the recent scheduler/step/commit history.
+	// The recorder must carry the recent dequeue/step/commit history.
 	for _, kind := range []string{`"kind":"dequeue"`, `"kind":"step"`, `"kind":"commit"`} {
 		if !strings.Contains(out, kind) {
 			t.Errorf("dump missing %s events:\n%s", kind, out)
@@ -75,43 +74,40 @@ func TestForcedStallDumpsOnce(t *testing.T) {
 }
 
 // TestWatchdogQuietOnWorkloads runs every paper workload under a generous
-// watchdog on both engines and asserts it never fires: real convergence is
-// progress, and a healthy run must not produce a dump.
+// watchdog and asserts it never fires: real convergence is progress, and a
+// healthy run must not produce a dump.
 func TestWatchdogQuietOnWorkloads(t *testing.T) {
 	for _, w := range bench.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			for _, workers := range []int{1, 8} {
-				_, g := w.Parse()
-				var dump lockedBuf
-				res := analyzeWith(t, g, core.Options{
-					Workers:        workers,
-					StallTimeout:   time.Minute,
-					FlightRecorder: obs.NewFlightRecorder(256),
-					StallDump:      &dump,
-				})
-				if res == nil {
-					t.Fatalf("workers=%d: nil result", workers)
-				}
-				if out := dump.String(); out != "" {
-					t.Errorf("workers=%d: watchdog fired on a healthy run:\n%s", workers, out)
-				}
+			_, g := w.Parse()
+			var dump lockedBuf
+			res := analyzeWith(t, g, core.Options{
+				StallTimeout:   time.Minute,
+				FlightRecorder: obs.NewFlightRecorder(256),
+				StallDump:      &dump,
+			})
+			if res == nil {
+				t.Fatal("nil result")
+			}
+			if out := dump.String(); out != "" {
+				t.Errorf("watchdog fired on a healthy run:\n%s", out)
 			}
 		})
 	}
 }
 
 // TestProgressTrackerLiveAndFinal samples /statusz-style progress snapshots
-// concurrently with an 8-worker analysis: the visited counters must be
+// concurrently with a running analysis: the visited counters must be
 // monotonically nondecreasing across samples, and the final snapshot must
-// agree with the analysis result.
+// agree with the analysis result. Under -race this covers the only
+// concurrency inside an analysis: the sampler reading a live fixpoint.
 func TestProgressTrackerLiveAndFinal(t *testing.T) {
 	_, g := bench.TransposeRect().Parse()
 	tracker := obs.NewProgressTracker()
 	done := make(chan *core.Result, 1)
 	go func() {
 		res := analyzeWith(t, g, core.Options{
-			Workers:  8,
 			Progress: tracker,
 			TracePID: 1,
 			Name:     "transpose-rect",
@@ -167,12 +163,11 @@ func TestProgressTrackerLiveAndFinal(t *testing.T) {
 		t.Errorf("final snapshot (steps=%d configs=%d widenings=%d) disagrees with result (steps=%d configs=%d widenings=%d)",
 			final.Steps, final.Configs, final.Widenings, res.Steps, res.Configs, res.Widenings)
 	}
-	if final.Pending != 0 || final.Queued != 0 || final.ShardQueued != nil {
-		t.Errorf("final snapshot still shows frontier: pending=%d queued=%d shards=%v",
-			final.Pending, final.Queued, final.ShardQueued)
+	if final.Pending != 0 || final.Queued != 0 {
+		t.Errorf("final snapshot still shows frontier: pending=%d queued=%d", final.Pending, final.Queued)
 	}
-	if final.Name != "transpose-rect" || final.Workers != 8 {
-		t.Errorf("final snapshot labels wrong: name=%q workers=%d", final.Name, final.Workers)
+	if final.Name != "transpose-rect" {
+		t.Errorf("final snapshot labels wrong: name=%q", final.Name)
 	}
 }
 
@@ -181,18 +176,17 @@ func TestProgressTrackerLiveAndFinal(t *testing.T) {
 // run — observability only observes.
 func TestIntrospectionDisabledIdentical(t *testing.T) {
 	_, g := bench.Fig7Shift().Parse()
-	plain := analyzeWith(t, g, core.Options{Workers: 4})
+	plain := analyzeWith(t, g, core.Options{})
 	_, g2 := bench.Fig7Shift().Parse()
 	var dump lockedBuf
 	instrumented := analyzeWith(t, g2, core.Options{
-		Workers:        4,
 		Progress:       obs.NewProgressTracker(),
 		FlightRecorder: obs.NewFlightRecorder(128),
 		StallTimeout:   time.Minute,
 		StallDump:      &dump,
 		ProfileLabels:  true,
 	})
-	if got, want := signature(instrumented), signature(plain); got != want {
+	if got, want := countedSignature(instrumented), countedSignature(plain); got != want {
 		t.Errorf("instrumentation changed the result:\n got: %s\nwant: %s", got, want)
 	}
 }

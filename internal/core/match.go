@@ -33,11 +33,8 @@ type MatchPlan struct {
 // Implementations: clients/symbolic (Section VII, var+c expressions) and
 // clients/cartesian (Section VIII, HSM expressions over grids).
 //
-// When an analysis runs with Options.Workers > 1, Match/SelfMatch are
-// called concurrently from the worker goroutines, so implementations must
-// be safe for concurrent use (the bundled clients are: counters are
-// atomic, the match memo locks internally, and the cartesian client
-// serializes its HSM prover).
+// One analysis calls its Matcher from one goroutine. Concurrent analyses
+// (AnalyzeAll) each need their own Matcher.
 type Matcher interface {
 	// Name identifies the client analysis.
 	Name() string
@@ -60,11 +57,10 @@ type Matcher interface {
 // re-running the search. Only the boolean decision is cached — plans embed
 // the querying state's concrete ranges and are rebuilt by the caller.
 //
-// The zero value is ready to use. Safe for concurrent use: the parallel
-// worklist engine (Options.Workers > 1) issues match queries from several
-// goroutines against one matcher, so the memo serializes its map accesses
-// behind a mutex. The critical section is a map probe — the decision
-// procedure itself runs outside it.
+// The zero value is ready to use. Its methods lock a mutex because the
+// progress sampler reads the hit/miss counters from another goroutine
+// while the analysis runs. The critical section is a map probe — the
+// decision procedure itself runs outside it.
 type MatchMemo struct {
 	// Disable turns the memo off: Lookup always misses (without counting)
 	// and Store drops the decision, so every query re-runs the decision

@@ -31,22 +31,12 @@ func (e *engine) publishMetrics() {
 	reg.NewGaugeVec("psdf_interned_keys",
 		"distinct shape keys interned", job).Set(float64(e.in.size()))
 
-	// Table occupancy per shard: the spread diagnoses shard-mask skew (one
-	// hot shard serializes the workers).
-	for si := range e.shards {
-		n := len(e.shards[si].m)
-		reg.NewGaugeVec("psdf_table_shard_entries", "configuration-table entries per shard",
-			obs.Labels("job", fmt.Sprintf("%d", e.opts.TracePID), "shard", fmt.Sprintf("%d", si))).
-			Set(float64(n))
-	}
-
-	// Scheduler high-water marks: depth (queued) and pending (queued or
+	// Worklist high-water marks: depth (queued) and pending (queued or
 	// running).
-	depth, pending := e.sched.highWater()
 	reg.NewGaugeVec("psdf_sched_queue_depth_max",
-		"scheduler queue depth high-water mark", job).SetMax(float64(depth))
+		"worklist queue depth high-water mark", job).SetMax(float64(e.work.depthHW))
 	reg.NewGaugeVec("psdf_sched_pending_max",
-		"scheduler pending (queued or running) high-water mark", job).SetMax(float64(pending))
+		"worklist pending (queued or running) high-water mark", job).SetMax(float64(e.work.pendingHW))
 
 	if s := e.stats(); s != nil {
 		s.RegisterMetrics(reg, job)

@@ -17,26 +17,15 @@ import (
 	"repro/internal/parser"
 )
 
-// signature renders everything the analysis promises to keep
-// interleaving-independent: terminal configurations, give-up reasons, the
-// communication topology and cleanliness.
-func signature(res *core.Result) string {
+// countedSignature renders the analysis outcome and its work counts:
+// cleanliness, steps, widenings and configurations, terminal
+// configurations, give-up reasons and the communication topology.
+func countedSignature(res *core.Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "clean=%v configs=%d\n", res.Clean(), res.Configs)
+	fmt.Fprintf(&b, "clean=%v steps=%d widenings=%d configs=%d\n", res.Clean(), res.Steps, res.Widenings, res.Configs)
 	for _, f := range res.Finals {
 		fmt.Fprintf(&b, "final %s\n", f.FullKey())
 	}
-	b.WriteString(topoSignature(res))
-	return b.String()
-}
-
-// topoSignature is the schedule-independent part: a non-default schedule
-// reorders the join/widen ladder and may converge to a syntactically
-// different (equally sound) final constraint graph, but cleanliness, the
-// give-up set and the communication topology must not move.
-func topoSignature(res *core.Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "clean=%v\n", res.Clean())
 	for _, t := range res.Tops {
 		fmt.Fprintf(&b, "top %s\n", t.TopWhy)
 	}
@@ -56,29 +45,44 @@ func analyzeWith(t *testing.T, g *cfg.Graph, opts core.Options) *core.Result {
 	return res
 }
 
-// TestParallelEquivalenceWorkloads checks that every worker count gives
-// byte-identical results to the one-worker run under the default (LIFO)
-// schedule, and the same topology under FIFO, on every paper workload.
+// analyzeConcurrently runs n copies of one analysis at once on the
+// AnalyzeAll pool, every copy with its own graph and matcher and all of
+// them sharing one stats record, and returns the results.
+func analyzeConcurrently(t *testing.T, n int, parse func() *cfg.Graph, opts core.Options, stats *cg.Stats) []*core.Result {
+	t.Helper()
+	jobs := make([]core.Job, n)
+	for i := range jobs {
+		g := parse()
+		o := opts
+		o.Matcher = cartesian.New(core.ScanInvariants(g))
+		o.CGOpts.Stats = stats
+		jobs[i] = core.Job{Name: fmt.Sprintf("copy-%d", i), G: g, Opts: o}
+	}
+	var out []*core.Result
+	for _, jr := range core.AnalyzeAll(jobs, n) {
+		if jr.Err != nil {
+			t.Fatalf("%s: %v", jr.Name, jr.Err)
+		}
+		out = append(out, jr.Res)
+	}
+	return out
+}
+
+// TestParallelEquivalenceWorkloads: the parallelism the engine offers is
+// across analyses. Copies of one analysis running concurrently on the
+// AnalyzeAll pool, sharing the process-wide atom table and a stats record,
+// must each give byte-identical results and counts to the analysis run
+// alone, on every paper workload.
 func TestParallelEquivalenceWorkloads(t *testing.T) {
 	for _, w := range bench.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			_, g := w.Parse()
-			base := analyzeWith(t, g, core.Options{})
-			want, wantTopo := signature(base), topoSignature(base)
-			for _, workers := range []int{1, 2, 8} {
-				for _, sched := range []string{core.ScheduleLIFO, core.ScheduleFIFO} {
-					_, g := w.Parse()
-					res := analyzeWith(t, g, core.Options{Workers: workers, Schedule: sched})
-					if sched == core.ScheduleLIFO {
-						if got := signature(res); got != want {
-							t.Errorf("workers=%d schedule=%s diverged:\n got: %s\nwant: %s",
-								workers, sched, got, want)
-						}
-					} else if got := topoSignature(res); got != wantTopo {
-						t.Errorf("workers=%d schedule=%s topology diverged:\n got: %s\nwant: %s",
-							workers, sched, got, wantTopo)
-					}
+			want := countedSignature(analyzeWith(t, g, core.Options{}))
+			parse := func() *cfg.Graph { _, g := w.Parse(); return g }
+			for i, res := range analyzeConcurrently(t, 4, parse, core.Options{}, &cg.Stats{}) {
+				if got := countedSignature(res); got != want {
+					t.Errorf("concurrent copy %d diverged:\n got: %s\nwant: %s", i, got, want)
 				}
 			}
 		})
@@ -116,79 +120,42 @@ func parseFile(t *testing.T, path string) *cfg.Graph {
 	return cfg.Build(prog)
 }
 
-// TestParallelEquivalenceTestdata extends the equivalence check to the
-// repository's example programs, including the non-blocking-send mode.
+// TestParallelEquivalenceTestdata extends the concurrent-analysis check to
+// the repository's example programs, including the non-blocking-send mode.
 func TestParallelEquivalenceTestdata(t *testing.T) {
 	for path, opts := range testdataPrograms(t) {
 		path, opts := path, opts
 		t.Run(filepath.Base(path), func(t *testing.T) {
-			want := signature(analyzeWith(t, parseFile(t, path), opts))
-			for _, workers := range []int{1, 2, 8} {
-				o := opts
-				o.Workers = workers
-				got := signature(analyzeWith(t, parseFile(t, path), o))
-				if got != want {
-					t.Errorf("workers=%d diverged:\n got: %s\nwant: %s", workers, got, want)
+			want := countedSignature(analyzeWith(t, parseFile(t, path), opts))
+			parse := func() *cfg.Graph { return parseFile(t, path) }
+			for i, res := range analyzeConcurrently(t, 4, parse, opts, &cg.Stats{}) {
+				if got := countedSignature(res); got != want {
+					t.Errorf("concurrent copy %d diverged:\n got: %s\nwant: %s", i, got, want)
 				}
 			}
 		})
 	}
 }
 
-// TestParallelSmallShards stresses the shard locking: many workers, only
-// two shards, repeated runs. Mainly valuable under -race.
-func TestParallelSmallShards(t *testing.T) {
-	ws := bench.All()
-	for iter := 0; iter < 3; iter++ {
-		for _, w := range ws {
-			_, g := w.Parse()
-			want := signature(analyzeWith(t, g, core.Options{}))
-			_, g = w.Parse()
-			got := signature(analyzeWith(t, g, core.Options{Workers: 8, Shards: 2}))
-			if got != want {
-				t.Fatalf("%s (iter %d) diverged:\n got: %s\nwant: %s", w.Name, iter, got, want)
-			}
-		}
-	}
-}
-
-// TestParallelStatsPlumbed checks the new instrumentation reaches the
-// shared stats record in a parallel run.
+// TestParallelStatsPlumbed: concurrent analyses sharing one stats record
+// all reach it. The key-cache and worklist-coalescing counters of four
+// concurrent copies sum to four times those of one run.
 func TestParallelStatsPlumbed(t *testing.T) {
 	_, g := bench.Stencil1D().Parse()
-	stats := &cg.Stats{}
-	res := analyzeWith(t, g, core.Options{Workers: 4, CGOpts: cg.Options{Stats: stats}})
-	if !res.Clean() {
+	one := &cg.Stats{}
+	if res := analyzeWith(t, g, core.Options{CGOpts: cg.Options{Stats: one}}); !res.Clean() {
 		t.Fatalf("stencil not clean: %v", res.TopReasons())
 	}
-	if stats.KeyCacheHits()+stats.KeyCacheMisses() == 0 {
-		t.Error("key cache counters never touched")
+	if one.KeyCacheHits() == 0 || one.SchedCoalesced() == 0 {
+		t.Fatalf("counters never touched: key-cache hits %d, coalesced %d", one.KeyCacheHits(), one.SchedCoalesced())
 	}
-	if stats.KeyCacheHits() == 0 {
-		t.Error("key cache never hit")
-	}
-}
-
-// TestOneWorkerReportsNoSteals: a lone worker pops configurations off every
-// shard, not just its home shard, and none of those pops is a steal.
-func TestOneWorkerReportsNoSteals(t *testing.T) {
-	_, g := bench.Stencil1D().Parse()
-	stats := &cg.Stats{}
-	res := analyzeWith(t, g, core.Options{CGOpts: cg.Options{Stats: stats}})
-	// Ids are dense and shard = id mod shard count, so a second
-	// configuration lives off the home shard (0).
-	if res.Configs < 2 {
-		t.Fatalf("configs = %d: no pop left the home shard", res.Configs)
-	}
-	if got := stats.SchedSteals(); got != 0 {
-		t.Errorf("one-worker run reported %d steals, want 0", got)
-	}
-}
-
-func TestScheduleValidation(t *testing.T) {
-	_, g := bench.Fig2Exchange().Parse()
-	m := cartesian.New(core.ScanInvariants(g))
-	if _, err := core.Analyze(g, core.Options{Matcher: m, Schedule: "bogus"}); err == nil {
-		t.Fatal("expected error for unknown schedule")
+	shared := &cg.Stats{}
+	parse := func() *cfg.Graph { _, g := bench.Stencil1D().Parse(); return g }
+	analyzeConcurrently(t, 4, parse, core.Options{}, shared)
+	if shared.KeyCacheHits() != 4*one.KeyCacheHits() || shared.KeyCacheMisses() != 4*one.KeyCacheMisses() ||
+		shared.SchedCoalesced() != 4*one.SchedCoalesced() {
+		t.Errorf("shared stats (hits %d, misses %d, coalesced %d) are not 4x one run's (%d, %d, %d)",
+			shared.KeyCacheHits(), shared.KeyCacheMisses(), shared.SchedCoalesced(),
+			one.KeyCacheHits(), one.KeyCacheMisses(), one.SchedCoalesced())
 	}
 }

@@ -4,9 +4,7 @@ package core_test
 
 import (
 	"math/rand"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -16,7 +14,7 @@ import (
 	"repro/internal/core"
 )
 
-// recordStreams runs the one-worker engine with the revision recording
+// recordStreams runs the engine with the revision recording
 // hook and returns every configuration key's arrival stream: the
 // canonicalized states delivered to its table entry, in delivery order.
 func recordStreams(t *testing.T, g *cfg.Graph) map[string][]*core.State {
@@ -36,7 +34,7 @@ func recordStreams(t *testing.T, g *cfg.Graph) map[string][]*core.State {
 // stated as a test, in two parts.
 //
 // Re-delivery churn: replaying the recorded stream with injected duplicate
-// deliveries — the stale-re-step traffic of concurrent workers — must leave
+// deliveries — the re-sends of re-stepped configurations — must leave
 // everything byte-identical, including the revision-chain length and the
 // widening counter. This is exactly the bug the state-derived counters
 // remove: arrival events no longer advance the ladder, only state changes
@@ -138,42 +136,4 @@ func stripConstraints(key string) string {
 		return key
 	}
 	return key[:i] + key[j+1:]
-}
-
-// stressIters reads the PSDF_STRESS_ITERS override so CI can bound the
-// arrival-order stress budget (and an acceptance run can raise it).
-func stressIters(t *testing.T, def int) int {
-	if s := os.Getenv("PSDF_STRESS_ITERS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			t.Fatalf("bad PSDF_STRESS_ITERS %q", s)
-		}
-		return n
-	}
-	return def
-}
-
-// TestParallelArrivalOrderStress repeatedly runs the parallel engine at
-// workers 2/4/8 with a deliberately tiny shard count (maximum lock
-// contention and batching pressure) and requires byte-identical signatures
-// against the one-worker run on every iteration. The default budget
-// keeps `go test` fast; CI and the acceptance stress loop raise it via
-// PSDF_STRESS_ITERS.
-func TestParallelArrivalOrderStress(t *testing.T) {
-	iters := stressIters(t, 3)
-	ws := bench.All()
-	for iter := 0; iter < iters; iter++ {
-		for _, w := range ws {
-			_, g := w.Parse()
-			want := signature(analyzeWith(t, g, core.Options{}))
-			for _, workers := range []int{2, 4, 8} {
-				_, g := w.Parse()
-				got := signature(analyzeWith(t, g, core.Options{Workers: workers, Shards: 2}))
-				if got != want {
-					t.Fatalf("%s iter=%d workers=%d diverged:\n got: %s\nwant: %s",
-						w.Name, iter, workers, got, want)
-				}
-			}
-		}
-	}
 }

@@ -339,9 +339,9 @@ func (st *State) ReplacePending(idx int, rests []*PendingSend) {
 
 // sortPending keeps pending records in a canonical order. A slice that is
 // already in order (the common case after the first sort) is left alone; a
-// reorder of a still-shared backing array first re-slices so clones reading
-// the same array concurrently (parallel-engine snapshots) never observe the
-// swap. Element pointers survive the re-slice, so sharedPending stays set.
+// reorder of a still-shared backing array first copies the slice so clones
+// sharing the array never observe the swap. Element pointers survive the
+// copy, so sharedPending stays set.
 func (st *State) sortPending() {
 	less := func(a, b *PendingSend) bool {
 		if a.Node != b.Node {

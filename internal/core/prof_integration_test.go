@@ -17,44 +17,36 @@ import (
 )
 
 // TestProfilerDoesNotPerturb is the profiler's overhead contract: with a
-// profiler attached, one-worker and four-worker runs must produce
-// byte-identical results to the unprofiled baseline on every paper
-// workload, and the profiled step count must equal the engine's own.
+// profiler attached, a run must produce byte-identical results and counts
+// to the unprofiled baseline on every paper workload, and the profiled step
+// count must equal the engine's own.
 func TestProfilerDoesNotPerturb(t *testing.T) {
 	for _, w := range bench.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			_, g := w.Parse()
-			want := signature(analyzeWith(t, g, core.Options{}))
-			for _, workers := range []int{1, 4} {
-				p := prof.New()
-				_, g := w.Parse()
-				res, err := core.Analyze(g, core.Options{
-					Matcher:  cartesian.New(core.ScanInvariants(g)),
-					Workers:  workers,
-					Profiler: p,
-				})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if workers == 1 {
-					if got := signature(res); got != want {
-						t.Errorf("workers=1 profiled run diverged:\n got: %s\nwant: %s", got, want)
-					}
-				} else if got := topoSignature(res); got != topoSignature(analyzeWith(t, g, core.Options{Workers: workers})) {
-					t.Errorf("workers=%d profiled run diverged", workers)
-				}
-				rep := p.Report(w.Name, w.Src)
-				if rep.Totals.Steps != int64(res.Steps) {
-					t.Errorf("workers=%d: profiled steps = %d, engine steps = %d",
-						workers, rep.Totals.Steps, res.Steps)
-				}
-				if rep.Totals.StepNs <= 0 {
-					t.Errorf("workers=%d: no step time recorded", workers)
-				}
-				if len(rep.Nodes) == 0 {
-					t.Errorf("workers=%d: empty node profile", workers)
-				}
+			want := countedSignature(analyzeWith(t, g, core.Options{}))
+			p := prof.New()
+			_, g = w.Parse()
+			res, err := core.Analyze(g, core.Options{
+				Matcher:  cartesian.New(core.ScanInvariants(g)),
+				Profiler: p,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := countedSignature(res); got != want {
+				t.Errorf("profiled run diverged:\n got: %s\nwant: %s", got, want)
+			}
+			rep := p.Report(w.Name, w.Src)
+			if rep.Totals.Steps != int64(res.Steps) {
+				t.Errorf("profiled steps = %d, engine steps = %d", rep.Totals.Steps, res.Steps)
+			}
+			if rep.Totals.StepNs <= 0 {
+				t.Error("no step time recorded")
+			}
+			if len(rep.Nodes) == 0 {
+				t.Error("empty node profile")
 			}
 		})
 	}

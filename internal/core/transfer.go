@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/cfg"
@@ -539,11 +538,8 @@ func (st *State) GlobalAssume(ps *ProcSet, cond ast.Expr, inv *Invariants) {
 }
 
 // Invariants accumulates non-affine global equalities for the cartesian
-// (HSM) matcher, e.g. np = nrows*ncols. Collect locks internally because
-// parallel workers may process assume statements concurrently; the maps
-// are only read after the run (or before it, by InjectAffineConsequences).
+// (HSM) matcher, e.g. np = nrows*ncols.
 type Invariants struct {
-	mu          sync.Mutex
 	Subst       map[string]sym.Expr
 	LowerBounds map[string]int64
 }
@@ -559,8 +555,6 @@ func NewInvariants() *Invariants {
 // Collect extracts invariants from an assume condition: var == polynomial
 // equalities and var >= c lower bounds, recursing into conjunctions.
 func (inv *Invariants) Collect(cond ast.Expr) {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
 	inv.collectLocked(cond)
 }
 

@@ -1,21 +1,13 @@
 // Package differ is the differential-soundness harness: it analyzes an MPL
-// program with the pCFG engine (sequentially and with the parallel worklist
-// engine) and concretizes the result against the explicit-state baseline
-// (internal/modelcheck) at small process counts. The paper's appendix
-// proves the baseline exact and interleaving-oblivious, so every
-// divergence is a genuine defect, classified as:
+// program with the pCFG engine and concretizes the result against the
+// explicit-state baseline (internal/modelcheck) at small process counts.
+// The paper's appendix proves the baseline exact and
+// interleaving-oblivious, so every divergence is a genuine defect,
+// classified as:
 //
 //   - ClassSoundness — the analysis misses a real communication edge or
 //     wrongly proves no configuration admits an np the program runs at;
 //     a soundness bug, the worst class.
-//   - ClassEngine — a multi-worker configuration loses soundness the
-//     one-worker run keeps: it misses real communication without a
-//     covering ⊤, so the parallelization itself is broken. (Byte-level
-//     equality across worker counts is deliberately NOT policed here:
-//     how deliveries coalesce under real parallelism makes multi-worker
-//     precision interleaving-sensitive on arbitrary programs —
-//     only soundness is invariant. The core engine's equivalence suites
-//     keep the byte-level promise on the curated workloads.)
 //   - ClassPrecision — the analysis over-approximates: a spurious edge or
 //     rank, or a ⊤ give-up, on a program the oracle completes cleanly.
 //     Sound but imprecise; tracked longitudinally in the bench history.
@@ -54,7 +46,6 @@ const (
 	ClassSkipped         // no oracle verdict (deadlock, runtime error, failed assume)
 	ClassPrecision       // sound but imprecise: spurious edge/rank or ⊤
 	ClassError           // harness failure: parse/sem/analysis error
-	ClassEngine          // a multi-worker configuration lost soundness one worker keeps
 	ClassSoundness       // analysis misses real behavior
 )
 
@@ -68,8 +59,6 @@ func (c Class) String() string {
 		return "precision"
 	case ClassError:
 		return "error"
-	case ClassEngine:
-		return "engine"
 	case ClassSoundness:
 		return "soundness"
 	}
@@ -78,7 +67,7 @@ func (c Class) String() string {
 
 // ParseClass parses a Class name as rendered by String.
 func ParseClass(s string) (Class, error) {
-	for _, c := range []Class{ClassOK, ClassSkipped, ClassPrecision, ClassError, ClassEngine, ClassSoundness} {
+	for _, c := range []Class{ClassOK, ClassSkipped, ClassPrecision, ClassError, ClassSoundness} {
 		if c.String() == s {
 			return c, nil
 		}
@@ -90,7 +79,7 @@ func ParseClass(s string) (Class, error) {
 type Finding struct {
 	Class Class
 	// NP is the process count the divergence was first observed at
-	// (0 when np-independent, e.g. engine divergence or a ⊤ give-up).
+	// (0 when np-independent, e.g. a ⊤ give-up).
 	NP int
 	// Detail is a deterministic, human-readable description of the first
 	// (worst) divergence.
@@ -110,33 +99,20 @@ type Options struct {
 	// program's assumed floor (its top-level "assume np >= k") are
 	// skipped automatically.
 	NPs []int
-	// Workers are the parallel-engine worker counts exercised (default
-	// {2, 8}): each is checked for run-to-run determinism, worker-count
-	// invariance, and oracle soundness. Empty slice with
-	// SkipEngineCompare unset still runs the default.
-	Workers []int
-	// SkipEngineCompare disables the parallel-engine runs entirely (the
-	// shrinker uses it when minimizing a pure-oracle divergence).
-	SkipEngineCompare bool
 	// Env provides concrete values for free symbols when simulating.
 	Env map[string]int64
 	// Core seeds the analysis options: tuning overrides (MaxVisits,
-	// MaxSets, NonBlockingSends, ...) flow into every engine run.
-	// Matcher, Workers and Schedule are managed by the harness.
+	// MaxSets, NonBlockingSends, ...) flow into the analysis. The harness
+	// sets the Matcher.
 	Core core.Options
 	// Profiler, when non-nil, collects the source-attribution profile of
-	// the one-worker reference analysis only — the parallel comparison
-	// runs stay unprofiled so the attribution is deterministic across
-	// sweep repeats (the parallel fixpoints legally vary).
+	// the analysis.
 	Profiler *prof.Profiler
 }
 
 func (o *Options) fill() {
 	if len(o.NPs) == 0 {
 		o.NPs = []int{2, 3, 4, 5, 6}
-	}
-	if len(o.Workers) == 0 {
-		o.Workers = []int{2, 8}
 	}
 }
 
@@ -153,22 +129,13 @@ func Check(src string, opts Options) *Finding {
 		return &Finding{Class: ClassError, Detail: fmt.Sprintf("sem: %v", err)}
 	}
 
-	analyze := func(workers int, schedule string) (*core.Result, error) {
-		g := cfg.Build(prog)
-		co := opts.Core
-		co.Matcher = cartesian.New(core.ScanInvariants(g))
-		co.Workers = workers
-		co.Schedule = schedule
-		if workers == 1 {
-			co.Profiler = opts.Profiler
-		}
-		res, err := core.Analyze(g, co)
-		return res, err
-	}
-
-	seq, err := analyze(1, "")
+	g := cfg.Build(prog)
+	co := opts.Core
+	co.Matcher = cartesian.New(core.ScanInvariants(g))
+	co.Profiler = opts.Profiler
+	seq, err := core.Analyze(g, co)
 	if err != nil {
-		return &Finding{Class: ClassError, Detail: fmt.Sprintf("sequential analysis: %v", err)}
+		return &Finding{Class: ClassError, Detail: fmt.Sprintf("analysis: %v", err)}
 	}
 
 	worst := &Finding{Class: ClassOK, Detail: "exact at every checked np"}
@@ -178,49 +145,7 @@ func Check(src string, opts Options) *Finding {
 		}
 	}
 
-	// Parallel-engine runs. Byte-level equality across worker counts is a
-	// curated-workload property, not a general invariant: every worker
-	// count runs the same loop and join→widen rung (3 state-changing
-	// coalesced revisions), but the *content* reaching the rung under real
-	// parallelism depends on how deliveries coalesce — so on arbitrary
-	// programs the one-worker run and a multi-worker run (and even two
-	// runs of one multi-worker configuration) legally converge to
-	// different, separately sound fixpoints that differ in precision.
-	// Differential fuzzing confirmed this: cleanliness and topology both
-	// vary run-to-run on generated programs while every result stays
-	// sound. The unconditional cross-engine invariant is therefore
-	// soundness itself: ClassEngine fires when a parallel configuration
-	// misses real communication (without a covering ⊤) that the oracle
-	// observed — the parallelization broke soundness — and each parallel
-	// result is screened in the per-np pass below. Byte-level equivalence
-	// on the curated workloads stays policed by the core engine's own
-	// equivalence and arrival-order suites.
-	type parRun struct {
-		label string
-		res   *core.Result
-	}
-	var parallels []parRun
-	if !opts.SkipEngineCompare {
-		for _, w := range opts.Workers {
-			for _, sched := range []string{core.ScheduleFIFO, core.ScheduleLIFO} {
-				par, err := analyze(w, sched)
-				if err != nil {
-					record(&Finding{Class: ClassError,
-						Detail: fmt.Sprintf("parallel analysis (workers=%d %s): %v", w, sched, err)})
-					continue
-				}
-				parallels = append(parallels, parRun{fmt.Sprintf("workers=%d %s", w, sched), par})
-			}
-		}
-	}
-
-	// Oracle comparison at each admissible np. The sequential result is
-	// the reference for the full triage (it is deterministic, so precision
-	// rates stay reproducible); parallel results are screened for
-	// soundness only — their rung legally trades precision for convergence
-	// speed, so a ⊤ or a spurious pair there is tuning noise, but a missed
-	// real message without a covering ⊤ is an engine divergence.
-	g := cfg.Build(prog)
+	// Oracle comparison at each admissible np.
 	minNP := assumedMinNP(prog)
 	checked := 0
 	for _, np := range opts.NPs {
@@ -228,17 +153,9 @@ func Check(src string, opts Options) *Finding {
 			continue
 		}
 		f := checkAtNP(g, seq, np, opts.Env)
-		if f.Class == ClassSkipped {
-			record(f)
-			continue // oracle cannot judge this np for any engine
-		}
-		checked++
 		record(f)
-		for _, pr := range parallels {
-			if pf := checkAtNP(g, pr.res, np, opts.Env); pf.Class == ClassSoundness {
-				record(&Finding{Class: ClassEngine, NP: np,
-					Detail: fmt.Sprintf("parallel engine (%s) lost soundness: %s", pr.label, pf.Detail)})
-			}
+		if f.Class != ClassSkipped {
+			checked++
 		}
 	}
 	if checked == 0 && worst.Class == ClassOK {

@@ -94,9 +94,9 @@ end
 
 // TestDifferSweep is the bounded differential sweep: every generated safe
 // program must triage ok (or at worst a known precision loss — never a
-// soundness or engine divergence). CI runs a slice under -race; the
-// full-acceptance 2000-program sweep runs via `psdf fuzz` (see the CI
-// workflow) and PSDF_DIFF_ITERS scales this test up to it.
+// soundness divergence). The full-acceptance 2000-program sweep runs via
+// `psdf fuzz` (see the CI workflow) and PSDF_DIFF_ITERS scales this test
+// up to it.
 func TestDifferSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep skipped in -short mode")
@@ -112,15 +112,15 @@ func TestDifferSweep(t *testing.T) {
 	res := Sweep(SweepOptions{Seed: 1, N: n})
 	for _, f := range res.Findings {
 		switch f.Finding.Class {
-		case ClassSoundness, ClassEngine, ClassError:
+		case ClassSoundness, ClassError:
 			t.Errorf("program %d (seed %d): %s\n%s", f.Index, f.Seed, f.Finding, f.Program.Src)
 		case ClassPrecision:
 			t.Logf("program %d (seed %d): %s", f.Index, f.Seed, f.Finding)
 		}
 	}
-	t.Logf("sweep: %d programs: ok=%d precision=%d skipped=%d soundness=%d engine=%d error=%d",
+	t.Logf("sweep: %d programs: ok=%d precision=%d skipped=%d soundness=%d error=%d",
 		res.Programs, res.Counts[ClassOK], res.Counts[ClassPrecision], res.Counts[ClassSkipped],
-		res.Counts[ClassSoundness], res.Counts[ClassEngine], res.Counts[ClassError])
+		res.Counts[ClassSoundness], res.Counts[ClassError])
 }
 
 // TestSweepDeterminism: the same (seed, N) sweep reproduces byte-identical
@@ -146,13 +146,13 @@ func TestSweepDeterminism(t *testing.T) {
 }
 
 // TestBuggyProgramsAreSkipped: deliberately-buggy programs must never be
-// classified as soundness/engine findings — the oracle skips what it
+// classified as soundness findings — the oracle skips what it
 // cannot judge (deadlocks, runtime errors), and leaks/tag mismatches are
 // lint territory.
 func TestBuggyProgramsAreSkipped(t *testing.T) {
 	res := Sweep(SweepOptions{Seed: 3, N: 12, BuggyFraction: 1})
 	for _, f := range res.Findings {
-		if f.Finding.Class == ClassSoundness || f.Finding.Class == ClassEngine || f.Finding.Class == ClassError {
+		if f.Finding.Class == ClassSoundness || f.Finding.Class == ClassError {
 			t.Errorf("buggy program %d (bug %s) triaged %s:\n%s",
 				f.Index, f.Program.Bug, f.Finding, f.Program.Src)
 		}

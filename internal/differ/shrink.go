@@ -25,10 +25,7 @@ import (
 
 // ShrinkOptions configures a minimization run.
 type ShrinkOptions struct {
-	// Differ configures the class-preservation oracle. When the original
-	// finding is not ClassEngine the parallel-engine runs are skipped
-	// automatically (they cannot affect the other classes and triple the
-	// per-candidate cost).
+	// Differ configures the class-preservation oracle.
 	Differ Options
 	// MaxChecks caps the number of differential checks spent (0 = 800).
 	// When the budget runs out the best program found so far is returned.
@@ -81,13 +78,7 @@ func Shrink(src string, o ShrinkOptions) (*ShrinkResult, error) {
 	} else if !keep(orig) {
 		return nil, fmt.Errorf("differ: Keep rejects the original finding %s", orig)
 	}
-	opts := o.Differ
-	if orig.Class != ClassEngine {
-		// The engine runs only matter for ClassEngine; skipping them
-		// cannot change any other class.
-		opts.SkipEngineCompare = true
-	}
-	s := &shrinker{opts: opts, keep: keep, max: o.MaxChecks}
+	s := &shrinker{opts: o.Differ, keep: keep, max: o.MaxChecks}
 	if s.max <= 0 {
 		s.max = 800
 	}

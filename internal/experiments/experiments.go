@@ -603,72 +603,6 @@ func parallelDriver(tr *obs.Tracer) (*Table, error) {
 	}, nil
 }
 
-// Engine regenerates the intra-analysis parallel worklist measurement: one
-// analysis driven by 1/2/4/8 workers over the sharded configuration table,
-// on the workloads with the widest pCFG frontiers (Fig 7 shift, the 1-D
-// stencil and both NAS-CG transposes). Reports wall clock per worker
-// count, that every run reproduces the sequential topology, and the new
-// scheduler/key-cache instrumentation. Speedup is bounded by the frontier
-// width (~2 independent configurations on the shift, ~4 on the stencil)
-// and by GOMAXPROCS.
-func engineWorklist(tr *obs.Tracer) (*Table, error) {
-	ws := []*bench.Workload{bench.Fig7Shift(), bench.Stencil1D(), bench.TransposeSquare(), bench.TransposeRect()}
-	var rows []Row
-	identical := true
-	var coalesced, contention int64
-	var hits, misses int64
-	for _, w := range ws {
-		var baseline string
-		var times []string
-		for _, workers := range []int{1, 2, 4, 8} {
-			_, g := w.Parse()
-			stats := &cg.Stats{}
-			m := cartesian.New(core.ScanInvariants(g))
-			start := time.Now()
-			res, err := core.Analyze(g, core.Options{
-				Matcher: m,
-				CGOpts:  cg.Options{Backend: cg.ArrayBackend, Stats: stats},
-				Workers: workers,
-				Tracer:  tr,
-			})
-			el := time.Since(start)
-			if err != nil {
-				return nil, fmt.Errorf("%s workers=%d: %w", w.Name, workers, err)
-			}
-			if !res.Clean() {
-				return nil, fmt.Errorf("%s workers=%d: not clean: %v", w.Name, workers, res.TopReasons())
-			}
-			if workers == 1 {
-				baseline = matchSummary(res)
-			} else if matchSummary(res) != baseline {
-				identical = false
-			}
-			times = append(times, fmt.Sprintf("%dw %v", workers, el.Round(time.Microsecond)))
-			coalesced += stats.SchedCoalesced()
-			contention += stats.ShardContention()
-			hits += stats.KeyCacheHits()
-			misses += stats.KeyCacheMisses()
-		}
-		rows = append(rows, Row{w.Name, "(not in paper)", strings.Join(times, ", ")})
-	}
-	hitRate := 0.0
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
-	}
-	rows = append(rows,
-		Row{"all runs reproduce sequential topology", "yes", yesNo(identical)},
-		Row{"scheduler pushes coalesced (visits saved)", "(not in paper)", fmt.Sprintf("%d", coalesced)},
-		Row{"table shard lock contention", "(low)", fmt.Sprintf("%d contended acquisitions", contention)},
-		Row{"state key cache hit rate", "(not in paper)", fmt.Sprintf("%.1f%% (%d hits / %d misses)", 100*hitRate, hits, misses)},
-	)
-	return &Table{
-		ID:    "engine",
-		Title: "Parallel intra-analysis worklist: one fixpoint, N workers",
-		Rows:  rows,
-		Notes: fmt.Sprintf("GOMAXPROCS=%d; wall-clock speedup needs both frontier width and real cores", runtime.GOMAXPROCS(0)),
-	}, nil
-}
-
 // Spec is a runnable experiment: a stable ID (used for -exp selection and
 // the BENCH_<id>.json file name) plus its builder, which receives the
 // tracer that instruments every analysis run inside the experiment.
@@ -693,7 +627,6 @@ func specs() []Spec {
 		{"stencil", stencil},
 		{"aggregation", aggregation},
 		{"parallel", parallelDriver},
-		{"engine", engineWorklist},
 	}
 }
 
@@ -707,9 +640,9 @@ func SpecIDs() []string {
 	return ids
 }
 
-// BenchSchemaVersion versions the BENCH_<spec>.json record layout (and the
-// BENCH_engine_workers.json envelope). Bump on incompatible field changes
-// and document the new layout in EXPERIMENTS.md.
+// BenchSchemaVersion versions the BENCH_<spec>.json record layout. Bump on
+// incompatible field changes and document the new layout in
+// EXPERIMENTS.md.
 const BenchSchemaVersion = 1
 
 // SpecResult is the stable benchmark record written as BENCH_<spec>.json:

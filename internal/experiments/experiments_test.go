@@ -10,8 +10,8 @@ func TestAllExperimentsSucceed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 14 {
-		t.Fatalf("tables = %d, want 14", len(tables))
+	if len(tables) != 13 {
+		t.Fatalf("tables = %d, want 13", len(tables))
 	}
 	for _, tb := range tables {
 		if len(tb.Rows) == 0 {

@@ -2,14 +2,6 @@ package experiments
 
 import "testing"
 
-func BenchmarkEngineSpec(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := RunSpec("engine"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkStencilSpec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := RunSpec("stencil"); err != nil {

@@ -67,9 +67,8 @@ func RunSampled(ids []string, samples, parallelism int) ([]*SampledSpec, error) 
 		}
 		recs, errs := runSpecsOnce(selected, parallelism, stage, rep)
 		for i, err := range errs {
-			// No retries: the parallel engine's widening ladder is driven by
-			// state-derived revision counters, so a spec failure is a real
-			// regression and must abort the record immediately.
+			// No retries: the analysis is deterministic, so a spec failure
+			// is a real regression and must abort the record immediately.
 			if err != nil {
 				return nil, fmt.Errorf("sample %d of %s: %w", rep+1, selected[i].ID, err)
 			}

@@ -34,12 +34,7 @@ func TestGeneratedFamiliesValidateExactly(t *testing.T) {
 		}
 		p := gen.New(r, cfg)
 		for _, nb := range []bool{false, true} {
-			f := differ.Check(p.Src, differ.Options{
-				Core: core.Options{NonBlockingSends: nb},
-				// The sequential triage is the property; the parallel
-				// engines are screened by the differ's own sweep tests.
-				SkipEngineCompare: nb,
-			})
+			f := differ.Check(p.Src, differ.Options{Core: core.Options{NonBlockingSends: nb}})
 			if f.Class != differ.ClassOK {
 				t.Errorf("seed %d (nb=%v, %v): %s\n%s", seed, nb, p.Families, f, p.Src)
 			}

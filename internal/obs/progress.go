@@ -4,9 +4,8 @@ package obs
 // closure with a ProgressTracker; the HTTP layer (and anything else that
 // wants a heartbeat) asks the tracker for a Snapshot, which samples every
 // live analysis at that instant and merges in the final snapshots of
-// finished ones. The engines keep the sampled state in atomics or behind
-// short-lived shard locks, so sampling never blocks the fixpoint for more
-// than a queue-size read.
+// finished ones. The engine keeps the sampled state in atomics or behind
+// short-lived locks, so sampling never blocks the fixpoint.
 
 import (
 	"encoding/json"
@@ -22,8 +21,6 @@ type Progress struct {
 	// Job is the analysis's TracePID; Name its workload label.
 	Job  int    `json:"job"`
 	Name string `json:"name,omitempty"`
-	// Workers is the configured worker count.
-	Workers int `json:"workers,omitempty"`
 	// Done marks a final snapshot: the analysis has converged and the
 	// counters are its end-of-run totals.
 	Done bool `json:"done"`
@@ -32,11 +29,9 @@ type Progress struct {
 	Steps   int64 `json:"steps"`
 	Configs int64 `json:"configs"`
 	// Pending counts configurations queued or running; Queued counts
-	// configurations sitting in run queues right now. ShardQueued is the
-	// per-shard queue breakdown.
-	Pending     int64 `json:"pending"`
-	Queued      int64 `json:"queued"`
-	ShardQueued []int `json:"shard_queued,omitempty"`
+	// configurations sitting on the worklist right now.
+	Pending int64 `json:"pending"`
+	Queued  int64 `json:"queued"`
 	// Ladder counters: joins (graph joins), widenings (state-changing
 	// revisions past the join rung) and give-ups (entries forced to ⊤).
 	Joins     int64 `json:"joins"`
@@ -51,8 +46,7 @@ type Progress struct {
 	// zero otherwise).
 	ProverSearches int64 `json:"prover_searches"`
 	ProverNs       int64 `json:"prover_ns"`
-	// Scheduler behavior: cross-shard steals and coalesced revisits.
-	Steals    int64 `json:"sched_steals"`
+	// Worklist pushes coalesced into an already-queued revisit.
 	Coalesced int64 `json:"sched_coalesced"`
 	// ElapsedNs is time since the analysis started (or its total wall
 	// time once Done).

@@ -56,7 +56,7 @@ func TestProgressTrackerNilInert(t *testing.T) {
 
 func TestStatuszEndpoint(t *testing.T) {
 	tr := NewProgressTracker()
-	tr.Register(1, func() Progress { return Progress{Job: 1, Name: "w", Steps: 3, Workers: 8} })
+	tr.Register(1, func() Progress { return Progress{Job: 1, Name: "w", Steps: 3, Pending: 2} })
 	mux := NewHTTPMux(NewRegistry(), tr, NewFlightRecorder(16), nil)
 
 	req := httptest.NewRequest("GET", "/statusz", nil)
@@ -69,7 +69,7 @@ func TestStatuszEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rw.Body.Bytes(), &s); err != nil {
 		t.Fatalf("/statusz not JSON: %v\n%s", err, rw.Body.String())
 	}
-	if len(s.Jobs) != 1 || s.Jobs[0].Steps != 3 || s.Jobs[0].Workers != 8 {
+	if len(s.Jobs) != 1 || s.Jobs[0].Steps != 3 || s.Jobs[0].Pending != 2 {
 		t.Fatalf("statusz payload wrong: %+v", s)
 	}
 	if s.NowUnixNs == 0 {

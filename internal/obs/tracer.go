@@ -23,13 +23,12 @@ import (
 // (transfer, send-receive matching, emptiness splits), and their successors
 // merged back into the table (join/widen); deferred give-ups commit at
 // convergence, and the HSM prover's heuristic search is attributed
-// separately because it serializes across workers.
+// separately, on its own lane.
 type Phase uint8
 
 // Instrumented phases.
 const (
-	// PhaseDequeue is time a worker spends popping the scheduler,
-	// including blocking waits for work (idle time).
+	// PhaseDequeue is time the fixpoint loop spends popping the worklist.
 	PhaseDequeue Phase = iota
 	// PhaseStep covers one whole propagate step of a configuration
 	// (snapshot + transfer/match/split); the sub-phases nest inside it.
@@ -43,19 +42,17 @@ const (
 	// PhaseSplit is the emptiness case-split on possibly-empty blocked sets
 	// (splitPSet).
 	PhaseSplit
-	// PhaseInsert is merging a step's successor configurations into the
-	// table: canonicalization, key interning and entry revision. Join and
-	// widen spans nest inside it.
+	// PhaseInsert is interning a step successor's shape key, ahead of its
+	// commit.
 	PhaseInsert
 	// PhaseJoin is combining an incoming state with a table entry on the
 	// join side of the join→widen ladder.
 	PhaseJoin
 	// PhaseWiden is the same combine after the ladder switched to widening.
 	PhaseWiden
-	// PhaseCommit is the engine's batched shard-commit critical
-	// section: one table-shard lock acquisition under which a whole step's
-	// successors for that shard are revised and their scheduler pushes
-	// collected. Join and widen spans nest inside it.
+	// PhaseCommit is merging one step successor into the configuration
+	// table: creating or revising its entry. Join and widen spans nest
+	// inside it.
 	PhaseCommit
 	// PhaseGiveupCommit is the deferred give-up commit at convergence
 	// (commitStuckTops).
@@ -97,14 +94,13 @@ func PhaseFromName(name string) (Phase, bool) {
 }
 
 // ProverTid is the trace lane (Chrome trace tid) HSM prover spans are
-// attributed to. Prover searches serialize behind the matcher's prover
-// mutex, so a dedicated lane makes the serialization visible in Perfetto;
-// worker-lane match spans already enclose the prover time, so summaries
-// that tile worker lanes exclude lanes at or above ProverTid.
+// attributed to. A dedicated lane keeps the searches visible in Perfetto;
+// engine-lane match spans already enclose the prover time, so summaries
+// that tile engine lanes exclude lanes at or above ProverTid.
 const ProverTid = 1000
 
 // Event is one recorded span: a phase execution attributed to a trace lane
-// (Pid = analysis job, Tid = worker goroutine or ProverTid).
+// (Pid = analysis job, Tid = engine lane or ProverTid).
 type Event struct {
 	Phase  Phase
 	Pid    int

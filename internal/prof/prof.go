@@ -8,17 +8,16 @@
 //
 //   - A *Profiler is the per-analysis aggregator. core.Options.Profiler
 //     carries it into the engine; nil means profiling is off.
-//   - The engine asks the profiler for a *Lanes: one private, dense
-//     []Counters buffer per worker tid, indexed by CFG node ID. Recording
-//     is a plain (non-atomic) add into the caller's own lane — each lane
-//     is touched by exactly one goroutine, so there is no contention and
-//     no synchronization on the hot path.
+//   - The engine asks the profiler for a *Lane: one private, dense
+//     []Counters buffer indexed by CFG node ID. Recording is a plain
+//     (non-atomic) add — the lane is touched only by the analysis's own
+//     goroutine, so the hot path has no synchronization.
 //   - All recording methods are nil-safe no-ops, so the disabled path is
 //     a single pointer check: 0 allocs/op, proven by
 //     BenchmarkProfilerDisabled (the analogue of BenchmarkTracerDisabled).
-//   - After the run quiesces (workers joined), the engine commits the
-//     lanes: Commit merges every lane under the profiler's mutex and
-//     resolves node → source span / kind / synthetic from the CFG.
+//   - After the run, the engine commits the lane: Commit merges it under
+//     the profiler's mutex and resolves node → source span / kind /
+//     synthetic from the CFG.
 //
 // Reports render three ways: a heat-annotated source listing (text), a
 // machine-readable JSON report (schema "psdf-profile/1", embedding the
@@ -35,13 +34,11 @@ import (
 	"repro/internal/source"
 )
 
-// Counters is the per-node event aggregate. All counts are totals across
-// workers after merge; Ns fields are cumulative wall nanoseconds.
+// Counters is the per-node event aggregate. Ns fields are cumulative wall
+// nanoseconds.
 //
 // MatchNs includes the memo lookup; ProverNs is the subset of MatchNs
-// spent inside memo-missing HSM searches (in parallel runs prover time is
-// read from shared matcher counters, so concurrent searches may bleed
-// between callsites — exact when Workers <= 1, approximate otherwise).
+// spent inside memo-missing HSM searches.
 type Counters struct {
 	Steps          int64 `json:"steps,omitempty"`
 	StepNs         int64 `json:"step_ns,omitempty"`
@@ -98,44 +95,37 @@ type failKey struct {
 	old, new string
 }
 
-// Lanes is the engine-side recording surface: per-worker private counter
-// buffers. Obtain one via (*Profiler).NewLanes; a nil *Lanes (profiling
-// off) makes every method a no-op, so engine call sites need exactly one
-// pointer check.
-type Lanes struct {
-	nodes int
-	lanes [][]Counters     // [tid][node]
-	fails [][]WidenFailure // [tid] appended details (rare path; alloc OK)
+// Lane is the engine-side recording surface: one analysis's private
+// counter buffer. Obtain one via (*Profiler).NewLane; a nil *Lane
+// (profiling off) makes every method a no-op, so engine call sites need
+// exactly one pointer check.
+type Lane struct {
+	nodes []Counters     // indexed by CFG node ID
+	fails []WidenFailure // appended details (rare path; alloc OK)
 }
 
-// NewLanes sizes a lane set for workers+1 tids (tid 0 is the sequential
-// engine / commit path) over nodes CFG nodes. Returns nil when p is nil.
-func (p *Profiler) NewLanes(workers, nodes int) *Lanes {
+// NewLane sizes a lane over nodes CFG nodes. Returns nil when p is nil.
+func (p *Profiler) NewLane(nodes int) *Lane {
 	if p == nil {
 		return nil
 	}
-	l := &Lanes{nodes: nodes, lanes: make([][]Counters, workers+1)}
-	for i := range l.lanes {
-		l.lanes[i] = make([]Counters, nodes)
-	}
-	l.fails = make([][]WidenFailure, workers+1)
-	return l
+	return &Lane{nodes: make([]Counters, nodes)}
 }
 
-func (l *Lanes) at(tid, node int) *Counters {
-	if tid < 0 || tid >= len(l.lanes) || node < 0 || node >= l.nodes {
+func (l *Lane) at(node int) *Counters {
+	if node < 0 || node >= len(l.nodes) {
 		return nil
 	}
-	return &l.lanes[tid][node]
+	return &l.nodes[node]
 }
 
 // Step records one engine step at node: elapsed wall time and the number
 // of successor configurations it spawned.
-func (l *Lanes) Step(tid, node int, ns int64, spawned int) {
+func (l *Lane) Step(node int, ns int64, spawned int) {
 	if l == nil {
 		return
 	}
-	if c := l.at(tid, node); c != nil {
+	if c := l.at(node); c != nil {
 		c.Steps++
 		c.StepNs += ns
 		c.Spawned += int64(spawned)
@@ -145,11 +135,11 @@ func (l *Lanes) Step(tid, node int, ns int64, spawned int) {
 // Match records one client-matcher call attributed to node: elapsed time,
 // the match-memo miss delta, the prover search/time deltas, and whether
 // the matcher produced a plan.
-func (l *Lanes) Match(tid, node int, ns, memoMisses, proverSearches, proverNs int64, matched bool) {
+func (l *Lane) Match(node int, ns, memoMisses, proverSearches, proverNs int64, matched bool) {
 	if l == nil {
 		return
 	}
-	if c := l.at(tid, node); c != nil {
+	if c := l.at(node); c != nil {
 		c.Matches++
 		if matched {
 			c.Matched++
@@ -163,11 +153,11 @@ func (l *Lanes) Match(tid, node int, ns, memoMisses, proverSearches, proverNs in
 
 // Combine records one revision combine at node: a join below the widening
 // rung, a widening at or above it.
-func (l *Lanes) Combine(tid, node int, widen bool) {
+func (l *Lane) Combine(node int, widen bool) {
 	if l == nil {
 		return
 	}
-	if c := l.at(tid, node); c != nil {
+	if c := l.at(node); c != nil {
 		if widen {
 			c.Widenings++
 		} else {
@@ -178,37 +168,35 @@ func (l *Lanes) Combine(tid, node int, widen bool) {
 
 // WidenFail records a widening failure at node with the first failing
 // bound-expression pair (empty strings when unavailable).
-func (l *Lanes) WidenFail(tid, node int, oldBound, newBound string) {
+func (l *Lane) WidenFail(node int, oldBound, newBound string) {
 	if l == nil {
 		return
 	}
-	if c := l.at(tid, node); c != nil {
+	if c := l.at(node); c != nil {
 		c.WidenFailures++
 	}
-	if tid >= 0 && tid < len(l.fails) {
-		l.fails[tid] = append(l.fails[tid], WidenFailure{
-			Node: node, OldBound: oldBound, NewBound: newBound, Count: 1,
-		})
-	}
+	l.fails = append(l.fails, WidenFailure{
+		Node: node, OldBound: oldBound, NewBound: newBound, Count: 1,
+	})
 }
 
 // GiveUp records a committed ⊤ give-up blamed on node.
-func (l *Lanes) GiveUp(tid, node int) {
+func (l *Lane) GiveUp(node int) {
 	if l == nil {
 		return
 	}
-	if c := l.at(tid, node); c != nil {
+	if c := l.at(node); c != nil {
 		c.GiveUps++
 	}
 }
 
 // TopDemotion records a final-state ⊤ demotion (stale match witness)
 // blamed on node.
-func (l *Lanes) TopDemotion(tid, node int) {
+func (l *Lane) TopDemotion(node int) {
 	if l == nil {
 		return
 	}
-	if c := l.at(tid, node); c != nil {
+	if c := l.at(node); c != nil {
 		c.TopDemotions++
 	}
 }
@@ -237,23 +225,23 @@ func New() *Profiler {
 	return &Profiler{fails: make(map[failKey]int64)}
 }
 
-// Commit merges every lane of l into the profiler and resolves node
-// metadata from g. The engine calls it once per analysis, after all
-// workers have joined — lanes are quiescent, so reading them unlocked is
-// safe; the profiler's own state is mutex-guarded.
-func (p *Profiler) Commit(g *cfg.Graph, l *Lanes) {
+// Commit merges lane l into the profiler and resolves node metadata from
+// g. The engine calls it once per analysis, after the run; the profiler's
+// own state is mutex-guarded, so analyses may commit concurrently.
+func (p *Profiler) Commit(g *cfg.Graph, l *Lane) {
 	if p == nil || l == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.nodes) < l.nodes {
-		grown := make([]Counters, l.nodes)
+	nodes := len(l.nodes)
+	if len(p.nodes) < nodes {
+		grown := make([]Counters, nodes)
 		copy(grown, p.nodes)
 		p.nodes = grown
-		p.info = make([]nodeInfo, l.nodes)
+		p.info = make([]nodeInfo, nodes)
 		for _, n := range g.Nodes {
-			if n.ID >= 0 && n.ID < l.nodes {
+			if n.ID >= 0 && n.ID < nodes {
 				p.info[n.ID] = nodeInfo{
 					kind:      n.Kind.String(),
 					label:     n.Label(),
@@ -263,22 +251,18 @@ func (p *Profiler) Commit(g *cfg.Graph, l *Lanes) {
 			}
 		}
 	}
-	for _, lane := range l.lanes {
-		for id := range lane {
-			if !lane[id].zero() || lane[id].MatchNs != 0 {
-				p.nodes[id].add(&lane[id])
-			}
+	for id := range l.nodes {
+		if c := &l.nodes[id]; !c.zero() || c.MatchNs != 0 {
+			p.nodes[id].add(c)
 		}
 	}
-	for _, fs := range l.fails {
-		for _, f := range fs {
-			p.fails[failKey{f.Node, f.OldBound, f.NewBound}] += f.Count
-		}
+	for _, f := range l.fails {
+		p.fails[failKey{f.Node, f.OldBound, f.NewBound}] += f.Count
 	}
 	p.commits++
 }
 
-// Commits returns how many lane sets were merged (one per analysis run).
+// Commits returns how many lanes were merged (one per analysis run).
 func (p *Profiler) Commits() int {
 	if p == nil {
 		return 0

@@ -23,18 +23,19 @@ func testGraph() *cfg.Graph {
 
 func TestCommitMergesLanes(t *testing.T) {
 	p := New()
-	l := p.NewLanes(2, 4)
-	// Two lanes hitting the same node: totals must sum.
-	l.Step(0, 1, 100, 2)
-	l.Step(1, 1, 50, 1)
-	l.Match(2, 2, 300, 2, 1, 120, true)
-	l.Combine(0, 2, false)
-	l.Combine(1, 2, true)
-	l.WidenFail(1, 2, "np - 2", "np - 3")
-	l.WidenFail(0, 2, "np - 2", "np - 3")
-	l.GiveUp(0, 3)
-	l.TopDemotion(0, 3)
+	// Two analyses' lanes hitting the same node: totals must sum.
+	l, l2 := p.NewLane(4), p.NewLane(4)
+	l.Step(1, 100, 2)
+	l2.Step(1, 50, 1)
+	l.Match(2, 300, 2, 1, 120, true)
+	l.Combine(2, false)
+	l2.Combine(2, true)
+	l2.WidenFail(2, "np - 2", "np - 3")
+	l.WidenFail(2, "np - 2", "np - 3")
+	l.GiveUp(3)
+	l.TopDemotion(3)
 	p.Commit(testGraph(), l)
+	p.Commit(testGraph(), l2)
 
 	r := p.Report("test.mpl", "a\nb\nc\n")
 	if r.Totals.Steps != 2 || r.Totals.StepNs != 150 || r.Totals.Spawned != 3 {
@@ -69,20 +70,18 @@ func TestCommitMergesLanes(t *testing.T) {
 }
 
 func TestLanesOutOfRangeSafe(t *testing.T) {
-	l := New().NewLanes(1, 2)
-	// Out-of-range tids and nodes must be dropped, not panic.
-	l.Step(-1, 0, 1, 1)
-	l.Step(9, 0, 1, 1)
-	l.Step(0, -1, 1, 1)
-	l.Step(0, 99, 1, 1)
-	l.GiveUp(7, 0)
+	l := New().NewLane(2)
+	// Out-of-range nodes must be dropped, not panic.
+	l.Step(-1, 1, 1)
+	l.Step(99, 1, 1)
+	l.GiveUp(7)
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
 	p := New()
-	l := p.NewLanes(1, 4)
-	l.Step(0, 2, 1500, 1)
-	l.WidenFail(0, 2, "a", "b")
+	l := p.NewLane(4)
+	l.Step(2, 1500, 1)
+	l.WidenFail(2, "a", "b")
 	p.Commit(testGraph(), l)
 	rep := p.Report("rt.mpl", "line one\nline two\n")
 
@@ -122,11 +121,11 @@ func TestReadJSONRejects(t *testing.T) {
 
 func TestListingAndFolded(t *testing.T) {
 	p := New()
-	l := p.NewLanes(1, 4)
-	l.Step(0, 1, 2000, 1)
-	l.Step(0, 2, 9000, 2)
-	l.Match(0, 2, 700, 1, 1, 300, true)
-	l.GiveUp(0, 3)
+	l := p.NewLane(4)
+	l.Step(1, 2000, 1)
+	l.Step(2, 9000, 2)
+	l.Match(2, 700, 1, 1, 300, true)
+	l.GiveUp(3)
 	p.Commit(testGraph(), l)
 	rep := p.Report("x.mpl", "x = 1\nsend x\nrecv y\n")
 
