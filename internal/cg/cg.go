@@ -77,8 +77,9 @@ type Options struct {
 // slot table and the closed matrix with the original, and the first
 // mutating operation on either graph (AddLE, Forget, Drop, Shift, Rename,
 // FullClose) materializes a private copy. Shared storage is never written,
-// so any number of clones may be read concurrently; each individual graph
-// is still single-writer, as before.
+// except for its equality-witness cache, which is published atomically, so
+// any number of clones may be read concurrently; each individual graph is
+// still single-writer, as before.
 //
 // A graph whose lifetime is over may be returned to the storage arena with
 // Release; this is an optimization, not an obligation — an unreleased graph
@@ -130,10 +131,13 @@ func (g *Graph) Release() {
 func (g *Graph) materialize() {
 	// Every content mutation passes through here before writing, so this is
 	// the one place (plus the AddLE/MarkInconsistent early-outs that flip
-	// consistency without touching storage) that advances the version.
+	// consistency without touching storage) that advances the version, and
+	// the one place a private store drops its cached equality witnesses (a
+	// copied store starts without any).
 	g.ver++
 	s := g.s
 	if s.refs.Load() == 1 {
+		s.resetWitnesses()
 		return
 	}
 	start := time.Now()
@@ -522,9 +526,6 @@ func (g *Graph) EntailsA(x, y Atom, c int64) bool {
 	return ok && b <= c
 }
 
-// EntailsLT reports whether the graph implies x < y + c.
-func (g *Graph) EntailsLT(x, y string, c int64) bool { return g.Entails(x, y, c-1) }
-
 // ConstVal returns the exact known value of x, if the graph pins it.
 func (g *Graph) ConstVal(x string) (int64, bool) {
 	a, ok := LookupAtom(x)
@@ -544,52 +545,39 @@ func (g *Graph) ConstValA(x Atom) (int64, bool) {
 	return 0, false
 }
 
-// EqualWitnesses returns, for variable x, every pair (y, c) with the graph
-// entailing x = y + c, including (ZeroVar, v) when x has a known constant
-// value. x itself is excluded. Results are sorted by variable name.
-func (g *Graph) EqualWitnesses(x string) []Witness { return g.AppendEqualWitnesses(nil, x) }
-
-// AppendEqualWitnesses appends x's equality witnesses, sorted by variable
-// name, to dst and returns the extended slice. Callers on the hot path pass
-// a stack buffer so the witness list costs no allocation.
-func (g *Graph) AppendEqualWitnesses(dst []Witness, x string) []Witness {
+// EqualWitnesses is the name form of EqualWitnessesA, as ConstVal is of
+// ConstValA: it returns the same cached list, under the same rules.
+func (g *Graph) EqualWitnesses(x string) []Witness {
 	a, ok := LookupAtom(x)
-	if !ok || !g.consistent {
-		return dst
+	if !ok {
+		return nil
 	}
-	i := g.s.slot(a)
+	return g.EqualWitnessesA(a)
+}
+
+// EqualWitnessesA returns, for variable x, every pair (y, c) with the graph
+// entailing x = y + c, including (AtomZero, v) when x has a known constant
+// value. x itself is excluded. Results are sorted by variable name. The
+// list is computed once per storage generation and shared by every clone of
+// it, so a repeated lookup costs one slot search and allocates nothing. The
+// result must not be modified, and it is valid until the graph is next
+// mutated or released.
+func (g *Graph) EqualWitnessesA(x Atom) []Witness {
+	if !g.consistent {
+		return nil
+	}
+	i := g.s.slot(x)
 	if i < 0 {
-		return dst
+		return nil
 	}
-	names := atomNames()
-	out := dst
-	base := len(dst)
-	for j := range g.s.atoms {
-		if j == i {
-			continue
-		}
-		up := g.s.get(i, j)
-		down := g.s.get(j, i)
-		if up < Inf && down < Inf && up == -down {
-			// Insertion sort by name as witnesses arrive: the lists are
-			// tiny and this avoids sort.Slice's closure + reflect.Swapper
-			// allocations on a very hot path (bound enrichment).
-			w := Witness{Var: names[g.s.atoms[j]], C: up}
-			pos := len(out)
-			for pos > base && out[pos-1].Var > w.Var {
-				pos--
-			}
-			out = append(out, Witness{})
-			copy(out[pos+1:], out[pos:])
-			out[pos] = w
-		}
-	}
-	return out
+	t := g.s.witnesses()
+	lo, hi := t.off[i], t.off[i+1]
+	return t.ws[lo:hi:hi]
 }
 
 // Witness records the fact x = Var + C for some subject variable x.
 type Witness struct {
-	Var string
+	Var Atom
 	C   int64
 }
 

@@ -79,10 +79,10 @@ func TestEqualWitnesses(t *testing.T) {
 	if len(ws) != 2 {
 		t.Fatalf("witnesses = %v", ws)
 	}
-	if ws[0].Var != ZeroVar || ws[0].C != 1 {
+	if ws[0].Var != AtomZero || ws[0].C != 1 {
 		t.Errorf("w0 = %v", ws[0])
 	}
-	if ws[1].Var != "i" || ws[1].C != 0 {
+	if ws[1].Var.String() != "i" || ws[1].C != 0 {
 		t.Errorf("w1 = %v", ws[1])
 	}
 }

@@ -131,26 +131,28 @@ func TestRenderMatchesReference(t *testing.T) {
 	}
 }
 
-// TestAppendEqualWitnesses checks that the append form keeps the caller's
-// prefix, sorts only what it appends, and agrees with EqualWitnesses.
-func TestAppendEqualWitnesses(t *testing.T) {
+// TestEqualWitnessesCached pins the witness order (by name, the constant
+// witness first) in both forms, and gates the cached lookup: once the
+// generation's table is built, a lookup by atom or by name allocates
+// nothing.
+func TestEqualWitnessesCached(t *testing.T) {
 	g := NewDefault()
 	g.AddEq("x", "np", -1)
 	g.AddEq("x", "b", 2)
 	g.SetConst("a", 4)
 	g.AddEq("x", "a", 0)
-	prefix := []Witness{{Var: "zz", C: 9}}
-	got := g.AppendEqualWitnesses(prefix, "x")
-	want := append([]Witness{{Var: "zz", C: 9}}, g.EqualWitnesses("x")...)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("AppendEqualWitnesses = %v, want %v", got, want)
+	if got := fmt.Sprint(g.EqualWitnesses("x")); got != "[{$0 4} {a 0} {b 2} {np -1}]" {
+		t.Fatalf("EqualWitnesses(x) = %v", got)
 	}
-	if fmt.Sprint(want[1:]) != "[{$0 4} {a 0} {b 2} {np -1}]" {
-		t.Fatalf("EqualWitnesses(x) = %v", want[1:])
+	x := Intern("x")
+	if got := fmt.Sprint(g.EqualWitnessesA(x)); got != fmt.Sprint(g.EqualWitnesses("x")) {
+		t.Fatalf("EqualWitnessesA(x) = %v, want %v", got, g.EqualWitnesses("x"))
 	}
-	var buf [8]Witness
-	if n := testing.AllocsPerRun(1000, func() { _ = g.AppendEqualWitnesses(buf[:0], "x") }); n != 0 {
-		t.Errorf("AppendEqualWitnesses into a stack buffer allocates %v per op, want 0", n)
+	if n := testing.AllocsPerRun(1000, func() { _ = g.EqualWitnessesA(x) }); n != 0 {
+		t.Errorf("a warmed EqualWitnessesA allocates %v per op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { _ = g.EqualWitnesses("x") }); n != 0 {
+		t.Errorf("a warmed EqualWitnesses allocates %v per op, want 0", n)
 	}
 }
 

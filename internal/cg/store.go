@@ -12,7 +12,8 @@ import (
 // materialization is one copy and closure loops walk contiguous memory; the
 // map backend keeps the paper's "STL container" analogue for the storage
 // ablation. Shared stores are never written — every mutation goes through
-// Graph.materialize first — so any number of clones may read concurrently.
+// Graph.materialize first — so any number of clones may read concurrently;
+// the one exception, the witness cache, is filled race-free (witnesses).
 type store struct {
 	refs  atomic.Int32
 	atoms []Atom // slot -> atom, swap-with-last on Drop
@@ -25,6 +26,10 @@ type store struct {
 	sparse map[int64]int64
 	// Incremental-closure frontier scratch, private to the writing graph.
 	srcs, tgts []int32
+	// wit caches this generation's equality witnesses (see witnesses); nil
+	// until the first lookup after a content change. spare holds a reset
+	// table whose buffers the next build reuses.
+	wit, spare atomic.Pointer[witnessTable]
 }
 
 func pairKey(i, j int) int64 { return int64(i)<<32 | int64(j) }
@@ -68,6 +73,7 @@ func acquireFlat(n int, st *Stats) *store {
 			s := v.(*store)
 			s.refs.Store(1)
 			s.atoms = s.atoms[:0]
+			s.resetWitnesses()
 			if st != nil {
 				st.arenaHits.Add(1)
 			}
@@ -201,4 +207,78 @@ func acquireMat(stride int, st *Stats) []int64 {
 		st.arenaMisses.Add(1)
 	}
 	return make([]int64, stride*stride)
+}
+
+// witnessTable holds every slot's equality witnesses for one storage
+// generation: slot i's are ws[off[i]:off[i+1]], sorted by variable name.
+type witnessTable struct {
+	off []int32
+	ws  []Witness
+}
+
+// witnesses returns the generation's witness table, building it on first
+// use. Clones sharing the store may call this concurrently: each builder
+// fills a table of its own and publishes it with one compare-and-swap, so
+// readers only ever see a complete table, and a builder that loses the race
+// leaves its table as the spare.
+func (s *store) witnesses() *witnessTable {
+	if t := s.wit.Load(); t != nil {
+		return t
+	}
+	t := s.spare.Swap(nil)
+	if t == nil {
+		t = new(witnessTable)
+	}
+	t.build(s)
+	if s.wit.CompareAndSwap(nil, t) {
+		return t
+	}
+	s.spare.Store(t)
+	return s.wit.Load()
+}
+
+// resetWitnesses drops the cached table before the store's content changes,
+// keeping its buffers as the spare. The caller holds the store privately.
+func (s *store) resetWitnesses() {
+	if t := s.wit.Swap(nil); t != nil {
+		s.spare.Store(t)
+	}
+}
+
+// build fills t from s: for each slot i, every other slot j with
+// x_i - x_j = c exactly (the closed matrix bounds both directions tightly),
+// in name order. The slots are ordered by name once, so each row comes out
+// sorted.
+func (t *witnessTable) build(s *store) {
+	names := atomNames()
+	n := len(s.atoms)
+	// Slots in name order, by insertion sort into a stack buffer: slot
+	// counts are tens, and only a larger graph spills to the heap.
+	var buf [64]int32
+	order := buf[:0]
+	for i := 0; i < n; i++ {
+		name := names[s.atoms[i]]
+		pos := len(order)
+		for pos > 0 && names[s.atoms[order[pos-1]]] > name {
+			pos--
+		}
+		order = append(order, 0)
+		copy(order[pos+1:], order[pos:])
+		order[pos] = int32(i)
+	}
+	off := append(t.off[:0], 0)
+	ws := t.ws[:0]
+	for i := 0; i < n; i++ {
+		for _, j32 := range order {
+			j := int(j32)
+			if j == i {
+				continue
+			}
+			if up, down := s.get(i, j), s.get(j, i); up < Inf && down < Inf && up == -down {
+				ws = append(ws, Witness{Var: s.atoms[j], C: up})
+			}
+		}
+		off = append(off, int32(len(ws)))
+	}
+	t.off, t.ws = off, ws
 }

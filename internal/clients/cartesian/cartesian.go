@@ -14,10 +14,12 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ast"
+	"repro/internal/cg"
 	"repro/internal/clients/symbolic"
 	"repro/internal/core"
 	"repro/internal/hsm"
 	"repro/internal/obs"
+	"repro/internal/procset"
 	"repro/internal/sym"
 )
 
@@ -208,20 +210,29 @@ func (m *Matcher) idHSM(ps *core.ProcSet) (*hsm.HSM, bool) {
 
 // globalAtom picks a bound atom that references no per-set (ps-prefixed)
 // variables, so it is meaningful in the HSM context's global namespace.
-func globalAtom(b interface{ Atoms() []sym.Expr }) (sym.Expr, bool) {
+func globalAtom(b procset.Bound) (sym.Expr, bool) {
 	for _, a := range b.Atoms() {
-		global := true
-		for _, v := range a.Vars() {
-			if len(v) >= 2 && v[0] == 'p' && v[1] == 's' {
+		if a.IsVarPlus() {
+			if a.V == cg.AtomZero || !perSet(a.V.String()) {
+				return a.Expr(), true
+			}
+			continue
+		}
+		e, global := a.Expr(), true
+		for _, v := range e.Vars() {
+			if perSet(v) {
 				global = false
 				break
 			}
 		}
 		if global {
-			return a, true
+			return e, true
 		}
 	}
 	return sym.Zero, false
 }
+
+// perSet reports whether v is a per-set (ps-prefixed) variable.
+func perSet(v string) bool { return len(v) >= 2 && v[0] == 'p' && v[1] == 's' }
 
 var _ core.Matcher = (*Matcher)(nil)

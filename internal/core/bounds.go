@@ -9,14 +9,16 @@ package core
 // for the match search to fail.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/cg"
+	"repro/internal/procset"
 	"repro/internal/sym"
+	"repro/internal/tri"
 )
 
 // BoundsStatus classifies one rank-bounds observation.
@@ -116,31 +118,59 @@ func (st *State) EntailsLE(l, r sym.Expr) bool {
 // (minimum and maximum of an affine function over an interval are attained
 // at the endpoints).
 func (st *State) CheckCommBounds(ps *ProcSet, dir string, expr ast.Expr) CommBoundsObs {
-	obs := CommBoundsObs{Node: ps.Node.ID, Dir: dir, Range: ps.Range.String()}
+	return st.boundsVerdict(ps, expr).observation(ps, dir)
+}
+
+// Kinds of rank-bounds verdict: each renders its own Detail.
+const (
+	boundsOutsideAffine byte = iota
+	boundsIDProduct
+	boundsProven
+	boundsBeyond
+	boundsBelow
+	boundsUndecided
+)
+
+// boundsVerdict is a rank-bounds decision before any string is rendered:
+// its kind and, for a violation, the witness process and the rank it
+// targets.
+type boundsVerdict struct {
+	kind            byte
+	process, target procset.Atom
+}
+
+// npAtom is the process count; the last rank is np - 1.
+var npAtom = cg.Intern("np")
+
+// boundsVerdict decides CheckCommBounds. A target id + k is shifted on the
+// bound atoms' pairs and decided with one graph query per atom; any other
+// affine target substitutes each atom into the polynomial.
+func (st *State) boundsVerdict(ps *ProcSet, expr ast.Expr) boundsVerdict {
 	e, ok := st.AffineExprID(ps, expr)
 	if !ok {
-		obs.Status = BoundsNonAffine
-		obs.Detail = "target expression is outside the affine fragment"
-		return obs
+		return boundsVerdict{kind: boundsOutsideAffine}
 	}
 	// Extract the coefficient of id; the rest must stay affine.
-	var a int64
-	for _, t := range e.Terms() {
-		uses := false
-		for _, v := range t.Vars {
-			if v == IDMarker {
-				uses = true
+	v, k, idPlus := e.AsVarPlusConst()
+	idPlus = idPlus && v == IDMarker
+	a := int64(1)
+	if !idPlus {
+		a = 0
+		for _, t := range e.Terms() {
+			uses := false
+			for _, v := range t.Vars {
+				if v == IDMarker {
+					uses = true
+				}
 			}
+			if !uses {
+				continue
+			}
+			if len(t.Vars) != 1 {
+				return boundsVerdict{kind: boundsIDProduct}
+			}
+			a += t.Coef
 		}
-		if !uses {
-			continue
-		}
-		if len(t.Vars) != 1 {
-			obs.Status = BoundsNonAffine
-			obs.Detail = "target multiplies id with another variable"
-			return obs
-		}
-		a += t.Coef
 	}
 	rng := ps.Range.Enrich(st.Ctx())
 	loAtoms, hiAtoms := rng.LB.Atoms(), rng.UB.Atoms()
@@ -150,53 +180,86 @@ func (st *State) CheckCommBounds(ps *ProcSet, dir string, expr ast.Expr) CommBou
 	}
 	if a == 0 {
 		// The target does not depend on id; evaluate e itself once.
-		loAtoms, hiAtoms = []sym.Expr{sym.Zero}, []sym.Expr{sym.Zero}
+		loAtoms, hiAtoms = zeroAtoms, zeroAtoms
 	}
-	verb := "sends to"
-	if dir == "src" {
-		verb = "receives from"
+	target := func(atom procset.Atom) procset.Atom {
+		if idPlus && atom.IsVarPlus() {
+			return procset.Atom{V: atom.V, C: atom.C + k}
+		}
+		return procset.AtomOf(sym.Subst(e, IDMarker, atom.Expr()))
 	}
-	npTop := sym.VarPlus("np", -1)
+	zero, minusOne := procset.Atom{}, procset.Atom{C: -1}
+	npTop, np := procset.Atom{V: npAtom, C: -1}, procset.Atom{V: npAtom}
 	loOK, hiOK := false, false
 	for _, atom := range loAtoms {
-		v := sym.Subst(e, IDMarker, atom)
-		if st.EntailsLE(sym.Zero, v) {
+		if st.entailsLEAtom(zero, target(atom)) {
 			loOK = true
 			break
 		}
 	}
 	for _, atom := range hiAtoms {
-		v := sym.Subst(e, IDMarker, atom)
-		if st.EntailsLE(v, npTop) {
+		if st.entailsLEAtom(target(atom), npTop) {
 			hiOK = true
 			break
 		}
 	}
 	if loOK && hiOK {
-		obs.Status = BoundsProven
-		obs.Detail = "every process in " + obs.Range + " targets a rank in [0, np - 1]"
-		return obs
+		return boundsVerdict{kind: boundsProven}
 	}
 	// A violation needs a witness end: some endpoint provably below 0 or at
 	// or above np.
 	for _, atom := range hiAtoms {
-		v := sym.Subst(e, IDMarker, atom)
-		if st.EntailsLE(sym.Var("np"), v) {
-			obs.Status = BoundsViolated
-			obs.Detail = "process " + atom.String() + " " + verb + " " + v.String() + ", beyond the last rank np - 1"
-			return obs
+		if t := target(atom); st.entailsLEAtom(np, t) {
+			return boundsVerdict{kind: boundsBeyond, process: atom, target: t}
 		}
 	}
 	for _, atom := range loAtoms {
-		v := sym.Subst(e, IDMarker, atom)
-		if st.EntailsLE(v, sym.Const(-1)) {
-			obs.Status = BoundsViolated
-			obs.Detail = "process " + atom.String() + " " + verb + " " + v.String() + ", below rank 0"
-			return obs
+		if t := target(atom); st.entailsLEAtom(t, minusOne) {
+			return boundsVerdict{kind: boundsBelow, process: atom, target: t}
 		}
 	}
-	obs.Status = BoundsUnknown
-	obs.Detail = "cannot prove the target stays in [0, np - 1] for " + obs.Range
+	return boundsVerdict{kind: boundsUndecided}
+}
+
+// zeroAtoms stands in for a range's atoms when the target ignores id.
+var zeroAtoms = []procset.Atom{{}}
+
+// entailsLEAtom is EntailsLE over atoms: two var+c pairs are decided by the
+// bound algebra's atom comparison, with no polynomial.
+func (st *State) entailsLEAtom(l, r procset.Atom) bool {
+	if !l.IsVarPlus() || !r.IsVarPlus() {
+		return st.EntailsLE(l.Expr(), r.Expr())
+	}
+	return procset.Ctx{G: st.G}.LeqAtom(l, r, 0) == tri.True
+}
+
+// observation renders the verdict for set ps checked in direction dir.
+func (v boundsVerdict) observation(ps *ProcSet, dir string) CommBoundsObs {
+	obs := CommBoundsObs{Node: ps.Node.ID, Dir: dir, Range: ps.Range.String()}
+	verb := "sends to"
+	if dir == "src" {
+		verb = "receives from"
+	}
+	switch v.kind {
+	case boundsOutsideAffine:
+		obs.Status = BoundsNonAffine
+		obs.Detail = "target expression is outside the affine fragment"
+	case boundsIDProduct:
+		obs.Status = BoundsNonAffine
+		obs.Detail = "target multiplies id with another variable"
+	case boundsProven:
+		obs.Status = BoundsProven
+		obs.Detail = "every process in " + obs.Range + " targets a rank in [0, np - 1]"
+	case boundsBeyond:
+		obs.Status = BoundsViolated
+		obs.Detail = "process " + v.process.String() + " " + verb + " " + v.target.String() + ", beyond the last rank np - 1"
+	case boundsBelow:
+		obs.Status = BoundsViolated
+		obs.Detail = "process " + v.process.String() + " " + verb + " " + v.target.String() + ", below rank 0"
+	default:
+		obs.Status = BoundsUnknown
+		obs.Detail = "cannot prove the target stays in [0, np - 1] for " + obs.Range
+	}
 	return obs
 }
 
@@ -205,25 +268,34 @@ func (st *State) CheckCommBounds(ps *ProcSet, dir string, expr ast.Expr) CommBou
 func (e *engine) recordCommBounds(st *State, ps *ProcSet) {
 	dest, src := commFacets(ps.Node)
 	if dest != nil {
-		e.addBoundsObs(st.CheckCommBounds(ps, "dest", dest))
+		e.addBoundsObs(ps, "dest", st.boundsVerdict(ps, dest))
 	}
 	if src != nil {
-		e.addBoundsObs(st.CheckCommBounds(ps, "src", src))
+		e.addBoundsObs(ps, "src", st.boundsVerdict(ps, src))
 	}
 }
 
-// boundsObsKey is the dedupe key of an observation: its fields joined by '|'.
-func boundsObsKey(obs CommBoundsObs) string {
-	return strconv.Itoa(obs.Node) + "|" + obs.Dir + "|" + strconv.Itoa(int(obs.Status)) + "|" + obs.Range + "|" + obs.Detail
-}
-
-func (e *engine) addBoundsObs(obs CommBoundsObs) {
-	key := boundsObsKey(obs)
-	if e.obsSeen[key] {
+// addBoundsObs records a verdict unless it repeats an earlier one. Most
+// observations are repeats, so the dedupe key is binary: everything the
+// observation's strings are rendered from — node, direction, verdict kind,
+// the range as Set.String shows it, and a violation's witness and target —
+// and only a new key renders the strings.
+func (e *engine) addBoundsObs(ps *ProcSet, dir string, v boundsVerdict) {
+	b := binary.AppendUvarint(e.obsKey[:0], uint64(ps.Node.ID))
+	b = append(appendString(b, dir), v.kind)
+	b = appendSetShown(b, ps.Range)
+	if v.kind == boundsBeyond || v.kind == boundsBelow {
+		b = appendAtom(appendAtom(b, v.process), v.target)
+	}
+	e.obsKey = b
+	if _, ok := e.obsSeen[string(b)]; ok {
 		return
 	}
-	e.obsSeen[key] = true
-	e.res.CommBounds = append(e.res.CommBounds, obs)
+	if e.obsSeen == nil {
+		e.obsSeen = map[string]struct{}{}
+	}
+	e.obsSeen[string(b)] = struct{}{}
+	e.res.CommBounds = append(e.res.CommBounds, v.observation(ps, dir))
 }
 
 // ---------------------------------------------------------------------------

@@ -645,7 +645,7 @@ func appendBoundAll(b []byte, bd procset.Bound) []byte {
 	atoms := bd.Atoms()
 	b = binary.AppendUvarint(b, uint64(len(atoms)))
 	for _, a := range atoms {
-		b = appendExpr(b, a)
+		b = appendAtom(b, a)
 	}
 	return b
 }
@@ -653,14 +653,30 @@ func appendBoundAll(b []byte, bd procset.Bound) []byte {
 // appendSetShown encodes what Set.String renders: the primary atom of each
 // bound, and whether the set prints as the point form [x] or as [x..y].
 func appendSetShown(b []byte, s procset.Set) []byte {
+	lb, ub := s.LB.Atoms(), s.UB.Atoms()
 	switch {
 	case !s.IsValid():
 		return append(b, idSetInvalid)
-	case len(s.LB.Atoms()) == 1 && len(s.UB.Atoms()) == 1 && sym.Equal(s.LB.Atoms()[0], s.UB.Atoms()[0]):
-		return appendExpr(append(b, idSetPoint), s.LB.Atoms()[0])
+	case len(lb) == 1 && len(ub) == 1 && lb[0].Equal(ub[0]):
+		return appendAtom(append(b, idSetPoint), lb[0])
 	}
-	b = appendExpr(append(b, idSetRange), s.LB.Primary())
-	return appendExpr(b, s.UB.Primary())
+	b = appendAtom(append(b, idSetRange), s.LB.Primary())
+	return appendAtom(b, s.UB.Primary())
+}
+
+// appendAtom encodes a bound atom as appendExpr encodes its expression: a
+// var+c pair writes its variable's name and offset directly.
+func appendAtom(b []byte, a procset.Atom) []byte {
+	if !a.IsVarPlus() {
+		return appendExpr(b, a.Expr())
+	}
+	b = append(b, idExprVarPlus)
+	if a.V == cg.AtomZero {
+		b = appendString(b, "")
+	} else {
+		b = appendString(b, a.V.String())
+	}
+	return binary.AppendVarint(b, a.C)
 }
 
 // appendExpr encodes a polynomial's normal form. The var+c shape (a
@@ -852,24 +868,49 @@ func (st *State) SubstEverywhere(name string, repl sym.Expr) {
 
 // EnrichEverywhere expands all range bounds with constraint-graph equality
 // witnesses (done before widening so the atom intersection can succeed).
+// Enrichment only adds atoms, so a bound whose atom count is unchanged is
+// unchanged: a state that gains no atom keeps its shared match and pending
+// records and its cached keys.
 func (st *State) EnrichEverywhere() {
-	st.dirtyKeys()
 	ctx := st.Ctx()
-	st.ownMatches()
-	st.ownPending()
+	changed := false
 	for _, p := range st.Sets {
-		p.Range = p.Range.Enrich(ctx)
-	}
-	for _, m := range st.Matches {
-		m.Sender = m.Sender.Enrich(ctx)
-		m.Receiver = m.Receiver.Enrich(ctx)
-	}
-	for _, p := range st.Pending {
-		p.Senders = p.Senders.Enrich(ctx)
-		if p.Shape == PendFan {
-			p.Dests = p.Dests.Enrich(ctx)
+		if r := p.Range.Enrich(ctx); grew(p.Range, r) {
+			p.Range = r
+			changed = true
 		}
 	}
+	for i, m := range st.Matches {
+		s, r := m.Sender.Enrich(ctx), m.Receiver.Enrich(ctx)
+		if !grew(m.Sender, s) && !grew(m.Receiver, r) {
+			continue
+		}
+		st.ownMatches()
+		m = st.Matches[i]
+		m.Sender, m.Receiver = s, r
+		changed = true
+	}
+	for i, p := range st.Pending {
+		s, d := p.Senders.Enrich(ctx), p.Dests
+		if p.Shape == PendFan {
+			d = d.Enrich(ctx)
+		}
+		if !grew(p.Senders, s) && !grew(p.Dests, d) {
+			continue
+		}
+		st.ownPending()
+		p = st.Pending[i]
+		p.Senders, p.Dests = s, d
+		changed = true
+	}
+	if changed {
+		st.dirtyKeys()
+	}
+}
+
+// grew reports whether enrichment added an atom to either bound of s.
+func grew(s, enriched procset.Set) bool {
+	return len(enriched.LB.Atoms()) != len(s.LB.Atoms()) || len(enriched.UB.Atoms()) != len(s.UB.Atoms())
 }
 
 // AddMatch records a send-receive match, folding it into an existing record

@@ -305,8 +305,10 @@ type engine struct {
 	// in a reachable configuration (indexed by node ID; used by the
 	// dead-code lint pass).
 	visited []bool
-	// obsSeen dedupes rank-bounds observations across revisits.
-	obsSeen map[string]bool
+	// obsSeen dedupes rank-bounds observations across revisits by the
+	// binary key addBoundsObs builds in obsKey.
+	obsSeen map[string]struct{}
+	obsKey  []byte
 
 	// Source-attribution profiler (nil when Options.Profiler is nil): a
 	// private counter lane merged into Options.Profiler once, after the
@@ -423,7 +425,6 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 		inv:     NewInvariants(),
 		res:     &Result{},
 		visited: make([]bool, len(g.Nodes)),
-		obsSeen: map[string]bool{},
 		started: time.Now(),
 	}
 	if opts.Profiler != nil {
@@ -1232,7 +1233,7 @@ func firstFailingBound(old, nw *State) (a, b sym.Expr, ok bool) {
 		or, nr := old.Sets[i].Range, nw.Sets[i].Range
 		for _, pair := range [][2]procset.Bound{{or.LB, nr.LB}, {or.UB, nr.UB}} {
 			if !boundsIntersect(pair[0], pair[1]) {
-				return pair[0].Primary(), pair[1].Primary(), true
+				return pair[0].Primary().Expr(), pair[1].Primary().Expr(), true
 			}
 		}
 	}
@@ -1246,7 +1247,7 @@ func firstFailingBound(old, nw *State) (a, b sym.Expr, ok bool) {
 				{om.Receiver.LB, m.Receiver.LB}, {om.Receiver.UB, m.Receiver.UB},
 			} {
 				if !boundsIntersect(pair[0], pair[1]) {
-					return pair[0].Primary(), pair[1].Primary(), true
+					return pair[0].Primary().Expr(), pair[1].Primary().Expr(), true
 				}
 			}
 		}
@@ -1264,7 +1265,7 @@ func firstFailingBound(old, nw *State) (a, b sym.Expr, ok bool) {
 			}
 			for _, pair := range pairs {
 				if !boundsIntersect(pair[0], pair[1]) {
-					return pair[0].Primary(), pair[1].Primary(), true
+					return pair[0].Primary().Expr(), pair[1].Primary().Expr(), true
 				}
 			}
 		}
@@ -1366,7 +1367,7 @@ func boundsIntersect(a, b procset.Bound) bool {
 func advancesBy(a, b procset.Bound, delta int64) bool {
 	for _, aa := range a.Atoms() {
 		for _, bb := range b.Atoms() {
-			if d, ok := sym.Cmp(bb, aa); ok && d == delta {
+			if d, ok := bb.ConstDiff(aa); ok && d == delta {
 				return true
 			}
 		}
@@ -1598,7 +1599,7 @@ func (e *engine) forkOnBoundCmp(ns *State, ps *ProcSet, pivot sym.Expr, depth in
 		if ctx.LeqBound(bnd, b, 0) != tri.Unknown && ctx.LeqBound(b, bnd, 0) != tri.Unknown {
 			continue
 		}
-		bv, bc, okB := splitVarPlusConst(b.Primary())
+		bv, bc, okB := splitVarPlusConst(b.Primary().Expr())
 		if !okB {
 			continue
 		}
@@ -2012,8 +2013,8 @@ func (e *engine) tryEmptinessSplit(st *State, depth int, key string) ([]succ, bo
 		if ps.Range.Empty(ctx) != tri.Unknown {
 			continue
 		}
-		lbv, lbc, ok1 := splitVarPlusConst(ps.Range.LB.Primary())
-		ubv, ubc, ok2 := splitVarPlusConst(ps.Range.UB.Primary())
+		lbv, lbc, ok1 := splitVarPlusConst(ps.Range.LB.Primary().Expr())
+		ubv, ubc, ok2 := splitVarPlusConst(ps.Range.UB.Primary().Expr())
 		if !ok1 || !ok2 {
 			continue
 		}

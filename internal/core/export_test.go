@@ -1,5 +1,10 @@
 package core
 
+import (
+	"repro/internal/procset"
+	"repro/internal/sym"
+)
+
 // Test-only exports: the arrival-order permutation suite lives in the
 // external core_test package (building real matchers needs the client
 // packages, which import core), so the pieces it drives — the revision
@@ -63,10 +68,9 @@ func ReplayRevisions(opts Options, key string, states []*State) ReplayResult {
 // newReplayEngine is a bare engine with an empty table, for replays.
 func newReplayEngine(opts Options) *engine {
 	return &engine{
-		opts:    opts,
-		in:      newInterner(),
-		res:     &Result{},
-		obsSeen: map[string]bool{},
+		opts: opts,
+		in:   newInterner(),
+		res:  &Result{},
 	}
 }
 
@@ -102,5 +106,22 @@ func Identity(st *State) []byte { return st.identity() }
 // rebuilds its key.
 func DirtyKeys(st *State) { st.dirtyKeys() }
 
-// BoundsObsKey exposes the rank-bounds observation dedupe key.
-func BoundsObsKey(o CommBoundsObs) string { return boundsObsKey(o) }
+// EntailsLEAtom exposes the atom form of EntailsLE.
+func EntailsLEAtom(st *State, l, r procset.Atom) bool { return st.entailsLEAtom(l, r) }
+
+// AppendAtom and AppendExpr expose the identity encodings of a bound atom
+// and of a polynomial.
+func AppendAtom(b []byte, a procset.Atom) []byte { return appendAtom(b, a) }
+func AppendExpr(b []byte, e sym.Expr) []byte     { return appendExpr(b, e) }
+
+// BoundsRecorder runs the engine's rank-bounds recording, dedupe included,
+// on a bare engine.
+type BoundsRecorder struct{ e *engine }
+
+func NewBoundsRecorder() *BoundsRecorder { return &BoundsRecorder{e: newReplayEngine(Options{})} }
+
+// Record checks and records ps's observations as the engine does.
+func (r *BoundsRecorder) Record(st *State, ps *ProcSet) { r.e.recordCommBounds(st, ps) }
+
+// Observations returns the observations kept so far, in recording order.
+func (r *BoundsRecorder) Observations() []CommBoundsObs { return r.e.res.CommBounds }

@@ -54,15 +54,26 @@ func forEachExprVar(e sym.Expr, fn func(string)) {
 	}
 }
 
+// forEachAtomVar calls fn for each variable of a bound atom in sorted
+// order; a var+c pair names its one variable without a lookup.
+func forEachAtomVar(a procset.Atom, fn func(string)) {
+	switch {
+	case !a.IsVarPlus():
+		forEachExprVar(a.Expr(), fn)
+	case a.V != cg.AtomZero:
+		fn(a.V.String())
+	}
+}
+
 // forEachRangeVar calls fn for every variable occurrence in the state's
 // ranges, match records and pending sends, in canonical rendering order.
 func (st *State) forEachRangeVar(fn func(string)) {
 	scanSet := func(s procset.Set) {
 		for _, a := range s.LB.Atoms() {
-			forEachExprVar(a, fn)
+			forEachAtomVar(a, fn)
 		}
 		for _, a := range s.UB.Atoms() {
-			forEachExprVar(a, fn)
+			forEachAtomVar(a, fn)
 		}
 	}
 	for _, p := range st.Sets {
@@ -192,12 +203,12 @@ func (st *State) ResolveHelpers() {
 	for changed := true; changed; {
 		changed = false
 		used := map[string]bool{}
-		note := func(e sym.Expr) {
-			for _, v := range e.Vars() {
+		note := func(a procset.Atom) {
+			forEachAtomVar(a, func(v string) {
 				if isHelperVar(v) {
 					used[v] = true
 				}
-			}
+			})
 		}
 		for _, p := range st.Sets {
 			for _, a := range p.Range.LB.Atoms() {
@@ -216,13 +227,13 @@ func (st *State) ResolveHelpers() {
 		}
 		for v := range used {
 			for _, w := range st.G.EqualWitnesses(v) {
-				if w.Var == cg.ZeroVar {
+				if w.Var == cg.AtomZero {
 					st.SubstEverywhere(v, sym.Const(w.C))
 					changed = true
 					break
 				}
-				if !isHelperVar(w.Var) && w.Var[0] != '$' && !isPSVar(w.Var) {
-					st.SubstEverywhere(v, sym.VarPlus(w.Var, w.C))
+				if name := w.Var.String(); !isHelperVar(name) && name[0] != '$' && !isPSVar(name) {
+					st.SubstEverywhere(v, sym.VarPlus(name, w.C))
 					changed = true
 					break
 				}

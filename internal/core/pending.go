@@ -99,13 +99,13 @@ func (st *State) freeze(e sym.Expr) (sym.Expr, bool) {
 			replaced = true
 		} else {
 			for _, w := range st.G.EqualWitnesses(v) {
-				if w.Var == cg.ZeroVar {
+				if w.Var == cg.AtomZero {
 					out = sym.Subst(out, v, sym.Const(w.C))
 					replaced = true
 					break
 				}
-				if !strings.HasPrefix(w.Var, "ps") {
-					out = sym.Subst(out, v, sym.VarPlus(w.Var, w.C))
+				if name := w.Var.String(); !strings.HasPrefix(name, "ps") {
+					out = sym.Subst(out, v, sym.VarPlus(name, w.C))
 					replaced = true
 					break
 				}
@@ -287,7 +287,7 @@ func (st *State) MatchPending(receiver *ProcSet, src sym.Expr, idx int) (*Pendin
 		if sID != 0 {
 			return nil, false
 		}
-		senderExpr := p.Senders.LB.Primary()
+		senderExpr := p.Senders.LB.Primary().Expr()
 		if !st.EntailsZero(sym.Sub(sOfs, senderExpr)) {
 			return nil, false
 		}

@@ -33,7 +33,7 @@ func (st *State) affineExprRange(ps *ProcSet, rng procset.Set, e ast.Expr) (sym.
 			return sym.Var("np"), true
 		case sem.IDVar:
 			if rng.IsSingleton(st.Ctx()) == tri.True {
-				return rng.LB.Primary(), true
+				return rng.LB.Primary().Expr(), true
 			}
 			return sym.Zero, false
 		default:
@@ -492,15 +492,18 @@ func (st *State) invalidateVar(v string) {
 	}
 	// Prefer an equality witness not involving v.
 	for _, w := range st.G.EqualWitnesses(v) {
-		repl := sym.VarPlus(w.Var, w.C)
-		if w.Var == cg.ZeroVar {
-			repl = sym.Const(w.C)
+		repl := sym.Const(w.C)
+		if w.Var != cg.AtomZero {
+			repl = sym.VarPlus(w.Var.String(), w.C)
 		}
 		st.SubstEverywhere(v, repl)
 		return
 	}
 	// No witness: enrich (may add other atoms), then drop atoms using v.
 	st.EnrichEverywhere()
+	st.dirtyKeys()
+	st.ownMatches()
+	st.ownPending()
 	for _, p := range st.Sets {
 		p.Range = procset.Set{LB: p.Range.LB.DropUses(v), UB: p.Range.UB.DropUses(v)}
 	}

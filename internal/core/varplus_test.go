@@ -12,6 +12,7 @@ import (
 	"repro/internal/clients/cartesian"
 	"repro/internal/core"
 	"repro/internal/parser"
+	"repro/internal/procset"
 	"repro/internal/sym"
 )
 
@@ -47,9 +48,10 @@ func refEntailsLE(st *core.State, l, r sym.Expr) bool {
 var entailVars = []string{"i", "j", "np", "k0"}
 
 // randOperand draws mostly var+c expressions (constants and zero
-// included), plus 2*np, nrows*ncols, -v + c and v - w.
+// included, offsets negative and two-digit too), plus 2*np, nrows*ncols,
+// -v + c and v - w.
 func randOperand(rng *rand.Rand) sym.Expr {
-	c := int64(rng.Intn(9) - 4)
+	c := int64(rng.Intn(25) - 12)
 	v := entailVars[rng.Intn(len(entailVars))]
 	switch rng.Intn(10) {
 	case 0:
@@ -76,10 +78,10 @@ func entryState(t *testing.T) *core.State {
 	return core.NewState(cfg.Build(prog).Entry, cg.Options{})
 }
 
-// TestEntailsLEMatchesReference runs EntailsLE against the term-reading
-// reference on random operands and random constraint graphs (some of them
-// inconsistent). Both answers, and every operand shape the fast path
-// distinguishes, must be reached.
+// TestEntailsLEMatchesReference runs EntailsLE, and its form over bound
+// atoms, against the term-reading reference on random operands and random
+// constraint graphs (some of them inconsistent). Both answers, and every
+// operand shape the fast paths distinguish, must be reached.
 func TestEntailsLEMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	st := entryState(t)
@@ -115,14 +117,21 @@ func TestEntailsLEMatchesReference(t *testing.T) {
 		default:
 			cov["two variables"]++
 		}
+		if !g.Consistent() {
+			cov["inconsistent graph"]++
+		}
 		got, want := st.EntailsLE(l, r), refEntailsLE(st, l, r)
 		if got != want {
 			t.Fatalf("EntailsLE(%s, %s) under %v = %v, want %v", l, r, g, got, want)
 		}
+		if got := core.EntailsLEAtom(st, procset.AtomOf(l), procset.AtomOf(r)); got != want {
+			t.Fatalf("EntailsLEAtom(%s, %s) under %v = %v, want %v", l, r, g, got, want)
+		}
 		cov[fmt.Sprint("result ", want)]++
 	}
 	t.Logf("coverage: %v", cov)
-	for _, k := range []string{"non-var+c", "same variable", "constant side", "two variables", "result true", "result false"} {
+	for _, k := range []string{"non-var+c", "same variable", "constant side", "two variables", "inconsistent graph",
+		"result true", "result false"} {
 		if cov[k] == 0 {
 			t.Errorf("coverage: case %q never reached", k)
 		}
@@ -173,7 +182,7 @@ func refCheckCommBounds(st *core.State, ps *core.ProcSet, dir string, expr ast.E
 		a += t.Coef
 	}
 	rng := ps.Range.Enrich(st.Ctx())
-	loAtoms, hiAtoms := rng.LB.Atoms(), rng.UB.Atoms()
+	loAtoms, hiAtoms := exprsOf(rng.LB), exprsOf(rng.UB)
 	if a < 0 {
 		loAtoms, hiAtoms = hiAtoms, loAtoms
 	}
@@ -224,16 +233,31 @@ func refCheckCommBounds(st *core.State, ps *core.ProcSet, dir string, expr ast.E
 	return obs
 }
 
-// commFacets returns the partner expressions a node at a communication
-// operation is checked against, by direction, as the engine's own helper.
-func commFacets(n *cfg.Node) map[string]ast.Expr {
+// exprsOf returns a bound's atoms as the sym.Expr atoms they replaced.
+func exprsOf(b procset.Bound) []sym.Expr {
+	var out []sym.Expr
+	for _, a := range b.Atoms() {
+		out = append(out, a.Expr())
+	}
+	return out
+}
+
+// facet is one partner expression a communication node is checked against.
+type facet struct {
+	dir  string
+	expr ast.Expr
+}
+
+// commFacets returns a communication node's facets in the order the engine
+// records them: the destination, then the source.
+func commFacets(n *cfg.Node) []facet {
 	switch n.Kind {
 	case cfg.Send:
-		return map[string]ast.Expr{"dest": n.Dest}
+		return []facet{{"dest", n.Dest}}
 	case cfg.Recv:
-		return map[string]ast.Expr{"src": n.Src}
+		return []facet{{"src", n.Src}}
 	case cfg.SendRecv:
-		return map[string]ast.Expr{"dest": n.Dest, "src": n.Src}
+		return []facet{{"dest", n.Dest}, {"src", n.Src}}
 	}
 	return nil
 }
@@ -241,8 +265,10 @@ func commFacets(n *cfg.Node) map[string]ast.Expr {
 // TestCommBoundsMatchesReference checks every rank-bounds observation the
 // corpus produces — each process set at a communication node in every
 // state the one-worker engine delivers to its table — against the fmt
-// reference, Detail and dedupe key included. Every kind of observation
-// must occur.
+// reference over sym.Expr atoms, Detail included. The same observations
+// recorded through the engine's binary-key dedupe, twice over, must keep
+// exactly what a dedupe on the reference's rendered fields keeps, in order.
+// Every kind of observation, and a repeat of each, must occur.
 func TestCommBoundsMatchesReference(t *testing.T) {
 	cov := map[string]int{}
 	progs := identityPrograms(t, 40)
@@ -261,33 +287,79 @@ func TestCommBoundsMatchesReference(t *testing.T) {
 		if _, err := core.Analyze(p.g, opts); err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
-		for _, st := range states {
-			for _, ps := range st.Sets {
-				for dir, expr := range commFacets(ps.Node) {
-					got, want := st.CheckCommBounds(ps, dir, expr), refCheckCommBounds(st, ps, dir, expr)
-					if got != want {
-						t.Fatalf("%s: CheckCommBounds = %+v, want %+v", p.name, got, want)
-					}
-					wantKey := fmt.Sprintf("%d|%s|%d|%s|%s", want.Node, want.Dir, want.Status, want.Range, want.Detail)
-					if key := core.BoundsObsKey(got); key != wantKey {
-						t.Fatalf("%s: key %q, want %q", p.name, key, wantKey)
-					}
-					switch {
-					case strings.HasSuffix(got.Detail, "below rank 0"):
-						cov["violated below"]++
-					case strings.HasSuffix(got.Detail, "beyond the last rank np - 1"):
-						cov["violated beyond"]++
-					default:
-						cov[got.Status.String()]++
+		rec := core.NewBoundsRecorder()
+		var kept []core.CommBoundsObs
+		seen := map[string]bool{}
+		// The second pass repeats every observation of the first.
+		for pass := 0; pass < 2; pass++ {
+			for _, st := range states {
+				for _, ps := range st.Sets {
+					rec.Record(st, ps)
+					for _, f := range commFacets(ps.Node) {
+						got, want := st.CheckCommBounds(ps, f.dir, f.expr), refCheckCommBounds(st, ps, f.dir, f.expr)
+						if got != want {
+							t.Fatalf("%s: CheckCommBounds = %+v, want %+v", p.name, got, want)
+						}
+						wantKey := fmt.Sprintf("%d|%s|%d|%s|%s", want.Node, want.Dir, want.Status, want.Range, want.Detail)
+						kind := got.Status.String()
+						switch {
+						case strings.HasSuffix(got.Detail, "below rank 0"):
+							kind = "violated below"
+						case strings.HasSuffix(got.Detail, "beyond the last rank np - 1"):
+							kind = "violated beyond"
+						}
+						cov[kind]++
+						if seen[wantKey] {
+							cov[kind+" repeated"]++
+							continue
+						}
+						seen[wantKey] = true
+						kept = append(kept, want)
 					}
 				}
 			}
 		}
+		if got := rec.Observations(); fmt.Sprint(got) != fmt.Sprint(kept) {
+			t.Fatalf("%s: recorded observations\n%v\nwant\n%v", p.name, got, kept)
+		}
 	}
 	t.Logf("coverage: %v", cov)
 	for _, k := range []string{"proven", "violated below", "violated beyond", "unknown", "non-affine"} {
+		if cov[k] == 0 || cov[k+" repeated"] == 0 {
+			t.Errorf("coverage: %d %s observations, %d of them repeats; want both > 0", cov[k], k, cov[k+" repeated"])
+		}
+	}
+}
+
+// TestAppendAtomMatchesAppendExpr pins the identity bytes of a bound atom:
+// the atom pair writes exactly what appendExpr writes for the expression
+// it replaced, for var+c forms, constants, zero, negative and two-digit
+// offsets, and shapes outside var+c.
+func TestAppendAtomMatchesAppendExpr(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	cov := map[string]int{}
+	for iter := 0; iter < 20000; iter++ {
+		e := randOperand(rng)
+		switch v, c, ok := e.AsVarPlusConst(); {
+		case !ok:
+			cov["non-var+c"]++
+		case e.IsZero():
+			cov["zero"]++
+		case v == "":
+			cov["constant"]++
+		case c <= -10 || c >= 10:
+			cov["two-digit offset"]++
+		case c < 0:
+			cov["negative offset"]++
+		}
+		got, want := core.AppendAtom(nil, procset.AtomOf(e)), core.AppendExpr(nil, e)
+		if string(got) != string(want) {
+			t.Fatalf("identity of %q = %x, want %x", e.Key(), got, want)
+		}
+	}
+	for _, k := range []string{"non-var+c", "zero", "constant", "negative offset", "two-digit offset"} {
 		if cov[k] == 0 {
-			t.Errorf("coverage: no %s observation", k)
+			t.Errorf("coverage: case %q never reached", k)
 		}
 	}
 }

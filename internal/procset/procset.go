@@ -6,6 +6,8 @@
 package procset
 
 import (
+	"bytes"
+	"strconv"
 	"strings"
 
 	"repro/internal/cg"
@@ -13,20 +15,136 @@ import (
 	"repro/internal/tri"
 )
 
-// Bound is one end of a range: a non-empty set of expressions that are all
-// known to be equal to the bound's value. Atoms are deduplicated by
-// canonical key and kept sorted for deterministic output.
+// Atom is one expression of a bound. The Section VII client's atoms are all
+// var + c, stored as the interned variable V and the offset C (V is
+// cg.AtomZero for the constant C), so comparing, enriching and substituting
+// them never hashes a name or builds a polynomial. Any other polynomial,
+// such as the HSM client's 2*np or nrows*ncols, keeps its sym.Expr in poly
+// and takes the general path. The zero Atom is the constant 0.
+type Atom struct {
+	V    cg.Atom
+	C    int64
+	poly *sym.Expr
+}
+
+// AtomOf converts e to an atom, interning the variable of a var+c form. A
+// form over the literal cg.ZeroVar stays general, so a constant pair never
+// stands for that variable.
+func AtomOf(e sym.Expr) Atom {
+	v, c, ok := e.AsVarPlusConst()
+	switch {
+	case ok && v == "":
+		return Atom{V: cg.AtomZero, C: c}
+	case ok && v != cg.ZeroVar:
+		return Atom{V: cg.Intern(v), C: c}
+	}
+	p := new(sym.Expr) // only a general atom allocates
+	*p = e
+	return Atom{poly: p}
+}
+
+// IsVarPlus reports whether a is a var+c form, a constant included.
+func (a Atom) IsVarPlus() bool { return a.poly == nil }
+
+// Expr returns a as a polynomial.
+func (a Atom) Expr() sym.Expr {
+	switch {
+	case a.poly != nil:
+		return *a.poly
+	case a.V == cg.AtomZero:
+		return sym.Const(a.C)
+	}
+	return sym.VarPlus(a.V.String(), a.C)
+}
+
+// Equal reports whether a and b are the same expression. A general atom is
+// never var+c, so the two representations never meet.
+func (a Atom) Equal(b Atom) bool {
+	if a.poly == nil || b.poly == nil {
+		return a.poly == nil && b.poly == nil && a.V == b.V && a.C == b.C
+	}
+	return sym.Equal(*a.poly, *b.poly)
+}
+
+// ConstDiff returns a - b when that difference is a constant, as sym.Cmp.
+func (a Atom) ConstDiff(b Atom) (int64, bool) {
+	switch {
+	case a.poly == nil && b.poly == nil:
+		if a.V == b.V {
+			return a.C - b.C, true
+		}
+	case a.poly != nil && b.poly != nil:
+		return sym.Cmp(*a.poly, *b.poly)
+	}
+	return 0, false
+}
+
+// uses reports whether variable name appears in a.
+func (a Atom) uses(name string) bool {
+	if a.poly != nil {
+		return a.poly.Uses(name)
+	}
+	return a.V != cg.AtomZero && a.V.String() == name
+}
+
+// appendKey renders a's sym key: "c|1*name", "1*name" or "c".
+func (a Atom) appendKey(dst []byte) []byte {
+	switch {
+	case a.poly != nil:
+		return a.poly.AppendKey(dst)
+	case a.V == cg.AtomZero:
+		return strconv.AppendInt(dst, a.C, 10)
+	case a.C != 0:
+		dst = append(strconv.AppendInt(dst, a.C, 10), '|')
+	}
+	return append(append(dst, "1*"...), a.V.String()...)
+}
+
+// compareAtoms orders atoms as sym orders their keys. Both keys render into
+// stack buffers; only a key longer than 64 bytes spills to the heap.
+func compareAtoms(a, b Atom) int {
+	var ka, kb [64]byte
+	return bytes.Compare(a.appendKey(ka[:0]), b.appendKey(kb[:0]))
+}
+
+// String renders a as sym.Expr.String does: "x", "x + 3", "x - 3", "-3".
+func (a Atom) String() string {
+	switch {
+	case a.poly != nil:
+		return a.poly.String()
+	case a.V == cg.AtomZero && a.C >= 0:
+		return strconv.FormatInt(a.C, 10)
+	case a.C == 0:
+		return a.V.String()
+	}
+	var buf [64]byte
+	b := buf[:0]
+	if a.V != cg.AtomZero {
+		b = append(b, a.V.String()...)
+		if a.C > 0 {
+			return string(strconv.AppendInt(append(b, " + "...), a.C, 10))
+		}
+		b = append(b, ' ', '-', ' ')
+	} else {
+		b = append(b, '-')
+	}
+	return string(strconv.AppendInt(b, -a.C, 10))
+}
+
+// Bound is one end of a range: a non-empty set of atoms that are all known
+// to be equal to the bound's value. Atoms are deduplicated and kept sorted
+// by sym key for deterministic output.
 type Bound struct {
-	atoms []sym.Expr
+	atoms []Atom
 }
 
 // NewBound builds a bound from one or more equivalent expressions.
-func NewBound(atoms ...sym.Expr) Bound {
-	b := Bound{}
-	for _, a := range atoms {
-		b = b.Insert(a)
+func NewBound(exprs ...sym.Expr) Bound {
+	var l atomList
+	for _, e := range exprs {
+		l.add(AtomOf(e))
 	}
-	return b
+	return l.bound()
 }
 
 // maxAtoms caps the number of equivalent expressions kept per bound.
@@ -35,32 +153,62 @@ func NewBound(atoms ...sym.Expr) Bound {
 // keeps finding witnesses.
 const maxAtoms = 8
 
-// Insert returns a bound extended with another equivalent expression.
-// Atoms stay sorted by key. A full bound or a duplicate atom (the common
-// case under enrichment) returns before any key rendering; only a new atom
-// pays for the ordered position search.
-func (b Bound) Insert(e sym.Expr) Bound {
-	if len(b.atoms) >= maxAtoms || b.has(e) {
-		return b
+// atomList gathers the atoms of a bound being rebuilt: the first maxAtoms
+// distinct ones in input order, the atoms one Insert after another kept.
+type atomList struct {
+	buf [maxAtoms]Atom
+	n   int
+}
+
+func (l *atomList) add(a Atom) {
+	if l.n == maxAtoms || has(l.buf[:l.n], a) {
+		return
 	}
-	pos := len(b.atoms)
-	for i, a := range b.atoms {
-		if a.CompareKey(e) > 0 {
-			pos = i
-			break
-		}
+	l.buf[l.n] = a
+	l.n++
+}
+
+// addExpr adds e when it is a var+c form; any other shape is dropped.
+func (l *atomList) addExpr(e sym.Expr) {
+	if _, _, ok := e.AsVarPlusConst(); ok {
+		l.add(AtomOf(e))
 	}
-	atoms := make([]sym.Expr, 0, len(b.atoms)+1)
-	atoms = append(atoms, b.atoms[:pos]...)
-	atoms = append(atoms, e)
-	atoms = append(atoms, b.atoms[pos:]...)
+}
+
+// addShifted adds r + c when that is a var+c form.
+func (l *atomList) addShifted(r Atom, c int64) {
+	if r.poly == nil {
+		l.add(Atom{V: r.V, C: r.C + c})
+	} else {
+		l.addExpr(sym.AddConst(*r.poly, c))
+	}
+}
+
+// bound sorts the atoms by key and returns them as a bound, in one
+// allocation.
+func (l *atomList) bound() Bound {
+	if l.n == 0 {
+		return Bound{}
+	}
+	atoms := make([]Atom, l.n)
+	copy(atoms, l.buf[:l.n])
+	sortAtoms(atoms)
 	return Bound{atoms: atoms}
 }
 
-// has reports whether e is already an atom of b.
-func (b Bound) has(e sym.Expr) bool {
-	for _, a := range b.atoms {
-		if sym.Equal(a, e) {
+// sortAtoms sorts a few atoms by key, by insertion.
+func sortAtoms(atoms []Atom) {
+	for i := 1; i < len(atoms); i++ {
+		for j := i; j > 0 && compareAtoms(atoms[j-1], atoms[j]) > 0; j-- {
+			atoms[j-1], atoms[j] = atoms[j], atoms[j-1]
+		}
+	}
+}
+
+// has reports whether a is one of atoms.
+func has(atoms []Atom, a Atom) bool {
+	for _, h := range atoms {
+		if h.Equal(a) {
 			return true
 		}
 	}
@@ -68,79 +216,102 @@ func (b Bound) has(e sym.Expr) bool {
 }
 
 // Atoms returns the equivalent expressions (do not mutate).
-func (b Bound) Atoms() []sym.Expr { return b.atoms }
+func (b Bound) Atoms() []Atom { return b.atoms }
 
 // IsValid reports whether the bound has at least one atom.
 func (b Bound) IsValid() bool { return len(b.atoms) > 0 }
 
 // Primary returns a representative atom: prefer a constant, then the
-// lexicographically smallest expression.
-func (b Bound) Primary() sym.Expr {
+// smallest by key; the constant 0 for an invalid bound.
+func (b Bound) Primary() Atom {
 	for _, a := range b.atoms {
-		if _, ok := a.IsConst(); ok {
+		if a.poly == nil && a.V == cg.AtomZero {
 			return a
 		}
 	}
 	if len(b.atoms) == 0 {
-		return sym.Zero
+		return Atom{}
 	}
 	return b.atoms[0]
 }
 
 // Offset returns the bound shifted by constant c (applied to every atom).
+// Shifting keeps the atoms distinct but may reorder their keys.
 func (b Bound) Offset(c int64) Bound {
-	out := Bound{}
-	for _, a := range b.atoms {
-		out = out.Insert(sym.AddConst(a, c))
+	if c == 0 {
+		return b
 	}
-	return out
+	var l atomList
+	for _, a := range b.atoms {
+		if a.poly != nil {
+			l.add(AtomOf(sym.AddConst(*a.poly, c)))
+		} else {
+			l.add(Atom{V: a.V, C: a.C + c})
+		}
+	}
+	return l.bound()
 }
 
 // Subst applies a variable substitution to every atom, dropping atoms that
 // stop being affine var+c forms. A bound of var+c atoms none of which uses
 // name is returned as is.
 func (b Bound) Subst(name string, repl sym.Expr) Bound {
-	if b.varPlusWithout(name) {
-		return b
-	}
-	out := Bound{}
+	unchanged := true
 	for _, a := range b.atoms {
-		na := sym.Subst(a, name, repl)
-		if _, _, ok := na.AsVarPlusConst(); ok {
-			out = out.Insert(na)
+		if a.poly != nil || a.uses(name) {
+			unchanged = false
+			break
 		}
 	}
-	return out
+	if unchanged {
+		return b
+	}
+	r := AtomOf(repl)
+	var l atomList
+	for _, a := range b.atoms {
+		switch {
+		case a.poly != nil:
+			l.addExpr(sym.Subst(*a.poly, name, repl))
+		case a.uses(name):
+			l.addShifted(r, a.C)
+		default:
+			l.add(a)
+		}
+	}
+	return l.bound()
 }
 
 // SubstAll applies a simultaneous substitution to every atom, dropping
-// atoms that stop being affine var+c forms.
+// atoms that stop being affine var+c forms. A bound of var+c atoms none of
+// which env names is returned as is.
 func (b Bound) SubstAll(env map[string]sym.Expr) Bound {
-	out := Bound{}
+	var l atomList
+	changed := false
 	for _, a := range b.atoms {
-		na := sym.SubstAll(a, env)
-		if _, _, ok := na.AsVarPlusConst(); ok {
-			out = out.Insert(na)
+		if a.poly != nil {
+			l.addExpr(sym.SubstAll(*a.poly, env))
+			changed = true
+			continue
 		}
-	}
-	return out
-}
-
-// varPlusWithout reports whether every atom is a var+c form and none uses
-// name, so substituting name keeps every atom as it is.
-func (b Bound) varPlusWithout(name string) bool {
-	for _, a := range b.atoms {
-		if v, _, ok := a.AsVarPlusConst(); !ok || v == name {
-			return false
+		if a.V != cg.AtomZero {
+			if r, ok := env[a.V.String()]; ok {
+				l.addShifted(AtomOf(r), a.C)
+				changed = true
+				continue
+			}
 		}
+		l.add(a)
 	}
-	return true
+	if !changed {
+		return b
+	}
+	return l.bound()
 }
 
 // Uses reports whether any atom references the variable.
 func (b Bound) Uses(name string) bool {
 	for _, a := range b.atoms {
-		if a.Uses(name) {
+		if a.uses(name) {
 			return true
 		}
 	}
@@ -149,28 +320,31 @@ func (b Bound) Uses(name string) bool {
 
 // DropUses removes atoms referencing name. The result may be invalid.
 func (b Bound) DropUses(name string) Bound {
-	out := Bound{}
+	if !b.Uses(name) {
+		return b
+	}
+	var l atomList
 	for _, a := range b.atoms {
-		if !a.Uses(name) {
-			out = out.Insert(a)
+		if !a.uses(name) {
+			l.add(a)
 		}
 	}
-	return out
+	return l.bound()
 }
 
-// Intersect keeps atoms present in both bounds (by key) — the paper's
-// widening of bounds. The result may be invalid (no common atom). b's atoms
-// are already in key order, so a filtered copy keeps that order; when every
-// atom survives, b itself is the result.
+// Intersect keeps atoms present in both bounds — the paper's widening of
+// bounds. The result may be invalid (no common atom). b's atoms are already
+// in key order, so a filtered copy keeps that order; when every atom
+// survives, b itself is the result.
 func (b Bound) Intersect(o Bound) Bound {
 	for i, a := range b.atoms {
-		if o.has(a) {
+		if has(o.atoms, a) {
 			continue
 		}
-		atoms := make([]sym.Expr, i, len(b.atoms)-1)
+		atoms := make([]Atom, i, len(b.atoms)-1)
 		copy(atoms, b.atoms[:i])
 		for _, a := range b.atoms[i+1:] {
-			if o.has(a) {
+			if has(o.atoms, a) {
 				atoms = append(atoms, a)
 			}
 		}
@@ -210,30 +384,22 @@ type Ctx struct {
 	G *cg.Graph
 }
 
-// cmpAtoms decides a ? b for two var+c atoms using the context.
-// Returns (a <= b + slack) entailment.
-func (ctx Ctx) leqAtoms(a, b sym.Expr, slack int64) tri.Bool {
-	if d, ok := sym.Cmp(a, b); ok { // a - b constant
+// LeqAtom decides a <= b + slack for two atoms using the context: a
+// constant difference decides it outright, and two var+c atoms over
+// different variables ask the graph.
+func (ctx Ctx) LeqAtom(a, b Atom, slack int64) tri.Bool {
+	if d, ok := a.ConstDiff(b); ok {
 		return tri.FromBool(d <= slack)
 	}
-	va, ca, oka := a.AsVarPlusConst()
-	vb, cb, okb := b.AsVarPlusConst()
-	if !oka || !okb || ctx.G == nil {
+	if a.poly != nil || b.poly != nil || ctx.G == nil {
 		return tri.Unknown
 	}
-	na, nb := va, vb
-	if na == "" {
-		na = cg.ZeroVar
-	}
-	if nb == "" {
-		nb = cg.ZeroVar
-	}
-	// a <= b + slack  <=>  na - nb <= cb - ca + slack
-	if ctx.G.Entails(na, nb, cb-ca+slack) {
+	// a <= b + slack  <=>  a.V - b.V <= b.C - a.C + slack
+	if ctx.G.EntailsA(a.V, b.V, b.C-a.C+slack) {
 		return tri.True
 	}
-	// Refute: b + slack < a  <=>  nb - na <= ca - cb - slack - 1
-	if ctx.G.Entails(nb, na, ca-cb-slack-1) {
+	// Refute: b + slack < a  <=>  b.V - a.V <= a.C - b.C - slack - 1
+	if ctx.G.EntailsA(b.V, a.V, a.C-b.C-slack-1) {
 		return tri.False
 	}
 	return tri.Unknown
@@ -244,7 +410,7 @@ func (ctx Ctx) LeqBound(lhs, rhs Bound, slack int64) tri.Bool {
 	res := tri.Unknown
 	for _, a := range lhs.atoms {
 		for _, b := range rhs.atoms {
-			switch ctx.leqAtoms(a, b, slack) {
+			switch ctx.LeqAtom(a, b, slack) {
 			case tri.True:
 				return tri.True
 			case tri.False:
@@ -273,8 +439,8 @@ func (ctx Ctx) EqBound(lhs, rhs Bound, slack int64) tri.Bool {
 func (ctx Ctx) Contradictory(b Bound) bool {
 	for i := 0; i < len(b.atoms); i++ {
 		for j := i + 1; j < len(b.atoms); j++ {
-			if ctx.leqAtoms(b.atoms[i], b.atoms[j], -1) == tri.True ||
-				ctx.leqAtoms(b.atoms[j], b.atoms[i], -1) == tri.True {
+			if ctx.LeqAtom(b.atoms[i], b.atoms[j], -1) == tri.True ||
+				ctx.LeqAtom(b.atoms[j], b.atoms[i], -1) == tri.True {
 				return true
 			}
 		}
@@ -304,8 +470,8 @@ func (ctx Ctx) Coherent(b Bound) bool {
 			if !ctx.comparableAtoms(b.atoms[i], b.atoms[j]) {
 				continue
 			}
-			if ctx.leqAtoms(b.atoms[i], b.atoms[j], 0) != tri.True ||
-				ctx.leqAtoms(b.atoms[j], b.atoms[i], 0) != tri.True {
+			if ctx.LeqAtom(b.atoms[i], b.atoms[j], 0) != tri.True ||
+				ctx.LeqAtom(b.atoms[j], b.atoms[i], 0) != tri.True {
 				return false
 			}
 		}
@@ -316,29 +482,17 @@ func (ctx Ctx) Coherent(b Bound) bool {
 // comparableAtoms reports whether the context relates a and b at all: a
 // syntactic constant difference, or a finite difference bound between
 // their variables in either direction.
-func (ctx Ctx) comparableAtoms(a, b sym.Expr) bool {
-	if _, ok := sym.Cmp(a, b); ok {
+func (ctx Ctx) comparableAtoms(a, b Atom) bool {
+	if _, ok := a.ConstDiff(b); ok {
 		return true
 	}
-	va, _, oka := a.AsVarPlusConst()
-	vb, _, okb := b.AsVarPlusConst()
-	if !oka || !okb || ctx.G == nil {
+	if a.poly != nil || b.poly != nil || ctx.G == nil {
 		return false
 	}
-	na, nb := va, vb
-	if na == "" {
-		na = cg.ZeroVar
-	}
-	if nb == "" {
-		nb = cg.ZeroVar
-	}
-	if !ctx.G.HasVar(na) || !ctx.G.HasVar(nb) {
-		return false
-	}
-	if _, ok := ctx.G.DiffBound(na, nb); ok {
+	if _, ok := ctx.G.DiffBoundA(a.V, b.V); ok {
 		return true
 	}
-	_, ok := ctx.G.DiffBound(nb, na)
+	_, ok := ctx.G.DiffBoundA(b.V, a.V)
 	return ok
 }
 
@@ -347,90 +501,52 @@ func (ctx Ctx) CoherentSet(s Set) bool {
 	return ctx.Coherent(s.LB) && ctx.Coherent(s.UB)
 }
 
-// Enrich adds to b every var+c expression the context proves equal to it.
-// Each witness is checked against the decoded atoms before any expression is
-// built, so enriching an already-enriched bound allocates nothing; the new
-// atoms are merged into b in one allocation.
+// Enrich adds to b every var+c atom the context proves equal to it. The
+// witnesses come from the graph's per-generation cache as atom pairs, and
+// each is checked against the atoms already held before it is kept, so
+// enriching an already-enriched bound allocates nothing; the new atoms are
+// merged into b in one allocation.
 func (ctx Ctx) Enrich(b Bound) Bound {
 	if ctx.G == nil || !b.IsValid() || len(b.atoms) >= maxAtoms {
 		return b
 	}
-	// have holds b's atoms decoded as var+c, then each new atom; fresh holds
-	// the new atoms in arrival order, so the cap keeps the first ones found.
-	var have [maxAtoms]varPlus
-	var fresh [maxAtoms]sym.Expr
-	for i, a := range b.atoms {
-		have[i].v, have[i].c, have[i].ok = a.AsVarPlusConst()
-	}
-	n, k := len(b.atoms), 0
-	var buf [16]cg.Witness // witness lists are short; a longer one spills to the heap
+	// have holds b's atoms, then each new one in arrival order, so the cap
+	// keeps the first ones found.
+	var have [maxAtoms]Atom
+	n := copy(have[:], b.atoms)
 	for i := 0; i < len(b.atoms) && n < maxAtoms; i++ {
-		if !have[i].ok {
+		a := b.atoms[i]
+		if a.poly != nil {
 			continue
 		}
-		name := have[i].v
-		if name == "" {
-			name = cg.ZeroVar
-		}
-		// A variable the graph lacks has no witnesses: the append returns
-		// buf empty, with one atom-table lookup instead of two.
-		for _, w := range ctx.G.AppendEqualWitnesses(buf[:0], name) {
-			// name = w.Var + w.C, so the atom name + c = w.Var + w.C + c.
-			nv := varPlus{v: w.Var, c: w.C + have[i].c, ok: true}
-			if nv.v == cg.ZeroVar {
-				nv.v = ""
-			}
-			if containsVarPlus(have[:n], nv) {
+		for _, w := range ctx.G.EqualWitnessesA(a.V) {
+			// a.V = w.Var + w.C, so a = w.Var + w.C + a.C.
+			nv := Atom{V: w.Var, C: w.C + a.C}
+			if has(have[:n], nv) {
 				continue
 			}
 			have[n] = nv
-			if nv.v == "" {
-				fresh[k] = sym.Const(nv.c)
-			} else {
-				fresh[k] = sym.VarPlus(nv.v, nv.c)
-			}
-			n, k = n+1, k+1
+			n++
 			if n == maxAtoms {
 				break // the cap drops every further witness
 			}
 		}
 	}
-	if k == 0 {
+	if n == len(b.atoms) {
 		return b
 	}
-	return b.merge(fresh[:k])
-}
-
-// varPlus is an atom decoded by AsVarPlusConst; v == "" is the bare constant
-// c, and ok is false for an atom of any other shape.
-type varPlus struct {
-	v  string
-	c  int64
-	ok bool
-}
-
-func containsVarPlus(have []varPlus, x varPlus) bool {
-	for _, h := range have {
-		if h == x {
-			return true
-		}
-	}
-	return false
+	return b.merge(have[len(b.atoms):n])
 }
 
 // merge returns b extended with fresh, atoms that are new to b and to each
 // other, keeping key order: fresh is sorted in place, then merged with b's
 // atoms into one new slice.
-func (b Bound) merge(fresh []sym.Expr) Bound {
-	for i := 1; i < len(fresh); i++ {
-		for j := i; j > 0 && fresh[j-1].CompareKey(fresh[j]) > 0; j-- {
-			fresh[j-1], fresh[j] = fresh[j], fresh[j-1]
-		}
-	}
-	atoms := make([]sym.Expr, 0, len(b.atoms)+len(fresh))
+func (b Bound) merge(fresh []Atom) Bound {
+	sortAtoms(fresh)
+	atoms := make([]Atom, 0, len(b.atoms)+len(fresh))
 	i := 0
 	for _, e := range fresh {
-		for i < len(b.atoms) && b.atoms[i].CompareKey(e) < 0 {
+		for i < len(b.atoms) && compareAtoms(b.atoms[i], e) < 0 {
 			atoms = append(atoms, b.atoms[i])
 			i++
 		}
@@ -452,7 +568,10 @@ type Set struct {
 func Range(lb, ub sym.Expr) Set { return Set{NewBound(lb), NewBound(ub)} }
 
 // Singleton builds [e..e].
-func Singleton(e sym.Expr) Set { return Range(e, e) }
+func Singleton(e sym.Expr) Set {
+	b := NewBound(e)
+	return Set{b, b}
+}
 
 // IsValid reports whether both bounds carry at least one atom.
 func (s Set) IsValid() bool { return s.LB.IsValid() && s.UB.IsValid() }
@@ -498,16 +617,24 @@ func (s Set) OffsetExpr(ofs sym.Expr) Set {
 	return Set{s.LB.OffsetExpr(ofs), s.UB.OffsetExpr(ofs)}
 }
 
-// OffsetExpr shifts the bound by a symbolic amount, keeping affine atoms.
+// OffsetExpr shifts the bound by a symbolic amount, keeping var+c atoms.
+// A constant shifts every var+c atom, a var+c amount shifts only the
+// constants (the sum of two variables is not var+c), and anything else
+// takes the general sum.
 func (b Bound) OffsetExpr(ofs sym.Expr) Bound {
-	out := Bound{}
+	o := AtomOf(ofs)
+	var l atomList
 	for _, a := range b.atoms {
-		na := sym.Add(a, ofs)
-		if _, _, ok := na.AsVarPlusConst(); ok {
-			out = out.Insert(na)
+		switch {
+		case a.poly != nil || o.poly != nil:
+			l.addExpr(sym.Add(a.Expr(), ofs))
+		case o.V == cg.AtomZero:
+			l.add(Atom{V: a.V, C: a.C + o.C})
+		case a.V == cg.AtomZero:
+			l.add(Atom{V: o.V, C: a.C + o.C})
 		}
 	}
-	return out
+	return l.bound()
 }
 
 // RemovePoint splits s around a member x, returning the (possibly empty)
@@ -667,7 +794,8 @@ func (s Set) Concretizable(env map[string]int64) bool {
 // evalBound evaluates the bound through its first atom whose variables are
 // all bound in env. ok=false when no atom qualifies.
 func evalBound(b Bound, env map[string]int64) (int64, bool) {
-	for _, a := range b.atoms {
+	for _, atom := range b.atoms {
+		a := atom.Expr()
 		bound := true
 		for _, v := range a.Vars() {
 			if _, ok := env[v]; !ok {
@@ -686,7 +814,7 @@ func (s Set) String() string {
 	if !s.IsValid() {
 		return "[invalid]"
 	}
-	if len(s.LB.atoms) == 1 && len(s.UB.atoms) == 1 && sym.Equal(s.LB.atoms[0], s.UB.atoms[0]) {
+	if len(s.LB.atoms) == 1 && len(s.UB.atoms) == 1 && s.LB.atoms[0].Equal(s.UB.atoms[0]) {
 		return "[" + s.LB.String() + "]"
 	}
 	return "[" + s.LB.String() + ".." + s.UB.String() + "]"

@@ -155,10 +155,11 @@ func TestOffsetExpr(t *testing.T) {
 }
 
 func TestBoundAtomCap(t *testing.T) {
-	b := NewBound(sym.Const(0))
+	exprs := []sym.Expr{sym.Const(0)}
 	for i := 1; i < 40; i++ {
-		b = b.Insert(sym.VarPlus("v"+string(rune('a'+i%20)), int64(i)))
+		exprs = append(exprs, sym.VarPlus("v"+string(rune('a'+i%20)), int64(i)))
 	}
+	b := NewBound(exprs...)
 	if len(b.Atoms()) > maxAtoms {
 		t.Errorf("atom cap exceeded: %d", len(b.Atoms()))
 	}

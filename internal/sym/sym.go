@@ -312,9 +312,9 @@ func (e Expr) Key() string {
 	return b.String()
 }
 
-// appendKey renders e.Key() into dst byte-for-byte (the canonical
+// AppendKey renders e.Key() into dst byte-for-byte (the canonical
 // "coef*var*var|..." form) without the string conversion.
-func (e Expr) appendKey(dst []byte) []byte {
+func (e Expr) AppendKey(dst []byte) []byte {
 	if len(e.terms) == 0 {
 		return append(dst, '0')
 	}
@@ -337,7 +337,7 @@ func (e Expr) appendKey(dst []byte) []byte {
 // buffers; only a key longer than 64 bytes spills to the heap.
 func (e Expr) CompareKey(o Expr) int {
 	var ea, oa [64]byte
-	return bytes.Compare(e.appendKey(ea[:0]), o.appendKey(oa[:0]))
+	return bytes.Compare(e.AppendKey(ea[:0]), o.AppendKey(oa[:0]))
 }
 
 // Vars returns the sorted set of distinct variables appearing in e.
