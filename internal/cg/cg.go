@@ -132,15 +132,15 @@ func (g *Graph) materialize() {
 	// Every content mutation passes through here before writing, so this is
 	// the one place (plus the AddLE/MarkInconsistent early-outs that flip
 	// consistency without touching storage) that advances the version, and
-	// the one place a private store drops its cached equality witnesses (a
-	// copied store starts without any).
+	// the one place a private store starts a new generation (a copied store
+	// starts in one of its own).
 	g.ver++
 	s := g.s
 	if s.refs.Load() == 1 {
-		s.resetWitnesses()
+		s.renew()
 		return
 	}
-	start := time.Now()
+	start := g.clock()
 	n := len(s.atoms)
 	var ns *store
 	if s.mat != nil {
@@ -229,6 +229,28 @@ func (g *Graph) MarkInconsistent() {
 // changed since the key was built.
 func (g *Graph) Version() uint64 { return g.ver }
 
+// Generation names the content of g's storage: two graphs with the same
+// non-zero generation hold the same variables and constraints, and are
+// consistent. Every content write starts a new generation, clones share
+// theirs until one of them writes, and a generation is never reused, not
+// even by a recycled store. An inconsistent graph reports 0, since the
+// AddLE and MarkInconsistent early-outs leave its storage as it was.
+func (g *Graph) Generation() uint64 {
+	if !g.consistent {
+		return 0
+	}
+	return g.s.gen
+}
+
+// clock reads the time for Stats, its only reader, and skips the read when
+// no Stats is attached.
+func (g *Graph) clock() time.Time {
+	if g.opts.Stats == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 // StatsHandle returns the shared instrumentation sink, or nil.
 func (g *Graph) StatsHandle() *Stats { return g.opts.Stats }
 
@@ -297,7 +319,7 @@ func (g *Graph) SetConstA(x Atom, c int64) bool { return g.AddEqA(x, AtomZero, c
 // in that cross product already satisfies d(a,b) <= d(a,i)+w+d(j,b), so the
 // pruned pass restores full closure while touching only what changed.
 func (g *Graph) incrementalClose(i, j int) {
-	start := time.Now()
+	start := g.clock()
 	s := g.s
 	n := len(s.atoms)
 	w := s.get(i, j)
@@ -420,7 +442,7 @@ func (g *Graph) incrementalClose(i, j int) {
 // Needed after bulk edits (Join, Widen, Forget and Drop all preserve
 // closure and do not require it).
 func (g *Graph) FullClose() {
-	start := time.Now()
+	start := g.clock()
 	g.materialize()
 	s := g.s
 	n := len(s.atoms)
@@ -839,7 +861,7 @@ func Join(a, b *Graph) *Graph {
 	if !b.consistent {
 		return a.Clone()
 	}
-	start := time.Now()
+	start := a.clock()
 	defer func() {
 		if st := a.opts.Stats; st != nil {
 			st.joins.Add(1)
@@ -878,7 +900,7 @@ func Widen(a, b *Graph) *Graph {
 	if !b.consistent {
 		return a.Clone()
 	}
-	start := time.Now()
+	start := a.clock()
 	defer func() {
 		if st := a.opts.Stats; st != nil {
 			st.joins.Add(1)
@@ -989,9 +1011,9 @@ const (
 
 // AppendCanonical appends a binary identity of g to dst: two graphs append
 // the same bytes exactly when String renders them the same. Each rendered
-// constraint becomes one fixed-width record (tag, x, y, c) — x - y <= c for
-// canonLE, x = y + c for canonEq — with variables as atom ids, so no name
-// is looked up, no number formatted and no string sorted. Records follow
+// constraint becomes one record (tag, x, y, c) — x - y <= c for canonLE,
+// x = y + c for canonEq — with variables as atom ids, so no name is looked
+// up, no number formatted and no string sorted. Records follow
 // the atom-id order of their variable pair, which depends only on the
 // constraint set, as String's sort does. The content mirrors String:
 // unconstrained variables emit nothing, an equality is oriented from its
@@ -1049,12 +1071,13 @@ func (g *Graph) AppendCanonical(dst []byte) []byte {
 	return append(dst, canonEnd)
 }
 
-// appendRecord appends one 17-byte AppendCanonical record.
+// appendRecord appends one AppendCanonical record: the tag, both atoms as
+// uvarints and the offset as a varint. Each field is self-delimiting and
+// has one encoding, so the record is too.
 func appendRecord(dst []byte, tag byte, x, y Atom, c int64) []byte {
-	dst = append(dst, tag)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(x))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(y))
-	return binary.LittleEndian.AppendUint64(dst, uint64(c))
+	dst = binary.AppendUvarint(append(dst, tag), uint64(x))
+	dst = binary.AppendUvarint(dst, uint64(y))
+	return binary.AppendVarint(dst, c)
 }
 
 func renderEq(x, y string, c int64) string {

@@ -15,7 +15,12 @@ import (
 // Graph.materialize first — so any number of clones may read concurrently;
 // the one exception, the witness cache, is filled race-free (witnesses).
 type store struct {
-	refs  atomic.Int32
+	refs atomic.Int32
+	// gen numbers the store's current content: renew gives it a fresh one
+	// whenever the content may change, so two reads that see the same gen
+	// see the same slot table and matrix. Written only while the store is
+	// private, like the witness cache.
+	gen   uint64
 	atoms []Atom // slot -> atom, swap-with-last on Drop
 	// Array backend: mat[i*stride+j] bounds slot_i - slot_j; only the
 	// len(atoms)×len(atoms) top-left region is meaningful (addSlot
@@ -43,6 +48,10 @@ const minStride = 8
 const numClasses = 22
 
 var flatPool [numClasses]sync.Pool
+
+// lastGen is the last generation handed out; generations start at 1, so 0
+// never names content.
+var lastGen atomic.Uint64
 
 // strideFor returns the power-of-two stride covering n slots.
 func strideFor(n int) int {
@@ -73,7 +82,7 @@ func acquireFlat(n int, st *Stats) *store {
 			s := v.(*store)
 			s.refs.Store(1)
 			s.atoms = s.atoms[:0]
-			s.resetWitnesses()
+			s.renew()
 			if st != nil {
 				st.arenaHits.Add(1)
 			}
@@ -83,7 +92,7 @@ func acquireFlat(n int, st *Stats) *store {
 	if st != nil {
 		st.arenaMisses.Add(1)
 	}
-	s := &store{stride: stride, mat: make([]int64, stride*stride)}
+	s := &store{stride: stride, mat: make([]int64, stride*stride), gen: lastGen.Add(1)}
 	s.refs.Store(1)
 	return s
 }
@@ -91,7 +100,7 @@ func acquireFlat(n int, st *Stats) *store {
 // newSparse returns a private map-backend store. Map stores are not pooled:
 // the map backend exists as the ablation's slow comparison point.
 func newSparse() *store {
-	s := &store{sparse: map[int64]int64{}}
+	s := &store{sparse: map[int64]int64{}, gen: lastGen.Add(1)}
 	s.refs.Store(1)
 	return s
 }
@@ -237,9 +246,11 @@ func (s *store) witnesses() *witnessTable {
 	return s.wit.Load()
 }
 
-// resetWitnesses drops the cached table before the store's content changes,
-// keeping its buffers as the spare. The caller holds the store privately.
-func (s *store) resetWitnesses() {
+// renew starts a new generation before the store's content changes: a
+// fresh generation number, and no cached witness table (its buffers are
+// kept as the spare). The caller holds the store privately.
+func (s *store) renew() {
+	s.gen = lastGen.Add(1)
 	if t := s.wit.Swap(nil); t != nil {
 		s.spare.Store(t)
 	}

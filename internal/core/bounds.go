@@ -144,7 +144,10 @@ var npAtom = cg.Intern("np")
 
 // boundsVerdict decides CheckCommBounds. A target id + k is shifted on the
 // bound atoms' pairs and decided with one graph query per atom; any other
-// affine target substitutes each atom into the polynomial.
+// affine target substitutes each atom into the polynomial. The range's own
+// atoms are tried first: enrichment only adds atoms, so a proof over them
+// is a proof over the enriched range, and the range is enriched only when
+// they do not prove it.
 func (st *State) boundsVerdict(ps *ProcSet, expr ast.Expr) boundsVerdict {
 	e, ok := st.AffineExprID(ps, expr)
 	if !ok {
@@ -172,39 +175,53 @@ func (st *State) boundsVerdict(ps *ProcSet, expr ast.Expr) boundsVerdict {
 			a += t.Coef
 		}
 	}
-	rng := ps.Range.Enrich(st.Ctx())
-	loAtoms, hiAtoms := rng.LB.Atoms(), rng.UB.Atoms()
-	if a < 0 {
-		// Decreasing in id: the minimum is at the upper end of the range.
-		loAtoms, hiAtoms = hiAtoms, loAtoms
-	}
-	if a == 0 {
-		// The target does not depend on id; evaluate e itself once.
-		loAtoms, hiAtoms = zeroAtoms, zeroAtoms
-	}
 	target := func(atom procset.Atom) procset.Atom {
 		if idPlus && atom.IsVarPlus() {
 			return procset.Atom{V: atom.V, C: atom.C + k}
 		}
 		return procset.AtomOf(sym.Subst(e, IDMarker, atom.Expr()))
 	}
+	// ends returns the atoms of the range's lower and upper end in id:
+	// decreasing in id, the minimum is at the upper end of the range.
+	ends := func(rng procset.Set) (lo, hi []procset.Atom) {
+		if a < 0 {
+			return rng.UB.Atoms(), rng.LB.Atoms()
+		}
+		return rng.LB.Atoms(), rng.UB.Atoms()
+	}
 	zero, minusOne := procset.Atom{}, procset.Atom{C: -1}
 	npTop, np := procset.Atom{V: npAtom, C: -1}, procset.Atom{V: npAtom}
-	loOK, hiOK := false, false
-	for _, atom := range loAtoms {
-		if st.entailsLEAtom(zero, target(atom)) {
-			loOK = true
-			break
+	inRange := func(loAtoms, hiAtoms []procset.Atom) bool {
+		loOK := false
+		for _, atom := range loAtoms {
+			if st.entailsLEAtom(zero, target(atom)) {
+				loOK = true
+				break
+			}
 		}
-	}
-	for _, atom := range hiAtoms {
-		if st.entailsLEAtom(target(atom), npTop) {
-			hiOK = true
-			break
+		if !loOK {
+			return false
 		}
+		for _, atom := range hiAtoms {
+			if st.entailsLEAtom(target(atom), npTop) {
+				return true
+			}
+		}
+		return false
 	}
-	if loOK && hiOK {
+	// The target does not depend on id; evaluate e itself once.
+	loAtoms, hiAtoms := zeroAtoms, zeroAtoms
+	if a != 0 {
+		loAtoms, hiAtoms = ends(ps.Range)
+	}
+	if inRange(loAtoms, hiAtoms) {
 		return boundsVerdict{kind: boundsProven}
+	}
+	if a != 0 {
+		loAtoms, hiAtoms = ends(ps.Range.Enrich(st.Ctx()))
+		if inRange(loAtoms, hiAtoms) {
+			return boundsVerdict{kind: boundsProven}
+		}
 	}
 	// A violation needs a witness end: some endpoint provably below 0 or at
 	// or above np.

@@ -109,6 +109,9 @@ type State struct {
 	// on every process (their input/default value), so they are treated as
 	// global symbols rather than per-set variables.
 	assigned map[string]bool
+	// memo caches bound enrichment for the analysis the state belongs to
+	// (procset.Memo); nil outside an analysis. Clone shares it.
+	memo *procset.Memo
 	// sharedMatches/sharedPending mark the Matches/Pending slices (and their
 	// elements) as shared copy-on-write with another State produced by Clone.
 	// Mutators call ownMatches/ownPending before writing elements or
@@ -184,15 +187,17 @@ func NewState(entry *cfg.Node, opts cg.Options) *State {
 	}
 }
 
-// Ctx returns the procset comparison context for this state.
-func (st *State) Ctx() procset.Ctx { return procset.Ctx{G: st.G} }
+// Ctx returns the procset comparison context for this state, with its
+// analysis's enrichment memo.
+func (st *State) Ctx() procset.Ctx { return procset.Ctx{G: st.G, Memo: st.memo} }
 
 // Clone copies the configuration. The constraint graph, the match list and
 // the pending-send list are shared copy-on-write: cg.Graph.Clone is an O(1)
 // reference bump, and Matches/Pending keep pointing at the original records
 // until either side mutates them (see ownMatches/ownPending). Only the small
 // Sets slice is copied eagerly — its elements are written by almost every
-// transfer function, so laziness would not pay.
+// transfer function, so laziness would not pay. The copied sets share one
+// allocation; a set added later has its own.
 func (st *State) Clone() *State {
 	st.sharedMatches = true
 	st.sharedPending = true
@@ -207,13 +212,15 @@ func (st *State) Clone() *State {
 		Matches:       st.Matches,
 		Pending:       st.Pending,
 		assigned:      st.assigned,
+		memo:          st.memo,
 		sharedMatches: true,
 		sharedPending: true,
 	}
 	ns.Sets = make([]*ProcSet, len(st.Sets))
+	sets := make([]ProcSet, len(st.Sets))
 	for i, p := range st.Sets {
-		cp := *p
-		ns.Sets[i] = &cp
+		sets[i] = *p
+		ns.Sets[i] = &sets[i]
 	}
 	return ns
 }

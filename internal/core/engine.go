@@ -305,6 +305,9 @@ type engine struct {
 	// in a reachable configuration (indexed by node ID; used by the
 	// dead-code lint pass).
 	visited []bool
+	// descs holds each CFG node's action-label description, n<id>[<label>],
+	// indexed by node ID and rendered on first use (nodeDesc).
+	descs []string
 	// obsSeen dedupes rank-bounds observations across revisits by the
 	// binary key addBoundsObs builds in obsKey.
 	obsSeen map[string]struct{}
@@ -323,6 +326,16 @@ type engine struct {
 }
 
 func (e *engine) stats() *cg.Stats { return e.opts.CGOpts.Stats }
+
+// nodeDesc renders node n for pCFG action labels, once per analysis. The
+// rendering is kept on the engine, not on n: the CFG is only read here, so
+// one graph may be analyzed from several goroutines at once.
+func (e *engine) nodeDesc(n *cfg.Node) string {
+	if e.descs[n.ID] == "" {
+		e.descs[n.ID] = n.String()
+	}
+	return e.descs[n.ID]
+}
 
 // span opens a phase span on this engine's trace lane (tid 0). Free when
 // Options.Tracer is nil.
@@ -425,6 +438,7 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 		inv:     NewInvariants(),
 		res:     &Result{},
 		visited: make([]bool, len(g.Nodes)),
+		descs:   make([]string, len(g.Nodes)),
 		started: time.Now(),
 	}
 	if opts.Profiler != nil {
@@ -448,6 +462,7 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 	}
 	init := NewState(g.Entry, opts.CGOpts)
 	init.SetAssignedVars(assignedVars(g))
+	init.memo = procset.NewMemo()
 	InjectAffineConsequences(init.G, e.inv)
 	e.normalize(init)
 	e.logStart()
@@ -562,6 +577,14 @@ func (e *engine) finish() {
 		return a.Val < b.Val
 	})
 	e.collectMatches()
+	// The memo belongs to this analysis; a Result may be read by several
+	// goroutines, so its states go out without it.
+	for _, st := range e.res.Finals {
+		st.memo = nil
+	}
+	for _, st := range e.res.Tops {
+		st.memo = nil
+	}
 }
 
 // sortTops orders ⊤ states by reason, then source key, then blamed node.
@@ -1465,7 +1488,7 @@ func (e *engine) stepBlocked(st *State, depth int, key string) []succ {
 			if first == nil {
 				first = p.Node
 			}
-			blocked = append(blocked, nodeDesc(p.Node)+p.Range.String())
+			blocked = append(blocked, e.nodeDesc(p.Node)+p.Range.String())
 		}
 	}
 	ns.MarkTopAt(first, "no send-receive match possible; blocked: "+strings.Join(blocked, ", "))
@@ -1500,7 +1523,7 @@ func (e *engine) advanceSet(st *State, id int) []succ {
 		ns.MarkTopAt(node, "unexpected node kind "+node.Kind.String())
 	}
 	e.normalize(ns)
-	return []succ{{ns, nodeDesc(node)}}
+	return []succ{{ns, e.nodeDesc(node)}}
 }
 
 // recordPrint captures the constant-propagation fact at a print site.
@@ -1561,13 +1584,13 @@ func (e *engine) branchSetDepth(ns *State, ps *ProcSet, depth int) []succ {
 		ps.Blocked = false
 		ns.AssumeCond(ps, node.Cond, false)
 		e.normalize(ns)
-		return []succ{{ns, nodeDesc(node) + "=true"}}
+		return []succ{{ns, e.nodeDesc(node) + "=true"}}
 	case tri.False:
 		ps.Node = fN
 		ps.Blocked = false
 		ns.AssumeCond(ps, node.Cond, true)
 		e.normalize(ns)
-		return []succ{{ns, nodeDesc(node) + "=false"}}
+		return []succ{{ns, e.nodeDesc(node) + "=false"}}
 	default:
 		// Fork the configuration: both branches possible.
 		alt := ns.Clone()
@@ -1580,7 +1603,7 @@ func (e *engine) branchSetDepth(ns *State, ps *ProcSet, depth int) []succ {
 		ap.Blocked = false
 		alt.AssumeCond(ap, node.Cond, true)
 		e.normalize(alt)
-		return []succ{{ns, nodeDesc(node) + "=true?"}, {alt, nodeDesc(node) + "=false?"}}
+		return []succ{{ns, e.nodeDesc(node) + "=true?"}, {alt, e.nodeDesc(node) + "=false?"}}
 	}
 }
 
@@ -1661,7 +1684,7 @@ func (e *engine) applyIDSplit(ns *State, ps *ProcSet, yes, no []procset.Set, tN,
 		np.Blocked = false
 	}
 	e.normalize(ns)
-	return []succ{{ns, nodeDesc(ps.Node) + "-idsplit"}}
+	return []succ{{ns, e.nodeDesc(ps.Node) + "-idsplit"}}
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/ast"
 	"repro/internal/cfg"
 	"repro/internal/cg"
@@ -696,6 +694,3 @@ func advance(ps *ProcSet) {
 	ps.Node = ps.Node.SuccSeq()
 	ps.Blocked = false
 }
-
-// debugString renders a node action for diagnostics.
-func nodeDesc(n *cfg.Node) string { return fmt.Sprintf("n%d[%s]", n.ID, n.Label()) }

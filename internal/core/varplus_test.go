@@ -154,8 +154,9 @@ func TestEntailsLEZeroAlloc(t *testing.T) {
 
 // refCheckCommBounds is CheckCommBounds as it was before its strings were
 // concatenated: every Detail is formatted with fmt, and the bounds are
-// decided by refEntailsLE.
-func refCheckCommBounds(st *core.State, ps *core.ProcSet, dir string, expr ast.Expr) core.CommBoundsObs {
+// decided by refEntailsLE over the enriched range. With enrich false it
+// decides over the range's own atoms only.
+func refCheckCommBounds(st *core.State, ps *core.ProcSet, dir string, expr ast.Expr, enrich bool) core.CommBoundsObs {
 	obs := core.CommBoundsObs{Node: ps.Node.ID, Dir: dir, Range: ps.Range.String()}
 	e, ok := st.AffineExprID(ps, expr)
 	if !ok {
@@ -181,7 +182,10 @@ func refCheckCommBounds(st *core.State, ps *core.ProcSet, dir string, expr ast.E
 		}
 		a += t.Coef
 	}
-	rng := ps.Range.Enrich(st.Ctx())
+	rng := ps.Range
+	if enrich {
+		rng = rng.Enrich(st.Ctx())
+	}
 	loAtoms, hiAtoms := exprsOf(rng.LB), exprsOf(rng.UB)
 	if a < 0 {
 		loAtoms, hiAtoms = hiAtoms, loAtoms
@@ -268,7 +272,10 @@ func commFacets(n *cfg.Node) []facet {
 // reference over sym.Expr atoms, Detail included. The same observations
 // recorded through the engine's binary-key dedupe, twice over, must keep
 // exactly what a dedupe on the reference's rendered fields keeps, in order.
-// Every kind of observation, and a repeat of each, must occur.
+// Every kind of observation, and a repeat of each, must occur. Hand-built
+// states then reach the verdicts that only the enriched range decides,
+// which CheckCommBounds finds after its proof over the range's own atoms
+// fails: a proof, and violations whose witness is an enriched atom.
 func TestCommBoundsMatchesReference(t *testing.T) {
 	cov := map[string]int{}
 	progs := identityPrograms(t, 40)
@@ -296,9 +303,12 @@ func TestCommBoundsMatchesReference(t *testing.T) {
 				for _, ps := range st.Sets {
 					rec.Record(st, ps)
 					for _, f := range commFacets(ps.Node) {
-						got, want := st.CheckCommBounds(ps, f.dir, f.expr), refCheckCommBounds(st, ps, f.dir, f.expr)
+						got, want := st.CheckCommBounds(ps, f.dir, f.expr), refCheckCommBounds(st, ps, f.dir, f.expr, true)
 						if got != want {
 							t.Fatalf("%s: CheckCommBounds = %+v, want %+v", p.name, got, want)
+						}
+						if own := refCheckCommBounds(st, ps, f.dir, f.expr, false); own.Status != want.Status {
+							cov["decided by enrichment"]++
 						}
 						wantKey := fmt.Sprintf("%d|%s|%d|%s|%s", want.Node, want.Dir, want.Status, want.Range, want.Detail)
 						kind := got.Status.String()
@@ -323,10 +333,71 @@ func TestCommBoundsMatchesReference(t *testing.T) {
 			t.Fatalf("%s: recorded observations\n%v\nwant\n%v", p.name, got, kept)
 		}
 	}
+	checkEnrichedCommBounds(t, cov)
 	t.Logf("coverage: %v", cov)
 	for _, k := range []string{"proven", "violated below", "violated beyond", "unknown", "non-affine"} {
 		if cov[k] == 0 || cov[k+" repeated"] == 0 {
 			t.Errorf("coverage: %d %s observations, %d of them repeats; want both > 0", cov[k], k, cov[k+" repeated"])
+		}
+	}
+	for _, k := range []string{"enriched proven", "enriched violated below", "enriched violated beyond"} {
+		if cov[k] == 0 {
+			t.Errorf("coverage: no %s observation", k)
+		}
+	}
+}
+
+// checkEnrichedCommBounds checks rank-bounds observations that the range's
+// own atoms cannot decide but its enriched atoms can: the target scales id
+// by 2, so an end atom over a variable gives a polynomial the constraint
+// graph cannot bound, while the constant or var+c atom the graph proves
+// equal to it gives a target it can. Each must agree with the reference,
+// differ from the reference over the own atoms, and, for a violation, name
+// the enriched atom as its witness.
+func checkEnrichedCommBounds(t *testing.T, cov map[string]int) {
+	t.Helper()
+	cases := []struct {
+		kind   string
+		src    string // one communication statement
+		facts  func(g *cg.Graph)
+		detail string
+	}{
+		{"proven", "send x -> 2 * id\n", func(g *cg.Graph) {
+			g.SetConst("k", 3)
+			g.AddLE(cg.ZeroVar, "np", -7)
+		}, "every process in [0..k] targets a rank in [0, np - 1]"},
+		{"violated beyond", "send x -> 2 * id\n", func(g *cg.Graph) {
+			g.AddEq("k", "np", -1)
+			g.AddLE(cg.ZeroVar, "np", -2)
+		}, "process np - 1 sends to 2*np - 2, beyond the last rank np - 1"},
+		{"violated below", "recv y <- 1 - 2 * id\n", func(g *cg.Graph) {
+			g.SetConst("k", 1)
+			g.AddLE(cg.ZeroVar, "np", -2)
+		}, "process 1 receives from -1, below rank 0"},
+	}
+	for _, c := range cases {
+		prog, err := parser.Parse("enriched.mpl", c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := cfg.Build(prog)
+		st := core.NewState(g.Entry, cg.Options{})
+		c.facts(st.G)
+		node := g.Entry.SuccSeq()
+		ps := &core.ProcSet{ID: 0, Node: node, Range: procset.Range(sym.Zero, sym.Var("k")), Blocked: true}
+		st.Sets = []*core.ProcSet{ps}
+		for _, f := range commFacets(node) {
+			got, want := st.CheckCommBounds(ps, f.dir, f.expr), refCheckCommBounds(st, ps, f.dir, f.expr, true)
+			if got != want {
+				t.Fatalf("%s: CheckCommBounds = %+v, want %+v", c.kind, got, want)
+			}
+			if own := refCheckCommBounds(st, ps, f.dir, f.expr, false); own.Status == want.Status {
+				t.Fatalf("%s: the range's own atoms already decide %+v", c.kind, own)
+			}
+			if got.Detail != c.detail {
+				t.Fatalf("%s: observation %+v, want detail %q", c.kind, got, c.detail)
+			}
+			cov["enriched "+c.kind]++
 		}
 	}
 }

@@ -7,6 +7,7 @@ package procset
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -382,6 +383,9 @@ func (b Bound) StringAll() string {
 // constraint graph over the same variable namespace as the bound atoms.
 type Ctx struct {
 	G *cg.Graph
+	// Memo, when set, caches Enrich by graph generation. It belongs to one
+	// goroutine at a time.
+	Memo *Memo
 }
 
 // LeqAtom decides a <= b + slack for two atoms using the context: a
@@ -505,11 +509,33 @@ func (ctx Ctx) CoherentSet(s Set) bool {
 // witnesses come from the graph's per-generation cache as atom pairs, and
 // each is checked against the atoms already held before it is kept, so
 // enriching an already-enriched bound allocates nothing; the new atoms are
-// merged into b in one allocation.
+// merged into b in one allocation. With a Memo, a bound already enriched
+// under the graph's generation is looked up instead.
 func (ctx Ctx) Enrich(b Bound) Bound {
 	if ctx.G == nil || !b.IsValid() || len(b.atoms) >= maxAtoms {
 		return b
 	}
+	if ctx.Memo == nil {
+		return ctx.enrich(b)
+	}
+	gen := ctx.G.Generation()
+	slot := ctx.Memo.slot(gen, b.atoms)
+	if slot == nil {
+		return ctx.enrich(b)
+	}
+	if slot.gen == gen && slices.Equal(slot.in, b.atoms) {
+		if len(slot.out.atoms) == len(b.atoms) {
+			return b // nothing to add, as enrich would return b itself
+		}
+		return slot.out
+	}
+	out := ctx.enrich(b)
+	*slot = memoSlot{gen: gen, in: b.atoms, out: out}
+	return out
+}
+
+// enrich is Enrich without the memo.
+func (ctx Ctx) enrich(b Bound) Bound {
 	// have holds b's atoms, then each new one in arrival order, so the cap
 	// keeps the first ones found.
 	var have [maxAtoms]Atom
@@ -536,6 +562,55 @@ func (ctx Ctx) Enrich(b Bound) Bound {
 		return b
 	}
 	return b.merge(have[len(b.atoms):n])
+}
+
+// memoSlots is the number of Memo slots, a power of two. At 56 bytes a
+// slot, a Memo's table stays below Go's 32 KB large-object size.
+const memoSlots = 256
+
+// Memo caches Ctx.Enrich for one analysis in a direct-mapped table keyed by
+// (graph generation, input atoms), so each distinct bound is enriched once
+// per graph content instead of once per caller. Enrich reads the graph only
+// through its generation's witness table, so a hit returns exactly what
+// recomputing would. Slots hold their bounds by reference, since bounds are
+// immutable. A Memo is not safe for concurrent use.
+type Memo struct {
+	slots []memoSlot
+}
+
+// memoSlot is one cached enrichment: in enriched under generation gen is
+// out.
+type memoSlot struct {
+	gen uint64
+	in  []Atom
+	out Bound
+}
+
+// NewMemo returns an empty memo.
+func NewMemo() *Memo { return newMemo(memoSlots) }
+
+// newMemo returns an empty memo of n slots, n a power of two.
+func newMemo(n int) *Memo { return &Memo{slots: make([]memoSlot, n)} }
+
+// slot returns the slot that caches atoms under generation gen, or nil
+// when the pair is not cached at all: an inconsistent graph (generation 0)
+// or a general atom, whose polynomial the key does not cover. Keyed atoms
+// are all var+c, so == compares them by V and C.
+func (m *Memo) slot(gen uint64, atoms []Atom) *memoSlot {
+	if gen == 0 {
+		return nil
+	}
+	const mix = 0x9e3779b97f4a7c15
+	h := gen * mix
+	for _, a := range atoms {
+		if a.poly != nil {
+			return nil
+		}
+		h = (h ^ uint64(a.V)) * mix
+		h = (h ^ uint64(a.C)) * mix
+	}
+	h ^= h >> 32
+	return &m.slots[h&uint64(len(m.slots)-1)]
 }
 
 // merge returns b extended with fresh, atoms that are new to b and to each
