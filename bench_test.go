@@ -5,7 +5,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// The human-readable paper-vs-measured tables are printed by cmd/psdf-bench.
+// The human-readable paper-vs-measured tables are printed by `psdf bench run`.
 package repro
 
 import (

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -15,9 +16,12 @@ import (
 	"repro/internal/experiments"
 )
 
-// runBench implements `psdf bench`: the longitudinal regression
-// observability workflow over BENCH_HISTORY.jsonl.
+// runBench implements `psdf bench`: the paper tables plus the longitudinal
+// regression observability workflow over BENCH_HISTORY.jsonl.
 //
+//	psdf bench run     run the experiments registry once, print the
+//	                   paper-vs-measured tables and write one
+//	                   BENCH_<spec>.json record per spec
 //	psdf bench record  measure the experiments registry (N samples per
 //	                   spec) plus the per-workload precision fingerprints
 //	                   and append one commit-anchored entry to the history
@@ -34,6 +38,8 @@ func runBench(args []string) int {
 		return 2
 	}
 	switch args[0] {
+	case "run":
+		return benchRun(args[1:])
 	case "record":
 		return benchRecord(args[1:])
 	case "diff":
@@ -56,6 +62,8 @@ func benchUsage() {
 	fmt.Fprintln(os.Stderr, `usage: psdf bench <subcommand> [flags]
 
 subcommands:
+  run     run the experiments registry once, print the paper tables and
+          write BENCH_<spec>.json records
   record  run the experiments registry -sample times, capture precision
           fingerprints, and append a commit-anchored entry to the history
   diff    statistically compare two history entries
@@ -84,6 +92,68 @@ func hostFingerprint() benchhist.Host {
 	}
 }
 
+// splitIDs parses a comma-separated -exp list (empty selects every spec).
+func splitIDs(list string) []string {
+	var ids []string
+	for _, id := range strings.Split(list, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// benchRun regenerates the paper's evaluation tables: every selected spec
+// runs once, its table prints with the paper-reported value next to the
+// measured one, and its BENCH_<spec>.json record (wall time plus the obs
+// phase breakdown) lands in -bench-dir. The experiment ids match DESIGN.md's
+// per-experiment index.
+func benchRun(args []string) int {
+	fs := flag.NewFlagSet("bench run", flag.ExitOnError)
+	var (
+		expList  = fs.String("exp", "", "comma-separated spec ids to run (default: all)")
+		parallel = fs.Int("parallel", 0, "specs in flight (0 = one per CPU, 1 = serial)")
+		benchDir = fs.String("bench-dir", ".", "directory for the per-spec BENCH_<spec>.json records")
+	)
+	_ = fs.Parse(args)
+	if fs.NArg() != 0 {
+		fmt.Fprintln(os.Stderr, "psdf bench run: unexpected arguments", fs.Args())
+		return 2
+	}
+	sampled, err := experiments.RunSampled(splitIDs(*expList), 1, *parallel)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "psdf bench run:", err)
+		return 1
+	}
+	for _, s := range sampled {
+		fmt.Println(s.Table)
+	}
+	for _, s := range sampled {
+		if err := writeBenchRecord(*benchDir, s.Record()); err != nil {
+			fmt.Fprintln(os.Stderr, "psdf bench run:", err)
+			return 1
+		}
+	}
+	return 0
+}
+
+// writeBenchRecord persists one experiment's benchmark record as
+// BENCH_<spec>.json. The write is atomic (temp file + rename) so a crashed
+// or interrupted run never leaves a truncated record for downstream tooling
+// to trip over.
+func writeBenchRecord(dir string, rec *experiments.SpecResult) error {
+	data, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		return err
+	}
+	path := filepath.Join(dir, "BENCH_"+rec.Spec+".json")
+	if err := benchhist.WriteFileAtomic(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s (wall %dms, %d phases)\n", path, rec.WallNs/1e6, len(rec.Phases))
+	return nil
+}
+
 func benchRecord(args []string) int {
 	fs := flag.NewFlagSet("bench record", flag.ExitOnError)
 	var (
@@ -106,14 +176,7 @@ func benchRecord(args []string) int {
 		fmt.Fprintln(os.Stderr, "psdf bench record: unexpected arguments", fs.Args())
 		return 2
 	}
-	var ids []string
-	if *expList != "" {
-		for _, id := range strings.Split(*expList, ",") {
-			if id = strings.TrimSpace(id); id != "" {
-				ids = append(ids, id)
-			}
-		}
-	}
+	ids := splitIDs(*expList)
 	sha := *commit
 	if sha == "" {
 		if sha = gitHead(); sha == "" {

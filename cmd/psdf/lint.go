@@ -46,6 +46,10 @@ func runLint(args []string) int {
 		fmt.Fprintf(os.Stderr, "psdf lint: unknown format %q (want text, json or sarif)\n", *format)
 		return 2
 	}
+	if !validClient(*client) {
+		fmt.Fprintf(os.Stderr, "psdf lint: unknown client %q (want symbolic or cartesian)\n", *client)
+		return 2
+	}
 
 	var all []diag.Diagnostic
 	files := map[string]*source.File{}
@@ -60,9 +64,6 @@ func runLint(args []string) int {
 		opts := core.Options{NonBlockingSends: *nonBlock}
 		if *client == "symbolic" {
 			opts.Matcher = &symbolic.Matcher{}
-		} else if *client != "cartesian" {
-			fmt.Fprintf(os.Stderr, "psdf lint: unknown client %q\n", *client)
-			return 2
 		}
 		tgt, err := lint.Load(path, string(src), opts)
 		if err != nil {

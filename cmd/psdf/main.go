@@ -1,200 +1,466 @@
 // Command psdf runs the communication-sensitive static dataflow analysis
-// on an MPL program: it parses, type-checks, builds the CFG, analyzes the
-// pCFG with the chosen client analysis, and reports the communication
-// topology plus any verification findings.
+// on MPL programs and hosts the tooling around it.
 //
 // Usage:
 //
-//	psdf [flags] program.mpl
+//	psdf [flags] program.mpl [more.mpl ...]
 //	psdf lint [-format text|json|sarif] [-strict-bounds] program.mpl ...
+//	psdf sim -np N [-env k=v,k=v] [-rendezvous] [-events] [-fail-on-findings] program.mpl
 //	psdf trace [-top n] [-check] trace.json ...
-//	psdf bench record|diff|check|report [flags]
+//	psdf bench run|record|diff|check|report [flags]
 //	psdf fuzz [-seed S] [-n N] [-np 2,3] [-shrink] [-out dir] [-gate class]
 //	psdf profile [-format text|json|folded] [-top n] (report.json | program.mpl) ...
 //
-// The profile subcommand renders source-attributed analysis profiles:
-// per-statement step time, configurations spawned, joins, widenings and
-// widening failures (with the failing bound-expression pair), give-ups,
-// ⊤ demotions, match-memo misses and HSM prover time, mapped back onto
-// the MPL source as a heat listing, JSON report, or folded flamegraph
-// stacks. It reads psdf-profile/1 JSON written by `psdf-run
-// -profile-out`, or profiles .mpl programs in place.
+// The bare form parses, checks and analyzes every program on a bounded
+// pool (core.AnalyzeAll, -parallel, one analysis per CPU by default) and
+// prints, per program, its topology (or the -dot/-pcfg rendering), its
+// known print values, and its lint diagnostics or "lint: ok", under an
+// "== path ==" header when several programs are given. It exits 1 when an
+// analysis fails or lint reports an error-severity finding, 2 on a usage
+// error, 0 otherwise.
 //
-// The lint subcommand runs the coded diagnostic passes (message leaks,
-// deadlocks, tag mismatches, rank bounds, ⊤-blame, dead code) and exits
-// nonzero when error-severity findings exist.
+// Its observability flags only observe; results are byte-identical with
+// them on or off. -trace writes a Chrome trace-event file (Perfetto, or
+// `psdf trace`), -trace-jsonl the same spans as JSON lines; -metrics and
+// -metrics-out render the metrics registry as Prometheus text; -log debug
+// narrates the fixpoint. -http serves /metrics, /statusz,
+// /statusz/stream, /flightz and /debug/pprof during the run (with
+// -http-linger, until POST /quitquitquit). -stall-timeout arms a
+// no-progress watchdog that dumps the flight recorder to -stall-dump, and
+// -force-stall fires it deterministically. -profile-out writes the
+// source-attribution profile as psdf-profile/1 JSON for `psdf profile`.
 //
-// The fuzz subcommand is the differential-soundness sweep: it generates
-// deterministic random MPL programs, triages each against the
-// explicit-state oracle, optionally minimizes divergences with a
-// class-preserving delta-debugging shrinker, and exits nonzero when any
-// finding reaches the gate class. CI runs `psdf fuzz -seed 1 -n 2000` as
-// the acceptance gate: zero soundness findings allowed.
-//
-// The trace subcommand summarizes a span trace written by `psdf-run
-// -analyze -trace` into a per-phase / per-configuration cost table, or
-// validates it with -check.
-//
-// The bench subcommand maintains the longitudinal regression history
-// (BENCH_HISTORY.jsonl): record appends a commit-anchored entry with
-// multi-sample timings and per-workload precision fingerprints, diff
-// statistically compares two entries (Mann–Whitney over timings, exact
-// equality over fingerprints), check is the CI gate (exit nonzero on
-// precision changes), and report renders the trajectory as markdown.
-//
-// Flags:
-//
-//	-client symbolic|cartesian   client analysis (default cartesian)
-//	-backend array|map           constraint-graph storage (default array)
-//	-dot                         print the topology as Graphviz dot
-//	-cfg                         print the CFG as Graphviz dot and exit
-//	-trace                       log every analysis step to stderr
-//	-verify                      run the error-detection pass (default on)
-//	-stats                       print analysis statistics
-//	-log level                   structured engine logs on stderr (off, debug,
-//	                             info, warn, error)
-//	-log-format text|json        structured log encoding
+// The subcommands: lint renders the same diagnostics as text, JSON or
+// SARIF; sim executes one program on the concrete simulator (the ground
+// truth); trace summarizes or validates a span trace; bench run prints
+// the paper-vs-measured tables and writes BENCH_<spec>.json, while bench
+// record/diff/check/report maintain BENCH_HISTORY.jsonl; fuzz is the
+// differential-soundness sweep (`psdf fuzz -seed 1 -n 2000` gates CI);
+// profile renders source-attributed profiles.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
 	"os"
+	"sort"
+	"strings"
+	"sync"
+	"time"
 
+	"repro/internal/ast"
 	"repro/internal/cfg"
 	"repro/internal/cg"
 	"repro/internal/clients/cartesian"
 	"repro/internal/clients/symbolic"
 	"repro/internal/core"
+	"repro/internal/diag"
+	"repro/internal/lint"
 	"repro/internal/obs"
 	"repro/internal/parser"
+	"repro/internal/prof"
 	"repro/internal/sem"
+	"repro/internal/source"
 	"repro/internal/topology"
-	"repro/internal/verify"
 )
 
 func main() {
-	// Subcommand dispatch: `psdf lint ...` runs the diagnostics passes; the
-	// bare flag form keeps its original behavior.
-	if len(os.Args) > 1 && os.Args[1] == "lint" {
-		os.Exit(runLint(os.Args[2:]))
+	subcommands := map[string]func([]string) int{
+		"lint":    runLint,
+		"sim":     runSim,
+		"trace":   runTrace,
+		"bench":   runBench,
+		"fuzz":    runFuzz,
+		"profile": runProfile,
 	}
-	if len(os.Args) > 1 && os.Args[1] == "trace" {
-		os.Exit(runTrace(os.Args[2:]))
+	if len(os.Args) > 1 {
+		if run, ok := subcommands[os.Args[1]]; ok {
+			os.Exit(run(os.Args[2:]))
+		}
 	}
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		os.Exit(runBench(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "fuzz" {
-		os.Exit(runFuzz(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "profile" {
-		os.Exit(runProfile(os.Args[2:]))
-	}
-	var (
-		client   = flag.String("client", "cartesian", "client analysis: symbolic or cartesian")
-		backend  = flag.String("backend", "array", "constraint-graph backend: array or map")
-		dot      = flag.Bool("dot", false, "print the topology as Graphviz dot")
-		cfgDot   = flag.Bool("cfg", false, "print the CFG as Graphviz dot and exit")
-		trace    = flag.Bool("trace", false, "log analysis steps to stderr")
-		doVerify = flag.Bool("verify", true, "run the error-detection pass")
-		stats    = flag.Bool("stats", false, "print analysis statistics")
-		nonBlock = flag.Bool("nonblocking", false, "non-blocking sends (Section X aggregation extension)")
-		pcfgDot  = flag.Bool("pcfg", false, "print the explored pCFG as Graphviz dot")
-	)
-	lf := addLogFlags(flag.CommandLine)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: psdf [flags] program.mpl")
-		flag.PrintDefaults()
-		os.Exit(2)
-	}
-	if err := run(flag.Arg(0), *client, *backend, *lf.level, *lf.format, *dot, *cfgDot, *trace, *doVerify, *stats, *nonBlock, *pcfgDot); err != nil {
-		fmt.Fprintln(os.Stderr, "psdf:", err)
-		os.Exit(1)
-	}
+	os.Exit(runAnalyze(os.Args[1:]))
 }
 
-func run(path, client, backend, logLevel, logFormat string, dot, cfgDot, trace, doVerify, stats, nonBlock, pcfgDot bool) error {
+// program is one loaded MPL source file.
+type program struct {
+	path string
+	src  string
+	prog *ast.Program
+	g    *cfg.Graph
+}
+
+// loadProgram reads, parses and checks one program file and builds its CFG.
+func loadProgram(path string) (*program, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	prog, err := parser.Parse(path, string(src))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if _, err := sem.Check(prog); err != nil {
-		return err
+		return nil, err
 	}
-	g := cfg.Build(prog)
-	if cfgDot {
-		fmt.Print(g.Dot(path))
-		return nil
-	}
+	return &program{path: path, src: string(src), prog: prog, g: cfg.Build(prog)}, nil
+}
 
-	logger, err := obs.NewLogger(os.Stderr, logLevel, logFormat)
+// validClient reports whether name is a -client value.
+func validClient(name string) bool { return name == "cartesian" || name == "symbolic" }
+
+var backends = map[string]cg.Backend{"array": cg.ArrayBackend, "map": cg.MapBackend}
+
+// analyzeFlags carries the bare form's flags.
+type analyzeFlags struct {
+	client, backend      string
+	dot, cfgDot, pcfgDot bool
+	stats, nonblocking   bool
+	parallel             int
+	traceOut, traceJSONL string
+	metrics              bool
+	metricsOut           string
+	httpAddr             string
+	httpLinger           bool
+	stallTO              time.Duration
+	stallDump            string
+	forceStall           bool
+	flightBuf            int
+	pprofLabels          bool
+	profileOut           string
+}
+
+// runAnalyze implements the bare form.
+func runAnalyze(args []string) int {
+	var c analyzeFlags
+	fs := flag.NewFlagSet("psdf", flag.ExitOnError)
+	fs.StringVar(&c.client, "client", "cartesian", "client analysis: symbolic or cartesian")
+	fs.StringVar(&c.backend, "backend", "array", "constraint-graph backend: array or map")
+	fs.BoolVar(&c.dot, "dot", false, "print the topology as Graphviz dot")
+	fs.BoolVar(&c.cfgDot, "cfg", false, "print the CFG as Graphviz dot and exit")
+	fs.BoolVar(&c.pcfgDot, "pcfg", false, "print the explored pCFG as Graphviz dot")
+	fs.BoolVar(&c.stats, "stats", false, "print analysis statistics, wall time, phase breakdown and match-memo counters")
+	fs.BoolVar(&c.nonblocking, "nonblocking", false, "non-blocking sends (Section X aggregation extension)")
+	fs.IntVar(&c.parallel, "parallel", 0, "analyses in flight (0 = one per CPU, 1 = sequential)")
+	fs.StringVar(&c.traceOut, "trace", "", "write a Chrome trace-event file (Perfetto-loadable)")
+	fs.StringVar(&c.traceJSONL, "trace-jsonl", "", "write the span trace as JSON lines")
+	fs.BoolVar(&c.metrics, "metrics", false, "print the metrics registry (Prometheus text) after the run")
+	fs.StringVar(&c.metricsOut, "metrics-out", "", "write the metrics registry to this file")
+	fs.StringVar(&c.httpAddr, "http", "", "serve the introspection mux (/metrics, /statusz, /statusz/stream, /flightz, /debug/pprof) on this address during the run")
+	fs.BoolVar(&c.httpLinger, "http-linger", false, "with -http: keep the listener serving after the analyses finish (POST /quitquitquit to exit)")
+	fs.DurationVar(&c.stallTO, "stall-timeout", 0, "per-analysis no-progress watchdog deadline (0 disables); firing dumps the flight recorder")
+	fs.StringVar(&c.stallDump, "stall-dump", "", "write flight-recorder dumps to this file (default stderr)")
+	fs.BoolVar(&c.forceStall, "force-stall", false, "hold each analysis open until its stall watchdog fires (smoke-tests the stall path; requires -stall-timeout)")
+	fs.IntVar(&c.flightBuf, "flight-buffer", 4096, "flight-recorder ring capacity in events")
+	fs.BoolVar(&c.pprofLabels, "pprof-labels", false, "attach pprof goroutine labels (job, phase) to analysis goroutines and the HSM prover")
+	fs.StringVar(&c.profileOut, "profile-out", "", "profile each analysis and write the combined source-attribution report as psdf-profile/1 JSON (render with `psdf profile`)")
+	lf := addLogFlags(fs)
+	fs.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: psdf [flags] program.mpl [more.mpl ...]")
+		fmt.Fprintln(os.Stderr, "       psdf lint|sim|trace|bench|fuzz|profile [flags] ...")
+		fs.PrintDefaults()
+	}
+	_ = fs.Parse(args)
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return 2
+	}
+	if !validClient(c.client) {
+		fmt.Fprintf(os.Stderr, "psdf: unknown client %q (want symbolic or cartesian)\n", c.client)
+		return 2
+	}
+	if _, ok := backends[c.backend]; !ok {
+		fmt.Fprintf(os.Stderr, "psdf: unknown backend %q (want array or map)\n", c.backend)
+		return 2
+	}
+	if c.forceStall && c.stallTO <= 0 {
+		fmt.Fprintln(os.Stderr, "psdf: -force-stall requires -stall-timeout > 0")
+		return 2
+	}
+	logger, err := lf.logger()
 	if err != nil {
-		return err
+		fmt.Fprintln(os.Stderr, "psdf:", err)
+		return 2
 	}
 
-	var cgStats cg.Stats
-	opts := core.Options{
-		CGOpts:           cg.Options{Stats: &cgStats},
-		NonBlockingSends: nonBlock,
-		Name:             path,
-		Log:              logger,
+	failed := false
+	var progs []*program
+	for _, path := range fs.Args() {
+		p, err := loadProgram(path)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "psdf:", err)
+			failed = true
+			continue
+		}
+		progs = append(progs, p)
 	}
-	switch backend {
-	case "array":
-		opts.CGOpts.Backend = cg.ArrayBackend
-	case "map":
-		opts.CGOpts.Backend = cg.MapBackend
-	default:
-		return fmt.Errorf("unknown backend %q", backend)
-	}
-	switch client {
-	case "symbolic":
-		opts.Matcher = &symbolic.Matcher{}
-	case "cartesian":
-		opts.Matcher = cartesian.New(core.ScanInvariants(g))
-	default:
-		return fmt.Errorf("unknown client %q", client)
-	}
-	if trace {
-		opts.Trace = os.Stderr
-	}
-
-	res, err := core.Analyze(g, opts)
-	if err != nil {
-		return err
-	}
-
-	if pcfgDot {
-		fmt.Print(res.PCFGDot(path))
-		return nil
-	}
-	rep := topology.Build(g, res)
-	if dot {
-		fmt.Print(rep.Dot(path))
+	if c.cfgDot {
+		for _, p := range progs {
+			fmt.Print(p.g.Dot(p.path))
+		}
 	} else {
-		fmt.Print(rep)
+		bad, err := analyze(progs, len(fs.Args()) > 1, c, logger)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "psdf:", err)
+			return 1
+		}
+		failed = failed || bad
 	}
-	for _, p := range res.Prints {
-		if p.Known {
-			fmt.Printf("  print at n%d on %s always outputs %d\n", p.Node, p.Range, p.Val)
+	if failed {
+		return 1
+	}
+	return 0
+}
+
+// analyze runs every program through core.AnalyzeAll and prints each
+// report. It reports whether an analysis failed or lint found an
+// error-severity finding. Every job gets its own matcher (matcher
+// instrumentation and memo tables are not race-safe to share); the tracer
+// and metrics registry are shared (race-safe), with per-job pid/label
+// attribution.
+func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger) (failed bool, err error) {
+	var tracer *obs.Tracer
+	if c.traceOut != "" || c.traceJSONL != "" {
+		tracer = obs.NewTracer()
+	}
+	var reg *obs.Registry
+	if c.metrics || c.metricsOut != "" || c.httpAddr != "" {
+		reg = obs.NewRegistry()
+	}
+	var tracker *obs.ProgressTracker
+	if c.httpAddr != "" {
+		tracker = obs.NewProgressTracker()
+	}
+	var rec *obs.FlightRecorder
+	if c.stallTO > 0 || c.httpAddr != "" {
+		rec = obs.NewFlightRecorder(c.flightBuf)
+	}
+	// The watchdog's stall dump goes to -stall-dump (created up front so a
+	// dump mid-run cannot fail on open) or stderr.
+	var stallDumpW io.Writer
+	if c.stallTO > 0 {
+		stallDumpW = os.Stderr
+		if c.stallDump != "" {
+			f, err := os.Create(c.stallDump)
+			if err != nil {
+				return false, err
+			}
+			defer f.Close()
+			stallDumpW = f
 		}
 	}
-	if doVerify {
-		vr := verify.Check(g, res)
-		fmt.Println(vr)
+	quitCh := make(chan struct{})
+	if c.httpAddr != "" {
+		var quit func()
+		if c.httpLinger {
+			var once sync.Once
+			quit = func() { once.Do(func() { close(quitCh) }) }
+		}
+		mux := obs.NewHTTPMux(reg, tracker, rec, quit)
+		go func() {
+			if err := http.ListenAndServe(c.httpAddr, mux); err != nil {
+				fmt.Fprintln(os.Stderr, "psdf: http:", err)
+			}
+		}()
 	}
-	if stats {
-		fmt.Printf("stats: %d pCFG nodes, %d steps, %d widenings, %d incremental closures (avg %.1f vars), %d joins\n",
-			res.Configs, res.Steps, res.Widenings, cgStats.IncrClosures(), cgStats.AvgIncrVars(), cgStats.Joins())
+
+	jobs := make([]core.Job, len(progs))
+	matchers := make([]core.Matcher, len(progs))
+	profilers := make([]*prof.Profiler, len(progs))
+	cgStats := make([]*cg.Stats, len(progs))
+	laneNames := map[int]string{}
+	for i, p := range progs {
+		if c.client == "symbolic" {
+			matchers[i] = &symbolic.Matcher{}
+		} else {
+			m := cartesian.New(core.ScanInvariants(p.g))
+			m.SetObs(tracer, i+1)
+			m.Prover().ProfileLabels = c.pprofLabels
+			if reg != nil {
+				core.RegisterMatchMemoMetrics(reg, m.Memo(), p.path)
+			}
+			matchers[i] = m
+		}
+		// One profiler per job: commits are per-analysis, and merging across
+		// programs would blur the per-source attribution.
+		if c.profileOut != "" {
+			profilers[i] = prof.New()
+		}
+		// Stats counters time the closures, so only -stats pays for them.
+		if c.stats {
+			cgStats[i] = &cg.Stats{}
+		}
+		laneNames[i+1] = p.path
+		jobs[i] = core.Job{Name: p.path, G: p.g, Opts: core.Options{
+			Matcher:          matchers[i],
+			CGOpts:           cg.Options{Backend: backends[c.backend], Stats: cgStats[i]},
+			NonBlockingSends: c.nonblocking,
+			RecordCommBounds: true,
+			Tracer:           tracer,
+			Metrics:          reg,
+			TracePID:         i + 1,
+			Name:             p.path,
+			Log:              logger,
+			Progress:         tracker,
+			FlightRecorder:   rec,
+			StallTimeout:     c.stallTO,
+			StallDump:        stallDumpW,
+			ForceStall:       c.forceStall,
+			ProfileLabels:    c.pprofLabels,
+			Profiler:         profilers[i],
+		}}
 	}
-	if !res.Clean() {
-		return fmt.Errorf("analysis incomplete: %v", res.TopReasons())
+	results := core.AnalyzeAll(jobs, c.parallel)
+	if tracer != nil {
+		// With one retaining tracer shared across jobs, each JobResult's
+		// Phases snapshots the shared totals; recover per-job breakdowns
+		// from the retained events instead.
+		byPid := obs.TotalsByPid(tracer.Events())
+		for i := range results {
+			if ph := byPid[i+1]; ph != nil {
+				results[i].Phases = ph
+			}
+		}
+	}
+	var reps []*prof.Report
+	for i, jr := range results {
+		p := progs[i]
+		if headers {
+			fmt.Printf("== %s ==\n", p.path)
+		}
+		if jr.Err != nil {
+			fmt.Fprintf(os.Stderr, "psdf: %s: %v\n", p.path, jr.Err)
+			failed = true
+			continue
+		}
+		res := jr.Res
+		switch {
+		case c.pcfgDot:
+			fmt.Print(res.PCFGDot(p.path))
+		case c.dot:
+			fmt.Print(topology.Build(p.g, res).Dot(p.path))
+		default:
+			fmt.Print(topology.Build(p.g, res))
+		}
+		for _, pr := range res.Prints {
+			if pr.Known {
+				fmt.Printf("  print at n%d on %s always outputs %d\n", pr.Node, pr.Range, pr.Val)
+			}
+		}
+		rep := lint.Run(&lint.Target{Path: p.path, Prog: p.prog, File: p.prog.File, G: p.g, Res: res}, lint.Options{})
+		if len(rep.Diags) == 0 {
+			fmt.Println("lint: ok")
+		} else {
+			diag.WriteText(os.Stdout, map[string]*source.File{p.path: p.prog.File}, rep.Diags)
+		}
+		failed = failed || rep.HasErrors()
+		if c.stats {
+			st := cgStats[i]
+			fmt.Printf("stats: %d pCFG nodes, %d steps, %d widenings, %d incremental closures (avg %.1f vars), %d joins, wall %v\n",
+				res.Configs, res.Steps, res.Widenings, st.IncrClosures(), st.AvgIncrVars(), st.Joins(), jr.Wall.Round(time.Microsecond))
+			if ph := formatPhases(jr.Phases); ph != "" {
+				fmt.Printf("  phases: %s\n", ph)
+			}
+			if m, ok := matchers[i].(*cartesian.Matcher); ok {
+				if memo := m.Memo(); memo.HitCount()+memo.MissCount() > 0 {
+					fmt.Printf("  match-memo: %d hits / %d misses (%.0f%% hit rate), %d entries\n",
+						memo.HitCount(), memo.MissCount(), 100*memo.HitRate(), memo.Len())
+				}
+			}
+		}
+		if profilers[i] != nil {
+			reps = append(reps, profilers[i].Report(p.path, p.src))
+		}
+	}
+	if err := writeObsOutputs(tracer, reg, laneNames, c); err != nil {
+		return failed, err
+	}
+	if c.profileOut != "" {
+		if err := writeFile(c.profileOut, func(w io.Writer) error { return prof.WriteJSON(w, reps) }); err != nil {
+			return failed, err
+		}
+		fmt.Printf("profile: %d report(s) -> %s (render with `psdf profile %s`)\n",
+			len(reps), c.profileOut, c.profileOut)
+	}
+	if c.httpAddr != "" && c.httpLinger {
+		fmt.Fprintf(os.Stderr, "psdf: lingering on %s (POST /quitquitquit to exit)\n", c.httpAddr)
+		<-quitCh
+	}
+	return failed, nil
+}
+
+// writeObsOutputs flushes the trace and metrics artifacts selected by the
+// flags.
+func writeObsOutputs(tracer *obs.Tracer, reg *obs.Registry, laneNames map[int]string, c analyzeFlags) error {
+	if tracer != nil {
+		evs := tracer.Events()
+		if c.traceOut != "" {
+			if err := writeFile(c.traceOut, func(w io.Writer) error {
+				return obs.WriteChromeTrace(w, evs, laneNames)
+			}); err != nil {
+				return err
+			}
+			fmt.Printf("trace: %d events -> %s (load at https://ui.perfetto.dev or run `psdf trace %s`)\n",
+				len(evs), c.traceOut, c.traceOut)
+		}
+		if c.traceJSONL != "" {
+			if err := writeFile(c.traceJSONL, func(w io.Writer) error { return obs.WriteJSONL(w, evs) }); err != nil {
+				return err
+			}
+		}
+	}
+	if reg != nil && c.metricsOut != "" {
+		if err := writeFile(c.metricsOut, reg.WritePrometheus); err != nil {
+			return err
+		}
+	}
+	if reg != nil && c.metrics {
+		if err := reg.WritePrometheus(os.Stdout); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// formatPhases renders a job's phase totals as "phase dur (count)" pairs,
+// heaviest first, skipping the enclosing analyze span (it spans the whole
+// job and would read as 100%).
+func formatPhases(totals obs.PhaseTotals) string {
+	type pt struct {
+		name string
+		obs.PhaseStat
+	}
+	var ps []pt
+	for name, st := range totals {
+		if name == obs.PhaseAnalyze.String() || st.Count == 0 {
+			continue
+		}
+		ps = append(ps, pt{name, st})
+	}
+	sort.Slice(ps, func(i, j int) bool {
+		if ps[i].Total != ps[j].Total {
+			return ps[i].Total > ps[j].Total
+		}
+		return ps[i].name < ps[j].name
+	})
+	var parts []string
+	for _, p := range ps {
+		parts = append(parts, fmt.Sprintf("%s %v (%d)", p.name, p.Total.Round(time.Microsecond), p.Count))
+	}
+	return strings.Join(parts, ", ")
 }

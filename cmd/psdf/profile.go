@@ -8,17 +8,14 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/cfg"
 	"repro/internal/clients/cartesian"
 	"repro/internal/core"
-	"repro/internal/parser"
 	"repro/internal/prof"
-	"repro/internal/sem"
 )
 
 // runProfile implements `psdf profile`: it renders source-attributed
 // analysis profiles either from saved psdf-profile/1 JSON reports (as
-// written by `psdf-run -profile-out` or `psdf profile -format json`) or
+// written by `psdf -profile-out` or `psdf profile -format json`) or
 // by profiling fresh MPL programs in place.
 func runProfile(args []string) int {
 	fs := flag.NewFlagSet("psdf profile", flag.ExitOnError)
@@ -100,28 +97,20 @@ func runProfile(args []string) int {
 // profileProgram analyzes one MPL source file with a profiler attached
 // and returns its source-attributed report.
 func profileProgram(path string, logger *slog.Logger) (*prof.Report, error) {
-	src, err := os.ReadFile(path)
+	p, err := loadProgram(path)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := parser.Parse(path, string(src))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := sem.Check(prog); err != nil {
-		return nil, err
-	}
-	g := cfg.Build(prog)
-	p := prof.New()
-	if _, err := core.Analyze(g, core.Options{
-		Matcher:  cartesian.New(core.ScanInvariants(g)),
+	pr := prof.New()
+	if _, err := core.Analyze(p.g, core.Options{
+		Matcher:  cartesian.New(core.ScanInvariants(p.g)),
 		Name:     path,
 		Log:      logger,
-		Profiler: p,
+		Profiler: pr,
 	}); err != nil {
 		return nil, err
 	}
-	return p.Report(path, string(src)), nil
+	return pr.Report(path, p.src), nil
 }
 
 // renderProfiles writes the collected reports in the requested format.

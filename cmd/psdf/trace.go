@@ -13,8 +13,8 @@ import (
 )
 
 // runTrace implements `psdf trace`: summarize a span trace written by
-// `psdf-run -analyze -trace` (Chrome trace-event format) or -trace-jsonl
-// (JSON lines) into a per-phase / per-configuration cost table, or validate
+// `psdf -trace` (Chrome trace-event format) or `psdf -trace-jsonl` (JSON
+// lines) into a per-phase / per-configuration cost table, or validate
 // it with -check.
 func runTrace(args []string) int {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)

@@ -1,38 +1,38 @@
 // bugfinder demonstrates the error-detection client analyses the paper
-// motivates in Section I: message leaks (messages sent but never received)
-// and inconsistent message types between matched senders and receivers.
+// motivates in Section I: message leaks (messages sent but never received),
+// potential deadlocks, and inconsistent message types between matched
+// senders and receivers, reported as lint diagnostics.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"repro/internal/bench"
-	"repro/internal/cfg"
-	"repro/internal/clients/cartesian"
 	"repro/internal/core"
-	"repro/internal/parser"
-	"repro/internal/verify"
+	"repro/internal/diag"
+	"repro/internal/lint"
+	"repro/internal/source"
 )
 
-func analyzeAndVerify(name, src string) {
+func analyzeAndLint(name, src string) {
 	fmt.Printf("== %s ==\n%s\n", name, src)
-	prog, err := parser.Parse(name+".mpl", src)
+	tgt, err := lint.Load(name+".mpl", src, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	g := cfg.Build(prog)
-	res, err := core.Analyze(g, core.Options{Matcher: cartesian.New(core.ScanInvariants(g))})
-	if err != nil {
-		log.Fatal(err)
+	rep := lint.Run(tgt, lint.Options{})
+	if len(rep.Diags) == 0 {
+		fmt.Println("lint: ok")
 	}
-	fmt.Print(verify.Check(g, res))
+	diag.WriteText(os.Stdout, map[string]*source.File{tgt.Path: tgt.File}, rep.Diags)
 	fmt.Println()
 }
 
 func main() {
 	// A correct program: no findings.
-	analyzeAndVerify("clean exchange", `
+	analyzeAndLint("clean exchange", `
 assume np >= 3
 if id == 0 then
   send x -> 1 : halo
@@ -41,13 +41,13 @@ elif id == 1 then
 end`)
 
 	// The root sends one extra message nobody receives.
-	analyzeAndVerify("leaky broadcast", bench.LeakyBroadcast().Src)
+	analyzeAndLint("leaky broadcast", bench.LeakyBroadcast().Src)
 
 	// The matched pair disagrees on the message type.
-	analyzeAndVerify("type mismatch", bench.TypeMismatch().Src)
+	analyzeAndLint("type mismatch", bench.TypeMismatch().Src)
 
 	// A receive whose sender does not exist: potential deadlock.
-	analyzeAndVerify("orphan receive", `
+	analyzeAndLint("orphan receive", `
 assume np >= 3
 if id == 0 then
   recv y <- 1

@@ -11,8 +11,8 @@ import (
 
 // The paper's evaluation analyzes a suite of independent workloads; nothing
 // couples their fixpoint computations, so the suite is embarrassingly
-// parallel one-workload-per-core. AnalyzeAll is the shared bounded-pool
-// driver behind cmd/psdf-bench, cmd/psdf-run and internal/experiments.
+// parallel one-workload-per-core. AnalyzeAll is the shared bounded pool
+// behind the psdf analysis command and internal/experiments.
 //
 // Per-job state must not be shared across jobs unless it is race-safe:
 // cg.Stats is (atomic counters, so one Stats may aggregate a whole suite),

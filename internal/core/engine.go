@@ -40,8 +40,6 @@ type Options struct {
 	// Patterns that send before receiving (all-to-one-then-back, send-first
 	// stencils) then need no pipeline analysis.
 	NonBlockingSends bool
-	// Trace receives step-by-step analysis logging when non-nil.
-	Trace io.Writer
 	// Workers is ignored: every analysis runs its fixpoint on the calling
 	// goroutine. Run independent analyses concurrently with AnalyzeAll.
 	//
@@ -71,7 +69,9 @@ type Options struct {
 	Name string
 	// Log, when non-nil, receives the engine's structured lifecycle events
 	// (start, convergence, stall, budget exhaustion) with per-analysis
-	// attributes. Nil disables logging at the cost of one pointer check.
+	// attributes and, at debug level, every new or widened configuration
+	// with its rendered state. Nil disables logging at the cost of one
+	// pointer check.
 	Log *slog.Logger
 	// Progress, when non-nil, receives this analysis's live progress
 	// sampler (and, after convergence, its final snapshot) keyed by
@@ -696,12 +696,6 @@ func (e *engine) collectMatches() {
 	})
 }
 
-func (e *engine) tracef(format string, args ...any) {
-	if e.opts.Trace != nil {
-		fmt.Fprintf(e.opts.Trace, format+"\n", args...)
-	}
-}
-
 // assignedVars collects program variables written anywhere in the CFG.
 func assignedVars(g *cfg.Graph) map[string]bool {
 	out := map[string]bool{}
@@ -846,7 +840,9 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	entry.st = widened
 	old.Release()
 	st.Release()
-	e.tracef("widen  %-40s %s", key, widened)
+	if e.opts.Log != nil {
+		e.logState("widened configuration", key, widened)
+	}
 	return true
 }
 

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"log/slog"
 	"strings"
 	"testing"
 
@@ -81,12 +82,13 @@ func TestMissingMatcher(t *testing.T) {
 	}
 }
 
-// Trace output narrates the exploration.
+// Debug-level logs narrate the exploration.
 func TestTraceOutput(t *testing.T) {
 	prog, _ := parser.Parse("t.mpl", fig2Src)
 	g := cfg.Build(prog)
 	var buf bytes.Buffer
-	res, err := core.Analyze(g, core.Options{Matcher: &symbolic.Matcher{}, Trace: &buf})
+	lg := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	res, err := core.Analyze(g, core.Options{Matcher: &symbolic.Matcher{}, Log: lg})
 	if err != nil || !res.Clean() {
 		t.Fatalf("%v %v", err, res.TopReasons())
 	}

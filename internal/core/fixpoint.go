@@ -130,7 +130,9 @@ func (e *engine) commit(preps []prepSucc) {
 		changed := true
 		if entry := e.entry(p.id); entry == nil {
 			e.setEntry(p.id, &tableEntry{st: p.st})
-			e.tracef("new    %-40s %s", p.key, p.st)
+			if e.opts.Log != nil {
+				e.logState("new configuration", p.key, p.st)
+			}
 		} else {
 			changed = e.reviseEntry(entry, p.st, p.key)
 		}

@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"log/slog"
 	"runtime/pprof"
 	"strconv"
 	"time"
@@ -172,6 +173,15 @@ func (e *engine) withProfileLabels(phase string, fn func()) {
 func (e *engine) logStart() {
 	if lg := e.opts.Log; lg != nil {
 		lg.Info("analysis started", "job", e.opts.TracePID, "name", e.jobLabel())
+	}
+}
+
+// logState narrates one table update at debug level. Callers check
+// Options.Log first, so the disabled hot path is one nil check; the state
+// is rendered only when a debug handler is listening.
+func (e *engine) logState(msg, key string, st *State) {
+	if lg := e.opts.Log; lg.Enabled(context.Background(), slog.LevelDebug) {
+		lg.Debug(msg, "job", e.opts.TracePID, "key", key, "state", st.String())
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/bench"
@@ -18,13 +17,13 @@ import (
 	"repro/internal/clients/cartesian"
 	"repro/internal/core"
 	"repro/internal/hsm"
+	"repro/internal/lint"
 	"repro/internal/modelcheck"
 	"repro/internal/mpicfg"
 	"repro/internal/obs"
 	"repro/internal/sym"
 	"repro/internal/topology"
 	"repro/internal/validate"
-	"repro/internal/verify"
 )
 
 // Row is one table line: a quantity, what the paper reports, and what this
@@ -453,12 +452,12 @@ func verifyExp(tr *obs.Tracer) (*Table, error) {
 	}
 	for i, w := range ws {
 		run := runs[i]
-		rep := verify.Check(run.g, run.res)
-		kinds := map[string]int{}
-		for _, f := range rep.Findings {
-			kinds[f.Kind.String()]++
+		rep := lint.Run(&lint.Target{Path: w.Name + ".mpl", G: run.g, Res: run.res}, lint.Options{})
+		codes := map[string]int{}
+		for _, d := range rep.Diags {
+			codes[d.Code]++
 		}
-		rows = append(rows, Row{w.Name, "bug detected", fmt.Sprintf("%v", kinds)})
+		rows = append(rows, Row{w.Name, "bug detected", fmt.Sprintf("%v", codes)})
 	}
 	return &Table{ID: "verify", Title: "E10: error detection (message leaks, type mismatches)", Rows: rows}, nil
 }
@@ -664,17 +663,6 @@ type SpecResult struct {
 	AllocBytes int64 `json:"alloc_bytes,omitempty"`
 }
 
-// RunSpec runs one experiment by ID with an aggregate tracer attached,
-// returning both the rendered table and the benchmark record.
-func RunSpec(id string) (*Table, *SpecResult, error) {
-	for _, s := range specs() {
-		if s.ID == id {
-			return runSpec(s)
-		}
-	}
-	return nil, nil, fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(SpecIDs(), ", "))
-}
-
 func runSpec(s Spec) (*Table, *SpecResult, error) {
 	tr := obs.NewAggregate()
 	start := time.Now()
@@ -691,61 +679,6 @@ func runSpec(s Spec) (*Table, *SpecResult, error) {
 		Rows:          len(t.Rows),
 		Phases:        tr.Totals(),
 	}, nil
-}
-
-// RunAll runs every experiment with up to parallelism specs in flight (the
-// specs are independent), returning tables and records in DESIGN.md order.
-// parallelism <= 0 selects one worker per CPU.
-func RunAll(parallelism int) ([]*Table, []*SpecResult, error) {
-	ss := specs()
-	if parallelism <= 0 {
-		parallelism = runtime.NumCPU()
-	}
-	if parallelism > len(ss) {
-		parallelism = len(ss)
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	out := make([]*Table, len(ss))
-	recs := make([]*SpecResult, len(ss))
-	errs := make([]error, len(ss))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(parallelism)
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i], recs[i], errs[i] = runSpec(ss[i])
-			}
-		}()
-	}
-	for i := range ss {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return out, recs, nil
-}
-
-// All runs every experiment in DESIGN.md order.
-func All() ([]*Table, error) {
-	tables, _, err := RunAll(1)
-	return tables, err
-}
-
-// AllParallel regenerates every experiment with up to parallelism specs in
-// flight, returning tables in the usual order. parallelism <= 0 selects one
-// worker per CPU.
-func AllParallel(parallelism int) ([]*Table, error) {
-	tables, _, err := RunAll(parallelism)
-	return tables, err
 }
 
 func yesNo(b bool) string {

@@ -6,14 +6,15 @@ import (
 )
 
 func TestAllExperimentsSucceed(t *testing.T) {
-	tables, err := All()
+	ss, err := RunSampled(nil, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 13 {
-		t.Fatalf("tables = %d, want 13", len(tables))
+	if len(ss) != 13 {
+		t.Fatalf("tables = %d, want 13", len(ss))
 	}
-	for _, tb := range tables {
+	for _, s := range ss {
+		tb := s.Table
 		if len(tb.Rows) == 0 {
 			t.Errorf("%s: empty table", tb.ID)
 		}
@@ -26,6 +27,21 @@ func TestAllExperimentsSucceed(t *testing.T) {
 			if strings.HasPrefix(r.Measured, "NO") {
 				t.Errorf("%s: row %q failed: %s", tb.ID, r.Name, r.Measured)
 			}
+		}
+	}
+}
+
+// An unknown spec id is reported in argument order with the known ids
+// listed, however many unknown ids there are.
+func TestUnknownSpecErrorDeterministic(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		_, err := RunSampled([]string{"fig2", "nopeA", "nopeB", "nopeC"}, 1, 1)
+		if err == nil {
+			t.Fatal("unknown spec ids accepted")
+		}
+		want := `unknown experiment "nopeA" (have ` + strings.Join(SpecIDs(), ", ") + ")"
+		if err.Error() != want {
+			t.Fatalf("error = %q, want %q", err, want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/obs"
@@ -13,12 +14,15 @@ import (
 
 // SampledSpec is the multi-sample timing measurement of one experiment
 // spec: the raw wall-clock of each repetition plus the obs phase breakdown
-// captured by the final one. `psdf bench record` turns these into the
-// per-spec timing blocks of a benchhist history entry.
+// and table captured by the final one. `psdf bench record` turns these into
+// the per-spec timing blocks of a benchhist history entry; `psdf bench run`
+// prints the tables and writes each spec's Record.
 type SampledSpec struct {
 	ID     string
 	Title  string
 	WallNs []int64
+	// Table is the rendered experiment of the last sample.
+	Table *Table
 	// Phases is the aggregate phase breakdown of the last sample (one
 	// representative breakdown is enough: phase shares are stable across
 	// repetitions; the wall-clock samples carry the variance).
@@ -65,7 +69,7 @@ func RunSampled(ids []string, samples, parallelism int) ([]*SampledSpec, error) 
 		if rep == 0 && samples > 1 {
 			stage = "warmup"
 		}
-		recs, errs := runSpecsOnce(selected, parallelism, stage, rep)
+		tables, recs, errs := runSpecsOnce(selected, parallelism, stage, rep)
 		for i, err := range errs {
 			// No retries: the analysis is deterministic, so a spec failure
 			// is a real regression and must abort the record immediately.
@@ -73,6 +77,7 @@ func RunSampled(ids []string, samples, parallelism int) ([]*SampledSpec, error) 
 				return nil, fmt.Errorf("sample %d of %s: %w", rep+1, selected[i].ID, err)
 			}
 			out[i].Title = recs[i].Title
+			out[i].Table = tables[i]
 			out[i].WallNs = append(out[i].WallNs, recs[i].WallNs)
 			out[i].Phases = recs[i].Phases
 			if recs[i].Allocs > 0 {
@@ -91,8 +96,24 @@ func RunSampled(ids []string, samples, parallelism int) ([]*SampledSpec, error) 
 	return out, nil
 }
 
+// Record is the BENCH_<spec>.json record of the last sample, carrying the
+// mean allocation counts.
+func (s *SampledSpec) Record() *SpecResult {
+	return &SpecResult{
+		SchemaVersion: BenchSchemaVersion,
+		Spec:          s.ID,
+		Title:         s.Title,
+		WallNs:        s.WallNs[len(s.WallNs)-1],
+		Rows:          len(s.Table.Rows),
+		Phases:        s.Phases,
+		Allocs:        s.AllocsPerOp,
+		AllocBytes:    s.BytesPerOp,
+	}
+}
+
 // selectSpecs resolves spec ids against the registry, preserving registry
-// order and rejecting unknown ids. nil/empty selects everything.
+// order. nil/empty selects everything. An unknown id is an error naming the
+// first one in argument order.
 func selectSpecs(ids []string) ([]Spec, error) {
 	all := specs()
 	if len(ids) == 0 {
@@ -109,17 +130,20 @@ func selectSpecs(ids []string) ([]Spec, error) {
 			delete(want, s.ID)
 		}
 	}
-	for id := range want {
-		return nil, fmt.Errorf("unknown experiment %q", id)
+	for _, id := range ids {
+		if want[id] {
+			return nil, fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(SpecIDs(), ", "))
+		}
 	}
 	return out, nil
 }
 
 // runSpecsOnce runs each selected spec once with up to parallelism specs in
-// flight (<= 0 selects one per CPU), returning per-spec records and errors
-// positionally. stage/rep become pprof goroutine labels on each spec run
-// (stage "" omits the labels).
-func runSpecsOnce(selected []Spec, parallelism int, stage string, rep int) ([]*SpecResult, []error) {
+// flight (<= 0 selects one per CPU), returning per-spec tables, records and
+// errors positionally. stage/rep become pprof goroutine labels on each spec
+// run.
+func runSpecsOnce(selected []Spec, parallelism int, stage string, rep int) ([]*Table, []*SpecResult, []error) {
+	tables := make([]*Table, len(selected))
 	recs := make([]*SpecResult, len(selected))
 	errs := make([]error, len(selected))
 	if parallelism <= 0 {
@@ -145,19 +169,15 @@ func runSpecsOnce(selected []Spec, parallelism int, stage string, rep int) ([]*S
 						// attributable to a spec when nothing else runs.
 						var m0, m1 runtime.MemStats
 						runtime.ReadMemStats(&m0)
-						_, recs[i], errs[i] = runSpec(selected[i])
+						tables[i], recs[i], errs[i] = runSpec(selected[i])
 						runtime.ReadMemStats(&m1)
 						if recs[i] != nil {
 							recs[i].Allocs = int64(m1.Mallocs - m0.Mallocs)
 							recs[i].AllocBytes = int64(m1.TotalAlloc - m0.TotalAlloc)
 						}
 					} else {
-						_, recs[i], errs[i] = runSpec(selected[i])
+						tables[i], recs[i], errs[i] = runSpec(selected[i])
 					}
-				}
-				if stage == "" {
-					run()
-					continue
 				}
 				// Label construction happens before the MemStats window
 				// opens inside run, so the handful of label-set allocations
@@ -174,5 +194,5 @@ func runSpecsOnce(selected []Spec, parallelism int, stage string, rep int) ([]*S
 	}
 	close(idx)
 	wg.Wait()
-	return recs, errs
+	return tables, recs, errs
 }

@@ -42,7 +42,7 @@ func TestTraceCheckMalformedInput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build skipped in -short mode")
 	}
-	bin := buildTool(t, "psdf")
+	bin := buildPsdf(t)
 	dir := t.TempDir()
 	cases := []struct {
 		name string
@@ -86,7 +86,7 @@ func TestBenchHistoryCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build skipped in -short mode")
 	}
-	bin := buildTool(t, "psdf")
+	bin := buildPsdf(t)
 	hist := filepath.Join(t.TempDir(), "hist.jsonl")
 
 	// Two records at two "commits". -exp keeps the suite small and fast;
@@ -148,7 +148,7 @@ func TestBenchHistoryCLIMalformed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build skipped in -short mode")
 	}
-	bin := buildTool(t, "psdf")
+	bin := buildPsdf(t)
 	dir := t.TempDir()
 
 	valid, err := json.Marshal(map[string]any{

@@ -8,17 +8,29 @@ import (
 	"testing"
 )
 
-// buildTool compiles one of the repo's commands into a temp dir.
-func buildTool(t *testing.T, name string) string {
+// buildPsdf compiles the psdf command into a temp dir.
+func buildPsdf(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), name)
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
+	bin := filepath.Join(t.TempDir(), "psdf")
+	cmd := exec.Command("go", "build", "-o", bin, "./cmd/psdf")
 	cmd.Dir = repoRoot(t)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		t.Fatalf("build %s: %v\n%s", name, err, out)
+		t.Fatalf("build psdf: %v\n%s", err, out)
 	}
 	return bin
+}
+
+// exitCode is the exit status of a finished command (0 on success, -1 when
+// it did not run).
+func exitCode(err error) int {
+	if err == nil {
+		return 0
+	}
+	if ee, ok := err.(*exec.ExitError); ok {
+		return ee.ExitCode()
+	}
+	return -1
 }
 
 func repoRoot(t *testing.T) string {
@@ -43,7 +55,7 @@ func TestCLIPsdfOnTestdata(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build skipped in -short mode")
 	}
-	bin := buildTool(t, "psdf")
+	bin := buildPsdf(t)
 	root := repoRoot(t)
 	cases := []struct {
 		file string
@@ -51,13 +63,13 @@ func TestCLIPsdfOnTestdata(t *testing.T) {
 		want []string
 		fail bool
 	}{
-		{"mdcask.mpl", nil, []string{"exchange-with-root", "verify: ok"}, false},
+		{"mdcask.mpl", nil, []string{"exchange-with-root", "lint: ok"}, false},
 		{"shift1d.mpl", nil, []string{"topology: shift", "[1..np - 3]"}, false},
 		{"exchange.mpl", nil, []string{"always outputs 5"}, false},
 		{"fanout.mpl", []string{"-stats"}, []string{"broadcast", "stats:"}, false},
 		{"nascg_square.mpl", nil, []string{"permutation"}, false},
 		{"nascg_rect.mpl", nil, []string{"permutation"}, false},
-		{"leaky.mpl", nil, []string{"message-leak"}, true},
+		{"leaky.mpl", nil, []string{"PSDF-E001"}, true},
 		{"sendfirst_shift.mpl", []string{"-nonblocking"}, []string{"topology: shift"}, false},
 		{"mdcask.mpl", []string{"-client", "symbolic"}, []string{"exchange-with-root"}, false},
 		{"mdcask.mpl", []string{"-backend", "map"}, []string{"exchange-with-root"}, false},
@@ -80,37 +92,100 @@ func TestCLIPsdfOnTestdata(t *testing.T) {
 			}
 		}
 	}
+	// Several programs: one report each, under an "== path ==" header.
+	a, b := filepath.Join(root, "testdata", "exchange.mpl"), filepath.Join(root, "testdata", "shift1d.mpl")
+	out, err := exec.Command(bin, "-parallel", "2", a, b).CombinedOutput()
+	if err != nil {
+		t.Fatalf("psdf two programs: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "== "+a+" ==\n") || !strings.Contains(string(out), "== "+b+" ==\n") ||
+		strings.Count(string(out), "lint: ok") != 2 {
+		t.Errorf("psdf two programs output:\n%s", out)
+	}
+	// Unknown -client and -backend are usage errors, checked before any
+	// program is read.
+	missing := filepath.Join(root, "testdata", "missing.mpl")
+	for _, args := range [][]string{{"-client", "bogus", missing}, {"-backend", "bogus", missing}} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if code := exitCode(err); code != 2 {
+			t.Errorf("psdf %v: exit %d, want 2\n%s", args, code, out)
+		}
+		if !strings.Contains(string(out), "bogus") {
+			t.Errorf("psdf %v: output does not name the bad value:\n%s", args, out)
+		}
+	}
 }
 
+// TestCLIPsdfExitFollowsLint checks the bare form's exit policy on every
+// testdata program: 1 exactly when `psdf lint` reports an error-severity
+// finding (every program here analyzes without error).
+func TestCLIPsdfExitFollowsLint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI build skipped in -short mode")
+	}
+	bin := buildPsdf(t)
+	root := repoRoot(t)
+	var paths []string
+	for _, pat := range []string{"*.mpl", "bugs/*.mpl"} {
+		ps, err := filepath.Glob(filepath.Join(root, "testdata", pat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, ps...)
+	}
+	if len(paths) < 10 {
+		t.Fatalf("only %d testdata programs found", len(paths))
+	}
+	for _, path := range paths {
+		var flags []string
+		if filepath.Base(path) == "sendfirst_shift.mpl" {
+			flags = []string{"-nonblocking"}
+		}
+		out, err := exec.Command(bin, append(flags, path)...).CombinedOutput()
+		got := exitCode(err)
+		lintOut, lintErr := exec.Command(bin, append(append([]string{"lint"}, flags...), path)...).CombinedOutput()
+		want := exitCode(lintErr)
+		if got != want || got > 1 {
+			t.Errorf("%s: psdf exit %d, psdf lint exit %d\n%s\n%s", filepath.Base(path), got, want, out, lintOut)
+		}
+	}
+	// The tag mismatch analyzes cleanly but is an error-severity finding.
+	out, err := exec.Command(bin, filepath.Join(root, "testdata", "bugs", "tag_mismatch.mpl")).CombinedOutput()
+	if code := exitCode(err); code != 1 || !strings.Contains(string(out), "PSDF-E003") {
+		t.Errorf("psdf tag_mismatch.mpl: exit %d, want 1 with PSDF-E003:\n%s", code, out)
+	}
+}
+
+// TestCLIPsdfRun runs programs on the concrete simulator (`psdf sim`).
 func TestCLIPsdfRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build skipped in -short mode")
 	}
-	bin := buildTool(t, "psdf-run")
+	bin := buildPsdf(t)
 	root := repoRoot(t)
-	out, err := exec.Command(bin, "-np", "5", filepath.Join(root, "testdata", "mdcask.mpl")).CombinedOutput()
+	out, err := exec.Command(bin, "sim", "-np", "5", filepath.Join(root, "testdata", "mdcask.mpl")).CombinedOutput()
 	if err != nil {
-		t.Fatalf("psdf-run: %v\n%s", err, out)
+		t.Fatalf("psdf sim: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "messages=8") {
-		t.Errorf("psdf-run output:\n%s", out)
+		t.Errorf("psdf sim output:\n%s", out)
 	}
 	// Transpose with env bindings.
-	out, err = exec.Command(bin, "-np", "9", "-env", "nrows=3",
+	out, err = exec.Command(bin, "sim", "-np", "9", "-env", "nrows=3",
 		filepath.Join(root, "testdata", "nascg_square.mpl")).CombinedOutput()
 	if err != nil {
-		t.Fatalf("psdf-run transpose: %v\n%s", err, out)
+		t.Fatalf("psdf sim transpose: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "messages=9") {
-		t.Errorf("psdf-run transpose output:\n%s", out)
+		t.Errorf("psdf sim transpose output:\n%s", out)
 	}
 	// The leaky program reports the leak but exits zero (no deadlock).
-	out, err = exec.Command(bin, "-np", "4", filepath.Join(root, "testdata", "leaky.mpl")).CombinedOutput()
+	out, err = exec.Command(bin, "sim", "-np", "4", filepath.Join(root, "testdata", "leaky.mpl")).CombinedOutput()
 	if err != nil {
-		t.Fatalf("psdf-run leaky: %v\n%s", err, out)
+		t.Fatalf("psdf sim leaky: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "LEAKED") {
-		t.Errorf("psdf-run leaky output:\n%s", out)
+		t.Errorf("psdf sim leaky output:\n%s", out)
 	}
 }
 
@@ -118,17 +193,17 @@ func TestCLIPsdfBenchSingleExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build skipped in -short mode")
 	}
-	bin := buildTool(t, "psdf-bench")
+	bin := buildPsdf(t)
 	dir := t.TempDir()
-	cmd := exec.Command(bin, "-exp", "table1")
+	cmd := exec.Command(bin, "bench", "run", "-exp", "table1")
 	cmd.Dir = dir
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		t.Fatalf("psdf-bench: %v\n%s", err, out)
+		t.Fatalf("psdf bench run: %v\n%s", err, out)
 	}
 	for _, w := range []string{"Table I", "paper", "measured", "yes", "wrote BENCH_table1.json"} {
 		if !strings.Contains(string(out), w) {
-			t.Errorf("psdf-bench output missing %q:\n%s", w, out)
+			t.Errorf("psdf bench run output missing %q:\n%s", w, out)
 		}
 	}
 	// The machine-readable record lands in the working directory with the
@@ -143,36 +218,35 @@ func TestCLIPsdfBenchSingleExperiment(t *testing.T) {
 		}
 	}
 	// Unknown experiment id exits nonzero.
-	if _, err := exec.Command(bin, "-exp", "nope").CombinedOutput(); err == nil {
+	if _, err := exec.Command(bin, "bench", "run", "-exp", "nope").CombinedOutput(); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
-// TestCLITraceWorkflow drives the full observability loop: psdf-run
-// -analyze -trace writes a Chrome trace and a metrics snapshot, and `psdf
-// trace` summarizes and validates the trace.
+// TestCLITraceWorkflow drives the full observability loop: psdf -trace
+// writes a Chrome trace and a metrics snapshot, and `psdf trace` summarizes
+// and validates the trace.
 func TestCLITraceWorkflow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build skipped in -short mode")
 	}
-	runBin := buildTool(t, "psdf-run")
-	psdfBin := buildTool(t, "psdf")
+	psdfBin := buildPsdf(t)
 	root := repoRoot(t)
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "trace.json")
 	jsonl := filepath.Join(dir, "trace.jsonl")
 	metrics := filepath.Join(dir, "metrics.prom")
 
-	out, err := exec.Command(runBin, "-analyze",
+	out, err := exec.Command(psdfBin, "-stats",
 		"-trace", trace, "-trace-jsonl", jsonl, "-metrics-out", metrics,
 		filepath.Join(root, "testdata", "nascg_square.mpl"),
 		filepath.Join(root, "testdata", "mdcask.mpl")).CombinedOutput()
 	if err != nil {
-		t.Fatalf("psdf-run -trace: %v\n%s", err, out)
+		t.Fatalf("psdf -trace: %v\n%s", err, out)
 	}
 	for _, w := range []string{"phases:", "match-memo:", "hit rate"} {
 		if !strings.Contains(string(out), w) {
-			t.Errorf("psdf-run output missing %q:\n%s", w, out)
+			t.Errorf("psdf output missing %q:\n%s", w, out)
 		}
 	}
 	prom, err := os.ReadFile(metrics)
@@ -232,7 +306,7 @@ func TestCLIPsdfLint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build skipped in -short mode")
 	}
-	bin := buildTool(t, "psdf")
+	bin := buildPsdf(t)
 	root := repoRoot(t)
 	bugs := []struct {
 		file string
@@ -298,35 +372,73 @@ func TestCLIPsdfLint(t *testing.T) {
 	} else if ee, ok := err.(*exec.ExitError); ok && ee.ExitCode() != 2 {
 		t.Errorf("psdf lint -format yaml exit = %d, want 2", ee.ExitCode())
 	}
+	// So is an unknown client, whatever the files are.
+	out, err = exec.Command(bin, "lint", "-client", "bogus",
+		filepath.Join(root, "testdata", "missing.mpl")).CombinedOutput()
+	if code := exitCode(err); code != 2 || !strings.Contains(string(out), `"bogus"`) {
+		t.Errorf("psdf lint -client bogus: exit %d, want 2 naming the client:\n%s", code, out)
+	}
 }
 
-// TestCLIPsdfRunFailOnFindings covers the flag-gated nonzero exits.
+// TestCLIPsdfRunFailOnFindings covers the nonzero exits on findings: the
+// simulator's flag-gated one and the analysis's lint-driven one.
 func TestCLIPsdfRunFailOnFindings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build skipped in -short mode")
 	}
-	bin := buildTool(t, "psdf-run")
+	bin := buildPsdf(t)
 	root := repoRoot(t)
 	leaky := filepath.Join(root, "testdata", "leaky.mpl")
 	// Without the flag the leaky simulation exits zero...
-	if out, err := exec.Command(bin, "-np", "4", leaky).CombinedOutput(); err != nil {
-		t.Fatalf("psdf-run leaky: %v\n%s", err, out)
+	if out, err := exec.Command(bin, "sim", "-np", "4", leaky).CombinedOutput(); err != nil {
+		t.Fatalf("psdf sim leaky: %v\n%s", err, out)
 	}
 	// ...with it, the leak is fatal.
-	if _, err := exec.Command(bin, "-np", "4", "-fail-on-findings", leaky).CombinedOutput(); err == nil {
-		t.Error("psdf-run -fail-on-findings ignored a leak")
+	if _, err := exec.Command(bin, "sim", "-np", "4", "-fail-on-findings", leaky).CombinedOutput(); err == nil {
+		t.Error("psdf sim -fail-on-findings ignored a leak")
 	}
-	// Analyze mode: clean program passes, leak fails.
-	if out, err := exec.Command(bin, "-analyze", "-fail-on-findings",
-		filepath.Join(root, "testdata", "mdcask.mpl")).CombinedOutput(); err != nil {
-		t.Errorf("psdf-run -analyze clean: %v\n%s", err, out)
+	// Analysis: clean program passes, leak fails.
+	if out, err := exec.Command(bin, filepath.Join(root, "testdata", "mdcask.mpl")).CombinedOutput(); err != nil {
+		t.Errorf("psdf clean: %v\n%s", err, out)
 	}
-	out, err := exec.Command(bin, "-analyze", "-fail-on-findings",
-		filepath.Join(root, "testdata", "bugs", "leak_extra.mpl")).CombinedOutput()
+	out, err := exec.Command(bin, filepath.Join(root, "testdata", "bugs", "leak_extra.mpl")).CombinedOutput()
 	if err == nil {
-		t.Error("psdf-run -analyze -fail-on-findings ignored a leak")
+		t.Error("psdf ignored a leak")
 	}
-	if !strings.Contains(string(out), "FINDING") {
-		t.Errorf("psdf-run -analyze findings not printed:\n%s", out)
+	if !strings.Contains(string(out), "PSDF-E001") {
+		t.Errorf("psdf findings not printed:\n%s", out)
+	}
+}
+
+// TestCLIProfileFlow captures a source-attribution profile over two
+// programs, validates it, and renders it as a listing and as folded stacks.
+func TestCLIProfileFlow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI build skipped in -short mode")
+	}
+	bin := buildPsdf(t)
+	root := repoRoot(t)
+	report := filepath.Join(t.TempDir(), "p.json")
+	out, err := exec.Command(bin, "-profile-out", report,
+		filepath.Join(root, "testdata", "mdcask.mpl"),
+		filepath.Join(root, "testdata", "nascg_square.mpl")).CombinedOutput()
+	if err != nil {
+		t.Fatalf("psdf -profile-out: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "profile: 2 report(s)") {
+		t.Errorf("psdf -profile-out output:\n%s", out)
+	}
+	out, err = exec.Command(bin, "profile", "-check", report).CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "2 report(s) valid") {
+		t.Errorf("psdf profile -check: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{{"profile", report}, {"profile", "-format", "folded", report}} {
+		out, err := exec.Command(bin, args...).Output()
+		if err != nil {
+			t.Errorf("psdf %v: %v", args, err)
+		}
+		if len(strings.TrimSpace(string(out))) == 0 {
+			t.Errorf("psdf %v: empty render", args)
+		}
 	}
 }

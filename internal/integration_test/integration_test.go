@@ -1,5 +1,5 @@
 // Package integration_test runs the full pipeline — parse, analyze,
-// classify, verify, and validate against the simulator — over every
+// classify, lint, and validate against the simulator — over every
 // workload in the benchmark suite.
 package integration_test
 
@@ -7,14 +7,17 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/bench"
+	"repro/internal/cfg"
 	"repro/internal/clients/cartesian"
 	"repro/internal/core"
+	"repro/internal/diag"
+	"repro/internal/lint"
 	"repro/internal/modelcheck"
 	"repro/internal/mpicfg"
 	"repro/internal/topology"
 	"repro/internal/validate"
-	"repro/internal/verify"
 )
 
 func scalesFor(w *bench.Workload) []int {
@@ -24,11 +27,16 @@ func scalesFor(w *bench.Workload) []int {
 	return []int{4, 7}
 }
 
+// lintWorkload runs the lint passes over a workload's completed analysis.
+func lintWorkload(w *bench.Workload, prog *ast.Program, g *cfg.Graph, res *core.Result) *lint.Report {
+	return lint.Run(&lint.Target{Path: w.Name + ".mpl", Prog: prog, File: prog.File, G: g, Res: res}, lint.Options{})
+}
+
 func TestFullPipelineOnAllWorkloads(t *testing.T) {
 	for _, w := range bench.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			_, g := w.Parse()
+			prog, g := w.Parse()
 			m := cartesian.New(core.ScanInvariants(g))
 			res, err := core.Analyze(g, core.Options{Matcher: m})
 			if err != nil {
@@ -42,10 +50,9 @@ func TestFullPipelineOnAllWorkloads(t *testing.T) {
 			if rep.Overall.String() != w.WantPattern {
 				t.Errorf("pattern = %v, want %v\n%s", rep.Overall, w.WantPattern, rep)
 			}
-			// No verification findings on correct programs.
-			vr := verify.Check(g, res)
-			if !vr.OK() {
-				t.Errorf("verify findings on clean program:\n%s", vr)
+			// No lint findings on correct programs.
+			if rep := lintWorkload(w, prog, g, res); len(rep.Diags) > 0 {
+				t.Errorf("lint findings on clean program: %+v", rep.Diags)
 			}
 			// Static topology matches concrete ground truth at each scale.
 			for _, scale := range scalesFor(w) {
@@ -129,38 +136,24 @@ func TestModelCheckAgreesWithAnalysis(t *testing.T) {
 }
 
 func TestVerifyFindsInjectedBugs(t *testing.T) {
-	// E10: the verification client reports the leak and the type mismatch.
-	_, g := bench.LeakyBroadcast().Parse()
-	m := cartesian.New(core.ScanInvariants(g))
-	res, err := core.Analyze(g, core.Options{Matcher: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := verify.Check(g, res)
-	found := false
-	for _, f := range rep.Findings {
-		if f.Kind == verify.MessageLeak || f.Kind == verify.PotentialDeadlock || f.Kind == verify.AnalysisIncomplete {
-			found = true
+	// E10: the lint passes report the leak and the type mismatch.
+	codes := func(w *bench.Workload) map[string]int {
+		prog, g := w.Parse()
+		m := cartesian.New(core.ScanInvariants(g))
+		res, err := core.Analyze(g, core.Options{Matcher: m})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Errorf("leak not reported:\n%s", rep)
-	}
-
-	_, g = bench.TypeMismatch().Parse()
-	m = cartesian.New(core.ScanInvariants(g))
-	res, err = core.Analyze(g, core.Options{Matcher: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep = verify.Check(g, res)
-	foundTM := false
-	for _, f := range rep.Findings {
-		if f.Kind == verify.TypeMismatch {
-			foundTM = true
+		out := map[string]int{}
+		for _, d := range lintWorkload(w, prog, g, res).Diags {
+			out[d.Code]++
 		}
+		return out
 	}
-	if !foundTM {
-		t.Errorf("type mismatch not reported:\n%s", rep)
+	if c := codes(bench.LeakyBroadcast()); c[diag.CodeMessageLeak]+c[diag.CodeDeadlock]+c[diag.CodeAnalysisGaveUp] == 0 {
+		t.Errorf("leak not reported: %v", c)
+	}
+	if c := codes(bench.TypeMismatch()); c[diag.CodeTagMismatch] == 0 {
+		t.Errorf("type mismatch not reported: %v", c)
 	}
 }

@@ -208,3 +208,95 @@ func TestPassesRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestErrorDetectionCases runs the communication-error cases under both
+// client analyses, expecting exactly one finding per buggy program: an
+// orphan receive deadlocks, an orphan send leaks,
+// mismatched tags on a matched pair are flagged at the send with the
+// receive as related location, and correct exchanges (matching tags, a
+// one-sided tag, no tags) produce no diagnostics at all.
+func TestErrorDetectionCases(t *testing.T) {
+	cases := []struct {
+		name string
+		src  string
+		code string // expected finding; "" expects no diagnostics
+	}{
+		{"CleanProgram", `
+assume np >= 3
+if id == 0 then
+  send x -> 1
+elif id == 1 then
+  recv y <- 0
+end`, ""},
+		{"OrphanRecvIsDeadlock", `
+assume np >= 2
+if id == 0 then
+  recv y <- 1
+end`, diag.CodeDeadlock},
+		{"OrphanSendIsLeak", `
+assume np >= 2
+if id == 0 then
+  send x -> 1
+end`, diag.CodeMessageLeak},
+		{"TypeMismatchOnMatchedPair", `
+assume np >= 2
+if id == 0 then
+  send x -> 1 : halo
+elif id == 1 then
+  recv y <- 0 : data
+end`, diag.CodeTagMismatch},
+		{"MatchingTagsAreFine", `
+assume np >= 2
+if id == 0 then
+  send x -> 1 : halo
+elif id == 1 then
+  recv y <- 0 : halo
+end`, ""},
+		{"UntaggedPairsNotFlagged", `
+assume np >= 2
+if id == 0 then
+  send x -> 1 : halo
+elif id == 1 then
+  recv y <- 0
+end`, ""},
+	}
+	clients := []struct {
+		name string
+		opts core.Options
+	}{
+		{"cartesian", core.Options{}},
+		{"symbolic", core.Options{Matcher: &symbolic.Matcher{}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, cl := range clients {
+				tgt, err := lint.Load("t.mpl", c.src, cl.opts)
+				if err != nil {
+					t.Fatalf("%s: load: %v", cl.name, err)
+				}
+				rep := lint.Run(tgt, lint.Options{})
+				if c.code == "" {
+					if len(rep.Diags) > 0 {
+						t.Errorf("%s: findings on a correct program:\n%s", cl.name, render(tgt, rep))
+					}
+					continue
+				}
+				if len(rep.Diags) != 1 || rep.Diags[0].Code != c.code {
+					t.Errorf("%s: want exactly one %s finding:\n%s", cl.name, c.code, render(tgt, rep))
+					continue
+				}
+				found := rep.Diags[0]
+				switch c.code {
+				case diag.CodeMessageLeak:
+					if !strings.Contains(found.Message, "never received") {
+						t.Errorf("%s: leak message = %q", cl.name, found.Message)
+					}
+				case diag.CodeTagMismatch:
+					if len(found.Related) != 1 || !strings.Contains(tgt.File.Line(found.Related[0].Span.Start.Line), "recv") {
+						t.Errorf("%s: tag mismatch does not point at the receive: %+v", cl.name, found.Related)
+					}
+				}
+			}
+		})
+	}
+}

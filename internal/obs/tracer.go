@@ -138,7 +138,7 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer that retains every span for export (full
-// tracing mode, used by psdf-run -trace).
+// tracing mode, used by psdf -trace).
 func NewTracer() *Tracer {
 	t := &Tracer{epoch: time.Now(), retain: true}
 	t.clock = func() time.Duration { return time.Since(t.epoch) }
