@@ -22,13 +22,16 @@
 // Its observability flags only observe; results are byte-identical with
 // them on or off. -trace writes a Chrome trace-event file (Perfetto, or
 // `psdf trace`), -trace-jsonl the same spans as JSON lines; -metrics and
-// -metrics-out render the metrics registry as Prometheus text; -log debug
-// narrates the fixpoint. -http serves /metrics, /statusz,
+// -metrics-out render the final progress snapshot as Prometheus text;
+// -log debug narrates the fixpoint. -http serves /metrics, /statusz,
 // /statusz/stream, /flightz and /debug/pprof during the run (with
 // -http-linger, until POST /quitquitquit). -stall-timeout arms a
-// no-progress watchdog that dumps the flight recorder to -stall-dump, and
-// -force-stall fires it deterministically. -profile-out writes the
-// source-attribution profile as psdf-profile/1 JSON for `psdf profile`.
+// no-progress watchdog that dumps the retained trace events to
+// -stall-dump as trace JSON lines, and -force-stall fires it
+// deterministically; without -trace each job keeps its last
+// -flight-buffer events in a ring for these dumps and /flightz.
+// -profile-out writes the source-attribution profile as psdf-profile/1
+// JSON for `psdf profile`.
 //
 // The subcommands: lint renders the same diagnostics as text, JSON or
 // SARIF; sim executes one program on the concrete simulator (the ground
@@ -146,14 +149,14 @@ func runAnalyze(args []string) int {
 	fs.IntVar(&c.parallel, "parallel", 0, "analyses in flight (0 = one per CPU, 1 = sequential)")
 	fs.StringVar(&c.traceOut, "trace", "", "write a Chrome trace-event file (Perfetto-loadable)")
 	fs.StringVar(&c.traceJSONL, "trace-jsonl", "", "write the span trace as JSON lines")
-	fs.BoolVar(&c.metrics, "metrics", false, "print the metrics registry (Prometheus text) after the run")
-	fs.StringVar(&c.metricsOut, "metrics-out", "", "write the metrics registry to this file")
-	fs.StringVar(&c.httpAddr, "http", "", "serve the introspection mux (/metrics, /statusz, /statusz/stream, /flightz, /debug/pprof) on this address during the run")
+	fs.BoolVar(&c.metrics, "metrics", false, "print the final progress snapshot (the /statusz counters) as Prometheus text after the run")
+	fs.StringVar(&c.metricsOut, "metrics-out", "", "write the final progress snapshot as Prometheus text to this file")
+	fs.StringVar(&c.httpAddr, "http", "", "serve the introspection mux during the run: /statusz, /statusz/stream and /metrics (the progress snapshot as JSON, SSE and Prometheus text), /flightz (the retained trace events as JSON lines) and /debug/pprof")
 	fs.BoolVar(&c.httpLinger, "http-linger", false, "with -http: keep the listener serving after the analyses finish (POST /quitquitquit to exit)")
-	fs.DurationVar(&c.stallTO, "stall-timeout", 0, "per-analysis no-progress watchdog deadline (0 disables); firing dumps the flight recorder")
-	fs.StringVar(&c.stallDump, "stall-dump", "", "write flight-recorder dumps to this file (default stderr)")
+	fs.DurationVar(&c.stallTO, "stall-timeout", 0, "per-analysis no-progress watchdog deadline (0 disables); firing dumps the retained trace events")
+	fs.StringVar(&c.stallDump, "stall-dump", "", "write stall and step-budget dumps (trace JSON lines) to this file (default stderr)")
 	fs.BoolVar(&c.forceStall, "force-stall", false, "hold each analysis open until its stall watchdog fires (smoke-tests the stall path; requires -stall-timeout)")
-	fs.IntVar(&c.flightBuf, "flight-buffer", 4096, "flight-recorder ring capacity in events")
+	fs.IntVar(&c.flightBuf, "flight-buffer", 4096, "without -trace: trace events each job keeps (its most recent) for -stall-timeout dumps and /flightz")
 	fs.BoolVar(&c.pprofLabels, "pprof-labels", false, "attach pprof goroutine labels (job, phase) to analysis goroutines and the HSM prover")
 	fs.StringVar(&c.profileOut, "profile-out", "", "profile each analysis and write the combined source-attribution report as psdf-profile/1 JSON (render with `psdf profile`)")
 	lf := addLogFlags(fs)
@@ -217,25 +220,29 @@ func runAnalyze(args []string) int {
 // analyze runs every program through core.AnalyzeAll and prints each
 // report. It reports whether an analysis failed or lint found an
 // error-severity finding. Every job gets its own matcher (matcher
-// instrumentation and memo tables are not race-safe to share); the tracer
-// and metrics registry are shared (race-safe), with per-job pid/label
-// attribution.
+// instrumentation and memo tables are not race-safe to share); the -trace
+// tracer and the progress tracker are shared (race-safe), with per-job
+// pid/label attribution.
 func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger) (failed bool, err error) {
 	var tracer *obs.Tracer
 	if c.traceOut != "" || c.traceJSONL != "" {
 		tracer = obs.NewTracer()
 	}
-	var reg *obs.Registry
-	if c.metrics || c.metricsOut != "" || c.httpAddr != "" {
-		reg = obs.NewRegistry()
-	}
 	var tracker *obs.ProgressTracker
-	if c.httpAddr != "" {
+	if c.metrics || c.metricsOut != "" || c.httpAddr != "" {
 		tracker = obs.NewProgressTracker()
 	}
-	var rec *obs.FlightRecorder
-	if c.stallTO > 0 || c.httpAddr != "" {
-		rec = obs.NewFlightRecorder(c.flightBuf)
+	// Dumps and /flightz read the shared -trace tracer, which then holds
+	// the whole trace, or else one ring per job. A ring shared across jobs
+	// would wrap over every job's events, and -stats reads each job's
+	// phase totals from its own tracer.
+	var flight []*obs.Tracer
+	if tracer != nil {
+		flight = []*obs.Tracer{tracer}
+	} else if c.stallTO > 0 || c.httpAddr != "" {
+		for range progs {
+			flight = append(flight, obs.NewRing(c.flightBuf))
+		}
 	}
 	// The watchdog's stall dump goes to -stall-dump (created up front so a
 	// dump mid-run cannot fail on open) or stderr.
@@ -258,7 +265,7 @@ func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger
 			var once sync.Once
 			quit = func() { once.Do(func() { close(quitCh) }) }
 		}
-		mux := obs.NewHTTPMux(reg, tracker, rec, quit)
+		mux := obs.NewHTTPMux(tracker, flight, quit)
 		go func() {
 			if err := http.ListenAndServe(c.httpAddr, mux); err != nil {
 				fmt.Fprintln(os.Stderr, "psdf: http:", err)
@@ -272,15 +279,16 @@ func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger
 	cgStats := make([]*cg.Stats, len(progs))
 	laneNames := map[int]string{}
 	for i, p := range progs {
+		jobTracer := tracer
+		if jobTracer == nil && flight != nil {
+			jobTracer = flight[i]
+		}
 		if c.client == "symbolic" {
 			matchers[i] = &symbolic.Matcher{}
 		} else {
 			m := cartesian.New(core.ScanInvariants(p.g))
-			m.SetObs(tracer, i+1)
+			m.SetObs(jobTracer, i+1)
 			m.Prover().ProfileLabels = c.pprofLabels
-			if reg != nil {
-				core.RegisterMatchMemoMetrics(reg, m.Memo(), p.path)
-			}
 			matchers[i] = m
 		}
 		// One profiler per job: commits are per-analysis, and merging across
@@ -298,13 +306,11 @@ func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger
 			CGOpts:           cg.Options{Backend: backends[c.backend], Stats: cgStats[i]},
 			NonBlockingSends: c.nonblocking,
 			RecordCommBounds: true,
-			Tracer:           tracer,
-			Metrics:          reg,
+			Tracer:           jobTracer,
 			TracePID:         i + 1,
 			Name:             p.path,
 			Log:              logger,
 			Progress:         tracker,
-			FlightRecorder:   rec,
 			StallTimeout:     c.stallTO,
 			StallDump:        stallDumpW,
 			ForceStall:       c.forceStall,
@@ -374,7 +380,7 @@ func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger
 			reps = append(reps, profilers[i].Report(p.path, p.src))
 		}
 	}
-	if err := writeObsOutputs(tracer, reg, laneNames, c); err != nil {
+	if err := writeObsOutputs(tracer, tracker, laneNames, c); err != nil {
 		return failed, err
 	}
 	if c.profileOut != "" {
@@ -393,7 +399,7 @@ func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger
 
 // writeObsOutputs flushes the trace and metrics artifacts selected by the
 // flags.
-func writeObsOutputs(tracer *obs.Tracer, reg *obs.Registry, laneNames map[int]string, c analyzeFlags) error {
+func writeObsOutputs(tracer *obs.Tracer, tracker *obs.ProgressTracker, laneNames map[int]string, c analyzeFlags) error {
 	if tracer != nil {
 		evs := tracer.Events()
 		if c.traceOut != "" {
@@ -411,13 +417,13 @@ func writeObsOutputs(tracer *obs.Tracer, reg *obs.Registry, laneNames map[int]st
 			}
 		}
 	}
-	if reg != nil && c.metricsOut != "" {
-		if err := writeFile(c.metricsOut, reg.WritePrometheus); err != nil {
+	if c.metricsOut != "" {
+		if err := writeFile(c.metricsOut, tracker.WritePrometheus); err != nil {
 			return err
 		}
 	}
-	if reg != nil && c.metrics {
-		if err := reg.WritePrometheus(os.Stdout); err != nil {
+	if c.metrics {
+		if err := tracker.WritePrometheus(os.Stdout); err != nil {
 			return err
 		}
 	}

@@ -18,8 +18,8 @@ import (
 // cg.Stats is (atomic counters, so one Stats may aggregate a whole suite),
 // but Matchers keep plain instrumentation counters and memo tables, so each
 // Job needs its own Matcher instance. The obs types are race-safe, so one
-// Tracer or Registry may be shared across jobs (TracePID keeps their spans
-// and series apart).
+// Tracer or ProgressTracker may be shared across jobs (TracePID keeps their
+// spans and snapshots apart).
 
 // Job is one unit of work for AnalyzeAll: a CFG plus the analysis options
 // to run it with.
@@ -52,9 +52,9 @@ type JobResult struct {
 // runtime.NumCPU(); parallelism == 1 degenerates to a sequential loop with
 // identical results.
 //
-// Jobs with Opts.TracePID == 0 get input position + 1, so spans and metric
-// series from different jobs stay distinguishable in a shared tracer or
-// registry.
+// Jobs with Opts.TracePID == 0 get input position + 1, so spans and
+// progress snapshots from different jobs stay distinguishable in a shared
+// tracer or tracker.
 func AnalyzeAll(jobs []Job, parallelism int) []JobResult {
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()

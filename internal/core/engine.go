@@ -53,16 +53,14 @@ type Options struct {
 	RecordCommBounds bool
 	// Tracer receives a span per engine phase (step, transfer, match,
 	// split, insert, commit, join, widen, dequeue, give-up commit, finish)
-	// when non-nil. Tracing only observes — results are byte-identical with
-	// it on or off — and the nil default costs nothing.
+	// and a zero-length event per give-up and dump when non-nil. Its
+	// retained events are what StallDump receives. Tracing only observes —
+	// results are byte-identical with it on or off — and the nil default
+	// costs nothing.
 	Tracer *obs.Tracer
-	// Metrics, when non-nil, receives the engine's counters and gauges:
-	// final step/widening/config counts, interned-key count, and live +
-	// high-water worklist queue-depth and pending gauges.
-	Metrics *obs.Registry
-	// TracePID labels this analysis's spans and metric series when several
-	// jobs share one tracer or registry (AnalyzeAll assigns input position
-	// + 1 when zero).
+	// TracePID labels this analysis's spans and progress snapshots when
+	// several jobs share one tracer or tracker (AnalyzeAll assigns input
+	// position + 1 when zero).
 	TracePID int
 	// Name labels this analysis in structured logs, progress snapshots and
 	// pprof labels (AnalyzeAll copies the Job name when empty).
@@ -75,21 +73,19 @@ type Options struct {
 	Log *slog.Logger
 	// Progress, when non-nil, receives this analysis's live progress
 	// sampler (and, after convergence, its final snapshot) keyed by
-	// TracePID — the backing store of the /statusz surface. Sampling reads
-	// only atomics and mutex-protected counters, so it never stalls the
-	// fixpoint.
+	// TracePID — the backing store of /statusz and /metrics. Sampling
+	// reads only atomics and mutex-protected counters, so it never stalls
+	// the fixpoint.
 	Progress *obs.ProgressTracker
-	// FlightRecorder, when non-nil, continuously records recent dequeue,
-	// step and commit events into a bounded ring buffer for post-mortem
-	// dumps (stall watchdog, step-budget abort).
-	FlightRecorder *obs.FlightRecorder
 	// StallTimeout, when positive, arms a no-progress watchdog over the
 	// fixpoint: if steps, widenings and configuration discovery all stand
 	// still for this long, the watchdog logs the stall and dumps the
-	// flight recorder to StallDump. Observation only — the run continues.
+	// Tracer's retained events to StallDump. Observation only — the run
+	// continues.
 	StallTimeout time.Duration
-	// StallDump receives the flight-recorder dump (JSON lines, single
-	// write) when the watchdog fires or the step budget aborts the run.
+	// StallDump receives the dump of the Tracer's retained events (trace
+	// JSON lines, single write) when the watchdog fires or the step budget
+	// aborts the run; a Tracer that retains nothing dumps nothing.
 	StallDump io.Writer
 	// ForceStall pins the watchdog's progress reading to zero and holds
 	// the (converged) run open until the watchdog fires: the deterministic
@@ -343,6 +339,12 @@ func (e *engine) span(ph obs.Phase, key string) obs.Span {
 	return e.opts.Tracer.Begin(e.opts.TracePID, 0, ph, key)
 }
 
+// mark records a zero-length event on this engine's trace lane. Free when
+// Options.Tracer is nil.
+func (e *engine) mark(ph obs.Phase, key, detail string) {
+	e.opts.Tracer.Mark(e.opts.TracePID, 0, ph, key, detail)
+}
+
 // profNow reads the clock only when profiling is on; the zero time is the
 // disabled sentinel consumed by profStep.
 func (e *engine) profNow() time.Time {
@@ -480,9 +482,6 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 	e.finishProgress()
 	opts.Profiler.Commit(g, e.prof)
 	e.logDone()
-	if opts.Metrics != nil {
-		e.publishMetrics()
-	}
 	return e.res, nil
 }
 
@@ -633,7 +632,7 @@ func (e *engine) commitStuckTops() {
 				e.setEntry(id, &tableEntry{st: sa.st})
 				e.giveUps.Add(1)
 				e.prof.GiveUp(sa.st.TopNode)
-				e.rec().Record("giveup", e.opts.TracePID, 0, key, "stuck: "+sa.action)
+				e.mark(obs.PhaseGiveup, sa.st.TopKey, sa.st.TopWhy)
 			}
 		}
 	}
@@ -824,7 +823,7 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	entry.rev++
 	if entry.rev > e.opts.maxVisits() {
 		e.giveUps.Add(1)
-		e.rec().Record("giveup", e.opts.TracePID, 0, key, "widening did not converge")
+		e.mark(obs.PhaseGiveup, key, "widening did not converge")
 		old := entry.st
 		entry.st = &State{Top: true, TopWhy: "widening did not converge at " + key,
 			TopNode: firstActiveNode(old), TopKey: key}

@@ -9,18 +9,22 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/clients/symbolic"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/parser"
 )
 
 // The step budget stops runaway analyses with an explicit ⊤ rather than
-// hanging.
+// hanging, and dumps the tracer's ring once: the budget give-up, the dump
+// marker and exactly the steps the result counts.
 func TestMaxStepsGuard(t *testing.T) {
 	prog, err := parser.Parse("t.mpl", fig5Src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := cfg.Build(prog)
-	res, err := core.Analyze(g, core.Options{Matcher: &symbolic.Matcher{}, MaxSteps: 5})
+	var dump bytes.Buffer
+	res, err := core.Analyze(g, core.Options{Matcher: &symbolic.Matcher{}, MaxSteps: 5,
+		Tracer: obs.NewRing(0), StallDump: &dump})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,6 +36,17 @@ func TestMaxStepsGuard(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("step budget not reported: %v", res.TopReasons())
+	}
+	evs, err := obs.ReadJSONL(&dump)
+	if err != nil {
+		t.Fatalf("budget dump is not a JSONL trace: %v", err)
+	}
+	count := map[string]int{}
+	for _, ev := range evs {
+		count[ev.Phase.String()+" "+ev.Detail]++
+	}
+	if count["dump step-budget"] != 1 || count["giveup step budget exhausted"] != 1 || count["step "] != res.Steps {
+		t.Errorf("budget dump events %v, want one dump, one budget give-up and %d steps", count, res.Steps)
 	}
 }
 

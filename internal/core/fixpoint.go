@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Fixpoint iteration: one worklist loop on the calling goroutine.
 //
@@ -26,17 +22,6 @@ import (
 // fixpoint is reached or the step budget stops the run.
 func (e *engine) run(init *State) {
 	e.work = &worklist{stats: e.stats()}
-	if reg := e.opts.Metrics; reg != nil {
-		// Live worklist gauges, evaluated at render time (for the -http
-		// metrics listener; they settle to the final values once the run
-		// converges).
-		job := obs.Labels("job", fmt.Sprintf("%d", e.opts.TracePID))
-		work := e.work
-		reg.GaugeFuncVec("psdf_sched_queue_depth", "configurations currently queued", job,
-			func() float64 { return float64(work.queued.Load()) })
-		reg.GaugeFuncVec("psdf_sched_pending", "configurations queued or running", job,
-			func() float64 { return float64(work.pending.Load()) })
-	}
 	e.registerProgress()
 	seed, _ := e.prepare("", []succ{{st: init, action: "start"}})
 	e.commit(seed)
@@ -48,7 +33,6 @@ func (e *engine) run(init *State) {
 			if !ok {
 				return
 			}
-			e.rec().Record("dequeue", e.opts.TracePID, 0, "", "")
 			e.process(id)
 			e.work.done(id)
 		}
@@ -65,11 +49,11 @@ type prepSucc struct {
 }
 
 // process steps one configuration and commits its successors. Terminal
-// entries (Top or all-at-exit) are left for finish() to classify.
+// entries (Top or all-at-exit) are left for finish() to classify. The step
+// span opens only once the step counts towards Result.Steps, so the trace
+// and the result agree.
 func (e *engine) process(id uint64) {
 	fromKey := e.in.keyOf(id)
-	sp := e.span(obs.PhaseStep, fromKey)
-	defer sp.End()
 	entry := e.entry(id)
 	if entry == nil || entry.st.Top || e.allAtExit(entry.st) {
 		return
@@ -77,14 +61,15 @@ func (e *engine) process(id uint64) {
 	if e.steps.Add(1) > int64(e.opts.maxSteps()) {
 		e.steps.Add(-1)
 		e.budgetHit = true
-		e.rec().Record("budget", e.opts.TracePID, 0, fromKey, "step budget exhausted")
+		e.mark(obs.PhaseGiveup, fromKey, "step budget exhausted")
 		e.work.stop()
 		return
 	}
+	sp := e.span(obs.PhaseStep, fromKey)
+	defer sp.End()
 	// Step a clone: step reorders and rewrites its input, and committing
 	// the successors may revise this very entry.
 	snap := entry.st.Clone()
-	e.rec().Record("step", e.opts.TracePID, 0, fromKey, "")
 	preps, tops := e.prepare(fromKey, e.step(snap, fromKey))
 	// step always clones before returning successors, so the snapshot is
 	// dead here and its graph storage can go back to the arena.
@@ -136,12 +121,11 @@ func (e *engine) commit(preps []prepSucc) {
 		} else {
 			changed = e.reviseEntry(entry, p.st, p.key)
 		}
-		csp.End()
-		if rec := e.rec(); rec != nil {
-			rec.Record("commit", e.opts.TracePID, 0, p.key, fmt.Sprintf("changed=%v", changed))
-		}
 		if changed {
+			csp.EndDetail("changed")
 			e.work.push(p.id)
+		} else {
+			csp.EndDetail("unchanged")
 		}
 	}
 }

@@ -1,10 +1,10 @@
 package core
 
 // Live engine introspection (DESIGN.md §14): progress sampling for the
-// /statusz surface, the stall watchdog over the fixpoint, flight-recorder
-// dumps, and pprof goroutine labels. Everything here is nil-guarded and
-// opt-in — with Options.Log, Progress, FlightRecorder and StallTimeout all
-// unset the engine's hot paths execute exactly as before.
+// /statusz and /metrics surfaces, the stall watchdog over the fixpoint,
+// dumps of the tracer's retained events, and pprof goroutine labels.
+// Everything here is nil-guarded and opt-in — with Options.Log, Progress
+// and StallTimeout unset the engine's hot paths execute exactly as before.
 
 import (
 	"context"
@@ -23,11 +23,6 @@ func (e *engine) jobLabel() string {
 	}
 	return "job-" + strconv.Itoa(e.opts.TracePID)
 }
-
-// rec returns the flight recorder (nil when disabled; obs.FlightRecorder
-// methods are nil-safe, so call sites only guard when they would otherwise
-// build a key or detail string).
-func (e *engine) rec() *obs.FlightRecorder { return e.opts.FlightRecorder }
 
 // progressCount is the watchdog's monotone progress reading: propagate
 // steps plus widenings plus distinct configurations discovered. Any of the
@@ -57,12 +52,28 @@ func (e *engine) sampleProgress() obs.Progress {
 	if s := e.stats(); s != nil {
 		p.Joins = s.Joins()
 		p.Coalesced = s.SchedCoalesced()
+		p.CG = map[string]int64{
+			"full_closures":         s.FullClosures(),
+			"incr_closures":         s.IncrClosures(),
+			"full_closures_avoided": s.FullClosuresAvoided(),
+			"arena_hits":            s.ArenaHits(),
+			"arena_misses":          s.ArenaMisses(),
+			"joins":                 s.Joins(),
+			"clones_avoided":        s.ClonesAvoided(),
+			"cow_materializations":  s.CoWMaterializations(),
+			"key_cache_hits":        s.KeyCacheHits(),
+			"key_cache_misses":      s.KeyCacheMisses(),
+			"sched_coalesced":       s.SchedCoalesced(),
+			"closure_ns":            int64(s.ClosureTime()),
+			"maintain_ns":           int64(s.MaintainTime()),
+		}
 	}
 	if mp, ok := e.opts.Matcher.(interface{ Memo() *MatchMemo }); ok {
 		if memo := mp.Memo(); memo != nil {
 			p.MemoHits = int64(memo.HitCount())
 			p.MemoMisses = int64(memo.MissCount())
 			p.MemoHitRate = memo.HitRate()
+			p.MemoEntries = int64(memo.Len())
 		}
 	}
 	// Prover lane: the cartesian matcher keeps these as atomics, so the
@@ -90,7 +101,9 @@ func (e *engine) registerProgress() {
 }
 
 // finishProgress replaces the live sampler with the final snapshot (the
-// end-of-run totals /statusz keeps serving after convergence).
+// end-of-run totals /statusz and /metrics keep serving after
+// convergence). It runs on the engine goroutine, the only reader of the
+// worklist's high-water marks.
 func (e *engine) finishProgress() {
 	if e.opts.Progress == nil {
 		return
@@ -103,6 +116,11 @@ func (e *engine) finishProgress() {
 	final.Widenings = int64(e.res.Widenings)
 	final.Pending = 0
 	final.Queued = 0
+	final.Finals = int64(len(e.res.Finals))
+	final.Tops = int64(len(e.res.Tops))
+	final.Matches = int64(len(e.res.Matches))
+	final.QueuedMax = e.work.depthHW
+	final.PendingMax = e.work.pendingHW
 	e.opts.Progress.Finish(e.opts.TracePID, final)
 }
 
@@ -121,8 +139,7 @@ func (e *engine) armWatchdog() *obs.Watchdog {
 				"steps", e.steps.Load(), "configs", e.in.size(),
 				"widenings", e.widenings.Load())
 		}
-		e.rec().Record("stall", e.opts.TracePID, 0, "", "no progress for "+rep.Stalled.String())
-		e.dumpFlight("stall")
+		e.dumpFlight("stall: no progress for " + rep.Stalled.String())
 	})
 	wd.Start(0)
 	return wd
@@ -142,18 +159,18 @@ func (e *engine) settleWatchdog(wd *obs.Watchdog) {
 	wd.Stop()
 }
 
-// dumpFlight writes the flight recorder to Options.StallDump at most once
-// per analysis — the watchdog and the step-budget abort share the once, so
-// a stalled run that then exhausts its budget still produces one dump.
+// dumpFlight writes the tracer's retained events to Options.StallDump,
+// after a dump marker carrying reason, at most once per analysis — the
+// watchdog and the step-budget abort share the once, so a stalled run that
+// then exhausts its budget still produces one dump.
 func (e *engine) dumpFlight(reason string) {
 	e.dumpOnce.Do(func() {
-		rec := e.rec()
-		if rec == nil || e.opts.StallDump == nil {
+		if !e.opts.Tracer.Retaining() || e.opts.StallDump == nil {
 			return
 		}
-		rec.Record("dump", e.opts.TracePID, 0, "", reason)
-		if err := rec.Dump(e.opts.StallDump); err != nil && e.opts.Log != nil {
-			e.opts.Log.Error("flight-recorder dump failed", "job", e.opts.TracePID, "err", err)
+		e.mark(obs.PhaseDump, "", reason)
+		if err := obs.Dump(e.opts.StallDump, e.opts.Tracer); err != nil && e.opts.Log != nil {
+			e.opts.Log.Error("trace dump failed", "job", e.opts.TracePID, "err", err)
 		}
 	})
 }

@@ -35,41 +35,43 @@ func (b *lockedBuf) String() string {
 
 // TestForcedStallDumpsOnce drives the full stall path deterministically:
 // ForceStall pins the watchdog's progress reading at zero, so the watchdog
-// must fire after StallTimeout and dump the flight recorder exactly once —
+// must fire after StallTimeout and dump the tracer's ring exactly once —
 // while the analysis result stays correct and clean.
 func TestForcedStallDumpsOnce(t *testing.T) {
 	_, g := bench.Stencil1D().Parse()
 	var dump lockedBuf
 	res := analyzeWith(t, g, core.Options{
-		StallTimeout:   50 * time.Millisecond,
-		ForceStall:     true,
-		FlightRecorder: obs.NewFlightRecorder(1024),
-		StallDump:      &dump,
+		StallTimeout: 50 * time.Millisecond,
+		ForceStall:   true,
+		Tracer:       obs.NewRing(1024),
+		StallDump:    &dump,
 	})
 	if !res.Clean() {
 		t.Fatalf("forced stall must not perturb the analysis: %v", res.TopReasons())
 	}
 	out := dump.String()
 	if out == "" {
-		t.Fatal("forced stall produced no flight-recorder dump")
+		t.Fatal("forced stall produced no dump")
 	}
-	if n := strings.Count(out, `"kind":"dump"`); n != 1 {
+	if n := strings.Count(out, `"phase":"dump"`); n != 1 {
 		t.Errorf("want exactly 1 dump marker event, got %d\n%s", n, out)
 	}
-	if n := strings.Count(out, `"kind":"stall"`); n != 1 {
-		t.Errorf("want exactly 1 stall event, got %d", n)
+	if n := strings.Count(out, `"detail":"stall: no progress for `); n != 1 {
+		t.Errorf("want exactly 1 stall reason, got %d", n)
 	}
-	// The recorder must carry the recent dequeue/step/commit history.
-	for _, kind := range []string{`"kind":"dequeue"`, `"kind":"step"`, `"kind":"commit"`} {
-		if !strings.Contains(out, kind) {
-			t.Errorf("dump missing %s events:\n%s", kind, out)
+	// The ring must carry the recent dequeue/step/commit history.
+	for _, phase := range []string{`"phase":"dequeue"`, `"phase":"step"`, `"phase":"commit"`} {
+		if !strings.Contains(out, phase) {
+			t.Errorf("dump missing %s events:\n%s", phase, out)
 		}
 	}
-	// Every line is one JSON event; seqs are dense, so the dump is bounded
-	// by the ring capacity.
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) > 1024 {
-		t.Errorf("dump exceeds ring capacity: %d lines", len(lines))
+	// The dump is trace JSON lines, bounded by the ring capacity.
+	evs, err := obs.ReadJSONL(strings.NewReader(out))
+	if err != nil {
+		t.Fatalf("dump is not a JSONL trace: %v", err)
+	}
+	if len(evs) > 1024 {
+		t.Errorf("dump exceeds ring capacity: %d events", len(evs))
 	}
 }
 
@@ -83,9 +85,9 @@ func TestWatchdogQuietOnWorkloads(t *testing.T) {
 			_, g := w.Parse()
 			var dump lockedBuf
 			res := analyzeWith(t, g, core.Options{
-				StallTimeout:   time.Minute,
-				FlightRecorder: obs.NewFlightRecorder(256),
-				StallDump:      &dump,
+				StallTimeout: time.Minute,
+				Tracer:       obs.NewRing(256),
+				StallDump:    &dump,
 			})
 			if res == nil {
 				t.Fatal("nil result")
@@ -180,11 +182,11 @@ func TestIntrospectionDisabledIdentical(t *testing.T) {
 	_, g2 := bench.Fig7Shift().Parse()
 	var dump lockedBuf
 	instrumented := analyzeWith(t, g2, core.Options{
-		Progress:       obs.NewProgressTracker(),
-		FlightRecorder: obs.NewFlightRecorder(128),
-		StallTimeout:   time.Minute,
-		StallDump:      &dump,
-		ProfileLabels:  true,
+		Progress:      obs.NewProgressTracker(),
+		Tracer:        obs.NewRing(128),
+		StallTimeout:  time.Minute,
+		StallDump:     &dump,
+		ProfileLabels: true,
 	})
 	if got, want := countedSignature(instrumented), countedSignature(plain); got != want {
 		t.Errorf("instrumentation changed the result:\n got: %s\nwant: %s", got, want)

@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,12 +12,16 @@ import (
 	"repro/internal/clients/cartesian"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/prof"
 )
 
 // TestTracingDoesNotPerturb is the observability overhead contract: with a
-// retaining tracer and a metrics registry attached, a run must produce
-// byte-identical results and counts to the untraced baseline on every
-// paper workload. Tracing only observes.
+// retaining tracer, a progress tracker and a profiler attached, a run must
+// produce byte-identical results and counts to the untraced baseline on
+// every paper workload. Tracing only observes. The observers must also
+// agree with each other: the trace's step spans, a ring's retained step
+// events, the profiler's steps, the final /statusz steps and
+// psdf_engine_steps_total all equal Result.Steps.
 //
 // Options.Workers is deprecated and ignored, so a Workers: 2 run must
 // match the baseline too: that keeps the benchmark's paper-par workload
@@ -30,14 +37,16 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 				t.Errorf("Workers: 2 run diverged:\n got: %s\nwant: %s", got, want)
 			}
 			tr := obs.NewTracer()
-			reg := obs.NewRegistry()
+			tracker := obs.NewProgressTracker()
+			pr := prof.New()
 			_, g = w.Parse()
 			m := cartesian.New(core.ScanInvariants(g))
 			m.SetObs(tr, 1)
 			res, err := core.Analyze(g, core.Options{
 				Matcher:  m,
 				Tracer:   tr,
-				Metrics:  reg,
+				Progress: tracker,
+				Profiler: pr,
 				TracePID: 1,
 				CGOpts:   cg.Options{Stats: &cg.Stats{}},
 			})
@@ -54,46 +63,106 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 				t.Errorf("malformed trace: %v", probs)
 			}
 			totals := tr.Totals()
-			if totals[obs.PhaseStep.String()].Count == 0 {
-				t.Error("no step spans recorded")
-			}
 			if totals[obs.PhaseFinish.String()].Count != 1 {
 				t.Errorf("finish spans = %d, want 1", totals[obs.PhaseFinish.String()].Count)
+			}
+
+			steps := int64(res.Steps)
+			if steps == 0 {
+				t.Fatal("no steps")
+			}
+			if got := totals[obs.PhaseStep.String()].Count; got != steps {
+				t.Errorf("trace step spans = %d, Result.Steps = %d", got, steps)
+			}
+			if got := stepEvents(tr.Events()); got != steps {
+				t.Errorf("retained step events = %d, Result.Steps = %d", got, steps)
+			}
+			if got := pr.Report(w.Name, "").Totals.Steps; got != steps {
+				t.Errorf("profiler steps = %d, Result.Steps = %d", got, steps)
+			}
+			var statusz bytes.Buffer
+			if err := tracker.WriteStatusz(&statusz); err != nil {
+				t.Fatal(err)
+			}
+			var s obs.Statusz
+			if err := json.Unmarshal(statusz.Bytes(), &s); err != nil || len(s.Jobs) != 1 || !s.Jobs[0].Done {
+				t.Fatalf("/statusz = %s, %v", statusz.String(), err)
+			}
+			if got := s.Jobs[0].Steps; got != steps {
+				t.Errorf("/statusz steps = %d, Result.Steps = %d", got, steps)
+			}
+			var prom strings.Builder
+			if err := tracker.WritePrometheus(&prom); err != nil {
+				t.Fatal(err)
+			}
+			if line := fmt.Sprintf("psdf_engine_steps_total{job=\"1\"} %d\n", steps); !strings.Contains(prom.String(), line) {
+				t.Errorf("metrics missing %q:\n%s", line, prom.String())
+			}
+
+			// A ring that holds the whole run retains every step, and does
+			// not perturb the result either.
+			ring := obs.NewRing(tr.EventCount())
+			_, g = w.Parse()
+			if got := countedSignature(analyzeWith(t, g, core.Options{Tracer: ring})); got != want {
+				t.Errorf("ring-traced run diverged:\n got: %s\nwant: %s", got, want)
+			}
+			if got := stepEvents(ring.Events()); got != steps {
+				t.Errorf("ring step events = %d, Result.Steps = %d", got, steps)
 			}
 		})
 	}
 }
 
-// TestMetricsPublished checks the engine's post-run metrics snapshot: the
-// registry renders the step counter, config gauge, worklist high-water
-// marks and the cg instrumentation series.
+// stepEvents counts the step spans among evs.
+func stepEvents(evs []obs.Event) int64 {
+	var n int64
+	for _, ev := range evs {
+		if ev.Phase == obs.PhaseStep {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMetricsPublished checks the engine's final progress snapshot as
+// /metrics renders it: the step counter, the config gauge, the result
+// counts, the worklist high-water marks, the match memo and the cg
+// instrumentation series, all under the job's id.
 func TestMetricsPublished(t *testing.T) {
 	_, g := bench.Stencil1D().Parse()
-	reg := obs.NewRegistry()
+	tracker := obs.NewProgressTracker()
 	res := analyzeWith(t, g, core.Options{
-		Metrics: reg, TracePID: 7,
+		Progress: tracker, TracePID: 7,
 		CGOpts: cg.Options{Stats: &cg.Stats{}},
 	})
 	if !res.Clean() {
 		t.Fatalf("not clean: %v", res.TopReasons())
 	}
 	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
+	if err := tracker.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	for _, want := range []string{
-		`psdf_engine_steps_total{job="7"}`,
-		`psdf_engine_configs{job="7"}`,
+		fmt.Sprintf(`psdf_engine_steps_total{job="7"} %d`, res.Steps),
+		fmt.Sprintf(`psdf_engine_configs{job="7"} %d`, res.Configs),
+		fmt.Sprintf(`psdf_engine_finals{job="7"} %d`, len(res.Finals)),
+		fmt.Sprintf(`psdf_engine_matches{job="7"} %d`, len(res.Matches)),
+		`psdf_engine_tops{job="7"} 0`,
 		`psdf_interned_keys{job="7"}`,
 		`psdf_sched_queue_depth_max{job="7"}`,
 		`psdf_sched_pending_max{job="7"}`,
-		`psdf_sched_queue_depth{job="7"}`,
+		`psdf_sched_queue_depth{job="7"} 0`,
+		`psdf_match_memo_total{job="7",result="hit"}`,
+		`psdf_match_memo_entries{job="7"}`,
 		`psdf_cg_joins_total{job="7"}`,
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("metrics output missing %s", want)
+			t.Errorf("metrics output missing %s:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, `psdf_sched_queue_depth_max{job="7"} 0`) {
+		t.Error("queue depth high-water mark not recorded")
 	}
 }
 

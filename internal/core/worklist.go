@@ -34,8 +34,7 @@ const (
 // requeues it on top of its class.
 //
 // One goroutine drives the worklist. queued and pending are atomics only
-// because the progress sampler and the live metric gauges read them from
-// another goroutine.
+// because the progress sampler reads them from another goroutine.
 type worklist struct {
 	stacks   [worklistClasses][]uint64
 	nonEmpty uint32  // bit c is set when stacks[c] is non-empty
@@ -45,7 +44,8 @@ type worklist struct {
 	// queued counts configurations on the stacks; pending counts those
 	// queued or running. The run has converged when pending is zero.
 	queued, pending atomic.Int64
-	// High-water marks of queued and pending, for the metrics gauges.
+	// High-water marks of queued and pending, for the final progress
+	// snapshot (read on the engine goroutine only).
 	depthHW, pendingHW int64
 }
 

@@ -258,6 +258,21 @@ func TestCLITraceWorkflow(t *testing.T) {
 			t.Errorf("metrics snapshot missing %s", w)
 		}
 	}
+	// Every series is labelled with the job id, so the same program given
+	// twice yields one series per job.
+	same := filepath.Join(root, "testdata", "nascg_square.mpl")
+	out, err = exec.Command(psdfBin, "-metrics", same, same).CombinedOutput()
+	if err != nil {
+		t.Fatalf("psdf -metrics: %v\n%s", err, out)
+	}
+	for _, w := range []string{
+		`psdf_engine_steps_total{job="1"}`, `psdf_engine_steps_total{job="2"}`,
+		`psdf_match_memo_total{job="1",result="hit"}`, `psdf_match_memo_total{job="2",result="hit"}`,
+	} {
+		if !strings.Contains(string(out), w) {
+			t.Errorf("psdf -metrics output missing %s:\n%s", w, out)
+		}
+	}
 
 	// Summarize both formats.
 	for _, path := range []string{trace, jsonl} {

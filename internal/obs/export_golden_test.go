@@ -102,47 +102,91 @@ func TestReadJSONLRejectsUnknownPhase(t *testing.T) {
 	}
 }
 
+// TestPrometheusGolden pins the /metrics rendering of a progress snapshot:
+// a finished job with cg counters, and a live job whose final-only
+// families are left out.
 func TestPrometheusGolden(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounter("psdf_engine_steps_total", "total engine propagate steps")
-	c.Add(12)
-	r.NewCounterVec("psdf_match_memo_total", "match memo lookups", Labels("result", "hit")).Add(9)
-	r.NewCounterVec("psdf_match_memo_total", "match memo lookups", Labels("result", "miss")).Add(3)
-	g := r.NewGauge("psdf_sched_queue_depth_max", "scheduler queue high-water mark")
-	g.Set(17)
-	h := r.NewHistogram("psdf_prover_states", "states explored per prover search", []float64{10, 100})
-	h.Observe(5)
-	h.Observe(50)
+	tr := NewProgressTracker()
+	tr.Register(2, func() Progress {
+		return Progress{Job: 2, Steps: 6, Configs: 3, Widenings: 1, Pending: 2, Queued: 1,
+			MemoHits: 1, MemoMisses: 2, MemoEntries: 2}
+	})
+	tr.Finish(1, Progress{Job: 1, Steps: 12, Configs: 5, Widenings: 2,
+		MemoHits: 9, MemoMisses: 3, MemoEntries: 3,
+		Finals: 1, Matches: 4, QueuedMax: 3, PendingMax: 4,
+		CG: map[string]int64{"joins": 7, "closure_ns": 1500}})
 
-	const want = `# HELP psdf_engine_steps_total total engine propagate steps
+	const want = `# HELP psdf_cg_closure_ns_total cg.Stats counter closure_ns
+# TYPE psdf_cg_closure_ns_total counter
+psdf_cg_closure_ns_total{job="1"} 1500
+# HELP psdf_cg_joins_total cg.Stats counter joins
+# TYPE psdf_cg_joins_total counter
+psdf_cg_joins_total{job="1"} 7
+# HELP psdf_engine_configs distinct pCFG configurations explored
+# TYPE psdf_engine_configs gauge
+psdf_engine_configs{job="1"} 5
+psdf_engine_configs{job="2"} 3
+# HELP psdf_engine_finals terminal all-at-exit configurations
+# TYPE psdf_engine_finals gauge
+psdf_engine_finals{job="1"} 1
+# HELP psdf_engine_matches distinct send-receive matches in the topology
+# TYPE psdf_engine_matches gauge
+psdf_engine_matches{job="1"} 4
+# HELP psdf_engine_steps_total propagate steps executed
 # TYPE psdf_engine_steps_total counter
-psdf_engine_steps_total 12
+psdf_engine_steps_total{job="1"} 12
+psdf_engine_steps_total{job="2"} 6
+# HELP psdf_engine_tops give-up configurations in the result
+# TYPE psdf_engine_tops gauge
+psdf_engine_tops{job="1"} 0
+# HELP psdf_engine_widenings_total widening events (table entry replaced by a wider state)
+# TYPE psdf_engine_widenings_total counter
+psdf_engine_widenings_total{job="1"} 2
+psdf_engine_widenings_total{job="2"} 1
+# HELP psdf_interned_keys distinct shape keys interned
+# TYPE psdf_interned_keys gauge
+psdf_interned_keys{job="1"} 5
+psdf_interned_keys{job="2"} 3
+# HELP psdf_match_memo_entries match memo resident entries
+# TYPE psdf_match_memo_entries gauge
+psdf_match_memo_entries{job="1"} 3
+psdf_match_memo_entries{job="2"} 2
 # HELP psdf_match_memo_total match memo lookups
 # TYPE psdf_match_memo_total counter
-psdf_match_memo_total{result="hit"} 9
-psdf_match_memo_total{result="miss"} 3
-# HELP psdf_prover_states states explored per prover search
-# TYPE psdf_prover_states histogram
-psdf_prover_states_bucket{le="10"} 1
-psdf_prover_states_bucket{le="100"} 2
-psdf_prover_states_bucket{le="+Inf"} 2
-psdf_prover_states_sum 55
-psdf_prover_states_count 2
-# HELP psdf_sched_queue_depth_max scheduler queue high-water mark
+psdf_match_memo_total{job="1",result="hit"} 9
+psdf_match_memo_total{job="1",result="miss"} 3
+psdf_match_memo_total{job="2",result="hit"} 1
+psdf_match_memo_total{job="2",result="miss"} 2
+# HELP psdf_sched_pending configurations queued or running
+# TYPE psdf_sched_pending gauge
+psdf_sched_pending{job="1"} 0
+psdf_sched_pending{job="2"} 2
+# HELP psdf_sched_pending_max worklist pending (queued or running) high-water mark
+# TYPE psdf_sched_pending_max gauge
+psdf_sched_pending_max{job="1"} 4
+# HELP psdf_sched_queue_depth configurations currently queued
+# TYPE psdf_sched_queue_depth gauge
+psdf_sched_queue_depth{job="1"} 0
+psdf_sched_queue_depth{job="2"} 1
+# HELP psdf_sched_queue_depth_max worklist queue depth high-water mark
 # TYPE psdf_sched_queue_depth_max gauge
-psdf_sched_queue_depth_max 17
+psdf_sched_queue_depth_max{job="1"} 3
 `
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := tr.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if sb.String() != want {
 		t.Errorf("prometheus mismatch:\n--- got ---\n%s\n--- want ---\n%s", sb.String(), want)
 	}
-	// Rendering is deterministic.
+	// Rendering is deterministic, and a nil tracker renders nothing.
 	var sb2 strings.Builder
-	_ = r.WritePrometheus(&sb2)
+	_ = tr.WritePrometheus(&sb2)
 	if sb.String() != sb2.String() {
 		t.Error("render not deterministic")
+	}
+	var none strings.Builder
+	if err := (*ProgressTracker)(nil).WritePrometheus(&none); err != nil || none.Len() != 0 {
+		t.Errorf("nil tracker rendered %q, %v", none.String(), err)
 	}
 }

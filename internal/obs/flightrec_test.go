@@ -1,8 +1,10 @@
 package obs
 
+// The flight recorder is the tracer's ring mode (NewRing): these tests pin
+// its window, its capacity rules, its concurrency and its dump format.
+
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -10,97 +12,122 @@ import (
 	"time"
 )
 
+// newTestRing returns a ring whose clock advances 1ns per reading, so
+// sequential spans sort in the order they were recorded.
+func newTestRing(n int) *Tracer {
+	r := NewRing(n)
+	var now time.Duration
+	r.clock = func() time.Duration { now++; return now }
+	return r
+}
+
 func TestFlightRecorderWraparound(t *testing.T) {
-	r := NewFlightRecorder(16)
-	r.SetClock(func() time.Duration { return 0 })
+	r := newTestRing(16)
 	for i := 0; i < 40; i++ {
-		r.Record("step", 1, 2, fmt.Sprintf("k%d", i), "")
+		r.Begin(1, 0, PhaseStep, fmt.Sprintf("k%d", i)).End()
 	}
-	if got := r.Total(); got != 40 {
-		t.Fatalf("Total = %d, want 40", got)
-	}
-	evs := r.Snapshot()
+	evs := r.Events()
 	if len(evs) != 16 {
-		t.Fatalf("snapshot kept %d events, want capacity 16", len(evs))
+		t.Fatalf("ring kept %d events, want capacity 16", len(evs))
 	}
-	// The survivors are exactly the last 16 records, oldest first, with
-	// their original sequence numbers.
+	// The survivors are exactly the last 16 records, in record order.
 	for i, ev := range evs {
-		wantSeq := uint64(24 + i)
-		if ev.Seq != wantSeq {
-			t.Fatalf("event %d: seq %d, want %d", i, ev.Seq, wantSeq)
+		if want := fmt.Sprintf("k%d", 24+i); ev.Key != want {
+			t.Fatalf("event %d: key %q, want %q", i, ev.Key, want)
 		}
-		if wantKey := fmt.Sprintf("k%d", wantSeq); ev.Key != wantKey {
-			t.Fatalf("event %d: key %q, want %q", i, ev.Key, wantKey)
-		}
+	}
+	// Phase totals count the evicted events too.
+	if got := r.Totals()["step"].Count; got != 40 {
+		t.Fatalf("step total = %d, want 40", got)
 	}
 }
 
 func TestFlightRecorderPartialFill(t *testing.T) {
-	r := NewFlightRecorder(16)
+	r := newTestRing(16)
 	for i := 0; i < 5; i++ {
-		r.Record("commit", 0, 0, "", "")
+		r.Mark(0, 0, PhaseGiveup, fmt.Sprintf("k%d", i), "")
 	}
-	evs := r.Snapshot()
+	evs := r.Events()
 	if len(evs) != 5 {
-		t.Fatalf("snapshot kept %d events, want 5", len(evs))
+		t.Fatalf("ring kept %d events, want 5", len(evs))
 	}
 	for i, ev := range evs {
-		if ev.Seq != uint64(i) {
-			t.Fatalf("event %d: seq %d", i, ev.Seq)
+		if want := fmt.Sprintf("k%d", i); ev.Key != want || ev.Dur != 0 {
+			t.Fatalf("event %d: %+v, want zero-length %s", i, ev, want)
 		}
 	}
+}
+
+func TestFlightRecorderCapacity(t *testing.T) {
+	for _, c := range []struct{ n, want int }{{0, 4096}, {-3, 4096}, {3, 16}, {16, 16}, {100, 100}} {
+		r := NewRing(c.n)
+		for i := 0; i < 5000; i++ {
+			r.Mark(0, 0, PhaseStep, "", "")
+		}
+		if got := r.EventCount(); got != c.want {
+			t.Errorf("NewRing(%d) keeps %d events, want %d", c.n, got, c.want)
+		}
+	}
+}
+
+// countingWriter records how many Write calls a dump makes.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
 }
 
 func TestFlightRecorderDumpDeterminism(t *testing.T) {
-	r := NewFlightRecorder(16)
-	r.SetClock(func() time.Duration { return 42 * time.Nanosecond })
+	r := newTestRing(16)
 	for i := 0; i < 30; i++ {
-		r.Record("dequeue", 3, 1, "key", "d")
+		r.Begin(3, 0, PhaseDequeue, "key").EndDetail("d")
 	}
-	var a, b bytes.Buffer
-	if err := r.Dump(&a); err != nil {
+	r.Mark(3, 0, PhaseDump, "", "stall: no progress for 1s")
+	var a, b countingWriter
+	if err := Dump(&a, r); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Dump(&b); err != nil {
+	if err := Dump(&b, r); err != nil {
 		t.Fatal(err)
+	}
+	if a.writes != 1 {
+		t.Fatalf("dump made %d Write calls, want 1", a.writes)
 	}
 	if a.String() != b.String() {
-		t.Fatalf("two dumps of an idle recorder differ:\n%s\nvs\n%s", a.String(), b.String())
+		t.Fatalf("two dumps of an idle ring differ:\n%s\nvs\n%s", a.String(), b.String())
 	}
-	lines := strings.Split(strings.TrimSpace(a.String()), "\n")
-	if len(lines) != 16 {
-		t.Fatalf("dump has %d lines, want 16", len(lines))
+	if n := strings.Count(a.String(), "\n"); n != 16 {
+		t.Fatalf("dump has %d lines, want 16", n)
 	}
-	var prev uint64
-	for i, ln := range lines {
-		var ev FlightEvent
-		if err := json.Unmarshal([]byte(ln), &ev); err != nil {
-			t.Fatalf("line %d: %v", i, err)
-		}
-		if i > 0 && ev.Seq != prev+1 {
-			t.Fatalf("line %d: seq %d after %d (want gapless ascending)", i, ev.Seq, prev)
-		}
-		if ev.AtNs != 42 || ev.Kind != "dequeue" || ev.Job != 3 || ev.Worker != 1 {
-			t.Fatalf("line %d: unexpected event %+v", i, ev)
-		}
-		prev = ev.Seq
+	evs, err := ReadJSONL(strings.NewReader(a.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := r.Events(); fmt.Sprint(evs) != fmt.Sprint(want) {
+		t.Fatalf("dump reads back as\n%v\nwant\n%v", evs, want)
+	}
+	last := evs[len(evs)-1]
+	if last.Phase != PhaseDump || last.Detail != "stall: no progress for 1s" {
+		t.Fatalf("last event %+v, want the dump marker", last)
 	}
 }
 
-// TestFlightRecorderConcurrent hammers Record from several goroutines while
-// snapshots run; with -race this is the recorder's thread-safety gate. The
-// invariant checked: every snapshot is gapless ascending and bounded by the
-// capacity.
+// TestFlightRecorderConcurrent hammers a ring from several goroutines
+// while snapshots and dumps run; with -race this is the ring's
+// thread-safety gate.
 func TestFlightRecorderConcurrent(t *testing.T) {
-	r := NewFlightRecorder(64)
+	r := NewRing(64)
 	var writers sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		writers.Add(1)
 		go func(g int) {
 			defer writers.Done()
 			for i := 0; i < 500; i++ {
-				r.Record("step", g, i, "k", "")
+				r.Begin(g, 0, PhaseStep, "k").End()
 			}
 		}(g)
 	}
@@ -109,16 +136,13 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	go func() {
 		defer close(snapDone)
 		for {
-			evs := r.Snapshot()
-			if len(evs) > 64 {
-				t.Errorf("snapshot exceeds capacity: %d", len(evs))
+			if n := len(r.Events()); n > 64 {
+				t.Errorf("snapshot exceeds capacity: %d", n)
 				return
 			}
-			for i := 1; i < len(evs); i++ {
-				if evs[i].Seq != evs[i-1].Seq+1 {
-					t.Errorf("snapshot not gapless: seq %d after %d", evs[i].Seq, evs[i-1].Seq)
-					return
-				}
+			if err := Dump(nopWriter{}, r); err != nil {
+				t.Errorf("dump: %v", err)
+				return
 			}
 			select {
 			case <-stop:
@@ -130,25 +154,26 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	<-snapDone
-	if r.Total() != 2000 {
-		t.Fatalf("Total = %d, want 2000", r.Total())
+	if got := r.Totals()["step"].Count; got != 2000 {
+		t.Fatalf("step total = %d, want 2000", got)
+	}
+	if r.EventCount() != 64 {
+		t.Fatalf("ring kept %d events, want 64", r.EventCount())
 	}
 }
 
-// TestFlightRecorderNilFree pins the disabled contract: recording through a
-// nil recorder allocates nothing.
+// TestFlightRecorderNilFree pins the disabled contract: marking through a
+// nil tracer allocates nothing, and dumping it writes nothing.
 func TestFlightRecorderNilFree(t *testing.T) {
-	var r *FlightRecorder
+	var r *Tracer
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Record("step", 1, 2, "key", "")
+		r.Mark(1, 0, PhaseGiveup, "key", "")
 	})
 	if allocs != 0 {
-		t.Fatalf("nil FlightRecorder.Record allocates %.1f/op, want 0", allocs)
+		t.Fatalf("nil Tracer.Mark allocates %.1f/op, want 0", allocs)
 	}
-	if r.Snapshot() != nil || r.Total() != 0 || r.Cap() != 0 {
-		t.Fatal("nil recorder accessors not inert")
-	}
-	if err := r.Dump(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
+	var b bytes.Buffer
+	if err := Dump(&b, r); err != nil || b.Len() != 0 {
+		t.Fatalf("nil dump wrote %q, %v", b.String(), err)
 	}
 }

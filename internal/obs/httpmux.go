@@ -1,10 +1,9 @@
 package obs
 
 // The live-introspection HTTP surface: one explicit mux carrying the
-// Prometheus renderer, the /statusz progress snapshot (plus its SSE
-// stream), the flight recorder and the pprof handlers. Explicit so that
-// binaries do not leak handlers onto http.DefaultServeMux, and so that the
-// psdf serve daemon can mount the same surface later.
+// progress snapshot (as /statusz JSON, its SSE stream and Prometheus
+// text), the tracers' retained events and the pprof handlers. Explicit so
+// that the binary does not leak handlers onto http.DefaultServeMux.
 
 import (
 	"encoding/json"
@@ -17,24 +16,23 @@ import (
 
 // NewHTTPMux assembles the introspection mux:
 //
-//	/metrics         Prometheus text format (reg)
-//	/statusz         progress snapshot JSON (tracker)
+//	/metrics         the progress snapshot as Prometheus text (tracker)
+//	/statusz         the progress snapshot as JSON (tracker)
 //	/statusz/stream  the same snapshot as a Server-Sent-Events stream
 //	                 (?interval_ms=N, default 500, floor 50)
-//	/flightz         flight-recorder contents as JSON lines (rec)
+//	/flightz         the tracers' retained events as trace JSON lines
 //	/debug/pprof/*   the standard pprof handlers
 //	/quitquitquit    POST: invoke quit (for -http-linger shutdown)
 //
-// Any nil component's endpoints respond 404.
-func NewHTTPMux(reg *Registry, tracker *ProgressTracker, rec *FlightRecorder, quit func()) *http.ServeMux {
+// A nil tracker, empty flight or nil quit leaves its endpoints answering
+// 404.
+func NewHTTPMux(tracker *ProgressTracker, flight []*Tracer, quit func()) *http.ServeMux {
 	mux := http.NewServeMux()
-	if reg != nil {
+	if tracker != nil {
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			_ = reg.WritePrometheus(w)
+			_ = tracker.WritePrometheus(w)
 		})
-	}
-	if tracker != nil {
 		mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			_ = tracker.WriteStatusz(w)
@@ -43,10 +41,10 @@ func NewHTTPMux(reg *Registry, tracker *ProgressTracker, rec *FlightRecorder, qu
 			streamStatusz(w, r, tracker)
 		})
 	}
-	if rec != nil {
+	if len(flight) > 0 {
 		mux.HandleFunc("/flightz", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/jsonl")
-			_ = rec.Dump(w)
+			_ = Dump(w, flight...)
 		})
 	}
 	if quit != nil {

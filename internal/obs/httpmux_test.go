@@ -21,7 +21,7 @@ func sseTracker() *ProgressTracker {
 // TestStreamStatuszHeaders asserts the SSE hardening headers: no-store
 // (never cache a stream) and X-Accel-Buffering (no proxy buffering).
 func TestStreamStatuszHeaders(t *testing.T) {
-	srv := httptest.NewServer(NewHTTPMux(nil, sseTracker(), nil, nil))
+	srv := httptest.NewServer(NewHTTPMux(sseTracker(), nil, nil))
 	defer srv.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -60,7 +60,7 @@ func TestStreamStatuszHeaders(t *testing.T) {
 // TestStreamStatuszHeartbeat asserts the periodic `: heartbeat` comment
 // keeps flowing between data events.
 func TestStreamStatuszHeartbeat(t *testing.T) {
-	srv := httptest.NewServer(NewHTTPMux(nil, sseTracker(), nil, nil))
+	srv := httptest.NewServer(NewHTTPMux(sseTracker(), nil, nil))
 	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -91,7 +91,7 @@ func TestStreamStatuszHeartbeat(t *testing.T) {
 // handler returns, so a leaked stream goroutine turns into a test
 // timeout (and a leaked ticker into a race-detector report).
 func TestStreamStatuszClientDisconnect(t *testing.T) {
-	srv := httptest.NewServer(NewHTTPMux(nil, sseTracker(), nil, nil))
+	srv := httptest.NewServer(NewHTTPMux(sseTracker(), nil, nil))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
@@ -134,7 +134,7 @@ func TestStreamStatuszClientDisconnect(t *testing.T) {
 
 // TestStreamStatuszBadParams covers the 400 paths for both interval knobs.
 func TestStreamStatuszBadParams(t *testing.T) {
-	srv := httptest.NewServer(NewHTTPMux(nil, sseTracker(), nil, nil))
+	srv := httptest.NewServer(NewHTTPMux(sseTracker(), nil, nil))
 	defer srv.Close()
 	for _, q := range []string{"interval_ms=bogus", "interval_ms=-1", "heartbeat_ms=bogus", "heartbeat_ms=-1"} {
 		resp, err := http.Get(srv.URL + "/statusz/stream?" + q)

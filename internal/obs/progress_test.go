@@ -57,7 +57,7 @@ func TestProgressTrackerNilInert(t *testing.T) {
 func TestStatuszEndpoint(t *testing.T) {
 	tr := NewProgressTracker()
 	tr.Register(1, func() Progress { return Progress{Job: 1, Name: "w", Steps: 3, Pending: 2} })
-	mux := NewHTTPMux(NewRegistry(), tr, NewFlightRecorder(16), nil)
+	mux := NewHTTPMux(tr, []*Tracer{NewRing(16)}, nil)
 
 	req := httptest.NewRequest("GET", "/statusz", nil)
 	rw := httptest.NewRecorder()
@@ -75,12 +75,19 @@ func TestStatuszEndpoint(t *testing.T) {
 	if s.NowUnixNs == 0 {
 		t.Fatal("statusz missing timestamp")
 	}
+
+	// /metrics renders the same snapshot.
+	rw = httptest.NewRecorder()
+	mux.ServeHTTP(rw, httptest.NewRequest("GET", "/metrics", nil))
+	if rw.Code != 200 || !strings.Contains(rw.Body.String(), `psdf_engine_steps_total{job="1"} 3`+"\n") {
+		t.Fatalf("/metrics status %d body %s", rw.Code, rw.Body.String())
+	}
 }
 
 func TestStatuszStreamSSE(t *testing.T) {
 	tr := NewProgressTracker()
 	tr.Register(4, func() Progress { return Progress{Job: 4, Steps: 11} })
-	mux := NewHTTPMux(nil, tr, nil, nil)
+	mux := NewHTTPMux(tr, nil, nil)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -120,15 +127,21 @@ func TestStatuszStreamSSE(t *testing.T) {
 }
 
 func TestFlightzAndQuit(t *testing.T) {
-	rec := NewFlightRecorder(16)
-	rec.Record("step", 1, 1, "k", "")
+	a, b := NewRing(16), NewRing(16)
+	a.Begin(1, 0, PhaseStep, "k").End()
+	b.Mark(2, 0, PhaseGiveup, "k", "stuck")
 	quit := make(chan struct{})
-	mux := NewHTTPMux(nil, nil, rec, func() { close(quit) })
+	mux := NewHTTPMux(nil, []*Tracer{a, b}, func() { close(quit) })
 
+	// /flightz serves every ring's retained events as trace JSON lines.
 	rw := httptest.NewRecorder()
 	mux.ServeHTTP(rw, httptest.NewRequest("GET", "/flightz", nil))
-	if rw.Code != 200 || !bytes.Contains(rw.Body.Bytes(), []byte(`"kind":"step"`)) {
+	if rw.Code != 200 || !bytes.Contains(rw.Body.Bytes(), []byte(`"phase":"step"`)) {
 		t.Fatalf("/flightz status %d body %s", rw.Code, rw.Body.String())
+	}
+	evs, err := ReadJSONL(bytes.NewReader(rw.Body.Bytes()))
+	if err != nil || len(evs) != 2 || evs[0].Phase != PhaseStep || evs[1].Phase != PhaseGiveup {
+		t.Fatalf("/flightz reads back as %+v, %v", evs, err)
 	}
 
 	rw = httptest.NewRecorder()
@@ -147,10 +160,12 @@ func TestFlightzAndQuit(t *testing.T) {
 		t.Fatal("quit callback not invoked")
 	}
 
-	// Statusz without a tracker 404s rather than panicking.
-	rw = httptest.NewRecorder()
-	mux.ServeHTTP(rw, httptest.NewRequest("GET", "/statusz", nil))
-	if rw.Code != 404 {
-		t.Fatalf("/statusz without tracker: status %d, want 404", rw.Code)
+	// Statusz and metrics without a tracker 404 rather than panicking.
+	for _, path := range []string{"/statusz", "/metrics"} {
+		rw = httptest.NewRecorder()
+		mux.ServeHTTP(rw, httptest.NewRequest("GET", path, nil))
+		if rw.Code != 404 {
+			t.Fatalf("%s without tracker: status %d, want 404", path, rw.Code)
+		}
 	}
 }

@@ -6,16 +6,13 @@ import (
 	"testing"
 )
 
-// TestTracerConcurrentHammer drives the tracer from 8 worker goroutines
-// (plus concurrent readers) the way the parallel engine does; run under
-// -race in CI it proves the sharded event store and atomic totals are
-// data-race free.
+// TestTracerConcurrentHammer drives one tracer from 8 goroutines (plus
+// concurrent readers), the way concurrent analyses share a -trace tracer;
+// run under -race in CI it proves the event store, the atomic totals and
+// the progress renderers are data-race free.
 func TestTracerConcurrentHammer(t *testing.T) {
 	tr := NewTracer()
-	reg := NewRegistry()
-	c := reg.NewCounter("hammer_total", "")
-	g := reg.NewGauge("hammer_depth", "")
-	h := reg.NewHistogram("hammer_lat", "", []float64{1, 10})
+	tracker := NewProgressTracker()
 	const workers, iters = 8, 500
 
 	var wg sync.WaitGroup
@@ -28,25 +25,18 @@ func TestTracerConcurrentHammer(t *testing.T) {
 				inner := tr.Begin(1, w, PhaseTransfer+Phase(i%6), "k")
 				inner.EndDetail(fmt.Sprintf("i=%d", i))
 				step.End()
-				c.Inc()
-				g.SetMax(float64(i))
-				h.Observe(float64(i % 20))
-				// Register fresh series while renders are in flight: the
-				// engine does exactly this (publishMetrics after each job,
-				// live-gauge registration) against a concurrent /metrics
-				// scrape, so WritePrometheus must never iterate a family map
-				// another goroutine is inserting into.
-				reg.NewCounterVec("hammer_dyn_total", "",
-					Labels("w", fmt.Sprint(w), "i", fmt.Sprint(i%17))).Inc()
-				reg.GaugeFuncVec("hammer_dyn_fn", "",
-					Labels("w", fmt.Sprint(w), "i", fmt.Sprint(i%17)),
-					func() float64 { return float64(i) })
+				// Register and finish jobs while renders are in flight, as
+				// analyses do against a concurrent /metrics scrape.
+				job := w*100 + i%17
+				tracker.Register(job, func() Progress { return Progress{Job: job, Steps: int64(i)} })
+				if i%2 == 0 {
+					tracker.Finish(job, Progress{Job: job, Steps: int64(i), CG: map[string]int64{"joins": 1}})
+				}
 			}
 		}(w)
 	}
-	// Concurrent readers: totals, events and metrics renders hammered for
-	// the writers' whole lifetime, so every render overlaps live series
-	// registration (WritePrometheus vs. NewCounterVec on one family map).
+	// Concurrent readers: totals, events and both progress renders
+	// hammered for the writers' whole lifetime.
 	writersDone := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -54,8 +44,8 @@ func TestTracerConcurrentHammer(t *testing.T) {
 		for {
 			_ = tr.Totals()
 			_ = tr.EventCount()
-			var sb nopWriter
-			_ = reg.WritePrometheus(&sb)
+			_ = tracker.WritePrometheus(nopWriter{})
+			_ = tracker.WriteStatusz(nopWriter{})
 			select {
 			case <-writersDone:
 				return
@@ -73,14 +63,8 @@ func TestTracerConcurrentHammer(t *testing.T) {
 	if got := tr.Totals()["step"]; got.Count != workers*iters {
 		t.Errorf("step count = %d", got.Count)
 	}
-	if c.Value() != workers*iters {
-		t.Errorf("counter = %d", c.Value())
-	}
-	if g.Value() != float64(iters-1) {
-		t.Errorf("gauge max = %v", g.Value())
-	}
-	if h.Count() != workers*iters {
-		t.Errorf("histogram count = %d", h.Count())
+	if n := len(tracker.Snapshot()); n != workers*17 {
+		t.Errorf("tracker jobs = %d, want %d", n, workers*17)
 	}
 	// The merged snapshot must be well-formed (no partial overlaps within
 	// a lane) despite the concurrency.

@@ -1,7 +1,8 @@
 // Package obs is the engine observability layer: a span tracer for the
-// parallel fixpoint engine's phases, a unified metrics registry with a
-// Prometheus text renderer, exporters for JSONL and the Chrome trace-event
-// format (loadable in Perfetto), and a trace summarizer that turns a
+// fixpoint engine's phases, whose bounded ring mode is the engine's flight
+// recorder; a progress tracker whose snapshot backs both /statusz and the
+// Prometheus text renderer; exporters for JSONL and the Chrome trace-event
+// format (loadable in Perfetto); and a trace summarizer that turns a
 // recorded run into per-phase and per-configuration cost tables.
 //
 // The tracer is nil-safe and compiles to near-zero cost when disabled: a
@@ -13,6 +14,8 @@
 package obs
 
 import (
+	"bytes"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,13 +69,21 @@ const (
 	// PhaseAnalyze is one whole analysis job (AnalyzeAll wraps each job in
 	// an analyze span; everything else nests inside it).
 	PhaseAnalyze
+	// PhaseGiveup marks a configuration forced to ⊤, or the step budget
+	// stopping the run: a zero-length event whose key is the configuration
+	// and whose detail is the reason.
+	PhaseGiveup
+	// PhaseDump marks a dump of the retained events (stall watchdog or
+	// step budget): a zero-length event whose detail is the reason.
+	PhaseDump
 
-	numPhases = int(PhaseAnalyze) + 1
+	numPhases = int(PhaseDump) + 1
 )
 
 var phaseNames = [numPhases]string{
 	"dequeue", "step", "transfer", "match", "split", "insert",
 	"join", "widen", "commit", "giveup-commit", "finish", "prover", "analyze",
+	"giveup", "dump",
 }
 
 func (p Phase) String() string {
@@ -119,22 +130,24 @@ type phaseTotal struct {
 	count atomic.Int64
 }
 
-const eventShards = 16
-
-type eventShard struct {
-	mu     sync.Mutex
-	events []Event
-}
-
 // Tracer records phase spans. Safe for concurrent use: per-phase totals are
-// atomic and event retention is sharded by lane. The zero *Tracer (nil) is
-// the disabled tracer: every method is a cheap no-op.
+// atomic and retained events sit behind one mutex. The zero *Tracer (nil)
+// is the disabled tracer: every method is a cheap no-op.
+//
+// A tracer keeps every event (NewTracer), none (NewAggregate), or only the
+// most recent ones (NewRing): the flight recorder, cheap enough to stay
+// armed for a whole run and dumped when something goes wrong. Phase totals
+// count every event in every mode.
 type Tracer struct {
 	epoch  time.Time
 	clock  func() time.Duration // test hook; defaults to time.Since(epoch)
 	retain bool
+	ring   int // with retain: the most events kept, 0 for all
 	totals [numPhases]phaseTotal
-	shards [eventShards]eventShard
+
+	mu     sync.Mutex
+	events []Event
+	next   int // with ring: the slot the next event overwrites once full
 }
 
 // NewTracer returns a tracer that retains every span for export (full
@@ -151,6 +164,17 @@ func NewTracer() *Tracer {
 func NewAggregate() *Tracer {
 	t := NewTracer()
 	t.retain = false
+	return t
+}
+
+// NewRing returns a tracer that retains only the most recent n events,
+// evicting the oldest first (n <= 0 selects 4096; the floor is 16).
+func NewRing(n int) *Tracer {
+	if n <= 0 {
+		n = 4096
+	}
+	t := NewTracer()
+	t.ring = max(n, 16)
 	return t
 }
 
@@ -198,19 +222,38 @@ func (s Span) EndDetail(detail string) time.Duration {
 	if dur < 0 {
 		dur = 0
 	}
-	tot := &s.t.totals[s.phase]
-	tot.ns.Add(int64(dur))
-	tot.count.Add(1)
-	if s.t.retain {
-		sh := &s.t.shards[uint32(s.tid)%eventShards]
-		sh.mu.Lock()
-		sh.events = append(sh.events, Event{
-			Phase: s.phase, Pid: int(s.pid), Tid: int(s.tid),
-			Start: s.start, Dur: dur, Key: s.key, Detail: detail,
-		})
-		sh.mu.Unlock()
-	}
+	s.t.record(Event{
+		Phase: s.phase, Pid: int(s.pid), Tid: int(s.tid),
+		Start: s.start, Dur: dur, Key: s.key, Detail: detail,
+	})
 	return dur
+}
+
+// Mark records a zero-length event of phase on lane (pid, tid) now: a
+// point in the run, such as a give-up or a dump. No-op on a nil tracer.
+func (t *Tracer) Mark(pid, tid int, phase Phase, key, detail string) {
+	if t == nil {
+		return
+	}
+	t.record(Event{Phase: phase, Pid: pid, Tid: tid, Start: t.clock(), Key: key, Detail: detail})
+}
+
+// record adds ev to the phase totals and, when retaining, to the events.
+func (t *Tracer) record(ev Event) {
+	tot := &t.totals[ev.Phase]
+	tot.ns.Add(int64(ev.Dur))
+	tot.count.Add(1)
+	if !t.retain {
+		return
+	}
+	t.mu.Lock()
+	if t.ring == 0 || len(t.events) < t.ring {
+		t.events = append(t.events, ev)
+	} else {
+		t.events[t.next] = ev
+		t.next = (t.next + 1) % t.ring
+	}
+	t.mu.Unlock()
 }
 
 // PhaseStat is the accumulated cost of one phase.
@@ -244,13 +287,9 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	var out []Event
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		out = append(out, sh.events...)
-		sh.mu.Unlock()
-	}
+	t.mu.Lock()
+	out := append([]Event(nil), t.events...)
+	t.mu.Unlock()
 	SortEvents(out)
 	return out
 }
@@ -260,12 +299,25 @@ func (t *Tracer) EventCount() int {
 	if t == nil {
 		return 0
 	}
-	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		n += len(sh.events)
-		sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.events)
+}
+
+// Dump writes the retained events of every tracer as JSON lines
+// (WriteJSONL's format, which ReadJSONL and `psdf trace` read) in a single
+// w.Write call, so dumps from concurrent analyses that share one file stay
+// line-atomic. Dumping does not drain the tracers; nil tracers add
+// nothing.
+func Dump(w io.Writer, tracers ...*Tracer) error {
+	var evs []Event
+	for _, t := range tracers {
+		evs = append(evs, t.Events()...)
 	}
-	return n
+	var b bytes.Buffer
+	if err := WriteJSONL(&b, evs); err != nil {
+		return err
+	}
+	_, err := w.Write(b.Bytes())
+	return err
 }

@@ -4,7 +4,7 @@ package obs
 // it samples a monotone progress counter and fires (once) when the counter
 // stops moving for longer than the timeout. Firing is an observation, not
 // an abort — the engine keeps running; the callback's job is to log and to
-// dump the flight recorder while the stalled state is still live.
+// dump the tracer's retained events while the stalled state is still live.
 
 import (
 	"sync"
