@@ -823,11 +823,20 @@ func (g *Graph) RenameA(old, new Atom) {
 // copy-on-write between the original and the clone, and the first mutating
 // operation on either side materializes a private copy (see materialize).
 func (g *Graph) Clone() *Graph {
+	c := new(Graph)
+	g.CloneInto(c)
+	return c
+}
+
+// CloneInto is Clone into a graph header the caller allocated, such as one
+// embedded in a larger object. dst's previous content is overwritten, not
+// released.
+func (g *Graph) CloneInto(dst *Graph) {
 	g.s.refs.Add(1)
 	if st := g.opts.Stats; st != nil {
 		st.clonesAvoided.Add(1)
 	}
-	return &Graph{opts: g.opts, s: g.s, consistent: g.consistent, ver: g.ver}
+	*dst = Graph{opts: g.opts, s: g.s, consistent: g.consistent, ver: g.ver}
 }
 
 // alignVars makes both graphs contain the union of their variables.

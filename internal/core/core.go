@@ -127,38 +127,38 @@ type State struct {
 	// changes by explicit dirtyKeys calls in the State-level mutators.
 	// Clone deliberately does not copy the cache — transfer functions
 	// mutate fresh clones through direct field writes that bypass
-	// dirtyKeys, so clones must start cold.
-	ckShape keyCache
-	ckID    keyCache
+	// dirtyKeys, so clones must start cold. The binary identity lives in
+	// id, a buffer reused across rebuilds.
+	shapeStamp keyStamp
+	shapeKey   string
+	idStamp    keyStamp
+	id         []byte
 }
 
-// keyCache is one cached canonical-key rendering, stamped with the graph
-// identity and version it was built against. The binary identity lives in
-// id, a buffer reused across rebuilds.
-type keyCache struct {
-	key  string
-	id   []byte
+// keyStamp marks a cached canonical key valid for the graph identity and
+// version it was built against.
+type keyStamp struct {
 	ok   bool
 	g    *cg.Graph
 	gVer uint64
 }
 
 // valid reports whether the cached key is still trustworthy for graph g.
-func (c *keyCache) valid(g *cg.Graph) bool {
+func (c *keyStamp) valid(g *cg.Graph) bool {
 	return c.ok && c.g == g && c.gVer == g.Version()
 }
 
-// store records a freshly built key against the current graph state.
-func (c *keyCache) store(key string, g *cg.Graph) {
-	*c = keyCache{key: key, ok: true, g: g, gVer: g.Version()}
+// stamp records that the key was just built against g's current state.
+func (c *keyStamp) stamp(g *cg.Graph) {
+	*c = keyStamp{ok: true, g: g, gVer: g.Version()}
 }
 
 // dirtyKeys invalidates the cached canonical keys. Every State method that
 // changes key-relevant content (Sets, Matches, Pending, Top) must call it;
 // constraint-graph mutations are caught by the graph version instead.
 func (st *State) dirtyKeys() {
-	st.ckShape.ok = false
-	st.ckID.ok = false
+	st.shapeStamp.ok = false
+	st.idStamp.ok = false
 }
 
 // SetAssignedVars installs the set of program variables that are written
@@ -192,17 +192,20 @@ func NewState(entry *cfg.Node, opts cg.Options) *State {
 func (st *State) Ctx() procset.Ctx { return procset.Ctx{G: st.G, Memo: st.memo} }
 
 // Clone copies the configuration. The constraint graph, the match list and
-// the pending-send list are shared copy-on-write: cg.Graph.Clone is an O(1)
-// reference bump, and Matches/Pending keep pointing at the original records
-// until either side mutates them (see ownMatches/ownPending). Only the small
-// Sets slice is copied eagerly — its elements are written by almost every
-// transfer function, so laziness would not pay. The copied sets share one
-// allocation; a set added later has its own.
+// the pending-send list are shared copy-on-write: the graph header is an
+// O(1) reference bump (cg.Graph.CloneInto), and Matches/Pending keep
+// pointing at the original records until either side mutates them (see
+// ownMatches/ownPending). Only the small Sets slice is copied eagerly — its
+// elements are written by almost every transfer function, so laziness
+// would not pay. A clone of up to seven sets is one allocation holding the
+// state, its graph header, its set pointers and its sets; a set added
+// later has its own.
 func (st *State) Clone() *State {
 	st.sharedMatches = true
 	st.sharedPending = true
-	ns := &State{
-		G:             st.G.Clone(),
+	ns, g, ptrs, sets := newClone(len(st.Sets))
+	*ns = State{
+		G:             g,
 		Top:           st.Top,
 		TopWhy:        st.TopWhy,
 		TopNode:       st.TopNode,
@@ -216,19 +219,72 @@ func (st *State) Clone() *State {
 		sharedMatches: true,
 		sharedPending: true,
 	}
-	ns.Sets = make([]*ProcSet, len(st.Sets))
-	sets := make([]ProcSet, len(st.Sets))
+	st.G.CloneInto(g)
 	for i, p := range st.Sets {
 		sets[i] = *p
-		ns.Sets[i] = &sets[i]
+		ptrs[i] = &sets[i]
 	}
+	ns.Sets = ptrs
 	return ns
 }
 
+// Clone blocks: a state, its graph header, and room for 1, 3, 5 or 7 sets
+// and their pointers. newClone takes the smallest block that fits, so a
+// one-set state does not grow and at most one set slot goes unused.
+// Clones hold 1 to 8 sets on the benchmark workloads, and fewer than 0.4%
+// hold 8 (DESIGN.md §21).
+type (
+	clone1 struct {
+		st   State
+		g    cg.Graph
+		ptrs [1]*ProcSet
+		sets [1]ProcSet
+	}
+	clone3 struct {
+		st   State
+		g    cg.Graph
+		ptrs [3]*ProcSet
+		sets [3]ProcSet
+	}
+	clone5 struct {
+		st   State
+		g    cg.Graph
+		ptrs [5]*ProcSet
+		sets [5]ProcSet
+	}
+	clone7 struct {
+		st   State
+		g    cg.Graph
+		ptrs [7]*ProcSet
+		sets [7]ProcSet
+	}
+)
+
+// newClone allocates the storage of a clone with n sets: one block for
+// n <= 7, separate objects otherwise. The set slices are capped at n, so
+// a set added later appends outside the block.
+func newClone(n int) (*State, *cg.Graph, []*ProcSet, []ProcSet) {
+	switch {
+	case n <= 1:
+		b := new(clone1)
+		return &b.st, &b.g, b.ptrs[:n:n], b.sets[:n:n]
+	case n <= 3:
+		b := new(clone3)
+		return &b.st, &b.g, b.ptrs[:n:n], b.sets[:n:n]
+	case n <= 5:
+		b := new(clone5)
+		return &b.st, &b.g, b.ptrs[:n:n], b.sets[:n:n]
+	case n <= 7:
+		b := new(clone7)
+		return &b.st, &b.g, b.ptrs[:n:n], b.sets[:n:n]
+	}
+	return new(State), new(cg.Graph), make([]*ProcSet, n), make([]ProcSet, n)
+}
+
 // Release returns the state's constraint-graph storage to the cg arena
-// pool. Call only when the state is provably dead — a discarded step
-// snapshot, a superseded table entry, a failed match attempt; the graph
-// must not be touched afterwards. Storage still shared with live clones
+// pool. Call only when the state is provably dead — a superseded table
+// entry, a consumed revision, a discarded trial state; the graph must not
+// be touched afterwards. Storage still shared with live clones
 // stays alive (cg reference counting), so Release is always safe on a
 // state nothing else aliases. Safe on nil and on graphless ⊤ states.
 func (st *State) Release() {
@@ -499,14 +555,15 @@ func anonSetIDs(r string) string {
 
 // sortCanonical orders sets by (CFG node, blocked, anonymized range).
 func (st *State) sortCanonical() {
-	// Fast path: strictly increasing node IDs determine the order on
-	// their own — no ties, nothing to sort. This is the overwhelmingly
-	// common case (sortCanonical runs on every step and every key-cache
-	// miss), and it skips both the sort machinery and the per-comparison
+	// Fast path: strictly increasing (node ID, blocked) pairs determine
+	// the order on their own — no ties, nothing to sort. This is the
+	// overwhelmingly common case (sortCanonical runs on every step and
+	// every key-cache miss), and it skips both the sort machinery and the
 	// anonymized range keys below.
 	inOrder := true
 	for i := 1; i < len(st.Sets); i++ {
-		if st.Sets[i-1].Node.ID >= st.Sets[i].Node.ID {
+		a, b := st.Sets[i-1], st.Sets[i]
+		if a.Node.ID > b.Node.ID || a.Node.ID == b.Node.ID && (a.Blocked || !b.Blocked) {
 			inOrder = false
 			break
 		}
@@ -514,18 +571,24 @@ func (st *State) sortCanonical() {
 	if inOrder {
 		return
 	}
-	// Ties on node ID need the anonymized range key, which runs a regexp
-	// replace — compute each at most once, not once per comparison.
-	keys := make(map[*ProcSet]string, len(st.Sets))
-	rangeKey := func(p *ProcSet) string {
-		k, ok := keys[p]
-		if !ok {
-			k = anonRangeKey(p.Range)
-			keys[p] = k
-		}
-		return k
+	// Ties need the anonymized range key, which renders the range and
+	// scans it: render each at most once, and move it with its set. The
+	// sort is an insertion sort, stable as sort.Stable is, so the order is
+	// the same. The keys of up to 8 sets stay on the stack, which covers
+	// every tie on the benchmark workloads (2 to 8 sets, DESIGN.md §21);
+	// a state with more sets (Options.MaxSets allows 24) allocates them.
+	var buf [8]string
+	keys := buf[:]
+	if len(st.Sets) > len(buf) {
+		keys = make([]string, len(st.Sets))
 	}
-	sort.SliceStable(st.Sets, func(i, j int) bool {
+	key := func(i int) string {
+		if keys[i] == "" { // a rendered range is never empty
+			keys[i] = anonRangeKey(st.Sets[i].Range)
+		}
+		return keys[i]
+	}
+	less := func(i, j int) bool {
 		a, b := st.Sets[i], st.Sets[j]
 		if a.Node.ID != b.Node.ID {
 			return a.Node.ID < b.Node.ID
@@ -533,8 +596,14 @@ func (st *State) sortCanonical() {
 		if a.Blocked != b.Blocked {
 			return !a.Blocked
 		}
-		return rangeKey(a) < rangeKey(b)
-	})
+		return key(i) < key(j)
+	}
+	for i := 1; i < len(st.Sets); i++ {
+		for j := i; j > 0 && less(j, j-1); j-- {
+			st.Sets[j], st.Sets[j-1] = st.Sets[j-1], st.Sets[j]
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
 }
 
 // ShapeKey identifies the pCFG node this configuration occupies: the sorted
@@ -543,9 +612,9 @@ func (st *State) ShapeKey() string {
 	if st.Top {
 		return "TOP"
 	}
-	if st.ckShape.valid(st.G) {
+	if st.shapeStamp.valid(st.G) {
 		st.G.StatsHandle().AddKeyCacheHits(1)
-		return st.ckShape.key
+		return st.shapeKey
 	}
 	st.G.StatsHandle().AddKeyCacheMisses(1)
 	st.sortCanonical()
@@ -567,9 +636,9 @@ func (st *State) ShapeKey() string {
 		b = strconv.AppendInt(b, int64(p.Node), 10)
 		b = append(b, p.Shape.String()...)
 	}
-	key := string(b)
-	st.ckShape.store(key, st.G)
-	return key
+	st.shapeKey = string(b)
+	st.shapeStamp.stamp(st.G)
+	return st.shapeKey
 }
 
 // Tags of the binary identity's variable-shape fields. A non-⊤ identity
@@ -593,18 +662,28 @@ const (
 // (no hash, no collision fallback). The result aliases a buffer the state
 // reuses: it stays valid until the next identity call on the same state.
 func (st *State) identity() []byte {
-	if st.Top {
-		b := append(st.ckID.id[:0], idTop)
-		st.ckID.id = append(b, st.TopWhy...)
-		return st.ckID.id
+	b, fresh := st.identityTo(st.id)
+	st.id = b
+	if fresh {
+		st.idStamp.stamp(st.G)
 	}
-	if st.ckID.valid(st.G) {
+	return b
+}
+
+// identityTo returns st's identity without caching a new one: the cached
+// identity when it is still valid, otherwise one encoded into buf[:0]
+// (fresh). It counts key-cache hits and misses as identity does.
+func (st *State) identityTo(buf []byte) (b []byte, fresh bool) {
+	if st.Top {
+		return append(append(buf[:0], idTop), st.TopWhy...), false
+	}
+	if st.idStamp.valid(st.G) {
 		st.G.StatsHandle().AddKeyCacheHits(1)
-		return st.ckID.id
+		return st.id, false
 	}
 	st.G.StatsHandle().AddKeyCacheMisses(1)
 	st.sortCanonical()
-	b := binary.AppendUvarint(append(st.ckID.id[:0], 0), uint64(len(st.Sets)))
+	b = binary.AppendUvarint(append(buf[:0], 0), uint64(len(st.Sets)))
 	for _, p := range st.Sets {
 		b = appendBoundAll(b, p.Range.LB)
 		b = appendBoundAll(b, p.Range.UB)
@@ -643,8 +722,7 @@ func (st *State) identity() []byte {
 			b = append(b, 0)
 		}
 	}
-	st.ckID = keyCache{id: b, ok: true, g: st.G, gVer: st.G.Version()}
-	return b
+	return b, true
 }
 
 // appendBoundAll encodes every atom of b, as Bound.StringAll renders them.

@@ -289,10 +289,12 @@ type engine struct {
 	inv    *Invariants
 	res    *Result
 	nParam int
-	// steps, widenings and giveUps are atomics because the progress
+	// steps, widenings, joins and giveUps are atomics because the progress
 	// sampler and the stall watchdog read them from another goroutine.
+	// joins counts join-rung combines.
 	steps     atomic.Int64
 	widenings atomic.Int64
+	joins     atomic.Int64
 	giveUps   atomic.Int64
 	budgetHit bool
 	started   time.Time
@@ -308,6 +310,8 @@ type engine struct {
 	// binary key addBoundsObs builds in obsKey.
 	obsSeen map[string]struct{}
 	obsKey  []byte
+	// idBuf is reviseEntry's scratch buffer for incoming identities.
+	idBuf []byte
 
 	// Source-attribution profiler (nil when Options.Profiler is nil): a
 	// private counter lane merged into Options.Profiler once, after the
@@ -743,12 +747,13 @@ type succ struct {
 // and must be rescheduled. The ladder is driven by entry.rev, which counts
 // state-changing revisions only: a revision whose combine result equals
 // the current entry state (a re-delivery, or a re-step of a stale
-// snapshot whose successors the entry already absorbed) leaves the ladder
-// untouched. That makes join→widen escalation and the give-up threshold a
-// pure function of the sequence of distinct entry states, identical for
-// any revision arrival order. Snapshots of the previous entry state are
-// protected by copy-on-write (the revision never writes storage shared
-// with a clone in place).
+// entry version whose successors the entry already absorbed) leaves the
+// ladder untouched. That makes join→widen escalation and the give-up
+// threshold a pure function of the sequence of distinct entry states,
+// identical for any revision arrival order. Clones of the previous entry
+// state, such as the successors of its step, are protected by
+// copy-on-write (the revision never writes storage shared with a clone in
+// place).
 func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	if entry.st.Top {
 		// ⊤ absorbs every revision; nothing to count, nothing to reschedule.
@@ -761,10 +766,15 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 		old.Release()
 		return true
 	}
-	// Identities alias their states' reusable buffers. before stays intact
-	// through AlignTo and combine: nothing recomputes entry.st's identity
-	// until the next revision, and widened is a fresh state.
-	fk := st.identity()
+	// st is consumed here, so its identity goes into the engine's scratch
+	// buffer instead of a buffer of its own. before aliases entry.st's
+	// buffer and stays intact through AlignTo and combine: nothing
+	// recomputes entry.st's identity until the next revision, and widened
+	// is a fresh state.
+	fk, fresh := st.identityTo(e.idBuf)
+	if fresh {
+		e.idBuf = fk
+	}
 	before := entry.st.identity()
 	if _, dup := entry.seen[string(fk)]; dup || bytes.Equal(fk, before) {
 		// fk == before matters when the entry was just created and seen is
@@ -785,6 +795,8 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	combinePhase := obs.PhaseJoin
 	if entry.rev >= joinRung {
 		combinePhase = obs.PhaseWiden
+	} else {
+		e.joins.Add(1)
 	}
 	// blameNode (not firstActiveNode) on purpose: the attribution must not
 	// reorder entry.st.Sets between AlignTo and combine.
@@ -803,6 +815,11 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 		return true
 	}
 	remap := widened.CanonicalizeParams()
+	if cap(widened.id) < len(before) {
+		// An identity about as long as before's: one allocation, not a
+		// doubling series.
+		widened.id = make([]byte, 0, len(before))
+	}
 	after := widened.identity()
 	if bytes.Equal(after, before) {
 		// Absorbed without change: the ladder does not advance, and the
@@ -892,59 +909,42 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State 
 	// failed at AddMatch time often succeed once the graphs have joined —
 	// then joined element-wise; any residual shape mismatch is a widening
 	// failure like a non-intersecting bound, never a drop.
-	oldM := map[nodePair][]*Match{}
-	for _, m := range old.Matches {
-		k := nodePair{m.SendNode, m.RecvNode}
-		oldM[k] = normalizeMatches(old.Ctx(), append(oldM[k], m))
-	}
-	nwM := map[nodePair][]*Match{}
-	var pairOrder []nodePair
-	for _, m := range nw.Matches {
-		k := nodePair{m.SendNode, m.RecvNode}
-		if _, ok := nwM[k]; !ok {
-			pairOrder = append(pairOrder, k)
-		}
-		nwM[k] = normalizeMatches(nw.Ctx(), append(nwM[k], m))
-	}
-	for _, m := range old.Matches {
-		k := nodePair{m.SendNode, m.RecvNode}
-		if _, ok := nwM[k]; !ok && !containsKey(pairOrder, k) {
-			pairOrder = append(pairOrder, k)
-		}
-	}
+	groups := matchGroups(old, nw)
 	var matchFail []nodePair
 	var mergedMatches []*Match
-	for _, k := range pairOrder {
-		om, nm := oldM[k], nwM[k]
+	if n := len(old.Matches) + len(nw.Matches); n > 0 {
+		// Normalizing only folds records, so the merge never outgrows n.
+		mergedMatches = make([]*Match, 0, n)
+	}
+	for _, gr := range groups {
+		om, nm := gr.old, gr.nw
 		switch {
 		case len(om) == 0 || len(nm) == 0:
 			// Present on one side only: keep those records verbatim (the
 			// join over-approximates both inputs).
-			for _, m := range append(om, nm...) {
+			if len(om) == 0 {
+				om = nm
+			}
+			for _, m := range om {
 				cm := *m
 				mergedMatches = append(mergedMatches, &cm)
 			}
 		case len(om) == len(nm):
 			sortMatches(om)
 			sortMatches(nm)
-			merged := make([]*Match, 0, len(om))
-			ok := true
+			mark := len(mergedMatches)
 			for i := range om {
 				ws, ok1 := om[i].Sender.Widen(nm[i].Sender)
 				wr, ok2 := om[i].Receiver.Widen(nm[i].Receiver)
 				if !ok1 || !ok2 {
-					ok = false
+					mergedMatches = mergedMatches[:mark]
+					matchFail = append(matchFail, gr.k)
 					break
 				}
-				merged = append(merged, &Match{SendNode: k.s, RecvNode: k.r, Sender: ws, Receiver: wr})
-			}
-			if ok {
-				mergedMatches = append(mergedMatches, merged...)
-			} else {
-				matchFail = append(matchFail, k)
+				mergedMatches = append(mergedMatches, &Match{SendNode: gr.k.s, RecvNode: gr.k.r, Sender: ws, Receiver: wr})
 			}
 		default:
-			matchFail = append(matchFail, k)
+			matchFail = append(matchFail, gr.k)
 		}
 	}
 
@@ -1042,11 +1042,8 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State 
 	// Fresh slices with fresh elements: no longer shared with old.
 	out.Pending = widenedPend
 	out.sharedPending = false
-	out.Matches = nil
+	out.Matches = mergedMatches
 	out.sharedMatches = false
-	for _, m := range mergedMatches {
-		out.Matches = append(out.Matches, m)
-	}
 	sortMatches(out.Matches)
 	cloned := out.G
 	if entry.rev < joinRung {
@@ -1072,30 +1069,107 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State 
 	return out
 }
 
-func containsKey(ks []nodePair, k nodePair) bool {
-	for _, x := range ks {
-		if x == k {
-			return true
+// pairMatches holds one node pair's match records on each side of a
+// combine.
+type pairMatches struct {
+	k       nodePair
+	old, nw []*Match
+}
+
+// matchGroups groups the match records of old and nw by node pair: the
+// pairs of nw first, then the pairs only old has, each in order of first
+// appearance. Each side's list is re-normalized under its own context as
+// it grows; a one-record list aliases the state's slice, which nothing
+// writes through (sorting one record is a no-op, and a second record
+// appends past its capacity).
+func matchGroups(old, nw *State) []pairMatches {
+	groups := make([]pairMatches, 0, len(old.Matches)+len(nw.Matches))
+	group := func(m *Match) *pairMatches {
+		k := nodePair{m.SendNode, m.RecvNode}
+		for i := range groups {
+			if groups[i].k == k {
+				return &groups[i]
+			}
 		}
+		groups = append(groups, pairMatches{k: k})
+		return &groups[len(groups)-1]
 	}
-	return false
+	for i, m := range nw.Matches {
+		g := group(m)
+		g.nw = appendRecord(nw.Ctx(), g.nw, nw.Matches, i)
+	}
+	for i, m := range old.Matches {
+		g := group(m)
+		g.old = appendRecord(old.Ctx(), g.old, old.Matches, i)
+	}
+	return groups
+}
+
+// appendRecord adds record ms[i] to a group's list and re-normalizes it.
+func appendRecord(ctx procset.Ctx, list, ms []*Match, i int) []*Match {
+	if len(list) == 0 {
+		return ms[i : i+1 : i+1]
+	}
+	return normalizeMatches(ctx, append(list, ms[i]))
 }
 
 // sortMatches orders match records deterministically: by node pair, then by
-// rendered ranges (several records can legally share a pair).
+// rendered ranges (several records can legally share a pair). Records with
+// strictly increasing node pairs are already in order and render nothing.
 func sortMatches(ms []*Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].SendNode != ms[j].SendNode {
-			return ms[i].SendNode < ms[j].SendNode
+	inOrder := true
+	for i := 1; i < len(ms); i++ {
+		a, b := ms[i-1], ms[i]
+		if a.SendNode > b.SendNode || a.SendNode == b.SendNode && a.RecvNode >= b.RecvNode {
+			inOrder = false
+			break
 		}
-		if ms[i].RecvNode != ms[j].RecvNode {
-			return ms[i].RecvNode < ms[j].RecvNode
-		}
-		if s1, s2 := ms[i].Sender.String(), ms[j].Sender.String(); s1 != s2 {
-			return s1 < s2
-		}
-		return ms[i].Receiver.String() < ms[j].Receiver.String()
-	})
+	}
+	if inOrder {
+		return
+	}
+	sort.Sort(&matchOrder{ms: ms, keys: make([]matchKey, len(ms))})
+}
+
+// matchOrder is sortMatches's sort.Interface. A record's ranges render at
+// most once, when a tie on its node pair first needs them, and the keys
+// move with their records.
+type matchOrder struct {
+	ms   []*Match
+	keys []matchKey
+}
+
+// matchKey is a record's rendered sender and receiver ranges; "" until
+// rendered, since a rendered range is never empty.
+type matchKey struct{ sender, receiver string }
+
+func (o *matchOrder) Len() int { return len(o.ms) }
+
+func (o *matchOrder) Swap(i, j int) {
+	o.ms[i], o.ms[j] = o.ms[j], o.ms[i]
+	o.keys[i], o.keys[j] = o.keys[j], o.keys[i]
+}
+
+func (o *matchOrder) Less(i, j int) bool {
+	a, b := o.ms[i], o.ms[j]
+	if a.SendNode != b.SendNode {
+		return a.SendNode < b.SendNode
+	}
+	if a.RecvNode != b.RecvNode {
+		return a.RecvNode < b.RecvNode
+	}
+	ka, kb := o.key(i), o.key(j)
+	if ka.sender != kb.sender {
+		return ka.sender < kb.sender
+	}
+	return ka.receiver < kb.receiver
+}
+
+func (o *matchOrder) key(i int) matchKey {
+	if o.keys[i].sender == "" {
+		o.keys[i] = matchKey{o.ms[i].Sender.String(), o.ms[i].Receiver.String()}
+	}
+	return o.keys[i]
 }
 
 // normalizeMatches collapses same-pair records that union cleanly under ctx.
@@ -1397,7 +1471,10 @@ func advancesBy(a, b procset.Bound, delta int64) bool {
 // Propagate: one analysis step (Fig 4's propagate)
 
 // step computes the successor configurations of st. key identifies the
-// configuration for phase tracing only.
+// configuration for phase tracing only. st is the table entry itself: step
+// only reads it, apart from sorting its sets, which leaves an entry that
+// is already in canonical order unchanged, and every successor is a
+// clone.
 func (e *engine) step(st *State, key string) []succ {
 	// 1. An unblocked set at a sequential node advances (transfer function).
 	st.sortCanonical()
@@ -1727,17 +1804,12 @@ func (e *engine) tryPendingMatches(st *State) ([]succ, bool) {
 			continue
 		}
 		for idx := range st.Pending {
+			pm, ok := st.MatchPending(r, src, idx)
+			if !ok || e.fifoConflict(st, idx, pm) {
+				continue
+			}
 			ns := st.Clone()
 			nr := ns.Set(r.ID)
-			pm, ok := ns.MatchPending(nr, src, idx)
-			if !ok {
-				ns.Release()
-				continue
-			}
-			if e.fifoConflict(ns, idx, pm) {
-				ns.Release()
-				continue
-			}
 			recvNode := nr.Node
 			// Release the matched receivers; leftover pieces stay blocked.
 			ctx := ns.Ctx()
@@ -1804,7 +1876,8 @@ func (e *engine) fifoConflict(st *State, idx int, pm *PendingMatch) bool {
 
 // tryMatches attempts pairwise send-receive matching in deterministic order;
 // the first success forms the successor (the framework propagates real
-// state only along the matched edge).
+// state only along the matched edge). Matchers only read the state, so a
+// failed attempt costs no clone.
 func (e *engine) tryMatches(st *State) ([]succ, bool) {
 	for _, sender := range st.Sets {
 		if !sender.Blocked || sender.Node.Kind != cfg.Send {
@@ -1814,11 +1887,9 @@ func (e *engine) tryMatches(st *State) ([]succ, bool) {
 			if receiver == sender || !receiver.Blocked || receiver.Node.Kind != cfg.Recv {
 				continue
 			}
-			ns := st.Clone()
-			if out, ok := e.applyPairMatch(ns, ns.Set(sender.ID), ns.Set(receiver.ID)); ok {
+			if out, ok := e.applyPairMatch(st, sender, receiver); ok {
 				return out, true
 			}
-			ns.Release()
 		}
 	}
 	// sendrecv pair exchange between two distinct sets.
@@ -1830,24 +1901,25 @@ func (e *engine) tryMatches(st *State) ([]succ, bool) {
 			if b == a || !b.Blocked || b.Node.Kind != cfg.SendRecv {
 				continue
 			}
-			ns := st.Clone()
-			if out, ok := e.applySendRecvPair(ns, ns.Set(a.ID), ns.Set(b.ID)); ok {
+			if out, ok := e.applySendRecvPair(st, a, b); ok {
 				return out, true
 			}
-			ns.Release()
 		}
 	}
 	return nil, false
 }
 
-// applyPairMatch matches sender's send against receiver's recv.
-func (e *engine) applyPairMatch(ns *State, sender, receiver *ProcSet) ([]succ, bool) {
+// applyPairMatch matches sender's send against receiver's recv, both sets
+// of st, and applies the plan to a clone of st.
+func (e *engine) applyPairMatch(st *State, sender, receiver *ProcSet) ([]succ, bool) {
 	pr := e.profMatchStart()
-	plan, ok := e.opts.Matcher.Match(ns, sender, sender.Node.Dest, receiver, receiver.Node.Src)
+	plan, ok := e.opts.Matcher.Match(st, sender, sender.Node.Dest, receiver, receiver.Node.Src)
 	e.profMatchEnd(sender.Node.ID, pr, ok)
 	if !ok {
 		return nil, false
 	}
+	ns := st.Clone()
+	sender, receiver = ns.Set(sender.ID), ns.Set(receiver.ID)
 	sendNode, recvNode := sender.Node, receiver.Node
 	action := fmt.Sprintf("match n%d->n%d", sendNode.ID, recvNode.ID)
 
@@ -1864,21 +1936,24 @@ func (e *engine) applyPairMatch(ns *State, sender, receiver *ProcSet) ([]succ, b
 	return []succ{{ns, action}}, true
 }
 
-// applySendRecvPair matches two sets blocked on sendrecv against each other
-// in both directions; both directions must agree on whole-set matches.
-func (e *engine) applySendRecvPair(ns *State, a, b *ProcSet) ([]succ, bool) {
+// applySendRecvPair matches two sets of st blocked on sendrecv against each
+// other in both directions; both directions must agree on whole-set
+// matches. The plans apply to a clone of st.
+func (e *engine) applySendRecvPair(st *State, a, b *ProcSet) ([]succ, bool) {
 	pr := e.profMatchStart()
-	planAB, ok := e.opts.Matcher.Match(ns, a, a.Node.Dest, b, b.Node.Src)
+	planAB, ok := e.opts.Matcher.Match(st, a, a.Node.Dest, b, b.Node.Src)
 	e.profMatchEnd(a.Node.ID, pr, ok)
 	if !ok || len(planAB.SenderRests) > 0 || len(planAB.RecvRests) > 0 {
 		return nil, false
 	}
 	pr = e.profMatchStart()
-	planBA, ok := e.opts.Matcher.Match(ns, b, b.Node.Dest, a, a.Node.Src)
+	planBA, ok := e.opts.Matcher.Match(st, b, b.Node.Dest, a, a.Node.Src)
 	e.profMatchEnd(b.Node.ID, pr, ok)
 	if !ok || len(planBA.SenderRests) > 0 || len(planBA.RecvRests) > 0 {
 		return nil, false
 	}
+	ns := st.Clone()
+	a, b = ns.Set(a.ID), ns.Set(b.ID)
 	aNode, bNode := a.Node, b.Node
 	e.propagateValue(ns, a, planAB.SenderMatched, aNode.Value, b, bNode.RecvName)
 	e.propagateValue(ns, b, planBA.SenderMatched, bNode.Value, a, aNode.RecvName)

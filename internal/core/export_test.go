@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/cfg"
 	"repro/internal/procset"
 	"repro/internal/sym"
 )
@@ -125,3 +126,50 @@ func (r *BoundsRecorder) Record(st *State, ps *ProcSet) { r.e.recordCommBounds(s
 
 // Observations returns the observations kept so far, in recording order.
 func (r *BoundsRecorder) Observations() []CommBoundsObs { return r.e.res.CommBounds }
+
+// ReplayEntries feeds states into a fresh table entry as ReplayRevisions
+// does and calls visit with the entry state after the first delivery and
+// after every revision that changed it: the states the engine steps, in
+// place, before the next delivery. Input states are cloned, never
+// consumed.
+func ReplayEntries(opts Options, key string, states []*State, visit func(*State)) {
+	e := newReplayEngine(opts)
+	entry := &tableEntry{st: states[0].Clone()}
+	visit(entry.st)
+	for _, st := range states[1:] {
+		if e.reviseEntry(entry, st.Clone(), key) {
+			visit(entry.st)
+		}
+	}
+}
+
+// Stepper steps states as the engine steps a table entry, on a bare engine
+// over one CFG.
+type Stepper struct{ e *engine }
+
+// NewStepper returns a Stepper over g; opts must carry the Matcher.
+func NewStepper(g *cfg.Graph, opts Options) *Stepper {
+	e := newReplayEngine(opts)
+	e.g, e.inv = g, NewInvariants()
+	e.visited = make([]bool, len(g.Nodes))
+	e.descs = make([]string, len(g.Nodes))
+	for _, n := range g.Nodes {
+		if n.Kind == cfg.Assume {
+			e.inv.Collect(n.Cond)
+		}
+	}
+	return &Stepper{e}
+}
+
+// Step steps st itself and returns its successors. ⊤ and all-at-exit
+// states are not stepped, as process leaves them for finish (nil).
+func (s *Stepper) Step(st *State) []*State {
+	if st.Top || s.e.allAtExit(st) {
+		return nil
+	}
+	var out []*State
+	for _, sa := range s.e.step(st, "") {
+		out = append(out, sa.st)
+	}
+	return out
+}

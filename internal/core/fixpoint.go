@@ -4,8 +4,8 @@ import "repro/internal/obs"
 
 // Fixpoint iteration: one worklist loop on the calling goroutine.
 //
-// The loop pops a configuration id off the worklist, steps a snapshot of
-// its table entry, and commits the successors back in step order. The
+// The loop pops a configuration id off the worklist, steps its table
+// entry in place, and commits the successors back in step order. The
 // worklist folds a push onto a queued configuration into its upcoming
 // visit and requeues a configuration pushed during its own step, so one
 // step covers every revision its entry received since it was last
@@ -67,13 +67,7 @@ func (e *engine) process(id uint64) {
 	}
 	sp := e.span(obs.PhaseStep, fromKey)
 	defer sp.End()
-	// Step a clone: step reorders and rewrites its input, and committing
-	// the successors may revise this very entry.
-	snap := entry.st.Clone()
-	preps, tops := e.prepare(fromKey, e.step(snap, fromKey))
-	// step always clones before returning successors, so the snapshot is
-	// dead here and its graph storage can go back to the arena.
-	snap.Release()
+	preps, tops := e.prepare(fromKey, e.step(entry.st, fromKey))
 	e.commit(preps)
 	// This step's give-up verdict replaces the previous step's.
 	entry.stuckTops = tops

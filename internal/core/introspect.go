@@ -47,11 +47,11 @@ func (e *engine) sampleProgress() obs.Progress {
 		Configs:   int64(e.in.size()),
 		Widenings: e.widenings.Load(),
 		GiveUps:   e.giveUps.Load(),
+		Joins:     e.joins.Load(),
+		Coalesced: e.work.coalesced.Load(),
 		ElapsedNs: time.Since(e.started).Nanoseconds(),
 	}
 	if s := e.stats(); s != nil {
-		p.Joins = s.Joins()
-		p.Coalesced = s.SchedCoalesced()
 		p.CG = map[string]int64{
 			"full_closures":         s.FullClosures(),
 			"incr_closures":         s.IncrClosures(),

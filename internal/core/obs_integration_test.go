@@ -21,7 +21,9 @@ import (
 // every paper workload. Tracing only observes. The observers must also
 // agree with each other: the trace's step spans, a ring's retained step
 // events, the profiler's steps, the final /statusz steps and
-// psdf_engine_steps_total all equal Result.Steps.
+// psdf_engine_steps_total all equal Result.Steps; the trace's join spans,
+// the profiler's joins and the final /statusz joins agree; and /statusz
+// sched_coalesced equals the attached cg.Stats' count.
 //
 // Options.Workers is deprecated and ignored, so a Workers: 2 run must
 // match the baseline too: that keeps the benchmark's paper-par workload
@@ -91,6 +93,16 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 			if got := s.Jobs[0].Steps; got != steps {
 				t.Errorf("/statusz steps = %d, Result.Steps = %d", got, steps)
 			}
+			joins := totals[obs.PhaseJoin.String()].Count
+			if got := pr.Report(w.Name, "").Totals.Joins; got != joins {
+				t.Errorf("profiler joins = %d, trace join spans = %d", got, joins)
+			}
+			if got := s.Jobs[0].Joins; got != joins {
+				t.Errorf("/statusz joins = %d, trace join spans = %d", got, joins)
+			}
+			if got, want := s.Jobs[0].Coalesced, s.Jobs[0].CG["sched_coalesced"]; got != want {
+				t.Errorf("/statusz sched_coalesced = %d, cg.Stats = %d", got, want)
+			}
 			var prom strings.Builder
 			if err := tracker.WritePrometheus(&prom); err != nil {
 				t.Fatal(err)
@@ -110,6 +122,25 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 				t.Errorf("ring step events = %d, Result.Steps = %d", got, steps)
 			}
 		})
+	}
+}
+
+// TestStatuszCountsWithoutStats checks that /statusz counts joins and
+// coalesced pushes on the engine, so a run without a cg.Stats still
+// reports them: stencil1d coalesces 7 pushes and joins at least once.
+func TestStatuszCountsWithoutStats(t *testing.T) {
+	_, g := bench.Stencil1D().Parse()
+	tracker := obs.NewProgressTracker()
+	analyzeWith(t, g, core.Options{Progress: tracker, TracePID: 1})
+	snap := tracker.Snapshot()
+	if len(snap) != 1 || !snap[0].Done {
+		t.Fatalf("snapshot = %+v, want one finished job", snap)
+	}
+	if got := snap[0].Coalesced; got != 7 {
+		t.Errorf("sched_coalesced = %d, want 7", got)
+	}
+	if snap[0].Joins == 0 || snap[0].CG != nil {
+		t.Errorf("joins = %d, cg = %v; want joins counted without cg.Stats", snap[0].Joins, snap[0].CG)
 	}
 }
 
@@ -149,7 +180,6 @@ func TestMetricsPublished(t *testing.T) {
 		fmt.Sprintf(`psdf_engine_finals{job="7"} %d`, len(res.Finals)),
 		fmt.Sprintf(`psdf_engine_matches{job="7"} %d`, len(res.Matches)),
 		`psdf_engine_tops{job="7"} 0`,
-		`psdf_interned_keys{job="7"}`,
 		`psdf_sched_queue_depth_max{job="7"}`,
 		`psdf_sched_pending_max{job="7"}`,
 		`psdf_sched_queue_depth{job="7"} 0`,

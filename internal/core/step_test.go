@@ -1,0 +1,94 @@
+package core_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/clients/cartesian"
+	"repro/internal/core"
+)
+
+// TestStepLeavesEntryUnchanged checks that stepping a table entry leaves
+// it as it was: process steps the entry itself, not a snapshot, so step
+// may only read its input. Every entry state the engine steps — rebuilt by
+// replaying each key's deliveries in arrival order — over the paper
+// programs (blocking and with non-blocking sends) and 40 generated
+// programs in safe and buggy mode must keep its FullKey, its set order and
+// IDs, and its identity bytes, both the cached ones and a rebuild.
+func TestStepLeavesEntryUnchanged(t *testing.T) {
+	var stepped, succs int
+	for _, p := range identityPrograms(t, 40) {
+		modes := []bool{false}
+		if p.paper {
+			modes = append(modes, true)
+		}
+		for _, nonBlocking := range modes {
+			var keys []string
+			streams := map[string][]*core.State{}
+			opts := core.WithRevisionHook(core.Options{NonBlockingSends: nonBlocking}, func(key string, st *core.State) {
+				if _, ok := streams[key]; !ok {
+					keys = append(keys, key)
+				}
+				streams[key] = append(streams[key], st)
+			})
+			opts.Matcher = cartesian.New(core.ScanInvariants(p.g))
+			if _, err := core.Analyze(p.g, opts); err != nil {
+				t.Fatalf("%s: analyze: %v", p.name, err)
+			}
+			stepper := core.NewStepper(p.g, core.Options{
+				Matcher:          cartesian.New(core.ScanInvariants(p.g)),
+				NonBlockingSends: nonBlocking,
+				RecordCommBounds: true,
+			})
+			for _, key := range keys {
+				core.ReplayEntries(core.Options{}, key, streams[key], func(st *core.State) {
+					// Identity sorts the sets canonically, as the engine's
+					// identity calls do before an entry is stepped.
+					id := string(core.Identity(st))
+					sets := append([]*core.ProcSet(nil), st.Sets...)
+					ids := setIDs(st)
+					full := st.FullKey()
+					out := stepper.Step(st)
+					if out == nil {
+						return
+					}
+					stepped++
+					succs += len(out)
+					where := fmt.Sprintf("%s (nonblocking=%v) at %s", p.name, nonBlocking, key)
+					if got := st.FullKey(); got != full {
+						t.Fatalf("%s: step changed FullKey\n got: %s\nwant: %s", where, got, full)
+					}
+					if got := setIDs(st); got != ids || len(st.Sets) != len(sets) {
+						t.Fatalf("%s: step changed the sets %s to %s", where, ids, got)
+					}
+					for i, ps := range st.Sets {
+						if ps != sets[i] {
+							t.Fatalf("%s: step reordered the sets", where)
+						}
+					}
+					if got := string(core.Identity(st)); got != id {
+						t.Fatalf("%s: step changed the cached identity", where)
+					}
+					core.DirtyKeys(st)
+					if got := string(core.Identity(st)); got != id {
+						t.Fatalf("%s: step changed the rebuilt identity", where)
+					}
+				})
+			}
+		}
+	}
+	if stepped < 1000 || succs < stepped {
+		t.Fatalf("coverage: %d entry states stepped, %d successors", stepped, succs)
+	}
+	t.Logf("%d entry states stepped, %d successors", stepped, succs)
+}
+
+// setIDs renders st's set IDs in order.
+func setIDs(st *core.State) string {
+	var b strings.Builder
+	for _, ps := range st.Sets {
+		fmt.Fprintf(&b, "%d,", ps.ID)
+	}
+	return b.String()
+}

@@ -33,8 +33,9 @@ const (
 // A push onto the configuration being stepped marks it dirty, and done
 // requeues it on top of its class.
 //
-// One goroutine drives the worklist. queued and pending are atomics only
-// because the progress sampler reads them from another goroutine.
+// One goroutine drives the worklist. queued, pending and coalesced are
+// atomics only because the progress sampler reads them from another
+// goroutine.
 type worklist struct {
 	stacks   [worklistClasses][]uint64
 	nonEmpty uint32  // bit c is set when stacks[c] is non-empty
@@ -43,7 +44,8 @@ type worklist struct {
 	stats    *cg.Stats
 	// queued counts configurations on the stacks; pending counts those
 	// queued or running. The run has converged when pending is zero.
-	queued, pending atomic.Int64
+	// coalesced counts pushes folded into an upcoming visit.
+	queued, pending, coalesced atomic.Int64
 	// High-water marks of queued and pending, for the final progress
 	// snapshot (read on the engine goroutine only).
 	depthHW, pendingHW int64
@@ -64,6 +66,7 @@ func (w *worklist) push(id uint64) {
 		w.enqueue(id)
 		w.pendingHW = max(w.pendingHW, w.pending.Add(1))
 	case cfgQueued, cfgRunningDirty:
+		w.coalesced.Add(1)
 		w.stats.AddSchedCoalesced(1)
 	case cfgRunning:
 		w.state[id] = cfgRunningDirty

@@ -143,10 +143,6 @@ psdf_engine_tops{job="1"} 0
 # TYPE psdf_engine_widenings_total counter
 psdf_engine_widenings_total{job="1"} 2
 psdf_engine_widenings_total{job="2"} 1
-# HELP psdf_interned_keys distinct shape keys interned
-# TYPE psdf_interned_keys gauge
-psdf_interned_keys{job="1"} 5
-psdf_interned_keys{job="2"} 3
 # HELP psdf_match_memo_entries match memo resident entries
 # TYPE psdf_match_memo_entries gauge
 psdf_match_memo_entries{job="1"} 3

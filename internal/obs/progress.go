@@ -35,8 +35,9 @@ type Progress struct {
 	// configurations sitting on the worklist right now.
 	Pending int64 `json:"pending"`
 	Queued  int64 `json:"queued"`
-	// Ladder counters: joins (graph joins), widenings (state-changing
-	// revisions past the join rung) and give-ups (entries forced to ⊤).
+	// Ladder counters: joins (combines on the join rung), widenings
+	// (state-changing revisions, join rung included, as Result.Widenings)
+	// and give-ups (entries forced to ⊤).
 	Joins     int64 `json:"joins"`
 	Widenings int64 `json:"widenings"`
 	GiveUps   int64 `json:"give_ups"`
@@ -154,8 +155,6 @@ var promSeries = []struct {
 	{"psdf_engine_steps_total", "counter", "", "propagate steps executed", false, func(p *Progress) int64 { return p.Steps }},
 	{"psdf_engine_tops", "gauge", "", "give-up configurations in the result", true, func(p *Progress) int64 { return p.Tops }},
 	{"psdf_engine_widenings_total", "counter", "", "widening events (table entry replaced by a wider state)", false, func(p *Progress) int64 { return p.Widenings }},
-	// Every interned shape key has a table entry, so the count is Configs.
-	{"psdf_interned_keys", "gauge", "", "distinct shape keys interned", false, func(p *Progress) int64 { return p.Configs }},
 	{"psdf_match_memo_entries", "gauge", "", "match memo resident entries", false, func(p *Progress) int64 { return p.MemoEntries }},
 	{"psdf_match_memo_total", "counter", `,result="hit"`, "match memo lookups", false, func(p *Progress) int64 { return p.MemoHits }},
 	{"psdf_match_memo_total", "counter", `,result="miss"`, "match memo lookups", false, func(p *Progress) int64 { return p.MemoMisses }},

@@ -36,13 +36,32 @@ var Zero = Expr{}
 // One is the polynomial 1.
 var One = Const(1)
 
-// Const returns the constant polynomial c.
+// Const returns the constant polynomial c. Small constants, which every
+// integer literal of a program becomes, are shared: Exprs are immutable.
 func Const(c int64) Expr {
 	if c == 0 {
 		return Expr{}
 	}
+	if c >= minSmallConst && c <= maxSmallConst {
+		return smallConsts[c-minSmallConst]
+	}
 	return Expr{terms: []term{{coef: c}}}
 }
+
+// The shared constants of Const: minSmallConst..maxSmallConst, each with a
+// one-term slice that no append can grow into its neighbour's. The entry
+// for 0 is never returned.
+const minSmallConst, maxSmallConst = -64, 255
+
+var smallConsts = func() []Expr {
+	ts := make([]term, maxSmallConst-minSmallConst+1)
+	out := make([]Expr, len(ts))
+	for i := range ts {
+		ts[i].coef = int64(i) + minSmallConst
+		out[i] = Expr{terms: ts[i : i+1 : i+1]}
+	}
+	return out
+}()
 
 // varCache interns the Expr for each variable name. Var is the hottest
 // constructor (bound enrichment and substitution mint the same handful of
