@@ -69,6 +69,17 @@ func LookupAtom(name string) (Atom, bool) {
 	return a, ok
 }
 
+// LookupBytes is LookupAtom for a name composed in a byte buffer. The map
+// index converts b without copying it, so a lookup allocates nothing.
+func LookupBytes(b []byte) (Atom, bool) {
+	p := atomTab.ids.Load()
+	if p == nil {
+		return 0, false
+	}
+	a, ok := (*p)[string(b)]
+	return a, ok
+}
+
 // String returns the interned name.
 func (a Atom) String() string { return atomNames()[a] }
 

@@ -28,6 +28,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -194,17 +195,9 @@ func (g *Graph) Vars() []string {
 	return out
 }
 
-// AnyVar reports whether some variable of the graph other than ZeroVar
-// satisfies pred, without building the sorted Vars slice.
-func (g *Graph) AnyVar(pred func(string) bool) bool {
-	names := atomNames()
-	for _, a := range g.s.atoms {
-		if a != AtomZero && pred(names[a]) {
-			return true
-		}
-	}
-	return false
-}
+// AppendAtoms appends the graph's variables to dst in slot order, ZeroVar
+// first: element i is AtomAt(i).
+func (g *Graph) AppendAtoms(dst []Atom) []Atom { return append(dst, g.s.atoms...) }
 
 // HasVar reports whether name has been interned into this graph.
 func (g *Graph) HasVar(name string) bool {
@@ -603,19 +596,9 @@ type Witness struct {
 	C   int64
 }
 
-// ForEachBound calls fn for every finite off-diagonal bound x - y <= c in
-// the closed graph, in deterministic (slot) order.
-func (g *Graph) ForEachBound(fn func(x, y string, c int64)) {
-	names := atomNames()
-	atoms := g.s.atoms
-	g.ForEachBoundA(func(i, j int32, c int64) {
-		fn(names[atoms[i]], names[atoms[j]], c)
-	})
-}
-
-// ForEachBoundA calls fn for every finite off-diagonal bound, identifying
-// variables by slot index (g.s.atoms maps slots to atoms); the string-free
-// variant used by bulk copies.
+// ForEachBoundA calls fn for every finite off-diagonal bound x - y <= c in
+// the closed graph, in slot order (row by row), identifying variables by
+// slot index; AtomAt maps a slot to its atom.
 func (g *Graph) ForEachBoundA(fn func(i, j int32, c int64)) {
 	s := g.s
 	n := len(s.atoms)
@@ -816,6 +799,36 @@ func (g *Graph) RenameA(old, new Atom) {
 	}
 	g.materialize()
 	g.s.atoms[i] = new
+}
+
+// Relabel renames from[k] to to[k] for every k at once, so from and to may
+// overlap (a swap, a cycle). Each renamed variable keeps its slot, as with
+// RenameA calls through fresh temporaries, in one materialization. Absent
+// atoms of from are skipped, and a relabel that changes nothing leaves
+// Version and Generation alone. Like RenameA, it panics on a collision.
+func (g *Graph) Relabel(from, to []Atom) {
+	hit := false
+	for k, a := range from {
+		if a != to[k] && g.s.slot(a) >= 0 {
+			hit = true
+			break
+		}
+	}
+	if !hit {
+		return
+	}
+	g.materialize()
+	atoms := g.s.atoms
+	for i, a := range atoms {
+		if k := slices.Index(from, a); k >= 0 {
+			atoms[i] = to[k]
+		}
+	}
+	for i, a := range atoms {
+		if slices.Contains(atoms[i+1:], a) {
+			panic(fmt.Sprintf("cg: Relabel target %q already exists", a.String()))
+		}
+	}
 }
 
 // Clone returns a logical copy sharing Options (and therefore Stats).

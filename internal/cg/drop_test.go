@@ -72,14 +72,14 @@ func TestQuickDropPreservesOthers(t *testing.T) {
 			// Record all bounds not involving the victim.
 			type key struct{ x, y string }
 			want := map[key]int64{}
-			g.ForEachBound(func(x, y string, c int64) {
+			forEachBound(g, func(x, y string, c int64) {
 				if x != victim && y != victim {
 					want[key{x, y}] = c
 				}
 			})
 			g.Drop(victim)
 			got := map[key]int64{}
-			g.ForEachBound(func(x, y string, c int64) {
+			forEachBound(g, func(x, y string, c int64) {
 				got[key{x, y}] = c
 			})
 			if len(got) != len(want) {
@@ -103,14 +103,19 @@ func TestForEachBoundDeterministic(t *testing.T) {
 	g.AddLE("b", "a", 1)
 	g.AddLE("a", "c", 2)
 	var first, second []string
-	g.ForEachBound(func(x, y string, c int64) { first = append(first, x+y) })
-	g.ForEachBound(func(x, y string, c int64) { second = append(second, x+y) })
+	forEachBound(g, func(x, y string, c int64) { first = append(first, x+y) })
+	forEachBound(g, func(x, y string, c int64) { second = append(second, x+y) })
 	if len(first) == 0 || len(first) != len(second) {
 		t.Fatalf("bounds %v vs %v", first, second)
 	}
 	for i := range first {
 		if first[i] != second[i] {
-			t.Error("ForEachBound order not deterministic")
+			t.Error("ForEachBoundA order not deterministic")
 		}
 	}
+}
+
+// forEachBound is ForEachBoundA with the slots rendered as names.
+func forEachBound(g *Graph, fn func(x, y string, c int64)) {
+	g.ForEachBoundA(func(i, j int32, c int64) { fn(g.AtomAt(i).String(), g.AtomAt(j).String(), c) })
 }

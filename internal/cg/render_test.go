@@ -215,7 +215,10 @@ func TestAppendCanonicalMatchesString(t *testing.T) {
 
 // TestAtomTableConcurrent interns overlapping fresh names from several
 // goroutines while others read them back (run it under -race): every name
-// gets exactly one dense atom, and lookups and String agree with Intern.
+// gets exactly one dense atom, and lookups by string and by byte slice and
+// String agree with Intern. Each worker also probes, by byte slice, a name
+// another worker may be interning at that moment: a hit must be the atom
+// Intern returns for it.
 func TestAtomTableConcurrent(t *testing.T) {
 	const workers, perWorker = 8, 300
 	base := len(atomNames())
@@ -228,9 +231,19 @@ func TestAtomTableConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				k := (i*7 + w*13) % perWorker
+				ahead := []byte(name((k + 1 + w) % perWorker))
+				early, found := LookupBytes(ahead)
 				a := Intern(name(k))
 				if b, ok := LookupAtom(name(k)); !ok || b != a || a.String() != name(k) {
 					t.Errorf("Intern(%q) = %d, but LookupAtom = %d,%v and String = %q", name(k), a, b, ok, a.String())
+					return
+				}
+				if b, ok := LookupBytes([]byte(name(k))); !ok || b != a {
+					t.Errorf("Intern(%q) = %d, but LookupBytes = %d,%v", name(k), a, b, ok)
+					return
+				}
+				if found && Intern(string(ahead)) != early {
+					t.Errorf("LookupBytes(%q) = %d before Intern returned %d", ahead, early, Intern(string(ahead)))
 					return
 				}
 			}

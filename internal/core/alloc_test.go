@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"regexp"
 	"sort"
 	"testing"
 
@@ -136,7 +137,7 @@ func TestSortCanonicalMatchesStableSort(t *testing.T) {
 			if a.Blocked != b.Blocked {
 				return !a.Blocked
 			}
-			return anonRangeKey(a.Range) < anonRangeKey(b.Range)
+			return refAnonKey(a.Range) < refAnonKey(b.Range)
 		})
 		st.Sets = sets
 		st.sortCanonical()
@@ -144,6 +145,86 @@ func TestSortCanonicalMatchesStableSort(t *testing.T) {
 			if st.Sets[i] != want[i] {
 				t.Fatalf("iteration %d: sortCanonical order differs from sort.SliceStable at %d", iter, i)
 			}
+		}
+	}
+}
+
+// refAnonKey is the anonymized range key by the regexp replace: the
+// rendered range with every ps<digits>. prefix erased.
+func refAnonKey(s procset.Set) string {
+	return regexp.MustCompile(`ps\d+\.`).ReplaceAllString(s.String(), "ps.")
+}
+
+// TestSortCanonicalTieZeroAlloc gates the tie path of sortCanonical: ties
+// of 2 to 8 sets at one node, with ranges over per-set variables whose
+// anonymized keys need the eraser, render their keys on the stack.
+func TestSortCanonicalTieZeroAlloc(t *testing.T) {
+	for n := 2; n <= 8; n++ {
+		st := splitState(t, n)
+		for i, ps := range st.Sets {
+			ps.Node = st.Sets[0].Node
+			k := int64(n - i) // reverse order, so the first sort moves sets
+			ps.Range = procset.Range(sym.VarPlus(PV(ps.ID, "i"), k), sym.VarPlus("np", -k))
+		}
+		st.sortCanonical()
+		if got := testing.AllocsPerRun(100, st.sortCanonical); got != 0 {
+			t.Errorf("sortCanonical on a %d-set tie allocates %v times, want 0", n, got)
+		}
+	}
+}
+
+// TestPVZeroAlloc gates the per-set name lookup behind every variable
+// reference: PV of an interned name composes it on the stack and finds it
+// without allocating.
+func TestPVZeroAlloc(t *testing.T) {
+	if PV(3, "x") != "ps3.x" || PV(12, "count") != "ps12.count" {
+		t.Fatalf("PV = %q, %q", PV(3, "x"), PV(12, "count"))
+	}
+	if got := testing.AllocsPerRun(1000, func() { _ = PV(12, "count") }); got != 0 {
+		t.Errorf("PV of an interned name allocates %v times, want 0", got)
+	}
+}
+
+// TestCanonicalizeParamsCanonicalAllocs gates CanonicalizeParams on a state
+// whose helper variables already carry their canonical names: it renames
+// nothing, so it allocates only the mapping it returns.
+func TestCanonicalizeParamsCanonicalAllocs(t *testing.T) {
+	st := splitState(t, 3)
+	st.G.AddLE("k0", "np", -1)
+	st.G.AddLE("f0", "k0", 0)
+	st.Sets[2].Range = procset.Range(sym.Var("k0"), sym.VarPlus("f0", 2))
+	if m := st.CanonicalizeParams(); len(m) != 2 || m["k0"] != "k0" || m["f0"] != "f0" {
+		t.Fatalf("mapping %v, want k0 and f0 kept", m)
+	}
+	var m map[string]string
+	want := testing.AllocsPerRun(100, func() {
+		m = make(map[string]string, 2)
+		m["k0"], m["f0"] = "k0", "f0"
+	})
+	if got := testing.AllocsPerRun(100, func() { m = st.CanonicalizeParams() }); got != want {
+		t.Errorf("CanonicalizeParams on a canonical state allocates %v times, the mapping alone %v", got, want)
+	}
+}
+
+// TestFirstIdentityOneAllocation gates identityVia, which encodes the
+// identity of a state without a buffer (a new table entry at its first
+// revision, a combine result) in a warm scratch buffer and keeps an exact
+// copy: one allocation, whatever the identity's length.
+func TestFirstIdentityOneAllocation(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		st := splitState(t, n)
+		st.AddMatch(1, 2, procset.Singleton(sym.Zero), procset.Singleton(sym.Const(1)))
+		scratch := make([]byte, 0, 1024)
+		got := testing.AllocsPerRun(100, func() {
+			st.id = nil
+			st.dirtyKeys()
+			_, scratch = st.identityVia(scratch)
+		})
+		if got != 1 {
+			t.Errorf("first identity of a %d-set state allocates %v times, want 1", n, got)
+		}
+		if len(st.id) != cap(st.id) || string(st.id) != string(st.identity()) {
+			t.Errorf("%d sets: cached identity has length %d, capacity %d", n, len(st.id), cap(st.id))
 		}
 	}
 }

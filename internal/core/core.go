@@ -20,8 +20,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,11 +36,82 @@ import (
 )
 
 // PV builds the namespaced constraint-graph variable for per-set variable
-// name on process set id, e.g. PV(0, "x") == "ps0.x".
-func PV(id int, name string) string { return pvPrefix(id) + name }
+// name on process set id, e.g. PV(0, "x") == "ps0.x". An interned name is
+// returned without allocating.
+func PV(id int, name string) string { return pvAtom(id, name).String() }
 
-// pvPrefix returns the namespace prefix of a set.
-func pvPrefix(id int) string { return "ps" + strconv.Itoa(id) + "." }
+// pvAtom returns the atom of PV(id, name), composed on the stack.
+func pvAtom(id int, name string) cg.Atom {
+	var buf [64]byte
+	b := append(strconv.AppendInt(append(buf[:0], "ps"...), int64(id), 10), '.')
+	return atomOf(append(b, name...))
+}
+
+// atomOf returns the atom of the name composed in b: a lookup that
+// allocates nothing, and an Intern only on the name's first sight.
+func atomOf(b []byte) cg.Atom {
+	if a, ok := cg.LookupBytes(b); ok {
+		return a
+	}
+	return cg.Intern(string(b))
+}
+
+// splitPV parses a per-set variable name ps<id>.<name> in place. No MPL
+// identifier contains '.', so no other variable parses (DESIGN.md §22).
+func splitPV(v string) (id int, name string, ok bool) {
+	i := 2
+	for ; i < len(v) && v[i] >= '0' && v[i] <= '9'; i++ {
+		id = id*10 + int(v[i]-'0')
+	}
+	if i == 2 || i == len(v) || v[:2] != "ps" || v[i] != '.' || v[2] == '0' && i > 3 {
+		return 0, "", false
+	}
+	return id, v[i+1:], true
+}
+
+// isPV reports whether v is a per-set variable name.
+func isPV(v string) bool {
+	_, _, ok := splitPV(v)
+	return ok
+}
+
+// inNamespace reports whether a is one of set id's variables.
+func inNamespace(a cg.Atom, id int) bool {
+	n, _, ok := splitPV(a.String())
+	return ok && n == id
+}
+
+// renamePV returns the atom of per-set variable v moved to set id.
+func renamePV(v cg.Atom, id int) cg.Atom {
+	_, name, _ := splitPV(v.String())
+	return pvAtom(id, name)
+}
+
+// appendNamespace appends set id's variables in g to dst in name order,
+// the order of the sorted name scan it replaced: drops fill each hole with
+// the last slot, so the order of a namespace's drops decides the slot
+// layout left behind, and with it the orientation of equalities in keys.
+func appendNamespace(dst []cg.Atom, g *cg.Graph, id int) []cg.Atom {
+	var all [32]cg.Atom // graphs hold at most 26 variables (DESIGN.md §22)
+	start := len(dst)
+	for _, a := range g.AppendAtoms(all[:0]) {
+		if inNamespace(a, id) {
+			dst = insertByName(dst, start, a)
+		}
+	}
+	return dst
+}
+
+// insertByName appends a to dst, keeping dst[start:] sorted by name.
+func insertByName(dst []cg.Atom, start int, a cg.Atom) []cg.Atom {
+	dst = append(dst, a)
+	j := len(dst) - 1
+	for ; j > start && dst[j-1].String() > a.String(); j-- {
+		dst[j] = dst[j-1]
+	}
+	dst[j] = a
+	return dst
+}
 
 // ProcSet is one symbolic process set within a configuration: the paper's
 // (process set id, CFG node) tuple element plus its pSets entry.
@@ -359,51 +432,49 @@ func (st *State) MarkTopAt(n *cfg.Node, why string) {
 	}
 }
 
-// namespaceVars returns all constraint-graph variables in set id's
-// namespace.
-func (st *State) namespaceVars(id int) []string {
-	prefix := pvPrefix(id)
-	var out []string
-	for _, v := range st.G.Vars() {
-		if strings.HasPrefix(v, prefix) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // CopyNamespace duplicates every constraint involving set from's variables
 // into set to's namespace, preserving relations with globals and other sets.
 // Used when a process set splits: the new subset inherits the old state
 // (the paper's splitPSet).
 func (st *State) CopyNamespace(from, to int) {
-	fromPrefix, toPrefix := pvPrefix(from), pvPrefix(to)
-	rename := func(v string) string {
-		if strings.HasPrefix(v, fromPrefix) {
-			return toPrefix + strings.TrimPrefix(v, fromPrefix)
+	var buf [32]cg.Atom
+	ren := st.G.AppendAtoms(buf[:0])
+	for i, a := range ren {
+		if inNamespace(a, from) {
+			ren[i] = renamePV(a, to)
 		}
-		return v
 	}
+	copyRenamed(st.G, ren)
+}
+
+// copyRenamed adds, for every bound x - y <= c of g that ren (slot ->
+// atom) renames, the renamed bound, unless it would relate a variable to
+// itself. The bounds are collected first, in slot order, into a stack
+// buffer: a copy on the benchmark workloads collects at most 84 (DESIGN.md
+// §22), and a larger one spills to the heap. New variables take slots in
+// the order they first appear.
+func copyRenamed(g *cg.Graph, ren []cg.Atom) {
 	type bound struct {
-		x, y string
+		x, y cg.Atom
 		c    int64
 	}
-	var toAdd []bound
-	st.G.ForEachBound(func(x, y string, c int64) {
-		nx, ny := rename(x), rename(y)
-		if nx != x || ny != y {
-			toAdd = append(toAdd, bound{nx, ny, c})
+	var buf [128]bound
+	add := buf[:0]
+	g.ForEachBoundA(func(i, j int32, c int64) {
+		if x, y := ren[i], ren[j]; (x != g.AtomAt(i) || y != g.AtomAt(j)) && x != y {
+			add = append(add, bound{x, y, c})
 		}
 	})
-	for _, b := range toAdd {
-		st.G.AddLE(b.x, b.y, b.c)
+	for _, b := range add {
+		g.AddLEA(b.x, b.y, b.c)
 	}
 }
 
 // DropNamespace removes all of set id's variables from the graph.
 func (st *State) DropNamespace(id int) {
-	for _, v := range st.namespaceVars(id) {
-		st.G.Drop(v)
+	var buf [32]cg.Atom
+	for _, v := range appendNamespace(buf[:0], st.G, id) {
+		st.G.DropA(v)
 	}
 }
 
@@ -445,26 +516,27 @@ func (st *State) MergeSets(a, b *ProcSet, merged procset.Set) {
 	// at the loop exit); rewrite them to equality witnesses first.
 	st.invalidateNamespace(a.ID)
 	st.invalidateNamespace(b.ID)
+	var bufA, bufB [32]cg.Atom
+	nsA := appendNamespace(bufA[:0], st.G, a.ID)
+	nsB := appendNamespace(bufB[:0], st.G, b.ID)
 	// View 1: project away b.
 	g1 := st.G.Clone()
-	for _, v := range namespaceVarsOf(g1, b.ID) {
-		g1.Forget(v)
+	for _, v := range nsB {
+		g1.ForgetA(v)
 	}
 	// View 2: project away a, rename b -> a.
 	g2 := st.G.Clone()
-	for _, v := range namespaceVarsOf(g2, a.ID) {
-		g2.Forget(v)
+	for _, v := range nsA {
+		g2.ForgetA(v)
 	}
-	bPrefix, aPrefix := pvPrefix(b.ID), pvPrefix(a.ID)
-	for _, v := range namespaceVarsOf(g2, b.ID) {
-		target := aPrefix + strings.TrimPrefix(v, bPrefix)
-		if g2.HasVar(target) {
+	for _, v := range nsB {
+		if target := renamePV(v, a.ID); g2.HasVarA(target) {
 			// Target was just forgotten (unconstrained): copy b's bounds
 			// onto it and drop the source.
 			copyBounds(g2, v, target)
-			g2.Drop(v)
+			g2.DropA(v)
 		} else {
-			g2.Rename(v, target)
+			g2.RenameA(v, target)
 		}
 	}
 	old := st.G
@@ -489,68 +561,47 @@ func (st *State) removeSetKeepingRanges(id int) {
 	st.DropNamespace(id)
 }
 
-func namespaceVarsOf(g *cg.Graph, id int) []string {
-	prefix := pvPrefix(id)
-	var out []string
-	for _, v := range g.Vars() {
-		if strings.HasPrefix(v, prefix) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // copyBounds copies all constraints of variable from onto variable to.
-func copyBounds(g *cg.Graph, from, to string) {
-	type bound struct {
-		x, y string
-		c    int64
-	}
-	var toAdd []bound
-	g.ForEachBound(func(x, y string, c int64) {
-		switch {
-		case x == from && y != to:
-			toAdd = append(toAdd, bound{to, y, c})
-		case y == from && x != to:
-			toAdd = append(toAdd, bound{x, to, c})
-		}
-	})
-	for _, b := range toAdd {
-		g.AddLE(b.x, b.y, b.c)
-	}
+func copyBounds(g *cg.Graph, from, to cg.Atom) {
+	var buf [32]cg.Atom
+	ren := g.AppendAtoms(buf[:0])
+	ren[slices.Index(ren, from)] = to
+	copyRenamed(g, ren)
 }
 
 // ---------------------------------------------------------------------------
 // Canonical ordering, shape keys, alignment
 
-// anonRangeKey renders a range with set prefixes erased, for stable
-// tie-breaking independent of set IDs.
-func anonRangeKey(s procset.Set) string { return anonSetIDs(s.String()) }
+// appendAnonRange appends s as Set.String renders it with every set
+// prefix ps<digits>. erased to "ps.", so ranges compare independently of
+// set IDs.
+func appendAnonRange(dst []byte, s procset.Set) []byte {
+	start := len(dst)
+	dst = s.AppendString(dst)
+	return dst[:start+len(eraseSetIDs(dst[start:]))]
+}
 
-// anonSetIDs replaces every "ps<digits>." in r with "ps.", scanning left to
-// right exactly as a regexp replace of `ps\d+\.` would. A string without
-// "ps" is returned as is.
-func anonSetIDs(r string) string {
-	if !strings.Contains(r, "ps") {
-		return r
-	}
-	b := make([]byte, 0, len(r))
-	for i := 0; i < len(r); {
-		if r[i] == 'p' && i+1 < len(r) && r[i+1] == 's' {
-			j := i + 2
-			for j < len(r) && r[j] >= '0' && r[j] <= '9' {
+// eraseSetIDs replaces every "ps<digits>." in b with "ps." in place,
+// scanning left to right exactly as a regexp replace of `ps\d+\.` would,
+// and returns the shortened b.
+func eraseSetIDs(b []byte) []byte {
+	w := 0
+	for r := 0; r < len(b); r++ {
+		if b[r] == 'p' && r+1 < len(b) && b[r+1] == 's' {
+			j := r + 2
+			for j < len(b) && b[j] >= '0' && b[j] <= '9' {
 				j++
 			}
-			if j > i+2 && j < len(r) && r[j] == '.' {
-				b = append(b, "ps."...)
-				i = j + 1
+			if j > r+2 && j < len(b) && b[j] == '.' {
+				w += copy(b[w:], "ps.")
+				r = j
 				continue
 			}
 		}
-		b = append(b, r[i])
-		i++
+		b[w] = b[r]
+		w++
 	}
-	return string(b)
+	return b[:w]
 }
 
 // sortCanonical orders sets by (CFG node, blocked, anonymized range).
@@ -571,22 +622,24 @@ func (st *State) sortCanonical() {
 	if inOrder {
 		return
 	}
-	// Ties need the anonymized range key, which renders the range and
-	// scans it: render each at most once, and move it with its set. The
-	// sort is an insertion sort, stable as sort.Stable is, so the order is
-	// the same. The keys of up to 8 sets stay on the stack, which covers
-	// every tie on the benchmark workloads (2 to 8 sets, DESIGN.md §21);
-	// a state with more sets (Options.MaxSets allows 24) allocates them.
-	var buf [8]string
-	keys := buf[:]
+	// Ties need the anonymized range key: render each at most once, into
+	// one stack buffer, and move it with its set. The sort is an insertion
+	// sort, stable as sort.Stable is. Ties on the benchmark workloads have
+	// 2 to 8 sets and at most 68 bytes of keys (DESIGN.md §21, §22); a
+	// larger tie allocates its key offsets or its key bytes.
+	var buf [8][2]int // key i is arena[keys[i][0]:keys[i][1]]
+	var text [256]byte
+	keys, arena := buf[:], text[:0]
 	if len(st.Sets) > len(buf) {
-		keys = make([]string, len(st.Sets))
+		keys = make([][2]int, len(st.Sets))
 	}
-	key := func(i int) string {
-		if keys[i] == "" { // a rendered range is never empty
-			keys[i] = anonRangeKey(st.Sets[i].Range)
+	key := func(i int) []byte {
+		if keys[i][1] == 0 { // a rendered range is never empty
+			start := len(arena)
+			arena = appendAnonRange(arena, st.Sets[i].Range)
+			keys[i] = [2]int{start, len(arena)}
 		}
-		return keys[i]
+		return arena[keys[i][0]:keys[i][1]]
 	}
 	less := func(i, j int) bool {
 		a, b := st.Sets[i], st.Sets[j]
@@ -596,7 +649,7 @@ func (st *State) sortCanonical() {
 		if a.Blocked != b.Blocked {
 			return !a.Blocked
 		}
-		return key(i) < key(j)
+		return bytes.Compare(key(i), key(j)) < 0
 	}
 	for i := 1; i < len(st.Sets); i++ {
 		for j := i; j > 0 && less(j, j-1); j-- {
@@ -668,6 +721,23 @@ func (st *State) identity() []byte {
 		st.idStamp.stamp(st.G)
 	}
 	return b
+}
+
+// identityVia is identity for a state that may have no buffer yet (a new
+// table entry, a combine result): a fresh identity is encoded into scratch
+// and cached as an exact-length copy, one allocation where a buffer grown
+// from nil takes several. It returns the identity and scratch, grown.
+func (st *State) identityVia(scratch []byte) (id, grown []byte) {
+	if cap(st.id) > 0 {
+		return st.identity(), scratch
+	}
+	b, fresh := st.identityTo(scratch)
+	if !fresh {
+		return b, scratch
+	}
+	st.id = append(make([]byte, 0, len(b)), b...)
+	st.idStamp.stamp(st.G)
+	return st.id, b
 }
 
 // identityTo returns st's identity without caching a new one: the cached
@@ -836,59 +906,53 @@ func (st *State) AlignTo(ref *State) {
 	if len(st.Sets) != len(ref.Sets) {
 		return
 	}
-	mapping := map[int]int{}
-	identical := true
-	for i := range st.Sets {
-		mapping[st.Sets[i].ID] = ref.Sets[i].ID
-		if st.Sets[i].ID != ref.Sets[i].ID {
-			identical = false
+	for i, p := range st.Sets {
+		if p.ID != ref.Sets[i].ID {
+			st.renameSets(ref.Sets)
+			return
 		}
 	}
-	if identical {
-		return
-	}
-	st.renameSets(mapping)
 }
 
-// renameSets applies a simultaneous set-ID renaming.
-func (st *State) renameSets(mapping map[int]int) {
+// renameSets gives st's sets the IDs of ref's, position by position, as
+// one simultaneous renaming of namespaces, ranges and matches.
+func (st *State) renameSets(ref []*ProcSet) {
 	st.dirtyKeys()
-	// Two-phase variable rename through temporaries to avoid collisions.
-	var renames [][2]string
-	for from, to := range mapping {
-		if from == to {
-			continue
+	var fromBuf, toBuf [32]cg.Atom
+	from, to := fromBuf[:0], toBuf[:0]
+	for i, p := range st.Sets {
+		if id := ref[i].ID; p.ID != id {
+			start := len(from)
+			from = appendNamespace(from, st.G, p.ID)
+			for _, v := range from[start:] {
+				to = append(to, renamePV(v, id))
+			}
 		}
-		fromPrefix, toPrefix := pvPrefix(from), pvPrefix(to)
-		for _, v := range st.namespaceVars(from) {
-			renames = append(renames, [2]string{v, toPrefix + strings.TrimPrefix(v, fromPrefix)})
-		}
 	}
-	sort.Slice(renames, func(i, j int) bool { return renames[i][0] < renames[j][0] })
-	for i, r := range renames {
-		st.G.Rename(r[0], fmt.Sprintf("$tmp%d", i))
+	st.G.Relabel(from, to)
+	for i, p := range st.Sets {
+		p.ID = ref[i].ID
 	}
-	for i, r := range renames {
-		st.G.Rename(fmt.Sprintf("$tmp%d", i), r[1])
-	}
-	// Substitution environment for range atoms.
-	env := map[string]sym.Expr{}
-	for _, r := range renames {
-		env[r[0]] = sym.Var(r[1])
-	}
-	for _, p := range st.Sets {
-		if to, ok := mapping[p.ID]; ok {
-			p.ID = to
-		}
-		p.Range = p.Range.SubstAll(env)
-	}
-	st.ownMatches()
-	for _, m := range st.Matches {
-		m.Sender = m.Sender.SubstAll(env)
-		m.Receiver = m.Receiver.SubstAll(env)
-	}
+	st.renameInRanges(from, to)
 	if st.nextID <= maxID(st.Sets) {
 		st.nextID = maxID(st.Sets) + 1
+	}
+}
+
+// renameInRanges renames variables from[k] to to[k] at once in the set
+// ranges and the match records, copying a shared match record only when
+// it changes.
+func (st *State) renameInRanges(from, to []cg.Atom) {
+	for _, p := range st.Sets {
+		p.Range, _ = p.Range.Rename(from, to)
+	}
+	for i, m := range st.Matches {
+		s, ok1 := m.Sender.Rename(from, to)
+		r, ok2 := m.Receiver.Rename(from, to)
+		if ok1 || ok2 {
+			st.ownMatches()
+			st.Matches[i].Sender, st.Matches[i].Receiver = s, r
+		}
 	}
 }
 

@@ -310,8 +310,9 @@ type engine struct {
 	// binary key addBoundsObs builds in obsKey.
 	obsSeen map[string]struct{}
 	obsKey  []byte
-	// idBuf is reviseEntry's scratch buffer for incoming identities.
-	idBuf []byte
+	// idBuf is reviseEntry's scratch buffer for incoming identities, and
+	// idCopy the one it encodes cold identities in before copying them.
+	idBuf, idCopy []byte
 
 	// Source-attribution profiler (nil when Options.Profiler is nil): a
 	// private counter lane merged into Options.Profiler once, after the
@@ -771,16 +772,19 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	// buffer and stays intact through AlignTo and combine: nothing
 	// recomputes entry.st's identity until the next revision, and widened
 	// is a fresh state.
+	ksp := e.span(obs.PhaseCanon, key)
 	fk, fresh := st.identityTo(e.idBuf)
 	if fresh {
 		e.idBuf = fk
 	}
-	before := entry.st.identity()
+	var before []byte
+	before, e.idCopy = entry.st.identityVia(e.idCopy)
 	if _, dup := entry.seen[string(fk)]; dup || bytes.Equal(fk, before) {
 		// fk == before matters when the entry was just created and seen is
 		// still empty: combining a state with itself is not a representation
 		// no-op (multi-atom bounds normalize under G), so without the check
 		// a self-delivery would advance the revision chain.
+		ksp.End()
 		st.Release()
 		return false
 	}
@@ -792,6 +796,7 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 		entry.seen[string(before)] = struct{}{}
 	}
 	st.AlignTo(entry.st)
+	ksp.End()
 	combinePhase := obs.PhaseJoin
 	if entry.rev >= joinRung {
 		combinePhase = obs.PhaseWiden
@@ -814,13 +819,11 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 		st.Release()
 		return true
 	}
+	ksp = e.span(obs.PhaseCanon, key)
 	remap := widened.CanonicalizeParams()
-	if cap(widened.id) < len(before) {
-		// An identity about as long as before's: one allocation, not a
-		// doubling series.
-		widened.id = make([]byte, 0, len(before))
-	}
-	after := widened.identity()
+	var after []byte
+	after, e.idCopy = widened.identityVia(e.idCopy)
+	ksp.End()
 	if bytes.Equal(after, before) {
 		// Absorbed without change: the ladder does not advance, and the
 		// canonicalization remap is dropped along with the discarded trial
@@ -1823,12 +1826,12 @@ func (e *engine) tryPendingMatches(st *State) ([]succ, bool) {
 			}
 			ns.ReplacePending(idx, pm.PendingRests)
 			// Value propagation from the frozen payload.
-			rv := PV(nr.ID, recvNode.RecvName)
+			rv := pvAtom(nr.ID, recvNode.RecvName)
 			ns.invalidateVar(rv)
-			ns.G.Forget(rv)
+			ns.G.ForgetA(rv)
 			if pm.Pending.ValOK {
 				if w, c, okd := splitVarPlusConst(pm.Pending.Val); okd {
-					ns.G.AddEq(rv, w, c)
+					ns.G.AddEq(rv.String(), w, c)
 				}
 			}
 			if e.prof != nil {
@@ -1985,15 +1988,15 @@ func (e *engine) applyPlanSide(ns *State, ps *ProcSet, matched procset.Set, rest
 // matched sets are singletons), otherwise the receiver variable is
 // invalidated.
 func (e *engine) propagateValue(ns *State, sender *ProcSet, senderRange procset.Set, value ast.Expr, receiver *ProcSet, recvVar string) {
-	rv := PV(receiver.ID, recvVar)
+	rv := pvAtom(receiver.ID, recvVar)
 	ns.invalidateVar(rv)
-	ns.G.Forget(rv)
+	ns.G.ForgetA(rv)
 	expr, ok := ns.affineExprRange(sender, senderRange, value)
 	if !ok {
 		return
 	}
 	if w, c, okd := splitVarPlusConst(expr); okd {
-		ns.G.AddEq(rv, w, c)
+		ns.G.AddEq(rv.String(), w, c)
 	}
 }
 

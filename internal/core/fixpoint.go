@@ -88,8 +88,10 @@ func (e *engine) prepare(fromKey string, succs []succ) (preps []prepSucc, tops [
 			sa.st.Release()
 			continue
 		}
+		csp := e.span(obs.PhaseCanon, fromKey)
 		sa.st.CanonicalizeParams()
 		key := sa.st.ShapeKey()
+		csp.End()
 		isp := e.span(obs.PhaseInsert, key)
 		preps = append(preps, prepSucc{st: sa.st, action: sa.action, key: key, id: e.in.intern(key)})
 		e.res.Edges = append(e.res.Edges, PCFGEdge{From: fromKey, To: key, Action: sa.action})

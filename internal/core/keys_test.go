@@ -132,8 +132,9 @@ func TestStateIdentityZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestAnonSetIDsMatchesPattern pins the byte scan to the regexp replace it
-// replaced, ps\d+\. → "ps.", on random strings over the pattern's alphabet.
+// TestAnonSetIDsMatchesPattern pins the in-place eraser to the regexp
+// replace it replaced, ps\d+\. → "ps.", on random strings over the
+// pattern's alphabet.
 func TestAnonSetIDsMatchesPattern(t *testing.T) {
 	re := regexp.MustCompile(`ps\d+\.`)
 	rng := rand.New(rand.NewSource(7))
@@ -143,8 +144,9 @@ func TestAnonSetIDsMatchesPattern(t *testing.T) {
 		for i := range b {
 			b[i] = alphabet[rng.Intn(len(alphabet))]
 		}
-		if r, want := string(b), re.ReplaceAllString(string(b), "ps."); anonSetIDs(r) != want {
-			t.Fatalf("anonSetIDs(%q) = %q, pattern says %q", r, anonSetIDs(r), want)
+		r, want := string(b), re.ReplaceAllString(string(b), "ps.")
+		if got := string(eraseSetIDs(b)); got != want {
+			t.Fatalf("eraseSetIDs(%q) = %q, pattern says %q", r, got, want)
 		}
 	}
 }

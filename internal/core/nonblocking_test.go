@@ -288,3 +288,54 @@ func TestNonBlockingTwoFans(t *testing.T) {
 		}
 	}
 }
+
+// nbGlobalWitnessSrc sends a per-set variable whose one equality witness is
+// a never-written global named with a "ps" prefix.
+const nbGlobalWitnessSrc = `
+assume np >= 3
+assume psize >= 1
+if id == 0 then
+  x := psize
+  for i := 1 to np - 1 do
+    send x -> i
+  end
+else
+  recv y <- 0
+  print y
+end
+`
+
+// TestNonBlockingFreezesToGlobalWitness checks that a pending send freezes
+// its payload to a global equality witness whose name merely starts with
+// "ps" (psize) instead of minting a frozen twin: only per-set variables
+// ps<id>.<name> are refused as witnesses.
+func TestNonBlockingFreezesToGlobalWitness(t *testing.T) {
+	prog, err := parser.Parse("nb.mpl", nbGlobalWitnessSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := cfg.Build(prog)
+	vals := map[string]bool{}
+	opts := core.WithRevisionHook(core.Options{Matcher: &symbolic.Matcher{}, NonBlockingSends: true}, func(_ string, st *core.State) {
+		for _, p := range st.Pending {
+			if p.ValOK {
+				vals[p.Val.String()] = true
+			}
+		}
+	})
+	res, err := core.Analyze(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Clean() {
+		t.Fatalf("not clean: %v", res.TopReasons())
+	}
+	if !vals["psize"] || len(vals) != 1 {
+		t.Errorf("pending payloads %v, want psize only", vals)
+	}
+	for _, np := range []int{3, 5} {
+		if err := validate.Check(g, res, np, map[string]int64{"psize": 2}); err != nil {
+			t.Errorf("np=%d: %v", np, err)
+		}
+	}
+}

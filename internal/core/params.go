@@ -1,11 +1,12 @@
 package core
 
 import (
+	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/cg"
 	"repro/internal/procset"
+	"repro/internal/sem"
 	"repro/internal/sym"
 )
 
@@ -17,57 +18,35 @@ import (
 // renames them by order of first appearance in the state's canonical
 // rendering, so equivalent states become syntactically equal.
 
-// isHelperVar reports whether v matches ^(wp|fz|k|f)[0-9]+$.
-func isHelperVar(v string) bool {
-	var digits string
-	switch {
-	case strings.HasPrefix(v, "wp"), strings.HasPrefix(v, "fz"):
-		digits = v[2:]
-	case strings.HasPrefix(v, "k"), strings.HasPrefix(v, "f"):
-		digits = v[1:]
-	default:
-		return false
-	}
-	if digits == "" {
-		return false
-	}
-	for i := 0; i < len(digits); i++ {
-		if digits[i] < '0' || digits[i] > '9' {
-			return false
-		}
-	}
-	return true
-}
-
 // forEachExprVar calls fn for each variable of e in sorted order. Bound
 // atoms and pending offsets are almost always var+c, whose one variable is
 // read directly instead of allocating the Vars set.
-func forEachExprVar(e sym.Expr, fn func(string)) {
+func forEachExprVar(e sym.Expr, fn func(cg.Atom)) {
 	if v, _, ok := e.AsVarPlusConst(); ok {
 		if v != "" {
-			fn(v)
+			fn(cg.Intern(v))
 		}
 		return
 	}
 	for _, v := range e.Vars() {
-		fn(v)
+		fn(cg.Intern(v))
 	}
 }
 
 // forEachAtomVar calls fn for each variable of a bound atom in sorted
 // order; a var+c pair names its one variable without a lookup.
-func forEachAtomVar(a procset.Atom, fn func(string)) {
+func forEachAtomVar(a procset.Atom, fn func(cg.Atom)) {
 	switch {
 	case !a.IsVarPlus():
 		forEachExprVar(a.Expr(), fn)
 	case a.V != cg.AtomZero:
-		fn(a.V.String())
+		fn(a.V)
 	}
 }
 
 // forEachRangeVar calls fn for every variable occurrence in the state's
 // ranges, match records and pending sends, in canonical rendering order.
-func (st *State) forEachRangeVar(fn func(string)) {
+func (st *State) forEachRangeVar(fn func(cg.Atom)) {
 	scanSet := func(s procset.Set) {
 		for _, a := range s.LB.Atoms() {
 			forEachAtomVar(a, fn)
@@ -95,101 +74,78 @@ func (st *State) forEachRangeVar(fn func(string)) {
 	}
 }
 
+// maxHelpers sizes the stack buffers of CanonicalizeParams: on the
+// benchmark workloads a state's bounds name at most 7 helper variables and
+// its graph holds at most 7 stale ones (DESIGN.md §22). A state with more
+// allocates its buffers.
+const maxHelpers = 8
+
 // CanonicalizeParams renames helper variables to canonical names and drops
 // stale ones from the constraint graph. It returns the applied renaming so
 // callers can translate names they hold (e.g. the table entry's widening
 // parameter); a state with no helper variable at all returns nil without
-// allocating.
+// allocating, and an already canonical one allocates only the mapping.
 func (st *State) CanonicalizeParams() map[string]string {
 	st.sortCanonical()
 	st.sortPending()
-	var order []string
-	var seen map[string]bool // allocated at the first helper
-	st.forEachRangeVar(func(v string) {
-		if isHelperVar(v) && !seen[v] {
-			if seen == nil {
-				seen = map[string]bool{}
-			}
-			seen[v] = true
+	// Helpers in order of first appearance, and the stale ones (in the
+	// graph but in no bound) in name order, the order they are dropped in.
+	var orderBuf, staleBuf [maxHelpers]cg.Atom
+	order, stale := orderBuf[:0], staleBuf[:0]
+	st.forEachRangeVar(func(v cg.Atom) {
+		if !slices.Contains(order, v) && sem.IsHelperName(v.String()) {
 			order = append(order, v)
 		}
 	})
-	if order == nil && !st.G.AnyVar(isHelperVar) {
+	var all [32]cg.Atom
+	for _, v := range st.G.AppendAtoms(all[:0]) {
+		if sem.IsHelperName(v.String()) && !slices.Contains(order, v) {
+			stale = insertByName(stale, 0, v)
+		}
+	}
+	if len(order) == 0 && len(stale) == 0 {
 		return nil
 	}
-	// Desired canonical names in appearance order.
-	mapping := map[string]string{}
+	// Canonical names k<n> (for wp<n> or k<n>) and f<n> (for fz<n> or
+	// f<n>) in appearance order, composed on the stack; only the changed
+	// ones rename.
+	mapping := make(map[string]string, len(order))
+	var fromBuf, toBuf [maxHelpers]cg.Atom
+	from, to := fromBuf[:0], toBuf[:0]
 	nk, nf := 0, 0
 	for _, v := range order {
-		var want string
-		if v[0] == 'f' { // fz<n> or f<n>
-			want = "f" + strconv.Itoa(nf)
-			nf++
-		} else { // wp<n> or k<n>
-			want = "k" + strconv.Itoa(nk)
-			nk++
+		kind, n := byte('k'), &nk
+		if v.String()[0] == 'f' {
+			kind, n = 'f', &nf
 		}
-		mapping[v] = want
-	}
-	// Drop stale helper variables (present in G but unused by any bound).
-	dropped := false
-	for _, v := range st.G.Vars() {
-		if isHelperVar(v) && !seen[v] {
-			st.G.Drop(v)
-			dropped = true
+		var buf [24]byte
+		want := atomOf(strconv.AppendInt(append(buf[:0], kind), int64(*n), 10))
+		*n++
+		mapping[v.String()] = want.String()
+		if want != v {
+			from, to = append(from, v), append(to, want)
 		}
 	}
-	if dropped {
-		st.dirtyKeys()
+	for _, v := range stale {
+		st.G.DropA(v) // a graph change: cached keys go stale by version
 	}
-	// Identity mapping: nothing to do.
-	identity := true
-	for from, to := range mapping {
-		if from != to {
-			identity = false
-		}
-	}
-	if identity {
+	if len(from) == 0 {
 		return mapping
 	}
 	st.dirtyKeys()
-	// Two-phase rename in the constraint graph (deterministic order).
-	for i, from := range order {
-		if st.G.HasVar(from) {
-			st.G.Rename(from, "$p"+strconv.Itoa(i))
-		}
-	}
-	for i, from := range order {
-		if tmp := "$p" + strconv.Itoa(i); st.G.HasVar(tmp) {
-			st.G.Rename(tmp, mapping[from])
-		}
-	}
-	// Substitute in ranges, matches and pendings (simultaneous).
-	env := map[string]sym.Expr{}
-	for from, to := range mapping {
-		if from != to {
-			env[from] = sym.Var(to)
-		}
-	}
-	if len(env) > 0 {
-		st.ownMatches()
+	st.G.Relabel(from, to)
+	st.renameInRanges(from, to)
+	if len(st.Pending) > 0 {
 		st.ownPending()
-		for _, p := range st.Sets {
-			p.Range = p.Range.SubstAll(env)
+	}
+	for _, p := range st.Pending {
+		p.Senders, _ = p.Senders.Rename(from, to)
+		if p.Shape == PendFan {
+			p.Dests, _ = p.Dests.Rename(from, to)
 		}
-		for _, m := range st.Matches {
-			m.Sender = m.Sender.SubstAll(env)
-			m.Receiver = m.Receiver.SubstAll(env)
-		}
-		for _, p := range st.Pending {
-			p.Senders = p.Senders.SubstAll(env)
-			if p.Shape == PendFan {
-				p.Dests = p.Dests.SubstAll(env)
-			}
-			p.Offset = sym.SubstAll(p.Offset, env)
-			if p.ValOK {
-				p.Val = sym.SubstAll(p.Val, env)
-			}
+		p.Offset = procset.RenameExpr(p.Offset, from, to)
+		if p.ValOK {
+			p.Val = procset.RenameExpr(p.Val, from, to)
 		}
 	}
 	return mapping
@@ -202,10 +158,10 @@ func (st *State) CanonicalizeParams() map[string]string {
 func (st *State) ResolveHelpers() {
 	for changed := true; changed; {
 		changed = false
-		used := map[string]bool{}
+		used := map[cg.Atom]bool{}
 		note := func(a procset.Atom) {
-			forEachAtomVar(a, func(v string) {
-				if isHelperVar(v) {
+			forEachAtomVar(a, func(v cg.Atom) {
+				if sem.IsHelperName(v.String()) {
 					used[v] = true
 				}
 			})
@@ -226,14 +182,14 @@ func (st *State) ResolveHelpers() {
 			}
 		}
 		for v := range used {
-			for _, w := range st.G.EqualWitnesses(v) {
+			for _, w := range st.G.EqualWitnessesA(v) {
 				if w.Var == cg.AtomZero {
-					st.SubstEverywhere(v, sym.Const(w.C))
+					st.SubstEverywhere(v.String(), sym.Const(w.C))
 					changed = true
 					break
 				}
-				if name := w.Var.String(); !isHelperVar(name) && name[0] != '$' && !isPSVar(name) {
-					st.SubstEverywhere(v, sym.VarPlus(name, w.C))
+				if name := w.Var.String(); !sem.IsHelperName(name) && name[0] != '$' && !isPV(name) {
+					st.SubstEverywhere(v.String(), sym.VarPlus(name, w.C))
 					changed = true
 					break
 				}
@@ -251,14 +207,14 @@ func (st *State) ResolveHelpers() {
 	// graph is kept transitively closed, so dropping a row projects the
 	// variable out while preserving every consequence among the survivors.
 	used := map[string]bool{}
-	st.forEachRangeVar(func(v string) {
-		if isHelperVar(v) {
-			used[v] = true
+	st.forEachRangeVar(func(v cg.Atom) {
+		if sem.IsHelperName(v.String()) {
+			used[v.String()] = true
 		}
 	})
 	dropped := false
 	for _, v := range st.G.Vars() {
-		if isHelperVar(v) && !used[v] {
+		if sem.IsHelperName(v) && !used[v] {
 			st.G.Drop(v)
 			dropped = true
 		}
@@ -266,17 +222,4 @@ func (st *State) ResolveHelpers() {
 	if dropped {
 		st.dirtyKeys()
 	}
-}
-
-func isPSVar(v string) bool {
-	return len(v) > 2 && v[0] == 'p' && v[1] == 's' && containsDot(v)
-}
-
-func containsDot(v string) bool {
-	for i := 0; i < len(v); i++ {
-		if v[i] == '.' {
-			return true
-		}
-	}
-	return false
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cg"
 	"repro/internal/parser"
 	"repro/internal/procset"
+	"repro/internal/sem"
 	"repro/internal/sym"
 )
 
@@ -26,12 +27,12 @@ func newTestState(t *testing.T) (*State, *cfg.Graph) {
 
 func TestHelperVarDetection(t *testing.T) {
 	for _, v := range []string{"wp0", "wp12", "fz3", "k0", "f7"} {
-		if !isHelperVar(v) {
+		if !sem.IsHelperName(v) {
 			t.Errorf("%q not detected as helper", v)
 		}
 	}
 	for _, v := range []string{"np", "nrows", "ps0.i", "kite", "wp", "fzz1", "x"} {
-		if isHelperVar(v) {
+		if sem.IsHelperName(v) {
 			t.Errorf("%q wrongly detected as helper", v)
 		}
 	}
@@ -49,11 +50,11 @@ func TestHelperVarMatchesPattern(t *testing.T) {
 		for i := range b {
 			b[i] = alphabet[rng.Intn(len(alphabet))]
 		}
-		if v := string(b); isHelperVar(v) != re.MatchString(v) {
-			t.Fatalf("isHelperVar(%q) = %v, pattern says %v", v, isHelperVar(v), re.MatchString(v))
+		if v := string(b); sem.IsHelperName(v) != re.MatchString(v) {
+			t.Fatalf("IsHelperName(%q) = %v, pattern says %v", v, sem.IsHelperName(v), re.MatchString(v))
 		}
 	}
-	if n := testing.AllocsPerRun(1000, func() { _ = isHelperVar("wp12") || isHelperVar("ps0.i") }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { _ = sem.IsHelperName("wp12") || sem.IsHelperName("ps0.i") }); n != 0 {
 		t.Errorf("isHelperVar allocates %v per op, want 0", n)
 	}
 }
@@ -87,7 +88,7 @@ func TestCanonicalizeDropsStaleHelpers(t *testing.T) {
 	st.G.SetConst("wp3", 1) // not referenced by any bound
 	st.CanonicalizeParams()
 	for _, v := range st.G.Vars() {
-		if isHelperVar(v) {
+		if sem.IsHelperName(v) {
 			t.Errorf("stale helper %q survived", v)
 		}
 	}

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/cfg"
 	"repro/internal/cg"
@@ -89,7 +89,7 @@ func clonePendings(ps []*PendingSend) []*PendingSend {
 func (st *State) freeze(e sym.Expr) (sym.Expr, bool) {
 	out := e
 	for _, v := range out.Vars() {
-		if !strings.HasPrefix(v, "ps") || !strings.Contains(v, ".") {
+		if !isPV(v) {
 			continue // global or already-frozen symbol
 		}
 		// Prefer a constant or global witness.
@@ -104,7 +104,7 @@ func (st *State) freeze(e sym.Expr) (sym.Expr, bool) {
 					replaced = true
 					break
 				}
-				if name := w.Var.String(); !strings.HasPrefix(name, "ps") {
+				if name := w.Var.String(); !isPV(name) {
 					out = sym.Subst(out, v, sym.VarPlus(name, w.C))
 					replaced = true
 					break
@@ -350,7 +350,8 @@ func (st *State) sortPending() {
 		if a.Shape != b.Shape {
 			return a.Shape < b.Shape
 		}
-		return anonRangeKey(a.Senders) < anonRangeKey(b.Senders)
+		var ka, kb [64]byte // a longer rendering spills to the heap
+		return bytes.Compare(appendAnonRange(ka[:0], a.Senders), appendAnonRange(kb[:0], b.Senders)) < 0
 	}
 	sorted := true
 	for i := 1; i < len(st.Pending); i++ {

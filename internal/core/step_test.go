@@ -24,25 +24,13 @@ func TestStepLeavesEntryUnchanged(t *testing.T) {
 			modes = append(modes, true)
 		}
 		for _, nonBlocking := range modes {
-			var keys []string
-			streams := map[string][]*core.State{}
-			opts := core.WithRevisionHook(core.Options{NonBlockingSends: nonBlocking}, func(key string, st *core.State) {
-				if _, ok := streams[key]; !ok {
-					keys = append(keys, key)
-				}
-				streams[key] = append(streams[key], st)
-			})
-			opts.Matcher = cartesian.New(core.ScanInvariants(p.g))
-			if _, err := core.Analyze(p.g, opts); err != nil {
-				t.Fatalf("%s: analyze: %v", p.name, err)
-			}
 			stepper := core.NewStepper(p.g, core.Options{
 				Matcher:          cartesian.New(core.ScanInvariants(p.g)),
 				NonBlockingSends: nonBlocking,
 				RecordCommBounds: true,
 			})
-			for _, key := range keys {
-				core.ReplayEntries(core.Options{}, key, streams[key], func(st *core.State) {
+			replayEntryStates(t, p, nonBlocking, func(key string, st *core.State) {
+				{
 					// Identity sorts the sets canonically, as the engine's
 					// identity calls do before an entry is stepped.
 					id := string(core.Identity(st))
@@ -74,8 +62,8 @@ func TestStepLeavesEntryUnchanged(t *testing.T) {
 					if got := string(core.Identity(st)); got != id {
 						t.Fatalf("%s: step changed the rebuilt identity", where)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 	if stepped < 1000 || succs < stepped {
@@ -91,4 +79,28 @@ func setIDs(st *core.State) string {
 		fmt.Fprintf(&b, "%d,", ps.ID)
 	}
 	return b.String()
+}
+
+// replayEntryStates analyzes p, records every state delivered to the
+// configuration table, and replays each shape key's deliveries in arrival
+// order (core.ReplayEntries), calling visit with every entry state the
+// engine steps: the state after the first delivery and after every
+// revision that changed it.
+func replayEntryStates(t *testing.T, p identityProgram, nonBlocking bool, visit func(key string, st *core.State)) {
+	t.Helper()
+	var keys []string
+	streams := map[string][]*core.State{}
+	opts := core.WithRevisionHook(core.Options{NonBlockingSends: nonBlocking}, func(key string, st *core.State) {
+		if _, ok := streams[key]; !ok {
+			keys = append(keys, key)
+		}
+		streams[key] = append(streams[key], st)
+	})
+	opts.Matcher = cartesian.New(core.ScanInvariants(p.g))
+	if _, err := core.Analyze(p.g, opts); err != nil {
+		t.Fatalf("%s: analyze: %v", p.name, err)
+	}
+	for _, key := range keys {
+		core.ReplayEntries(core.Options{}, key, streams[key], func(st *core.State) { visit(key, st) })
+	}
 }

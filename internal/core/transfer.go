@@ -429,29 +429,30 @@ func SplitByIDCond(ctx procset.Ctx, op ast.BinOp, rng procset.Set, e sym.Expr) (
 
 // ApplyAssign performs the transfer function for "name := rhs" on set ps.
 func (st *State) ApplyAssign(ps *ProcSet, name string, rhs ast.Expr) {
-	v := PV(ps.ID, name)
+	va := pvAtom(ps.ID, name)
+	v := va.String()
 	rhsExpr, ok := st.AffineExpr(ps, rhs)
 	if !ok {
 		// Unknown value: also invalidate range atoms mentioning v.
-		st.invalidateVar(v)
-		st.G.Forget(v)
+		st.invalidateVar(va)
+		st.G.ForgetA(va)
 		return
 	}
 	// Invertible self-update x := x + c?
 	if w, c, okd := rhsExpr.AsVarPlusConst(); okd && w == v {
-		st.G.Shift(v, c)
+		st.G.ShiftA(va, c)
 		// Occurrences of v in ranges denote the OLD value = new v - c.
 		st.SubstEverywhere(v, sym.VarPlus(v, -c))
 		return
 	}
 	if rhsExpr.Uses(v) {
 		// Self-referencing but not a plain shift (e.g. x := 2*x).
-		st.invalidateVar(v)
-		st.G.Forget(v)
+		st.invalidateVar(va)
+		st.G.ForgetA(va)
 		return
 	}
-	st.invalidateVar(v)
-	st.G.Forget(v)
+	st.invalidateVar(va)
+	st.G.ForgetA(va)
 	if w, c, okd := splitVarPlusConst(rhsExpr); okd {
 		st.G.AddEq(v, w, c)
 	}
@@ -461,27 +462,29 @@ func (st *State) ApplyAssign(ps *ProcSet, name string, rhs ast.Expr) {
 // id's variables to equality witnesses (done before the namespace's facts
 // are weakened or dropped).
 func (st *State) invalidateNamespace(id int) {
-	for _, v := range st.namespaceVars(id) {
+	var buf [32]cg.Atom
+	for _, v := range appendNamespace(buf[:0], st.G, id) {
 		st.invalidateVar(v)
 	}
 }
 
 // invalidateVar rewrites range/match atoms that mention a variable about to
 // lose its value, substituting an equality witness when one exists.
-func (st *State) invalidateVar(v string) {
+func (st *State) invalidateVar(va cg.Atom) {
+	v := va.String()
 	used := false
 	for _, p := range st.Sets {
-		if p.Range.Uses(v) {
+		if p.Range.UsesAtom(va) {
 			used = true
 		}
 	}
 	for _, m := range st.Matches {
-		if m.Sender.Uses(v) || m.Receiver.Uses(v) {
+		if m.Sender.UsesAtom(va) || m.Receiver.UsesAtom(va) {
 			used = true
 		}
 	}
 	for _, p := range st.Pending {
-		if p.Senders.Uses(v) || p.Dests.Uses(v) || p.Offset.Uses(v) || (p.ValOK && p.Val.Uses(v)) {
+		if p.Senders.UsesAtom(va) || p.Dests.UsesAtom(va) || p.Offset.Uses(v) || (p.ValOK && p.Val.Uses(v)) {
 			used = true
 		}
 	}
@@ -489,7 +492,7 @@ func (st *State) invalidateVar(v string) {
 		return
 	}
 	// Prefer an equality witness not involving v.
-	for _, w := range st.G.EqualWitnesses(v) {
+	for _, w := range st.G.EqualWitnessesA(va) {
 		repl := sym.Const(w.C)
 		if w.Var != cg.AtomZero {
 			repl = sym.VarPlus(w.Var.String(), w.C)

@@ -244,7 +244,7 @@ func TestCLITraceWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("psdf -trace: %v\n%s", err, out)
 	}
-	for _, w := range []string{"phases:", "match-memo:", "hit rate"} {
+	for _, w := range []string{"phases:", "canon ", "match-memo:", "hit rate"} {
 		if !strings.Contains(string(out), w) {
 			t.Errorf("psdf output missing %q:\n%s", w, out)
 		}

@@ -157,3 +157,41 @@ func TestVerifyFindsInjectedBugs(t *testing.T) {
 		t.Errorf("type mismatch not reported: %v", c)
 	}
 }
+
+// TestReservedHelperNameRepro runs a broadcast whose receivers are bounded
+// by a never-written symbol: with q1 the receiver q1 + 1 has no matching
+// send (PSDF-E002). Spelled like a helper variable (k1, f1, k0), the symbol
+// used to be taken for a widening parameter or frozen twin, turning the
+// finding into give-ups or none at all; the checker now rejects it.
+func TestReservedHelperNameRepro(t *testing.T) {
+	const src = `assume np >= 4
+assume q1 >= 1
+assume q1 <= np - 2
+if id == 0 then
+  x := 42
+  for i := 1 to q1 do
+    send x -> i
+  end
+elif id <= q1 + 1 then
+  recv y <- 0
+end
+`
+	tg, err := lint.Load("q1.mpl", src, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var codes []string
+	found := false
+	for _, d := range lint.Run(tg, lint.Options{}).Diags {
+		codes = append(codes, d.Code)
+		found = found || d.Code == "PSDF-E002" && d.Span.Start.Line == 10
+	}
+	if !found {
+		t.Errorf("q1: diagnostics %v, want PSDF-E002 at line 10", codes)
+	}
+	for _, name := range []string{"k1", "f1", "k0"} {
+		if _, err := lint.Load(name+".mpl", strings.ReplaceAll(src, "q1", name), core.Options{}); err == nil || !strings.Contains(err.Error(), "reserved") {
+			t.Errorf("%s: Load error = %v, want the reserved-name diagnostic", name, err)
+		}
+	}
+}

@@ -76,14 +76,18 @@ const (
 	// PhaseDump marks a dump of the retained events (stall watchdog or
 	// step budget): a zero-length event whose detail is the reason.
 	PhaseDump
+	// PhaseCanon is key canonicalization: helper-parameter renaming and
+	// shape keying of a step successor (nested in step), and set alignment,
+	// identities and helper renaming of a revision (nested in commit).
+	PhaseCanon
 
-	numPhases = int(PhaseDump) + 1
+	numPhases = int(PhaseCanon) + 1
 )
 
 var phaseNames = [numPhases]string{
 	"dequeue", "step", "transfer", "match", "split", "insert",
 	"join", "widen", "commit", "giveup-commit", "finish", "prover", "analyze",
-	"giveup", "dump",
+	"giveup", "dump", "canon",
 }
 
 func (p Phase) String() string {

@@ -555,7 +555,7 @@ func refSymSubst(e sym.Expr, name string, repl sym.Expr) sym.Expr {
 }
 
 // TestVarPlusFastPathsMatchReference runs every operation that works on
-// the atom pairs — Intersect, Subst, SubstAll, DropUses, Offset,
+// the atom pairs — Intersect, Subst, Rename, DropUses, Offset,
 // OffsetExpr, the atom comparison behind LeqBound and Contradictory, and
 // comparableAtoms behind Coherent — against the sym.Expr reference, on
 // random bounds, substitutions and graphs, and requires identical results.
@@ -637,17 +637,17 @@ func TestVarPlusFastPathsMatchReference(t *testing.T) {
 		}
 
 		env := map[string]sym.Expr{}
+		var from, to []cg.Atom
 		for n := rng.Intn(3); n >= 0; n-- {
-			v := atomVars[rng.Intn(len(atomVars))]
-			if rng.Intn(2) == 0 {
-				env[v] = sym.Var(atomVars[rng.Intn(len(atomVars))])
-			} else {
-				env[v] = randAtom(rng)
+			v, w := atomVars[rng.Intn(len(atomVars))], atomVars[rng.Intn(len(atomVars))]
+			if _, dup := env[v]; !dup {
+				env[v] = sym.Var(w)
+				from, to = append(from, cg.Intern(v)), append(to, cg.Intern(w))
 			}
 		}
 		want = refSubstAll(xr, env)
-		if got := x.SubstAll(env); !sameAtoms(got, want) {
-			t.Fatalf("SubstAll(%v, %v) = %v, want %v", refKeys(xr), env, keysOf(got), refKeys(want))
+		if got, _ := x.Rename(from, to); !sameAtoms(got, want) {
+			t.Fatalf("Rename(%v, %v) = %v, want %v", refKeys(xr), env, keysOf(got), refKeys(want))
 		}
 
 		want = refDropUses(xr, name)

@@ -119,17 +119,25 @@ func (a Atom) String() string {
 		return a.V.String()
 	}
 	var buf [64]byte
-	b := buf[:0]
-	if a.V != cg.AtomZero {
-		b = append(b, a.V.String()...)
-		if a.C > 0 {
-			return string(strconv.AppendInt(append(b, " + "...), a.C, 10))
-		}
-		b = append(b, ' ', '-', ' ')
-	} else {
-		b = append(b, '-')
+	return string(a.appendString(buf[:0]))
+}
+
+// appendString appends what String renders.
+func (a Atom) appendString(dst []byte) []byte {
+	switch {
+	case a.poly != nil:
+		return append(dst, a.poly.String()...)
+	case a.V == cg.AtomZero:
+		return strconv.AppendInt(dst, a.C, 10)
 	}
-	return string(strconv.AppendInt(b, -a.C, 10))
+	dst = append(dst, a.V.String()...)
+	switch {
+	case a.C > 0:
+		return strconv.AppendInt(append(dst, " + "...), a.C, 10)
+	case a.C < 0:
+		return strconv.AppendInt(append(dst, " - "...), -a.C, 10)
+	}
+	return dst
 }
 
 // Bound is one end of a range: a non-empty set of atoms that are all known
@@ -282,31 +290,39 @@ func (b Bound) Subst(name string, repl sym.Expr) Bound {
 	return l.bound()
 }
 
-// SubstAll applies a simultaneous substitution to every atom, dropping
-// atoms that stop being affine var+c forms. A bound of var+c atoms none of
-// which env names is returned as is.
-func (b Bound) SubstAll(env map[string]sym.Expr) Bound {
+// Rename renames the variables from[k] to to[k] in every atom at once, as
+// a simultaneous substitution of each from[k] by the variable to[k] would,
+// dropping atoms that stop being var+c forms (a general atom is rewritten
+// through sym and kept only if it becomes one). A bound of var+c atoms
+// that names none of from is returned as is, with changed false.
+func (b Bound) Rename(from, to []cg.Atom) (r Bound, changed bool) {
 	var l atomList
-	changed := false
 	for _, a := range b.atoms {
 		if a.poly != nil {
-			l.addExpr(sym.SubstAll(*a.poly, env))
+			l.addExpr(RenameExpr(*a.poly, from, to))
 			changed = true
 			continue
 		}
-		if a.V != cg.AtomZero {
-			if r, ok := env[a.V.String()]; ok {
-				l.addShifted(AtomOf(r), a.C)
-				changed = true
-				continue
-			}
+		if k := slices.Index(from, a.V); k >= 0 && a.V != cg.AtomZero {
+			a.V = to[k]
+			changed = true
 		}
 		l.add(a)
 	}
 	if !changed {
-		return b
+		return b, false
 	}
-	return l.bound()
+	return l.bound(), true
+}
+
+// RenameExpr renames the variables from[k] to to[k] in e at once, through
+// sym.SubstAll (general atoms and pending-send expressions are rare).
+func RenameExpr(e sym.Expr, from, to []cg.Atom) sym.Expr {
+	env := make(map[string]sym.Expr, len(from))
+	for k, a := range from {
+		env[a.String()] = sym.Var(to[k].String())
+	}
+	return sym.SubstAll(e, env)
 }
 
 // Uses reports whether any atom references the variable.
@@ -317,6 +333,12 @@ func (b Bound) Uses(name string) bool {
 		}
 	}
 	return false
+}
+
+// UsesAtom is Uses for an interned variable other than cg.AtomZero: a
+// var+c atom compares atoms instead of names.
+func (b Bound) UsesAtom(v cg.Atom) bool {
+	return slices.ContainsFunc(b.atoms, func(a Atom) bool { return a.poly == nil && a.V == v || a.poly != nil && a.poly.Uses(v.String()) })
 }
 
 // DropUses removes atoms referencing name. The result may be invalid.
@@ -827,13 +849,22 @@ func (s Set) Subst(name string, repl sym.Expr) Set {
 	return Set{s.LB.Subst(name, repl), s.UB.Subst(name, repl)}
 }
 
-// SubstAll applies a simultaneous substitution to both bounds.
-func (s Set) SubstAll(env map[string]sym.Expr) Set {
-	return Set{s.LB.SubstAll(env), s.UB.SubstAll(env)}
+// Rename renames variables in both bounds (Bound.Rename); changed is
+// false, and s returned as is, when neither bound changes.
+func (s Set) Rename(from, to []cg.Atom) (Set, bool) {
+	lb, c1 := s.LB.Rename(from, to)
+	ub, c2 := s.UB.Rename(from, to)
+	if !c1 && !c2 {
+		return s, false
+	}
+	return Set{lb, ub}, true
 }
 
 // Uses reports whether either bound references the variable.
 func (s Set) Uses(name string) bool { return s.LB.Uses(name) || s.UB.Uses(name) }
+
+// UsesAtom is Uses for an interned variable (Bound.UsesAtom).
+func (s Set) UsesAtom(v cg.Atom) bool { return s.LB.UsesAtom(v) || s.UB.UsesAtom(v) }
 
 // Enrich expands both bounds with context-equal atoms.
 func (s Set) Enrich(ctx Ctx) Set {
@@ -885,14 +916,24 @@ func evalBound(b Bound, env map[string]int64) (int64, bool) {
 	return 0, false
 }
 
+// String renders s as "[lb..ub]", or "[x]" for a set whose bounds are one
+// and the same atom, with each bound's primary atom.
 func (s Set) String() string {
+	var buf [64]byte
+	return string(s.AppendString(buf[:0]))
+}
+
+// AppendString appends what String renders. Only a general atom's
+// rendering allocates.
+func (s Set) AppendString(dst []byte) []byte {
 	if !s.IsValid() {
-		return "[invalid]"
+		return append(dst, "[invalid]"...)
 	}
-	if len(s.LB.atoms) == 1 && len(s.UB.atoms) == 1 && s.LB.atoms[0].Equal(s.UB.atoms[0]) {
-		return "[" + s.LB.String() + "]"
+	dst = s.LB.Primary().appendString(append(dst, '['))
+	if len(s.LB.atoms) != 1 || len(s.UB.atoms) != 1 || !s.LB.atoms[0].Equal(s.UB.atoms[0]) {
+		dst = s.UB.Primary().appendString(append(dst, ".."...))
 	}
-	return "[" + s.LB.String() + ".." + s.UB.String() + "]"
+	return append(dst, ']')
 }
 
 // StringAll renders both bounds with all atoms.

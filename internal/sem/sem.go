@@ -5,7 +5,9 @@
 package sem
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/source"
@@ -52,14 +54,34 @@ type Info struct {
 	CommCount int
 }
 
+// IsHelperName reports whether name has the form ^(wp|fz|k|f)[0-9]+$ of
+// the helper variables the analysis mints: widening parameters (wp<n>,
+// canonically k<n>) and frozen-value twins (fz<n>, canonically f<n>). A
+// program may use such a name only for a variable it writes, since the
+// analysis keeps a never-written variable under its own name.
+func IsHelperName(name string) bool {
+	for _, prefix := range [...]string{"wp", "fz", "k", "f"} {
+		if digits, ok := strings.CutPrefix(name, prefix); ok && digits != "" && strings.Trim(digits, "0123456789") == "" {
+			return true
+		}
+	}
+	return false
+}
+
 // Check validates the program and returns its Info. All problems found are
 // reported together via the returned error.
 func Check(prog *ast.Program) (*Info, error) {
 	c := &checker{
-		vars: map[string]bool{},
-		tags: map[string]bool{},
+		vars:    map[string]bool{},
+		written: map[string]bool{},
+		tags:    map[string]bool{},
 	}
 	c.checkStmts(prog.Stmts)
+	for _, id := range c.helperReads {
+		if !c.written[id.Name] {
+			c.diags.Errorf(id.Sp, "%q is never written, and names of the form wp<n>, fz<n>, k<n> and f<n> are reserved for the analysis's helper variables", id.Name)
+		}
+	}
 	info := &Info{UsesID: c.usesID, CommCount: c.commCount}
 	for v := range c.vars {
 		info.Vars = append(info.Vars, v)
@@ -73,19 +95,26 @@ func Check(prog *ast.Program) (*Info, error) {
 }
 
 type checker struct {
-	diags     source.DiagList
-	vars      map[string]bool
-	tags      map[string]bool
-	usesID    bool
-	commCount int
+	diags source.DiagList
+	vars  map[string]bool
+	// written holds the variables defineVar marked written; helperReads
+	// the first read of each helper-form name.
+	written     map[string]bool
+	helperReads []*ast.Ident
+	tags        map[string]bool
+	usesID      bool
+	commCount   int
 }
 
-func (c *checker) defineVar(name string, sp source.Span) {
+// defineVar records a declared variable, and written marks one the
+// program assigns, receives into or uses as a for variable.
+func (c *checker) defineVar(name string, sp source.Span, written bool) {
 	if name == IDVar || name == NPVar {
 		c.diags.Errorf(sp, "cannot assign to builtin %q", name)
 		return
 	}
 	c.vars[name] = true
+	c.written[name] = c.written[name] || written
 }
 
 func (c *checker) checkStmts(stmts []ast.Stmt) {
@@ -98,10 +127,10 @@ func (c *checker) checkStmt(s ast.Stmt) {
 	switch x := s.(type) {
 	case *ast.VarDecl:
 		for _, n := range x.Names {
-			c.defineVar(n, x.Sp)
+			c.defineVar(n, x.Sp, false)
 		}
 	case *ast.Assign:
-		c.defineVar(x.Name, x.Sp)
+		c.defineVar(x.Name, x.Sp, true)
 		c.wantType(x.Rhs, Int)
 	case *ast.If:
 		c.wantType(x.Cond, Bool)
@@ -111,7 +140,7 @@ func (c *checker) checkStmt(s ast.Stmt) {
 		c.wantType(x.Cond, Bool)
 		c.checkStmts(x.Body)
 	case *ast.For:
-		c.defineVar(x.Var, x.Sp)
+		c.defineVar(x.Var, x.Sp, true)
 		c.wantType(x.Lo, Int)
 		c.wantType(x.Hi, Int)
 		c.checkStmts(x.Body)
@@ -122,12 +151,12 @@ func (c *checker) checkStmt(s ast.Stmt) {
 		c.noteTag(x.Tag)
 	case *ast.Recv:
 		c.commCount++
-		c.defineVar(x.Name, x.Sp)
+		c.defineVar(x.Name, x.Sp, true)
 		c.wantType(x.Src, Int)
 		c.noteTag(x.Tag)
 	case *ast.SendRecv:
 		c.commCount++
-		c.defineVar(x.Name, x.Sp)
+		c.defineVar(x.Name, x.Sp, true)
 		c.wantType(x.Value, Int)
 		c.wantType(x.Dest, Int)
 		c.wantType(x.Src, Int)
@@ -166,6 +195,9 @@ func (c *checker) typeOf(e ast.Expr) Type {
 	case *ast.Ident:
 		if x.Name == IDVar {
 			c.usesID = true
+		}
+		if IsHelperName(x.Name) && !slices.ContainsFunc(c.helperReads, func(r *ast.Ident) bool { return r.Name == x.Name }) {
+			c.helperReads = append(c.helperReads, x)
 		}
 		// All variables are integers; referencing an unassigned variable is
 		// allowed (it reads 0), matching the paper's untyped pseudocode.

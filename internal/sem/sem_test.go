@@ -2,6 +2,8 @@ package sem
 
 import (
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/parser"
@@ -106,5 +108,53 @@ func TestReadingUndeclaredIsAllowed(t *testing.T) {
 	// MPL mirrors the paper's untyped pseudocode: variables default to 0.
 	if _, err := check(t, "x := undeclared + 1"); err != nil {
 		t.Errorf("reading undeclared variable should be allowed: %v", err)
+	}
+}
+
+// reservedRepro is a program whose never-written symbol q1 bounds the
+// receivers; spelled like a helper variable, the symbol would be taken
+// for one by the analysis.
+const reservedRepro = `assume np >= 4
+assume q1 >= 1
+assume q1 <= np - 2
+if id == 0 then
+  x := 42
+  for i := 1 to q1 do
+    send x -> i
+  end
+elif id <= q1 + 1 then
+  recv y <- 0
+end
+`
+
+// TestHelperNamesReserved checks that a never-written identifier of the
+// helper form wp<n>, fz<n>, k<n> or f<n> is rejected at its first read,
+// while a written one (assigned, received into or a for variable) and
+// any other never-written name stay legal.
+func TestHelperNamesReserved(t *testing.T) {
+	if _, err := check(t, reservedRepro); err != nil {
+		t.Fatalf("q1 rejected: %v", err)
+	}
+	for _, name := range []string{"k1", "f1", "k0", "wp3", "fz12"} {
+		_, err := check(t, strings.ReplaceAll(reservedRepro, "q1", name))
+		if err == nil || !strings.Contains(err.Error(), "2:8") || !strings.Contains(err.Error(), strconv.Quote(name)) {
+			t.Errorf("%s: err = %v, want one diagnostic at its first read, 2:8", name, err)
+		} else if n := strings.Count(err.Error(), "reserved"); n != 1 {
+			t.Errorf("%s: %d diagnostics, want 1: %v", name, n, err)
+		}
+	}
+	for _, src := range []string{
+		"for k1 := 1 to 3 do x := k1 end",
+		"x := f0 + 1\nf0 := 2",
+		"recv wp1 <- 0\nprint wp1",
+		"sendrecv 1 -> 0, fz2 <- 0\nprint fz2",
+		"x := kk1 + k + f1x + wp",
+	} {
+		if _, err := check(t, src); err != nil {
+			t.Errorf("Check(%q) = %v, want ok", src, err)
+		}
+	}
+	if _, err := check(t, "var k1\nprint k1"); err == nil {
+		t.Error("a declared but never written k1 was accepted")
 	}
 }
