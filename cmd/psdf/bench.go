@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -19,9 +18,8 @@ import (
 // runBench implements `psdf bench`: the paper tables plus the longitudinal
 // regression observability workflow over BENCH_HISTORY.jsonl.
 //
-//	psdf bench run     run the experiments registry once, print the
-//	                   paper-vs-measured tables and write one
-//	                   BENCH_<spec>.json record per spec
+//	psdf bench run     run the experiments registry once and print the
+//	                   paper-vs-measured tables
 //	psdf bench record  measure the experiments registry (N samples per
 //	                   spec) plus the per-workload precision fingerprints
 //	                   and append one commit-anchored entry to the history
@@ -62,8 +60,7 @@ func benchUsage() {
 	fmt.Fprintln(os.Stderr, `usage: psdf bench <subcommand> [flags]
 
 subcommands:
-  run     run the experiments registry once, print the paper tables and
-          write BENCH_<spec>.json records
+  run     run the experiments registry once and print the paper tables
   record  run the experiments registry -sample times, capture precision
           fingerprints, and append a commit-anchored entry to the history
   diff    statistically compare two history entries
@@ -104,16 +101,14 @@ func splitIDs(list string) []string {
 }
 
 // benchRun regenerates the paper's evaluation tables: every selected spec
-// runs once, its table prints with the paper-reported value next to the
-// measured one, and its BENCH_<spec>.json record (wall time plus the obs
-// phase breakdown) lands in -bench-dir. The experiment ids match DESIGN.md's
-// per-experiment index.
+// runs once and its table prints with the paper-reported value next to the
+// measured one. The experiment ids match DESIGN.md's per-experiment index;
+// `psdf bench record` keeps the timings.
 func benchRun(args []string) int {
 	fs := flag.NewFlagSet("bench run", flag.ExitOnError)
 	var (
 		expList  = fs.String("exp", "", "comma-separated spec ids to run (default: all)")
 		parallel = fs.Int("parallel", 0, "specs in flight (0 = one per CPU, 1 = serial)")
-		benchDir = fs.String("bench-dir", ".", "directory for the per-spec BENCH_<spec>.json records")
 	)
 	_ = fs.Parse(args)
 	if fs.NArg() != 0 {
@@ -128,30 +123,7 @@ func benchRun(args []string) int {
 	for _, s := range sampled {
 		fmt.Println(s.Table)
 	}
-	for _, s := range sampled {
-		if err := writeBenchRecord(*benchDir, s.Record()); err != nil {
-			fmt.Fprintln(os.Stderr, "psdf bench run:", err)
-			return 1
-		}
-	}
 	return 0
-}
-
-// writeBenchRecord persists one experiment's benchmark record as
-// BENCH_<spec>.json. The write is atomic (temp file + rename) so a crashed
-// or interrupted run never leaves a truncated record for downstream tooling
-// to trip over.
-func writeBenchRecord(dir string, rec *experiments.SpecResult) error {
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "BENCH_"+rec.Spec+".json")
-	if err := benchhist.WriteFileAtomic(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (wall %dms, %d phases)\n", path, rec.WallNs/1e6, len(rec.Phases))
-	return nil
 }
 
 func benchRecord(args []string) int {

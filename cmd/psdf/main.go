@@ -3,43 +3,49 @@
 //
 // Usage:
 //
-//	psdf [flags] program.mpl [more.mpl ...]
-//	psdf lint [-format text|json|sarif] [-strict-bounds] program.mpl ...
+//	psdf [-format text|json|sarif] [-strict-bounds] [-stats] [flags] program.mpl [more.mpl ...]
 //	psdf sim -np N [-env k=v,k=v] [-rendezvous] [-events] [-fail-on-findings] program.mpl
 //	psdf trace [-top n] [-check] trace.json ...
 //	psdf bench run|record|diff|check|report [flags]
 //	psdf fuzz [-seed S] [-n N] [-np 2,3] [-shrink] [-out dir] [-gate class]
-//	psdf profile [-format text|json|folded] [-top n] (report.json | program.mpl) ...
+//	psdf profile [-format text|json|folded] [-top n] [-check] report.json ...
 //
-// The bare form parses, checks and analyzes every program on a bounded
-// pool (core.AnalyzeAll, -parallel, one analysis per CPU by default) and
-// prints, per program, its topology (or the -dot/-pcfg rendering), its
-// known print values, and its lint diagnostics or "lint: ok", under an
-// "== path ==" header when several programs are given. It exits 1 when an
-// analysis fails or lint reports an error-severity finding, 2 on a usage
-// error, 0 otherwise.
+// The bare form is the one command that analyzes programs. It parses,
+// checks and analyzes every program on a bounded pool (core.AnalyzeAll,
+// -parallel, one analysis per CPU by default) and runs the lint passes
+// over each result. With -format text, the default, it prints per program
+// its topology (or the -dot/-pcfg rendering), its known print values, and
+// its lint diagnostics or "lint: ok", under an "== path ==" header when
+// several programs are given. With -format json or sarif it prints only
+// the diagnostics of every program, sorted, as one JSON or SARIF 2.1.0
+// document. -strict-bounds also reports rank-bounds targets that could not
+// be proved. It exits 1 when a program fails to load or analyze or lint
+// reports an error-severity finding, 2 on a usage error, 0 otherwise.
 //
-// Its observability flags only observe; results are byte-identical with
-// them on or off. -trace writes a Chrome trace-event file (Perfetto, or
-// `psdf trace`), -trace-jsonl the same spans as JSON lines; -metrics and
-// -metrics-out render the final progress snapshot as Prometheus text;
+// -stats explains a run: each program's report adds its closure and join
+// counters and wall time, the phase split, the match-memo counters, the
+// rank-bounds verdict counts and its five hottest source lines.
+//
+// The other observability flags only observe; results are byte-identical
+// with them on or off. -trace writes a Chrome trace-event file (Perfetto,
+// or `psdf trace`), -trace-jsonl the same spans as JSON lines; -metrics
+// and -metrics-out render the final progress snapshot as Prometheus text;
 // -log debug narrates the fixpoint. -http serves /metrics, /statusz,
 // /statusz/stream, /flightz and /debug/pprof during the run (with
-// -http-linger, until POST /quitquitquit). -stall-timeout arms a
-// no-progress watchdog that dumps the retained trace events to
-// -stall-dump as trace JSON lines, and -force-stall fires it
-// deterministically; without -trace each job keeps its last
-// -flight-buffer events in a ring for these dumps and /flightz.
+// -http-linger, until POST /quitquitquit), and labels the analysis
+// goroutines for CPU profiles. -stall-timeout arms a no-progress watchdog
+// that dumps the retained trace events to -stall-dump as trace JSON lines,
+// and -force-stall fires it deterministically; without -trace each job
+// keeps its most recent events in a ring for these dumps and /flightz.
 // -profile-out writes the source-attribution profile as psdf-profile/1
 // JSON for `psdf profile`.
 //
-// The subcommands: lint renders the same diagnostics as text, JSON or
-// SARIF; sim executes one program on the concrete simulator (the ground
-// truth); trace summarizes or validates a span trace; bench run prints
-// the paper-vs-measured tables and writes BENCH_<spec>.json, while bench
+// The subcommands: sim executes one program on the concrete simulator
+// (the ground truth); trace summarizes or validates a span trace; bench
+// run prints the paper-vs-measured tables, while bench
 // record/diff/check/report maintain BENCH_HISTORY.jsonl; fuzz is the
 // differential-soundness sweep (`psdf fuzz -seed 1 -n 2000` gates CI);
-// profile renders source-attributed profiles.
+// profile renders saved source-attribution reports.
 package main
 
 import (
@@ -72,7 +78,6 @@ import (
 
 func main() {
 	subcommands := map[string]func([]string) int{
-		"lint":    runLint,
 		"sim":     runSim,
 		"trace":   runTrace,
 		"bench":   runBench,
@@ -111,14 +116,16 @@ func loadProgram(path string) (*program, error) {
 	return &program{path: path, src: string(src), prog: prog, g: cfg.Build(prog)}, nil
 }
 
-// validClient reports whether name is a -client value.
-func validClient(name string) bool { return name == "cartesian" || name == "symbolic" }
-
 var backends = map[string]cg.Backend{"array": cg.ArrayBackend, "map": cg.MapBackend}
+
+// lintVersion is reported in the SARIF tool descriptor.
+const lintVersion = "0.1.0"
 
 // analyzeFlags carries the bare form's flags.
 type analyzeFlags struct {
 	client, backend      string
+	format               string
+	strictBounds         bool
 	dot, cfgDot, pcfgDot bool
 	stats, nonblocking   bool
 	parallel             int
@@ -130,8 +137,6 @@ type analyzeFlags struct {
 	stallTO              time.Duration
 	stallDump            string
 	forceStall           bool
-	flightBuf            int
-	pprofLabels          bool
 	profileOut           string
 }
 
@@ -141,36 +146,63 @@ func runAnalyze(args []string) int {
 	fs := flag.NewFlagSet("psdf", flag.ExitOnError)
 	fs.StringVar(&c.client, "client", "cartesian", "client analysis: symbolic or cartesian")
 	fs.StringVar(&c.backend, "backend", "array", "constraint-graph backend: array or map")
+	fs.StringVar(&c.format, "format", "text", "output format: text (the report), or json or sarif (only the lint diagnostics, as one document)")
+	fs.BoolVar(&c.strictBounds, "strict-bounds", false, "also report rank-bounds targets that could not be proved (PSDF-W004)")
 	fs.BoolVar(&c.dot, "dot", false, "print the topology as Graphviz dot")
 	fs.BoolVar(&c.cfgDot, "cfg", false, "print the CFG as Graphviz dot and exit")
 	fs.BoolVar(&c.pcfgDot, "pcfg", false, "print the explored pCFG as Graphviz dot")
-	fs.BoolVar(&c.stats, "stats", false, "print analysis statistics, wall time, phase breakdown and match-memo counters")
+	fs.BoolVar(&c.stats, "stats", false, "print analysis statistics, wall time, phase breakdown, match-memo and rank-bounds counters, and the hottest source lines")
 	fs.BoolVar(&c.nonblocking, "nonblocking", false, "non-blocking sends (Section X aggregation extension)")
 	fs.IntVar(&c.parallel, "parallel", 0, "analyses in flight (0 = one per CPU, 1 = sequential)")
 	fs.StringVar(&c.traceOut, "trace", "", "write a Chrome trace-event file (Perfetto-loadable)")
 	fs.StringVar(&c.traceJSONL, "trace-jsonl", "", "write the span trace as JSON lines")
 	fs.BoolVar(&c.metrics, "metrics", false, "print the final progress snapshot (the /statusz counters) as Prometheus text after the run")
 	fs.StringVar(&c.metricsOut, "metrics-out", "", "write the final progress snapshot as Prometheus text to this file")
-	fs.StringVar(&c.httpAddr, "http", "", "serve the introspection mux during the run: /statusz, /statusz/stream and /metrics (the progress snapshot as JSON, SSE and Prometheus text), /flightz (the retained trace events as JSON lines) and /debug/pprof")
+	fs.StringVar(&c.httpAddr, "http", "", "serve the introspection mux during the run: /statusz, /statusz/stream and /metrics (the progress snapshot as JSON, SSE and Prometheus text), /flightz (the retained trace events as JSON lines) and /debug/pprof, whose CPU profiles carry job and phase labels")
 	fs.BoolVar(&c.httpLinger, "http-linger", false, "with -http: keep the listener serving after the analyses finish (POST /quitquitquit to exit)")
 	fs.DurationVar(&c.stallTO, "stall-timeout", 0, "per-analysis no-progress watchdog deadline (0 disables); firing dumps the retained trace events")
 	fs.StringVar(&c.stallDump, "stall-dump", "", "write stall and step-budget dumps (trace JSON lines) to this file (default stderr)")
 	fs.BoolVar(&c.forceStall, "force-stall", false, "hold each analysis open until its stall watchdog fires (smoke-tests the stall path; requires -stall-timeout)")
-	fs.IntVar(&c.flightBuf, "flight-buffer", 4096, "without -trace: trace events each job keeps (its most recent) for -stall-timeout dumps and /flightz")
-	fs.BoolVar(&c.pprofLabels, "pprof-labels", false, "attach pprof goroutine labels (job, phase) to analysis goroutines and the HSM prover")
 	fs.StringVar(&c.profileOut, "profile-out", "", "profile each analysis and write the combined source-attribution report as psdf-profile/1 JSON (render with `psdf profile`)")
 	lf := addLogFlags(fs)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: psdf [flags] program.mpl [more.mpl ...]")
-		fmt.Fprintln(os.Stderr, "       psdf lint|sim|trace|bench|fuzz|profile [flags] ...")
+		fmt.Fprintln(os.Stderr, "       psdf sim|trace|bench|fuzz|profile [flags] ...")
 		fs.PrintDefaults()
+		fmt.Fprintln(os.Stderr, "\nlint passes:")
+		for _, p := range lint.Passes() {
+			fmt.Fprintf(os.Stderr, "  %-14s %s\n", p.Name, p.Doc)
+		}
 	}
 	_ = fs.Parse(args)
 	if fs.NArg() == 0 {
 		fs.Usage()
 		return 2
 	}
-	if !validClient(c.client) {
+	// Flag parsing stops at the first non-flag, so `psdf lint -format
+	// sarif a.mpl` would otherwise read as four program paths.
+	if fs.Arg(0) == "lint" {
+		fmt.Fprintln(os.Stderr, "psdf: there is no lint subcommand; the bare form lints: psdf [-format text|json|sarif] [-strict-bounds] program.mpl ...")
+		return 2
+	}
+	switch c.format {
+	case "text":
+	case "json", "sarif":
+		// The document is all that goes to stdout.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"-cfg", c.cfgDot}, {"-dot", c.dot}, {"-pcfg", c.pcfgDot}, {"-stats", c.stats}, {"-metrics", c.metrics}} {
+			if f.set {
+				fmt.Fprintf(os.Stderr, "psdf: %s prints to stdout, which -format %s keeps for the diagnostics document\n", f.name, c.format)
+				return 2
+			}
+		}
+	default:
+		fmt.Fprintf(os.Stderr, "psdf: unknown format %q (want text, json or sarif)\n", c.format)
+		return 2
+	}
+	if c.client != "cartesian" && c.client != "symbolic" {
 		fmt.Fprintf(os.Stderr, "psdf: unknown client %q (want symbolic or cartesian)\n", c.client)
 		return 2
 	}
@@ -217,13 +249,21 @@ func runAnalyze(args []string) int {
 	return 0
 }
 
-// analyze runs every program through core.AnalyzeAll and prints each
-// report. It reports whether an analysis failed or lint found an
-// error-severity finding. Every job gets its own matcher (matcher
-// instrumentation and memo tables are not race-safe to share); the -trace
-// tracer and the progress tracker are shared (race-safe), with per-job
-// pid/label attribution.
+// analyze runs every program through core.AnalyzeAll and lints each
+// result, printing the reports (-format text) or one diagnostics document.
+// It reports whether an analysis failed or lint found an error-severity
+// finding. Every job gets its own matcher (matcher instrumentation and
+// memo tables are not race-safe to share); the -trace tracer and the
+// progress tracker are shared (race-safe), with per-job pid/label
+// attribution.
 func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger) (failed bool, err error) {
+	text := c.format == "text"
+	// Outside text mode stdout holds only the document, so the notices
+	// about written files go to stderr.
+	notices := io.Writer(os.Stdout)
+	if !text {
+		notices = os.Stderr
+	}
 	var tracer *obs.Tracer
 	if c.traceOut != "" || c.traceJSONL != "" {
 		tracer = obs.NewTracer()
@@ -241,7 +281,7 @@ func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger
 		flight = []*obs.Tracer{tracer}
 	} else if c.stallTO > 0 || c.httpAddr != "" {
 		for range progs {
-			flight = append(flight, obs.NewRing(c.flightBuf))
+			flight = append(flight, obs.NewRing(0))
 		}
 	}
 	// The watchdog's stall dump goes to -stall-dump (created up front so a
@@ -273,6 +313,9 @@ func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger
 		}()
 	}
 
+	// Goroutine labels show only in CPU profiles, which psdf serves only
+	// through -http's /debug/pprof.
+	labels := c.httpAddr != ""
 	jobs := make([]core.Job, len(progs))
 	matchers := make([]core.Matcher, len(progs))
 	profilers := make([]*prof.Profiler, len(progs))
@@ -288,12 +331,12 @@ func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger
 		} else {
 			m := cartesian.New(core.ScanInvariants(p.g))
 			m.SetObs(jobTracer, i+1)
-			m.Prover().ProfileLabels = c.pprofLabels
+			m.Prover().ProfileLabels = labels
 			matchers[i] = m
 		}
 		// One profiler per job: commits are per-analysis, and merging across
 		// programs would blur the per-source attribution.
-		if c.profileOut != "" {
+		if c.profileOut != "" || c.stats {
 			profilers[i] = prof.New()
 		}
 		// Stats counters time the closures, so only -stats pays for them.
@@ -314,7 +357,7 @@ func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger
 			StallTimeout:     c.stallTO,
 			StallDump:        stallDumpW,
 			ForceStall:       c.forceStall,
-			ProfileLabels:    c.pprofLabels,
+			ProfileLabels:    labels,
 			Profiler:         profilers[i],
 		}}
 	}
@@ -331,9 +374,10 @@ func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger
 		}
 	}
 	var reps []*prof.Report
+	var diags []diag.Diagnostic
 	for i, jr := range results {
 		p := progs[i]
-		if headers {
+		if text && headers {
 			fmt.Printf("== %s ==\n", p.path)
 		}
 		if jr.Err != nil {
@@ -342,6 +386,19 @@ func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger
 			continue
 		}
 		res := jr.Res
+		rep := lint.Run(&lint.Target{Path: p.path, Prog: p.prog, File: p.prog.File, G: p.g, Res: res}, lint.Options{Strict: c.strictBounds})
+		failed = failed || rep.HasErrors()
+		var profile *prof.Report
+		if profilers[i] != nil {
+			profile = profilers[i].Report(p.path, p.src)
+			if c.profileOut != "" {
+				reps = append(reps, profile)
+			}
+		}
+		if !text {
+			diags = append(diags, rep.Diags...)
+			continue
+		}
 		switch {
 		case c.pcfgDot:
 			fmt.Print(res.PCFGDot(p.path))
@@ -355,39 +412,34 @@ func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger
 				fmt.Printf("  print at n%d on %s always outputs %d\n", pr.Node, pr.Range, pr.Val)
 			}
 		}
-		rep := lint.Run(&lint.Target{Path: p.path, Prog: p.prog, File: p.prog.File, G: p.g, Res: res}, lint.Options{})
 		if len(rep.Diags) == 0 {
 			fmt.Println("lint: ok")
 		} else {
 			diag.WriteText(os.Stdout, map[string]*source.File{p.path: p.prog.File}, rep.Diags)
 		}
-		failed = failed || rep.HasErrors()
 		if c.stats {
-			st := cgStats[i]
-			fmt.Printf("stats: %d pCFG nodes, %d steps, %d widenings, %d incremental closures (avg %.1f vars), %d joins, wall %v\n",
-				res.Configs, res.Steps, res.Widenings, st.IncrClosures(), st.AvgIncrVars(), st.Joins(), jr.Wall.Round(time.Microsecond))
-			if ph := formatPhases(jr.Phases); ph != "" {
-				fmt.Printf("  phases: %s\n", ph)
-			}
-			if m, ok := matchers[i].(*cartesian.Matcher); ok {
-				if memo := m.Memo(); memo.HitCount()+memo.MissCount() > 0 {
-					fmt.Printf("  match-memo: %d hits / %d misses (%.0f%% hit rate), %d entries\n",
-						memo.HitCount(), memo.MissCount(), 100*memo.HitRate(), memo.Len())
-				}
-			}
-		}
-		if profilers[i] != nil {
-			reps = append(reps, profilers[i].Report(p.path, p.src))
+			writeStats(os.Stdout, jr, matchers[i], cgStats[i], rep.Bounds, profile)
 		}
 	}
-	if err := writeObsOutputs(tracer, tracker, laneNames, c); err != nil {
+	if !text {
+		diag.Sort(diags)
+		if c.format == "json" {
+			err = diag.WriteJSON(os.Stdout, diags)
+		} else {
+			err = diag.WriteSARIF(os.Stdout, lintVersion, diags)
+		}
+		if err != nil {
+			return failed, err
+		}
+	}
+	if err := writeObsOutputs(notices, tracer, tracker, laneNames, c); err != nil {
 		return failed, err
 	}
 	if c.profileOut != "" {
 		if err := writeFile(c.profileOut, func(w io.Writer) error { return prof.WriteJSON(w, reps) }); err != nil {
 			return failed, err
 		}
-		fmt.Printf("profile: %d report(s) -> %s (render with `psdf profile %s`)\n",
+		fmt.Fprintf(notices, "profile: %d report(s) -> %s (render with `psdf profile %s`)\n",
 			len(reps), c.profileOut, c.profileOut)
 	}
 	if c.httpAddr != "" && c.httpLinger {
@@ -397,9 +449,30 @@ func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger
 	return failed, nil
 }
 
+// writeStats prints -stats's explanation of one analysis: its counters and
+// wall time, the phase split, the match-memo counters, the rank-bounds
+// verdict counts and the five hottest source lines.
+func writeStats(w io.Writer, jr core.JobResult, m core.Matcher, st *cg.Stats, b lint.BoundsSummary, profile *prof.Report) {
+	res := jr.Res
+	fmt.Fprintf(w, "stats: %d pCFG nodes, %d steps, %d widenings, %d incremental closures (avg %.1f vars), %d joins, wall %v\n",
+		res.Configs, res.Steps, res.Widenings, st.IncrClosures(), st.AvgIncrVars(), st.Joins(), jr.Wall.Round(time.Microsecond))
+	if ph := formatPhases(jr.Phases); ph != "" {
+		fmt.Fprintf(w, "  phases: %s\n", ph)
+	}
+	if m, ok := m.(*cartesian.Matcher); ok {
+		if memo := m.Memo(); memo.HitCount()+memo.MissCount() > 0 {
+			fmt.Fprintf(w, "  match-memo: %d hits / %d misses (%.0f%% hit rate), %d entries\n",
+				memo.HitCount(), memo.MissCount(), 100*memo.HitRate(), memo.Len())
+		}
+	}
+	fmt.Fprintf(w, "  bounds: total=%d proven=%d proven-by-match=%d violated=%d unknown=%d non-affine=%d\n",
+		b.Total, b.Proven, b.ProvenByMatch, b.Violated, b.Unknown, b.NonAffine)
+	profile.WriteTop(w, 5)
+}
+
 // writeObsOutputs flushes the trace and metrics artifacts selected by the
-// flags.
-func writeObsOutputs(tracer *obs.Tracer, tracker *obs.ProgressTracker, laneNames map[int]string, c analyzeFlags) error {
+// flags; the notice about a written trace goes to notices.
+func writeObsOutputs(notices io.Writer, tracer *obs.Tracer, tracker *obs.ProgressTracker, laneNames map[int]string, c analyzeFlags) error {
 	if tracer != nil {
 		evs := tracer.Events()
 		if c.traceOut != "" {
@@ -408,7 +481,7 @@ func writeObsOutputs(tracer *obs.Tracer, tracker *obs.ProgressTracker, laneNames
 			}); err != nil {
 				return err
 			}
-			fmt.Printf("trace: %d events -> %s (load at https://ui.perfetto.dev or run `psdf trace %s`)\n",
+			fmt.Fprintf(notices, "trace: %d events -> %s (load at https://ui.perfetto.dev or run `psdf trace %s`)\n",
 				len(evs), c.traceOut, c.traceOut)
 		}
 		if c.traceJSONL != "" {

@@ -318,23 +318,3 @@ func (e *Entry) ShortCommit() string {
 	}
 	return e.Commit
 }
-
-// SpecIDs returns the entry's spec ids, sorted.
-func (e *Entry) SpecIDs() []string {
-	ids := make([]string, 0, len(e.Specs))
-	for id := range e.Specs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// WorkloadNames returns the entry's fingerprinted workload names, sorted.
-func (e *Entry) WorkloadNames() []string {
-	names := make([]string, 0, len(e.Fingerprints))
-	for n := range e.Fingerprints {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -250,9 +250,6 @@ func (g *Graph) StatsHandle() *Stats { return g.opts.Stats }
 // AddVar ensures name is present (unconstrained if new).
 func (g *Graph) AddVar(name string) { g.slotIntern(Intern(name)) }
 
-// AddVarA ensures atom a is present (unconstrained if new).
-func (g *Graph) AddVarA(a Atom) { g.slotIntern(a) }
-
 // AddLE adds the constraint x <= y + c (x - y <= c), maintaining closure
 // with the changed-frontier incremental algorithm. Either side may be
 // ZeroVar. Returns false if the constraint makes the graph inconsistent.
@@ -300,9 +297,6 @@ func (g *Graph) AddEqA(x, y Atom, c int64) bool {
 
 // SetConst adds x = c.
 func (g *Graph) SetConst(x string, c int64) bool { return g.AddEqA(Intern(x), AtomZero, c) }
-
-// SetConstA adds x = c over an interned atom.
-func (g *Graph) SetConstA(x Atom, c int64) bool { return g.AddEqA(x, AtomZero, c) }
 
 // incrementalClose restores closure after tightening edge (i,j) with the
 // changed-edge frontier: first the column of j is updated, collecting the

@@ -322,47 +322,38 @@ func (e *engine) addBoundsObs(ps *ProcSet, dir string, v boundsVerdict) {
 // configuration to the configuration with the given shape key, as the
 // sequence of edges taken. It returns nil when the key was never reached.
 // Used by the ⊤-blame diagnostics to show how the analysis arrived at the
-// configuration that gave up.
+// configuration that gave up. Edges is sorted, so each configuration's
+// out-edges are one run, found by binary search and visited in (To,
+// Action) order.
 func (r *Result) TraceTo(target string) []PCFGEdge {
 	if target == "" {
 		return nil
 	}
-	adj := map[string][]PCFGEdge{}
-	for _, e := range r.Edges {
-		adj[e.From] = append(adj[e.From], e)
-	}
-	for _, edges := range adj {
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].To != edges[j].To {
-				return edges[i].To < edges[j].To
-			}
-			return edges[i].Action < edges[j].Action
-		})
-	}
+	// prev holds the edge each configuration was first reached by; the
+	// initial configuration "" is reached by none.
 	prev := map[string]PCFGEdge{}
-	seen := map[string]bool{"": true}
+	reached := func(key string) bool {
+		_, ok := prev[key]
+		return ok || key == ""
+	}
 	queue := []string{""}
-	for len(queue) > 0 && !seen[target] {
+	for len(queue) > 0 && !reached(target) {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, e := range adj[cur] {
-			if seen[e.To] {
-				continue
+		i := sort.Search(len(r.Edges), func(i int) bool { return r.Edges[i].From >= cur })
+		for ; i < len(r.Edges) && r.Edges[i].From == cur; i++ {
+			if e := r.Edges[i]; !reached(e.To) {
+				prev[e.To] = e
+				queue = append(queue, e.To)
 			}
-			seen[e.To] = true
-			prev[e.To] = e
-			queue = append(queue, e.To)
 		}
 	}
-	if !seen[target] {
+	if !reached(target) {
 		return nil
 	}
 	var path []PCFGEdge
 	for cur := target; cur != ""; {
-		e, ok := prev[cur]
-		if !ok {
-			break
-		}
+		e := prev[cur]
 		path = append(path, e)
 		cur = e.From
 	}

@@ -161,7 +161,7 @@ type Result struct {
 	Tops []*State
 	// Configs counts distinct pCFG nodes (configuration shapes) explored.
 	Configs int
-	// Edges are the explored pCFG edges.
+	// Edges are the explored pCFG edges, sorted by (From, To, Action).
 	Edges []PCFGEdge
 	// Steps counts propagate invocations; Widenings counts widen events.
 	Steps     int
@@ -1368,55 +1368,6 @@ func firstFailingBound(old, nw *State) (a, b sym.Expr, ok bool) {
 	return sym.Zero, sym.Zero, false
 }
 
-// commonDelta finds the uniform per-iteration advance (+1 or -1) of all
-// bounds whose atom intersection failed.
-func (e *engine) commonDelta(old, nw *State) (int64, bool) {
-	posOK, negOK := true, true
-	any := false
-	check := func(a, b procset.Set) {
-		for _, pair := range [][2]procset.Bound{{a.LB, b.LB}, {a.UB, b.UB}} {
-			if boundsIntersect(pair[0], pair[1]) {
-				continue
-			}
-			any = true
-			if !advancesBy(pair[0], pair[1], 1) {
-				posOK = false
-			}
-			if !advancesBy(pair[0], pair[1], -1) {
-				negOK = false
-			}
-		}
-	}
-	for i := range old.Sets {
-		check(old.Sets[i].Range, nw.Sets[i].Range)
-	}
-	for _, m := range nw.Matches {
-		for _, om := range old.Matches {
-			if om.SendNode == m.SendNode && om.RecvNode == m.RecvNode {
-				check(om.Sender, m.Sender)
-				check(om.Receiver, m.Receiver)
-			}
-		}
-	}
-	if len(old.Pending) == len(nw.Pending) {
-		for i := range old.Pending {
-			check(old.Pending[i].Senders, nw.Pending[i].Senders)
-			if old.Pending[i].Shape == PendFan {
-				check(old.Pending[i].Dests, nw.Pending[i].Dests)
-			}
-		}
-	}
-	switch {
-	case !any:
-		return 0, false
-	case posOK:
-		return 1, true
-	case negOK:
-		return -1, true
-	}
-	return 0, false
-}
-
 // sameFailure reports whether range widening would still fail.
 func (e *engine) sameFailure(old, nw *State) bool {
 	for i := range old.Sets {
@@ -1455,19 +1406,6 @@ func (e *engine) sameFailure(old, nw *State) bool {
 
 func boundsIntersect(a, b procset.Bound) bool {
 	return a.Intersect(b).IsValid()
-}
-
-// advancesBy reports whether some atom of b equals some atom of a plus
-// delta.
-func advancesBy(a, b procset.Bound, delta int64) bool {
-	for _, aa := range a.Atoms() {
-		for _, bb := range b.Atoms() {
-			if d, ok := bb.ConstDiff(aa); ok && d == delta {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------

@@ -87,8 +87,8 @@ func runAnalysis(tr *obs.Tracer, w *bench.Workload, backend cg.Backend) (*analys
 // bounded worker pool, one matcher and stats record per workload, returning
 // instrumented runs in input order. parallelism <= 0 selects one worker per
 // CPU; 1 runs sequentially. A shared non-nil tr accumulates engine phase
-// totals across every job (the per-spec aggregate written to
-// BENCH_<spec>.json); per-job breakdowns, when needed, come from
+// totals across every job (the per-spec phases of a bench history entry);
+// per-job breakdowns, when needed, come from
 // core.AnalyzeAll's JobResult.Phases, not from this helper.
 func runAnalyses(tr *obs.Tracer, ws []*bench.Workload, backend cg.Backend, parallelism int) ([]*analysisRun, error) {
 	runs := make([]*analysisRun, len(ws))
@@ -603,7 +603,7 @@ func parallelDriver(tr *obs.Tracer) (*Table, error) {
 }
 
 // Spec is a runnable experiment: a stable ID (used for -exp selection and
-// the BENCH_<id>.json file name) plus its builder, which receives the
+// as the bench history's spec key) plus its builder, which receives the
 // tracer that instruments every analysis run inside the experiment.
 type Spec struct {
 	ID    string
@@ -639,31 +639,21 @@ func SpecIDs() []string {
 	return ids
 }
 
-// BenchSchemaVersion versions the BENCH_<spec>.json record layout. Bump on
-// incompatible field changes and document the new layout in
-// EXPERIMENTS.md.
-const BenchSchemaVersion = 1
-
-// SpecResult is the stable benchmark record written as BENCH_<spec>.json:
-// wall time plus the obs phase breakdown aggregated over every analysis the
-// experiment ran.
-type SpecResult struct {
-	SchemaVersion int             `json:"schema_version"`
-	Spec          string          `json:"spec"`
-	Title         string          `json:"title"`
-	WallNs        int64           `json:"wall_ns"`
-	Rows          int             `json:"rows"`
-	Phases        obs.PhaseTotals `json:"phases"`
+// specRun is one run of a spec: its wall time and the obs phase
+// breakdown aggregated over every analysis the experiment ran.
+type specRun struct {
+	WallNs int64
+	Phases obs.PhaseTotals
 	// Allocs and AllocBytes are the heap allocation count and allocated
 	// bytes of this run, from runtime.MemStats deltas. Only populated when
 	// the caller ran the spec serially (RunSampled with parallelism 1);
 	// process-global deltas are meaningless with specs in flight
 	// concurrently, so parallel runs leave them zero.
-	Allocs     int64 `json:"allocs,omitempty"`
-	AllocBytes int64 `json:"alloc_bytes,omitempty"`
+	Allocs     int64
+	AllocBytes int64
 }
 
-func runSpec(s Spec) (*Table, *SpecResult, error) {
+func runSpec(s Spec) (*Table, *specRun, error) {
 	tr := obs.NewAggregate()
 	start := time.Now()
 	t, err := s.build(tr)
@@ -671,14 +661,7 @@ func runSpec(s Spec) (*Table, *SpecResult, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", s.ID, err)
 	}
-	return t, &SpecResult{
-		SchemaVersion: BenchSchemaVersion,
-		Spec:          s.ID,
-		Title:         t.Title,
-		WallNs:        wall.Nanoseconds(),
-		Rows:          len(t.Rows),
-		Phases:        tr.Totals(),
-	}, nil
+	return t, &specRun{WallNs: wall.Nanoseconds(), Phases: tr.Totals()}, nil
 }
 
 func yesNo(b bool) string {

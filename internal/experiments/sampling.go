@@ -16,7 +16,7 @@ import (
 // spec: the raw wall-clock of each repetition plus the obs phase breakdown
 // and table captured by the final one. `psdf bench record` turns these into
 // the per-spec timing blocks of a benchhist history entry; `psdf bench run`
-// prints the tables and writes each spec's Record.
+// prints the tables.
 type SampledSpec struct {
 	ID     string
 	Title  string
@@ -76,7 +76,7 @@ func RunSampled(ids []string, samples, parallelism int) ([]*SampledSpec, error) 
 			if err != nil {
 				return nil, fmt.Errorf("sample %d of %s: %w", rep+1, selected[i].ID, err)
 			}
-			out[i].Title = recs[i].Title
+			out[i].Title = tables[i].Title
 			out[i].Table = tables[i]
 			out[i].WallNs = append(out[i].WallNs, recs[i].WallNs)
 			out[i].Phases = recs[i].Phases
@@ -94,21 +94,6 @@ func RunSampled(ids []string, samples, parallelism int) ([]*SampledSpec, error) 
 		}
 	}
 	return out, nil
-}
-
-// Record is the BENCH_<spec>.json record of the last sample, carrying the
-// mean allocation counts.
-func (s *SampledSpec) Record() *SpecResult {
-	return &SpecResult{
-		SchemaVersion: BenchSchemaVersion,
-		Spec:          s.ID,
-		Title:         s.Title,
-		WallNs:        s.WallNs[len(s.WallNs)-1],
-		Rows:          len(s.Table.Rows),
-		Phases:        s.Phases,
-		Allocs:        s.AllocsPerOp,
-		AllocBytes:    s.BytesPerOp,
-	}
 }
 
 // selectSpecs resolves spec ids against the registry, preserving registry
@@ -139,12 +124,12 @@ func selectSpecs(ids []string) ([]Spec, error) {
 }
 
 // runSpecsOnce runs each selected spec once with up to parallelism specs in
-// flight (<= 0 selects one per CPU), returning per-spec tables, records and
+// flight (<= 0 selects one per CPU), returning per-spec tables, runs and
 // errors positionally. stage/rep become pprof goroutine labels on each spec
 // run.
-func runSpecsOnce(selected []Spec, parallelism int, stage string, rep int) ([]*Table, []*SpecResult, []error) {
+func runSpecsOnce(selected []Spec, parallelism int, stage string, rep int) ([]*Table, []*specRun, []error) {
 	tables := make([]*Table, len(selected))
-	recs := make([]*SpecResult, len(selected))
+	recs := make([]*specRun, len(selected))
 	errs := make([]error, len(selected))
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()

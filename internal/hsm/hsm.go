@@ -32,9 +32,6 @@ type HSM struct {
 // Leaf returns the single-element sequence ⟨e⟩.
 func Leaf(e sym.Expr) *HSM { return &HSM{Base: e} }
 
-// LeafConst returns ⟨c⟩.
-func LeafConst(c int64) *HSM { return Leaf(sym.Const(c)) }
-
 // Node returns [child : r, s].
 func Node(child *HSM, r, s sym.Expr) *HSM { return &HSM{Child: child, R: r, S: s} }
 

@@ -1,11 +1,18 @@
 package integration_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/diag"
+	"repro/internal/lint"
 )
 
 // buildPsdf compiles the psdf command into a temp dir.
@@ -116,43 +123,152 @@ func TestCLIPsdfOnTestdata(t *testing.T) {
 	}
 }
 
-// TestCLIPsdfExitFollowsLint checks the bare form's exit policy on every
-// testdata program: 1 exactly when `psdf lint` reports an error-severity
-// finding (every program here analyzes without error).
-func TestCLIPsdfExitFollowsLint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI build skipped in -short mode")
-	}
-	bin := buildPsdf(t)
+// testdataPrograms returns every .mpl program under testdata/.
+func testdataPrograms(t *testing.T) []string {
+	t.Helper()
 	root := repoRoot(t)
 	var paths []string
-	for _, pat := range []string{"*.mpl", "bugs/*.mpl"} {
+	for _, pat := range []string{"*.mpl", "*/*.mpl"} {
 		ps, err := filepath.Glob(filepath.Join(root, "testdata", pat))
 		if err != nil {
 			t.Fatal(err)
 		}
 		paths = append(paths, ps...)
 	}
-	if len(paths) < 10 {
+	if len(paths) < 20 {
 		t.Fatalf("only %d testdata programs found", len(paths))
 	}
-	for _, path := range paths {
+	return paths
+}
+
+// TestCLIPsdfExitFollowsLint checks the bare form's exit policy on every
+// testdata program: the text report and the JSON document exit alike, and
+// the exit is 1 exactly when the document holds an error-severity
+// diagnostic (every program here analyzes without error).
+func TestCLIPsdfExitFollowsLint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI build skipped in -short mode")
+	}
+	bin := buildPsdf(t)
+	root := repoRoot(t)
+	errors := 0
+	for _, path := range testdataPrograms(t) {
 		var flags []string
 		if filepath.Base(path) == "sendfirst_shift.mpl" {
 			flags = []string{"-nonblocking"}
 		}
 		out, err := exec.Command(bin, append(flags, path)...).CombinedOutput()
 		got := exitCode(err)
-		lintOut, lintErr := exec.Command(bin, append(append([]string{"lint"}, flags...), path)...).CombinedOutput()
-		want := exitCode(lintErr)
-		if got != want || got > 1 {
-			t.Errorf("%s: psdf exit %d, psdf lint exit %d\n%s\n%s", filepath.Base(path), got, want, out, lintOut)
+		doc, err := exec.Command(bin, append(append(flags, "-format", "json"), path)...).Output()
+		if code := exitCode(err); code != got {
+			t.Errorf("%s: text exit %d, json exit %d\n%s", filepath.Base(path), got, code, out)
 		}
+		var parsed struct {
+			Diagnostics []struct{ Severity string }
+		}
+		if err := json.Unmarshal(doc, &parsed); err != nil {
+			t.Fatalf("%s: -format json output is not JSON: %v\n%s", filepath.Base(path), err, doc)
+		}
+		want := 0
+		for _, d := range parsed.Diagnostics {
+			if d.Severity == "error" {
+				want = 1
+			}
+		}
+		errors += want
+		if got != want {
+			t.Errorf("%s: exit %d, want %d for the document\n%s\n%s", filepath.Base(path), got, want, out, doc)
+		}
+	}
+	if errors == 0 {
+		t.Error("no testdata program has an error-severity diagnostic")
 	}
 	// The tag mismatch analyzes cleanly but is an error-severity finding.
 	out, err := exec.Command(bin, filepath.Join(root, "testdata", "bugs", "tag_mismatch.mpl")).CombinedOutput()
 	if code := exitCode(err); code != 1 || !strings.Contains(string(out), "PSDF-E003") {
 		t.Errorf("psdf tag_mismatch.mpl: exit %d, want 1 with PSDF-E003:\n%s", code, out)
+	}
+}
+
+// TestCLIPsdfDiagnosticsMatchLibrary pins the CLI to the library: for each
+// testdata program, `psdf -format json|sarif` prints exactly what
+// diag.WriteJSON and diag.WriteSARIF render from lint.Run over lint.Load.
+func TestCLIPsdfDiagnosticsMatchLibrary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI build skipped in -short mode")
+	}
+	bin := buildPsdf(t)
+	for _, path := range testdataPrograms(t) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tgt, err := lint.Load(path, string(src), core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		diags := lint.Run(tgt, lint.Options{}).Diags
+		var wantJSON, wantSARIF bytes.Buffer
+		if err := diag.WriteJSON(&wantJSON, diags); err != nil {
+			t.Fatal(err)
+		}
+		if err := diag.WriteSARIF(&wantSARIF, "0.1.0", diags); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			format string
+			want   []byte
+		}{{"json", wantJSON.Bytes()}, {"sarif", wantSARIF.Bytes()}} {
+			got, _ := exec.Command(bin, "-format", c.format, path).Output()
+			if !bytes.Equal(got, c.want) {
+				t.Errorf("psdf -format %s %s:\n got %s\nwant %s", c.format, filepath.Base(path), got, c.want)
+			}
+		}
+	}
+}
+
+// TestCLIPsdfUsageErrors checks the bare form's usage errors, which exit 2
+// before any program is read, and what -stats adds to a report.
+func TestCLIPsdfUsageErrors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI build skipped in -short mode")
+	}
+	bin := buildPsdf(t)
+	root := repoRoot(t)
+	missing := filepath.Join(root, "testdata", "missing.mpl")
+	cases := []struct {
+		args []string
+		want []string
+	}{
+		// Outside text mode stdout holds only the document.
+		{[]string{"-format", "json", "-stats", missing}, []string{"-stats"}},
+		{[]string{"-format", "sarif", "-dot", missing}, []string{"-dot"}},
+		{[]string{"-format", "json", "-cfg", missing}, []string{"-cfg"}},
+		// The old subcommands name their replacements.
+		{[]string{"lint", "-format", "sarif", missing}, []string{"psdf [-format text|json|sarif]"}},
+		{[]string{"profile", missing}, []string{"psdf -profile-out r.json prog.mpl", "psdf -stats prog.mpl"}},
+	}
+	for _, c := range cases {
+		out, err := exec.Command(bin, c.args...).CombinedOutput()
+		if code := exitCode(err); code != 2 {
+			t.Errorf("psdf %v: exit %d, want 2\n%s", c.args, code, out)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(string(out), w) {
+				t.Errorf("psdf %v: output missing %q:\n%s", c.args, w, out)
+			}
+		}
+	}
+	// -stats explains a give-up: the finding with its blamed line and pCFG
+	// path, the phase split, the rank-bounds counts and the hottest lines.
+	out, err := exec.Command(bin, "-stats", filepath.Join(root, "testdata", "bugs", "unsupported_cond.mpl")).CombinedOutput()
+	if code := exitCode(err); code != 1 {
+		t.Errorf("psdf -stats unsupported_cond.mpl: exit %d, want 1\n%s", code, out)
+	}
+	for _, w := range []string{"PSDF-E005", "note: step: start", "phases:", "  bounds: total=", "hotspots (", "steps  "} {
+		if !strings.Contains(string(out), w) {
+			t.Errorf("psdf -stats unsupported_cond.mpl: output missing %q:\n%s", w, out)
+		}
 	}
 }
 
@@ -201,21 +317,19 @@ func TestCLIPsdfBenchSingleExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("psdf bench run: %v\n%s", err, out)
 	}
-	for _, w := range []string{"Table I", "paper", "measured", "yes", "wrote BENCH_table1.json"} {
+	for _, w := range []string{"Table I", "paper", "measured", "yes"} {
 		if !strings.Contains(string(out), w) {
 			t.Errorf("psdf bench run output missing %q:\n%s", w, out)
 		}
 	}
-	// The machine-readable record lands in the working directory with the
-	// stable schema fields.
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_table1.json"))
+	// The tables are the whole output: the bench history is the only
+	// record, and `psdf bench record` writes it.
+	written, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("BENCH_table1.json: %v", err)
+		t.Fatal(err)
 	}
-	for _, w := range []string{`"spec": "table1"`, `"wall_ns"`, `"rows"`, `"phases"`} {
-		if !strings.Contains(string(data), w) {
-			t.Errorf("BENCH_table1.json missing %s:\n%s", w, data)
-		}
+	for _, e := range written {
+		t.Errorf("psdf bench run wrote %s", e.Name())
 	}
 	// Unknown experiment id exits nonzero.
 	if _, err := exec.Command(bin, "bench", "run", "-exp", "nope").CombinedOutput(); err == nil {
@@ -314,9 +428,10 @@ func mustRead(t *testing.T, path string) []byte {
 	return data
 }
 
-// TestCLIPsdfLint exercises the lint subcommand over the seeded-bug corpus
-// and the clean programs: exit codes, format selection, and that every
-// seeded bug is flagged with its expected code and a file:line:col span.
+// TestCLIPsdfLint exercises the bare form's lint output over the
+// seeded-bug corpus and the clean programs: exit codes, format selection,
+// and that every seeded bug is flagged with its expected code and a
+// file:line:col span.
 func TestCLIPsdfLint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build skipped in -short mode")
@@ -334,64 +449,62 @@ func TestCLIPsdfLint(t *testing.T) {
 	}
 	for _, c := range bugs {
 		path := filepath.Join(root, "testdata", "bugs", c.file)
-		out, err := exec.Command(bin, "lint", path).CombinedOutput()
+		out, err := exec.Command(bin, path).CombinedOutput()
 		if err == nil {
-			t.Errorf("psdf lint %s: expected nonzero exit\n%s", c.file, out)
+			t.Errorf("psdf %s: expected nonzero exit\n%s", c.file, out)
 		}
 		if !strings.Contains(string(out), c.code) {
-			t.Errorf("psdf lint %s: output missing %s:\n%s", c.file, c.code, out)
+			t.Errorf("psdf %s: output missing %s:\n%s", c.file, c.code, out)
 		}
-		if !strings.Contains(string(out), c.file+":") {
-			t.Errorf("psdf lint %s: output missing file:line:col location:\n%s", c.file, out)
+		if !regexp.MustCompile(regexp.QuoteMeta(c.file) + `:\d+:\d+: `).Match(out) {
+			t.Errorf("psdf %s: output missing file:line:col location:\n%s", c.file, out)
 		}
 	}
 	// The dead-branch bug is warning-only: findings print but exit is zero.
-	out, err := exec.Command(bin, "lint",
+	out, err := exec.Command(bin,
 		filepath.Join(root, "testdata", "bugs", "dead_branch.mpl")).CombinedOutput()
 	if err != nil {
-		t.Errorf("psdf lint dead_branch.mpl: %v\n%s", err, out)
+		t.Errorf("psdf dead_branch.mpl: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "PSDF-W006") {
-		t.Errorf("psdf lint dead_branch.mpl missing PSDF-W006:\n%s", out)
+		t.Errorf("psdf dead_branch.mpl missing PSDF-W006:\n%s", out)
 	}
-	// Clean programs produce no output and exit zero.
-	out, err = exec.Command(bin, "lint",
+	// Clean programs give an empty document and exit zero.
+	out, err = exec.Command(bin, "-format", "json",
 		filepath.Join(root, "testdata", "shift1d.mpl"),
 		filepath.Join(root, "testdata", "exchange.mpl"),
 		filepath.Join(root, "testdata", "nascg_square.mpl")).CombinedOutput()
 	if err != nil {
-		t.Errorf("psdf lint clean: %v\n%s", err, out)
+		t.Errorf("psdf -format json clean: %v\n%s", err, out)
 	}
-	if len(strings.TrimSpace(string(out))) != 0 {
-		t.Errorf("psdf lint clean: unexpected findings:\n%s", out)
+	if string(out) != "{\n  \"diagnostics\": []\n}\n" {
+		t.Errorf("psdf -format json clean: unexpected output:\n%s", out)
 	}
 	// SARIF output identifies the tool and the rule.
-	out, _ = exec.Command(bin, "lint", "-format", "sarif",
+	out, _ = exec.Command(bin, "-format", "sarif",
 		filepath.Join(root, "testdata", "bugs", "tag_mismatch.mpl")).CombinedOutput()
 	for _, w := range []string{`"psdf-lint"`, `"2.1.0"`, "PSDF-E003"} {
 		if !strings.Contains(string(out), w) {
-			t.Errorf("psdf lint sarif missing %s:\n%s", w, out)
+			t.Errorf("psdf -format sarif missing %s:\n%s", w, out)
 		}
 	}
 	// JSON output carries the rule name.
-	out, _ = exec.Command(bin, "lint", "-format", "json",
+	out, _ = exec.Command(bin, "-format", "json",
 		filepath.Join(root, "testdata", "bugs", "offbyone_shift.mpl")).CombinedOutput()
 	if !strings.Contains(string(out), `"rank-out-of-bounds"`) {
-		t.Errorf("psdf lint json missing rule name:\n%s", out)
+		t.Errorf("psdf -format json missing rule name:\n%s", out)
 	}
 	// Unknown format is a usage error (exit 2).
-	cmd := exec.Command(bin, "lint", "-format", "yaml",
-		filepath.Join(root, "testdata", "shift1d.mpl"))
-	if err := cmd.Run(); err == nil {
-		t.Error("psdf lint -format yaml accepted")
-	} else if ee, ok := err.(*exec.ExitError); ok && ee.ExitCode() != 2 {
-		t.Errorf("psdf lint -format yaml exit = %d, want 2", ee.ExitCode())
+	out, err = exec.Command(bin, "-format", "yaml",
+		filepath.Join(root, "testdata", "shift1d.mpl")).CombinedOutput()
+	if code := exitCode(err); code != 2 {
+		t.Errorf("psdf -format yaml: exit %d, want 2\n%s", code, out)
 	}
 	// So is an unknown client, whatever the files are.
-	out, err = exec.Command(bin, "lint", "-client", "bogus",
+	out, err = exec.Command(bin, "-format", "json", "-client", "bogus",
 		filepath.Join(root, "testdata", "missing.mpl")).CombinedOutput()
 	if code := exitCode(err); code != 2 || !strings.Contains(string(out), `"bogus"`) {
-		t.Errorf("psdf lint -client bogus: exit %d, want 2 naming the client:\n%s", code, out)
+		t.Errorf("psdf -client bogus: exit %d, want 2 naming the client:\n%s", code, out)
 	}
 }
 

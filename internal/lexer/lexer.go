@@ -54,13 +54,6 @@ func (l *Lexer) spanFrom(start int) source.Span {
 	return source.Span{Start: l.file.PosFor(start), End: l.file.PosFor(l.pos)}
 }
 
-func (l *Lexer) peek() byte {
-	if l.pos < len(l.src) {
-		return l.src[l.pos]
-	}
-	return 0
-}
-
 func (l *Lexer) peekAt(off int) byte {
 	if l.pos+off < len(l.src) {
 		return l.src[l.pos+off]

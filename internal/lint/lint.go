@@ -2,7 +2,8 @@
 // analysis. Each pass inspects the analysis result (terminal configurations,
 // the communication topology, rank-bounds observations, give-up provenance)
 // and emits structured diag.Diagnostics with stable codes and source spans.
-// The psdf CLI surfaces the passes as `psdf lint`.
+// The psdf CLI runs the passes on every program it analyzes and renders
+// the findings as text, JSON or SARIF (`psdf -format`).
 package lint
 
 import (
@@ -107,7 +108,7 @@ func (c *Context) NodeSpan(id int) source.Span {
 type Pass struct {
 	// Name identifies the pass, e.g. "rank-bounds".
 	Name string
-	// Doc is a one-line description for `psdf lint` documentation output.
+	// Doc is a one-line description for the psdf usage text.
 	Doc string
 	// Run inspects the context and emits diagnostics.
 	Run func(*Context)

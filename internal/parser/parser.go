@@ -53,8 +53,7 @@ type parser struct {
 	diags *source.DiagList
 }
 
-func (p *parser) cur() lexer.Token  { return p.toks[p.pos] }
-func (p *parser) peek() lexer.Token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+func (p *parser) cur() lexer.Token { return p.toks[p.pos] }
 
 func (p *parser) advance() lexer.Token {
 	t := p.toks[p.pos]
@@ -398,11 +397,4 @@ func (p *parser) parsePrimary() ast.Expr {
 	p.diags.Errorf(t.Span, "expected expression, found %s", t)
 	p.advance()
 	return &ast.IntLit{Value: 0, Sp: t.Span}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

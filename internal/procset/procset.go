@@ -890,13 +890,6 @@ func (s Set) ConcreteSlice(env map[string]int64) []int64 {
 	return out
 }
 
-// Concretizable reports whether both bounds carry an atom fully bound by env.
-func (s Set) Concretizable(env map[string]int64) bool {
-	_, okL := evalBound(s.LB, env)
-	_, okH := evalBound(s.UB, env)
-	return okL && okH
-}
-
 // evalBound evaluates the bound through its first atom whose variables are
 // all bound in env. ok=false when no atom qualifies.
 func evalBound(b Bound, env map[string]int64) (int64, bool) {
