@@ -137,13 +137,7 @@ func benchRecord(args []string) int {
 		expList  = fs.String("exp", "", "comma-separated spec ids to record (default: all)")
 		fuzzSum  = fs.String("fuzz-summary", "", "attach a differential-fuzz sweep summary JSON (from `psdf fuzz -summary-out`) to the entry")
 	)
-	lf := addLogFlags(fs)
 	_ = fs.Parse(args)
-	logger, err := lf.logger()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psdf bench record:", err)
-		return 2
-	}
 	if fs.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "psdf bench record: unexpected arguments", fs.Args())
 		return 2
@@ -161,9 +155,6 @@ func benchRecord(args []string) int {
 	}
 
 	start := time.Now()
-	if logger != nil {
-		logger.Info("bench record start", "samples", *samples, "parallel", *parallel, "commit", sha)
-	}
 	sampled, err := experiments.RunSampled(ids, *samples, *parallel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psdf bench record:", err)
@@ -212,10 +203,6 @@ func benchRecord(args []string) int {
 		fmt.Fprintln(os.Stderr, "psdf bench record:", err)
 		return 1
 	}
-	if logger != nil {
-		logger.Info("bench record done", "history", *history, "specs", len(entry.Specs),
-			"fingerprints", len(fps), "elapsed", time.Since(start))
-	}
 	fmt.Printf("recorded %s entry for %s: %d specs x %d samples, %d fingerprints (%v total)\n",
 		*history, entry.ShortCommit(), len(entry.Specs), *samples, len(fps), time.Since(start).Round(time.Millisecond))
 	for _, s := range sampled {
@@ -259,16 +246,7 @@ func benchDiff(args []string) int {
 		minDelta = fs.Float64("min-delta", 0.05, "minimum |relative median change| to flag")
 		markdown = fs.Bool("markdown", false, "render the report as markdown")
 	)
-	lf := addLogFlags(fs)
 	_ = fs.Parse(args)
-	logger, err := lf.logger()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psdf bench diff:", err)
-		return 2
-	}
-	if logger != nil {
-		logger.Info("bench diff", "history", *history, "old", *oldSel, "new", *newSel)
-	}
 	r, err := diffReport(*history, *oldSel, *newSel, benchhist.Thresholds{Alpha: *alpha, MinDelta: *minDelta})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psdf bench diff:", err)
@@ -318,13 +296,7 @@ func benchCheck(args []string) int {
 		failOnAllocs = fs.Bool("fail-on-allocs", false, "fail (not just warn) on allocs/op regressions past -max-alloc-delta")
 		maxAlloc     = fs.Float64("max-alloc-delta", 0.20, "relative allocs/op growth past which a spec regresses")
 	)
-	lf := addLogFlags(fs)
 	_ = fs.Parse(args)
-	logger, err := lf.logger()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psdf bench check:", err)
-		return 2
-	}
 	r, err := diffReport(*history, *baseline, *target,
 		benchhist.Thresholds{Alpha: *alpha, MinDelta: *minDelta, MaxAllocDelta: *maxAlloc})
 	if err != nil {
@@ -338,9 +310,6 @@ func benchCheck(args []string) int {
 	}
 	for _, f := range failures {
 		fmt.Printf("FAIL: %s\n", f)
-	}
-	if logger != nil {
-		logger.Info("bench check gated", "failures", len(failures), "warnings", len(warnings))
 	}
 	if len(failures) > 0 {
 		fmt.Printf("bench check: FAILED (%d failure(s), %d warning(s))\n", len(failures), len(warnings))
@@ -356,20 +325,11 @@ func benchReport(args []string) int {
 		history = fs.String("history", "BENCH_HISTORY.jsonl", "history file to read")
 		out     = fs.String("out", "", "write the markdown report to a file instead of stdout")
 	)
-	lf := addLogFlags(fs)
 	_ = fs.Parse(args)
-	logger, err := lf.logger()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psdf bench report:", err)
-		return 2
-	}
 	entries, err := benchhist.Read(*history)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psdf bench report:", err)
 		return 1
-	}
-	if logger != nil {
-		logger.Info("bench report", "history", *history, "entries", len(entries))
 	}
 	md := trajectoryMarkdown(*history, entries)
 	if *out == "" {

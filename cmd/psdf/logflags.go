@@ -8,9 +8,9 @@ import (
 	"repro/internal/obs"
 )
 
-// logFlags is the shared -log/-log-format registration: every psdf
-// subcommand (and the top-level flag set) accepts the same pair with the
-// same defaults and help text, so the flags cannot drift per command.
+// logFlags is the shared -log/-log-format registration: the commands that
+// run analyses (the bare form and fuzz) accept the same pair with the same
+// defaults and help text, so the flags cannot drift per command.
 type logFlags struct {
 	level  *string
 	format *string

@@ -34,11 +34,12 @@
 // /statusz/stream, /flightz and /debug/pprof during the run (with
 // -http-linger, until POST /quitquitquit), and labels the analysis
 // goroutines for CPU profiles. -stall-timeout arms a no-progress watchdog
-// that dumps the retained trace events to -stall-dump as trace JSON lines,
-// and -force-stall fires it deterministically; without -trace each job
-// keeps its most recent events in a ring for these dumps and /flightz.
-// -profile-out writes the source-attribution profile as psdf-profile/1
-// JSON for `psdf profile`.
+// that dumps the retained trace events to -stall-dump as trace JSON lines;
+// without -trace each job keeps its most recent events in a ring for these
+// dumps and /flightz. -profile-out writes the source-attribution profile
+// as psdf-profile/1 JSON for `psdf profile`. The profile (and -stats's
+// hottest lines) is a fold over each job's trace events, so it needs no
+// retained trace.
 //
 // The subcommands: sim executes one program on the concrete simulator
 // (the ground truth); trace summarizes or validates a span trace; bench
@@ -136,7 +137,6 @@ type analyzeFlags struct {
 	httpLinger           bool
 	stallTO              time.Duration
 	stallDump            string
-	forceStall           bool
 	profileOut           string
 }
 
@@ -162,7 +162,6 @@ func runAnalyze(args []string) int {
 	fs.BoolVar(&c.httpLinger, "http-linger", false, "with -http: keep the listener serving after the analyses finish (POST /quitquitquit to exit)")
 	fs.DurationVar(&c.stallTO, "stall-timeout", 0, "per-analysis no-progress watchdog deadline (0 disables); firing dumps the retained trace events")
 	fs.StringVar(&c.stallDump, "stall-dump", "", "write stall and step-budget dumps (trace JSON lines) to this file (default stderr)")
-	fs.BoolVar(&c.forceStall, "force-stall", false, "hold each analysis open until its stall watchdog fires (smoke-tests the stall path; requires -stall-timeout)")
 	fs.StringVar(&c.profileOut, "profile-out", "", "profile each analysis and write the combined source-attribution report as psdf-profile/1 JSON (render with `psdf profile`)")
 	lf := addLogFlags(fs)
 	fs.Usage = func() {
@@ -208,10 +207,6 @@ func runAnalyze(args []string) int {
 	}
 	if _, ok := backends[c.backend]; !ok {
 		fmt.Fprintf(os.Stderr, "psdf: unknown backend %q (want array or map)\n", c.backend)
-		return 2
-	}
-	if c.forceStall && c.stallTO <= 0 {
-		fmt.Fprintln(os.Stderr, "psdf: -force-stall requires -stall-timeout > 0")
 		return 2
 	}
 	logger, err := lf.logger()
@@ -329,15 +324,18 @@ func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger
 		if c.client == "symbolic" {
 			matchers[i] = &symbolic.Matcher{}
 		} else {
-			m := cartesian.New(core.ScanInvariants(p.g))
-			m.SetObs(jobTracer, i+1)
-			m.Prover().ProfileLabels = labels
-			matchers[i] = m
+			matchers[i] = cartesian.New(core.ScanInvariants(p.g))
 		}
-		// One profiler per job: commits are per-analysis, and merging across
-		// programs would blur the per-source attribution.
+		// One profiler per job, folding that job's events: merging across
+		// programs would blur the per-source attribution. A job without a
+		// tracer gets one that keeps totals only, as AnalyzeAll would give
+		// it.
 		if c.profileOut != "" || c.stats {
+			if jobTracer == nil {
+				jobTracer = obs.NewAggregate()
+			}
 			profilers[i] = prof.New()
+			profilers[i].Attach(jobTracer, i+1, p.g)
 		}
 		// Stats counters time the closures, so only -stats pays for them.
 		if c.stats {
@@ -356,9 +354,7 @@ func analyze(progs []*program, headers bool, c analyzeFlags, logger *slog.Logger
 			Progress:         tracker,
 			StallTimeout:     c.stallTO,
 			StallDump:        stallDumpW,
-			ForceStall:       c.forceStall,
 			ProfileLabels:    labels,
-			Profiler:         profilers[i],
 		}}
 	}
 	results := core.AnalyzeAll(jobs, c.parallel)

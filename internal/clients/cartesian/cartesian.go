@@ -81,20 +81,23 @@ func (m *Matcher) Prover() *hsm.Prover { return m.prover }
 
 // ProverSearches reports the cumulative memo-missing prover searches.
 // Safe to call concurrently with an in-flight analysis: the counter is an
-// atomic. The engine's profiler and progress sampler read it live
-// (interface-asserted, so core needs no hsm dependency).
+// atomic. The engine's progress sampler reads it live (interface-asserted,
+// so core needs no hsm dependency).
 func (m *Matcher) ProverSearches() int64 { return m.prover.Searches.Load() }
 
 // ProverSearchNs reports cumulative wall time inside memo-missing prover
 // searches, in nanoseconds. Concurrency-safe like ProverSearches.
 func (m *Matcher) ProverSearchNs() int64 { return m.prover.SearchNs.Load() }
 
-// SetObs attaches an observability tracer to the matcher's HSM prover:
+// SetObs points the matcher's HSM prover at an analysis's observers:
 // searches that miss the memo emit obs.PhaseProver spans on the prover lane
-// of job pid. Call before the analysis starts.
-func (m *Matcher) SetObs(tr *obs.Tracer, pid int) {
+// of job pid and, with labels, run under the prover pprof label.
+// core.Analyze calls it with the analysis's Tracer, TracePID and
+// ProfileLabels before the fixpoint starts.
+func (m *Matcher) SetObs(tr *obs.Tracer, pid int, labels bool) {
 	m.prover.Tracer = tr
 	m.prover.TracePID = pid
+	m.prover.ProfileLabels = labels
 }
 
 // SimpleMatches reports how many matches the embedded Section VII matcher

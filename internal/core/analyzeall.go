@@ -76,7 +76,8 @@ func AnalyzeAll(jobs []Job, parallelism int) []JobResult {
 		perJob := tr == nil
 		if perJob {
 			// Aggregate-only tracer: phase totals for the result breakdown
-			// at near-zero cost, no event retention.
+			// (the matcher's prover searches included) at near-zero cost,
+			// no event retention.
 			tr = obs.NewAggregate()
 			opts.Tracer = tr
 		}

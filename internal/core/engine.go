@@ -16,7 +16,6 @@ import (
 	"repro/internal/cg"
 	"repro/internal/obs"
 	"repro/internal/procset"
-	"repro/internal/prof"
 	"repro/internal/sym"
 	"repro/internal/tri"
 )
@@ -51,12 +50,17 @@ type Options struct {
 	// accumulate in Result.CommBounds (for the lint rank-bounds pass). Off
 	// by default — the checks cost extra entailment queries per comm site.
 	RecordCommBounds bool
-	// Tracer receives a span per engine phase (step, transfer, match,
-	// split, insert, commit, join, widen, dequeue, give-up commit, finish)
-	// and a zero-length event per give-up and dump when non-nil. Its
-	// retained events are what StallDump receives. Tracing only observes —
-	// results are byte-identical with it on or off — and the nil default
-	// costs nothing.
+	// Tracer receives a span per engine phase (step, transfer, matcher
+	// call, split, insert, commit, join, widen, dequeue, give-up commit,
+	// finish) and a zero-length event per give-up, widening failure, ⊤
+	// demotion and dump when non-nil; steps, matcher calls, joins,
+	// widenings and those marks carry the CFG node they are charged to.
+	// Analyze hands it to the matcher too, so the cartesian client's
+	// prover searches land on this job's prover lane. Its retained events
+	// are what StallDump receives, and folds on it (the source profiler,
+	// internal/prof) see every event. Tracing only observes — results are
+	// byte-identical with it on or off — and the nil default costs
+	// nothing.
 	Tracer *obs.Tracer
 	// TracePID labels this analysis's spans and progress snapshots when
 	// several jobs share one tracer or tracker (AnalyzeAll assigns input
@@ -87,21 +91,16 @@ type Options struct {
 	// JSON lines, single write) when the watchdog fires or the step budget
 	// aborts the run; a Tracer that retains nothing dumps nothing.
 	StallDump io.Writer
-	// ForceStall pins the watchdog's progress reading to zero and holds
-	// the (converged) run open until the watchdog fires: the deterministic
-	// smoke path for the stall machinery. Requires StallTimeout > 0.
-	ForceStall bool
 	// ProfileLabels attaches runtime/pprof goroutine labels (psdf_job,
-	// psdf_phase) to the fixpoint loop and the finish post-pass, so CPU
-	// profiles attribute samples per analysis and phase.
+	// psdf_phase) to the fixpoint loop, the finish post-pass and the
+	// matcher's prover searches, so CPU profiles attribute samples per
+	// analysis and phase.
 	ProfileLabels bool
-	// Profiler, when non-nil, collects the source-attribution profile:
-	// per-CFG-node step time, spawned configurations, matcher/memo/prover
-	// cost, joins, widenings and their failing bound pairs, give-ups and ⊤
-	// demotions. The engine records into a private lane and commits it
-	// into the profiler once, after convergence. Nil costs one pointer
-	// check.
-	Profiler *prof.Profiler
+	// forceStall pins the watchdog's progress reading to zero and holds
+	// the (converged) run open until the watchdog fires: the deterministic
+	// test path for the stall machinery (installed via WithForcedStall in
+	// tests). Requires StallTimeout > 0.
+	forceStall bool
 	// onRevision, when non-nil, observes every canonicalized successor
 	// state delivered to the configuration table, keyed by shape, in the
 	// order the table receives them. Recording hook for the identity and
@@ -313,17 +312,10 @@ type engine struct {
 	// idBuf is reviseEntry's scratch buffer for incoming identities, and
 	// idCopy the one it encodes cold identities in before copying them.
 	idBuf, idCopy []byte
-
-	// Source-attribution profiler (nil when Options.Profiler is nil): a
-	// private counter lane merged into Options.Profiler once, after the
-	// run. profMemo/profProver expose
-	// the matcher's cumulative memo-miss and prover-search counters so
-	// per-callsite deltas can be attributed; both are optional client
-	// capabilities discovered by interface assertion (keeping core free of
-	// a client/hsm dependency, same pattern as sampleProgress).
-	prof       *prof.Lane
-	profMemo   *MatchMemo
-	profProver func() (searches, ns int64)
+	// memo is the matcher's decision memo (nil when the matcher has none):
+	// progress snapshots read its counters, and traced matcher calls carry
+	// the misses they caused.
+	memo *MatchMemo
 }
 
 func (e *engine) stats() *cg.Stats { return e.opts.CGOpts.Stats }
@@ -344,68 +336,48 @@ func (e *engine) span(ph obs.Phase, key string) obs.Span {
 	return e.opts.Tracer.Begin(e.opts.TracePID, 0, ph, key)
 }
 
-// mark records a zero-length event on this engine's trace lane. Free when
-// Options.Tracer is nil.
-func (e *engine) mark(ph obs.Phase, key, detail string) {
-	e.opts.Tracer.Mark(e.opts.TracePID, 0, ph, key, detail)
+// mark records a zero-length event on this engine's trace lane, charged to
+// CFG node. Free when Options.Tracer is nil.
+func (e *engine) mark(ph obs.Phase, node int, key, detail string) {
+	e.opts.Tracer.Mark(e.opts.TracePID, 0, ph, node, key, detail)
 }
 
-// profNow reads the clock only when profiling is on; the zero time is the
-// disabled sentinel consumed by profStep.
-func (e *engine) profNow() time.Time {
-	if e.prof == nil {
-		return time.Time{}
+// matchCall is one matcher call in flight: its span and the memo's miss
+// count before it.
+type matchCall struct {
+	sp     obs.Span
+	misses int
+}
+
+// beginMatch opens the span of one matcher call. Free when Options.Tracer
+// is nil.
+func (e *engine) beginMatch(key string) matchCall {
+	if e.opts.Tracer == nil {
+		return matchCall{}
 	}
-	return time.Now()
+	return matchCall{e.span(obs.PhaseMatch, key), e.memoMisses()}
 }
 
-// profStep records one step event against node.
-func (e *engine) profStep(node int, t0 time.Time, spawned int) {
-	if e.prof == nil {
+// endMatch closes a matcher call's span, charged to the sending set's
+// node, with the memo misses the call caused and whether it produced a
+// plan.
+func (e *engine) endMatch(mc matchCall, node int, matched bool) {
+	if e.opts.Tracer == nil {
 		return
 	}
-	e.prof.Step(node, time.Since(t0).Nanoseconds(), spawned)
+	detail := "unmatched"
+	if matched {
+		detail = "matched"
+	}
+	mc.sp.EndAt(node, int64(e.memoMisses()-mc.misses), detail)
 }
 
-// matchProbe captures the matcher-shared counters around one Matcher call
-// so the deltas can be attributed to the calling site. A stack value: the
-// disabled path allocates nothing and costs one pointer check per end.
-type matchProbe struct {
-	t0       time.Time
-	misses   int
-	searches int64
-	proverNs int64
-}
-
-func (e *engine) profMatchStart() matchProbe {
-	if e.prof == nil {
-		return matchProbe{}
+// memoMisses is the matcher memo's miss count so far (0 without a memo).
+func (e *engine) memoMisses() int {
+	if e.memo == nil {
+		return 0
 	}
-	var pr matchProbe
-	if e.profMemo != nil {
-		pr.misses = e.profMemo.MissCount()
-	}
-	if e.profProver != nil {
-		pr.searches, pr.proverNs = e.profProver()
-	}
-	pr.t0 = time.Now()
-	return pr
-}
-
-func (e *engine) profMatchEnd(node int, pr matchProbe, matched bool) {
-	if e.prof == nil {
-		return
-	}
-	ns := time.Since(pr.t0).Nanoseconds()
-	var misses, searches, proverNs int64
-	if e.profMemo != nil {
-		misses = int64(e.profMemo.MissCount() - pr.misses)
-	}
-	if e.profProver != nil {
-		s, n := e.profProver()
-		searches, proverNs = s-pr.searches, n-pr.proverNs
-	}
-	e.prof.Match(node, ns, misses, searches, proverNs, matched)
+	return e.memo.MissCount()
 }
 
 // blameNode picks a deterministic attribution node for combine events:
@@ -448,17 +420,17 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 		descs:   make([]string, len(g.Nodes)),
 		started: time.Now(),
 	}
-	if opts.Profiler != nil {
-		e.prof = opts.Profiler.NewLane(len(g.Nodes))
-		if mp, ok := opts.Matcher.(interface{ Memo() *MatchMemo }); ok {
-			e.profMemo = mp.Memo()
-		}
-		if pp, ok := opts.Matcher.(interface {
-			ProverSearches() int64
-			ProverSearchNs() int64
-		}); ok {
-			e.profProver = func() (int64, int64) { return pp.ProverSearches(), pp.ProverSearchNs() }
-		}
+	// Optional matcher capabilities, discovered by interface assertion so
+	// core needs no client or hsm dependency: a decision memo, and
+	// observation of the matcher's own work (the cartesian client's prover
+	// searches), which goes to this job's tracer, lane and pprof labels.
+	if mp, ok := opts.Matcher.(interface{ Memo() *MatchMemo }); ok {
+		e.memo = mp.Memo()
+	}
+	if om, ok := opts.Matcher.(interface {
+		SetObs(tr *obs.Tracer, pid int, labels bool)
+	}); ok {
+		om.SetObs(opts.Tracer, opts.TracePID, opts.ProfileLabels)
 	}
 	// Pre-scan assume statements for global invariants (np = nrows*ncols
 	// etc.) so the HSM matcher has them from the start.
@@ -485,7 +457,6 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 	}
 	e.withProfileLabels("finish", e.finish)
 	e.finishProgress()
-	opts.Profiler.Commit(g, e.prof)
 	e.logDone()
 	return e.res, nil
 }
@@ -531,7 +502,7 @@ func (e *engine) finish() {
 			fin.Top = true
 			fin.TopWhy = "stale match witness survived widening: " + why
 			e.res.Tops = append(e.res.Tops, fin)
-			e.prof.TopDemotion(node)
+			e.mark(obs.PhaseDemote, node, "", fin.TopWhy)
 			continue
 		}
 		finals = append(finals, fin)
@@ -636,8 +607,7 @@ func (e *engine) commitStuckTops() {
 			if e.entry(id) == nil {
 				e.setEntry(id, &tableEntry{st: sa.st})
 				e.giveUps.Add(1)
-				e.prof.GiveUp(sa.st.TopNode)
-				e.mark(obs.PhaseGiveup, sa.st.TopKey, sa.st.TopWhy)
+				e.mark(obs.PhaseGiveup, sa.st.TopNode, sa.st.TopKey, sa.st.TopWhy)
 			}
 		}
 	}
@@ -805,10 +775,10 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	}
 	// blameNode (not firstActiveNode) on purpose: the attribution must not
 	// reorder entry.st.Sets between AlignTo and combine.
-	e.prof.Combine(blameNode(entry.st), combinePhase == obs.PhaseWiden)
+	node := blameNode(entry.st)
 	csp := e.span(combinePhase, key)
 	widened := e.combine(entry, st)
-	csp.End()
+	csp.EndAt(node, 0, "")
 	if widened.Top {
 		if widened.TopKey == "" {
 			widened.TopKey = key
@@ -843,11 +813,10 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	entry.rev++
 	if entry.rev > e.opts.maxVisits() {
 		e.giveUps.Add(1)
-		e.mark(obs.PhaseGiveup, key, "widening did not converge")
 		old := entry.st
 		entry.st = &State{Top: true, TopWhy: "widening did not converge at " + key,
 			TopNode: firstActiveNode(old), TopKey: key}
-		e.prof.GiveUp(entry.st.TopNode)
+		e.mark(obs.PhaseGiveup, entry.st.TopNode, key, "widening did not converge")
 		old.Release()
 		widened.Release()
 		st.Release()
@@ -1010,21 +979,24 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State 
 			if len(failing) > 0 {
 				blame = old.Sets[failing[0]].Node.ID
 			}
-			if e.prof != nil {
-				// Profiler-only blame: when only matches failed, fall back
-				// to the failing pair's send node (TopNode itself stays on
-				// the established failing-set rule).
-				pnode := blame
+			if e.opts.Tracer != nil {
+				// Trace-only blame: when only matches failed, fall back to
+				// the failing pair's send node (TopNode itself stays on the
+				// established failing-set rule). The bound pair is rendered
+				// only for a reader of the events.
+				fnode := blame
 				if len(failing) == 0 && len(matchFail) > 0 {
-					pnode = matchFail[0].s
+					fnode = matchFail[0].s
 				}
 				var fa, fb string
-				if pa, pb, okb := firstFailingBound(old, nw); okb {
-					fa, fb = pa.String(), pb.String()
-				} else if len(detail) > 0 {
-					fb = detail[0]
+				if e.opts.Tracer.Observed() {
+					if pa, pb, okb := firstFailingBound(old, nw); okb {
+						fa, fb = pa.String(), pb.String()
+					} else if len(detail) > 0 {
+						fb = detail[0]
+					}
 				}
-				e.prof.WidenFail(pnode, fa, fb)
+				e.mark(obs.PhaseWidenFail, fnode, fa, fb)
 			}
 			return &State{Top: true, TopWhy: "widening failed: no common bound expressions: " + strings.Join(detail, "; "),
 				TopNode: blame}
@@ -1411,12 +1383,12 @@ func boundsIntersect(a, b procset.Bound) bool {
 // ---------------------------------------------------------------------------
 // Propagate: one analysis step (Fig 4's propagate)
 
-// step computes the successor configurations of st. key identifies the
-// configuration for phase tracing only. st is the table entry itself: step
-// only reads it, apart from sorting its sets, which leaves an entry that
-// is already in canonical order unchanged, and every successor is a
-// clone.
-func (e *engine) step(st *State, key string) []succ {
+// step computes the successor configurations of st and the CFG node the
+// step is charged to. key identifies the configuration for phase tracing
+// only. st is the table entry itself: step only reads it, apart from
+// sorting its sets, which leaves an entry that is already in canonical
+// order unchanged, and every successor is a clone.
+func (e *engine) step(st *State, key string) ([]succ, int) {
 	// 1. An unblocked set at a sequential node advances (transfer function).
 	st.sortCanonical()
 	for _, ps := range st.Sets {
@@ -1426,27 +1398,19 @@ func (e *engine) step(st *State, key string) []succ {
 		if ps.Node.IsComm() {
 			if e.opts.NonBlockingSends && ps.Node.Kind == cfg.Send {
 				sp := e.span(obs.PhaseTransfer, key)
-				t0 := e.profNow()
 				out := e.issueSendStep(st, ps.ID)
-				e.profStep(ps.Node.ID, t0, len(out))
 				sp.End()
-				return out
+				return out, ps.Node.ID
 			}
 			continue
 		}
 		sp := e.span(obs.PhaseTransfer, key)
-		t0 := e.profNow()
 		out := e.advanceSet(st, ps.ID)
-		e.profStep(ps.Node.ID, t0, len(out))
 		sp.End()
-		return out
+		return out, ps.Node.ID
 	}
-	t0 := e.profNow()
 	out := e.stepBlocked(st, len(st.Sets)+1, key)
-	if e.prof != nil {
-		e.profStep(firstBlockedNode(st), t0, len(out))
-	}
-	return out
+	return out, firstBlockedNode(st)
 }
 
 // firstBlockedNode returns the first blocked set's node in canonical
@@ -1468,23 +1432,18 @@ func firstBlockedNode(st *State) int {
 // exit: matching, self-matching, emptiness case-splits, then ⊤. depth
 // bounds nested emptiness splits.
 func (e *engine) stepBlocked(st *State, depth int, key string) []succ {
-	msp := e.span(obs.PhaseMatch, key)
 	// 2a. Satisfy receives from pending (non-blocking) sends.
-	if s, ok := e.tryPendingMatches(st); ok {
-		msp.End()
+	if s, ok := e.tryPendingMatches(st, key); ok {
 		return s
 	}
 	// 2b. Match blocked sends to receives.
-	if s, ok := e.tryMatches(st); ok {
-		msp.End()
+	if s, ok := e.tryMatches(st, key); ok {
 		return s
 	}
 	// 3. Self-matches (permutation exchanges).
-	if s, ok := e.trySelfMatches(st); ok {
-		msp.End()
+	if s, ok := e.trySelfMatches(st, key); ok {
 		return s
 	}
-	msp.End()
 	// 4. Case-split on possibly-empty blocked sets.
 	ssp := e.span(obs.PhaseSplit, key)
 	if s, ok := e.tryEmptinessSplit(st, depth, key); ok {
@@ -1735,7 +1694,7 @@ func (e *engine) issueSendStep(st *State, id int) []succ {
 
 // tryPendingMatches satisfies a blocked receive from an in-flight pending
 // send, respecting per-channel FIFO order conservatively.
-func (e *engine) tryPendingMatches(st *State) ([]succ, bool) {
+func (e *engine) tryPendingMatches(st *State, key string) ([]succ, bool) {
 	for _, r := range st.Sets {
 		if !r.Blocked || r.Node.Kind != cfg.Recv {
 			continue
@@ -1772,11 +1731,9 @@ func (e *engine) tryPendingMatches(st *State) ([]succ, bool) {
 					ns.G.AddEq(rv.String(), w, c)
 				}
 			}
-			if e.prof != nil {
-				// Pending delivery needs no Matcher call; count the match
-				// against the pending send's node with zero probe deltas.
-				e.prof.Match(pm.Pending.Node, 0, 0, 0, 0, true)
-			}
+			// Pending delivery needs no Matcher call: a zero-length match
+			// event charged to the pending send's node.
+			e.mark(obs.PhaseMatch, pm.Pending.Node, key, "matched")
 			ns.AddMatch(pm.Pending.Node, recvNode.ID, pm.SendersMatched, pm.RecvMatched)
 			advance(nr)
 			e.normalize(ns)
@@ -1819,7 +1776,7 @@ func (e *engine) fifoConflict(st *State, idx int, pm *PendingMatch) bool {
 // the first success forms the successor (the framework propagates real
 // state only along the matched edge). Matchers only read the state, so a
 // failed attempt costs no clone.
-func (e *engine) tryMatches(st *State) ([]succ, bool) {
+func (e *engine) tryMatches(st *State, key string) ([]succ, bool) {
 	for _, sender := range st.Sets {
 		if !sender.Blocked || sender.Node.Kind != cfg.Send {
 			continue
@@ -1828,7 +1785,7 @@ func (e *engine) tryMatches(st *State) ([]succ, bool) {
 			if receiver == sender || !receiver.Blocked || receiver.Node.Kind != cfg.Recv {
 				continue
 			}
-			if out, ok := e.applyPairMatch(st, sender, receiver); ok {
+			if out, ok := e.applyPairMatch(st, sender, receiver, key); ok {
 				return out, true
 			}
 		}
@@ -1842,7 +1799,7 @@ func (e *engine) tryMatches(st *State) ([]succ, bool) {
 			if b == a || !b.Blocked || b.Node.Kind != cfg.SendRecv {
 				continue
 			}
-			if out, ok := e.applySendRecvPair(st, a, b); ok {
+			if out, ok := e.applySendRecvPair(st, a, b, key); ok {
 				return out, true
 			}
 		}
@@ -1852,10 +1809,10 @@ func (e *engine) tryMatches(st *State) ([]succ, bool) {
 
 // applyPairMatch matches sender's send against receiver's recv, both sets
 // of st, and applies the plan to a clone of st.
-func (e *engine) applyPairMatch(st *State, sender, receiver *ProcSet) ([]succ, bool) {
-	pr := e.profMatchStart()
+func (e *engine) applyPairMatch(st *State, sender, receiver *ProcSet, key string) ([]succ, bool) {
+	mc := e.beginMatch(key)
 	plan, ok := e.opts.Matcher.Match(st, sender, sender.Node.Dest, receiver, receiver.Node.Src)
-	e.profMatchEnd(sender.Node.ID, pr, ok)
+	e.endMatch(mc, sender.Node.ID, ok)
 	if !ok {
 		return nil, false
 	}
@@ -1880,16 +1837,16 @@ func (e *engine) applyPairMatch(st *State, sender, receiver *ProcSet) ([]succ, b
 // applySendRecvPair matches two sets of st blocked on sendrecv against each
 // other in both directions; both directions must agree on whole-set
 // matches. The plans apply to a clone of st.
-func (e *engine) applySendRecvPair(st *State, a, b *ProcSet) ([]succ, bool) {
-	pr := e.profMatchStart()
+func (e *engine) applySendRecvPair(st *State, a, b *ProcSet, key string) ([]succ, bool) {
+	mc := e.beginMatch(key)
 	planAB, ok := e.opts.Matcher.Match(st, a, a.Node.Dest, b, b.Node.Src)
-	e.profMatchEnd(a.Node.ID, pr, ok)
+	e.endMatch(mc, a.Node.ID, ok)
 	if !ok || len(planAB.SenderRests) > 0 || len(planAB.RecvRests) > 0 {
 		return nil, false
 	}
-	pr = e.profMatchStart()
+	mc = e.beginMatch(key)
 	planBA, ok := e.opts.Matcher.Match(st, b, b.Node.Dest, a, a.Node.Src)
-	e.profMatchEnd(b.Node.ID, pr, ok)
+	e.endMatch(mc, b.Node.ID, ok)
 	if !ok || len(planBA.SenderRests) > 0 || len(planBA.RecvRests) > 0 {
 		return nil, false
 	}
@@ -1948,16 +1905,16 @@ func (e *engine) markVisited(id int) {
 // trySelfMatches looks for a set blocked at a send (or sendrecv) whose own
 // subsequent receive completes a whole-set permutation exchange — the
 // paper's transpose pattern (Section VIII-B), justified by eager buffering.
-func (e *engine) trySelfMatches(st *State) ([]succ, bool) {
+func (e *engine) trySelfMatches(st *State, key string) ([]succ, bool) {
 	for _, ps := range st.Sets {
 		if !ps.Blocked {
 			continue
 		}
 		switch ps.Node.Kind {
 		case cfg.SendRecv:
-			pr := e.profMatchStart()
+			mc := e.beginMatch(key)
 			ok := e.opts.Matcher.SelfMatch(st, ps, ps.Node.Dest, ps.Node.Src)
-			e.profMatchEnd(ps.Node.ID, pr, ok)
+			e.endMatch(mc, ps.Node.ID, ok)
 			if ok {
 				ns := st.Clone()
 				nps := ns.Set(ps.ID)
@@ -1973,9 +1930,9 @@ func (e *engine) trySelfMatches(st *State) ([]succ, bool) {
 			if recvNode == nil {
 				continue
 			}
-			pr := e.profMatchStart()
+			mc := e.beginMatch(key)
 			ok := e.opts.Matcher.SelfMatch(st, ps, ps.Node.Dest, recvNode.Src)
-			e.profMatchEnd(ps.Node.ID, pr, ok)
+			e.endMatch(mc, ps.Node.ID, ok)
 			if !ok {
 				continue
 			}
@@ -2118,8 +2075,15 @@ func (e *engine) normalize(st *State) {
 		st.MarkTopAt(bad, "process-set bounds no longer representable")
 		return
 	}
-	if len(st.Sets) > e.opts.maxSets() {
-		st.MarkTopAt(st.Sets[0].Node, fmt.Sprintf("configuration fragmented into %d process sets (limit %d)", len(st.Sets), e.opts.maxSets()))
+	// Pending-send records fragment a configuration as process sets do, so
+	// both count against the limit: without them a non-blocking run can
+	// mint a new configuration on nearly every step until the step budget.
+	if len(st.Sets) > 0 && len(st.Sets)+len(st.Pending) > e.opts.maxSets() {
+		why := fmt.Sprintf("configuration fragmented into %d process sets (limit %d)", len(st.Sets), e.opts.maxSets())
+		if len(st.Pending) > 0 {
+			why = fmt.Sprintf("configuration fragmented into %d process sets and %d pending sends (limit %d)", len(st.Sets), len(st.Pending), e.opts.maxSets())
+		}
+		st.MarkTopAt(st.Sets[0].Node, why)
 		return
 	}
 	// Surviving sets have genuinely reached their nodes: mark them visited

@@ -11,6 +11,14 @@ import (
 // packages, which import core), so the pieces it drives — the revision
 // recording hook and a bare revision-replay harness — are surfaced here.
 
+// WithForcedStall returns opts with the stall watchdog's progress reading
+// pinned to zero: the converged run is held open until the watchdog fires,
+// so it dumps exactly once. Requires StallTimeout > 0.
+func WithForcedStall(opts Options) Options {
+	opts.forceStall = true
+	return opts
+}
+
 // WithRevisionHook returns opts with the engine's revision recording hook
 // installed: fn observes a private clone of every canonicalized successor
 // state delivered to the configuration table, keyed by shape.
@@ -168,7 +176,8 @@ func (s *Stepper) Step(st *State) []*State {
 		return nil
 	}
 	var out []*State
-	for _, sa := range s.e.step(st, "") {
+	succs, _ := s.e.step(st, "")
+	for _, sa := range succs {
 		out = append(out, sa.st)
 	}
 	return out

@@ -51,7 +51,8 @@ type prepSucc struct {
 // process steps one configuration and commits its successors. Terminal
 // entries (Top or all-at-exit) are left for finish() to classify. The step
 // span opens only once the step counts towards Result.Steps, so the trace
-// and the result agree.
+// and the result agree; it closes after the commit, charged to the stepped
+// node with the number of successors the step spawned.
 func (e *engine) process(id uint64) {
 	fromKey := e.in.keyOf(id)
 	entry := e.entry(id)
@@ -61,16 +62,18 @@ func (e *engine) process(id uint64) {
 	if e.steps.Add(1) > int64(e.opts.maxSteps()) {
 		e.steps.Add(-1)
 		e.budgetHit = true
-		e.mark(obs.PhaseGiveup, fromKey, "step budget exhausted")
+		e.mark(obs.PhaseGiveup, -1, fromKey, "step budget exhausted")
 		e.work.stop()
 		return
 	}
 	sp := e.span(obs.PhaseStep, fromKey)
-	defer sp.End()
-	preps, tops := e.prepare(fromKey, e.step(entry.st, fromKey))
+	succs, node := e.step(entry.st, fromKey)
+	spawned := len(succs)
+	preps, tops := e.prepare(fromKey, succs)
 	e.commit(preps)
 	// This step's give-up verdict replaces the previous step's.
 	entry.stuckTops = tops
+	sp.EndAt(node, int64(spawned), "")
 }
 
 // prepare readies a step's successors for commit: it drops unreachable

@@ -26,11 +26,11 @@ func (e *engine) jobLabel() string {
 
 // progressCount is the watchdog's monotone progress reading: propagate
 // steps plus widenings plus distinct configurations discovered. Any of the
-// three moving means the fixpoint is advancing. With ForceStall the
+// three moving means the fixpoint is advancing. With forceStall the
 // reading is pinned to 0, so the watchdog must fire after StallTimeout —
-// the deterministic smoke path for the stall machinery.
+// the deterministic test path for the stall machinery.
 func (e *engine) progressCount() int64 {
-	if e.opts.ForceStall {
+	if e.opts.forceStall {
 		return 0
 	}
 	return e.steps.Load() + e.widenings.Load() + int64(e.in.size())
@@ -68,13 +68,11 @@ func (e *engine) sampleProgress() obs.Progress {
 			"maintain_ns":           int64(s.MaintainTime()),
 		}
 	}
-	if mp, ok := e.opts.Matcher.(interface{ Memo() *MatchMemo }); ok {
-		if memo := mp.Memo(); memo != nil {
-			p.MemoHits = int64(memo.HitCount())
-			p.MemoMisses = int64(memo.MissCount())
-			p.MemoHitRate = memo.HitRate()
-			p.MemoEntries = int64(memo.Len())
-		}
+	if memo := e.memo; memo != nil {
+		p.MemoHits = int64(memo.HitCount())
+		p.MemoMisses = int64(memo.MissCount())
+		p.MemoHitRate = memo.HitRate()
+		p.MemoEntries = int64(memo.Len())
 	}
 	// Prover lane: the cartesian matcher keeps these as atomics, so the
 	// sampler can read them mid-search (interface-asserted, like Memo).
@@ -145,15 +143,15 @@ func (e *engine) armWatchdog() *obs.Watchdog {
 	return wd
 }
 
-// settleWatchdog finishes the watchdog's run. With ForceStall the engine
+// settleWatchdog finishes the watchdog's run. With forceStall the engine
 // holds the (already converged) run open until the watchdog fires, making
-// forced-stall smoke tests deterministic: exactly one dump, regardless of
-// how fast the workload converged.
+// forced-stall tests deterministic: exactly one dump, regardless of how
+// fast the workload converged.
 func (e *engine) settleWatchdog(wd *obs.Watchdog) {
 	if wd == nil {
 		return
 	}
-	if e.opts.ForceStall {
+	if e.opts.forceStall {
 		<-wd.FiredChan()
 	}
 	wd.Stop()
@@ -168,7 +166,7 @@ func (e *engine) dumpFlight(reason string) {
 		if !e.opts.Tracer.Retaining() || e.opts.StallDump == nil {
 			return
 		}
-		e.mark(obs.PhaseDump, "", reason)
+		e.mark(obs.PhaseDump, 0, "", reason)
 		if err := obs.Dump(e.opts.StallDump, e.opts.Tracer); err != nil && e.opts.Log != nil {
 			e.opts.Log.Error("trace dump failed", "job", e.opts.TracePID, "err", err)
 		}

@@ -34,18 +34,17 @@ func (b *lockedBuf) String() string {
 }
 
 // TestForcedStallDumpsOnce drives the full stall path deterministically:
-// ForceStall pins the watchdog's progress reading at zero, so the watchdog
-// must fire after StallTimeout and dump the tracer's ring exactly once —
-// while the analysis result stays correct and clean.
+// the forced-stall hook pins the watchdog's progress reading at zero, so
+// the watchdog must fire after StallTimeout and dump the tracer's ring
+// exactly once — while the analysis result stays correct and clean.
 func TestForcedStallDumpsOnce(t *testing.T) {
 	_, g := bench.Stencil1D().Parse()
 	var dump lockedBuf
-	res := analyzeWith(t, g, core.Options{
+	res := analyzeWith(t, g, core.WithForcedStall(core.Options{
 		StallTimeout: 50 * time.Millisecond,
-		ForceStall:   true,
 		Tracer:       obs.NewRing(1024),
 		StallDump:    &dump,
-	})
+	}))
 	if !res.Clean() {
 		t.Fatalf("forced stall must not perturb the analysis: %v", res.TopReasons())
 	}
@@ -72,6 +71,11 @@ func TestForcedStallDumpsOnce(t *testing.T) {
 	}
 	if len(evs) > 1024 {
 		t.Errorf("dump exceeds ring capacity: %d events", len(evs))
+	}
+	// A dump is a window of the run, so it is checked without a coverage
+	// floor.
+	if probs := obs.Check(evs, 0); len(probs) != 0 {
+		t.Errorf("malformed dump: %v", probs)
 	}
 }
 

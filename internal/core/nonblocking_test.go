@@ -339,3 +339,25 @@ func TestNonBlockingFreezesToGlobalWitness(t *testing.T) {
 		}
 	}
 }
+
+// TestNonBlockingPendingFragmentationGivesUp: pending-send records count
+// against MaxSets together with the process sets, so this program, whose
+// pending records once grew a new configuration on nearly every step until
+// the step budget, ends with a ⊤ well inside 1,000 steps. The budget is
+// set to 1,000, so a missing guard fails here with "step budget exhausted"
+// instead of running for minutes.
+func TestNonBlockingPendingFragmentationGivesUp(t *testing.T) {
+	g := parseFile(t, "../../testdata/diffbugs/stale_witness_paramnp.mpl")
+	res := analyzeWith(t, g, core.Options{NonBlockingSends: true, MaxSteps: 1000})
+	if res.Steps >= 1000 {
+		t.Errorf("steps = %d, want fewer than 1000", res.Steps)
+	}
+	if len(res.Tops) == 0 {
+		t.Fatal("no ⊤ verdict")
+	}
+	for _, why := range res.TopReasons() {
+		if why == "step budget exhausted" {
+			t.Errorf("run ended on the step budget: %v", res.TopReasons())
+		}
+	}
+}

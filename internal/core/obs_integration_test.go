@@ -16,13 +16,14 @@ import (
 )
 
 // TestTracingDoesNotPerturb is the observability overhead contract: with a
-// retaining tracer, a progress tracker and a profiler attached, a run must
-// produce byte-identical results and counts to the untraced baseline on
-// every paper workload. Tracing only observes. The observers must also
-// agree with each other: the trace's step spans, a ring's retained step
-// events, the profiler's steps, the final /statusz steps and
-// psdf_engine_steps_total all equal Result.Steps; the trace's join spans,
-// the profiler's joins and the final /statusz joins agree; and /statusz
+// retaining tracer, a progress tracker and a profiler folding the tracer's
+// events, a run must produce byte-identical results and counts to the
+// untraced baseline on every paper workload. Tracing only observes. The
+// observers must also agree with each other: the trace's step spans, a
+// ring's retained step events, the profiler's steps, the final /statusz
+// steps and psdf_engine_steps_total all equal Result.Steps; the trace's
+// join spans, the profiler's joins and the final /statusz joins agree; the
+// profiler's prover searches are the trace's prover spans; and /statusz
 // sched_coalesced equals the attached cg.Stats' count.
 //
 // Options.Workers is deprecated and ignored, so a Workers: 2 run must
@@ -42,13 +43,11 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 			tracker := obs.NewProgressTracker()
 			pr := prof.New()
 			_, g = w.Parse()
-			m := cartesian.New(core.ScanInvariants(g))
-			m.SetObs(tr, 1)
+			pr.Attach(tr, 1, g)
 			res, err := core.Analyze(g, core.Options{
-				Matcher:  m,
+				Matcher:  cartesian.New(core.ScanInvariants(g)),
 				Tracer:   tr,
 				Progress: tracker,
-				Profiler: pr,
 				TracePID: 1,
 				CGOpts:   cg.Options{Stats: &cg.Stats{}},
 			})
@@ -96,6 +95,9 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 			joins := totals[obs.PhaseJoin.String()].Count
 			if got := pr.Report(w.Name, "").Totals.Joins; got != joins {
 				t.Errorf("profiler joins = %d, trace join spans = %d", got, joins)
+			}
+			if got, want := pr.Report(w.Name, "").Totals.ProverSearches, totals[obs.PhaseProver.String()].Count; got != want {
+				t.Errorf("profiler prover searches = %d, trace prover spans = %d", got, want)
 			}
 			if got := s.Jobs[0].Joins; got != joins {
 				t.Errorf("/statusz joins = %d, trace join spans = %d", got, joins)

@@ -16,6 +16,17 @@ import (
 	"repro/internal/sem"
 )
 
+// profiled analyzes g with a profiler folding the events of a tracer that
+// keeps totals only, and returns the result and the profile.
+func profiled(t *testing.T, g *cfg.Graph, opts core.Options) (*core.Result, *prof.Report) {
+	t.Helper()
+	opts.Tracer = obs.NewAggregate()
+	p := prof.New()
+	p.Attach(opts.Tracer, opts.TracePID, g)
+	res := analyzeWith(t, g, opts)
+	return res, p.Report("", "")
+}
+
 // TestProfilerDoesNotPerturb is the profiler's overhead contract: with a
 // profiler attached, a run must produce byte-identical results and counts
 // to the unprofiled baseline on every paper workload, and the profiled step
@@ -26,19 +37,11 @@ func TestProfilerDoesNotPerturb(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			_, g := w.Parse()
 			want := countedSignature(analyzeWith(t, g, core.Options{}))
-			p := prof.New()
 			_, g = w.Parse()
-			res, err := core.Analyze(g, core.Options{
-				Matcher:  cartesian.New(core.ScanInvariants(g)),
-				Profiler: p,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res, rep := profiled(t, g, core.Options{})
 			if got := countedSignature(res); got != want {
 				t.Errorf("profiled run diverged:\n got: %s\nwant: %s", got, want)
 			}
-			rep := p.Report(w.Name, w.Src)
 			if rep.Totals.Steps != int64(res.Steps) {
 				t.Errorf("profiled steps = %d, engine steps = %d", rep.Totals.Steps, res.Steps)
 			}
@@ -60,14 +63,8 @@ func TestProfilerSequentialDeterminism(t *testing.T) {
 	w := bench.Fig7Shift()
 	run := func() *prof.Report {
 		_, g := w.Parse()
-		p := prof.New()
-		if _, err := core.Analyze(g, core.Options{
-			Matcher:  cartesian.New(core.ScanInvariants(g)),
-			Profiler: p,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		rep := p.Report(w.Name, w.Src)
+		_, rep := profiled(t, g, core.Options{})
+		rep.Name, rep.Source = w.Name, w.Src
 		for i := range rep.Nodes {
 			rep.Nodes[i].StepNs = 0
 			rep.Nodes[i].MatchNs = 0
@@ -103,19 +100,10 @@ func TestProfilerRecordsWideningFailures(t *testing.T) {
 	if _, err := sem.Check(prog); err != nil {
 		t.Fatal(err)
 	}
-	g := cfg.Build(prog)
-	p := prof.New()
-	res, err := core.Analyze(g, core.Options{
-		Matcher:  cartesian.New(core.ScanInvariants(g)),
-		Profiler: p,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, rep := profiled(t, cfg.Build(prog), core.Options{})
 	if res.Clean() {
 		t.Fatal("repro unexpectedly analyzed clean; the profiler assertions below are vacuous")
 	}
-	rep := p.Report("widen_mismatch_broadcast.mpl", string(src))
 	if rep.Totals.WidenFailures == 0 {
 		t.Errorf("no widening failures profiled on a widening-failure repro: %+v", rep.Totals)
 	}

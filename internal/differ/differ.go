@@ -29,6 +29,7 @@ import (
 	"repro/internal/clients/cartesian"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/prof"
 	"repro/internal/sem"
@@ -106,7 +107,8 @@ type Options struct {
 	// sets the Matcher.
 	Core core.Options
 	// Profiler, when non-nil, collects the source-attribution profile of
-	// the analysis.
+	// the analysis: Check attaches it to Core.Tracer, or to a tracer that
+	// keeps totals only when Core.Tracer is nil.
 	Profiler *prof.Profiler
 }
 
@@ -132,7 +134,12 @@ func Check(src string, opts Options) *Finding {
 	g := cfg.Build(prog)
 	co := opts.Core
 	co.Matcher = cartesian.New(core.ScanInvariants(g))
-	co.Profiler = opts.Profiler
+	if opts.Profiler != nil {
+		if co.Tracer == nil {
+			co.Tracer = obs.NewAggregate()
+		}
+		opts.Profiler.Attach(co.Tracer, co.TracePID, g)
+	}
 	seq, err := core.Analyze(g, co)
 	if err != nil {
 		return &Finding{Class: ClassError, Detail: fmt.Sprintf("analysis: %v", err)}

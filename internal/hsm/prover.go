@@ -58,7 +58,9 @@ type Prover struct {
 	// Tracer, when non-nil, receives one obs.PhaseProver span per search
 	// that misses the memo (cache hits are free and not worth a span). The
 	// spans land on the dedicated prover lane (obs.ProverTid) under
-	// TracePID's process, with the explored-state count in the detail.
+	// TracePID's process. Only a retaining tracer gets the searched terms
+	// as the key and the explored-state count in the detail, so a tracer
+	// that keeps totals only costs no allocation.
 	Tracer   *obs.Tracer
 	TracePID int
 	// ProfileLabels attaches the psdf_phase=prover pprof goroutine label
@@ -164,10 +166,8 @@ func (p *Prover) SeqEqual(a, b *HSM) bool {
 		return res
 	}
 	return p.labeled(p.timed(func() bool {
-		if p.Tracer.Enabled() {
-			sp := p.Tracer.Begin(p.TracePID, obs.ProverTid, obs.PhaseProver, ka+" =seq "+kb)
-			defer sp.EndDetail("rel=seq")
-		}
+		sp := p.Tracer.Begin(p.TracePID, obs.ProverTid, obs.PhaseProver, p.spanKey(ka, " =seq ", kb))
+		defer sp.EndDetail("rel=seq")
 		na := p.Ctx.Normalize(a)
 		nb := p.Ctx.Normalize(b)
 		if Equal(na, nb) {
@@ -194,18 +194,25 @@ func (p *Prover) SetEqual(a, b *HSM) bool {
 		return res
 	}
 	return p.labeled(p.timed(func() bool {
-		if p.Tracer.Enabled() {
-			sp := p.Tracer.Begin(p.TracePID, obs.ProverTid, obs.PhaseProver, ka+" ~set "+kb)
-			before := p.StatesExplored
-			res := p.setEqualSearch(a, b)
-			sp.EndDetail(fmt.Sprintf("rel=set states=%d", p.StatesExplored-before))
-			p.store(key, res)
-			return res
-		}
+		sp := p.Tracer.Begin(p.TracePID, obs.ProverTid, obs.PhaseProver, p.spanKey(ka, " ~set ", kb))
+		before := p.StatesExplored
 		res := p.setEqualSearch(a, b)
+		detail := "rel=set"
+		if p.Tracer.Retaining() {
+			detail = fmt.Sprintf("rel=set states=%d", p.StatesExplored-before)
+		}
+		sp.EndDetail(detail)
 		p.store(key, res)
 		return res
 	}))
+}
+
+// spanKey renders a search's span key, for a retaining tracer only.
+func (p *Prover) spanKey(ka, rel, kb string) string {
+	if !p.Tracer.Retaining() {
+		return ""
+	}
+	return ka + rel + kb
 }
 
 func (p *Prover) setEqualSearch(a, b *HSM) bool {

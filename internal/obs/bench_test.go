@@ -12,7 +12,8 @@ func BenchmarkTracerDisabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sp := tr.Begin(1, 0, PhaseStep, "key")
-		sp.End()
+		sp.EndAt(3, 1, "")
+		tr.Mark(1, 0, PhaseGiveup, 3, "key", "stuck")
 	}
 }
 
@@ -44,8 +45,11 @@ func TestDisabledZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := tr.Begin(1, 0, PhaseMatch, "key")
 		sp.End()
+		tr.Begin(1, 0, PhaseStep, "key").EndAt(3, 2, "")
+		tr.Mark(1, 0, PhaseWidenFail, 3, "a", "b")
+		tr.Fold(nil)
 		_ = tr.Totals()
-		_ = tr.Enabled()
+		_ = tr.Observed()
 	})
 	if allocs != 0 {
 		t.Errorf("disabled tracer allocates %v per op, want 0", allocs)

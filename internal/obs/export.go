@@ -69,6 +69,12 @@ func WriteChromeTrace(w io.Writer, evs []Event, laneNames map[int]string) error 
 		if ev.Detail != "" {
 			args["detail"] = ev.Detail
 		}
+		if ev.Phase.Attributed() {
+			args["node"] = ev.Node
+		}
+		if ev.N != 0 {
+			args["n"] = ev.N
+		}
 		if len(args) == 0 {
 			args = nil
 		}
@@ -152,7 +158,8 @@ func WriteChromeTrace(w io.Writer, evs []Event, laneNames map[int]string) error 
 	return bw.Flush()
 }
 
-// jsonlEvent is the line schema for WriteJSONL/ReadJSONL.
+// jsonlEvent is the line schema for WriteJSONL/ReadJSONL. Node is written
+// for the attributed phases only.
 type jsonlEvent struct {
 	Phase   string `json:"phase"`
 	Pid     int    `json:"pid"`
@@ -161,6 +168,8 @@ type jsonlEvent struct {
 	DurNs   int64  `json:"dur_ns"`
 	Key     string `json:"key,omitempty"`
 	Detail  string `json:"detail,omitempty"`
+	Node    *int   `json:"node,omitempty"`
+	N       int64  `json:"n,omitempty"`
 }
 
 // WriteJSONL renders events one JSON object per line (machine-friendly
@@ -171,11 +180,15 @@ func WriteJSONL(w io.Writer, evs []Event) error {
 	bw := bufio.NewWriter(w)
 	for i := range evs {
 		ev := &evs[i]
-		b, err := json.Marshal(jsonlEvent{
+		je := jsonlEvent{
 			Phase: ev.Phase.String(), Pid: ev.Pid, Tid: ev.Tid,
 			StartNs: int64(ev.Start), DurNs: int64(ev.Dur),
-			Key: ev.Key, Detail: ev.Detail,
-		})
+			Key: ev.Key, Detail: ev.Detail, N: ev.N,
+		}
+		if ev.Phase.Attributed() {
+			je.Node = &ev.Node
+		}
+		b, err := json.Marshal(je)
 		if err != nil {
 			return err
 		}
@@ -210,11 +223,15 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		if !ok {
 			return nil, fmt.Errorf("jsonl line %d: unknown phase %q", line, je.Phase)
 		}
-		out = append(out, Event{
+		ev := Event{
 			Phase: ph, Pid: je.Pid, Tid: je.Tid,
 			Start: time.Duration(je.StartNs), Dur: time.Duration(je.DurNs),
-			Key: je.Key, Detail: je.Detail,
-		})
+			Key: je.Key, Detail: je.Detail, N: je.N,
+		}
+		if je.Node != nil {
+			ev.Node = *je.Node
+		}
+		out = append(out, ev)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -252,6 +269,12 @@ func ReadChromeTrace(r io.Reader) ([]Event, error) {
 		}
 		if s, ok := ce.Args["detail"].(string); ok {
 			ev.Detail = s
+		}
+		if f, ok := ce.Args["node"].(float64); ok {
+			ev.Node = int(f)
+		}
+		if f, ok := ce.Args["n"].(float64); ok {
+			ev.N = int64(f)
 		}
 		out = append(out, ev)
 	}

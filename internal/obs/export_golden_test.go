@@ -11,8 +11,8 @@ func goldenEvents() []Event {
 	ms := time.Millisecond
 	return []Event{
 		mkEvent(PhaseAnalyze, 1, 0, 0, 10*ms, "shift1d"),
-		{Phase: PhaseStep, Pid: 1, Tid: 0, Start: 1 * ms, Dur: 3 * ms, Key: "cfg|a"},
-		{Phase: PhaseMatch, Pid: 1, Tid: 0, Start: 2 * ms, Dur: 1 * ms, Key: "cfg|a", Detail: "pairs=2"},
+		{Phase: PhaseStep, Pid: 1, Tid: 0, Start: 1 * ms, Dur: 3 * ms, Key: "cfg|a", Node: 5, N: 2},
+		{Phase: PhaseMatch, Pid: 1, Tid: 0, Start: 2 * ms, Dur: 1 * ms, Key: "cfg|a", Detail: "matched", Node: 0, N: 1},
 		mkEvent(PhaseProver, 1, ProverTid, 2*ms, 500*time.Microsecond, "cfg|a"),
 	}
 }
@@ -22,15 +22,15 @@ const chromeGolden = `[
 ,{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"worker 0"}}
 ,{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":1000,"args":{"name":"prover"}}
 ,{"name":"analyze","cat":"psdf","ph":"X","ts":0,"dur":10000,"pid":1,"tid":0,"args":{"key":"shift1d"}}
-,{"name":"step","cat":"psdf","ph":"X","ts":1000,"dur":3000,"pid":1,"tid":0,"args":{"key":"cfg|a"}}
-,{"name":"match","cat":"psdf","ph":"X","ts":2000,"dur":1000,"pid":1,"tid":0,"args":{"detail":"pairs=2","key":"cfg|a"}}
+,{"name":"step","cat":"psdf","ph":"X","ts":1000,"dur":3000,"pid":1,"tid":0,"args":{"key":"cfg|a","n":2,"node":5}}
+,{"name":"match","cat":"psdf","ph":"X","ts":2000,"dur":1000,"pid":1,"tid":0,"args":{"detail":"matched","key":"cfg|a","n":1,"node":0}}
 ,{"name":"prover","cat":"psdf","ph":"X","ts":2000,"dur":500,"pid":1,"tid":1000,"args":{"key":"cfg|a"}}
 ]
 `
 
 const jsonlGolden = `{"phase":"analyze","pid":1,"tid":0,"start_ns":0,"dur_ns":10000000,"key":"shift1d"}
-{"phase":"step","pid":1,"tid":0,"start_ns":1000000,"dur_ns":3000000,"key":"cfg|a"}
-{"phase":"match","pid":1,"tid":0,"start_ns":2000000,"dur_ns":1000000,"key":"cfg|a","detail":"pairs=2"}
+{"phase":"step","pid":1,"tid":0,"start_ns":1000000,"dur_ns":3000000,"key":"cfg|a","node":5,"n":2}
+{"phase":"match","pid":1,"tid":0,"start_ns":2000000,"dur_ns":1000000,"key":"cfg|a","detail":"matched","node":0,"n":1}
 {"phase":"prover","pid":1,"tid":1000,"start_ns":2000000,"dur_ns":500000,"key":"cfg|a"}
 `
 
@@ -52,8 +52,11 @@ func TestChromeTraceGolden(t *testing.T) {
 	if len(evs) != 4 {
 		t.Fatalf("round-trip events = %d, want 4", len(evs))
 	}
-	if evs[2].Detail != "pairs=2" || evs[2].Phase != PhaseMatch {
+	if evs[2].Detail != "matched" || evs[2].Phase != PhaseMatch || evs[2].Node != 0 || evs[2].N != 1 {
 		t.Errorf("round-trip event = %+v", evs[2])
+	}
+	if evs[1].Node != 5 || evs[1].N != 2 {
+		t.Errorf("round-trip step event = %+v", evs[1])
 	}
 	if evs[3].Tid != ProverTid || evs[3].Dur != 500*time.Microsecond {
 		t.Errorf("round-trip prover event = %+v", evs[3])

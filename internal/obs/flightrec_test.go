@@ -45,7 +45,7 @@ func TestFlightRecorderWraparound(t *testing.T) {
 func TestFlightRecorderPartialFill(t *testing.T) {
 	r := newTestRing(16)
 	for i := 0; i < 5; i++ {
-		r.Mark(0, 0, PhaseGiveup, fmt.Sprintf("k%d", i), "")
+		r.Mark(0, 0, PhaseGiveup, i, fmt.Sprintf("k%d", i), "")
 	}
 	evs := r.Events()
 	if len(evs) != 5 {
@@ -62,7 +62,7 @@ func TestFlightRecorderCapacity(t *testing.T) {
 	for _, c := range []struct{ n, want int }{{0, 4096}, {-3, 4096}, {3, 16}, {16, 16}, {100, 100}} {
 		r := NewRing(c.n)
 		for i := 0; i < 5000; i++ {
-			r.Mark(0, 0, PhaseStep, "", "")
+			r.Mark(0, 0, PhaseStep, 0, "", "")
 		}
 		if got := r.EventCount(); got != c.want {
 			t.Errorf("NewRing(%d) keeps %d events, want %d", c.n, got, c.want)
@@ -86,7 +86,7 @@ func TestFlightRecorderDumpDeterminism(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		r.Begin(3, 0, PhaseDequeue, "key").EndDetail("d")
 	}
-	r.Mark(3, 0, PhaseDump, "", "stall: no progress for 1s")
+	r.Mark(3, 0, PhaseDump, 0, "", "stall: no progress for 1s")
 	var a, b countingWriter
 	if err := Dump(&a, r); err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 func TestFlightRecorderNilFree(t *testing.T) {
 	var r *Tracer
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Mark(1, 0, PhaseGiveup, "key", "")
+		r.Mark(1, 0, PhaseGiveup, 2, "key", "")
 	})
 	if allocs != 0 {
 		t.Fatalf("nil Tracer.Mark allocates %.1f/op, want 0", allocs)

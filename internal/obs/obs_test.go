@@ -40,8 +40,8 @@ func TestPhaseNamesRoundTrip(t *testing.T) {
 
 func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() || tr.Retaining() {
-		t.Error("nil tracer reports enabled")
+	if tr.Retaining() || tr.Observed() {
+		t.Error("nil tracer reports readers")
 	}
 	sp := tr.Begin(1, 2, PhaseMatch, "k")
 	if d := sp.End(); d != 0 {
@@ -239,5 +239,21 @@ func TestCheckDetectsProblems(t *testing.T) {
 	probs := Check(sparse, 0.95)
 	if len(probs) != 1 || !strings.Contains(probs[0], "coverage") {
 		t.Errorf("sparse trace check = %v", probs)
+	}
+}
+
+// TestFoldSeesEveryEvent: folds receive every recorded event, with its
+// node and count, in every tracer mode, including one that retains
+// nothing.
+func TestFoldSeesEveryEvent(t *testing.T) {
+	for name, tr := range map[string]*Tracer{"aggregate": NewAggregate(), "ring": NewRing(16), "full": NewTracer()} {
+		var got []Event
+		tr.Fold(func(ev Event) { got = append(got, ev) })
+		tr.Begin(1, 0, PhaseStep, "k").EndAt(4, 2, "")
+		tr.Mark(1, 0, PhaseGiveup, -1, "k", "step budget exhausted")
+		if len(got) != 2 || got[0].Phase != PhaseStep || got[0].Node != 4 || got[0].N != 2 ||
+			got[1].Phase != PhaseGiveup || got[1].Node != -1 {
+			t.Errorf("%s: folded %+v", name, got)
+		}
 	}
 }

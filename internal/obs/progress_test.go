@@ -129,7 +129,7 @@ func TestStatuszStreamSSE(t *testing.T) {
 func TestFlightzAndQuit(t *testing.T) {
 	a, b := NewRing(16), NewRing(16)
 	a.Begin(1, 0, PhaseStep, "k").End()
-	b.Mark(2, 0, PhaseGiveup, "k", "stuck")
+	b.Mark(2, 0, PhaseGiveup, 4, "k", "stuck")
 	quit := make(chan struct{})
 	mux := NewHTTPMux(nil, []*Tracer{a, b}, func() { close(quit) })
 

@@ -26,21 +26,27 @@ import (
 // (transfer, send-receive matching, emptiness splits), and their successors
 // merged back into the table (join/widen); deferred give-ups commit at
 // convergence, and the HSM prover's heuristic search is attributed
-// separately, on its own lane.
+// separately, on its own lane. The attributed phases (Attributed) carry the
+// CFG node an event is charged to.
 type Phase uint8
 
 // Instrumented phases.
 const (
 	// PhaseDequeue is time the fixpoint loop spends popping the worklist.
 	PhaseDequeue Phase = iota
-	// PhaseStep covers one whole propagate step of a configuration
-	// (snapshot + transfer/match/split); the sub-phases nest inside it.
+	// PhaseStep covers one whole propagate step of a configuration:
+	// transfer, matching or split, then the commit of its successors; the
+	// sub-phases nest inside it. Its node is the stepped set's (the first
+	// blocked set's for a matching step), its count the successors the
+	// step spawned.
 	PhaseStep
 	// PhaseTransfer is the client transfer function: advancing an unblocked
 	// process set through a sequential node (including normalization).
 	PhaseTransfer
-	// PhaseMatch is send-receive matching: pending-send matches, pairwise
-	// matches and whole-set self-matches (matchSendsRecvs).
+	// PhaseMatch is one client matcher call (Match or SelfMatch), or a
+	// zero-length delivery of a pending send, which needs no call. Its
+	// node is the sending set's, its count the call's match-memo misses,
+	// and its detail "matched" when the call produced a plan.
 	PhaseMatch
 	// PhaseSplit is the emptiness case-split on possibly-empty blocked sets
 	// (splitPSet).
@@ -49,7 +55,8 @@ const (
 	// commit.
 	PhaseInsert
 	// PhaseJoin is combining an incoming state with a table entry on the
-	// join side of the join→widen ladder.
+	// join side of the join→widen ladder. Its node is the entry's smallest
+	// non-exit set node.
 	PhaseJoin
 	// PhaseWiden is the same combine after the ladder switched to widening.
 	PhaseWiden
@@ -64,14 +71,17 @@ const (
 	// sorting, match collection), with the give-up commit nested inside.
 	PhaseFinish
 	// PhaseProver is one HSM prover search (SeqEqual/SetEqual on a memo
-	// miss); the span detail records the rewrite steps explored.
+	// miss), nested in the matcher call that asked for it. A retaining
+	// tracer gets the searched terms as the key and the relation and the
+	// rewrite states explored as the detail.
 	PhaseProver
 	// PhaseAnalyze is one whole analysis job (AnalyzeAll wraps each job in
 	// an analyze span; everything else nests inside it).
 	PhaseAnalyze
 	// PhaseGiveup marks a configuration forced to ⊤, or the step budget
 	// stopping the run: a zero-length event whose key is the configuration
-	// and whose detail is the reason.
+	// and whose detail is the reason. Its node is the blamed one (-1 for
+	// the step budget).
 	PhaseGiveup
 	// PhaseDump marks a dump of the retained events (stall watchdog or
 	// step budget): a zero-length event whose detail is the reason.
@@ -80,14 +90,23 @@ const (
 	// shape keying of a step successor (nested in step), and set alignment,
 	// identities and helper renaming of a revision (nested in commit).
 	PhaseCanon
+	// PhaseWidenFail marks a widening whose states had no common bound: a
+	// zero-length event whose key and detail are the first old and new
+	// bound expressions that failed, at the failing set's node (or the
+	// failing match's send node).
+	PhaseWidenFail
+	// PhaseDemote marks a final configuration demoted to ⊤ because a match
+	// witness went stale: a zero-length event at the match's send node,
+	// whose detail is the reason.
+	PhaseDemote
 
-	numPhases = int(PhaseCanon) + 1
+	numPhases = int(PhaseDemote) + 1
 )
 
 var phaseNames = [numPhases]string{
 	"dequeue", "step", "transfer", "match", "split", "insert",
 	"join", "widen", "commit", "giveup-commit", "finish", "prover", "analyze",
-	"giveup", "dump", "canon",
+	"giveup", "dump", "canon", "widen-fail", "demote",
 }
 
 func (p Phase) String() string {
@@ -95,6 +114,15 @@ func (p Phase) String() string {
 		return phaseNames[p]
 	}
 	return "unknown"
+}
+
+// Attributed reports whether events of the phase carry a CFG node.
+func (p Phase) Attributed() bool {
+	switch p {
+	case PhaseStep, PhaseMatch, PhaseJoin, PhaseWiden, PhaseGiveup, PhaseWidenFail, PhaseDemote:
+		return true
+	}
+	return false
 }
 
 // PhaseFromName maps a phase name back to its enum (used by trace parsers);
@@ -124,6 +152,12 @@ type Event struct {
 	Dur    time.Duration
 	Key    string // configuration shape key (or job name for analyze spans)
 	Detail string // phase-specific annotation (e.g. prover rewrite counts)
+	// Node is the CFG node an attributed phase's event is charged to (see
+	// Phase.Attributed); -1 when there is none. Other phases leave it 0.
+	Node int
+	// N is the event's count: the successors a step spawned, the memo
+	// misses of a matcher call.
+	N int64
 }
 
 // End returns the event's end offset.
@@ -141,13 +175,16 @@ type phaseTotal struct {
 // A tracer keeps every event (NewTracer), none (NewAggregate), or only the
 // most recent ones (NewRing): the flight recorder, cheap enough to stay
 // armed for a whole run and dumped when something goes wrong. Phase totals
-// count every event in every mode.
+// count every event in every mode, and folds (Fold) see every event.
 type Tracer struct {
 	epoch  time.Time
 	clock  func() time.Duration // test hook; defaults to time.Since(epoch)
 	retain bool
 	ring   int // with retain: the most events kept, 0 for all
 	totals [numPhases]phaseTotal
+	// folds is replaced, never appended to in place, so recording reads
+	// it without the lock.
+	folds atomic.Pointer[[]func(Event)]
 
 	mu     sync.Mutex
 	events []Event
@@ -182,13 +219,33 @@ func NewRing(n int) *Tracer {
 	return t
 }
 
-// Enabled reports whether the tracer records anything. Guard span-argument
-// construction (key rendering, fmt) behind it so the disabled path stays
-// allocation-free.
-func (t *Tracer) Enabled() bool { return t != nil }
+// Fold registers f to receive every event the tracer records from now on:
+// how an observer (the source profiler) consumes the event stream in
+// constant memory. f runs on the recording goroutine, so it must be cheap
+// and, since several goroutines may record on one tracer (AnalyzeAll's
+// jobs, the stall watchdog), guard its own state. Register folds before
+// the analyses that record on the tracer start. No-op on a nil tracer.
+func (t *Tracer) Fold(f func(Event)) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	var fs []func(Event)
+	if old := t.folds.Load(); old != nil {
+		fs = append(fs, *old...)
+	}
+	fs = append(fs, f)
+	t.folds.Store(&fs)
+	t.mu.Unlock()
+}
 
 // Retaining reports whether events are retained for export.
 func (t *Tracer) Retaining() bool { return t != nil && t.retain }
+
+// Observed reports whether anything reads recorded events beyond the phase
+// totals: the tracer retains them or a fold consumes them. Guard keys and
+// details that only such readers use behind it.
+func (t *Tracer) Observed() bool { return t != nil && (t.retain || t.folds.Load() != nil) }
 
 // Span is an in-flight phase measurement. It is a value type: the disabled
 // path (nil tracer) passes a zero Span through Begin/End without touching
@@ -215,10 +272,14 @@ func (t *Tracer) Begin(pid, tid int, phase Phase, key string) Span {
 // returns 0 and does nothing.
 func (s Span) End() time.Duration { return s.EndDetail("") }
 
-// EndDetail closes the span with a phase-specific annotation. Build the
-// detail string only when the tracer is Enabled — argument construction on
-// the disabled path would allocate for nothing.
-func (s Span) EndDetail(detail string) time.Duration {
+// EndDetail closes the span with a phase-specific annotation. Build a
+// detail string only for a tracer that reads it (Observed) — argument
+// construction on the disabled path would allocate for nothing.
+func (s Span) EndDetail(detail string) time.Duration { return s.EndAt(0, 0, detail) }
+
+// EndAt closes the span of an attributed phase, charged to CFG node with
+// count n (see Event).
+func (s Span) EndAt(node int, n int64, detail string) time.Duration {
 	if s.t == nil {
 		return 0
 	}
@@ -229,24 +290,32 @@ func (s Span) EndDetail(detail string) time.Duration {
 	s.t.record(Event{
 		Phase: s.phase, Pid: int(s.pid), Tid: int(s.tid),
 		Start: s.start, Dur: dur, Key: s.key, Detail: detail,
+		Node: node, N: n,
 	})
 	return dur
 }
 
 // Mark records a zero-length event of phase on lane (pid, tid) now: a
-// point in the run, such as a give-up or a dump. No-op on a nil tracer.
-func (t *Tracer) Mark(pid, tid int, phase Phase, key, detail string) {
+// point in the run, such as a give-up or a dump, charged to CFG node when
+// the phase is attributed. No-op on a nil tracer.
+func (t *Tracer) Mark(pid, tid int, phase Phase, node int, key, detail string) {
 	if t == nil {
 		return
 	}
-	t.record(Event{Phase: phase, Pid: pid, Tid: tid, Start: t.clock(), Key: key, Detail: detail})
+	t.record(Event{Phase: phase, Pid: pid, Tid: tid, Start: t.clock(), Key: key, Detail: detail, Node: node})
 }
 
-// record adds ev to the phase totals and, when retaining, to the events.
+// record adds ev to the phase totals and hands it to the folds and, when
+// retaining, to the events.
 func (t *Tracer) record(ev Event) {
 	tot := &t.totals[ev.Phase]
 	tot.ns.Add(int64(ev.Dur))
 	tot.count.Add(1)
+	if fs := t.folds.Load(); fs != nil {
+		for _, f := range *fs {
+			f(ev)
+		}
+	}
 	if !t.retain {
 		return
 	}

@@ -156,5 +156,6 @@ func (w *Watchdog) Fired() bool {
 }
 
 // FiredChan is closed when the watchdog fires; callers can select on it to
-// hold a run open until the stall path executes (ForceStall smoke tests).
+// hold a run open until the stall path executes (the engine's forced-stall
+// test hook).
 func (w *Watchdog) FiredChan() <-chan struct{} { return w.firedCh }

@@ -4,20 +4,14 @@
 // time) onto pCFG nodes and, through their spans, onto MPL source
 // constructs.
 //
-// The collection model mirrors the obs tracer's discipline:
-//
-//   - A *Profiler is the per-analysis aggregator. core.Options.Profiler
-//     carries it into the engine; nil means profiling is off.
-//   - The engine asks the profiler for a *Lane: one private, dense
-//     []Counters buffer indexed by CFG node ID. Recording is a plain
-//     (non-atomic) add — the lane is touched only by the analysis's own
-//     goroutine, so the hot path has no synchronization.
-//   - All recording methods are nil-safe no-ops, so the disabled path is
-//     a single pointer check: 0 allocs/op, proven by
-//     BenchmarkProfilerDisabled (the analogue of BenchmarkTracerDisabled).
-//   - After the run, the engine commits the lane: Commit merges it under
-//     the profiler's mutex and resolves node → source span / kind /
-//     synthetic from the CFG.
+// The profiler records nothing of its own. It is a fold over the events
+// its job's obs.Tracer records (Attach): the engine charges each step,
+// matcher call, join, widening, widening failure, give-up and ⊤ demotion
+// to a CFG node on the event itself, and a matcher call's prover searches
+// and their time are the prover spans recorded inside it. The fold keeps
+// one counter row per CFG node, so profiling needs no retaining tracer,
+// and the profile agrees with the trace by construction: its steps are
+// the trace's step spans, its joins the join spans.
 //
 // Reports render three ways: a heat-annotated source listing (text), a
 // machine-readable JSON report (schema "psdf-profile/1", embedding the
@@ -31,6 +25,7 @@ import (
 	"sync"
 
 	"repro/internal/cfg"
+	"repro/internal/obs"
 	"repro/internal/source"
 )
 
@@ -95,113 +90,7 @@ type failKey struct {
 	old, new string
 }
 
-// Lane is the engine-side recording surface: one analysis's private
-// counter buffer. Obtain one via (*Profiler).NewLane; a nil *Lane
-// (profiling off) makes every method a no-op, so engine call sites need
-// exactly one pointer check.
-type Lane struct {
-	nodes []Counters     // indexed by CFG node ID
-	fails []WidenFailure // appended details (rare path; alloc OK)
-}
-
-// NewLane sizes a lane over nodes CFG nodes. Returns nil when p is nil.
-func (p *Profiler) NewLane(nodes int) *Lane {
-	if p == nil {
-		return nil
-	}
-	return &Lane{nodes: make([]Counters, nodes)}
-}
-
-func (l *Lane) at(node int) *Counters {
-	if node < 0 || node >= len(l.nodes) {
-		return nil
-	}
-	return &l.nodes[node]
-}
-
-// Step records one engine step at node: elapsed wall time and the number
-// of successor configurations it spawned.
-func (l *Lane) Step(node int, ns int64, spawned int) {
-	if l == nil {
-		return
-	}
-	if c := l.at(node); c != nil {
-		c.Steps++
-		c.StepNs += ns
-		c.Spawned += int64(spawned)
-	}
-}
-
-// Match records one client-matcher call attributed to node: elapsed time,
-// the match-memo miss delta, the prover search/time deltas, and whether
-// the matcher produced a plan.
-func (l *Lane) Match(node int, ns, memoMisses, proverSearches, proverNs int64, matched bool) {
-	if l == nil {
-		return
-	}
-	if c := l.at(node); c != nil {
-		c.Matches++
-		if matched {
-			c.Matched++
-		}
-		c.MatchNs += ns
-		c.MemoMisses += memoMisses
-		c.ProverSearches += proverSearches
-		c.ProverNs += proverNs
-	}
-}
-
-// Combine records one revision combine at node: a join below the widening
-// rung, a widening at or above it.
-func (l *Lane) Combine(node int, widen bool) {
-	if l == nil {
-		return
-	}
-	if c := l.at(node); c != nil {
-		if widen {
-			c.Widenings++
-		} else {
-			c.Joins++
-		}
-	}
-}
-
-// WidenFail records a widening failure at node with the first failing
-// bound-expression pair (empty strings when unavailable).
-func (l *Lane) WidenFail(node int, oldBound, newBound string) {
-	if l == nil {
-		return
-	}
-	if c := l.at(node); c != nil {
-		c.WidenFailures++
-	}
-	l.fails = append(l.fails, WidenFailure{
-		Node: node, OldBound: oldBound, NewBound: newBound, Count: 1,
-	})
-}
-
-// GiveUp records a committed ⊤ give-up blamed on node.
-func (l *Lane) GiveUp(node int) {
-	if l == nil {
-		return
-	}
-	if c := l.at(node); c != nil {
-		c.GiveUps++
-	}
-}
-
-// TopDemotion records a final-state ⊤ demotion (stale match witness)
-// blamed on node.
-func (l *Lane) TopDemotion(node int) {
-	if l == nil {
-		return
-	}
-	if c := l.at(node); c != nil {
-		c.TopDemotions++
-	}
-}
-
-// nodeInfo is the per-node source resolution captured at commit.
+// nodeInfo is the per-node source resolution captured at Attach.
 type nodeInfo struct {
 	kind      string
 	label     string
@@ -209,54 +98,88 @@ type nodeInfo struct {
 	span      source.Span
 }
 
-// Profiler aggregates committed lanes for one analysis (or several runs
-// of the same graph).
-// The zero value is not ready; use New.
+// Profiler folds one analysis's events into per-node counters. The zero
+// value is not ready; use New, then Attach it before the analysis runs.
 type Profiler struct {
+	pid  int
+	info []nodeInfo
+
 	mu    sync.Mutex
 	nodes []Counters
-	info  []nodeInfo
 	fails map[failKey]int64
+	// searches and proverNs are the prover spans recorded since the last
+	// matcher call: the searches of the call in flight.
+	searches, proverNs int64
 }
 
-// New returns an empty profiler. Attach it via core.Options.Profiler.
+// New returns an empty profiler.
 func New() *Profiler {
 	return &Profiler{fails: make(map[failKey]int64)}
 }
 
-// Commit merges lane l into the profiler and resolves node metadata from
-// g. The engine calls it once per analysis, after the run; the profiler's
-// own state is mutex-guarded, so analyses may commit concurrently.
-func (p *Profiler) Commit(g *cfg.Graph, l *Lane) {
-	if p == nil || l == nil {
+// Attach makes p fold the events that tr records for job pid (the
+// analysis's Options.Tracer and TracePID), attributed over g's nodes.
+// Attach once, before the analysis starts; read the Report after it
+// finishes.
+func (p *Profiler) Attach(tr *obs.Tracer, pid int, g *cfg.Graph) {
+	p.pid = pid
+	p.nodes = make([]Counters, len(g.Nodes))
+	p.info = make([]nodeInfo, len(g.Nodes))
+	for _, n := range g.Nodes {
+		if n.ID >= 0 && n.ID < len(p.info) {
+			p.info[n.ID] = nodeInfo{
+				kind:      n.Kind.String(),
+				label:     n.Label(),
+				synthetic: n.Synthetic,
+				span:      n.Span,
+			}
+		}
+	}
+	tr.Fold(p.fold)
+}
+
+// fold adds one event of the job to its node's counters.
+func (p *Profiler) fold(ev obs.Event) {
+	if ev.Pid != p.pid {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	nodes := len(l.nodes)
-	if len(p.nodes) < nodes {
-		grown := make([]Counters, nodes)
-		copy(grown, p.nodes)
-		p.nodes = grown
-		p.info = make([]nodeInfo, nodes)
-		for _, n := range g.Nodes {
-			if n.ID >= 0 && n.ID < nodes {
-				p.info[n.ID] = nodeInfo{
-					kind:      n.Kind.String(),
-					label:     n.Label(),
-					synthetic: n.Synthetic,
-					span:      n.Span,
-				}
-			}
-		}
+	if ev.Phase == obs.PhaseProver {
+		p.searches++
+		p.proverNs += int64(ev.Dur)
+		return
 	}
-	for id := range l.nodes {
-		if c := &l.nodes[id]; !c.zero() || c.MatchNs != 0 {
-			p.nodes[id].add(c)
-		}
+	if !ev.Phase.Attributed() || ev.Node < 0 || ev.Node >= len(p.nodes) {
+		return
 	}
-	for _, f := range l.fails {
-		p.fails[failKey{f.Node, f.OldBound, f.NewBound}] += f.Count
+	c := &p.nodes[ev.Node]
+	switch ev.Phase {
+	case obs.PhaseStep:
+		c.Steps++
+		c.StepNs += int64(ev.Dur)
+		c.Spawned += ev.N
+	case obs.PhaseMatch:
+		c.Matches++
+		if ev.Detail == "matched" {
+			c.Matched++
+		}
+		c.MatchNs += int64(ev.Dur)
+		c.MemoMisses += ev.N
+		c.ProverSearches += p.searches
+		c.ProverNs += p.proverNs
+		p.searches, p.proverNs = 0, 0
+	case obs.PhaseJoin:
+		c.Joins++
+	case obs.PhaseWiden:
+		c.Widenings++
+	case obs.PhaseWidenFail:
+		c.WidenFailures++
+		p.fails[failKey{ev.Node, ev.Key, ev.Detail}]++
+	case obs.PhaseGiveup:
+		c.GiveUps++
+	case obs.PhaseDemote:
+		c.TopDemotions++
 	}
 }
 
@@ -272,13 +195,10 @@ func (p *Profiler) Report(name, src string) *Report {
 	defer p.mu.Unlock()
 	for id := range p.nodes {
 		c := &p.nodes[id]
-		if c.zero() && c.MatchNs == 0 {
+		if c.zero() {
 			continue
 		}
-		in := nodeInfo{}
-		if id < len(p.info) {
-			in = p.info[id]
-		}
+		in := p.info[id]
 		np := NodeProfile{
 			Node:      id,
 			Kind:      in.kind,
@@ -296,8 +216,8 @@ func (p *Profiler) Report(name, src string) *Report {
 	}
 	for k, n := range p.fails {
 		wf := WidenFailure{Node: k.node, OldBound: k.old, NewBound: k.new, Count: n}
-		if k.node >= 0 && k.node < len(p.info) && p.info[k.node].span.IsValid() {
-			wf.Line = p.info[k.node].span.Start.Line
+		if sp := p.info[k.node].span; sp.IsValid() {
+			wf.Line = sp.Start.Line
 		}
 		r.WidenFailures = append(r.WidenFailures, wf)
 	}

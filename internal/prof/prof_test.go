@@ -3,9 +3,11 @@ package prof
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cfg"
+	"repro/internal/obs"
 	"repro/internal/source"
 )
 
@@ -21,27 +23,55 @@ func testGraph() *cfg.Graph {
 	}}
 }
 
-func TestCommitMergesLanes(t *testing.T) {
+// attached returns a profiler attached to a fresh tracer for job 1 over
+// testGraph, and the tracer.
+func attached() (*Profiler, *obs.Tracer) {
+	tr := obs.NewAggregate()
 	p := New()
-	// Two analyses' lanes hitting the same node: totals must sum.
-	l, l2 := p.NewLane(4), p.NewLane(4)
-	l.Step(1, 100, 2)
-	l2.Step(1, 50, 1)
-	l.Match(2, 300, 2, 1, 120, true)
-	l.Combine(2, false)
-	l2.Combine(2, true)
-	l2.WidenFail(2, "np - 2", "np - 3")
-	l.WidenFail(2, "np - 2", "np - 3")
-	l.GiveUp(3)
-	l.TopDemotion(3)
-	p.Commit(testGraph(), l)
-	p.Commit(testGraph(), l2)
+	p.Attach(tr, 1, testGraph())
+	return p, tr
+}
+
+// folded returns a profiler over testGraph that has folded evs (job 1
+// unless an event says otherwise).
+func folded(evs ...obs.Event) *Profiler {
+	p, _ := attached()
+	for i := range evs {
+		if evs[i].Pid == 0 {
+			evs[i].Pid = 1
+		}
+		p.fold(evs[i])
+	}
+	return p
+}
+
+func TestFoldAttributesEvents(t *testing.T) {
+	p := folded(
+		obs.Event{Phase: obs.PhaseStep, Node: 1, Dur: 100, N: 2},
+		obs.Event{Phase: obs.PhaseStep, Node: 1, Dur: 50, N: 1},
+		// The prover spans inside a matcher call are charged to it.
+		obs.Event{Phase: obs.PhaseProver, Tid: obs.ProverTid, Dur: 120},
+		obs.Event{Phase: obs.PhaseMatch, Node: 2, Dur: 300, N: 2, Detail: "matched"},
+		obs.Event{Phase: obs.PhaseMatch, Node: 2, Dur: 10, Detail: "unmatched"},
+		obs.Event{Phase: obs.PhaseJoin, Node: 2},
+		obs.Event{Phase: obs.PhaseWiden, Node: 2},
+		obs.Event{Phase: obs.PhaseWidenFail, Node: 2, Key: "np - 2", Detail: "np - 3"},
+		obs.Event{Phase: obs.PhaseWidenFail, Node: 2, Key: "np - 2", Detail: "np - 3"},
+		obs.Event{Phase: obs.PhaseGiveup, Node: 3},
+		obs.Event{Phase: obs.PhaseDemote, Node: 3},
+		// Another job's events, the step budget's unattributed give-up and
+		// phases the profile has no column for are not counted.
+		obs.Event{Phase: obs.PhaseStep, Pid: 2, Node: 1, Dur: 7, N: 1},
+		obs.Event{Phase: obs.PhaseGiveup, Node: -1},
+		obs.Event{Phase: obs.PhaseCommit, Dur: 99},
+	)
 
 	r := p.Report("test.mpl", "a\nb\nc\n")
 	if r.Totals.Steps != 2 || r.Totals.StepNs != 150 || r.Totals.Spawned != 3 {
 		t.Errorf("step totals = %+v", r.Totals)
 	}
-	if r.Totals.Matches != 1 || r.Totals.MemoMisses != 2 || r.Totals.ProverSearches != 1 || r.Totals.ProverNs != 120 {
+	if r.Totals.Matches != 2 || r.Totals.Matched != 1 || r.Totals.MatchNs != 310 ||
+		r.Totals.MemoMisses != 2 || r.Totals.ProverSearches != 1 || r.Totals.ProverNs != 120 {
 		t.Errorf("match totals = %+v", r.Totals)
 	}
 	if r.Totals.Joins != 1 || r.Totals.Widenings != 1 || r.Totals.WidenFailures != 2 {
@@ -54,7 +84,7 @@ func TestCommitMergesLanes(t *testing.T) {
 		t.Fatalf("widen failures = %+v, want one deduped row", r.WidenFailures)
 	}
 	wf := r.WidenFailures[0]
-	if wf.Count != 2 || wf.Node != 2 || wf.Line != 2 || wf.OldBound != "np - 2" {
+	if wf.Count != 2 || wf.Node != 2 || wf.Line != 2 || wf.OldBound != "np - 2" || wf.NewBound != "np - 3" {
 		t.Errorf("widen failure row = %+v", wf)
 	}
 	// Node resolution: node 1 resolves to line 1, kind Assign.
@@ -69,21 +99,74 @@ func TestCommitMergesLanes(t *testing.T) {
 	}
 }
 
-func TestLanesOutOfRangeSafe(t *testing.T) {
-	l := New().NewLane(2)
+// TestAttachFoldsTracerEvents: an attached profiler sees what its job
+// records on the tracer, spans and marks alike, with no retained events.
+func TestAttachFoldsTracerEvents(t *testing.T) {
+	p, tr := attached()
+	tr.Begin(1, 0, obs.PhaseStep, "k").EndAt(2, 3, "")
+	tr.Mark(1, 0, obs.PhaseMatch, 2, "k", "matched")
+	tr.Mark(2, 0, obs.PhaseGiveup, 2, "k", "another job")
+	r := p.Report("x.mpl", "")
+	if r.Totals.Steps != 1 || r.Totals.Spawned != 3 || r.Totals.Matched != 1 || r.Totals.GiveUps != 0 {
+		t.Errorf("totals = %+v", r.Totals)
+	}
+	if tr.EventCount() != 0 {
+		t.Errorf("aggregate tracer retained %d events", tr.EventCount())
+	}
+	// Folding allocates nothing per event.
+	allocs := testing.AllocsPerRun(1000, func() {
+		tr.Begin(1, 0, obs.PhaseStep, "k").EndAt(2, 1, "")
+		tr.Mark(1, 0, obs.PhaseMatch, 2, "k", "matched")
+	})
+	if allocs != 0 {
+		t.Errorf("profiled recording allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestFoldConcurrentJobs: jobs that share one tracer record from their
+// own goroutines, and each job's profiler counts only its own events.
+func TestFoldConcurrentJobs(t *testing.T) {
+	tr := obs.NewAggregate()
+	profs := []*Profiler{New(), New()}
+	for i, p := range profs {
+		p.Attach(tr, i+1, testGraph())
+	}
+	const steps = 500
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			for i := 0; i < steps; i++ {
+				tr.Begin(pid, 0, obs.PhaseStep, "k").EndAt(1, 1, "")
+			}
+		}(w%2 + 1)
+	}
+	wg.Wait()
+	for i, p := range profs {
+		if got := p.Report("x.mpl", "").Totals.Steps; got != 2*steps {
+			t.Errorf("job %d: steps = %d, want %d", i+1, got, 2*steps)
+		}
+	}
+}
+
+func TestFoldOutOfRangeSafe(t *testing.T) {
 	// Out-of-range nodes must be dropped, not panic.
-	l.Step(-1, 1, 1)
-	l.Step(99, 1, 1)
-	l.GiveUp(7)
+	r := folded(
+		obs.Event{Phase: obs.PhaseStep, Node: -1, N: 1},
+		obs.Event{Phase: obs.PhaseStep, Node: 99, N: 1},
+		obs.Event{Phase: obs.PhaseWidenFail, Node: 7, Key: "a", Detail: "b"},
+	).Report("x.mpl", "")
+	if len(r.Nodes) != 0 || len(r.WidenFailures) != 0 {
+		t.Errorf("out-of-range events counted: %+v", r)
+	}
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
-	p := New()
-	l := p.NewLane(4)
-	l.Step(2, 1500, 1)
-	l.WidenFail(2, "a", "b")
-	p.Commit(testGraph(), l)
-	rep := p.Report("rt.mpl", "line one\nline two\n")
+	rep := folded(
+		obs.Event{Phase: obs.PhaseStep, Node: 2, Dur: 1500, N: 1},
+		obs.Event{Phase: obs.PhaseWidenFail, Node: 2, Key: "a", Detail: "b"},
+	).Report("rt.mpl", "line one\nline two\n")
 
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, []*Report{rep}); err != nil {
@@ -120,14 +203,13 @@ func TestReadJSONRejects(t *testing.T) {
 }
 
 func TestListingAndFolded(t *testing.T) {
-	p := New()
-	l := p.NewLane(4)
-	l.Step(1, 2000, 1)
-	l.Step(2, 9000, 2)
-	l.Match(2, 700, 1, 1, 300, true)
-	l.GiveUp(3)
-	p.Commit(testGraph(), l)
-	rep := p.Report("x.mpl", "x = 1\nsend x\nrecv y\n")
+	rep := folded(
+		obs.Event{Phase: obs.PhaseStep, Node: 1, Dur: 2000, N: 1},
+		obs.Event{Phase: obs.PhaseStep, Node: 2, Dur: 9000, N: 2},
+		obs.Event{Phase: obs.PhaseProver, Tid: obs.ProverTid, Dur: 300},
+		obs.Event{Phase: obs.PhaseMatch, Node: 2, Dur: 700, N: 1, Detail: "matched"},
+		obs.Event{Phase: obs.PhaseGiveup, Node: 3},
+	).Report("x.mpl", "x = 1\nsend x\nrecv y\n")
 
 	var lst bytes.Buffer
 	if err := rep.WriteListing(&lst); err != nil {
