@@ -1,6 +1,7 @@
 package cg
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -259,7 +260,8 @@ func (s *store) renew() {
 // build fills t from s: for each slot i, every other slot j with
 // x_i - x_j = c exactly (the closed matrix bounds both directions tightly),
 // in name order. The slots are ordered by name once, so each row comes out
-// sorted.
+// sorted. The witnesses are counted first (the relation is symmetric), so
+// off and ws are each sized once.
 func (t *witnessTable) build(s *store) {
 	names := atomNames()
 	n := len(s.atoms)
@@ -277,19 +279,34 @@ func (t *witnessTable) build(s *store) {
 		copy(order[pos+1:], order[pos:])
 		order[pos] = int32(i)
 	}
-	off := append(t.off[:0], 0)
-	ws := t.ws[:0]
+	count := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if _, ok := s.exact(i, j); ok {
+				count += 2
+			}
+		}
+	}
+	off := append(slices.Grow(t.off[:0], n+1), 0)
+	ws := slices.Grow(t.ws[:0], count)
 	for i := 0; i < n; i++ {
 		for _, j32 := range order {
 			j := int(j32)
 			if j == i {
 				continue
 			}
-			if up, down := s.get(i, j), s.get(j, i); up < Inf && down < Inf && up == -down {
-				ws = append(ws, Witness{Var: s.atoms[j], C: up})
+			if c, ok := s.exact(i, j); ok {
+				ws = append(ws, Witness{Var: s.atoms[j], C: c})
 			}
 		}
 		off = append(off, int32(len(ws)))
 	}
 	t.off, t.ws = off, ws
+}
+
+// exact returns c when x_i - x_j = c exactly: the closed matrix bounds
+// both directions tightly.
+func (s *store) exact(i, j int) (c int64, ok bool) {
+	up, down := s.get(i, j), s.get(j, i)
+	return up, up < Inf && down < Inf && up == -down
 }

@@ -104,7 +104,7 @@ func (m *Matcher) Match(st *core.State, sender *core.ProcSet, dest ast.Expr, rec
 // sender range shifted by c; the matched receivers are the intersection of
 // that image with the receiver range.
 func matchShift(st *core.State, ctx procset.Ctx, S, R procset.Set, c sym.Expr) *core.MatchPlan {
-	image := S.OffsetExpr(c)
+	image := S.OffsetExpr(ctx.Memo, c)
 	if !image.IsValid() {
 		return nil
 	}
@@ -116,7 +116,7 @@ func matchShift(st *core.State, ctx procset.Ctx, S, R procset.Set, c sym.Expr) *
 	if !ok || !inter.IsValid() || inter.Empty(ctx) != tri.False {
 		return nil
 	}
-	matchedSenders := inter.OffsetExpr(sym.Neg(c))
+	matchedSenders := inter.OffsetExpr(ctx.Memo, sym.Neg(c))
 	if !matchedSenders.IsValid() {
 		return nil
 	}
@@ -151,8 +151,8 @@ func matchSingletons(st *core.State, ctx procset.Ctx, S, R procset.Set, senderEx
 	if R.Contains(ctx, targetExpr) != tri.True {
 		return nil
 	}
-	sm := procset.Singleton(senderExpr)
-	rm := procset.Singleton(targetExpr)
+	sm := procset.Singleton(ctx.Memo, senderExpr)
+	rm := procset.Singleton(ctx.Memo, targetExpr)
 	sRests, ok := subtract(ctx, S, sm)
 	if !ok {
 		return nil

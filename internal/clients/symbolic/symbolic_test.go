@@ -48,8 +48,8 @@ func mkHarness(t *testing.T, sLB, sUB, rLB, rUB sym.Expr, facts func(*core.State
 	all := st.Sets[0]
 	all.Node = sendNode
 	all.Blocked = true
-	all.Range = procset.Set{LB: procset.NewBound(sLB), UB: procset.NewBound(sUB)}
-	recvSet := st.SplitSet(all, all.Range, procset.Set{LB: procset.NewBound(rLB), UB: procset.NewBound(rUB)})
+	all.Range = procset.Set{LB: procset.NewBound(nil, sLB), UB: procset.NewBound(nil, sUB)}
+	recvSet := st.SplitSet(all, all.Range, procset.Set{LB: procset.NewBound(nil, rLB), UB: procset.NewBound(nil, rUB)})
 	recvSet.Node = recvNode
 	recvSet.Blocked = true
 	if facts != nil {
@@ -187,9 +187,9 @@ func TestSelfMatchIdentityOnly(t *testing.T) {
 
 func TestSubtractCases(t *testing.T) {
 	ctx := procset.Ctx{}
-	whole := procset.Range(sym.Const(0), sym.Const(9))
+	whole := procset.Range(nil, sym.Const(0), sym.Const(9))
 	// Middle part: two rests.
-	rests, ok := subtract(ctx, whole, procset.Range(sym.Const(3), sym.Const(5)))
+	rests, ok := subtract(ctx, whole, procset.Range(nil, sym.Const(3), sym.Const(5)))
 	if !ok || len(rests) != 2 {
 		t.Fatalf("rests = %v, %v", rests, ok)
 	}
@@ -197,7 +197,7 @@ func TestSubtractCases(t *testing.T) {
 		t.Errorf("rests = %v", rests)
 	}
 	// Prefix part.
-	rests, ok = subtract(ctx, whole, procset.Range(sym.Const(0), sym.Const(4)))
+	rests, ok = subtract(ctx, whole, procset.Range(nil, sym.Const(0), sym.Const(4)))
 	if !ok || len(rests) != 1 || rests[0].String() != "[5..9]" {
 		t.Errorf("prefix rests = %v, %v", rests, ok)
 	}
@@ -207,15 +207,15 @@ func TestSubtractCases(t *testing.T) {
 		t.Errorf("whole rests = %v, %v", rests, ok)
 	}
 	// Not contained.
-	if _, ok := subtract(ctx, whole, procset.Range(sym.Const(5), sym.Const(15))); ok {
+	if _, ok := subtract(ctx, whole, procset.Range(nil, sym.Const(5), sym.Const(15))); ok {
 		t.Error("non-subset subtraction succeeded")
 	}
 }
 
 func TestIntersectHelpers(t *testing.T) {
 	ctx := procset.Ctx{}
-	a := procset.Range(sym.Const(0), sym.Const(5))
-	b := procset.Range(sym.Const(3), sym.Const(9))
+	a := procset.Range(nil, sym.Const(0), sym.Const(5))
+	b := procset.Range(nil, sym.Const(3), sym.Const(9))
 	in, ok := intersect(ctx, a, b)
 	if !ok || in.String() != "[3..5]" {
 		t.Errorf("intersect = %v, %v", in, ok)
@@ -224,7 +224,7 @@ func TestIntersectHelpers(t *testing.T) {
 		t.Error("intersection emptiness")
 	}
 	// Unknown ordering fails.
-	c := procset.Range(sym.Var("u"), sym.Var("v"))
+	c := procset.Range(nil, sym.Var("u"), sym.Var("v"))
 	if _, ok := intersect(ctx, a, c); ok {
 		t.Error("intersect with unknown bounds succeeded")
 	}

@@ -27,7 +27,7 @@ func splitState(t *testing.T, n int) *State {
 	st := NewState(g.Entry, cg.Options{})
 	for k := int64(0); len(st.Sets) < n; k++ {
 		last := st.Sets[len(st.Sets)-1]
-		st.SplitSet(last, procset.Singleton(sym.Const(k)), procset.Range(sym.Const(k+1), sym.VarPlus("np", -1)))
+		st.SplitSet(last, procset.Singleton(nil, sym.Const(k)), procset.Range(nil, sym.Const(k+1), sym.VarPlus("np", -1)))
 	}
 	node := g.Entry
 	for _, ps := range st.Sets {
@@ -59,7 +59,7 @@ func TestCloneOneAllocation(t *testing.T) {
 // no allocation.
 func TestReviseDuplicateZeroAlloc(t *testing.T) {
 	st := splitState(t, 3)
-	st.AddMatch(1, 2, procset.Singleton(sym.Zero), procset.Singleton(sym.Const(1)))
+	st.AddMatch(1, 2, procset.Singleton(nil, sym.Zero), procset.Singleton(nil, sym.Const(1)))
 	seen := st.Clone()
 	seen.G.AddLE("np", cg.ZeroVar, 100)
 	if string(seen.identity()) == string(st.identity()) {
@@ -116,10 +116,10 @@ func TestSortCanonicalMatchesStableSort(t *testing.T) {
 	nodes := []*cfg.Node{st.Sets[0].Node, st.Sets[1].Node, st.Sets[2].Node}
 	ranges := []procset.Set{
 		AllProcs(),
-		procset.Singleton(sym.Zero),
-		procset.Singleton(sym.Var("ps1.i")),
-		procset.Singleton(sym.Var("ps2.i")), // anonymizes like ps1.i
-		procset.Range(sym.Const(1), sym.VarPlus("np", -1)),
+		procset.Singleton(nil, sym.Zero),
+		procset.Singleton(nil, sym.Var("ps1.i")),
+		procset.Singleton(nil, sym.Var("ps2.i")), // anonymizes like ps1.i
+		procset.Range(nil, sym.Const(1), sym.VarPlus("np", -1)),
 	}
 	rng := rand.New(rand.NewSource(22))
 	for iter := 0; iter < 2000; iter++ {
@@ -164,7 +164,7 @@ func TestSortCanonicalTieZeroAlloc(t *testing.T) {
 		for i, ps := range st.Sets {
 			ps.Node = st.Sets[0].Node
 			k := int64(n - i) // reverse order, so the first sort moves sets
-			ps.Range = procset.Range(sym.VarPlus(PV(ps.ID, "i"), k), sym.VarPlus("np", -k))
+			ps.Range = procset.Range(nil, sym.VarPlus(PV(ps.ID, "i"), k), sym.VarPlus("np", -k))
 		}
 		st.sortCanonical()
 		if got := testing.AllocsPerRun(100, st.sortCanonical); got != 0 {
@@ -192,7 +192,7 @@ func TestCanonicalizeParamsCanonicalAllocs(t *testing.T) {
 	st := splitState(t, 3)
 	st.G.AddLE("k0", "np", -1)
 	st.G.AddLE("f0", "k0", 0)
-	st.Sets[2].Range = procset.Range(sym.Var("k0"), sym.VarPlus("f0", 2))
+	st.Sets[2].Range = procset.Range(nil, sym.Var("k0"), sym.VarPlus("f0", 2))
 	if m := st.CanonicalizeParams(); len(m) != 2 || m["k0"] != "k0" || m["f0"] != "f0" {
 		t.Fatalf("mapping %v, want k0 and f0 kept", m)
 	}
@@ -213,7 +213,7 @@ func TestCanonicalizeParamsCanonicalAllocs(t *testing.T) {
 func TestFirstIdentityOneAllocation(t *testing.T) {
 	for n := 1; n <= 8; n++ {
 		st := splitState(t, n)
-		st.AddMatch(1, 2, procset.Singleton(sym.Zero), procset.Singleton(sym.Const(1)))
+		st.AddMatch(1, 2, procset.Singleton(nil, sym.Zero), procset.Singleton(nil, sym.Const(1)))
 		scratch := make([]byte, 0, 1024)
 		got := testing.AllocsPerRun(100, func() {
 			st.id = nil

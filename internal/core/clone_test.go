@@ -14,7 +14,7 @@ import (
 func TestCloneSetsIndependent(t *testing.T) {
 	st := entryState(t)
 	all := st.Sets[0]
-	st.SplitSet(all, procset.Range(sym.Zero, sym.Zero), procset.Range(sym.Const(1), sym.VarPlus("np", -1)))
+	st.SplitSet(all, procset.Range(nil, sym.Zero, sym.Zero), procset.Range(nil, sym.Const(1), sym.VarPlus("np", -1)))
 	orig := st.FullKey()
 
 	c := st.Clone()
@@ -25,11 +25,11 @@ func TestCloneSetsIndependent(t *testing.T) {
 	for _, p := range c.Sets {
 		p.ID += 10
 		p.Node = next
-		p.Range = procset.Singleton(sym.Const(7))
+		p.Range = procset.Singleton(nil, sym.Const(7))
 		p.Blocked = true
 		p.Approx = true
 	}
-	c.SplitSet(c.Sets[0], procset.Singleton(sym.Const(7)), procset.Singleton(sym.Const(8)))
+	c.SplitSet(c.Sets[0], procset.Singleton(nil, sym.Const(7)), procset.Singleton(nil, sym.Const(8)))
 	if got := st.FullKey(); got != orig {
 		t.Fatalf("writing a clone's sets changed the original to %q, want %q", got, orig)
 	}
@@ -37,9 +37,9 @@ func TestCloneSetsIndependent(t *testing.T) {
 	cc := c.Clone()
 	want := cc.FullKey()
 	for _, p := range st.Sets {
-		p.Range = procset.Singleton(sym.Const(9))
+		p.Range = procset.Singleton(nil, sym.Const(9))
 	}
-	c.Sets[1].Range = procset.Singleton(sym.Const(5))
+	c.Sets[1].Range = procset.Singleton(nil, sym.Const(5))
 	if got := cc.FullKey(); got != want {
 		t.Fatalf("writing the original and a clone changed the clone's clone to %q, want %q", got, want)
 	}

@@ -138,10 +138,11 @@ func (p *ProcSet) String() string {
 	return fmt.Sprintf("%s@n%d%s", p.Range, p.Node.ID, b)
 }
 
+// allProcs is [0..np-1], built once: bounds are immutable.
+var allProcs = procset.Range(nil, sym.Zero, sym.VarPlus("np", -1))
+
 // AllProcs returns the full range [0..np-1].
-func AllProcs() procset.Set {
-	return procset.Range(sym.Zero, sym.VarPlus("np", -1))
-}
+func AllProcs() procset.Set { return allProcs }
 
 // Match records an established send-receive match: the communication edge
 // between two CFG nodes together with the symbolic process ranges involved.
@@ -944,11 +945,11 @@ func (st *State) renameSets(ref []*ProcSet) {
 // it changes.
 func (st *State) renameInRanges(from, to []cg.Atom) {
 	for _, p := range st.Sets {
-		p.Range, _ = p.Range.Rename(from, to)
+		p.Range, _ = p.Range.Rename(st.memo, from, to)
 	}
 	for i, m := range st.Matches {
-		s, ok1 := m.Sender.Rename(from, to)
-		r, ok2 := m.Receiver.Rename(from, to)
+		s, ok1 := m.Sender.Rename(st.memo, from, to)
+		r, ok2 := m.Receiver.Rename(st.memo, from, to)
 		if ok1 || ok2 {
 			st.ownMatches()
 			st.Matches[i].Sender, st.Matches[i].Receiver = s, r
@@ -972,7 +973,7 @@ func (st *State) SubstEverywhere(name string, repl sym.Expr) {
 	st.dirtyKeys()
 	for _, p := range st.Sets {
 		if p.Range.Uses(name) {
-			p.Range = p.Range.Subst(name, repl)
+			p.Range = p.Range.Subst(st.memo, name, repl)
 		}
 	}
 	for i := 0; i < len(st.Matches); i++ {
@@ -983,10 +984,10 @@ func (st *State) SubstEverywhere(name string, repl sym.Expr) {
 		st.ownMatches()
 		m = st.Matches[i]
 		if m.Sender.Uses(name) {
-			m.Sender = m.Sender.Subst(name, repl)
+			m.Sender = m.Sender.Subst(st.memo, name, repl)
 		}
 		if m.Receiver.Uses(name) {
-			m.Receiver = m.Receiver.Subst(name, repl)
+			m.Receiver = m.Receiver.Subst(st.memo, name, repl)
 		}
 	}
 	for i := 0; i < len(st.Pending); i++ {
@@ -1001,10 +1002,10 @@ func (st *State) SubstEverywhere(name string, repl sym.Expr) {
 		st.ownPending()
 		p = st.Pending[i]
 		if p.Senders.Uses(name) {
-			p.Senders = p.Senders.Subst(name, repl)
+			p.Senders = p.Senders.Subst(st.memo, name, repl)
 		}
 		if p.Shape == PendFan && p.Dests.Uses(name) {
-			p.Dests = p.Dests.Subst(name, repl)
+			p.Dests = p.Dests.Subst(st.memo, name, repl)
 		}
 		if p.Offset.Uses(name) {
 			p.Offset = sym.Subst(p.Offset, name, repl)

@@ -101,6 +101,10 @@ type Options struct {
 	// test path for the stall machinery (installed via WithForcedStall in
 	// tests). Requires StallTimeout > 0.
 	forceStall bool
+	// noBoundTable turns the analysis memo's bound table off, so every
+	// bound is built as without a memo: the test path that checks the
+	// table changes no result (installed via WithoutBoundTable in tests).
+	noBoundTable bool
 	// onRevision, when non-nil, observes every canonicalized successor
 	// state delivered to the configuration table, keyed by shape, in the
 	// order the table receives them. Recording hook for the identity and
@@ -442,6 +446,9 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 	init := NewState(g.Entry, opts.CGOpts)
 	init.SetAssignedVars(assignedVars(g))
 	init.memo = procset.NewMemo()
+	if opts.noBoundTable {
+		init.memo.DisableBounds()
+	}
 	InjectAffineConsequences(init.G, e.inv)
 	e.normalize(init)
 	e.logStart()
@@ -860,7 +867,7 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State 
 			approx[i] = true
 			continue
 		}
-		w, ok := old.Sets[i].Range.Widen(nw.Sets[i].Range)
+		w, ok := old.Sets[i].Range.Widen(old.memo, nw.Sets[i].Range)
 		if ok {
 			widenedSets[i] = w
 		} else if old.Sets[i].Node.Kind == cfg.Exit {
@@ -906,8 +913,8 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State 
 			sortMatches(nm)
 			mark := len(mergedMatches)
 			for i := range om {
-				ws, ok1 := om[i].Sender.Widen(nm[i].Sender)
-				wr, ok2 := om[i].Receiver.Widen(nm[i].Receiver)
+				ws, ok1 := om[i].Sender.Widen(old.memo, nm[i].Sender)
+				wr, ok2 := om[i].Receiver.Widen(old.memo, nm[i].Receiver)
 				if !ok1 || !ok2 {
 					mergedMatches = mergedMatches[:mark]
 					matchFail = append(matchFail, gr.k)
@@ -932,10 +939,10 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State 
 				pendFail = true
 				break
 			}
-			ws, okS := po.Senders.Widen(pn.Senders)
+			ws, okS := po.Senders.Widen(old.memo, pn.Senders)
 			wd, okD := procset.Set{}, true
 			if po.Shape == PendFan {
-				wd, okD = po.Dests.Widen(pn.Dests)
+				wd, okD = po.Dests.Widen(old.memo, pn.Dests)
 			}
 			if !okS || !okD {
 				pendFail = true
@@ -1299,7 +1306,7 @@ func firstFailingBound(old, nw *State) (a, b sym.Expr, ok bool) {
 	for i := range old.Sets {
 		or, nr := old.Sets[i].Range, nw.Sets[i].Range
 		for _, pair := range [][2]procset.Bound{{or.LB, nr.LB}, {or.UB, nr.UB}} {
-			if !boundsIntersect(pair[0], pair[1]) {
+			if !pair[0].SharesAtom(pair[1]) {
 				return pair[0].Primary().Expr(), pair[1].Primary().Expr(), true
 			}
 		}
@@ -1313,7 +1320,7 @@ func firstFailingBound(old, nw *State) (a, b sym.Expr, ok bool) {
 				{om.Sender.LB, m.Sender.LB}, {om.Sender.UB, m.Sender.UB},
 				{om.Receiver.LB, m.Receiver.LB}, {om.Receiver.UB, m.Receiver.UB},
 			} {
-				if !boundsIntersect(pair[0], pair[1]) {
+				if !pair[0].SharesAtom(pair[1]) {
 					return pair[0].Primary().Expr(), pair[1].Primary().Expr(), true
 				}
 			}
@@ -1331,7 +1338,7 @@ func firstFailingBound(old, nw *State) (a, b sym.Expr, ok bool) {
 					[2]procset.Bound{po.Dests.UB, pn.Dests.UB})
 			}
 			for _, pair := range pairs {
-				if !boundsIntersect(pair[0], pair[1]) {
+				if !pair[0].SharesAtom(pair[1]) {
 					return pair[0].Primary().Expr(), pair[1].Primary().Expr(), true
 				}
 			}
@@ -1340,10 +1347,11 @@ func firstFailingBound(old, nw *State) (a, b sym.Expr, ok bool) {
 	return sym.Zero, sym.Zero, false
 }
 
-// sameFailure reports whether range widening would still fail.
+// sameFailure reports whether range widening would still fail, building
+// nothing.
 func (e *engine) sameFailure(old, nw *State) bool {
 	for i := range old.Sets {
-		if _, ok := old.Sets[i].Range.Widen(nw.Sets[i].Range); !ok {
+		if !widens(old.Sets[i].Range, nw.Sets[i].Range) {
 			return true
 		}
 	}
@@ -1352,32 +1360,25 @@ func (e *engine) sameFailure(old, nw *State) bool {
 	}
 	for i := range old.Pending {
 		po, pn := old.Pending[i], nw.Pending[i]
-		if _, ok := po.Senders.Widen(pn.Senders); !ok {
+		if !widens(po.Senders, pn.Senders) || po.Shape == PendFan && !widens(po.Dests, pn.Dests) {
 			return true
-		}
-		if po.Shape == PendFan {
-			if _, ok := po.Dests.Widen(pn.Dests); !ok {
-				return true
-			}
 		}
 	}
 	for _, m := range nw.Matches {
 		for _, om := range old.Matches {
-			if om.SendNode == m.SendNode && om.RecvNode == m.RecvNode {
-				if _, ok := om.Sender.Widen(m.Sender); !ok {
-					return true
-				}
-				if _, ok := om.Receiver.Widen(m.Receiver); !ok {
-					return true
-				}
+			if om.SendNode == m.SendNode && om.RecvNode == m.RecvNode &&
+				(!widens(om.Sender, m.Sender) || !widens(om.Receiver, m.Receiver)) {
+				return true
 			}
 		}
 	}
 	return false
 }
 
-func boundsIntersect(a, b procset.Bound) bool {
-	return a.Intersect(b).IsValid()
+// widens reports whether a.Widen(b) succeeds: both pairs of bounds share
+// an atom.
+func widens(a, b procset.Set) bool {
+	return a.LB.SharesAtom(b.LB) && a.UB.SharesAtom(b.UB)
 }
 
 // ---------------------------------------------------------------------------
@@ -1590,7 +1591,7 @@ func (e *engine) forkOnBoundCmp(ns *State, ps *ProcSet, pivot sym.Expr, depth in
 	}
 	rng := ps.Range.Enrich(ctx)
 	for _, b := range []procset.Bound{rng.LB, rng.UB} {
-		bnd := procset.NewBound(pivot)
+		bnd := procset.NewBound(ctx.Memo, pivot)
 		if ctx.LeqBound(bnd, b, 0) != tri.Unknown && ctx.LeqBound(b, bnd, 0) != tri.Unknown {
 			continue
 		}
@@ -1750,7 +1751,7 @@ func (e *engine) fifoConflict(st *State, idx int, pm *PendingMatch) bool {
 	ctx := st.Ctx()
 	for i := 0; i < idx; i++ {
 		q := st.Pending[i]
-		qd := q.DestRange()
+		qd := q.DestRange(ctx.Memo)
 		if !qd.IsValid() {
 			return true // cannot reason: be conservative
 		}

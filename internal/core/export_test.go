@@ -19,6 +19,16 @@ func WithForcedStall(opts Options) Options {
 	return opts
 }
 
+// WithoutBoundTable returns opts with the analysis memo's bound table
+// turned off, so every bound is built as without a memo.
+func WithoutBoundTable(opts Options) Options {
+	opts.noBoundTable = true
+	return opts
+}
+
+// Memo returns the analysis memo st belongs to (nil outside an analysis).
+func Memo(st *State) *procset.Memo { return st.memo }
+
 // WithRevisionHook returns opts with the engine's revision recording hook
 // installed: fn observes a private clone of every canonicalized successor
 // state delivered to the configuration table, keyed by shape.

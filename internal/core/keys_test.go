@@ -68,14 +68,14 @@ func TestStateIdentityTargeted(t *testing.T) {
 		}, func(st *State) { st.G.MarkInconsistent() }, true},
 		{"inconsistent vs empty", func(st *State) { st.G.MarkInconsistent() }, func(st *State) {}, false},
 		{"non-primary match atoms",
-			sender(procset.Set{LB: procset.NewBound(sym.Zero, sym.Var("ps0.i")), UB: procset.NewBound(x)}),
-			sender(procset.Set{LB: procset.NewBound(sym.Zero, sym.Var("ps0.j")), UB: procset.NewBound(x)}), true},
-		{"[x] vs [x..x]", sender(procset.Singleton(x)),
-			sender(procset.Set{LB: procset.NewBound(x, y), UB: procset.NewBound(x)}), false},
+			sender(procset.Set{LB: procset.NewBound(nil, sym.Zero, sym.Var("ps0.i")), UB: procset.NewBound(nil, x)}),
+			sender(procset.Set{LB: procset.NewBound(nil, sym.Zero, sym.Var("ps0.j")), UB: procset.NewBound(nil, x)}), true},
+		{"[x] vs [x..x]", sender(procset.Singleton(nil, x)),
+			sender(procset.Set{LB: procset.NewBound(nil, x, y), UB: procset.NewBound(nil, x)}), false},
 		{"range atoms", func(st *State) {
-			st.Sets[0].Range = procset.Set{LB: procset.NewBound(sym.Zero, sym.Var("ps0.i")), UB: procset.NewBound(x)}
+			st.Sets[0].Range = procset.Set{LB: procset.NewBound(nil, sym.Zero, sym.Var("ps0.i")), UB: procset.NewBound(nil, x)}
 		}, func(st *State) {
-			st.Sets[0].Range = procset.Set{LB: procset.NewBound(sym.Zero, sym.Var("ps0.j")), UB: procset.NewBound(x)}
+			st.Sets[0].Range = procset.Set{LB: procset.NewBound(nil, sym.Zero, sym.Var("ps0.j")), UB: procset.NewBound(nil, x)}
 		}, false},
 		{"Approx flag", func(st *State) {}, func(st *State) { st.Sets[0].Approx = true }, false},
 		{"Blocked flag", func(st *State) {}, func(st *State) { st.Sets[0].Blocked = true }, false},
@@ -108,8 +108,8 @@ func TestStateIdentityZeroAlloc(t *testing.T) {
 	st, _ := newTestState(t)
 	st.G.AddEq(PV(0, "i"), "np", -1)
 	st.G.AddLE(PV(0, "j"), PV(0, "i"), 2)
-	st.Sets[0].Range = procset.Set{LB: procset.NewBound(sym.Zero, sym.Var(PV(0, "j"))), UB: procset.NewBound(sym.VarPlus("np", -1))}
-	st.Matches = []*Match{{SendNode: 1, RecvNode: 2, Sender: AllProcs(), Receiver: procset.Singleton(sym.Zero)}}
+	st.Sets[0].Range = procset.Set{LB: procset.NewBound(nil, sym.Zero, sym.Var(PV(0, "j"))), UB: procset.NewBound(nil, sym.VarPlus("np", -1))}
+	st.Matches = []*Match{{SendNode: 1, RecvNode: 2, Sender: AllProcs(), Receiver: procset.Singleton(nil, sym.Zero)}}
 	seen := map[string]struct{}{string(st.identity()): {}}
 	if n := testing.AllocsPerRun(1000, func() { _ = st.identity() }); n != 0 {
 		t.Errorf("cached identity allocates %v per op, want 0", n)

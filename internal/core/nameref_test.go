@@ -131,7 +131,7 @@ func refSubstAll(s procset.Set, env map[string]sym.Expr) procset.Set {
 				kept = append(kept, e)
 			}
 		}
-		return procset.NewBound(kept...)
+		return procset.NewBound(nil, kept...)
 	}
 	return procset.Set{LB: bound(s.LB), UB: bound(s.UB)}
 }
@@ -408,15 +408,15 @@ func scrambleHelpers(st *State) {
 	st.ownMatches()
 	st.ownPending()
 	for _, p := range st.Sets {
-		p.Range, _ = p.Range.Rename(from, to)
+		p.Range, _ = p.Range.Rename(st.memo, from, to)
 	}
 	for _, m := range st.Matches {
-		m.Sender, _ = m.Sender.Rename(from, to)
-		m.Receiver, _ = m.Receiver.Rename(from, to)
+		m.Sender, _ = m.Sender.Rename(st.memo, from, to)
+		m.Receiver, _ = m.Receiver.Rename(st.memo, from, to)
 	}
 	for _, p := range st.Pending {
-		p.Senders, _ = p.Senders.Rename(from, to)
-		p.Dests, _ = p.Dests.Rename(from, to)
+		p.Senders, _ = p.Senders.Rename(st.memo, from, to)
+		p.Dests, _ = p.Dests.Rename(st.memo, from, to)
 		p.Offset = procset.RenameExpr(p.Offset, from, to)
 		p.Val = procset.RenameExpr(p.Val, from, to)
 	}

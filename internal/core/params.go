@@ -139,9 +139,9 @@ func (st *State) CanonicalizeParams() map[string]string {
 		st.ownPending()
 	}
 	for _, p := range st.Pending {
-		p.Senders, _ = p.Senders.Rename(from, to)
+		p.Senders, _ = p.Senders.Rename(st.memo, from, to)
 		if p.Shape == PendFan {
-			p.Dests, _ = p.Dests.Rename(from, to)
+			p.Dests, _ = p.Dests.Rename(st.memo, from, to)
 		}
 		p.Offset = procset.RenameExpr(p.Offset, from, to)
 		if p.ValOK {

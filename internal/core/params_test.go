@@ -62,7 +62,7 @@ func TestHelperVarMatchesPattern(t *testing.T) {
 func TestCanonicalizeParamsRenames(t *testing.T) {
 	st, _ := newTestState(t)
 	st.G.SetConst("wp7", 3)
-	st.Sets[0].Range = procset.Range(sym.Const(0), sym.VarPlus("wp7", 0))
+	st.Sets[0].Range = procset.Range(nil, sym.Const(0), sym.VarPlus("wp7", 0))
 	mapping := st.CanonicalizeParams()
 	if mapping["wp7"] != "k0" {
 		t.Fatalf("mapping = %v", mapping)
@@ -97,7 +97,7 @@ func TestCanonicalizeDropsStaleHelpers(t *testing.T) {
 func TestCanonicalizeTwoParams(t *testing.T) {
 	st, _ := newTestState(t)
 	st.G.AddEq("wp9", "wp2", 1)
-	st.Sets[0].Range = procset.Range(sym.VarPlus("wp9", 0), sym.VarPlus("wp2", 5))
+	st.Sets[0].Range = procset.Range(nil, sym.VarPlus("wp9", 0), sym.VarPlus("wp2", 5))
 	st.CanonicalizeParams()
 	// Appearance order: wp9 (LB) before wp2 (UB).
 	if st.Sets[0].Range.String() != "[k0..k1 + 5]" {
@@ -113,8 +113,8 @@ func TestResolveHelpersSubstitutesWitness(t *testing.T) {
 	st.G.AddEq("k0", "np", -3)
 	st.Matches = append(st.Matches, &Match{
 		SendNode: 1, RecvNode: 2,
-		Sender:   procset.Range(sym.Const(1), sym.VarPlus("k0", 0)),
-		Receiver: procset.Range(sym.Const(2), sym.VarPlus("k0", 1)),
+		Sender:   procset.Range(nil, sym.Const(1), sym.VarPlus("k0", 0)),
+		Receiver: procset.Range(nil, sym.Const(2), sym.VarPlus("k0", 1)),
 	})
 	st.ResolveHelpers()
 	m := st.Matches[0]
@@ -157,7 +157,7 @@ func TestIssueSendAggregatesFan(t *testing.T) {
 	sendNode := g.Entry.SuccSeq()
 	ps := st.Sets[0]
 	ps.Node = sendNode
-	ps.Range = procset.Singleton(sym.Zero)
+	ps.Range = procset.Singleton(nil, sym.Zero)
 	st.G.AddLE(cg.ZeroVar, "np", -4)
 	st.SetAssignedVars(map[string]bool{"x": true, "i": true})
 

@@ -55,12 +55,13 @@ type PendingSend struct {
 	ValOK bool
 }
 
-// DestRange returns the destination process range.
-func (p *PendingSend) DestRange() procset.Set {
+// DestRange returns the destination process range, built through m's
+// bound table.
+func (p *PendingSend) DestRange(m *procset.Memo) procset.Set {
 	if p.Shape == PendFan {
 		return p.Dests
 	}
-	return p.Senders.OffsetExpr(p.Offset)
+	return p.Senders.OffsetExpr(m, p.Offset)
 }
 
 func (p *PendingSend) String() string {
@@ -192,7 +193,7 @@ func (st *State) IssueSend(ps *ProcSet, n *cfg.Node) bool {
 			return false
 		}
 		st.ownPending()
-		dest := procset.Singleton(frozenOfs).Enrich(ctx)
+		dest := procset.Singleton(ctx.Memo, frozenOfs).Enrich(ctx)
 		p := &PendingSend{
 			Node:    n.ID,
 			Shape:   PendFan,
@@ -246,7 +247,7 @@ func (st *State) MatchPending(receiver *ProcSet, src sym.Expr, idx int) (*Pendin
 		if sID != 1 || !st.EntailsZero(sym.Add(sOfs, p.Offset)) {
 			return nil, false
 		}
-		dests := p.DestRange()
+		dests := p.DestRange(ctx.Memo)
 		if !dests.IsValid() {
 			return nil, false
 		}
@@ -254,7 +255,7 @@ func (st *State) MatchPending(receiver *ProcSet, src sym.Expr, idx int) (*Pendin
 		if !ok || !inter.IsValid() || inter.Empty(ctx) != tri.False {
 			return nil, false
 		}
-		sendersMatched := inter.OffsetExpr(sym.Neg(p.Offset))
+		sendersMatched := inter.OffsetExpr(ctx.Memo, sym.Neg(p.Offset))
 		if !sendersMatched.IsValid() {
 			return nil, false
 		}

@@ -392,8 +392,8 @@ func SplitByIDCond(ctx procset.Ctx, op ast.BinOp, rng procset.Set, e sym.Expr) (
 	rng = rng.Enrich(ctx)
 	// below = rng ∩ (-inf, pivot)  and  atAbove = rng ∩ [pivot, +inf).
 	splitAt := func(pivot sym.Expr) (procset.Set, procset.Set, bool) {
-		below, ok1 := procset.Intersect(ctx, rng, procset.Set{LB: rng.LB, UB: procset.NewBound(sym.AddConst(pivot, -1))})
-		atAbove, ok2 := procset.Intersect(ctx, rng, procset.Set{LB: procset.NewBound(pivot), UB: rng.UB})
+		below, ok1 := procset.Intersect(ctx, rng, procset.Set{LB: rng.LB, UB: procset.NewBound(ctx.Memo, sym.AddConst(pivot, -1))})
+		atAbove, ok2 := procset.Intersect(ctx, rng, procset.Set{LB: procset.NewBound(ctx.Memo, pivot), UB: rng.UB})
 		return below, atAbove, ok1 && ok2
 	}
 	switch op {
@@ -402,8 +402,8 @@ func SplitByIDCond(ctx procset.Ctx, op ast.BinOp, rng procset.Set, e sym.Expr) (
 		if !ok1 {
 			return nil, nil, false
 		}
-		mid, ok2 := procset.Intersect(ctx, atAbove, procset.Set{LB: procset.NewBound(e), UB: procset.NewBound(e)})
-		right, ok3 := procset.Intersect(ctx, atAbove, procset.Set{LB: procset.NewBound(sym.AddConst(e, 1)), UB: rng.UB})
+		mid, ok2 := procset.Intersect(ctx, atAbove, procset.Singleton(ctx.Memo, e))
+		right, ok3 := procset.Intersect(ctx, atAbove, procset.Set{LB: procset.NewBound(ctx.Memo, sym.AddConst(e, 1)), UB: rng.UB})
 		if !ok2 || !ok3 {
 			return nil, nil, false
 		}
@@ -506,16 +506,16 @@ func (st *State) invalidateVar(va cg.Atom) {
 	st.ownMatches()
 	st.ownPending()
 	for _, p := range st.Sets {
-		p.Range = procset.Set{LB: p.Range.LB.DropUses(v), UB: p.Range.UB.DropUses(v)}
+		p.Range = p.Range.DropUses(st.memo, v)
 	}
 	for _, m := range st.Matches {
-		m.Sender = procset.Set{LB: m.Sender.LB.DropUses(v), UB: m.Sender.UB.DropUses(v)}
-		m.Receiver = procset.Set{LB: m.Receiver.LB.DropUses(v), UB: m.Receiver.UB.DropUses(v)}
+		m.Sender = m.Sender.DropUses(st.memo, v)
+		m.Receiver = m.Receiver.DropUses(st.memo, v)
 	}
 	for _, p := range st.Pending {
-		p.Senders = procset.Set{LB: p.Senders.LB.DropUses(v), UB: p.Senders.UB.DropUses(v)}
+		p.Senders = p.Senders.DropUses(st.memo, v)
 		if p.Shape == PendFan {
-			p.Dests = procset.Set{LB: p.Dests.LB.DropUses(v), UB: p.Dests.UB.DropUses(v)}
+			p.Dests = p.Dests.DropUses(st.memo, v)
 		}
 	}
 }

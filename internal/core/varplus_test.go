@@ -384,7 +384,7 @@ func checkEnrichedCommBounds(t *testing.T, cov map[string]int) {
 		st := core.NewState(g.Entry, cg.Options{})
 		c.facts(st.G)
 		node := g.Entry.SuccSeq()
-		ps := &core.ProcSet{ID: 0, Node: node, Range: procset.Range(sym.Zero, sym.Var("k")), Blocked: true}
+		ps := &core.ProcSet{ID: 0, Node: node, Range: procset.Range(nil, sym.Zero, sym.Var("k")), Blocked: true}
 		st.Sets = []*core.ProcSet{ps}
 		for _, f := range commFacets(node) {
 			got, want := st.CheckCommBounds(ps, f.dir, f.expr), refCheckCommBounds(st, ps, f.dir, f.expr, true)

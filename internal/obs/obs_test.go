@@ -159,9 +159,27 @@ func TestSummarizeSelfTime(t *testing.T) {
 		t.Errorf("coverage = %v, want ~1", s.Coverage)
 	}
 	// Hottest key: "b" has 30ms step-self + 10ms transfer = 40ms;
-	// "a" has 20 + 10 = 30ms; "job" 30ms (ties broken by key).
+	// "a" has 20 + 10 = 30ms; the analyze span's "job" is no configuration.
 	if s.HotKeys[0].Key != "b" || s.HotKeys[0].Self != 40*ms {
 		t.Errorf("hot key = %+v", s.HotKeys[0])
+	}
+}
+
+// TestSummarizeHotKeysAreConfigurations: the hottest-configuration table
+// ranks only keys that name configurations. An analyze span keyed by its
+// job name and a widen-fail marker keyed by a bound pair stay out of it,
+// although the analyze span has the most self time.
+func TestSummarizeHotKeysAreConfigurations(t *testing.T) {
+	ms := time.Millisecond
+	evs := []Event{
+		mkEvent(PhaseAnalyze, 1, 0, 0, 100*ms, "testdata/fanout.mpl"),
+		mkEvent(PhaseStep, 1, 0, 10*ms, 20*ms, "cfg"),
+		mkEvent(PhaseWiden, 1, 0, 12*ms, 5*ms, "cfg"),
+		mkEvent(PhaseWidenFail, 1, 0, 15*ms, 0, "3 vs 0"),
+	}
+	s := Summarize(evs)
+	if len(s.HotKeys) != 1 || s.HotKeys[0] != (KeyCost{Key: "cfg", Count: 2, Self: 20 * ms}) {
+		t.Fatalf("hot keys = %+v, want only cfg (2 events, 20ms)", s.HotKeys)
 	}
 }
 

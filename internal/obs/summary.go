@@ -29,7 +29,7 @@ type Summary struct {
 	Wall     time.Duration
 	Events   int
 	Phases   []PhaseCost // sorted by Self descending
-	HotKeys  []KeyCost   // sorted by Self descending (all keys; callers cap)
+	HotKeys  []KeyCost   // configurations, sorted by Self descending (all; callers cap)
 	SelfSum  time.Duration
 	Coverage float64 // SelfSum / sum of per-lane extents, in [0,1]
 }
@@ -67,7 +67,7 @@ func Summarize(evs []Event) Summary {
 			self = 0
 		}
 		phSelf[ev.Phase] += self
-		if ev.Key != "" {
+		if ev.Key != "" && ev.Phase.keyedByConfig() {
 			kc := keys[ev.Key]
 			if kc == nil {
 				kc = &KeyCost{Key: ev.Key}
@@ -167,6 +167,19 @@ func Summarize(evs []Event) Summary {
 		s.Coverage = float64(s.SelfSum) / float64(ext)
 	}
 	return s
+}
+
+// keyedByConfig reports whether p's events carry a configuration's shape
+// key as their key. Analyze spans carry the job name, widening failures a
+// bound pair and prover spans the searched terms, so none of them is a
+// configuration to rank.
+func (p Phase) keyedByConfig() bool {
+	switch p {
+	case PhaseStep, PhaseTransfer, PhaseMatch, PhaseSplit, PhaseInsert,
+		PhaseJoin, PhaseWiden, PhaseCommit, PhaseCanon, PhaseGiveup:
+		return true
+	}
+	return false
 }
 
 // TotalsByPid splits a retained event stream into per-job (pid) phase

@@ -473,7 +473,7 @@ func TestAtomAlgebraMatchesReference(t *testing.T) {
 			exprs = append(exprs, e)
 		}
 		ref := refNew(exprs...)
-		b := NewBound(exprs...)
+		b := NewBound(nil, exprs...)
 		if !sameAtoms(b, ref) {
 			t.Fatalf("NewBound(%v) = %v, want %v", exprs, keysOf(b), refKeys(ref))
 		}
@@ -623,12 +623,12 @@ func TestVarPlusFastPathsMatchReference(t *testing.T) {
 		default:
 			cov["intersect filters"]++
 		}
-		if got := x.Intersect(y); !sameAtoms(got, want) {
+		if got := x.Intersect(nil, y); !sameAtoms(got, want) {
 			t.Fatalf("Intersect(%v, %v) = %v, want %v", refKeys(xr), refKeys(yr), keysOf(got), refKeys(want))
 		}
 
 		want = refSubst(xr, name, repl)
-		if got := x.Subst(name, repl); !sameAtoms(got, want) {
+		if got := x.Subst(nil, name, repl); !sameAtoms(got, want) {
 			t.Fatalf("Subst(%v, %s, %s) = %v, want %v", refKeys(xr), name, repl, keysOf(got), refKeys(want))
 		} else if len(got.atoms) > 0 && &got.atoms[0] == &x.atoms[0] {
 			cov["subst unchanged"]++
@@ -646,19 +646,19 @@ func TestVarPlusFastPathsMatchReference(t *testing.T) {
 			}
 		}
 		want = refSubstAll(xr, env)
-		if got, _ := x.Rename(from, to); !sameAtoms(got, want) {
+		if got, _ := x.Rename(nil, from, to); !sameAtoms(got, want) {
 			t.Fatalf("Rename(%v, %v) = %v, want %v", refKeys(xr), env, keysOf(got), refKeys(want))
 		}
 
 		want = refDropUses(xr, name)
-		if got := x.DropUses(name); !sameAtoms(got, want) {
+		if got := x.DropUses(nil, name); !sameAtoms(got, want) {
 			t.Fatalf("DropUses(%v, %s) = %v, want %v", refKeys(xr), name, keysOf(got), refKeys(want))
 		}
-		if got, want := x.Offset(c), refOffset(xr, c); !sameAtoms(got, want) {
+		if got, want := x.Offset(nil, c), refOffset(xr, c); !sameAtoms(got, want) {
 			t.Fatalf("Offset(%v, %d) = %v, want %v", refKeys(xr), c, keysOf(got), refKeys(want))
 		}
 		ofs := randAtom(rng)
-		if got, want := x.OffsetExpr(ofs), refOffsetExpr(xr, ofs); !sameAtoms(got, want) {
+		if got, want := x.OffsetExpr(nil, ofs), refOffsetExpr(xr, ofs); !sameAtoms(got, want) {
 			t.Fatalf("OffsetExpr(%v, %s) = %v, want %v", refKeys(xr), ofs, keysOf(got), refKeys(want))
 		}
 
@@ -700,7 +700,7 @@ func TestAtomAlgebraZeroAlloc(t *testing.T) {
 		g.AddEq("j", "np", -1)
 		g.AddEq("k0", "i", 2)
 	})
-	b := ctx.Enrich(NewBound(sym.VarPlus("i", 0), sym.VarPlus("j", 1)))
+	b := ctx.Enrich(NewBound(nil, sym.VarPlus("i", 0), sym.VarPlus("j", 1)))
 	if len(b.atoms) < 4 {
 		t.Fatalf("enriched bound too small to exercise the fast path: %v", keysOf(b))
 	}
@@ -721,7 +721,7 @@ func TestVarPlusFastPathsAllocs(t *testing.T) {
 		g.AddEq("k0", "i", 2)
 		g.AddEq("x", "j", 3)
 	})
-	fresh := NewBound(sym.VarPlus("i", 0), sym.VarPlus("j", 1))
+	fresh := NewBound(nil, sym.VarPlus("i", 0), sym.VarPlus("j", 1))
 	enriched := ctx.Enrich(fresh)
 	if k := len(enriched.atoms) - len(fresh.atoms); k < 3 {
 		t.Fatalf("enrichment adds %d atoms, want several: %v", k, keysOf(enriched))
@@ -729,18 +729,18 @@ func TestVarPlusFastPathsAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { _ = ctx.Enrich(fresh) }); n != 1 {
 		t.Errorf("Enrich adding atoms allocates %v per op, want 1", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() { _ = enriched.Intersect(enriched) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { _ = enriched.Intersect(nil, enriched) }); n != 0 {
 		t.Errorf("Intersect keeping every atom allocates %v per op, want 0", n)
 	}
 	repl := sym.VarPlus("y", 2)
-	if n := testing.AllocsPerRun(1000, func() { _ = enriched.Subst("unused", repl) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { _ = enriched.Subst(nil, "unused", repl) }); n != 0 {
 		t.Errorf("Subst of a name no atom uses allocates %v per op, want 0", n)
 	}
-	sub := enriched.Subst("np", repl)
+	sub := enriched.Subst(nil, "np", repl)
 	if !sub.Uses("y") || sub.StringAll() == enriched.StringAll() {
 		t.Fatalf("Subst(np) did not rebuild %v: %v", enriched.StringAll(), sub.StringAll())
 	}
-	if n := testing.AllocsPerRun(1000, func() { _ = enriched.Subst("np", repl) }); n > 1 {
+	if n := testing.AllocsPerRun(1000, func() { _ = enriched.Subst(nil, "np", repl) }); n > 1 {
 		t.Errorf("Subst rebuilding a bound allocates %v per op, want at most 1", n)
 	}
 }
@@ -754,7 +754,7 @@ func BenchmarkEnrich(b *testing.B) {
 		g.AddEq("k0", "i", 2)
 		g.AddEq("x", "j", 3)
 	})
-	fresh := NewBound(sym.VarPlus("i", 0), sym.VarPlus("j", 1))
+	fresh := NewBound(nil, sym.VarPlus("i", 0), sym.VarPlus("j", 1))
 	enriched := ctx.Enrich(fresh)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

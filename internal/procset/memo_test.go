@@ -211,8 +211,8 @@ func TestEnrichMemoHitZeroAlloc(t *testing.T) {
 		g.AddEq("k0", "i", 2)
 	})
 	ctx.Memo = NewMemo()
-	fresh := NewBound(sym.VarPlus("i", 0), sym.VarPlus("j", 1))
-	lone := NewBound(sym.VarPlus("x", 0))
+	fresh := NewBound(nil, sym.VarPlus("i", 0), sym.VarPlus("j", 1))
+	lone := NewBound(nil, sym.VarPlus("x", 0))
 	enriched := ctx.Enrich(fresh)
 	if len(enriched.atoms) <= len(fresh.atoms) {
 		t.Fatalf("enrichment adds nothing to %v", keysOf(fresh))
@@ -225,5 +225,95 @@ func TestEnrichMemoHitZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, func() { _ = ctx.Enrich(b) }); n != 0 {
 			t.Errorf("a memo hit on %v allocates %v per op, want 0", keysOf(b), n)
 		}
+	}
+}
+
+// sameSlice reports whether a and b are held in one array.
+func sameSlice(a, b Bound) bool { return b.same(a) && a.IsValid() }
+
+// TestBoundTableRebuildAllocsNothing rebuilds bounds whose content is
+// already in its slot, through NewBound, Subst, Widen and enrichment's
+// merge: each rebuild must return the cached slice and allocate nothing.
+// Each operation builds one bound, so no two bounds compete for a slot.
+func TestBoundTableRebuildAllocsNothing(t *testing.T) {
+	m := NewMemo()
+	x, np, j2 := sym.VarPlus("x", 1), sym.VarPlus("np", -1), sym.VarPlus("j", 2)
+	nb := NewBound(m, x, np)
+	sub := nb.Subst(m, "x", j2)
+	lo := NewBound(m, sym.Var("a"), sym.Var("b"), sym.Const(3))
+	lo2 := NewBound(m, sym.Var("b"), sym.Const(3), sym.Var("c"))
+	s, o := Set{lo, nb}, Set{lo2, nb}
+	w, ok := s.Widen(m, o)
+	if !ok || len(w.LB.atoms) != 2 || !sameSlice(w.UB, nb) {
+		t.Fatalf("Widen(%v, %v) = %v, %v", s.StringAll(), o.StringAll(), w.StringAll(), ok)
+	}
+	fresh := [...]Atom{{V: cg.Intern("y"), C: 4}, {V: cg.AtomZero, C: 9}}
+	merged := nb.merge(m, slices.Clone(fresh[:]))
+	for _, c := range []struct {
+		name  string
+		first Bound
+		again func() Bound
+	}{
+		{"NewBound", nb, func() Bound { return NewBound(m, x, np) }},
+		{"Subst", sub, func() Bound { return nb.Subst(m, "x", j2) }},
+		{"Widen", w.LB, func() Bound { w, _ := s.Widen(m, o); return w.LB }},
+		{"merge", merged, func() Bound { f := fresh; return nb.merge(m, f[:]) }},
+	} {
+		if again := c.again(); !sameSlice(again, c.first) {
+			t.Errorf("%s rebuilt %v into a new slice", c.name, c.first.StringAll())
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = c.again() }); n != 0 {
+			t.Errorf("%s rebuilding a cached bound allocates %v per op, want 0", c.name, n)
+		}
+	}
+	// Widening a set with itself returns it unscanned.
+	if n := testing.AllocsPerRun(100, func() { _, _ = s.Widen(m, s) }); n != 0 {
+		t.Errorf("Widen of a set with itself allocates %v per op, want 0", n)
+	}
+	// Without a table, or with it turned off, every rebuild copies.
+	off := NewMemo()
+	off.DisableBounds()
+	for _, memo := range []*Memo{nil, off} {
+		if a, b := NewBound(memo, x, np), NewBound(memo, x, np); sameSlice(a, b) {
+			t.Errorf("NewBound through %v shares a slice", memo)
+		}
+	}
+	if cached, err := m.CheckBounds(); err != nil || cached == 0 {
+		t.Errorf("CheckBounds = %d, %v", cached, err)
+	}
+}
+
+// TestBoundTableSpreadsKeys: bounds that differ only in their constant, or
+// only in their variable, take different slots, so a working set of
+// similar bounds does not evict itself.
+func TestBoundTableSpreadsKeys(t *testing.T) {
+	slots := func(atoms func(k int) Atom) int {
+		seen := map[uint64]bool{}
+		for k := 0; k < 64; k++ {
+			h, _ := hashAtoms(0, []Atom{atoms(k)})
+			seen[h&(boundSlots-1)] = true
+		}
+		return len(seen)
+	}
+	x := cg.Intern("x")
+	if n := slots(func(k int) Atom { return Atom{V: x, C: int64(k)} }); n < 40 {
+		t.Errorf("64 bounds x+c take %d slots, want at least 40", n)
+	}
+	if n := slots(func(k int) Atom { return Atom{V: cg.Intern(fmt.Sprintf("v%d", k)), C: 1} }); n < 40 {
+		t.Errorf("64 bounds v+1 take %d slots, want at least 40", n)
+	}
+}
+
+// TestBoundTableSkipsGeneralAtoms: a bound with a general atom allocates
+// on every build and never takes a slot, since the key covers var+c atoms
+// only.
+func TestBoundTableSkipsGeneralAtoms(t *testing.T) {
+	m := NewMemo()
+	e := sym.Scale(sym.Var("np"), 2)
+	if a, b := NewBound(m, e, sym.Var("x")), NewBound(m, e, sym.Var("x")); sameSlice(a, b) || a.StringAll() != b.StringAll() {
+		t.Errorf("bounds %v and %v with a general atom share a slice", a.StringAll(), b.StringAll())
+	}
+	if cached, err := m.CheckBounds(); err != nil || cached != 0 {
+		t.Errorf("CheckBounds = %d, %v, want 0 cached", cached, err)
 	}
 }

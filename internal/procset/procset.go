@@ -7,6 +7,7 @@ package procset
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -147,13 +148,14 @@ type Bound struct {
 	atoms []Atom
 }
 
-// NewBound builds a bound from one or more equivalent expressions.
-func NewBound(exprs ...sym.Expr) Bound {
+// NewBound builds a bound from one or more equivalent expressions, through
+// m's bound table (nil outside an analysis).
+func NewBound(m *Memo, exprs ...sym.Expr) Bound {
 	var l atomList
 	for _, e := range exprs {
 		l.add(AtomOf(e))
 	}
-	return l.bound()
+	return l.bound(m)
 }
 
 // maxAtoms caps the number of equivalent expressions kept per bound.
@@ -193,16 +195,12 @@ func (l *atomList) addShifted(r Atom, c int64) {
 	}
 }
 
-// bound sorts the atoms by key and returns them as a bound, in one
-// allocation.
-func (l *atomList) bound() Bound {
-	if l.n == 0 {
-		return Bound{}
-	}
-	atoms := make([]Atom, l.n)
-	copy(atoms, l.buf[:l.n])
+// bound sorts the atoms by key and returns them as a bound, through m's
+// bound table.
+func (l *atomList) bound(m *Memo) Bound {
+	atoms := l.buf[:l.n]
 	sortAtoms(atoms)
-	return Bound{atoms: atoms}
+	return m.bound(atoms)
 }
 
 // sortAtoms sorts a few atoms by key, by insertion.
@@ -224,7 +222,8 @@ func has(atoms []Atom, a Atom) bool {
 	return false
 }
 
-// Atoms returns the equivalent expressions (do not mutate).
+// Atoms returns the equivalent expressions. Do not mutate them: equal
+// bounds built through one Memo share one slice.
 func (b Bound) Atoms() []Atom { return b.atoms }
 
 // IsValid reports whether the bound has at least one atom.
@@ -246,7 +245,7 @@ func (b Bound) Primary() Atom {
 
 // Offset returns the bound shifted by constant c (applied to every atom).
 // Shifting keeps the atoms distinct but may reorder their keys.
-func (b Bound) Offset(c int64) Bound {
+func (b Bound) Offset(m *Memo, c int64) Bound {
 	if c == 0 {
 		return b
 	}
@@ -258,13 +257,13 @@ func (b Bound) Offset(c int64) Bound {
 			l.add(Atom{V: a.V, C: a.C + c})
 		}
 	}
-	return l.bound()
+	return l.bound(m)
 }
 
 // Subst applies a variable substitution to every atom, dropping atoms that
 // stop being affine var+c forms. A bound of var+c atoms none of which uses
 // name is returned as is.
-func (b Bound) Subst(name string, repl sym.Expr) Bound {
+func (b Bound) Subst(m *Memo, name string, repl sym.Expr) Bound {
 	unchanged := true
 	for _, a := range b.atoms {
 		if a.poly != nil || a.uses(name) {
@@ -287,7 +286,7 @@ func (b Bound) Subst(name string, repl sym.Expr) Bound {
 			l.add(a)
 		}
 	}
-	return l.bound()
+	return l.bound(m)
 }
 
 // Rename renames the variables from[k] to to[k] in every atom at once, as
@@ -295,7 +294,7 @@ func (b Bound) Subst(name string, repl sym.Expr) Bound {
 // dropping atoms that stop being var+c forms (a general atom is rewritten
 // through sym and kept only if it becomes one). A bound of var+c atoms
 // that names none of from is returned as is, with changed false.
-func (b Bound) Rename(from, to []cg.Atom) (r Bound, changed bool) {
+func (b Bound) Rename(m *Memo, from, to []cg.Atom) (r Bound, changed bool) {
 	var l atomList
 	for _, a := range b.atoms {
 		if a.poly != nil {
@@ -312,7 +311,7 @@ func (b Bound) Rename(from, to []cg.Atom) (r Bound, changed bool) {
 	if !changed {
 		return b, false
 	}
-	return l.bound(), true
+	return l.bound(m), true
 }
 
 // RenameExpr renames the variables from[k] to to[k] in e at once, through
@@ -342,7 +341,7 @@ func (b Bound) UsesAtom(v cg.Atom) bool {
 }
 
 // DropUses removes atoms referencing name. The result may be invalid.
-func (b Bound) DropUses(name string) Bound {
+func (b Bound) DropUses(m *Memo, name string) Bound {
 	if !b.Uses(name) {
 		return b
 	}
@@ -352,31 +351,49 @@ func (b Bound) DropUses(name string) Bound {
 			l.add(a)
 		}
 	}
-	return l.bound()
+	return l.bound(m)
 }
 
 // Intersect keeps atoms present in both bounds — the paper's widening of
 // bounds. The result may be invalid (no common atom). b's atoms are already
 // in key order, so a filtered copy keeps that order; when every atom
-// survives, b itself is the result.
-func (b Bound) Intersect(o Bound) Bound {
+// survives, b itself is the result, and a bound that shares its slice with
+// o (m's table gives equal bounds one slice) is returned unscanned.
+func (b Bound) Intersect(m *Memo, o Bound) Bound {
+	if b.same(o) {
+		return b
+	}
 	for i, a := range b.atoms {
 		if has(o.atoms, a) {
 			continue
 		}
-		atoms := make([]Atom, i, len(b.atoms)-1)
-		copy(atoms, b.atoms[:i])
+		var keep [maxAtoms]Atom
+		n := copy(keep[:], b.atoms[:i])
 		for _, a := range b.atoms[i+1:] {
 			if has(o.atoms, a) {
-				atoms = append(atoms, a)
+				keep[n] = a
+				n++
 			}
 		}
-		if len(atoms) == 0 {
-			return Bound{}
-		}
-		return Bound{atoms: atoms}
+		return m.bound(keep[:n])
 	}
 	return b
+}
+
+// SharesAtom reports whether b and o have an atom in common, that is,
+// whether Intersect would return a valid bound, without building it.
+func (b Bound) SharesAtom(o Bound) bool {
+	for _, a := range b.atoms {
+		if has(o.atoms, a) {
+			return true
+		}
+	}
+	return false
+}
+
+// same reports whether b and o hold one and the same slice.
+func (b Bound) same(o Bound) bool {
+	return len(b.atoms) == len(o.atoms) && (len(b.atoms) == 0 || &b.atoms[0] == &o.atoms[0])
 }
 
 func (b Bound) String() string {
@@ -583,21 +600,31 @@ func (ctx Ctx) enrich(b Bound) Bound {
 	if n == len(b.atoms) {
 		return b
 	}
-	return b.merge(have[len(b.atoms):n])
+	return b.merge(ctx.Memo, have[len(b.atoms):n])
 }
 
-// memoSlots is the number of Memo slots, a power of two. At 56 bytes a
-// slot, a Memo's table stays below Go's 32 KB large-object size.
+// memoSlots is the number of enrichment slots, a power of two. At 56 bytes
+// a slot, a Memo's enrichment table stays below Go's 32 KB large-object
+// size.
 const memoSlots = 256
 
-// Memo caches Ctx.Enrich for one analysis in a direct-mapped table keyed by
-// (graph generation, input atoms), so each distinct bound is enriched once
-// per graph content instead of once per caller. Enrich reads the graph only
-// through its generation's witness table, so a hit returns exactly what
-// recomputing would. Slots hold their bounds by reference, since bounds are
-// immutable. A Memo is not safe for concurrent use.
+// boundSlots is the number of bound-table slots, a power of two.
+const boundSlots = 256
+
+// Memo holds two direct-mapped tables for one analysis. The first caches
+// Ctx.Enrich keyed by (graph generation, input atoms), so each distinct
+// bound is enriched once per graph content instead of once per caller.
+// Enrich reads the graph only through its generation's witness table, so a
+// hit returns exactly what recomputing would. The second hash-conses the
+// bounds the analysis builds: every bound-producing operation given the
+// memo assembles its atoms on the stack and takes the table's slice when
+// the slot for those atoms holds the same ones, so equal bounds built
+// again share one slice instead of allocating one each. Slots hold their
+// bounds by reference, since bounds are immutable. A Memo is not safe for
+// concurrent use.
 type Memo struct {
-	slots []memoSlot
+	slots  []memoSlot
+	bounds [][]Atom // nil once DisableBounds turned the table off
 }
 
 // memoSlot is one cached enrichment: in enriched under generation gen is
@@ -611,36 +638,104 @@ type memoSlot struct {
 // NewMemo returns an empty memo.
 func NewMemo() *Memo { return newMemo(memoSlots) }
 
-// newMemo returns an empty memo of n slots, n a power of two.
-func newMemo(n int) *Memo { return &Memo{slots: make([]memoSlot, n)} }
+// newMemo returns an empty memo of n enrichment slots, n a power of two.
+func newMemo(n int) *Memo {
+	return &Memo{slots: make([]memoSlot, n), bounds: make([][]Atom, boundSlots)}
+}
 
-// slot returns the slot that caches atoms under generation gen, or nil
-// when the pair is not cached at all: an inconsistent graph (generation 0)
-// or a general atom, whose polynomial the key does not cover. Keyed atoms
-// are all var+c, so == compares them by V and C.
-func (m *Memo) slot(gen uint64, atoms []Atom) *memoSlot {
-	if gen == 0 {
-		return nil
-	}
-	const mix = 0x9e3779b97f4a7c15
-	h := gen * mix
+// DisableBounds turns m's bound table off, so that every bound m is given
+// to build allocates, as without a memo. Results are the same either way;
+// tests use it to check that.
+func (m *Memo) DisableBounds() { m.bounds = nil }
+
+// mix is the multiplier of the memo's hashes, 2^64 over the golden ratio.
+const mix = 0x9e3779b97f4a7c15
+
+// hashAtoms hashes atoms from seed h. ok is false for a general atom, whose
+// polynomial no key covers; keyed atoms are all var+c, so == compares them
+// by V and C.
+func hashAtoms(h uint64, atoms []Atom) (_ uint64, ok bool) {
 	for _, a := range atoms {
 		if a.poly != nil {
-			return nil
+			return 0, false
 		}
 		h = (h ^ uint64(a.V)) * mix
 		h = (h ^ uint64(a.C)) * mix
 	}
-	h ^= h >> 32
+	return h ^ h>>32, true
+}
+
+// slot returns the slot that caches atoms under generation gen, or nil
+// when the pair is not cached at all: an inconsistent graph (generation 0)
+// or a general atom.
+func (m *Memo) slot(gen uint64, atoms []Atom) *memoSlot {
+	if gen == 0 {
+		return nil
+	}
+	h, ok := hashAtoms(gen*mix, atoms)
+	if !ok {
+		return nil
+	}
 	return &m.slots[h&uint64(len(m.slots)-1)]
+}
+
+// bound returns atoms, distinct and in key order, as a bound: the table's
+// slice when the slot for atoms holds the same atoms, else a copy, which
+// takes the slot. The slot decides only which array holds the bound, never
+// its content. Without a table (a nil memo, or one whose table is off) or
+// with a general atom, every call copies.
+func (m *Memo) bound(atoms []Atom) Bound {
+	if len(atoms) == 0 {
+		return Bound{}
+	}
+	s := m.boundSlot(atoms)
+	if s != nil && slices.Equal(*s, atoms) {
+		return Bound{atoms: *s}
+	}
+	cp := make([]Atom, len(atoms))
+	copy(cp, atoms)
+	if s != nil {
+		*s = cp
+	}
+	return Bound{atoms: cp}
+}
+
+// boundSlot returns the bound-table slot for atoms, keyed by their (V, C)
+// pairs, or nil without a table or for a general atom.
+func (m *Memo) boundSlot(atoms []Atom) *[]Atom {
+	if m == nil || m.bounds == nil {
+		return nil
+	}
+	h, ok := hashAtoms(0, atoms)
+	if !ok {
+		return nil
+	}
+	return &m.bounds[h&(boundSlots-1)]
+}
+
+// CheckBounds returns the number of bounds m's table holds, and an error
+// naming the first one whose atoms no longer key the slot holding them,
+// which only a write through Bound.Atoms into a shared slice could cause.
+func (m *Memo) CheckBounds() (cached int, err error) {
+	for i, atoms := range m.bounds {
+		if atoms == nil {
+			continue
+		}
+		cached++
+		if m.boundSlot(atoms) != &m.bounds[i] {
+			return cached, fmt.Errorf("bound slot %d holds %s, which keys another slot", i, Bound{atoms}.StringAll())
+		}
+	}
+	return cached, nil
 }
 
 // merge returns b extended with fresh, atoms that are new to b and to each
 // other, keeping key order: fresh is sorted in place, then merged with b's
-// atoms into one new slice.
-func (b Bound) merge(fresh []Atom) Bound {
+// atoms on the stack and built through m's bound table.
+func (b Bound) merge(m *Memo, fresh []Atom) Bound {
 	sortAtoms(fresh)
-	atoms := make([]Atom, 0, len(b.atoms)+len(fresh))
+	var buf [maxAtoms]Atom
+	atoms := buf[:0]
 	i := 0
 	for _, e := range fresh {
 		for i < len(b.atoms) && compareAtoms(b.atoms[i], e) < 0 {
@@ -649,7 +744,7 @@ func (b Bound) merge(fresh []Atom) Bound {
 		}
 		atoms = append(atoms, e)
 	}
-	return Bound{atoms: append(atoms, b.atoms[i:]...)}
+	return m.bound(append(atoms, b.atoms[i:]...))
 }
 
 // ---------------------------------------------------------------------------
@@ -661,12 +756,12 @@ type Set struct {
 	LB, UB Bound
 }
 
-// Range builds [lb..ub].
-func Range(lb, ub sym.Expr) Set { return Set{NewBound(lb), NewBound(ub)} }
+// Range builds [lb..ub] through m's bound table (nil outside an analysis).
+func Range(m *Memo, lb, ub sym.Expr) Set { return Set{NewBound(m, lb), NewBound(m, ub)} }
 
-// Singleton builds [e..e].
-func Singleton(e sym.Expr) Set {
-	b := NewBound(e)
+// Singleton builds [e..e] through m's bound table.
+func Singleton(m *Memo, e sym.Expr) Set {
+	b := NewBound(m, e)
 	return Set{b, b}
 }
 
@@ -684,7 +779,7 @@ func (s Set) IsSingleton(ctx Ctx) tri.Bool { return ctx.EqBound(s.LB, s.UB, 0) }
 
 // Contains decides whether expression e lies within [LB..UB].
 func (s Set) Contains(ctx Ctx, e sym.Expr) tri.Bool {
-	b := NewBound(e)
+	b := NewBound(ctx.Memo, e)
 	lo := ctx.LeqBound(s.LB, b, 0)
 	hi := ctx.LeqBound(b, s.UB, 0)
 	return lo.And(hi)
@@ -706,19 +801,19 @@ func (s Set) SameRange(ctx Ctx, o Set) tri.Bool {
 }
 
 // Offset translates the whole range by constant c.
-func (s Set) Offset(c int64) Set { return Set{s.LB.Offset(c), s.UB.Offset(c)} }
+func (s Set) Offset(m *Memo, c int64) Set { return Set{s.LB.Offset(m, c), s.UB.Offset(m, c)} }
 
 // OffsetExpr translates the range by a symbolic amount, keeping only atoms
 // that remain in var+c form. The result may be invalid if no atom survives.
-func (s Set) OffsetExpr(ofs sym.Expr) Set {
-	return Set{s.LB.OffsetExpr(ofs), s.UB.OffsetExpr(ofs)}
+func (s Set) OffsetExpr(m *Memo, ofs sym.Expr) Set {
+	return Set{s.LB.OffsetExpr(m, ofs), s.UB.OffsetExpr(m, ofs)}
 }
 
 // OffsetExpr shifts the bound by a symbolic amount, keeping var+c atoms.
 // A constant shifts every var+c atom, a var+c amount shifts only the
 // constants (the sum of two variables is not var+c), and anything else
 // takes the general sum.
-func (b Bound) OffsetExpr(ofs sym.Expr) Bound {
+func (b Bound) OffsetExpr(m *Memo, ofs sym.Expr) Bound {
 	o := AtomOf(ofs)
 	var l atomList
 	for _, a := range b.atoms {
@@ -731,25 +826,25 @@ func (b Bound) OffsetExpr(ofs sym.Expr) Bound {
 			l.add(Atom{V: o.V, C: a.C + o.C})
 		}
 	}
-	return l.bound()
+	return l.bound(m)
 }
 
 // RemovePoint splits s around a member x, returning the (possibly empty)
 // left part [LB..x-1], the singleton [x..x], and right part [x+1..UB].
 // The caller is responsible for having checked Contains(x).
-func (s Set) RemovePoint(x sym.Expr) (left, mid, right Set) {
-	xb := NewBound(x)
-	left = Set{s.LB, xb.Offset(-1)}
+func (s Set) RemovePoint(m *Memo, x sym.Expr) (left, mid, right Set) {
+	xb := NewBound(m, x)
+	left = Set{s.LB, xb.Offset(m, -1)}
 	mid = Set{xb, xb}
-	right = Set{xb.Offset(1), s.UB}
+	right = Set{xb.Offset(m, 1), s.UB}
 	return left, mid, right
 }
 
 // SplitBelow splits s at pivot x into [LB..x-1] and [x..UB] (elements < x
 // and elements >= x).
-func (s Set) SplitBelow(x sym.Expr) (lt, ge Set) {
-	xb := NewBound(x)
-	return Set{s.LB, xb.Offset(-1)}, Set{xb, s.UB}
+func (s Set) SplitBelow(m *Memo, x sym.Expr) (lt, ge Set) {
+	xb := NewBound(m, x)
+	return Set{s.LB, xb.Offset(m, -1)}, Set{xb, s.UB}
 }
 
 // UnionAdjacent merges s and o when they are adjacent or overlapping
@@ -824,19 +919,20 @@ func Subtract(ctx Ctx, whole, part Set) ([]Set, bool) {
 	}
 	var rests []Set
 	if ctx.EqBound(whole.LB, part.LB, 0) != tri.True {
-		rests = append(rests, Set{LB: whole.LB, UB: part.LB.Offset(-1)})
+		rests = append(rests, Set{LB: whole.LB, UB: part.LB.Offset(ctx.Memo, -1)})
 	}
 	if ctx.EqBound(part.UB, whole.UB, 0) != tri.True {
-		rests = append(rests, Set{LB: part.UB.Offset(1), UB: whole.UB})
+		rests = append(rests, Set{LB: part.UB.Offset(ctx.Memo, 1), UB: whole.UB})
 	}
 	return rests, true
 }
 
-// Widen intersects the bound atom sets pairwise (Section VII-D). Both sides
-// should be Enriched first. ok=false when either intersection is empty.
-func (s Set) Widen(o Set) (Set, bool) {
-	lb := s.LB.Intersect(o.LB)
-	ub := s.UB.Intersect(o.UB)
+// Widen intersects the bound atom sets pairwise (Section VII-D), through
+// m's bound table. Both sides should be Enriched first. ok=false when
+// either intersection is empty.
+func (s Set) Widen(m *Memo, o Set) (Set, bool) {
+	lb := s.LB.Intersect(m, o.LB)
+	ub := s.UB.Intersect(m, o.UB)
 	if !lb.IsValid() || !ub.IsValid() {
 		return Set{}, false
 	}
@@ -845,19 +941,25 @@ func (s Set) Widen(o Set) (Set, bool) {
 
 // Subst rewrites variable name to repl in both bounds. The result may be
 // invalid if every atom mentioned the variable in a non-affine way.
-func (s Set) Subst(name string, repl sym.Expr) Set {
-	return Set{s.LB.Subst(name, repl), s.UB.Subst(name, repl)}
+func (s Set) Subst(m *Memo, name string, repl sym.Expr) Set {
+	return Set{s.LB.Subst(m, name, repl), s.UB.Subst(m, name, repl)}
 }
 
 // Rename renames variables in both bounds (Bound.Rename); changed is
 // false, and s returned as is, when neither bound changes.
-func (s Set) Rename(from, to []cg.Atom) (Set, bool) {
-	lb, c1 := s.LB.Rename(from, to)
-	ub, c2 := s.UB.Rename(from, to)
+func (s Set) Rename(m *Memo, from, to []cg.Atom) (Set, bool) {
+	lb, c1 := s.LB.Rename(m, from, to)
+	ub, c2 := s.UB.Rename(m, from, to)
 	if !c1 && !c2 {
 		return s, false
 	}
 	return Set{lb, ub}, true
+}
+
+// DropUses removes the atoms referencing name from both bounds. The result
+// may be invalid.
+func (s Set) DropUses(m *Memo, name string) Set {
+	return Set{s.LB.DropUses(m, name), s.UB.DropUses(m, name)}
 }
 
 // Uses reports whether either bound references the variable.

@@ -27,23 +27,23 @@ func npCtx() Ctx {
 
 func TestEmptyAndSingleton(t *testing.T) {
 	ctx := npCtx()
-	all := Range(sym.Const(0), sym.VarPlus("np", -1))
+	all := Range(nil, sym.Const(0), sym.VarPlus("np", -1))
 	if got := all.Empty(ctx); got != tri.False {
 		t.Errorf("[0..np-1] Empty = %v with np>=2", got)
 	}
-	one := Singleton(sym.Const(0))
+	one := Singleton(nil, sym.Const(0))
 	if got := one.Empty(ctx); got != tri.False {
 		t.Errorf("[0] Empty = %v", got)
 	}
 	if got := one.IsSingleton(ctx); got != tri.True {
 		t.Errorf("[0] IsSingleton = %v", got)
 	}
-	empty := Range(sym.Const(5), sym.Const(3))
+	empty := Range(nil, sym.Const(5), sym.Const(3))
 	if got := empty.Empty(ctx); got != tri.True {
 		t.Errorf("[5..3] Empty = %v", got)
 	}
 	// [1..np-1] nonempty requires np >= 2: true here.
-	rest := Range(sym.Const(1), sym.VarPlus("np", -1))
+	rest := Range(nil, sym.Const(1), sym.VarPlus("np", -1))
 	if got := rest.Empty(ctx); got != tri.False {
 		t.Errorf("[1..np-1] Empty = %v with np>=2", got)
 	}
@@ -60,7 +60,7 @@ func TestContains(t *testing.T) {
 		g.SetConst("i", 1)
 		g.AddLE("i", "np", -1) // i <= np-1
 	})
-	rest := Range(sym.Const(1), sym.VarPlus("np", -1))
+	rest := Range(nil, sym.Const(1), sym.VarPlus("np", -1))
 	if got := rest.Contains(ctx, sym.Var("i")); got != tri.True {
 		t.Errorf("i in [1..np-1] = %v with i=1", got)
 	}
@@ -74,15 +74,15 @@ func TestContains(t *testing.T) {
 
 func TestContainsSet(t *testing.T) {
 	ctx := npCtx()
-	all := Range(sym.Const(0), sym.VarPlus("np", -1))
-	sub := Range(sym.Const(1), sym.VarPlus("np", -1))
+	all := Range(nil, sym.Const(0), sym.VarPlus("np", -1))
+	sub := Range(nil, sym.Const(1), sym.VarPlus("np", -1))
 	if got := all.ContainsSet(ctx, sub); got != tri.True {
 		t.Errorf("[1..np-1] ⊆ [0..np-1] = %v", got)
 	}
 	if got := sub.ContainsSet(ctx, all); got != tri.False {
 		t.Errorf("[0..np-1] ⊆ [1..np-1] = %v", got)
 	}
-	empty := Range(sym.Const(3), sym.Const(2))
+	empty := Range(nil, sym.Const(3), sym.Const(2))
 	if got := sub.ContainsSet(ctx, empty); got != tri.True {
 		t.Errorf("∅ ⊆ s = %v", got)
 	}
@@ -93,8 +93,8 @@ func TestRemovePoint(t *testing.T) {
 		g.AddLE(cg.ZeroVar, "np", -4)
 		g.SetConst("i", 1)
 	})
-	rest := Range(sym.Const(1), sym.VarPlus("np", -1))
-	left, mid, right := rest.RemovePoint(sym.Var("i"))
+	rest := Range(nil, sym.Const(1), sym.VarPlus("np", -1))
+	left, mid, right := rest.RemovePoint(nil, sym.Var("i"))
 	if got := left.Empty(ctx); got != tri.True {
 		t.Errorf("left %v Empty = %v with i=1", left, got)
 	}
@@ -107,8 +107,8 @@ func TestRemovePoint(t *testing.T) {
 }
 
 func TestSplitBelow(t *testing.T) {
-	all := Range(sym.Const(0), sym.VarPlus("np", -1))
-	lt, ge := all.SplitBelow(sym.Const(1))
+	all := Range(nil, sym.Const(0), sym.VarPlus("np", -1))
+	lt, ge := all.SplitBelow(nil, sym.Const(1))
 	if lt.String() != "[0..0]" && lt.String() != "[0]" {
 		t.Errorf("lt = %v", lt)
 	}
@@ -122,8 +122,8 @@ func TestUnionAdjacent(t *testing.T) {
 		g.AddLE(cg.ZeroVar, "np", -4)
 		g.SetConst("i", 2)
 	})
-	a := Range(sym.Const(0), sym.VarPlus("i", -1)) // [0..i-1] = [0..1]
-	b := Singleton(sym.Var("i"))                   // [2]
+	a := Range(nil, sym.Const(0), sym.VarPlus("i", -1)) // [0..i-1] = [0..1]
+	b := Singleton(nil, sym.Var("i"))                   // [2]
 	u, ok := a.UnionAdjacent(ctx, b)
 	if !ok {
 		t.Fatal("adjacent union failed")
@@ -132,13 +132,13 @@ func TestUnionAdjacent(t *testing.T) {
 		t.Errorf("union = %v", u)
 	}
 	// Gap: [0..0] ∪ [2..2] must fail with i=2 unknown... here use consts.
-	c := Singleton(sym.Const(0))
-	d := Singleton(sym.Const(2))
+	c := Singleton(nil, sym.Const(0))
+	d := Singleton(nil, sym.Const(2))
 	if _, ok := c.UnionAdjacent(ctx, d); ok {
 		t.Error("union across gap succeeded")
 	}
 	// Union with empty is identity.
-	empty := Range(sym.Const(5), sym.Const(3))
+	empty := Range(nil, sym.Const(5), sym.Const(3))
 	u2, ok := c.UnionAdjacent(ctx, empty)
 	if !ok || u2.String() != c.String() {
 		t.Errorf("union with empty = %v, %v", u2, ok)
@@ -149,12 +149,12 @@ func TestEnrichAndWiden(t *testing.T) {
 	// Reproduces the Fig 5 widening: [1..1] with i=1 widened against
 	// [1..2] with i=2 gives [1..i].
 	ctx1 := ctxWith(func(g *cg.Graph) { g.SetConst("i", 1) })
-	s1 := Range(sym.Const(1), sym.Const(1)).Enrich(ctx1)
+	s1 := Range(nil, sym.Const(1), sym.Const(1)).Enrich(ctx1)
 
 	ctx2 := ctxWith(func(g *cg.Graph) { g.SetConst("i", 2) })
-	s2 := Range(sym.Const(1), sym.Const(2)).Enrich(ctx2)
+	s2 := Range(nil, sym.Const(1), sym.Const(2)).Enrich(ctx2)
 
-	w, ok := s1.Widen(s2)
+	w, ok := s1.Widen(nil, s2)
 	if !ok {
 		t.Fatal("widening failed")
 	}
@@ -164,9 +164,9 @@ func TestEnrichAndWiden(t *testing.T) {
 }
 
 func TestWidenFailsWithoutCommonAtom(t *testing.T) {
-	s1 := Singleton(sym.Const(1))
-	s2 := Singleton(sym.Const(2))
-	if _, ok := s1.Widen(s2); ok {
+	s1 := Singleton(nil, sym.Const(1))
+	s2 := Singleton(nil, sym.Const(2))
+	if _, ok := s1.Widen(nil, s2); ok {
 		t.Error("widening [1] vs [2] without witnesses should fail")
 	}
 }
@@ -174,8 +174,8 @@ func TestWidenFailsWithoutCommonAtom(t *testing.T) {
 func TestSubstOnIncrement(t *testing.T) {
 	// After i := i + 1, a range [1..i] expressed pre-increment becomes
 	// [1..i-1]: substitute i -> i-1.
-	s := Range(sym.Const(1), sym.Var("i"))
-	ns := s.Subst("i", sym.VarPlus("i", -1))
+	s := Range(nil, sym.Const(1), sym.Var("i"))
+	ns := s.Subst(nil, "i", sym.VarPlus("i", -1))
 	if ns.String() != "[1..i - 1]" {
 		t.Errorf("subst = %v", ns)
 	}
@@ -185,28 +185,28 @@ func TestSubstOnIncrement(t *testing.T) {
 }
 
 func TestOffset(t *testing.T) {
-	s := Range(sym.Const(0), sym.VarPlus("np", -2))
-	o := s.Offset(1)
+	s := Range(nil, sym.Const(0), sym.VarPlus("np", -2))
+	o := s.Offset(nil, 1)
 	if o.String() != "[1..np - 1]" {
 		t.Errorf("offset = %v", o)
 	}
 }
 
 func TestConcreteSlice(t *testing.T) {
-	s := Range(sym.Const(1), sym.VarPlus("np", -1))
+	s := Range(nil, sym.Const(1), sym.VarPlus("np", -1))
 	env := map[string]int64{"np": 4}
 	got := s.ConcreteSlice(env)
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Errorf("slice = %v", got)
 	}
-	empty := Range(sym.Const(3), sym.Const(1))
+	empty := Range(nil, sym.Const(3), sym.Const(1))
 	if len(empty.ConcreteSlice(env)) != 0 {
 		t.Error("empty slice not empty")
 	}
 }
 
 func TestBoundOps(t *testing.T) {
-	b := NewBound(sym.Const(1), sym.Var("i"), sym.Const(1))
+	b := NewBound(nil, sym.Const(1), sym.Var("i"), sym.Const(1))
 	if len(b.Atoms()) != 2 {
 		t.Errorf("dedup failed: %v", b.Atoms())
 	}
@@ -216,7 +216,7 @@ func TestBoundOps(t *testing.T) {
 	if b.StringAll() != "{1,i}" {
 		t.Errorf("StringAll = %q", b.StringAll())
 	}
-	drop := b.DropUses("i")
+	drop := b.DropUses(nil, "i")
 	if len(drop.Atoms()) != 1 {
 		t.Errorf("DropUses = %v", drop.Atoms())
 	}
@@ -228,12 +228,12 @@ func TestBoundOps(t *testing.T) {
 
 func TestSameRange(t *testing.T) {
 	ctx := ctxWith(func(g *cg.Graph) { g.SetConst("i", 3) })
-	a := Range(sym.Const(0), sym.Var("i"))
-	b := Range(sym.Const(0), sym.Const(3))
+	a := Range(nil, sym.Const(0), sym.Var("i"))
+	b := Range(nil, sym.Const(0), sym.Const(3))
 	if got := a.SameRange(ctx, b); got != tri.True {
 		t.Errorf("SameRange = %v", got)
 	}
-	c := Range(sym.Const(0), sym.Const(4))
+	c := Range(nil, sym.Const(0), sym.Const(4))
 	if got := a.SameRange(ctx, c); got != tri.False {
 		t.Errorf("SameRange = %v", got)
 	}
@@ -248,8 +248,8 @@ func TestQuickConcreteAgreement(t *testing.T) {
 		lo1, hi1 := int64(r.Intn(10)), int64(r.Intn(10))
 		lo2, hi2 := int64(r.Intn(10)), int64(r.Intn(10))
 		ctx := ctxWith(nil)
-		s1 := Range(sym.Const(lo1), sym.Const(hi1))
-		s2 := Range(sym.Const(lo2), sym.Const(hi2))
+		s1 := Range(nil, sym.Const(lo1), sym.Const(hi1))
+		s2 := Range(nil, sym.Const(lo2), sym.Const(hi2))
 		env := map[string]int64{}
 		set1 := s1.ConcreteSlice(env)
 		set2 := s2.ConcreteSlice(env)
@@ -297,8 +297,8 @@ func TestQuickRemovePointPartitions(t *testing.T) {
 		lo := int64(r.Intn(5))
 		hi := lo + int64(r.Intn(6))
 		x := lo + int64(r.Intn(int(hi-lo+1)))
-		s := Range(sym.Const(lo), sym.Const(hi))
-		left, mid, right := s.RemovePoint(sym.Const(x))
+		s := Range(nil, sym.Const(lo), sym.Const(hi))
+		left, mid, right := s.RemovePoint(nil, sym.Const(x))
 		env := map[string]int64{}
 		var union []int64
 		union = append(union, left.ConcreteSlice(env)...)

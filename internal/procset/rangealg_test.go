@@ -23,8 +23,8 @@ func TestIntersectConst(t *testing.T) {
 		{[2]int64{0, 2}, [2]int64{5, 9}, "[5..2]", true}, // empty but exact
 	}
 	for _, c := range cases {
-		a := Range(sym.Const(c.a[0]), sym.Const(c.a[1]))
-		b := Range(sym.Const(c.b[0]), sym.Const(c.b[1]))
+		a := Range(nil, sym.Const(c.a[0]), sym.Const(c.a[1]))
+		b := Range(nil, sym.Const(c.b[0]), sym.Const(c.b[1]))
 		got, ok := Intersect(ctx, a, b)
 		if ok != c.ok {
 			t.Errorf("Intersect(%v,%v) ok=%v", a, b, ok)
@@ -40,14 +40,14 @@ func TestIntersectSymbolic(t *testing.T) {
 	g := cg.NewDefault()
 	g.AddLE(cg.ZeroVar, "np", -4) // np >= 4
 	ctx := Ctx{G: g}
-	a := Range(sym.Const(0), sym.VarPlus("np", -1))
-	b := Range(sym.Const(2), sym.VarPlus("np", -2))
+	a := Range(nil, sym.Const(0), sym.VarPlus("np", -1))
+	b := Range(nil, sym.Const(2), sym.VarPlus("np", -2))
 	got, ok := Intersect(ctx, a, b)
 	if !ok || got.String() != "[2..np - 2]" {
 		t.Errorf("Intersect = %v, %v", got, ok)
 	}
 	// Unknown ordering fails.
-	c := Range(sym.Var("a"), sym.Var("b"))
+	c := Range(nil, sym.Var("a"), sym.Var("b"))
 	if _, ok := Intersect(ctx, a, c); ok {
 		t.Error("unknown ordering intersect succeeded")
 	}
@@ -55,9 +55,9 @@ func TestIntersectSymbolic(t *testing.T) {
 
 func TestSubtractExactness(t *testing.T) {
 	ctx := Ctx{}
-	whole := Range(sym.Const(0), sym.Const(9))
+	whole := Range(nil, sym.Const(0), sym.Const(9))
 	// Middle.
-	rests, ok := Subtract(ctx, whole, Range(sym.Const(4), sym.Const(6)))
+	rests, ok := Subtract(ctx, whole, Range(nil, sym.Const(4), sym.Const(6)))
 	if !ok || len(rests) != 2 || rests[0].String() != "[0..3]" || rests[1].String() != "[7..9]" {
 		t.Errorf("middle: %v %v", rests, ok)
 	}
@@ -67,12 +67,12 @@ func TestSubtractExactness(t *testing.T) {
 		t.Errorf("whole: %v %v", rests, ok)
 	}
 	// Suffix.
-	rests, ok = Subtract(ctx, whole, Range(sym.Const(7), sym.Const(9)))
+	rests, ok = Subtract(ctx, whole, Range(nil, sym.Const(7), sym.Const(9)))
 	if !ok || len(rests) != 1 || rests[0].String() != "[0..6]" {
 		t.Errorf("suffix: %v %v", rests, ok)
 	}
 	// Not provably contained.
-	if _, ok := Subtract(ctx, whole, Range(sym.Var("x"), sym.Var("y"))); ok {
+	if _, ok := Subtract(ctx, whole, Range(nil, sym.Var("x"), sym.Var("y"))); ok {
 		t.Error("unprovable containment subtract succeeded")
 	}
 }
@@ -84,7 +84,7 @@ func TestQuickIntersectSubtractSemantics(t *testing.T) {
 		ctx := Ctx{}
 		mk := func() Set {
 			lo := int64(r.Intn(12))
-			return Range(sym.Const(lo), sym.Const(lo+int64(r.Intn(8))-2))
+			return Range(nil, sym.Const(lo), sym.Const(lo+int64(r.Intn(8))-2))
 		}
 		toSet := func(s Set) map[int64]bool {
 			m := map[int64]bool{}
@@ -113,10 +113,10 @@ func TestQuickIntersectSubtractSemantics(t *testing.T) {
 			}
 		}
 		// Subtract: whole ⊇ part by construction.
-		whole := Range(sym.Const(0), sym.Const(9))
+		whole := Range(nil, sym.Const(0), sym.Const(9))
 		lo := int64(r.Intn(10))
 		hi := lo + int64(r.Intn(int(10-lo)))
-		part := Range(sym.Const(lo), sym.Const(hi))
+		part := Range(nil, sym.Const(lo), sym.Const(hi))
 		if rests, ok := Subtract(ctx, whole, part); ok {
 			got := map[int64]bool{}
 			for _, rs := range rests {
@@ -139,8 +139,8 @@ func TestQuickIntersectSubtractSemantics(t *testing.T) {
 }
 
 func TestOffsetExpr(t *testing.T) {
-	s := Range(sym.Const(0), sym.VarPlus("k", 0))
-	o := s.OffsetExpr(sym.Var("nx"))
+	s := Range(nil, sym.Const(0), sym.VarPlus("k", 0))
+	o := s.OffsetExpr(nil, sym.Var("nx"))
 	// 0 + nx = nx stays affine; k + nx does not.
 	if !o.LB.IsValid() {
 		t.Error("const+var offset should stay valid")
@@ -148,7 +148,7 @@ func TestOffsetExpr(t *testing.T) {
 	if o.UB.IsValid() {
 		t.Errorf("var+var bound should be dropped, got %v", o.UB)
 	}
-	o2 := s.OffsetExpr(sym.Const(3))
+	o2 := s.OffsetExpr(nil, sym.Const(3))
 	if o2.String() != "[3..k + 3]" {
 		t.Errorf("const offset = %v", o2)
 	}
@@ -159,7 +159,7 @@ func TestBoundAtomCap(t *testing.T) {
 	for i := 1; i < 40; i++ {
 		exprs = append(exprs, sym.VarPlus("v"+string(rune('a'+i%20)), int64(i)))
 	}
-	b := NewBound(exprs...)
+	b := NewBound(nil, exprs...)
 	if len(b.Atoms()) > maxAtoms {
 		t.Errorf("atom cap exceeded: %d", len(b.Atoms()))
 	}
@@ -174,11 +174,11 @@ func TestWidenRespectsCap(t *testing.T) {
 	g := cg.NewDefault()
 	g.SetConst("i", 3)
 	ctx := Ctx{G: g}
-	s := Range(sym.Const(3), sym.Const(3)).Enrich(ctx)
+	s := Range(nil, sym.Const(3), sym.Const(3)).Enrich(ctx)
 	if len(s.LB.Atoms()) > maxAtoms {
 		t.Errorf("enrich exceeded cap: %d", len(s.LB.Atoms()))
 	}
-	w, ok := s.Widen(s)
+	w, ok := s.Widen(nil, s)
 	if !ok || !w.IsValid() {
 		t.Error("self-widen failed")
 	}
@@ -186,11 +186,11 @@ func TestWidenRespectsCap(t *testing.T) {
 
 func TestEqBoundAndSameRangeTri(t *testing.T) {
 	ctx := Ctx{}
-	a := Range(sym.Const(2), sym.Const(5))
+	a := Range(nil, sym.Const(2), sym.Const(5))
 	if got := a.SameRange(ctx, a); got != tri.True {
 		t.Errorf("SameRange self = %v", got)
 	}
-	b := Range(sym.Var("u"), sym.Const(5))
+	b := Range(nil, sym.Var("u"), sym.Const(5))
 	if got := a.SameRange(ctx, b); got != tri.Unknown {
 		t.Errorf("SameRange unknown = %v", got)
 	}

@@ -7,7 +7,6 @@ package sem
 import (
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/source"
@@ -60,12 +59,21 @@ type Info struct {
 // program may use such a name only for a variable it writes, since the
 // analysis keeps a never-written variable under its own name.
 func IsHelperName(name string) bool {
-	for _, prefix := range [...]string{"wp", "fz", "k", "f"} {
-		if digits, ok := strings.CutPrefix(name, prefix); ok && digits != "" && strings.Trim(digits, "0123456789") == "" {
-			return true
+	digits := 0 // where the digits start
+	switch {
+	case len(name) > 2 && (name[:2] == "wp" || name[:2] == "fz"):
+		digits = 2
+	case len(name) > 1 && (name[0] == 'k' || name[0] == 'f'):
+		digits = 1
+	default:
+		return false
+	}
+	for i := digits; i < len(name); i++ {
+		if name[i] < '0' || name[i] > '9' {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // Check validates the program and returns its Info. All problems found are
