@@ -16,7 +16,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/procset"
-	"repro/internal/sym"
 	"repro/internal/tri"
 )
 
@@ -37,54 +36,45 @@ func (m *Matcher) AttemptCount() int { return int(m.attempts.Load()) }
 // Name identifies the client analysis.
 func (m *Matcher) Name() string { return "symbolic" }
 
-// classify splits an affine matcher expression e (over IDMarker) into its
-// id coefficient and the residual offset expression.
-func classify(e sym.Expr) (idCoef int64, offset sym.Expr) {
-	idCoef = e.Coeff(core.IDMarker)
-	offset = sym.Sub(e, sym.Scale(sym.Var(core.IDMarker), idCoef))
-	return idCoef, offset
-}
-
 // Match implements core.Matcher.
 func (m *Matcher) Match(st *core.State, sender *core.ProcSet, dest ast.Expr, receiver *core.ProcSet, src ast.Expr) (*core.MatchPlan, bool) {
 	m.attempts.Add(1)
-	d, ok := st.AffineExprID(sender, dest)
+	d, ok := st.AffineID(sender, dest)
 	if !ok {
 		return nil, false
 	}
-	s, ok := st.AffineExprID(receiver, src)
+	s, ok := st.AffineID(receiver, src)
 	if !ok {
 		return nil, false
 	}
-	dID, dOfs := classify(d)
-	sID, sOfs := classify(s)
-	if (dID != 0 && dID != 1) || (sID != 0 && sID != 1) {
+	if (d.ID != 0 && d.ID != 1) || (s.ID != 0 && s.ID != 1) {
 		return nil, false
 	}
+	dOfs, sOfs := d.Offset(), s.Offset()
 	ctx := st.Ctx()
 	S, R := sender.Range, receiver.Range
 
 	var plan *core.MatchPlan
 	switch {
-	case dID == 1 && sID == 1:
+	case d.ID == 1 && s.ID == 1:
 		// send -> id + c, recv <- id + c'. Identity needs c + c' = 0.
-		if !st.EntailsZero(sym.Add(dOfs, sOfs)) {
+		if !st.EntailsZero(dOfs.Add(sOfs)) {
 			return nil, false
 		}
 		plan = matchShift(st, ctx, S, R, dOfs)
-	case dID == 0 && sID == 1:
+	case d.ID == 0 && s.ID == 1:
 		// All matched senders target the constant dOfs; the receiver at
 		// dOfs expects sender dOfs + sOfs. Identity forces the matched
 		// sender to be that single process.
 		target := dOfs
-		expectedSender := sym.Add(dOfs, sOfs)
+		expectedSender := dOfs.Add(sOfs)
 		plan = matchSingletons(st, ctx, S, R, expectedSender, target)
-	case dID == 1 && sID == 0:
+	case d.ID == 1 && s.ID == 0:
 		// Receivers name a fixed sender sOfs; senders target id + dOfs.
 		// Identity: the sender sOfs maps to sOfs + dOfs, which must be the
 		// matched receiver.
 		expectedSender := sOfs
-		target := sym.Add(sOfs, dOfs)
+		target := sOfs.Add(dOfs)
 		plan = matchSingletons(st, ctx, S, R, expectedSender, target)
 	default: // both constant
 		// Identity on the sender singleton {sOfs} requires recv(send(x))=x:
@@ -102,9 +92,10 @@ func (m *Matcher) Match(st *core.State, sender *core.ProcSet, dest ast.Expr, rec
 
 // matchShift handles the id+c / id-c case: the image of the senders is the
 // sender range shifted by c; the matched receivers are the intersection of
-// that image with the receiver range.
-func matchShift(st *core.State, ctx procset.Ctx, S, R procset.Set, c sym.Expr) *core.MatchPlan {
-	image := S.OffsetExpr(ctx.Memo, c)
+// that image with the receiver range. A constant c converts to a shared
+// sym.Const both ways.
+func matchShift(st *core.State, ctx procset.Ctx, S, R procset.Set, c core.Affine) *core.MatchPlan {
+	image := S.OffsetExpr(ctx.Memo, c.Expr())
 	if !image.IsValid() {
 		return nil
 	}
@@ -116,7 +107,7 @@ func matchShift(st *core.State, ctx procset.Ctx, S, R procset.Set, c sym.Expr) *
 	if !ok || !inter.IsValid() || inter.Empty(ctx) != tri.False {
 		return nil
 	}
-	matchedSenders := inter.OffsetExpr(ctx.Memo, sym.Neg(c))
+	matchedSenders := inter.OffsetExpr(ctx.Memo, c.Neg().Expr())
 	if !matchedSenders.IsValid() {
 		return nil
 	}
@@ -138,13 +129,14 @@ func matchShift(st *core.State, ctx procset.Ctx, S, R procset.Set, c sym.Expr) *
 
 // matchSingletons handles the cases where the match pairs a single sender
 // process with a single receiver process.
-func matchSingletons(st *core.State, ctx procset.Ctx, S, R procset.Set, senderExpr, targetExpr sym.Expr) *core.MatchPlan {
-	if _, _, ok := senderExpr.AsVarPlusConst(); !ok {
+func matchSingletons(st *core.State, ctx procset.Ctx, S, R procset.Set, sender, target core.Affine) *core.MatchPlan {
+	if _, _, ok := sender.VarPlus(); !ok {
 		return nil
 	}
-	if _, _, ok := targetExpr.AsVarPlusConst(); !ok {
+	if _, _, ok := target.VarPlus(); !ok {
 		return nil
 	}
+	senderExpr, targetExpr := sender.Expr(), target.Expr()
 	if S.Contains(ctx, senderExpr) != tri.True {
 		return nil
 	}
@@ -182,20 +174,18 @@ func subtract(ctx procset.Ctx, whole, part procset.Set) ([]procset.Set, bool) {
 // trivial identity permutation (send -> id matched by recv <- id); richer
 // permutations need the cartesian client.
 func (m *Matcher) SelfMatch(st *core.State, ps *core.ProcSet, dest, src ast.Expr) bool {
-	d, ok := st.AffineExprID(ps, dest)
+	d, ok := st.AffineID(ps, dest)
 	if !ok {
 		return false
 	}
-	s, ok := st.AffineExprID(ps, src)
+	s, ok := st.AffineID(ps, src)
 	if !ok {
 		return false
 	}
-	dID, dOfs := classify(d)
-	sID, sOfs := classify(s)
-	if dID != 1 || sID != 1 {
+	if d.ID != 1 || s.ID != 1 {
 		return false
 	}
-	return st.EntailsZero(dOfs) && st.EntailsZero(sOfs)
+	return st.EntailsZero(d.Offset()) && st.EntailsZero(s.Offset())
 }
 
 var _ core.Matcher = (*Matcher)(nil)

@@ -233,3 +233,34 @@ func TestIntersectHelpers(t *testing.T) {
 func coreCGOpts() cg.Options { return cg.Options{} }
 
 func coreZeroVar() string { return cg.ZeroVar }
+
+// TestShiftReadingZeroAlloc gates the matcher's reading of id + 1 and
+// id - 1 partners: translating both expressions, taking their id
+// coefficients and offsets and deciding the identity condition allocate
+// nothing (a pair that fails it returns before any range is built), nor
+// does the self-match of send -> id with recv <- id, nor converting the
+// offset ±1 into the shared sym constants matchShift shifts ranges by.
+func TestShiftReadingZeroAlloc(t *testing.T) {
+	h := mkHarness(t, sym.Const(0), sym.Const(3), sym.Const(1), sym.Const(4), nil)
+	m := &Matcher{}
+	plus, minus, id := exprOf(t, "id + 1"), exprOf(t, "id - 1"), exprOf(t, "id")
+	for _, e := range []ast.Expr{plus, minus} {
+		if n := testing.AllocsPerRun(100, func() { _, _ = m.Match(h.st, h.sender, e, h.receiver, e) }); n != 0 {
+			t.Errorf("Match of send -> %s with recv <- %s allocates %v per op, want 0", e, e, n)
+		}
+		d, ok := h.st.AffineID(h.sender, e)
+		if !ok {
+			t.Fatalf("%s has no affine form", e)
+		}
+		c := d.Offset()
+		if n := testing.AllocsPerRun(100, func() { _, _ = c.Expr(), c.Neg().Expr() }); n != 0 {
+			t.Errorf("the offsets of %s allocate %v per op, want 0", e, n)
+		}
+	}
+	if !m.SelfMatch(h.st, h.sender, id, id) {
+		t.Fatal("send -> id with recv <- id does not self-match")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = m.SelfMatch(h.st, h.sender, id, id) }); n != 0 {
+		t.Errorf("SelfMatch of send -> id with recv <- id allocates %v per op, want 0", n)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/procset"
 	"repro/internal/sym"
+	"repro/internal/tri"
 )
 
 // splitState returns the entry state of an eight-statement program split
@@ -226,5 +227,53 @@ func TestFirstIdentityOneAllocation(t *testing.T) {
 		if len(st.id) != cap(st.id) || string(st.id) != string(st.identity()) {
 			t.Errorf("%d sets: cached identity has length %d, capacity %d", n, len(st.id), cap(st.id))
 		}
+	}
+}
+
+// TestAffineDecisionsZeroAlloc gates the step path's readings of partner
+// and condition expressions through their affine forms: the rank-bounds
+// verdict on id + 1, id - 1, 0 and np - 1 targets over the var+c ranges
+// their own atoms prove, and EvalCond and AssumeCond on x < np - 1.
+func TestAffineDecisionsZeroAlloc(t *testing.T) {
+	prog, err := parser.Parse("t.mpl", "send v -> id + 1\nsend v -> id - 1\nsend v -> 0\nsend v -> np - 1\nif x < np - 1 then\n  x := 0\nend\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := cfg.Build(prog)
+	st := NewState(g.Entry, cg.Options{})
+	var sends []*cfg.Node
+	var cond *cfg.Node
+	for _, n := range g.Nodes {
+		switch n.Kind {
+		case cfg.Send:
+			sends = append(sends, n)
+		case cfg.Branch:
+			cond = n
+		}
+	}
+	last := sym.VarPlus("np", -1)
+	for i, r := range []procset.Set{
+		procset.Range(nil, sym.Zero, sym.VarPlus("np", -2)),
+		procset.Range(nil, sym.Const(1), last),
+		procset.Range(nil, sym.Zero, last),
+		procset.Range(nil, sym.Zero, last),
+	} {
+		ps := &ProcSet{ID: 0, Node: sends[i], Range: r}
+		if v := st.boundsVerdict(ps, ps.Node.Dest); v.kind != boundsProven {
+			t.Fatalf("send -> %s over %s: verdict kind %d, want proven", ps.Node.Dest, r, v.kind)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = st.boundsVerdict(ps, ps.Node.Dest) }); n != 0 {
+			t.Errorf("rank-bounds verdict on %s over %s allocates %v per op, want 0", ps.Node.Dest, r, n)
+		}
+	}
+	ps := st.Sets[0]
+	if n := testing.AllocsPerRun(100, func() { _ = st.EvalCond(ps, cond.Cond) }); n != 0 {
+		t.Errorf("EvalCond(%s) allocates %v per op, want 0", cond.Cond, n)
+	}
+	if n := testing.AllocsPerRun(100, func() { st.AssumeCond(ps, cond.Cond, false) }); n != 0 {
+		t.Errorf("AssumeCond(%s) allocates %v per op, want 0", cond.Cond, n)
+	}
+	if got := st.EvalCond(ps, cond.Cond); got != tri.True {
+		t.Errorf("EvalCond(%s) after assuming it = %v, want true", cond.Cond, got)
 	}
 }

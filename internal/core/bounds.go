@@ -113,10 +113,10 @@ func (st *State) EntailsLE(l, r sym.Expr) bool {
 
 // CheckCommBounds decides whether the partner expression expr executed by
 // set ps stays inside [0, np-1] for every process in the set's range. The
-// expression is translated with id mapped to the IDMarker symbol; the check
-// then substitutes the range's bound atoms for id at the extreme ends
-// (minimum and maximum of an affine function over an interval are attained
-// at the endpoints).
+// expression is translated with id kept as a coefficient; the check then
+// puts the range's bound atoms for id at the extreme ends (minimum and
+// maximum of an affine function over an interval are attained at the
+// endpoints).
 func (st *State) CheckCommBounds(ps *ProcSet, dir string, expr ast.Expr) CommBoundsObs {
 	return st.boundsVerdict(ps, expr).observation(ps, dir)
 }
@@ -124,7 +124,6 @@ func (st *State) CheckCommBounds(ps *ProcSet, dir string, expr ast.Expr) CommBou
 // Kinds of rank-bounds verdict: each renders its own Detail.
 const (
 	boundsOutsideAffine byte = iota
-	boundsIDProduct
 	boundsProven
 	boundsBeyond
 	boundsBelow
@@ -142,45 +141,19 @@ type boundsVerdict struct {
 // npAtom is the process count; the last rank is np - 1.
 var npAtom = cg.Intern("np")
 
-// boundsVerdict decides CheckCommBounds. A target id + k is shifted on the
-// bound atoms' pairs and decided with one graph query per atom; any other
-// affine target substitutes each atom into the polynomial. The range's own
-// atoms are tried first: enrichment only adds atoms, so a proof over them
-// is a proof over the enriched range, and the range is enriched only when
-// they do not prove it.
+// boundsVerdict decides CheckCommBounds. The target's form is evaluated at
+// each bound atom (Affine.at): a target id + k shifts a var+c atom's pair
+// by k, and a target without id is one atom, so each is decided with one
+// graph query per atom and no polynomial. The range's own atoms are tried
+// first: enrichment only adds atoms, so a proof over them is a proof over
+// the enriched range, and the range is enriched only when they do not
+// prove it.
 func (st *State) boundsVerdict(ps *ProcSet, expr ast.Expr) boundsVerdict {
-	e, ok := st.AffineExprID(ps, expr)
+	e, ok := st.AffineID(ps, expr)
 	if !ok {
 		return boundsVerdict{kind: boundsOutsideAffine}
 	}
-	// Extract the coefficient of id; the rest must stay affine.
-	v, k, idPlus := e.AsVarPlusConst()
-	idPlus = idPlus && v == IDMarker
-	a := int64(1)
-	if !idPlus {
-		a = 0
-		for _, t := range e.Terms() {
-			uses := false
-			for _, v := range t.Vars {
-				if v == IDMarker {
-					uses = true
-				}
-			}
-			if !uses {
-				continue
-			}
-			if len(t.Vars) != 1 {
-				return boundsVerdict{kind: boundsIDProduct}
-			}
-			a += t.Coef
-		}
-	}
-	target := func(atom procset.Atom) procset.Atom {
-		if idPlus && atom.IsVarPlus() {
-			return procset.Atom{V: atom.V, C: atom.C + k}
-		}
-		return procset.AtomOf(sym.Subst(e, IDMarker, atom.Expr()))
-	}
+	a := e.ID
 	// ends returns the atoms of the range's lower and upper end in id:
 	// decreasing in id, the minimum is at the upper end of the range.
 	ends := func(rng procset.Set) (lo, hi []procset.Atom) {
@@ -194,7 +167,7 @@ func (st *State) boundsVerdict(ps *ProcSet, expr ast.Expr) boundsVerdict {
 	inRange := func(loAtoms, hiAtoms []procset.Atom) bool {
 		loOK := false
 		for _, atom := range loAtoms {
-			if st.entailsLEAtom(zero, target(atom)) {
+			if st.entailsLEAtom(zero, e.at(atom)) {
 				loOK = true
 				break
 			}
@@ -203,7 +176,7 @@ func (st *State) boundsVerdict(ps *ProcSet, expr ast.Expr) boundsVerdict {
 			return false
 		}
 		for _, atom := range hiAtoms {
-			if st.entailsLEAtom(target(atom), npTop) {
+			if st.entailsLEAtom(e.at(atom), npTop) {
 				return true
 			}
 		}
@@ -226,12 +199,12 @@ func (st *State) boundsVerdict(ps *ProcSet, expr ast.Expr) boundsVerdict {
 	// A violation needs a witness end: some endpoint provably below 0 or at
 	// or above np.
 	for _, atom := range hiAtoms {
-		if t := target(atom); st.entailsLEAtom(np, t) {
+		if t := e.at(atom); st.entailsLEAtom(np, t) {
 			return boundsVerdict{kind: boundsBeyond, process: atom, target: t}
 		}
 	}
 	for _, atom := range loAtoms {
-		if t := target(atom); st.entailsLEAtom(t, minusOne) {
+		if t := e.at(atom); st.entailsLEAtom(t, minusOne) {
 			return boundsVerdict{kind: boundsBelow, process: atom, target: t}
 		}
 	}
@@ -261,9 +234,6 @@ func (v boundsVerdict) observation(ps *ProcSet, dir string) CommBoundsObs {
 	case boundsOutsideAffine:
 		obs.Status = BoundsNonAffine
 		obs.Detail = "target expression is outside the affine fragment"
-	case boundsIDProduct:
-		obs.Status = BoundsNonAffine
-		obs.Detail = "target multiplies id with another variable"
 	case boundsProven:
 		obs.Status = BoundsProven
 		obs.Detail = "every process in " + obs.Range + " targets a rank in [0, np - 1]"

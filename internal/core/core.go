@@ -239,15 +239,6 @@ func (st *State) dirtyKeys() {
 // anywhere in the program (collected from the CFG by the engine).
 func (st *State) SetAssignedVars(m map[string]bool) { st.assigned = m }
 
-// varName resolves a program variable reference for set psID: written
-// variables live in the set's namespace; never-written ones are global.
-func (st *State) varName(psID int, name string) string {
-	if st.assigned == nil || st.assigned[name] {
-		return PV(psID, name)
-	}
-	return name
-}
-
 // NewState builds the initial configuration: one set holding all processes
 // [0..np-1] at the CFG entry, with np >= 1 known.
 func NewState(entry *cfg.Node, opts cg.Options) *State {

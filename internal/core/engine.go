@@ -1233,24 +1233,21 @@ func (e *engine) parametricWiden(entry *tableEntry, old, nw *State) (*State, boo
 	// it rather than minting an alias, so the widened key stabilizes.
 	if k := entry.widenParam; k != "" && old.G.HasVar(k) && !nw.G.HasVar(k) {
 		oldPrim, newPrim, ok := firstFailingBound(old, nw)
-		if ok {
-			vOld, cOld, ok1 := splitVarPlusConst(oldPrim)
-			vNew, cNew, ok2 := splitVarPlusConst(newPrim)
-			if ok1 && ok2 {
-				trial := nw.Clone()
-				if vOld == k {
-					// old bound = k + cOld, so seed k = newPrim - cOld.
-					trial.G.AddEq(k, vNew, cNew-cOld)
-				} else {
-					trial.G.AddEq(k, vNew, cNew)
-				}
-				trial.EnrichEverywhere()
-				old.EnrichEverywhere()
-				if !e.sameFailure(old, trial) {
-					return trial, true
-				}
-				trial.Release()
+		if ok && oldPrim.IsVarPlus() && newPrim.IsVarPlus() {
+			ka := cg.Intern(k)
+			trial := nw.Clone()
+			if oldPrim.V == ka {
+				// old bound = k + cOld, so seed k = newPrim - cOld.
+				trial.G.AddEqA(ka, newPrim.V, newPrim.C-oldPrim.C)
+			} else {
+				trial.G.AddEqA(ka, newPrim.V, newPrim.C)
 			}
+			trial.EnrichEverywhere()
+			old.EnrichEverywhere()
+			if !e.sameFailure(old, trial) {
+				return trial, true
+			}
+			trial.Release()
 		}
 	}
 	// Anchor fresh parameters to failing bounds: for each failing pair,
@@ -1260,22 +1257,20 @@ func (e *engine) parametricWiden(entry *tableEntry, old, nw *State) (*State, boo
 	// zero variable, var-relative bounds via their shared base variable.
 	// Several independent bound families may each need their own anchor.
 	trial := nw.Clone()
-	var prevOld, prevNew sym.Expr
+	var prevOld, prevNew procset.Atom
 	for tries := 0; tries < 6; tries++ {
 		oldPrim, newPrim, ok := firstFailingBound(old, trial)
 		if !ok {
 			trial.Release()
 			return nil, false
 		}
-		if tries > 0 && sym.Equal(oldPrim, prevOld) && sym.Equal(newPrim, prevNew) {
+		if tries > 0 && oldPrim.Equal(prevOld) && newPrim.Equal(prevNew) {
 			// The anchor did not help this bound; give up.
 			trial.Release()
 			return nil, false
 		}
 		prevOld, prevNew = oldPrim, newPrim
-		vOld, cOld, ok1 := splitVarPlusConst(oldPrim)
-		vNew, cNew, ok2 := splitVarPlusConst(newPrim)
-		if !ok1 || !ok2 {
+		if !oldPrim.IsVarPlus() || !newPrim.IsVarPlus() {
 			trial.Release()
 			return nil, false
 		}
@@ -1288,8 +1283,9 @@ func (e *engine) parametricWiden(entry *tableEntry, old, nw *State) (*State, boo
 		k := fmt.Sprintf("wp%d", e.nParam)
 		e.nParam++
 		entry.widenParam = k
-		old.G.AddEq(k, vOld, cOld)
-		trial.G.AddEq(k, vNew, cNew)
+		ka := cg.Intern(k)
+		old.G.AddEqA(ka, oldPrim.V, oldPrim.C)
+		trial.G.AddEqA(ka, newPrim.V, newPrim.C)
 		old.EnrichEverywhere()
 		trial.EnrichEverywhere()
 		if !e.sameFailure(old, trial) {
@@ -1302,12 +1298,12 @@ func (e *engine) parametricWiden(entry *tableEntry, old, nw *State) (*State, boo
 
 // firstFailingBound locates the primary atoms of the first bound pair whose
 // atom intersection is empty.
-func firstFailingBound(old, nw *State) (a, b sym.Expr, ok bool) {
+func firstFailingBound(old, nw *State) (a, b procset.Atom, ok bool) {
 	for i := range old.Sets {
 		or, nr := old.Sets[i].Range, nw.Sets[i].Range
 		for _, pair := range [][2]procset.Bound{{or.LB, nr.LB}, {or.UB, nr.UB}} {
 			if !pair[0].SharesAtom(pair[1]) {
-				return pair[0].Primary().Expr(), pair[1].Primary().Expr(), true
+				return pair[0].Primary(), pair[1].Primary(), true
 			}
 		}
 	}
@@ -1321,7 +1317,7 @@ func firstFailingBound(old, nw *State) (a, b sym.Expr, ok bool) {
 				{om.Receiver.LB, m.Receiver.LB}, {om.Receiver.UB, m.Receiver.UB},
 			} {
 				if !pair[0].SharesAtom(pair[1]) {
-					return pair[0].Primary().Expr(), pair[1].Primary().Expr(), true
+					return pair[0].Primary(), pair[1].Primary(), true
 				}
 			}
 		}
@@ -1339,12 +1335,12 @@ func firstFailingBound(old, nw *State) (a, b sym.Expr, ok bool) {
 			}
 			for _, pair := range pairs {
 				if !pair[0].SharesAtom(pair[1]) {
-					return pair[0].Primary().Expr(), pair[1].Primary().Expr(), true
+					return pair[0].Primary(), pair[1].Primary(), true
 				}
 			}
 		}
 	}
-	return sym.Zero, sym.Zero, false
+	return procset.Atom{}, procset.Atom{}, false
 }
 
 // sameFailure reports whether range widening would still fail, building
@@ -1502,11 +1498,11 @@ func (e *engine) advanceSet(st *State, id int) []succ {
 // recordPrint captures the constant-propagation fact at a print site.
 func (e *engine) recordPrint(ns *State, ps *ProcSet, node *cfg.Node) {
 	obs := PrintObs{Node: node.ID, Range: ps.Range.String()}
-	if expr, ok := ns.AffineExpr(ps, node.Arg); ok {
-		if c, isConst := expr.IsConst(); isConst {
+	if f, ok := ns.affineAt(ps, ps.Range, node.Arg); ok {
+		if c, isConst := f.IsConst(); isConst {
 			obs.Val, obs.Known = c, true
-		} else if v, c2, okd := expr.AsVarPlusConst(); okd && v != "" {
-			if base, okc := ns.G.ConstVal(v); okc {
+		} else if v, c2, okd := f.VarPlus(); okd && v != cg.AtomZero {
+			if base, okc := ns.G.ConstValA(v); okc {
 				obs.Val, obs.Known = base+c2, true
 			}
 		}
@@ -1534,7 +1530,7 @@ func (e *engine) branchSetDepth(ns *State, ps *ProcSet, depth int) []succ {
 
 	if usesID && !isSingle {
 		if op, pivot, ok := ns.idComparison(ps, node.Cond); ok {
-			yes, no, ok2 := SplitByIDCond(ns.Ctx(), op, ps.Range, pivot)
+			yes, no, ok2 := SplitByIDCond(ns.Ctx(), op, ps.Range, pivot.Expr())
 			if ok2 {
 				return e.applyIDSplit(ns, ps, yes, no, tN, fN)
 			}
@@ -1583,27 +1579,27 @@ func (e *engine) branchSetDepth(ns *State, ps *ProcSet, depth int) []succ {
 // forkOnBoundCmp case-splits the configuration on an unresolved comparison
 // between the branch pivot and one of the set's range bounds, then retries
 // the branch on both sides.
-func (e *engine) forkOnBoundCmp(ns *State, ps *ProcSet, pivot sym.Expr, depth int) ([]succ, bool) {
+func (e *engine) forkOnBoundCmp(ns *State, ps *ProcSet, pivot Affine, depth int) ([]succ, bool) {
 	ctx := ns.Ctx()
-	pv, pc, okP := splitVarPlusConst(pivot)
+	pv, pc, okP := pivot.VarPlus()
 	if !okP {
 		return nil, false
 	}
 	rng := ps.Range.Enrich(ctx)
+	bnd := procset.NewBound(ctx.Memo, pivot.Expr())
 	for _, b := range []procset.Bound{rng.LB, rng.UB} {
-		bnd := procset.NewBound(ctx.Memo, pivot)
 		if ctx.LeqBound(bnd, b, 0) != tri.Unknown && ctx.LeqBound(b, bnd, 0) != tri.Unknown {
 			continue
 		}
-		bv, bc, okB := splitVarPlusConst(b.Primary().Expr())
-		if !okB {
+		bp := b.Primary()
+		if !bp.IsVarPlus() {
 			continue
 		}
 		// Side A: pivot <= bound; side B: bound <= pivot - 1.
 		nsA := ns.Clone()
-		nsA.G.AddLE(pv, bv, bc-pc)
+		nsA.G.AddLEA(pv, bp.V, bp.C-pc)
 		nsB := ns.Clone()
-		nsB.G.AddLE(bv, pv, pc-bc-1)
+		nsB.G.AddLEA(bp.V, pv, pc-bp.C-1)
 		var out []succ
 		if nsA.G.Consistent() {
 			out = append(out, e.branchSetDepth(nsA, nsA.Set(ps.ID), depth-1)...)
@@ -1696,11 +1692,14 @@ func (e *engine) issueSendStep(st *State, id int) []succ {
 // tryPendingMatches satisfies a blocked receive from an in-flight pending
 // send, respecting per-channel FIFO order conservatively.
 func (e *engine) tryPendingMatches(st *State, key string) ([]succ, bool) {
+	if len(st.Pending) == 0 {
+		return nil, false
+	}
 	for _, r := range st.Sets {
 		if !r.Blocked || r.Node.Kind != cfg.Recv {
 			continue
 		}
-		src, ok := st.AffineExprID(r, r.Node.Src)
+		src, ok := st.AffineID(r, r.Node.Src)
 		if !ok {
 			continue
 		}
@@ -1728,8 +1727,8 @@ func (e *engine) tryPendingMatches(st *State, key string) ([]succ, bool) {
 			ns.invalidateVar(rv)
 			ns.G.ForgetA(rv)
 			if pm.Pending.ValOK {
-				if w, c, okd := splitVarPlusConst(pm.Pending.Val); okd {
-					ns.G.AddEq(rv.String(), w, c)
+				if v := procset.AtomOf(pm.Pending.Val); v.IsVarPlus() {
+					ns.G.AddEqA(rv, v.V, v.C)
 				}
 			}
 			// Pending delivery needs no Matcher call: a zero-length match
@@ -1887,12 +1886,12 @@ func (e *engine) propagateValue(ns *State, sender *ProcSet, senderRange procset.
 	rv := pvAtom(receiver.ID, recvVar)
 	ns.invalidateVar(rv)
 	ns.G.ForgetA(rv)
-	expr, ok := ns.affineExprRange(sender, senderRange, value)
+	f, ok := ns.affineAt(sender, senderRange, value)
 	if !ok {
 		return
 	}
-	if w, c, okd := splitVarPlusConst(expr); okd {
-		ns.G.AddEq(rv.String(), w, c)
+	if w, c, okd := f.VarPlus(); okd {
+		ns.G.AddEqA(rv, w, c)
 	}
 }
 
@@ -2005,19 +2004,18 @@ func (e *engine) tryEmptinessSplit(st *State, depth int, key string) ([]succ, bo
 		if ps.Range.Empty(ctx) != tri.Unknown {
 			continue
 		}
-		lbv, lbc, ok1 := splitVarPlusConst(ps.Range.LB.Primary().Expr())
-		ubv, ubc, ok2 := splitVarPlusConst(ps.Range.UB.Primary().Expr())
-		if !ok1 || !ok2 {
+		lb, ub := ps.Range.LB.Primary(), ps.Range.UB.Primary()
+		if !lb.IsVarPlus() || !ub.IsVarPlus() {
 			continue
 		}
 		// Branch A: the set is empty (lb > ub) and disappears.
 		emptySt := st.Clone()
-		emptySt.G.AddLE(ubv, lbv, lbc-ubc-1) // ub <= lb - 1
+		emptySt.G.AddLEA(ub.V, lb.V, lb.C-ub.C-1) // ub <= lb - 1
 		emptySt.RemoveSet(ps.ID)
 		e.normalize(emptySt)
 		// Branch B: non-empty (lb <= ub); continue stepping inline.
 		nonEmpty := st.Clone()
-		nonEmpty.G.AddLE(lbv, ubv, ubc-lbc)
+		nonEmpty.G.AddLEA(lb.V, ub.V, ub.C-lb.C)
 		e.normalize(nonEmpty)
 		out := []succ{{emptySt, fmt.Sprintf("assume %s empty", ps.Range)}}
 		out = append(out, e.stepBlocked(nonEmpty, depth-1, key)...)

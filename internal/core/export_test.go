@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/ast"
 	"repro/internal/cfg"
 	"repro/internal/procset"
 	"repro/internal/sym"
@@ -124,6 +125,18 @@ func Identity(st *State) []byte { return st.identity() }
 // DirtyKeys drops st's cached keys, so the next ShapeKey or Identity call
 // rebuilds its key.
 func DirtyKeys(st *State) { st.dirtyKeys() }
+
+// VarName is the constraint-graph name of program variable name read by
+// set psID, as the translation resolves it.
+func VarName(st *State, psID int, name string) string { return st.varAtom(psID, name).String() }
+
+// AffineAt exposes the translation that resolves id on a range.
+func AffineAt(st *State, ps *ProcSet, rng procset.Set, e ast.Expr) (Affine, bool) {
+	return st.affineAt(ps, rng, e)
+}
+
+// HasResidual reports whether a form keeps a polynomial residual.
+func HasResidual(a Affine) bool { return !a.res.IsZero() }
 
 // EntailsLEAtom exposes the atom form of EntailsLE.
 func EntailsLEAtom(st *State, l, r procset.Atom) bool { return st.entailsLEAtom(l, r) }

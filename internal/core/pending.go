@@ -134,13 +134,12 @@ func (st *State) freeze(e sym.Expr) (sym.Expr, bool) {
 // blocking treatment).
 func (st *State) IssueSend(ps *ProcSet, n *cfg.Node) bool {
 	st.dirtyKeys()
-	d, ok := st.AffineExprID(ps, n.Dest)
+	d, ok := st.AffineID(ps, n.Dest)
 	if !ok {
 		return false
 	}
-	idCoef := d.Coeff(IDMarker)
-	ofs := sym.Sub(d, sym.Scale(sym.Var(IDMarker), idCoef))
-	frozenOfs, ok := st.freeze(ofs)
+	idCoef := d.ID
+	frozenOfs, ok := st.freeze(d.Offset().Expr())
 	if !ok {
 		return false
 	}
@@ -149,8 +148,8 @@ func (st *State) IssueSend(ps *ProcSet, n *cfg.Node) bool {
 	}
 	var val sym.Expr
 	valOK := false
-	if ve, ok := st.AffineExpr(ps, n.Value); ok {
-		if fv, ok := st.freeze(ve); ok {
+	if ve, ok := st.affineAt(ps, ps.Range, n.Value); ok {
+		if fv, ok := st.freeze(ve.Expr()); ok {
 			if _, _, isVC := fv.AsVarPlusConst(); isVC {
 				val, valOK = fv, true
 			}
@@ -234,17 +233,16 @@ type PendingMatch struct {
 }
 
 // MatchPending attempts to satisfy receiver's blocked receive from pending
-// send idx. src is the receiver's source expression.
-func (st *State) MatchPending(receiver *ProcSet, src sym.Expr, idx int) (*PendingMatch, bool) {
+// send idx. src is the form of the receiver's source expression.
+func (st *State) MatchPending(receiver *ProcSet, src Affine, idx int) (*PendingMatch, bool) {
 	p := st.Pending[idx]
 	ctx := st.Ctx()
-	sID := src.Coeff(IDMarker)
-	sOfs := sym.Sub(src, sym.Scale(sym.Var(IDMarker), sID))
+	sID, sOfs := src.ID, src.Offset()
 
 	switch p.Shape {
 	case PendShift:
 		// Receiver must name sender = id + sOfs with sOfs = -Offset.
-		if sID != 1 || !st.EntailsZero(sym.Add(sOfs, p.Offset)) {
+		if sID != 1 || !st.EntailsZero(sOfs.Add(affineOf(p.Offset))) {
 			return nil, false
 		}
 		dests := p.DestRange(ctx.Memo)
@@ -288,8 +286,7 @@ func (st *State) MatchPending(receiver *ProcSet, src sym.Expr, idx int) (*Pendin
 		if sID != 0 {
 			return nil, false
 		}
-		senderExpr := p.Senders.LB.Primary().Expr()
-		if !st.EntailsZero(sym.Sub(sOfs, senderExpr)) {
+		if !st.EntailsZero(sOfs.Sub(atomAffine(p.Senders.LB.Primary()))) {
 			return nil, false
 		}
 		inter, ok := procset.Intersect(ctx, p.Dests, receiver.Range)

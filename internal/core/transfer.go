@@ -10,179 +10,6 @@ import (
 	"repro/internal/tri"
 )
 
-// AffineExpr translates an MPL integer expression executed by set ps into a
-// symbolic affine form over namespaced constraint-graph variables. The
-// builtin id resolves only when the set is a singleton (its value is then
-// the range's bound expression). Returns ok=false for non-affine shapes
-// (handled by the HSM matcher instead).
-func (st *State) AffineExpr(ps *ProcSet, e ast.Expr) (sym.Expr, bool) {
-	return st.affineExprRange(ps, ps.Range, e)
-}
-
-// affineExprRange is AffineExpr with an explicit range for id resolution
-// (used when a matched subset differs from the set's full range).
-func (st *State) affineExprRange(ps *ProcSet, rng procset.Set, e ast.Expr) (sym.Expr, bool) {
-	switch x := e.(type) {
-	case *ast.IntLit:
-		return sym.Const(x.Value), true
-	case *ast.Ident:
-		switch x.Name {
-		case sem.NPVar:
-			return sym.Var("np"), true
-		case sem.IDVar:
-			if rng.IsSingleton(st.Ctx()) == tri.True {
-				return rng.LB.Primary().Expr(), true
-			}
-			return sym.Zero, false
-		default:
-			return sym.Var(st.varName(ps.ID, x.Name)), true
-		}
-	case *ast.Unary:
-		if x.Op != ast.Neg {
-			return sym.Zero, false
-		}
-		v, ok := st.affineExprRange(ps, rng, x.X)
-		if !ok {
-			return sym.Zero, false
-		}
-		return sym.Neg(v), true
-	case *ast.Binary:
-		switch x.Op {
-		case ast.Add, ast.Sub:
-			l, ok1 := st.affineExprRange(ps, rng, x.L)
-			r, ok2 := st.affineExprRange(ps, rng, x.R)
-			if !ok1 || !ok2 {
-				return sym.Zero, false
-			}
-			if x.Op == ast.Add {
-				return sym.Add(l, r), true
-			}
-			return sym.Sub(l, r), true
-		case ast.Mul:
-			l, ok1 := st.affineExprRange(ps, rng, x.L)
-			r, ok2 := st.affineExprRange(ps, rng, x.R)
-			if !ok1 || !ok2 {
-				return sym.Zero, false
-			}
-			if c, ok := l.IsConst(); ok {
-				return sym.Scale(r, c), true
-			}
-			if c, ok := r.IsConst(); ok {
-				return sym.Scale(l, c), true
-			}
-			return sym.Zero, false
-		}
-		return sym.Zero, false
-	}
-	return sym.Zero, false
-}
-
-// IDMarker is the distinguished symbol standing for the builtin id inside
-// matcher-side affine expressions (AffineExprID).
-const IDMarker = "$id"
-
-// AffineExprID translates an MPL expression like AffineExpr, but maps the
-// builtin id to the marker symbol IDMarker so matchers can classify the
-// expression's dependence on the process rank.
-func (st *State) AffineExprID(ps *ProcSet, e ast.Expr) (sym.Expr, bool) {
-	switch x := e.(type) {
-	case *ast.IntLit:
-		return sym.Const(x.Value), true
-	case *ast.Ident:
-		switch x.Name {
-		case sem.NPVar:
-			return sym.Var("np"), true
-		case sem.IDVar:
-			return sym.Var(IDMarker), true
-		default:
-			return sym.Var(st.varName(ps.ID, x.Name)), true
-		}
-	case *ast.Unary:
-		if x.Op != ast.Neg {
-			return sym.Zero, false
-		}
-		v, ok := st.AffineExprID(ps, x.X)
-		if !ok {
-			return sym.Zero, false
-		}
-		return sym.Neg(v), true
-	case *ast.Binary:
-		l, ok1 := st.AffineExprID(ps, x.L)
-		if !ok1 {
-			return sym.Zero, false
-		}
-		r, ok2 := st.AffineExprID(ps, x.R)
-		if !ok2 {
-			return sym.Zero, false
-		}
-		switch x.Op {
-		case ast.Add:
-			return sym.Add(l, r), true
-		case ast.Sub:
-			return sym.Sub(l, r), true
-		case ast.Mul:
-			if c, ok := l.IsConst(); ok {
-				return sym.Scale(r, c), true
-			}
-			if c, ok := r.IsConst(); ok {
-				return sym.Scale(l, c), true
-			}
-		}
-		return sym.Zero, false
-	}
-	return sym.Zero, false
-}
-
-// EntailsZero reports whether the constraint graph proves the affine
-// expression equal to zero. Handles constants, single variables, and
-// two-variable differences with unit coefficients.
-func (st *State) EntailsZero(e sym.Expr) bool {
-	if e.IsZero() {
-		return true
-	}
-	if c, ok := e.IsConst(); ok {
-		return c == 0
-	}
-	terms := e.Terms()
-	var pos, neg string
-	var c int64
-	for _, t := range terms {
-		switch {
-		case len(t.Vars) == 0:
-			c = t.Coef
-		case len(t.Vars) == 1 && t.Coef == 1 && pos == "":
-			pos = t.Vars[0]
-		case len(t.Vars) == 1 && t.Coef == -1 && neg == "":
-			neg = t.Vars[0]
-		default:
-			return false
-		}
-	}
-	switch {
-	case pos != "" && neg != "":
-		// pos - neg + c == 0  <=>  pos = neg - c
-		return st.G.Entails(pos, neg, -c) && st.G.Entails(neg, pos, c)
-	case pos != "":
-		return st.G.Entails(pos, cg.ZeroVar, -c) && st.G.Entails(cg.ZeroVar, pos, c)
-	case neg != "":
-		return st.G.Entails(neg, cg.ZeroVar, c) && st.G.Entails(cg.ZeroVar, neg, -c)
-	}
-	return false
-}
-
-// splitVarPlusConst decomposes an affine sym expression into a
-// constraint-graph variable plus constant; constants use ZeroVar.
-func splitVarPlusConst(e sym.Expr) (string, int64, bool) {
-	v, c, ok := e.AsVarPlusConst()
-	if !ok {
-		return "", 0, false
-	}
-	if v == "" {
-		return cg.ZeroVar, c, true
-	}
-	return v, c, true
-}
-
 // EvalCond evaluates a boolean condition for set ps, three-valued.
 func (st *State) EvalCond(ps *ProcSet, cond ast.Expr) tri.Bool {
 	switch x := cond.(type) {
@@ -199,8 +26,8 @@ func (st *State) EvalCond(ps *ProcSet, cond ast.Expr) tri.Bool {
 		case x.Op == ast.LOr:
 			return st.EvalCond(ps, x.L).Or(st.EvalCond(ps, x.R))
 		case x.Op.IsComparison():
-			l, ok1 := st.AffineExpr(ps, x.L)
-			r, ok2 := st.AffineExpr(ps, x.R)
+			l, ok1 := st.affineAt(ps, ps.Range, x.L)
+			r, ok2 := st.affineAt(ps, ps.Range, x.R)
 			if !ok1 || !ok2 {
 				return tri.Unknown
 			}
@@ -211,22 +38,22 @@ func (st *State) EvalCond(ps *ProcSet, cond ast.Expr) tri.Bool {
 }
 
 // evalCmp decides l op r from the constraint graph.
-func (st *State) evalCmp(op ast.BinOp, l, r sym.Expr) tri.Bool {
-	lv, lc, ok1 := splitVarPlusConst(l)
-	rv, rc, ok2 := splitVarPlusConst(r)
+func (st *State) evalCmp(op ast.BinOp, l, r Affine) tri.Bool {
+	lv, lc, ok1 := l.VarPlus()
+	rv, rc, ok2 := r.VarPlus()
 	if !ok1 || !ok2 {
 		// Try the constant difference.
-		if d, ok := sym.Cmp(l, r); ok {
+		if d, ok := l.Sub(r).IsConst(); ok {
 			return evalConstCmp(op, d)
 		}
 		return tri.Unknown
 	}
-	le := func(x string, xc int64, y string, yc int64, slack int64) tri.Bool {
+	le := func(x cg.Atom, xc int64, y cg.Atom, yc int64, slack int64) tri.Bool {
 		// x + xc <= y + yc + slack
-		if st.G.Entails(x, y, yc-xc+slack) {
+		if st.G.EntailsA(x, y, yc-xc+slack) {
 			return tri.True
 		}
-		if st.G.Entails(y, x, xc-yc-slack-1) {
+		if st.G.EntailsA(y, x, xc-yc-slack-1) {
 			return tri.False
 		}
 		return tri.Unknown
@@ -290,8 +117,8 @@ func (st *State) AssumeCond(ps *ProcSet, cond ast.Expr, negate bool) {
 					return // id facts live in the range representation
 				}
 			}
-			l, ok1 := st.AffineExpr(ps, x.L)
-			r, ok2 := st.AffineExpr(ps, x.R)
+			l, ok1 := st.affineAt(ps, ps.Range, x.L)
+			r, ok2 := st.affineAt(ps, ps.Range, x.R)
 			if !ok1 || !ok2 {
 				return
 			}
@@ -300,7 +127,7 @@ func (st *State) AssumeCond(ps *ProcSet, cond ast.Expr, negate bool) {
 	}
 }
 
-func (st *State) assumeCmp(op ast.BinOp, l, r sym.Expr, negate bool) {
+func (st *State) assumeCmp(op ast.BinOp, l, r Affine, negate bool) {
 	if negate {
 		switch op {
 		case ast.Le:
@@ -317,22 +144,22 @@ func (st *State) assumeCmp(op ast.BinOp, l, r sym.Expr, negate bool) {
 			op = ast.Eq
 		}
 	}
-	lv, lc, ok1 := splitVarPlusConst(l)
-	rv, rc, ok2 := splitVarPlusConst(r)
+	lv, lc, ok1 := l.VarPlus()
+	rv, rc, ok2 := r.VarPlus()
 	if !ok1 || !ok2 {
 		return
 	}
 	switch op {
 	case ast.Le: // lv + lc <= rv + rc
-		st.G.AddLE(lv, rv, rc-lc)
+		st.G.AddLEA(lv, rv, rc-lc)
 	case ast.Lt:
-		st.G.AddLE(lv, rv, rc-lc-1)
+		st.G.AddLEA(lv, rv, rc-lc-1)
 	case ast.Ge:
-		st.G.AddLE(rv, lv, lc-rc)
+		st.G.AddLEA(rv, lv, lc-rc)
 	case ast.Gt:
-		st.G.AddLE(rv, lv, lc-rc-1)
+		st.G.AddLEA(rv, lv, lc-rc-1)
 	case ast.Eq:
-		st.G.AddEq(lv, rv, rc-lc)
+		st.G.AddEqA(lv, rv, rc-lc)
 	case ast.Neq:
 		// Not expressible as a single difference constraint; skip.
 	}
@@ -341,15 +168,15 @@ func (st *State) assumeCmp(op ast.BinOp, l, r sym.Expr, negate bool) {
 // idComparison matches conditions of the form "id op e" or "e op id" with a
 // set-constant affine e, returning the normalized operator with id on the
 // left and the comparison expression.
-func (st *State) idComparison(ps *ProcSet, cond ast.Expr) (ast.BinOp, sym.Expr, bool) {
+func (st *State) idComparison(ps *ProcSet, cond ast.Expr) (ast.BinOp, Affine, bool) {
 	x, ok := cond.(*ast.Binary)
 	if !ok || !x.Op.IsComparison() {
-		return 0, sym.Zero, false
+		return 0, Affine{}, false
 	}
 	lIsID := isIDIdent(x.L)
 	rIsID := isIDIdent(x.R)
 	if lIsID == rIsID {
-		return 0, sym.Zero, false
+		return 0, Affine{}, false
 	}
 	var other ast.Expr
 	op := x.Op
@@ -370,11 +197,11 @@ func (st *State) idComparison(ps *ProcSet, cond ast.Expr) (ast.BinOp, sym.Expr, 
 		}
 	}
 	if ast.UsesIdent(other, sem.IDVar) {
-		return 0, sym.Zero, false
+		return 0, Affine{}, false
 	}
-	e, okE := st.AffineExpr(ps, other)
+	e, okE := st.affineAt(ps, ps.Range, other)
 	if !okE {
-		return 0, sym.Zero, false
+		return 0, Affine{}, false
 	}
 	return op, e, true
 }
@@ -430,8 +257,7 @@ func SplitByIDCond(ctx procset.Ctx, op ast.BinOp, rng procset.Set, e sym.Expr) (
 // ApplyAssign performs the transfer function for "name := rhs" on set ps.
 func (st *State) ApplyAssign(ps *ProcSet, name string, rhs ast.Expr) {
 	va := pvAtom(ps.ID, name)
-	v := va.String()
-	rhsExpr, ok := st.AffineExpr(ps, rhs)
+	f, ok := st.affineAt(ps, ps.Range, rhs)
 	if !ok {
 		// Unknown value: also invalidate range atoms mentioning v.
 		st.invalidateVar(va)
@@ -439,13 +265,14 @@ func (st *State) ApplyAssign(ps *ProcSet, name string, rhs ast.Expr) {
 		return
 	}
 	// Invertible self-update x := x + c?
-	if w, c, okd := rhsExpr.AsVarPlusConst(); okd && w == v {
+	if w, c, okd := f.VarPlus(); okd && w == va {
 		st.G.ShiftA(va, c)
 		// Occurrences of v in ranges denote the OLD value = new v - c.
+		v := va.String()
 		st.SubstEverywhere(v, sym.VarPlus(v, -c))
 		return
 	}
-	if rhsExpr.Uses(v) {
+	if f.Uses(va) {
 		// Self-referencing but not a plain shift (e.g. x := 2*x).
 		st.invalidateVar(va)
 		st.G.ForgetA(va)
@@ -453,8 +280,8 @@ func (st *State) ApplyAssign(ps *ProcSet, name string, rhs ast.Expr) {
 	}
 	st.invalidateVar(va)
 	st.G.ForgetA(va)
-	if w, c, okd := splitVarPlusConst(rhsExpr); okd {
-		st.G.AddEq(v, w, c)
+	if w, c, okd := f.VarPlus(); okd {
+		st.G.AddEqA(va, w, c)
 	}
 }
 

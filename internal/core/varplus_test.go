@@ -158,7 +158,7 @@ func TestEntailsLEZeroAlloc(t *testing.T) {
 // decides over the range's own atoms only.
 func refCheckCommBounds(st *core.State, ps *core.ProcSet, dir string, expr ast.Expr, enrich bool) core.CommBoundsObs {
 	obs := core.CommBoundsObs{Node: ps.Node.ID, Dir: dir, Range: ps.Range.String()}
-	e, ok := st.AffineExprID(ps, expr)
+	e, ok := refAffineExprID(st, ps, expr)
 	if !ok {
 		obs.Status = core.BoundsNonAffine
 		obs.Detail = "target expression is outside the affine fragment"

@@ -7,8 +7,9 @@
 package lint
 
 import (
-	"fmt"
-	"sort"
+	"bytes"
+	"slices"
+	"strconv"
 
 	"repro/internal/ast"
 	"repro/internal/cfg"
@@ -88,6 +89,11 @@ type Context struct {
 	*Target
 	Opts   Options
 	report *Report
+	// bounds holds the rank-bounds verdict of each communication facet and
+	// matched the facets the topology matched, both computed once per run
+	// for the rank-bounds pass and the bounds summary.
+	bounds  []boundsGroup
+	matched map[facet]bool
 }
 
 // Emit records a finding.
@@ -133,7 +139,7 @@ func Passes() []Pass {
 // report.
 func Run(t *Target, opts Options) *Report {
 	rep := &Report{}
-	c := &Context{Target: t, Opts: opts, report: rep}
+	c := &Context{Target: t, Opts: opts, report: rep, bounds: groupBounds(t.Res), matched: matchedNodes(t.Res)}
 	rep.Bounds = summarizeBounds(c)
 	for _, p := range passes {
 		p.Run(c)
@@ -142,32 +148,52 @@ func Run(t *Target, opts Options) *Report {
 	return rep
 }
 
+// facet is one communication facet: a CFG node and the direction checked
+// there ("dest" or "src").
+type facet struct {
+	node int
+	dir  string
+}
+
+// compareFacets orders facets as their "node|dir" keys compare as strings,
+// the order reports have always listed them in ("10|dest" before "9|dest").
+// Both keys render into stack buffers.
+func compareFacets(a, b facet) int {
+	var ka, kb [32]byte
+	return bytes.Compare(a.appendKey(ka[:0]), b.appendKey(kb[:0]))
+}
+
+func (f facet) appendKey(dst []byte) []byte {
+	return append(append(strconv.AppendInt(dst, int64(f.node), 10), '|'), f.dir...)
+}
+
 // boundsGroup is the aggregated verdict for one communication facet.
 type boundsGroup struct {
-	node     int
-	dir      string
-	status   core.BoundsStatus // worst observed status
-	obs      []core.CommBoundsObs
-	viaMatch bool
+	facet
+	status  core.BoundsStatus  // worst observed status
+	witness core.CommBoundsObs // the first violated observation
 }
 
 // groupBounds folds the per-range observations into one verdict per
-// (node, direction): a single violated range condemns the facet; otherwise
-// any undecided range demotes proven to unknown/non-affine.
-func groupBounds(c *Context) []boundsGroup {
-	byKey := map[string]*boundsGroup{}
-	var order []string
-	for _, o := range c.Res.CommBounds {
-		key := fmt.Sprintf("%d|%s", o.Node, o.Dir)
-		g, ok := byKey[key]
+// facet: a single violated range condemns the facet; otherwise any
+// undecided range demotes proven to unknown/non-affine.
+func groupBounds(res *core.Result) []boundsGroup {
+	var groups []boundsGroup
+	index := map[facet]int{}
+	for _, o := range res.CommBounds {
+		f := facet{o.Node, o.Dir}
+		i, ok := index[f]
 		if !ok {
-			g = &boundsGroup{node: o.Node, dir: o.Dir, status: core.BoundsProven}
-			byKey[key] = g
-			order = append(order, key)
+			i = len(groups)
+			index[f] = i
+			groups = append(groups, boundsGroup{facet: f, status: core.BoundsProven})
 		}
-		g.obs = append(g.obs, o)
+		g := &groups[i]
 		switch {
 		case o.Status == core.BoundsViolated:
+			if g.status != core.BoundsViolated {
+				g.witness = o
+			}
 			g.status = core.BoundsViolated
 		case g.status == core.BoundsViolated:
 			// keep
@@ -177,30 +203,25 @@ func groupBounds(c *Context) []boundsGroup {
 			g.status = core.BoundsUnknown
 		}
 	}
-	sort.Strings(order)
-	out := make([]boundsGroup, 0, len(order))
-	for _, key := range order {
-		out = append(out, *byKey[key])
-	}
-	return out
+	slices.SortFunc(groups, func(a, b boundsGroup) int { return compareFacets(a.facet, b.facet) })
+	return groups
 }
 
-// matchedNodes returns the CFG nodes that participate in the communication
-// topology on the relevant side.
-func matchedNodes(res *core.Result) map[string]bool {
-	m := map[string]bool{}
+// matchedNodes returns the facets that participate in the communication
+// topology: the send side of every match and its receive side.
+func matchedNodes(res *core.Result) map[facet]bool {
+	m := map[facet]bool{}
 	for _, match := range res.Matches {
-		m[fmt.Sprintf("%d|dest", match.SendNode)] = true
-		m[fmt.Sprintf("%d|src", match.RecvNode)] = true
+		m[facet{match.SendNode, "dest"}] = true
+		m[facet{match.RecvNode, "src"}] = true
 	}
 	return m
 }
 
 func summarizeBounds(c *Context) BoundsSummary {
 	var s BoundsSummary
-	matched := matchedNodes(c.Res)
 	clean := c.Res.Clean()
-	for _, g := range groupBounds(c) {
+	for _, g := range c.bounds {
 		s.Total++
 		switch g.status {
 		case core.BoundsProven:
@@ -208,7 +229,7 @@ func summarizeBounds(c *Context) BoundsSummary {
 		case core.BoundsViolated:
 			s.Violated++
 		default:
-			if clean && matched[fmt.Sprintf("%d|%s", g.node, g.dir)] {
+			if clean && c.matched[g.facet] {
 				s.ProvenByMatch++
 			} else if g.status == core.BoundsNonAffine {
 				s.NonAffine++

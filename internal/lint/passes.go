@@ -94,9 +94,8 @@ func tagMismatchPass(c *Context) {
 // could neither prove nor refute (PSDF-W004). A facet that was matched in a
 // clean analysis counts as proven by the match itself.
 func rankBoundsPass(c *Context) {
-	matched := matchedNodes(c.Res)
 	clean := c.Res.Clean()
-	for _, g := range groupBounds(c) {
+	for _, g := range c.bounds {
 		n := c.G.Node(g.node)
 		if n == nil {
 			continue
@@ -107,22 +106,15 @@ func rankBoundsPass(c *Context) {
 		}
 		switch g.status {
 		case core.BoundsViolated:
-			var witness core.CommBoundsObs
-			for _, o := range g.obs {
-				if o.Status == core.BoundsViolated {
-					witness = o
-					break
-				}
-			}
 			d := diag.New(diag.CodeRankBounds, c.Path, n.Span,
-				fmt.Sprintf("%s is out of bounds: %s", what, witness.Detail))
-			d.Explain = fmt.Sprintf("the constraint-graph client proved the violation for range %s", witness.Range)
+				fmt.Sprintf("%s is out of bounds: %s", what, g.witness.Detail))
+			d.Explain = fmt.Sprintf("the constraint-graph client proved the violation for range %s", g.witness.Range)
 			d.Hint = "guard the operation so boundary processes skip it (e.g. `if id <= np - 2 then ... end`)"
 			c.Emit(d)
 		case core.BoundsProven:
 			// fine
 		default:
-			if clean && matched[fmt.Sprintf("%d|%s", g.node, g.dir)] {
+			if clean && c.matched[g.facet] {
 				// The match search found a partner for every process; the
 				// facet is in bounds even though the direct proof failed.
 				continue
