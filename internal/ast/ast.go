@@ -9,6 +9,7 @@ package ast
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/source"
@@ -154,17 +155,68 @@ func (*Ident) exprNode()   {}
 func (*Unary) exprNode()   {}
 func (*Binary) exprNode()  {}
 
-func (e *IntLit) String() string { return fmt.Sprintf("%d", e.Value) }
-func (e *BoolLit) String() string {
-	if e.Value {
-		return "true"
-	}
-	return "false"
+func (e *IntLit) String() string  { return strconv.FormatInt(e.Value, 10) }
+func (e *BoolLit) String() string { return strconv.FormatBool(e.Value) }
+func (e *Ident) String() string   { return e.Name }
+func (e *Unary) String() string   { return exprString(e) }
+func (e *Binary) String() string  { return exprString(e) }
+
+// exprString renders e through AppendExpr, on the stack up to 64 bytes.
+func exprString(e Expr) string {
+	var buf [64]byte
+	return string(AppendExpr(buf[:0], e))
 }
-func (e *Ident) String() string { return e.Name }
-func (e *Unary) String() string { return e.Op.String() + parenIfBinary(e.X) }
-func (e *Binary) String() string {
-	return parenIfLower(e.L, e.Op) + " " + e.Op.String() + " " + parenIfLowerR(e.R, e.Op)
+
+// AppendExpr appends e's rendering, the text e.String() returns, to dst:
+// binary operands are parenthesized where precedence requires it, and a
+// unary operand whenever it is binary.
+func AppendExpr(dst []byte, e Expr) []byte {
+	switch e := e.(type) {
+	case *IntLit:
+		return strconv.AppendInt(dst, e.Value, 10)
+	case *Unary:
+		_, paren := e.X.(*Binary)
+		dst = openParen(append(dst, e.Op.String()...), paren)
+		return closeParen(AppendExpr(dst, e.X), paren)
+	case *Binary:
+		paren := bindsLooser(e.L, e.Op, false)
+		dst = closeParen(AppendExpr(openParen(dst, paren), e.L), paren)
+		dst = append(append(append(dst, ' '), e.Op.String()...), ' ')
+		paren = bindsLooser(e.R, e.Op, true)
+		return closeParen(AppendExpr(openParen(dst, paren), e.R), paren)
+	}
+	return append(dst, e.String()...)
+}
+
+// openParen and closeParen append the parentheses around an operand when
+// paren is set. AppendExpr recurses only into itself, so its buffer does
+// not escape.
+func openParen(dst []byte, paren bool) []byte {
+	if paren {
+		return append(dst, '(')
+	}
+	return dst
+}
+
+func closeParen(dst []byte, paren bool) []byte {
+	if paren {
+		return append(dst, ')')
+	}
+	return dst
+}
+
+// bindsLooser reports whether operand x of a binary op needs parentheses:
+// it is binary and binds looser than op, or as loosely when it is the
+// right operand (the operators associate to the left).
+func bindsLooser(x Expr, op BinOp, right bool) bool {
+	b, ok := x.(*Binary)
+	if !ok {
+		return false
+	}
+	if right {
+		return precedence(b.Op) <= precedence(op)
+	}
+	return precedence(b.Op) < precedence(op)
 }
 
 func precedence(op BinOp) int {
@@ -181,27 +233,6 @@ func precedence(op BinOp) int {
 		return 5
 	}
 	return 0
-}
-
-func parenIfBinary(e Expr) string {
-	if b, ok := e.(*Binary); ok {
-		return "(" + b.String() + ")"
-	}
-	return e.String()
-}
-
-func parenIfLower(e Expr, parent BinOp) string {
-	if b, ok := e.(*Binary); ok && precedence(b.Op) < precedence(parent) {
-		return "(" + b.String() + ")"
-	}
-	return e.String()
-}
-
-func parenIfLowerR(e Expr, parent BinOp) string {
-	if b, ok := e.(*Binary); ok && precedence(b.Op) <= precedence(parent) {
-		return "(" + b.String() + ")"
-	}
-	return e.String()
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 package ast_test
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -133,5 +135,58 @@ assert a > 0
 	}
 	if out2 := ast.Format(prog2.Stmts); out2 != out {
 		t.Errorf("format unstable:\n%s\nvs\n%s", out, out2)
+	}
+}
+
+// refString is Expr.String as operator concatenation with the old
+// parenthesization helpers: the reference AppendExpr is checked against.
+func refString(e ast.Expr) string {
+	prec := map[ast.BinOp]int{ast.LOr: 1, ast.LAnd: 2, ast.Eq: 3, ast.Neq: 3, ast.Lt: 3, ast.Le: 3,
+		ast.Gt: 3, ast.Ge: 3, ast.Add: 4, ast.Sub: 4, ast.Mul: 5, ast.Div: 5, ast.Mod: 5}
+	paren := func(x ast.Expr, wrap func(*ast.Binary) bool) string {
+		if b, ok := x.(*ast.Binary); ok && wrap(b) {
+			return "(" + refString(b) + ")"
+		}
+		return refString(x)
+	}
+	switch e := e.(type) {
+	case *ast.IntLit:
+		return fmt.Sprintf("%d", e.Value)
+	case *ast.Unary:
+		return e.Op.String() + paren(e.X, func(*ast.Binary) bool { return true })
+	case *ast.Binary:
+		return paren(e.L, func(b *ast.Binary) bool { return prec[b.Op] < prec[e.Op] }) + " " + e.Op.String() + " " +
+			paren(e.R, func(b *ast.Binary) bool { return prec[b.Op] <= prec[e.Op] })
+	}
+	return e.String()
+}
+
+// TestAppendExprMatchesReference checks String and AppendExpr against
+// refString on random expression trees over every operator.
+func TestAppendExprMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	var gen func(depth int) ast.Expr
+	gen = func(depth int) ast.Expr {
+		switch k := rng.Intn(6); {
+		case depth == 0 || k == 0:
+			return &ast.IntLit{Value: int64(rng.Intn(40) - 20)}
+		case k == 1:
+			return &ast.Ident{Name: []string{"id", "np", "x"}[rng.Intn(3)]}
+		case k == 2:
+			return &ast.BoolLit{Value: rng.Intn(2) == 0}
+		case k == 3:
+			return &ast.Unary{Op: ast.UnaryOp(rng.Intn(2)), X: gen(depth - 1)}
+		}
+		return &ast.Binary{Op: ast.BinOp(rng.Intn(int(ast.LOr) + 1)), L: gen(depth - 1), R: gen(depth - 1)}
+	}
+	for iter := 0; iter < 5000; iter++ {
+		e := gen(4)
+		want := refString(e)
+		if got := e.String(); got != want {
+			t.Fatalf("String = %q, reference %q", got, want)
+		}
+		if got := string(ast.AppendExpr([]byte("e="), e)); got != "e="+want {
+			t.Fatalf("AppendExpr = %q, reference %q", got, "e="+want)
+		}
 	}
 }

@@ -40,6 +40,8 @@ type Matcher struct {
 	// pins the invariants (fixed at construction).
 	memo  core.MatchMemo
 	invFP string
+	// key is the buffer hsmDecision renders its memo keys into.
+	key []byte
 
 	// hsmMatches counts matches proved by HSM reasoning (instrumentation:
 	// matches the simple client could not handle); hsmAttempts counts HSM
@@ -112,7 +114,15 @@ func (m *Matcher) Memo() *core.MatchMemo { return &m.memo }
 // exactly onto the set denoted by rIDH, and composing the receive
 // expression src with the send image is the identity on the senders.
 func (m *Matcher) hsmDecision(sIDH, rIDH *hsm.HSM, dest, src ast.Expr) bool {
-	key := core.MatchKey(m.invFP, sIDH.Key(), rIDH.Key(), dest.String(), src.String())
+	// The key joins the invariants, both HSMs and both expressions with a
+	// separator no rendering contains. It is rendered into the matcher's
+	// buffer and becomes a string only when a decision is stored.
+	key := append(m.key[:0], m.invFP...)
+	key = sIDH.AppendKey(append(key, keySep))
+	key = rIDH.AppendKey(append(key, keySep))
+	key = ast.AppendExpr(append(key, keySep), dest)
+	key = ast.AppendExpr(append(key, keySep), src)
+	m.key = key
 	if res, ok := m.memo.Lookup(key); ok {
 		return res
 	}
@@ -139,6 +149,9 @@ func (m *Matcher) hsmDecision(sIDH, rIDH *hsm.HSM, dest, src ast.Expr) bool {
 	m.memo.Store(key, res)
 	return res
 }
+
+// keySep separates the parts of an HSM memo key.
+const keySep = '\x1f'
 
 // Match first tries the Section VII symbolic matcher; if the expressions
 // are beyond var+c, it attempts a whole-set HSM match: the send expression

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"regexp"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cfg"
 	"repro/internal/cg"
@@ -275,5 +277,152 @@ func TestAffineDecisionsZeroAlloc(t *testing.T) {
 	}
 	if got := st.EvalCond(ps, cond.Cond); got != tri.True {
 		t.Errorf("EvalCond(%s) after assuming it = %v, want true", cond.Cond, got)
+	}
+}
+
+// TestPrepareCommitInternedZeroAlloc gates the step→commit path of a
+// successor whose configuration is already in the table: prepare renders
+// its shape key on the stack and finds it interned, the prepared list is
+// the engine's scratch, and commit drops the duplicate. Nothing allocates,
+// and the successor caches the interned key string.
+func TestPrepareCommitInternedZeroAlloc(t *testing.T) {
+	st := splitState(t, 3)
+	st.AddMatch(1, 2, procset.Singleton(nil, sym.Zero), procset.Singleton(nil, sym.Const(1)))
+	e := newReplayEngine(Options{})
+	e.work = &worklist{}
+	e.res.Edges = make([]PCFGEdge, 0, 1024)
+	first, _ := e.prepare("from", []succ{{st.Clone(), "a"}})
+	e.commit(first)
+	key := e.in.keyOf(0)
+	const runs = 100
+	lists := make([][]succ, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range lists {
+		lists[i] = []succ{{st.Clone(), "a"}}
+	}
+	i := 0
+	got := testing.AllocsPerRun(runs, func() {
+		preps, tops := e.prepare("from", lists[i])
+		if len(preps) != 1 || len(tops) != 0 || preps[0].id != 0 {
+			t.Fatalf("prepared %d successors, %d give-ups", len(preps), len(tops))
+		}
+		e.commit(preps)
+		i++
+	})
+	if got != 0 {
+		t.Errorf("preparing and committing an interned successor allocates %v times, want 0", got)
+	}
+	if sk := lists[1][0].st.shapeKey; sk != key || unsafe.StringData(sk) != unsafe.StringData(key) {
+		t.Errorf("successor caches shape key %q, not the interned string %q", sk, key)
+	}
+	if e.in.size() != 1 || e.entry(0).rev != 0 {
+		t.Errorf("%d configurations, entry revision %d: the duplicates changed the table", e.in.size(), e.entry(0).rev)
+	}
+}
+
+// TestSeenBookkeepingZeroAlloc gates the duplicate filter's bookkeeping:
+// once the seen log's chunk has room, admitting a revision that is not a
+// duplicate and recording the identity its combine commits allocate
+// nothing, and the filter then refuses every identity it recorded.
+func TestSeenBookkeepingZeroAlloc(t *testing.T) {
+	e := newReplayEngine(Options{})
+	entry := &tableEntry{}
+	ids := make([][]byte, 40)
+	for i := range ids {
+		ids[i] = []byte(fmt.Sprintf("identity %02d of a state, padded to a typical length", i))
+	}
+	entry.seen = e.seen.add(entry.seen, ids[0]) // the first chunk
+	i := 1
+	got := testing.AllocsPerRun(10, func() {
+		fk, before, after := ids[i+1], ids[i], ids[i+2]
+		if !e.admit(entry, fk, before) {
+			t.Fatalf("revision %d refused", i)
+		}
+		entry.seen = e.seen.add(entry.seen, after)
+		i += 2
+	})
+	if got != 0 {
+		t.Errorf("seen bookkeeping of a revision allocates %v times, want 0", got)
+	}
+	if len(e.seen.chunks) != 1 {
+		t.Fatalf("%d chunks, want 1", len(e.seen.chunks))
+	}
+	for k := 0; k <= i; k++ { // ids[0..i] are recorded
+		if e.admit(entry, ids[k], ids[len(ids)-1]) {
+			t.Errorf("identity %d admitted twice", k)
+		}
+	}
+	if !e.admit(entry, ids[len(ids)-2], ids[len(ids)-1]) {
+		t.Error("an unseen identity was refused")
+	}
+}
+
+// TestCombineOneRecordBlock gates the combine's match records: merging two
+// states with k records on distinct node pairs allocates the records as
+// one block, so the combine's allocations do not grow with k. The results
+// are not released: the graph arena is a sync.Pool, which the race
+// detector empties at random, so every joined graph is allocated, once the
+// calls before the measurement have drained what earlier tests pooled.
+func TestCombineOneRecordBlock(t *testing.T) {
+	e := newReplayEngine(Options{})
+	allocs := func(k int) float64 {
+		old := splitState(t, 3)
+		old.memo = procset.NewMemo()
+		for r := 0; r < k; r++ {
+			old.AddMatch(r, r+10, procset.Singleton(nil, sym.Const(int64(r))), procset.Singleton(nil, sym.Const(int64(r+1))))
+		}
+		entry := &tableEntry{st: old}
+		nw := old.Clone()
+		combine := func() {
+			if out := e.combine(entry, nw, "k"); out.Top || len(out.Matches) != k {
+				t.Fatalf("combine of %d records: %d records, top %v", k, len(out.Matches), out.Top)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			combine()
+		}
+		return testing.AllocsPerRun(50, combine)
+	}
+	one := allocs(1)
+	for k := 2; k <= 6; k++ {
+		if got := allocs(k); got != one {
+			t.Errorf("combine with %d match records allocates %v times, with one %v", k, got, one)
+		}
+	}
+}
+
+// TestBranchLabelsOncePerNode gates the branch action labels: a branch
+// node's four labels are its description followed by =true, =false, =true?
+// and =false?, rendered in one allocation on first use and free after.
+func TestBranchLabelsOncePerNode(t *testing.T) {
+	prog, err := parser.Parse("t.mpl", "if x < np - 1 then\n  x := 0\nend\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := cfg.Build(prog)
+	var br *cfg.Node
+	for _, n := range g.Nodes {
+		if n.Kind == cfg.Branch {
+			br = n
+		}
+	}
+	e := newReplayEngine(Options{})
+	e.descs = make([]string, len(g.Nodes))
+	e.branches = make([]string, len(g.Nodes))
+	desc := e.nodeDesc(br)
+	for outcome, suffix := range []string{"=true", "=false", "=true?", "=false?"} {
+		if got := e.branchLabel(br, outcome); got != desc+suffix {
+			t.Errorf("label %d = %q, want %q", outcome, got, desc+suffix)
+		}
+	}
+	labels := func() {
+		for outcome := branchTrue; outcome <= branchMaybeFalse; outcome++ {
+			_ = e.branchLabel(br, outcome)
+		}
+	}
+	if got := testing.AllocsPerRun(100, labels); got != 0 {
+		t.Errorf("rendered branch labels allocate %v times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { e.branches[br.ID] = ""; labels() }); got != 1 {
+		t.Errorf("rendering a node's branch labels allocates %v times, want 1", got)
 	}
 }

@@ -361,19 +361,33 @@ func (st *State) Release() {
 }
 
 // ownMatches materializes a private copy of the match list (deep: elements
-// included) if it is still shared with a clone. Must be called before any
-// write to st.Matches or a *Match reached through it.
+// included, in one block) if it is still shared with a clone. Must be
+// called before any write to st.Matches or a *Match reached through it.
 func (st *State) ownMatches() {
 	if !st.sharedMatches {
 		return
 	}
-	out := make([]*Match, len(st.Matches))
+	out := matchBlock(len(st.Matches))
 	for i, m := range st.Matches {
-		cm := *m
-		out[i] = &cm
+		*out[i] = *m
 	}
 	st.Matches = out
 	st.sharedMatches = false
+}
+
+// matchBlock returns a list of n zero match records that live in one
+// block, two allocations whatever n is (none for n = 0, which returns
+// nil). A record of the block is written through its list like any other.
+func matchBlock(n int) []*Match {
+	if n == 0 {
+		return nil
+	}
+	blk := make([]Match, n)
+	out := make([]*Match, n)
+	for i := range blk {
+		out[i] = &blk[i]
+	}
+	return out
 }
 
 // ownPending materializes a private copy of the pending-send list (deep) if
@@ -661,11 +675,23 @@ func (st *State) ShapeKey() string {
 		st.G.StatsHandle().AddKeyCacheHits(1)
 		return st.shapeKey
 	}
+	var buf [64]byte
+	st.setShapeKey(string(st.appendShapeKey(buf[:0])))
+	return st.shapeKey
+}
+
+// setShapeKey caches key as st's shape key.
+func (st *State) setShapeKey(key string) {
+	st.shapeKey = key
+	st.shapeStamp.stamp(st.G)
+}
+
+// appendShapeKey renders st's shape key into b, after putting the sets and
+// pending records in canonical order, and counts the key-cache miss.
+func (st *State) appendShapeKey(b []byte) []byte {
 	st.G.StatsHandle().AddKeyCacheMisses(1)
 	st.sortCanonical()
 	st.sortPending()
-	var buf [64]byte
-	b := buf[:0]
 	for i, p := range st.Sets {
 		if i > 0 {
 			b = append(b, '|')
@@ -681,9 +707,7 @@ func (st *State) ShapeKey() string {
 		b = strconv.AppendInt(b, int64(p.Node), 10)
 		b = append(b, p.Shape.String()...)
 	}
-	st.shapeKey = string(b)
-	st.shapeStamp.stamp(st.G)
-	return st.shapeKey
+	return b
 }
 
 // Tags of the binary identity's variable-shape fields. A non-⊤ identity

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -258,16 +259,17 @@ type tableEntry struct {
 	// fire identically for any revision arrival order.
 	rev        int
 	widenParam string
-	// seen records the identities of every state delivered to (or committed
-	// on) this entry. The entry only ascends, so each of those states stays
-	// below it forever: a re-delivery with a key in this set is dropped
-	// before the combine runs. Re-deliveries are routine: a configuration
-	// re-stepped after a revision sends again every successor the revision
-	// did not change. Beyond saving the combine, the filter keeps the widen
-	// rung reductive on duplicates (cg.Widen against an already-absorbed
-	// state is not a representation no-op, so without the filter duplicate
+	// seen heads the chain of identities of every state delivered to (or
+	// committed on) this entry, recorded in the engine's seenLog. The entry
+	// only ascends, so each of those states stays below it forever: a
+	// re-delivery whose identity is on the chain is dropped before the
+	// combine runs. Re-deliveries are routine: a configuration re-stepped
+	// after a revision sends again every successor the revision did not
+	// change. Beyond saving the combine, the filter keeps the widen rung
+	// reductive on duplicates (cg.Widen against an already-absorbed state
+	// is not a representation no-op, so without the filter duplicate
 	// traffic could advance the revision chain).
-	seen map[string]struct{}
+	seen seenRef
 	// paramMints counts fresh widening parameters anchored at this key; a
 	// key that keeps needing new parameters is not converging.
 	paramMints int
@@ -307,8 +309,20 @@ type engine struct {
 	// dead-code lint pass).
 	visited []bool
 	// descs holds each CFG node's action-label description, n<id>[<label>],
-	// indexed by node ID and rendered on first use (nodeDesc).
-	descs []string
+	// indexed by node ID and rendered on first use (nodeDesc); branches
+	// holds a branch node's four action labels the same way (branchLabel).
+	descs, branches []string
+	// entries is the unused rest of the chunk new table entries are carved
+	// from (newEntry).
+	entries []tableEntry
+	// seen records the identities the duplicate-delivery filter has seen,
+	// for every table entry (tableEntry.seen).
+	seen seenLog
+	// succs, preps and scratch are the working storage of step, prepare
+	// and combineRetry, reused by every step and combine of the analysis.
+	succs   []succ
+	preps   []prepSucc
+	scratch combineScratch
 	// obsSeen dedupes rank-bounds observations across revisits by the
 	// binary key addBoundsObs builds in obsKey.
 	obsSeen map[string]struct{}
@@ -332,6 +346,50 @@ func (e *engine) nodeDesc(n *cfg.Node) string {
 		e.descs[n.ID] = n.String()
 	}
 	return e.descs[n.ID]
+}
+
+// Branch outcomes, in the order branchLabel renders their labels.
+const (
+	branchTrue       = iota // the condition holds
+	branchFalse             // the condition fails
+	branchMaybeTrue         // the true side of a fork on an unknown condition
+	branchMaybeFalse        // the false side of that fork
+)
+
+// branchLabel is the action label of branch node n's outcome: the node's
+// description followed by "=true", "=false", "=true?" or "=false?". The
+// four labels are rendered once per analysis into one string,
+// desc=true?desc=false?, and each is a substring of it.
+func (e *engine) branchLabel(n *cfg.Node, outcome int) string {
+	desc := e.nodeDesc(n)
+	if e.branches[n.ID] == "" {
+		e.branches[n.ID] = desc + "=true?" + desc + "=false?"
+	}
+	s, t := e.branches[n.ID], len(desc)+len("=true?")
+	switch outcome {
+	case branchTrue:
+		return s[:t-1]
+	case branchFalse:
+		return s[t : len(s)-1]
+	case branchMaybeTrue:
+		return s[:t]
+	}
+	return s[t:]
+}
+
+// entryChunk is how many table entries newEntry allocates at once.
+const entryChunk = 16
+
+// newEntry returns a new table entry holding st, carved from a chunk of
+// entries: the table keeps every entry until the analysis ends.
+func (e *engine) newEntry(st *State) *tableEntry {
+	if len(e.entries) == 0 {
+		e.entries = make([]tableEntry, entryChunk)
+	}
+	entry := &e.entries[0]
+	e.entries = e.entries[1:]
+	entry.st = st
+	return entry
 }
 
 // span opens a phase span on this engine's trace lane (tid 0). Free when
@@ -415,14 +473,15 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("core: Options.Matcher is required")
 	}
 	e := &engine{
-		g:       g,
-		opts:    opts,
-		in:      newInterner(),
-		inv:     NewInvariants(),
-		res:     &Result{},
-		visited: make([]bool, len(g.Nodes)),
-		descs:   make([]string, len(g.Nodes)),
-		started: time.Now(),
+		g:        g,
+		opts:     opts,
+		in:       newInterner(),
+		inv:      NewInvariants(),
+		res:      &Result{},
+		visited:  make([]bool, len(g.Nodes)),
+		descs:    make([]string, len(g.Nodes)),
+		branches: make([]string, len(g.Nodes)),
+		started:  time.Now(),
 	}
 	// Optional matcher capabilities, discovered by interface assertion so
 	// core needs no client or hsm dependency: a decision memo, and
@@ -612,7 +671,7 @@ func (e *engine) commitStuckTops() {
 			e.res.Edges = append(e.res.Edges, PCFGEdge{From: s.fromKey, To: key, Action: sa.action})
 			id := e.in.intern(key)
 			if e.entry(id) == nil {
-				e.setEntry(id, &tableEntry{st: sa.st})
+				e.setEntry(id, e.newEntry(sa.st))
 				e.giveUps.Add(1)
 				e.mark(obs.PhaseGiveup, sa.st.TopNode, sa.st.TopKey, sa.st.TopWhy)
 			}
@@ -756,21 +815,10 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	}
 	var before []byte
 	before, e.idCopy = entry.st.identityVia(e.idCopy)
-	if _, dup := entry.seen[string(fk)]; dup || bytes.Equal(fk, before) {
-		// fk == before matters when the entry was just created and seen is
-		// still empty: combining a state with itself is not a representation
-		// no-op (multi-atom bounds normalize under G), so without the check
-		// a self-delivery would advance the revision chain.
+	if !e.admit(entry, fk, before) {
 		ksp.End()
 		st.Release()
 		return false
-	}
-	if entry.seen == nil {
-		entry.seen = make(map[string]struct{}, 8)
-	}
-	entry.seen[string(fk)] = struct{}{}
-	if _, ok := entry.seen[string(before)]; !ok {
-		entry.seen[string(before)] = struct{}{}
 	}
 	st.AlignTo(entry.st)
 	ksp.End()
@@ -784,7 +832,7 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	// reorder entry.st.Sets between AlignTo and combine.
 	node := blameNode(entry.st)
 	csp := e.span(combinePhase, key)
-	widened := e.combine(entry, st)
+	widened := e.combine(entry, st, key)
 	csp.EndAt(node, 0, "")
 	if widened.Top {
 		if widened.TopKey == "" {
@@ -830,7 +878,7 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 		return true
 	}
 	e.widenings.Add(1)
-	entry.seen[string(after)] = struct{}{}
+	entry.seen = e.seen.add(entry.seen, after)
 	old := entry.st
 	entry.st = widened
 	old.Release()
@@ -841,26 +889,71 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	return true
 }
 
+// admit is the duplicate-delivery filter: it reports whether a delivery
+// with identity fk is new to entry, whose state has identity before, and
+// then records both on the entry's chain. fk == before matters when the
+// entry was just created and its chain is still empty: combining a state
+// with itself is not a representation no-op (multi-atom bounds normalize
+// under G), so without the check a self-delivery would advance the
+// revision chain.
+func (e *engine) admit(entry *tableEntry, fk, before []byte) bool {
+	if bytes.Equal(fk, before) || e.seen.has(entry.seen, fk) {
+		return false
+	}
+	entry.seen = e.seen.add(entry.seen, fk)
+	if !e.seen.has(entry.seen, before) {
+		entry.seen = e.seen.add(entry.seen, before)
+	}
+	return true
+}
+
 // ---------------------------------------------------------------------------
 // Combining states at a shared pCFG node (join / widen, Section VII-D)
 
 type nodePair struct{ s, r int }
 
-// combine merges incoming state nw into the table entry's state.
-func (e *engine) combine(entry *tableEntry, nw *State) *State {
-	return e.combineRetry(entry, nw, 4)
+// combineScratch is combineRetry's working storage: the widened ranges,
+// approximation flags and failing set indices of a combine, its match
+// groups and failing node pairs, and the merged match records before the
+// result copies them into a block of its own. The engine owns one and
+// every combine refills it, so nothing in it outlives the combine that
+// filled it: a combine reads none of it after its retry recursion, which
+// refills it.
+type combineScratch struct {
+	widened   []procset.Set
+	approx    []bool
+	failing   []int
+	groups    []pairMatches
+	matchFail []nodePair
+	merged    []Match
 }
 
-func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State {
+// combine merges incoming state nw into the table entry's state. key
+// names the entry in trace spans.
+func (e *engine) combine(entry *tableEntry, nw *State, key string) *State {
+	return e.combineRetry(entry, nw, key, 4)
+}
+
+// enrich runs st.EnrichEverywhere in an enrich span.
+func (e *engine) enrich(st *State, key string) {
+	sp := e.span(obs.PhaseEnrich, key)
+	st.EnrichEverywhere()
+	sp.End()
+}
+
+func (e *engine) combineRetry(entry *tableEntry, nw *State, key string, retries int) *State {
 	old := entry.st
-	old.EnrichEverywhere()
-	nw.EnrichEverywhere()
+	e.enrich(old, key)
+	e.enrich(nw, key)
 
 	// First attempt plain bound-atom intersection on all ranges.
-	widenedSets := make([]procset.Set, len(old.Sets))
-	approx := make([]bool, len(old.Sets))
-	var failing []int
+	sc := &e.scratch
+	n := len(old.Sets)
+	widenedSets := slices.Grow(sc.widened[:0], n)[:n]
+	approx := slices.Grow(sc.approx[:0], n)[:n]
+	failing := sc.failing[:0]
 	for i := range old.Sets {
+		widenedSets[i], approx[i] = procset.Set{}, false
 		if old.Sets[i].Approx || nw.Sets[i].Approx {
 			// Approximate (terminated) sets widen to the full range.
 			widenedSets[i] = AllProcs()
@@ -877,6 +970,7 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State 
 			failing = append(failing, i)
 		}
 	}
+	sc.widened, sc.approx, sc.failing = widenedSets, approx, failing
 	// Match widening: align by node pair. A state can carry SEVERAL records
 	// for one node pair — AddMatch appends a fresh record whenever the new
 	// ranges don't union cleanly with the existing ones — so the alignment
@@ -888,14 +982,9 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State 
 	// failed at AddMatch time often succeed once the graphs have joined —
 	// then joined element-wise; any residual shape mismatch is a widening
 	// failure like a non-intersecting bound, never a drop.
-	groups := matchGroups(old, nw)
-	var matchFail []nodePair
-	var mergedMatches []*Match
-	if n := len(old.Matches) + len(nw.Matches); n > 0 {
-		// Normalizing only folds records, so the merge never outgrows n.
-		mergedMatches = make([]*Match, 0, n)
-	}
-	for _, gr := range groups {
+	matchFail := sc.matchFail[:0]
+	merged := sc.merged[:0]
+	for _, gr := range e.matchGroups(old, nw) {
 		om, nm := gr.old, gr.nw
 		switch {
 		case len(om) == 0 || len(nm) == 0:
@@ -905,27 +994,27 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State 
 				om = nm
 			}
 			for _, m := range om {
-				cm := *m
-				mergedMatches = append(mergedMatches, &cm)
+				merged = append(merged, *m)
 			}
 		case len(om) == len(nm):
 			sortMatches(om)
 			sortMatches(nm)
-			mark := len(mergedMatches)
+			mark := len(merged)
 			for i := range om {
 				ws, ok1 := om[i].Sender.Widen(old.memo, nm[i].Sender)
 				wr, ok2 := om[i].Receiver.Widen(old.memo, nm[i].Receiver)
 				if !ok1 || !ok2 {
-					mergedMatches = mergedMatches[:mark]
+					merged = merged[:mark]
 					matchFail = append(matchFail, gr.k)
 					break
 				}
-				mergedMatches = append(mergedMatches, &Match{SendNode: gr.k.s, RecvNode: gr.k.r, Sender: ws, Receiver: wr})
+				merged = append(merged, Match{SendNode: gr.k.s, RecvNode: gr.k.r, Sender: ws, Receiver: wr})
 			}
 		default:
 			matchFail = append(matchFail, gr.k)
 		}
 	}
+	sc.matchFail, sc.merged = matchFail, merged
 
 	// Pending-send widening (same shape key implies aligned records).
 	old.sortPending()
@@ -959,7 +1048,7 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State 
 	}
 
 	if len(failing) > 0 || len(matchFail) > 0 || pendFail {
-		nw2, ok := e.parametricWiden(entry, old, nw)
+		nw2, ok := e.parametricWiden(entry, old, nw, key)
 		if retries <= 0 || !ok {
 			var detail []string
 			for _, i := range failing {
@@ -1009,8 +1098,8 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State 
 				TopNode: blame}
 		}
 		// Retry after parametric generalization. nw2 is an intermediate
-		// trial state; the recursion only reads it.
-		res := e.combineRetry(entry, nw2, retries-1)
+		// trial state; the recursion only reads it, and refills the scratch.
+		res := e.combineRetry(entry, nw2, key, retries-1)
 		nw2.Release()
 		return res
 	}
@@ -1024,7 +1113,10 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State 
 	// Fresh slices with fresh elements: no longer shared with old.
 	out.Pending = widenedPend
 	out.sharedPending = false
-	out.Matches = mergedMatches
+	out.Matches = matchBlock(len(merged))
+	for i := range merged {
+		*out.Matches[i] = merged[i]
+	}
 	out.sharedMatches = false
 	sortMatches(out.Matches)
 	cloned := out.G
@@ -1058,14 +1150,14 @@ type pairMatches struct {
 	old, nw []*Match
 }
 
-// matchGroups groups the match records of old and nw by node pair: the
-// pairs of nw first, then the pairs only old has, each in order of first
-// appearance. Each side's list is re-normalized under its own context as
-// it grows; a one-record list aliases the state's slice, which nothing
-// writes through (sorting one record is a no-op, and a second record
-// appends past its capacity).
-func matchGroups(old, nw *State) []pairMatches {
-	groups := make([]pairMatches, 0, len(old.Matches)+len(nw.Matches))
+// matchGroups groups the match records of old and nw by node pair, in the
+// engine's scratch: the pairs of nw first, then the pairs only old has,
+// each in order of first appearance. Each side's list is re-normalized
+// under its own context as it grows; a one-record list aliases the state's
+// slice, which nothing writes through (sorting one record is a no-op, and
+// a second record appends past its capacity).
+func (e *engine) matchGroups(old, nw *State) []pairMatches {
+	groups := e.scratch.groups[:0]
 	group := func(m *Match) *pairMatches {
 		k := nodePair{m.SendNode, m.RecvNode}
 		for i := range groups {
@@ -1084,6 +1176,7 @@ func matchGroups(old, nw *State) []pairMatches {
 		g := group(m)
 		g.old = appendRecord(old.Ctx(), g.old, old.Matches, i)
 	}
+	e.scratch.groups = groups
 	return groups
 }
 
@@ -1158,16 +1251,15 @@ func (o *matchOrder) key(i int) matchKey {
 // AddMatch appends a separate record when the union is not provable at record
 // time; once the constraint graphs have joined, those unions often become
 // provable, and collapsing them first keeps the element-wise widen in
-// combineRetry aligned. Records are copied before mutation; survivors keep
-// input order.
+// combineRetry aligned. Records are copied, into one block, before
+// mutation; survivors keep input order.
 func normalizeMatches(ctx procset.Ctx, ms []*Match) []*Match {
 	if len(ms) < 2 {
 		return ms
 	}
-	out := make([]*Match, len(ms))
+	out := matchBlock(len(ms))
 	for i, m := range ms {
-		cm := *m
-		out[i] = &cm
+		*out[i] = *m
 	}
 	for changed := true; changed; {
 		changed = false
@@ -1212,7 +1304,7 @@ func normalizeMatches(ctx procset.Ctx, ms []*Match) []*Match {
 // a common symbolic atom (the generalization that yields Fig 8's set-level
 // matches without a program loop variable). It may mutate old and returns a
 // replacement for nw on success.
-func (e *engine) parametricWiden(entry *tableEntry, old, nw *State) (*State, bool) {
+func (e *engine) parametricWiden(entry *tableEntry, old, nw *State, key string) (*State, bool) {
 	// First try the shift interpretation on the key's established
 	// parameter: the new state's k corresponds to old k ± 1 (one pipeline
 	// step later/earlier).
@@ -1221,7 +1313,7 @@ func (e *engine) parametricWiden(entry *tableEntry, old, nw *State) (*State, boo
 			trial := nw.Clone()
 			trial.G.Shift(k, delta)
 			trial.SubstEverywhere(k, sym.VarPlus(k, -delta))
-			trial.EnrichEverywhere()
+			e.enrich(trial, key)
 			if !e.sameFailure(old, trial) {
 				return trial, true
 			}
@@ -1242,8 +1334,8 @@ func (e *engine) parametricWiden(entry *tableEntry, old, nw *State) (*State, boo
 			} else {
 				trial.G.AddEqA(ka, newPrim.V, newPrim.C)
 			}
-			trial.EnrichEverywhere()
-			old.EnrichEverywhere()
+			e.enrich(trial, key)
+			e.enrich(old, key)
 			if !e.sameFailure(old, trial) {
 				return trial, true
 			}
@@ -1286,8 +1378,8 @@ func (e *engine) parametricWiden(entry *tableEntry, old, nw *State) (*State, boo
 		ka := cg.Intern(k)
 		old.G.AddEqA(ka, oldPrim.V, oldPrim.C)
 		trial.G.AddEqA(ka, newPrim.V, newPrim.C)
-		old.EnrichEverywhere()
-		trial.EnrichEverywhere()
+		e.enrich(old, key)
+		e.enrich(trial, key)
 		if !e.sameFailure(old, trial) {
 			return trial, true
 		}
@@ -1384,8 +1476,12 @@ func widens(a, b procset.Set) bool {
 // step is charged to. key identifies the configuration for phase tracing
 // only. st is the table entry itself: step only reads it, apart from
 // sorting its sets, which leaves an entry that is already in canonical
-// order unchanged, and every successor is a clone.
+// order unchanged, and every successor is a clone. The transfer, matching
+// and split functions below emit the successors, in order, into the
+// engine's successor list, which step returns: it is valid until the next
+// step, and prepare consumes it first.
 func (e *engine) step(st *State, key string) ([]succ, int) {
+	e.succs = e.succs[:0]
 	// 1. An unblocked set at a sequential node advances (transfer function).
 	st.sortCanonical()
 	for _, ps := range st.Sets {
@@ -1395,19 +1491,25 @@ func (e *engine) step(st *State, key string) ([]succ, int) {
 		if ps.Node.IsComm() {
 			if e.opts.NonBlockingSends && ps.Node.Kind == cfg.Send {
 				sp := e.span(obs.PhaseTransfer, key)
-				out := e.issueSendStep(st, ps.ID)
+				e.issueSendStep(st, ps.ID)
 				sp.End()
-				return out, ps.Node.ID
+				return e.succs, ps.Node.ID
 			}
 			continue
 		}
 		sp := e.span(obs.PhaseTransfer, key)
-		out := e.advanceSet(st, ps.ID)
+		e.advanceSet(st, ps.ID)
 		sp.End()
-		return out, ps.Node.ID
+		return e.succs, ps.Node.ID
 	}
-	out := e.stepBlocked(st, len(st.Sets)+1, key)
-	return out, firstBlockedNode(st)
+	e.stepBlocked(st, len(st.Sets)+1, key)
+	return e.succs, firstBlockedNode(st)
+}
+
+// emit adds a successor of the current step to the engine's successor
+// list.
+func (e *engine) emit(st *State, action string) {
+	e.succs = append(e.succs, succ{st, action})
 }
 
 // firstBlockedNode returns the first blocked set's node in canonical
@@ -1428,24 +1530,24 @@ func firstBlockedNode(st *State) int {
 // stepBlocked handles a configuration whose sets are all blocked or at
 // exit: matching, self-matching, emptiness case-splits, then ⊤. depth
 // bounds nested emptiness splits.
-func (e *engine) stepBlocked(st *State, depth int, key string) []succ {
+func (e *engine) stepBlocked(st *State, depth int, key string) {
 	// 2a. Satisfy receives from pending (non-blocking) sends.
-	if s, ok := e.tryPendingMatches(st, key); ok {
-		return s
+	if e.tryPendingMatches(st, key) {
+		return
 	}
 	// 2b. Match blocked sends to receives.
-	if s, ok := e.tryMatches(st, key); ok {
-		return s
+	if e.tryMatches(st, key) {
+		return
 	}
 	// 3. Self-matches (permutation exchanges).
-	if s, ok := e.trySelfMatches(st, key); ok {
-		return s
+	if e.trySelfMatches(st, key) {
+		return
 	}
 	// 4. Case-split on possibly-empty blocked sets.
 	ssp := e.span(obs.PhaseSplit, key)
-	if s, ok := e.tryEmptinessSplit(st, depth, key); ok {
+	if e.tryEmptinessSplit(st, depth, key) {
 		ssp.End()
-		return s
+		return
 	}
 	ssp.End()
 	// 5. Stuck: the framework gives up with ⊤.
@@ -1461,11 +1563,11 @@ func (e *engine) stepBlocked(st *State, depth int, key string) []succ {
 		}
 	}
 	ns.MarkTopAt(first, "no send-receive match possible; blocked: "+strings.Join(blocked, ", "))
-	return []succ{{ns, "give-up"}}
+	e.emit(ns, "give-up")
 }
 
-// advanceSet executes the node of set id, returning successor states.
-func (e *engine) advanceSet(st *State, id int) []succ {
+// advanceSet executes the node of set id, emitting its successors.
+func (e *engine) advanceSet(st *State, id int) {
 	ns := st.Clone()
 	ps := ns.Set(id)
 	node := ps.Node
@@ -1487,12 +1589,13 @@ func (e *engine) advanceSet(st *State, id int) []succ {
 		ns.AssumeCond(ps, node.Cond, false)
 		advance(ps)
 	case cfg.Branch:
-		return e.branchSet(ns, ps)
+		e.branchSetDepth(ns, ps, 4)
+		return
 	default:
 		ns.MarkTopAt(node, "unexpected node kind "+node.Kind.String())
 	}
 	e.normalize(ns)
-	return []succ{{ns, e.nodeDesc(node)}}
+	e.emit(ns, e.nodeDesc(node))
 }
 
 // recordPrint captures the constant-propagation fact at a print site.
@@ -1515,13 +1618,10 @@ func (e *engine) recordPrint(ns *State, ps *ProcSet, node *cfg.Node) {
 	e.res.Prints = append(e.res.Prints, obs)
 }
 
-// branchSet handles a conditional: id-dependent conditions split the set;
-// uniform conditions either resolve or fork the configuration.
-func (e *engine) branchSet(ns *State, ps *ProcSet) []succ {
-	return e.branchSetDepth(ns, ps, 4)
-}
-
-func (e *engine) branchSetDepth(ns *State, ps *ProcSet, depth int) []succ {
+// branchSetDepth handles a conditional: id-dependent conditions split the
+// set; uniform conditions either resolve or fork the configuration. depth
+// bounds nested forks on the pivot's order against the range bounds.
+func (e *engine) branchSetDepth(ns *State, ps *ProcSet, depth int) {
 	node := ps.Node
 	tN, fN := node.SuccBranch()
 	usesID := ast.UsesIdent(node.Cond, "id")
@@ -1532,19 +1632,19 @@ func (e *engine) branchSetDepth(ns *State, ps *ProcSet, depth int) []succ {
 		if op, pivot, ok := ns.idComparison(ps, node.Cond); ok {
 			yes, no, ok2 := SplitByIDCond(ns.Ctx(), op, ps.Range, pivot.Expr())
 			if ok2 {
-				return e.applyIDSplit(ns, ps, yes, no, tN, fN)
+				e.applyIDSplit(ns, ps, yes, no, tN, fN)
+				return
 			}
 			// Exact splitting needs the pivot's order against the range
 			// bounds; fork the configuration on the first unresolved
 			// comparison and retry each side with the extra fact.
-			if depth > 0 {
-				if out, ok3 := e.forkOnBoundCmp(ns, ps, pivot, depth); ok3 {
-					return out
-				}
+			if depth > 0 && e.forkOnBoundCmp(ns, ps, pivot, depth) {
+				return
 			}
 		}
 		ns.MarkTopAt(node, fmt.Sprintf("unsupported id-dependent condition: %s on %s [G: %s]", node.Cond, ps.Range, ns.G))
-		return []succ{{ns, "give-up"}}
+		e.emit(ns, "give-up")
+		return
 	}
 
 	switch ns.EvalCond(ps, node.Cond) {
@@ -1553,13 +1653,13 @@ func (e *engine) branchSetDepth(ns *State, ps *ProcSet, depth int) []succ {
 		ps.Blocked = false
 		ns.AssumeCond(ps, node.Cond, false)
 		e.normalize(ns)
-		return []succ{{ns, e.nodeDesc(node) + "=true"}}
+		e.emit(ns, e.branchLabel(node, branchTrue))
 	case tri.False:
 		ps.Node = fN
 		ps.Blocked = false
 		ns.AssumeCond(ps, node.Cond, true)
 		e.normalize(ns)
-		return []succ{{ns, e.nodeDesc(node) + "=false"}}
+		e.emit(ns, e.branchLabel(node, branchFalse))
 	default:
 		// Fork the configuration: both branches possible.
 		alt := ns.Clone()
@@ -1572,18 +1672,19 @@ func (e *engine) branchSetDepth(ns *State, ps *ProcSet, depth int) []succ {
 		ap.Blocked = false
 		alt.AssumeCond(ap, node.Cond, true)
 		e.normalize(alt)
-		return []succ{{ns, e.nodeDesc(node) + "=true?"}, {alt, e.nodeDesc(node) + "=false?"}}
+		e.emit(ns, e.branchLabel(node, branchMaybeTrue))
+		e.emit(alt, e.branchLabel(node, branchMaybeFalse))
 	}
 }
 
 // forkOnBoundCmp case-splits the configuration on an unresolved comparison
 // between the branch pivot and one of the set's range bounds, then retries
-// the branch on both sides.
-func (e *engine) forkOnBoundCmp(ns *State, ps *ProcSet, pivot Affine, depth int) ([]succ, bool) {
+// the branch on both sides. It reports whether it emitted successors.
+func (e *engine) forkOnBoundCmp(ns *State, ps *ProcSet, pivot Affine, depth int) bool {
 	ctx := ns.Ctx()
 	pv, pc, okP := pivot.VarPlus()
 	if !okP {
-		return nil, false
+		return false
 	}
 	rng := ps.Range.Enrich(ctx)
 	bnd := procset.NewBound(ctx.Memo, pivot.Expr())
@@ -1600,27 +1701,27 @@ func (e *engine) forkOnBoundCmp(ns *State, ps *ProcSet, pivot Affine, depth int)
 		nsA.G.AddLEA(pv, bp.V, bp.C-pc)
 		nsB := ns.Clone()
 		nsB.G.AddLEA(bp.V, pv, pc-bp.C-1)
-		var out []succ
+		emitted := len(e.succs)
 		if nsA.G.Consistent() {
-			out = append(out, e.branchSetDepth(nsA, nsA.Set(ps.ID), depth-1)...)
+			e.branchSetDepth(nsA, nsA.Set(ps.ID), depth-1)
 		} else {
 			nsA.Release()
 		}
 		if nsB.G.Consistent() {
-			out = append(out, e.branchSetDepth(nsB, nsB.Set(ps.ID), depth-1)...)
+			e.branchSetDepth(nsB, nsB.Set(ps.ID), depth-1)
 		} else {
 			nsB.Release()
 		}
-		if len(out) > 0 {
-			return out, true
+		if len(e.succs) > emitted {
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
 // applyIDSplit distributes the yes/no sub-ranges of an id-dependent branch
 // over the true/false successors, dropping provably empty pieces.
-func (e *engine) applyIDSplit(ns *State, ps *ProcSet, yes, no []procset.Set, tN, fN *cfg.Node) []succ {
+func (e *engine) applyIDSplit(ns *State, ps *ProcSet, yes, no []procset.Set, tN, fN *cfg.Node) {
 	ctx := ns.Ctx()
 	type piece struct {
 		rng  procset.Set
@@ -1641,7 +1742,8 @@ func (e *engine) applyIDSplit(ns *State, ps *ProcSet, yes, no []procset.Set, tN,
 		// Entire set vanished (inconsistent range): drop it.
 		ns.RemoveSet(ps.ID)
 		e.normalize(ns)
-		return []succ{{ns, "empty-split"}}
+		e.emit(ns, "empty-split")
+		return
 	}
 	// First piece reuses ps; the rest are fresh sets with copied state.
 	ps.Range = pieces[0].rng
@@ -1653,7 +1755,7 @@ func (e *engine) applyIDSplit(ns *State, ps *ProcSet, yes, no []procset.Set, tN,
 		np.Blocked = false
 	}
 	e.normalize(ns)
-	return []succ{{ns, e.nodeDesc(ps.Node) + "-idsplit"}}
+	e.emit(ns, e.nodeDesc(ps.Node)+"-idsplit")
 }
 
 // ---------------------------------------------------------------------------
@@ -1675,25 +1777,26 @@ func commFacets(n *cfg.Node) (dest ast.Expr, src ast.Expr) {
 
 // issueSendStep records a non-blocking send and advances the issuing set;
 // unsupported destination expressions fall back to the blocking treatment.
-func (e *engine) issueSendStep(st *State, id int) []succ {
+func (e *engine) issueSendStep(st *State, id int) {
 	ns := st.Clone()
 	ps := ns.Set(id)
 	node := ps.Node
 	if ns.IssueSend(ps, node) {
 		advance(ps)
 		e.normalize(ns)
-		return []succ{{ns, fmt.Sprintf("issue n%d", node.ID)}}
+		e.emit(ns, fmt.Sprintf("issue n%d", node.ID))
+		return
 	}
 	ps.Blocked = true
 	e.normalize(ns)
-	return []succ{{ns, fmt.Sprintf("block n%d", node.ID)}}
+	e.emit(ns, fmt.Sprintf("block n%d", node.ID))
 }
 
 // tryPendingMatches satisfies a blocked receive from an in-flight pending
 // send, respecting per-channel FIFO order conservatively.
-func (e *engine) tryPendingMatches(st *State, key string) ([]succ, bool) {
+func (e *engine) tryPendingMatches(st *State, key string) bool {
 	if len(st.Pending) == 0 {
-		return nil, false
+		return false
 	}
 	for _, r := range st.Sets {
 		if !r.Blocked || r.Node.Kind != cfg.Recv {
@@ -1737,10 +1840,11 @@ func (e *engine) tryPendingMatches(st *State, key string) ([]succ, bool) {
 			ns.AddMatch(pm.Pending.Node, recvNode.ID, pm.SendersMatched, pm.RecvMatched)
 			advance(nr)
 			e.normalize(ns)
-			return []succ{{ns, fmt.Sprintf("pending-match n%d->n%d", pm.Pending.Node, recvNode.ID)}}, true
+			e.emit(ns, fmt.Sprintf("pending-match n%d->n%d", pm.Pending.Node, recvNode.ID))
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
 // fifoConflict reports whether delivering pending record idx to the matched
@@ -1776,7 +1880,7 @@ func (e *engine) fifoConflict(st *State, idx int, pm *PendingMatch) bool {
 // the first success forms the successor (the framework propagates real
 // state only along the matched edge). Matchers only read the state, so a
 // failed attempt costs no clone.
-func (e *engine) tryMatches(st *State, key string) ([]succ, bool) {
+func (e *engine) tryMatches(st *State, key string) bool {
 	for _, sender := range st.Sets {
 		if !sender.Blocked || sender.Node.Kind != cfg.Send {
 			continue
@@ -1785,8 +1889,8 @@ func (e *engine) tryMatches(st *State, key string) ([]succ, bool) {
 			if receiver == sender || !receiver.Blocked || receiver.Node.Kind != cfg.Recv {
 				continue
 			}
-			if out, ok := e.applyPairMatch(st, sender, receiver, key); ok {
-				return out, true
+			if e.applyPairMatch(st, sender, receiver, key) {
+				return true
 			}
 		}
 	}
@@ -1799,22 +1903,22 @@ func (e *engine) tryMatches(st *State, key string) ([]succ, bool) {
 			if b == a || !b.Blocked || b.Node.Kind != cfg.SendRecv {
 				continue
 			}
-			if out, ok := e.applySendRecvPair(st, a, b, key); ok {
-				return out, true
+			if e.applySendRecvPair(st, a, b, key) {
+				return true
 			}
 		}
 	}
-	return nil, false
+	return false
 }
 
 // applyPairMatch matches sender's send against receiver's recv, both sets
 // of st, and applies the plan to a clone of st.
-func (e *engine) applyPairMatch(st *State, sender, receiver *ProcSet, key string) ([]succ, bool) {
+func (e *engine) applyPairMatch(st *State, sender, receiver *ProcSet, key string) bool {
 	mc := e.beginMatch(key)
 	plan, ok := e.opts.Matcher.Match(st, sender, sender.Node.Dest, receiver, receiver.Node.Src)
 	e.endMatch(mc, sender.Node.ID, ok)
 	if !ok {
-		return nil, false
+		return false
 	}
 	ns := st.Clone()
 	sender, receiver = ns.Set(sender.ID), ns.Set(receiver.ID)
@@ -1831,24 +1935,25 @@ func (e *engine) applyPairMatch(st *State, sender, receiver *ProcSet, key string
 	advance(relSender)
 	advance(relReceiver)
 	e.normalize(ns)
-	return []succ{{ns, action}}, true
+	e.emit(ns, action)
+	return true
 }
 
 // applySendRecvPair matches two sets of st blocked on sendrecv against each
 // other in both directions; both directions must agree on whole-set
 // matches. The plans apply to a clone of st.
-func (e *engine) applySendRecvPair(st *State, a, b *ProcSet, key string) ([]succ, bool) {
+func (e *engine) applySendRecvPair(st *State, a, b *ProcSet, key string) bool {
 	mc := e.beginMatch(key)
 	planAB, ok := e.opts.Matcher.Match(st, a, a.Node.Dest, b, b.Node.Src)
 	e.endMatch(mc, a.Node.ID, ok)
 	if !ok || len(planAB.SenderRests) > 0 || len(planAB.RecvRests) > 0 {
-		return nil, false
+		return false
 	}
 	mc = e.beginMatch(key)
 	planBA, ok := e.opts.Matcher.Match(st, b, b.Node.Dest, a, a.Node.Src)
 	e.endMatch(mc, b.Node.ID, ok)
 	if !ok || len(planBA.SenderRests) > 0 || len(planBA.RecvRests) > 0 {
-		return nil, false
+		return false
 	}
 	ns := st.Clone()
 	a, b = ns.Set(a.ID), ns.Set(b.ID)
@@ -1860,7 +1965,8 @@ func (e *engine) applySendRecvPair(st *State, a, b *ProcSet, key string) ([]succ
 	advance(a)
 	advance(b)
 	e.normalize(ns)
-	return []succ{{ns, fmt.Sprintf("exchange n%d<->n%d", aNode.ID, bNode.ID)}}, true
+	e.emit(ns, fmt.Sprintf("exchange n%d<->n%d", aNode.ID, bNode.ID))
+	return true
 }
 
 // applyPlanSide splits a matched set into its released and still-blocked
@@ -1905,7 +2011,7 @@ func (e *engine) markVisited(id int) {
 // trySelfMatches looks for a set blocked at a send (or sendrecv) whose own
 // subsequent receive completes a whole-set permutation exchange — the
 // paper's transpose pattern (Section VIII-B), justified by eager buffering.
-func (e *engine) trySelfMatches(st *State, key string) ([]succ, bool) {
+func (e *engine) trySelfMatches(st *State, key string) bool {
 	for _, ps := range st.Sets {
 		if !ps.Blocked {
 			continue
@@ -1922,7 +2028,8 @@ func (e *engine) trySelfMatches(st *State, key string) ([]succ, bool) {
 				ns.AddMatch(ps.Node.ID, ps.Node.ID, nps.Range, nps.Range)
 				advance(nps)
 				e.normalize(ns)
-				return []succ{{ns, fmt.Sprintf("self-exchange n%d", ps.Node.ID)}}, true
+				e.emit(ns, fmt.Sprintf("self-exchange n%d", ps.Node.ID))
+				return true
 			}
 		case cfg.Send:
 			// Find the next comm node along a straight-line path.
@@ -1961,10 +2068,11 @@ func (e *engine) trySelfMatches(st *State, key string) ([]succ, bool) {
 			ns.AddMatch(sendNode.ID, recvNode.ID, nps.Range, nps.Range)
 			advance(nps)
 			e.normalize(ns)
-			return []succ{{ns, fmt.Sprintf("self-match n%d->n%d", sendNode.ID, recvNode.ID)}}, true
+			e.emit(ns, fmt.Sprintf("self-match n%d->n%d", sendNode.ID, recvNode.ID))
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
 // straightLineRecv walks sequential successors from a send node until the
@@ -1992,9 +2100,9 @@ func straightLineRecv(send *cfg.Node) (*cfg.Node, []*cfg.Node) {
 // the other assumes it non-empty and immediately continues the blocked-step
 // logic under that assumption (so the extra fact is not lost by folding
 // back into the same pCFG node).
-func (e *engine) tryEmptinessSplit(st *State, depth int, key string) ([]succ, bool) {
+func (e *engine) tryEmptinessSplit(st *State, depth int, key string) bool {
 	if depth <= 0 {
-		return nil, false
+		return false
 	}
 	ctx := st.Ctx()
 	for _, ps := range st.Sets {
@@ -2017,14 +2125,14 @@ func (e *engine) tryEmptinessSplit(st *State, depth int, key string) ([]succ, bo
 		nonEmpty := st.Clone()
 		nonEmpty.G.AddLEA(lb.V, ub.V, ub.C-lb.C)
 		e.normalize(nonEmpty)
-		out := []succ{{emptySt, fmt.Sprintf("assume %s empty", ps.Range)}}
-		out = append(out, e.stepBlocked(nonEmpty, depth-1, key)...)
-		// stepBlocked clones for every successor it returns; the inline
+		e.emit(emptySt, fmt.Sprintf("assume %s empty", ps.Range))
+		e.stepBlocked(nonEmpty, depth-1, key)
+		// stepBlocked clones for every successor it emits; the inline
 		// continuation state itself is dead.
 		nonEmpty.Release()
-		return out, true
+		return true
 	}
-	return nil, false
+	return false
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+
 	"repro/internal/ast"
 	"repro/internal/cfg"
 	"repro/internal/procset"
@@ -108,7 +110,7 @@ func ReplayCombines(opts Options, key string, states []*State) []*State {
 			trial := &tableEntry{st: entry.st.Clone(), rev: entry.rev, widenParam: entry.widenParam}
 			in := st.Clone()
 			in.AlignTo(trial.st)
-			res := e.combine(trial, in)
+			res := e.combine(trial, in, key)
 			if !res.Top {
 				res.CanonicalizeParams()
 			}
@@ -174,6 +176,57 @@ func ReplayEntries(opts Options, key string, states []*State, visit func(*State)
 	}
 }
 
+// Delivery is one successor state the engine delivered to its table, with
+// its shape key, as the revision hook observes it.
+type Delivery struct {
+	Key string
+	St  *State
+}
+
+// FilterDecision is one delivery the duplicate filter judged in a replay:
+// the identities of the incoming state and of the entry before the
+// revision, whether the filter dropped the delivery (the entry's seen
+// chain did not grow), and the identity of the entry after a revision
+// that changed it to a non-⊤ state (nil otherwise).
+type FilterDecision struct {
+	Key                        string
+	Incoming, Entry, Committed []byte
+	Dropped                    bool
+}
+
+// ReplayFilter replays a run's deliveries, in order, into the table of one
+// bare engine, so the seen chains of all entries share its seen log as in
+// the run: a key's first delivery creates its entry, the rest go through
+// reviseEntry. It reports every delivery the filter judged (neither the
+// entry nor the incoming state ⊤). Input states are cloned, never
+// consumed.
+func ReplayFilter(opts Options, dels []Delivery) []FilterDecision {
+	e := newReplayEngine(opts)
+	entries := map[string]*tableEntry{}
+	var out []FilterDecision
+	for _, d := range dels {
+		st := d.St.Clone()
+		entry := entries[d.Key]
+		if entry == nil {
+			entries[d.Key] = e.newEntry(st)
+			continue
+		}
+		if entry.st.Top || st.Top {
+			e.reviseEntry(entry, st, d.Key)
+			continue
+		}
+		fd := FilterDecision{Key: d.Key, Incoming: bytes.Clone(st.identity()), Entry: bytes.Clone(entry.st.identity())}
+		head := entry.seen
+		changed := e.reviseEntry(entry, st, d.Key)
+		fd.Dropped = entry.seen == head
+		if changed && !entry.st.Top {
+			fd.Committed = bytes.Clone(entry.st.identity())
+		}
+		out = append(out, fd)
+	}
+	return out
+}
+
 // Stepper steps states as the engine steps a table entry, on a bare engine
 // over one CFG.
 type Stepper struct{ e *engine }
@@ -184,6 +237,7 @@ func NewStepper(g *cfg.Graph, opts Options) *Stepper {
 	e.g, e.inv = g, NewInvariants()
 	e.visited = make([]bool, len(g.Nodes))
 	e.descs = make([]string, len(g.Nodes))
+	e.branches = make([]string, len(g.Nodes))
 	for _, n := range g.Nodes {
 		if n.Kind == cfg.Assume {
 			e.inv.Collect(n.Cond)

@@ -79,8 +79,10 @@ func (e *engine) process(id uint64) {
 // prepare readies a step's successors for commit: it drops unreachable
 // ones, canonicalizes, renders the shape key, interns it, and records the
 // pCFG edges. Give-up successors are returned separately, for the
-// deferred commit.
+// deferred commit. The prepared list is the engine's scratch, valid until
+// the next prepare: commit consumes it first.
 func (e *engine) prepare(fromKey string, succs []succ) (preps []prepSucc, tops []succ) {
+	preps = e.preps[:0]
 	for _, sa := range succs {
 		if sa.st.Top {
 			tops = append(tops, sa)
@@ -93,13 +95,21 @@ func (e *engine) prepare(fromKey string, succs []succ) (preps []prepSucc, tops [
 		}
 		csp := e.span(obs.PhaseCanon, fromKey)
 		sa.st.CanonicalizeParams()
-		key := sa.st.ShapeKey()
+		// A successor is a fresh clone, so its key cache is cold: the key
+		// is rendered on the stack and looked up as bytes. Only a
+		// configuration seen for the first time allocates its key, and the
+		// state caches the interned string, which the edges share.
+		var buf [64]byte
+		b := sa.st.appendShapeKey(buf[:0])
 		csp.End()
-		isp := e.span(obs.PhaseInsert, key)
-		preps = append(preps, prepSucc{st: sa.st, action: sa.action, key: key, id: e.in.intern(key)})
+		isp := e.span(obs.PhaseInsert, "")
+		id, key := e.in.internBytes(b)
+		sa.st.setShapeKey(key)
+		preps = append(preps, prepSucc{st: sa.st, action: sa.action, key: key, id: id})
 		e.res.Edges = append(e.res.Edges, PCFGEdge{From: fromKey, To: key, Action: sa.action})
-		isp.End()
+		isp.WithKey(key).End()
 	}
+	e.preps = preps
 	return preps, tops
 }
 
@@ -113,7 +123,7 @@ func (e *engine) commit(preps []prepSucc) {
 		}
 		changed := true
 		if entry := e.entry(p.id); entry == nil {
-			e.setEntry(p.id, &tableEntry{st: p.st})
+			e.setEntry(p.id, e.newEntry(p.st))
 			if e.opts.Log != nil {
 				e.logState("new configuration", p.key, p.st)
 			}

@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"bytes"
+	"encoding/binary"
+	"sync"
+)
 
 // interner maps configuration shape keys to compact uint64 ids. The
 // fixpoint engine hashes a state's shape key once on insert and from then
@@ -30,15 +34,40 @@ func (in *interner) intern(key string) uint64 {
 	if ok {
 		return id
 	}
+	id, _ = in.add(key)
+	return id
+}
+
+// internBytes is intern for a key rendered into b. It returns the id and
+// the interned string, so every holder of a key shares one string: a key
+// interned before is found without allocating, and only a first-seen key
+// is copied into a string.
+func (in *interner) internBytes(b []byte) (uint64, string) {
+	in.mu.RLock()
+	id, ok := in.ids[string(b)]
+	var key string
+	if ok {
+		key = in.keys[id]
+	}
+	in.mu.RUnlock()
+	if ok {
+		return id, key
+	}
+	return in.add(string(b))
+}
+
+// add assigns key the next dense id unless it holds one already, and
+// returns the id with the interned string.
+func (in *interner) add(key string) (uint64, string) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if id, ok := in.ids[key]; ok {
-		return id
+		return id, in.keys[id]
 	}
-	id = uint64(len(in.keys))
+	id := uint64(len(in.keys))
 	in.ids[key] = id
 	in.keys = append(in.keys, key)
-	return id
+	return id, key
 }
 
 // keyOf returns the key string interned under id.
@@ -53,4 +82,60 @@ func (in *interner) size() int {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
 	return len(in.keys)
+}
+
+// seenChunk is the size of the byte chunks a seenLog records identities
+// in. An identity whose record is longer gets a chunk of its own.
+const seenChunk = 4096
+
+// seenHeader is the length of a record's header: the previous record's
+// chunk and offset and the identity's length, a uint32 each.
+const seenHeader = 12
+
+// seenRef locates one record of a seenLog: its chunk's index plus one (the
+// zero ref is the empty chain) and its offset in the chunk.
+type seenRef struct{ chunk, off uint32 }
+
+// seenLog holds the duplicate-delivery filter's identities (see
+// tableEntry.seen): each identity a table entry has seen is copied into
+// byte chunks the engine owns, and an entry's records are chained from its
+// newest back to its first. A record is its header and the identity bytes;
+// the records of all entries share the chunks in recording order, and a
+// full chunk is left as it is rather than grown and copied. The filter is
+// exact: a lookup compares whole identities, with no hash that could
+// collide.
+type seenLog struct {
+	chunks [][]byte
+}
+
+// add records id on the chain that starts at head and returns the chain's
+// new head. It allocates only when the last chunk has no room for the
+// record.
+func (l *seenLog) add(head seenRef, id []byte) seenRef {
+	need := seenHeader + len(id)
+	n := len(l.chunks)
+	if n == 0 || cap(l.chunks[n-1])-len(l.chunks[n-1]) < need {
+		l.chunks = append(l.chunks, make([]byte, 0, max(seenChunk, need)))
+		n++
+	}
+	c := l.chunks[n-1]
+	ref := seenRef{uint32(n), uint32(len(c))}
+	c = binary.LittleEndian.AppendUint32(c, head.chunk)
+	c = binary.LittleEndian.AppendUint32(c, head.off)
+	c = binary.LittleEndian.AppendUint32(c, uint32(len(id)))
+	l.chunks[n-1] = append(c, id...)
+	return ref
+}
+
+// has reports whether the chain that starts at head holds id.
+func (l *seenLog) has(head seenRef, id []byte) bool {
+	for r := head; r.chunk != 0; {
+		rec := l.chunks[r.chunk-1][r.off:]
+		n := int(binary.LittleEndian.Uint32(rec[8:]))
+		if n == len(id) && bytes.Equal(rec[seenHeader:seenHeader+n], id) {
+			return true
+		}
+		r = seenRef{binary.LittleEndian.Uint32(rec), binary.LittleEndian.Uint32(rec[4:])}
+	}
+	return false
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"sync"
 
 	"repro/internal/ast"
@@ -76,15 +75,16 @@ type MatchMemo struct {
 	entries map[string]bool
 }
 
-// Lookup returns the cached decision for key and whether one exists,
-// maintaining the hit/miss counters.
-func (m *MatchMemo) Lookup(key string) (res, ok bool) {
+// Lookup returns the cached decision for the key rendered in key and
+// whether one exists, maintaining the hit/miss counters. It allocates
+// nothing: the key is looked up as bytes.
+func (m *MatchMemo) Lookup(key []byte) (res, ok bool) {
 	if m.Disable {
 		return false, false
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	res, ok = m.entries[key]
+	res, ok = m.entries[string(key)]
 	if ok {
 		m.hits++
 	} else {
@@ -93,8 +93,9 @@ func (m *MatchMemo) Lookup(key string) (res, ok bool) {
 	return res, ok
 }
 
-// Store records a decision for key.
-func (m *MatchMemo) Store(key string, res bool) {
+// Store records a decision for the key rendered in key, which it copies
+// into a string.
+func (m *MatchMemo) Store(key []byte, res bool) {
 	if m.Disable {
 		return
 	}
@@ -103,7 +104,7 @@ func (m *MatchMemo) Store(key string, res bool) {
 	if m.entries == nil {
 		m.entries = map[string]bool{}
 	}
-	m.entries[key] = res
+	m.entries[string(key)] = res
 }
 
 // Len reports the number of cached decisions.
@@ -136,7 +137,3 @@ func (m *MatchMemo) HitRate() float64 {
 	}
 	return float64(m.hits) / float64(m.hits+m.misses)
 }
-
-// MatchKey joins canonical query components into a memo key using a
-// separator that cannot occur in expression renderings.
-func MatchKey(parts ...string) string { return strings.Join(parts, "\x1f") }

@@ -249,3 +249,48 @@ func TestAnalyzeAllPhaseBreakdown(t *testing.T) {
 		t.Errorf("shared tracer pids = %v, want jobs 1 and 2", pids)
 	}
 }
+
+// TestEnrichSpansNestInCombines traces the paper workloads: every combine
+// enriches both states in an enrich span, so there are at least two per
+// join or widen span, and every enrich span lies inside a join or widen
+// span on the same lane and carries the combined configuration's key.
+func TestEnrichSpansNestInCombines(t *testing.T) {
+	enriched := int64(0)
+	for _, w := range bench.All() {
+		_, g := w.Parse()
+		tr := obs.NewTracer()
+		if _, err := core.Analyze(g, core.Options{Matcher: cartesian.New(core.ScanInvariants(g)), Tracer: tr}); err != nil {
+			t.Fatal(err)
+		}
+		totals := tr.Totals()
+		combines := totals[obs.PhaseJoin.String()].Count + totals[obs.PhaseWiden.String()].Count
+		got := totals[obs.PhaseEnrich.String()].Count
+		if got < 2*combines {
+			t.Errorf("%s: %d enrich spans for %d combines", w.Name, got, combines)
+		}
+		enriched += got
+		var open []obs.Event // enclosing spans, outermost first
+		for _, ev := range tr.Events() {
+			for len(open) > 0 && ev.Start >= open[len(open)-1].Start+open[len(open)-1].Dur {
+				open = open[:len(open)-1]
+			}
+			if ev.Phase == obs.PhaseEnrich {
+				var combine *obs.Event
+				for i := len(open) - 1; i >= 0 && combine == nil; i-- {
+					if ph := open[i].Phase; ph == obs.PhaseJoin || ph == obs.PhaseWiden {
+						combine = &open[i]
+					}
+				}
+				if combine == nil || combine.Key != ev.Key {
+					t.Fatalf("%s: enrich span %q outside a combine of its configuration (enclosing %v)", w.Name, ev.Key, combine)
+				}
+			}
+			if ev.Dur > 0 {
+				open = append(open, ev)
+			}
+		}
+	}
+	if enriched == 0 {
+		t.Fatal("no paper workload enriched a state")
+	}
+}

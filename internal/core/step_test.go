@@ -5,8 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cfg"
+	"repro/internal/cg"
 	"repro/internal/clients/cartesian"
 	"repro/internal/core"
+	"repro/internal/parser"
 )
 
 // TestStepLeavesEntryUnchanged checks that stepping a table entry leaves
@@ -103,4 +106,33 @@ func replayEntryStates(t *testing.T, p identityProgram, nonBlocking bool, visit 
 	for _, key := range keys {
 		core.ReplayEntries(core.Options{}, key, streams[key], func(st *core.State) { visit(key, st) })
 	}
+}
+
+// TestEmptinessSplitSuccessorOrder pins the order of an emptiness split's
+// successors, which decides the order their configurations are interned
+// and visited in: the side where the blocked set is empty comes first,
+// then what the inline continuation on the non-empty side produces (here
+// a give-up, since no process ever sends to the receivers).
+func TestEmptinessSplitSuccessorOrder(t *testing.T) {
+	prog, err := parser.Parse("t.mpl", "x := 0\nif id == 0 then\n  skip\nelse\n  recv x <- 0\nend\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := cfg.Build(prog)
+	stepper := core.NewStepper(g, core.Options{Matcher: cartesian.New(core.ScanInvariants(g))})
+	st := core.NewState(g.Entry, cg.Options{})
+	for steps := 0; steps < 20; steps++ {
+		succs := stepper.Step(st)
+		if len(succs) == 0 {
+			break
+		}
+		if len(succs) == 2 && succs[0].Top != succs[1].Top {
+			if succs[0].Top || len(succs[0].Sets) != len(st.Sets)-1 {
+				t.Fatalf("split of %s: first successor %s, want the side without the blocked set", st, succs[0])
+			}
+			return
+		}
+		st = succs[0]
+	}
+	t.Fatal("no emptiness split reached")
 }

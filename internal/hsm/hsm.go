@@ -14,11 +14,7 @@
 // send/receive expressions.
 package hsm
 
-import (
-	"fmt"
-
-	"repro/internal/sym"
-)
+import "repro/internal/sym"
 
 // HSM is an immutable hierarchical sequence map.
 type HSM struct {
@@ -51,10 +47,19 @@ func (h *HSM) Len() sym.Expr {
 
 // String renders the HSM in the paper's syntax, e.g. "[[0:nrows,nrows]:nrows,1]".
 func (h *HSM) String() string {
+	var buf [64]byte
+	return string(h.AppendKey(buf[:0]))
+}
+
+// AppendKey appends h's rendering, the text String and Key return, to dst.
+func (h *HSM) AppendKey(dst []byte) []byte {
 	if h.IsLeaf() {
-		return h.Base.String()
+		return h.Base.AppendString(dst)
 	}
-	return fmt.Sprintf("[%s:%s,%s]", h.Child, h.R, h.S)
+	dst = h.Child.AppendKey(append(dst, '['))
+	dst = h.R.AppendString(append(dst, ':'))
+	dst = h.S.AppendString(append(dst, ','))
+	return append(dst, ']')
 }
 
 // Key returns a canonical map key (same as String; sym rendering is

@@ -1,6 +1,7 @@
 package hsm
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -575,5 +576,34 @@ func TestProverDisableCache(t *testing.T) {
 	}
 	if !p.SetEqual(a, b) || p.CacheHits != 1 {
 		t.Errorf("cache did not resume: hits = %d, want 1", p.CacheHits)
+	}
+}
+
+// TestAppendKeyMatchesReference checks String and AppendKey against the
+// fmt rendering "[child:r,s]" on random nested HSMs.
+func TestAppendKeyMatchesReference(t *testing.T) {
+	var ref func(h *HSM) string
+	ref = func(h *HSM) string {
+		if h.IsLeaf() {
+			return h.Base.String()
+		}
+		return fmt.Sprintf("[%s:%s,%s]", ref(h.Child), h.R, h.S)
+	}
+	rng := rand.New(rand.NewSource(30))
+	exprs := []sym.Expr{sym.Zero, sym.One, sym.Var("nrows"), sym.VarPlus("np", -1),
+		sym.Mul(sym.Var("nrows"), sym.Var("ncols")), sym.Add(sym.Scale(sym.Var("x"), -2), sym.Const(3))}
+	pick := func() sym.Expr { return exprs[rng.Intn(len(exprs))] }
+	for iter := 0; iter < 2000; iter++ {
+		h := Leaf(pick())
+		for d := rng.Intn(4); d > 0; d-- {
+			h = Node(h, pick(), pick())
+		}
+		want := ref(h)
+		if got := h.String(); got != want || h.Key() != want {
+			t.Fatalf("String = %q, reference %q", got, want)
+		}
+		if got := string(h.AppendKey([]byte("k="))); got != "k="+want {
+			t.Fatalf("AppendKey = %q, reference %q", got, "k="+want)
+		}
 	}
 }

@@ -46,6 +46,8 @@ func TestDisabledZeroAlloc(t *testing.T) {
 		sp := tr.Begin(1, 0, PhaseMatch, "key")
 		sp.End()
 		tr.Begin(1, 0, PhaseStep, "key").EndAt(3, 2, "")
+		tr.Begin(1, 0, PhaseInsert, "").WithKey("key").End()
+		tr.Begin(1, 0, PhaseEnrich, "key").End()
 		tr.Mark(1, 0, PhaseWidenFail, 3, "a", "b")
 		tr.Fold(nil)
 		_ = tr.Totals()

@@ -176,7 +176,7 @@ func Summarize(evs []Event) Summary {
 func (p Phase) keyedByConfig() bool {
 	switch p {
 	case PhaseStep, PhaseTransfer, PhaseMatch, PhaseSplit, PhaseInsert,
-		PhaseJoin, PhaseWiden, PhaseCommit, PhaseCanon, PhaseGiveup:
+		PhaseJoin, PhaseWiden, PhaseCommit, PhaseCanon, PhaseGiveup, PhaseEnrich:
 		return true
 	}
 	return false

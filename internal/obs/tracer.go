@@ -99,14 +99,18 @@ const (
 	// witness went stale: a zero-length event at the match's send node,
 	// whose detail is the reason.
 	PhaseDemote
+	// PhaseEnrich is expanding a state's bounds with their equality
+	// witnesses ahead of a combine's range widening, and in parametric
+	// widening's trials (nested in join or widen).
+	PhaseEnrich
 
-	numPhases = int(PhaseDemote) + 1
+	numPhases = int(PhaseEnrich) + 1
 )
 
 var phaseNames = [numPhases]string{
 	"dequeue", "step", "transfer", "match", "split", "insert",
 	"join", "widen", "commit", "giveup-commit", "finish", "prover", "analyze",
-	"giveup", "dump", "canon", "widen-fail", "demote",
+	"giveup", "dump", "canon", "widen-fail", "demote", "enrich",
 }
 
 func (p Phase) String() string {
@@ -266,6 +270,13 @@ func (t *Tracer) Begin(pid, tid int, phase Phase, key string) Span {
 		return Span{}
 	}
 	return Span{t: t, start: t.clock(), phase: phase, pid: int32(pid), tid: int32(tid), key: key}
+}
+
+// WithKey returns s with its key replaced, for a span whose key is known
+// only once the work inside it is done (interning a configuration's key).
+func (s Span) WithKey(key string) Span {
+	s.key = key
+	return s
 }
 
 // End closes the span, recording its duration, and returns it. A zero Span

@@ -578,46 +578,59 @@ func (e Expr) Eval(env map[string]int64) int64 {
 
 // String renders the polynomial deterministically, e.g. "2*nrows + x - 3".
 func (e Expr) String() string {
+	var buf [64]byte
+	return string(e.AppendString(buf[:0]))
+}
+
+// AppendString appends e's rendering, the text String returns, to dst.
+func (e Expr) AppendString(dst []byte) []byte {
 	if len(e.terms) == 0 {
-		return "0"
+		return append(dst, '0')
 	}
 	// Render variables before the constant term for readability. The normal
 	// form is sorted by monomial key, which places the (single) constant
-	// term first, so rotating it to the back reproduces the display order
-	// without copying and re-sorting.
-	ordered := e.terms
-	if len(ordered[0].vars) == 0 && len(ordered) > 1 {
-		rot := make([]term, 0, len(ordered))
-		rot = append(rot, ordered[1:]...)
-		ordered = append(rot, ordered[0])
+	// term first, so it is rendered after the others.
+	ts, last := e.terms, []term(nil)
+	if len(ts[0].vars) == 0 && len(ts) > 1 {
+		ts, last = ts[1:], ts[:1]
 	}
-	var b strings.Builder
-	for i, t := range ordered {
-		c := t.coef
-		if i == 0 {
-			if c < 0 {
-				b.WriteString("-")
-				c = -c
-			}
-		} else {
-			if c < 0 {
-				b.WriteString(" - ")
-				c = -c
-			} else {
-				b.WriteString(" + ")
-			}
-		}
-		if len(t.vars) == 0 {
-			b.WriteString(strconv.FormatInt(c, 10))
-			continue
-		}
-		if c != 1 {
-			b.WriteString(strconv.FormatInt(c, 10))
-			b.WriteByte('*')
-		}
-		b.WriteString(strings.Join(t.vars, "*"))
+	for i, t := range ts {
+		dst = appendTerm(dst, t, i == 0)
 	}
-	return b.String()
+	for _, t := range last {
+		dst = appendTerm(dst, t, false)
+	}
+	return dst
+}
+
+// appendTerm appends one term of a rendering: its sign (an operator unless
+// it is the first term), its coefficient unless that is 1, and its
+// variables joined by '*'.
+func appendTerm(dst []byte, t term, first bool) []byte {
+	c := t.coef
+	switch {
+	case c < 0 && first:
+		dst = append(dst, '-')
+		c = -c
+	case c < 0:
+		dst = append(dst, " - "...)
+		c = -c
+	case !first:
+		dst = append(dst, " + "...)
+	}
+	if len(t.vars) == 0 {
+		return strconv.AppendInt(dst, c, 10)
+	}
+	if c != 1 {
+		dst = append(strconv.AppendInt(dst, c, 10), '*')
+	}
+	for i, v := range t.vars {
+		if i > 0 {
+			dst = append(dst, '*')
+		}
+		dst = append(dst, v...)
+	}
+	return dst
 }
 
 // Cmp compares two constant differences: it returns the constant value of

@@ -2,6 +2,8 @@ package sym
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -293,5 +295,68 @@ func TestKeyDeterministic(t *testing.T) {
 	b := Add(Const(1), Add(Var("y"), Var("x")))
 	if a.Key() != b.Key() {
 		t.Errorf("keys differ: %q vs %q", a.Key(), b.Key())
+	}
+}
+
+// refString is String as a strings.Builder rendering over the terms with
+// the constant rotated to the back: the reference AppendString is checked
+// against.
+func refString(e Expr) string {
+	if len(e.terms) == 0 {
+		return "0"
+	}
+	ordered := e.terms
+	if len(ordered[0].vars) == 0 && len(ordered) > 1 {
+		ordered = append(append([]term(nil), ordered[1:]...), ordered[0])
+	}
+	var b strings.Builder
+	for i, t := range ordered {
+		c := t.coef
+		if i == 0 {
+			if c < 0 {
+				b.WriteString("-")
+				c = -c
+			}
+		} else if c < 0 {
+			b.WriteString(" - ")
+			c = -c
+		} else {
+			b.WriteString(" + ")
+		}
+		if len(t.vars) == 0 {
+			b.WriteString(strconv.FormatInt(c, 10))
+			continue
+		}
+		if c != 1 {
+			b.WriteString(strconv.FormatInt(c, 10))
+			b.WriteByte('*')
+		}
+		b.WriteString(strings.Join(t.vars, "*"))
+	}
+	return b.String()
+}
+
+// TestAppendStringMatchesReference checks String and AppendString against
+// refString on random polynomials of up to four terms and degree three,
+// appended after existing bytes.
+func TestAppendStringMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	vars := []string{"np", "nrows", "x", "ps1.i", "k0"}
+	for iter := 0; iter < 5000; iter++ {
+		e := Zero
+		for n := rng.Intn(5); n > 0; n-- {
+			term := Const(int64(rng.Intn(21) - 10))
+			for d := rng.Intn(4); d > 0; d-- {
+				term = Mul(term, Var(vars[rng.Intn(len(vars))]))
+			}
+			e = Add(e, term)
+		}
+		want := refString(e)
+		if got := e.String(); got != want {
+			t.Fatalf("String = %q, reference %q", got, want)
+		}
+		if got := string(e.AppendString([]byte("x="))); got != "x="+want {
+			t.Fatalf("AppendString = %q, reference %q", got, "x="+want)
+		}
 	}
 }
