@@ -160,7 +160,7 @@ func benchRecord(args []string) int {
 		fmt.Fprintln(os.Stderr, "psdf bench record:", err)
 		return 1
 	}
-	fps, err := experiments.CaptureFingerprints(experiments.FingerprintOptions{})
+	fps, err := experiments.CaptureFingerprints()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psdf bench record:", err)
 		return 1

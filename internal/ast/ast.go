@@ -405,18 +405,6 @@ func WalkStmts(stmts []Stmt, fn func(Stmt) bool) {
 	}
 }
 
-// FreeVars returns the set of identifier names appearing in e.
-func FreeVars(e Expr) map[string]bool {
-	vars := map[string]bool{}
-	Walk(e, func(x Expr) bool {
-		if id, ok := x.(*Ident); ok {
-			vars[id.Name] = true
-		}
-		return true
-	})
-	return vars
-}
-
 // UsesIdent reports whether e references name.
 func UsesIdent(e Expr, name string) bool {
 	found := false

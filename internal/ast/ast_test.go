@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/ast"
@@ -18,19 +17,6 @@ func exprOf(t *testing.T, src string) ast.Expr {
 		t.Fatal(err)
 	}
 	return prog.Stmts[0].(*ast.Assign).Rhs
-}
-
-func TestFreeVars(t *testing.T) {
-	e := exprOf(t, "id + nrows * (x - 2) + id")
-	vars := ast.FreeVars(e)
-	var got []string
-	for v := range vars {
-		got = append(got, v)
-	}
-	sort.Strings(got)
-	if !reflect.DeepEqual(got, []string{"id", "nrows", "x"}) {
-		t.Errorf("FreeVars = %v", got)
-	}
 }
 
 func TestUsesIdent(t *testing.T) {

@@ -141,10 +141,9 @@ type Fingerprint struct {
 
 	// Cache behavior: a disabled or broken cache path shows up here even
 	// when the proved topology is unchanged.
-	MemoHits        int `json:"memo_hits"`
-	MemoMisses      int `json:"memo_misses"`
-	ProverCacheHits int `json:"prover_cache_hits"`
-	ProverProofs    int `json:"prover_proofs"`
+	MemoHits     int `json:"memo_hits"`
+	MemoMisses   int `json:"memo_misses"`
+	ProverProofs int `json:"prover_proofs"`
 
 	// Lint outcome: findings per diagnostic code plus the rank-bounds
 	// verdict summary.
@@ -154,14 +153,6 @@ type Fingerprint struct {
 	BoundsViol    int            `json:"bounds_violated"`
 	BoundsUnknown int            `json:"bounds_unknown"`
 	BoundsNonAff  int            `json:"bounds_non_affine"`
-}
-
-// MemoHitRate derives the match-memo hit rate in [0,1].
-func (f *Fingerprint) MemoHitRate() float64 {
-	if f.MemoHits+f.MemoMisses == 0 {
-		return 0
-	}
-	return float64(f.MemoHits) / float64(f.MemoHits+f.MemoMisses)
 }
 
 // field is one comparable fingerprint facet.
@@ -186,7 +177,6 @@ func (f *Fingerprint) fields() []field {
 		{"hsm_matches", fmt.Sprint(f.HSMMatches)},
 		{"memo_hits", fmt.Sprint(f.MemoHits)},
 		{"memo_misses", fmt.Sprint(f.MemoMisses)},
-		{"prover_cache_hits", fmt.Sprint(f.ProverCacheHits)},
 		{"prover_proofs", fmt.Sprint(f.ProverProofs)},
 		{"bounds_proven", fmt.Sprint(f.BoundsProven)},
 		{"bounds_proven_by_match", fmt.Sprint(f.BoundsByMatch)},

@@ -195,17 +195,6 @@ func (r *Report) PrecisionChanged() bool {
 	return false
 }
 
-// Regressions returns the specs that got significantly slower.
-func (r *Report) Regressions() []SpecDiff {
-	var out []SpecDiff
-	for _, d := range r.Specs {
-		if d.Verdict == VerdictSlower {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // GatePolicy selects which regression classes fail the CI gate rather
 // than warn.
 type GatePolicy struct {
@@ -216,12 +205,6 @@ type GatePolicy struct {
 	// near-deterministic, so unlike wall time this gate does not require
 	// matching host fingerprints.
 	FailOnAllocs bool
-}
-
-// Gate evaluates the default CI policy (see GateWith) with only the
-// timing class toggled.
-func (r *Report) Gate(failOnTime bool) (failures, warnings []string) {
-	return r.GateWith(GatePolicy{FailOnTime: failOnTime})
 }
 
 // GateWith evaluates the CI policy over the report: precision-fingerprint

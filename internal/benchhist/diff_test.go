@@ -52,9 +52,6 @@ func TestDiffVerdicts(t *testing.T) {
 			t.Errorf("%s: verdict %v, want %v", spec, got[spec], w)
 		}
 	}
-	if regs := r.Regressions(); len(regs) != 1 || regs[0].Spec != "regressed" {
-		t.Errorf("Regressions() = %+v, want [regressed]", regs)
-	}
 	out := r.String()
 	for _, w := range []string{"regressed", "slower", "improved", "faster", "no change"} {
 		if !strings.Contains(out, w) {
@@ -90,7 +87,7 @@ func TestDiffIdenticalRunsReportNoChange(t *testing.T) {
 			t.Errorf("%s: verdict %v, want no change", d.Spec, d.Verdict)
 		}
 	}
-	fails, warns := r.Gate(true)
+	fails, warns := r.GateWith(GatePolicy{FailOnTime: true})
 	if len(fails) != 0 || len(warns) != 0 {
 		t.Errorf("gate on identical runs: failures %v, warnings %v", fails, warns)
 	}
@@ -98,10 +95,10 @@ func TestDiffIdenticalRunsReportNoChange(t *testing.T) {
 
 func TestDiffPrecisionChange(t *testing.T) {
 	oldFP := map[string]*Fingerprint{
-		"w1": {Matches: 3, Tops: 0, ProverCacheHits: 7, LintFindings: map[string]int{"PSDF-W006": 1}},
+		"w1": {Matches: 3, Tops: 0, MemoHits: 7, LintFindings: map[string]int{"PSDF-W006": 1}},
 	}
 	newFP := map[string]*Fingerprint{
-		"w1": {Matches: 3, Tops: 1, ProverCacheHits: 0, LintFindings: map[string]int{"PSDF-W006": 1, "PSDF-E005": 1}},
+		"w1": {Matches: 3, Tops: 1, MemoHits: 0, LintFindings: map[string]int{"PSDF-W006": 1, "PSDF-E005": 1}},
 	}
 	samples := map[string][]int64{"fig2": {100, 101, 102}}
 	r := Diff(entryWith("aaaa", samples, oldFP), entryWith("bbbb", samples, newFP), DefaultThresholds())
@@ -110,13 +107,13 @@ func TestDiffPrecisionChange(t *testing.T) {
 	}
 	changed := r.Fingerprints[0].Changed
 	joined := strings.Join(changed, "\n")
-	for _, w := range []string{"tops: 0 -> 1", "prover_cache_hits: 7 -> 0", "lint[PSDF-E005]: 0 -> 1"} {
+	for _, w := range []string{"tops: 0 -> 1", "memo_hits: 7 -> 0", "lint[PSDF-E005]: 0 -> 1"} {
 		if !strings.Contains(joined, w) {
 			t.Errorf("diff lines missing %q:\n%s", w, joined)
 		}
 	}
 	// Precision deltas hard-fail the gate regardless of the timing policy.
-	fails, _ := r.Gate(false)
+	fails, _ := r.GateWith(GatePolicy{})
 	if len(fails) == 0 {
 		t.Error("gate did not fail on a precision delta")
 	}
@@ -130,7 +127,7 @@ func TestDiffFingerprintAddedRemoved(t *testing.T) {
 	oldE := entryWith("aaaa", samples, map[string]*Fingerprint{"w1": {}, "w2": {}})
 	newE := entryWith("bbbb", samples, map[string]*Fingerprint{"w1": {}, "w3": {}})
 	r := Diff(oldE, newE, DefaultThresholds())
-	fails, warns := r.Gate(false)
+	fails, warns := r.GateWith(GatePolicy{})
 	if len(fails) != 1 || !strings.Contains(fails[0], "w2") {
 		t.Errorf("removed workload should fail the gate: %v", fails)
 	}
@@ -152,10 +149,10 @@ func TestGateTimingPolicy(t *testing.T) {
 	newE := entryWith("bbbb", map[string][]int64{"s": slower}, nil)
 
 	r := Diff(oldE, newE, DefaultThresholds())
-	if fails, warns := r.Gate(false); len(fails) != 0 || len(warns) != 1 {
+	if fails, warns := r.GateWith(GatePolicy{}); len(fails) != 0 || len(warns) != 1 {
 		t.Errorf("warn-only policy: failures %v, warnings %v", fails, warns)
 	}
-	if fails, _ := r.Gate(true); len(fails) != 1 {
+	if fails, _ := r.GateWith(GatePolicy{FailOnTime: true}); len(fails) != 1 {
 		t.Errorf("fail-on-time policy: failures %v", fails)
 	}
 
@@ -166,7 +163,7 @@ func TestGateTimingPolicy(t *testing.T) {
 	if !r.HostsDiffer {
 		t.Fatal("HostsDiffer not set")
 	}
-	if fails, warns := r.Gate(true); len(fails) != 0 || len(warns) != 1 {
+	if fails, warns := r.GateWith(GatePolicy{FailOnTime: true}); len(fails) != 0 || len(warns) != 1 {
 		t.Errorf("cross-host policy: failures %v, warnings %v", fails, warns)
 	}
 }
@@ -185,17 +182,11 @@ func TestMarkdownRendering(t *testing.T) {
 	}
 }
 
-func TestFingerprintEqualAndMemoHitRate(t *testing.T) {
+func TestFingerprintEqual(t *testing.T) {
 	a := &Fingerprint{Matches: 1, MemoHits: 3, MemoMisses: 1}
 	b := &Fingerprint{Matches: 1, MemoHits: 3, MemoMisses: 1}
 	if !a.Equal(b) {
 		t.Error("identical fingerprints not Equal")
-	}
-	if r := a.MemoHitRate(); r != 0.75 {
-		t.Errorf("MemoHitRate = %v, want 0.75", r)
-	}
-	if (&Fingerprint{}).MemoHitRate() != 0 {
-		t.Error("zero fingerprint hit rate should be 0")
 	}
 	b.Topology = "[0]->[1]"
 	if a.Equal(b) {

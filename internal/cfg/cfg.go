@@ -11,6 +11,7 @@ package cfg
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/ast"
@@ -149,34 +150,44 @@ func (n *Node) SuccBranch() (t, f *Node) {
 
 // Label renders a short human-readable description of the node's action.
 func (n *Node) Label() string {
-	switch n.Kind {
-	case Entry:
-		return "entry"
-	case Exit:
-		return "exit"
-	case Assign:
-		return fmt.Sprintf("%s := %s", n.AssignName, n.AssignRhs)
-	case Branch:
-		return fmt.Sprintf("if %s", n.Cond)
-	case Send:
-		return fmt.Sprintf("send %s -> %s", n.Value, n.Dest)
-	case Recv:
-		return fmt.Sprintf("recv %s <- %s", n.RecvName, n.Src)
-	case SendRecv:
-		return fmt.Sprintf("sendrecv %s -> %s, %s <- %s", n.Value, n.Dest, n.RecvName, n.Src)
-	case Print:
-		return fmt.Sprintf("print %s", n.Arg)
-	case Assume:
-		return fmt.Sprintf("assume %s", n.Cond)
-	case Assert:
-		return fmt.Sprintf("assert %s", n.Cond)
-	case Skip:
-		return "skip"
-	}
-	return n.Kind.String()
+	var buf [64]byte
+	return string(n.appendLabel(buf[:0]))
 }
 
-func (n *Node) String() string { return fmt.Sprintf("n%d[%s]", n.ID, n.Label()) }
+func (n *Node) String() string {
+	var buf [64]byte
+	b := strconv.AppendInt(append(buf[:0], 'n'), int64(n.ID), 10)
+	return string(append(n.appendLabel(append(b, '[')), ']'))
+}
+
+// appendLabel appends the node's Label to dst.
+func (n *Node) appendLabel(dst []byte) []byte {
+	switch n.Kind {
+	case Assign:
+		dst = append(append(dst, n.AssignName...), " := "...)
+		return ast.AppendExpr(dst, n.AssignRhs)
+	case Branch:
+		return ast.AppendExpr(append(dst, "if "...), n.Cond)
+	case Send:
+		dst = ast.AppendExpr(append(dst, "send "...), n.Value)
+		return ast.AppendExpr(append(dst, " -> "...), n.Dest)
+	case Recv:
+		dst = append(append(dst, "recv "...), n.RecvName...)
+		return ast.AppendExpr(append(dst, " <- "...), n.Src)
+	case SendRecv:
+		dst = ast.AppendExpr(append(dst, "sendrecv "...), n.Value)
+		dst = ast.AppendExpr(append(dst, " -> "...), n.Dest)
+		dst = append(append(append(dst, ", "...), n.RecvName...), " <- "...)
+		return ast.AppendExpr(dst, n.Src)
+	case Print:
+		return ast.AppendExpr(append(dst, "print "...), n.Arg)
+	case Assume:
+		return ast.AppendExpr(append(dst, "assume "...), n.Cond)
+	case Assert:
+		return ast.AppendExpr(append(dst, "assert "...), n.Cond)
+	}
+	return append(dst, n.Kind.String()...)
+}
 
 // Graph is a control-flow graph with unique Entry and Exit nodes.
 type Graph struct {
@@ -369,23 +380,4 @@ func (g *Graph) Dot(name string) string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// ReachableFrom returns the set of node IDs reachable from start (inclusive).
-func (g *Graph) ReachableFrom(start *Node) map[int]bool {
-	seen := map[int]bool{}
-	var stack []*Node
-	stack = append(stack, start)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[n.ID] {
-			continue
-		}
-		seen[n.ID] = true
-		for _, e := range n.Succs {
-			stack = append(stack, e.To)
-		}
-	}
-	return seen
 }

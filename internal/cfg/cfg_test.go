@@ -147,7 +147,18 @@ func TestVarDeclAndSkipProduceNoNodes(t *testing.T) {
 
 func TestReachability(t *testing.T) {
 	g := build(t, "if id == 0 then send x -> 1 else recv x <- 0 end")
-	seen := g.ReachableFrom(g.Entry)
+	seen := map[int]bool{}
+	for stack := []*Node{g.Entry}; len(stack) > 0; {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[n.ID] {
+			continue
+		}
+		seen[n.ID] = true
+		for _, e := range n.Succs {
+			stack = append(stack, e.To)
+		}
+	}
 	if len(seen) != len(g.Nodes) {
 		t.Errorf("reachable %d of %d nodes", len(seen), len(g.Nodes))
 	}

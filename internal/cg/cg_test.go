@@ -250,10 +250,6 @@ func TestStats(t *testing.T) {
 	if st.AvgIncrVars() <= 0 || st.AvgFullVars() <= 0 {
 		t.Error("avg vars not recorded")
 	}
-	st.Reset()
-	if st.IncrClosures() != 0 || st.ClosureTime() != 0 {
-		t.Error("Reset incomplete")
-	}
 }
 
 func TestString(t *testing.T) {

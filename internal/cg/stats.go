@@ -37,8 +37,8 @@ type Stats struct {
 	// sync.Pool vs freshly allocated.
 	arenaHits   atomic.Int64
 	arenaMisses atomic.Int64
-	// Engine accounting: canonical-key serializations served from the
-	// per-state cache vs rebuilt, and worklist pushes coalesced into an
+	// Engine accounting: state identities served from the per-state
+	// identity cache vs rebuilt, and worklist pushes coalesced into an
 	// already-queued configuration (re-visits the worklist saved).
 	keyCacheHits   atomic.Int64
 	keyCacheMisses atomic.Int64
@@ -72,11 +72,13 @@ func (s *Stats) ArenaHits() int64 { return s.arenaHits.Load() }
 // ArenaMisses returns how many matrix acquisitions had to allocate.
 func (s *Stats) ArenaMisses() int64 { return s.arenaMisses.Load() }
 
-// KeyCacheHits returns how many state-key requests (FullKey, ShapeKey and
-// the engine's binary identity) were served from the per-state key cache.
+// KeyCacheHits returns how many requests for a state's binary identity,
+// the engine's fixpoint key, were served from the per-state identity
+// cache. Shape keys and FullKey strings are rendered afresh every time and
+// count neither as hits nor as misses.
 func (s *Stats) KeyCacheHits() int64 { return s.keyCacheHits.Load() }
 
-// KeyCacheMisses returns how many state-key requests rebuilt the key.
+// KeyCacheMisses returns how many identity requests rebuilt the identity.
 func (s *Stats) KeyCacheMisses() int64 { return s.keyCacheMisses.Load() }
 
 // KeyCacheHitRate returns the fraction of key requests served from cache.
@@ -165,45 +167,4 @@ func (s *Stats) AvgIncrVars() float64 {
 		return 0
 	}
 	return float64(s.incrVarsSum.Load()) / float64(s.incrClosures.Load())
-}
-
-// Merge folds the counters of o into s (for per-analysis stats summed over
-// a suite).
-func (s *Stats) Merge(o *Stats) {
-	s.fullClosures.Add(o.fullClosures.Load())
-	s.fullVarsSum.Add(o.fullVarsSum.Load())
-	s.incrClosures.Add(o.incrClosures.Load())
-	s.incrVarsSum.Add(o.incrVarsSum.Load())
-	s.closureTimeNs.Add(o.closureTimeNs.Load())
-	s.fullClosuresAvoided.Add(o.fullClosuresAvoided.Load())
-	s.joins.Add(o.joins.Load())
-	s.joinVarsSum.Add(o.joinVarsSum.Load())
-	s.maintainTimeNs.Add(o.maintainTimeNs.Load())
-	s.clonesAvoided.Add(o.clonesAvoided.Load())
-	s.cowMaterializations.Add(o.cowMaterializations.Load())
-	s.arenaHits.Add(o.arenaHits.Load())
-	s.arenaMisses.Add(o.arenaMisses.Load())
-	s.keyCacheHits.Add(o.keyCacheHits.Load())
-	s.keyCacheMisses.Add(o.keyCacheMisses.Load())
-	s.schedCoalesced.Add(o.schedCoalesced.Load())
-}
-
-// Reset zeroes the counters.
-func (s *Stats) Reset() {
-	s.fullClosures.Store(0)
-	s.fullVarsSum.Store(0)
-	s.incrClosures.Store(0)
-	s.incrVarsSum.Store(0)
-	s.closureTimeNs.Store(0)
-	s.fullClosuresAvoided.Store(0)
-	s.joins.Store(0)
-	s.joinVarsSum.Store(0)
-	s.maintainTimeNs.Store(0)
-	s.clonesAvoided.Store(0)
-	s.cowMaterializations.Store(0)
-	s.arenaHits.Store(0)
-	s.arenaMisses.Store(0)
-	s.keyCacheHits.Store(0)
-	s.keyCacheMisses.Store(0)
-	s.schedCoalesced.Store(0)
 }

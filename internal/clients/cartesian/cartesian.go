@@ -75,9 +75,6 @@ func New(inv *core.Invariants) *Matcher {
 	return &Matcher{ctx: ctx, prover: hsm.NewProver(ctx), invFP: strings.Join(fp, ",")}
 }
 
-// Name identifies the client analysis.
-func (m *Matcher) Name() string { return "cartesian" }
-
 // Prover exposes the underlying HSM prover (instrumentation).
 func (m *Matcher) Prover() *hsm.Prover { return m.prover }
 
@@ -123,12 +120,6 @@ func (m *Matcher) hsmDecision(sIDH, rIDH *hsm.HSM, dest, src ast.Expr) bool {
 	key = ast.AppendExpr(append(key, keySep), dest)
 	key = ast.AppendExpr(append(key, keySep), src)
 	m.key = key
-	if res, ok := m.memo.Lookup(key); ok {
-		return res
-	}
-	// A second lookup, which always misses: it keeps memo_misses at two per
-	// search, the count every recorded bench-history fingerprint holds.
-	// Drop it when the fingerprint baseline is next re-recorded.
 	if res, ok := m.memo.Lookup(key); ok {
 		return res
 	}

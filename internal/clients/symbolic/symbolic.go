@@ -23,22 +23,14 @@ import (
 // matcher is safe for concurrent use (its instrumentation counters are
 // atomic and matching itself only reads the querying state).
 type Matcher struct {
-	matches  atomic.Int64 // successful match operations (instrumentation)
-	attempts atomic.Int64 // match attempts
+	matches atomic.Int64 // successful match operations (instrumentation)
 }
 
 // MatchCount reports successful match operations.
 func (m *Matcher) MatchCount() int { return int(m.matches.Load()) }
 
-// AttemptCount reports match attempts.
-func (m *Matcher) AttemptCount() int { return int(m.attempts.Load()) }
-
-// Name identifies the client analysis.
-func (m *Matcher) Name() string { return "symbolic" }
-
 // Match implements core.Matcher.
 func (m *Matcher) Match(st *core.State, sender *core.ProcSet, dest ast.Expr, receiver *core.ProcSet, src ast.Expr) (*core.MatchPlan, bool) {
-	m.attempts.Add(1)
 	d, ok := st.AffineID(sender, dest)
 	if !ok {
 		return nil, false

@@ -87,8 +87,8 @@ func TestShiftMatchFullOverlap(t *testing.T) {
 	if len(plan.RecvRests) != 1 || plan.RecvRests[0].String() != "[k + 4..m]" {
 		t.Errorf("recv rests = %v", plan.RecvRests)
 	}
-	if m.MatchCount() != 1 || m.AttemptCount() != 1 {
-		t.Errorf("instrumentation: %d/%d", m.MatchCount(), m.AttemptCount())
+	if m.MatchCount() != 1 {
+		t.Errorf("instrumentation: %d matches", m.MatchCount())
 	}
 }
 

@@ -284,7 +284,7 @@ func TestAffineDecisionsZeroAlloc(t *testing.T) {
 // successor whose configuration is already in the table: prepare renders
 // its shape key on the stack and finds it interned, the prepared list is
 // the engine's scratch, and commit drops the duplicate. Nothing allocates,
-// and the successor caches the interned key string.
+// and the pCFG edge shares the interned key string.
 func TestPrepareCommitInternedZeroAlloc(t *testing.T) {
 	st := splitState(t, 3)
 	st.AddMatch(1, 2, procset.Singleton(nil, sym.Zero), procset.Singleton(nil, sym.Const(1)))
@@ -311,8 +311,8 @@ func TestPrepareCommitInternedZeroAlloc(t *testing.T) {
 	if got != 0 {
 		t.Errorf("preparing and committing an interned successor allocates %v times, want 0", got)
 	}
-	if sk := lists[1][0].st.shapeKey; sk != key || unsafe.StringData(sk) != unsafe.StringData(key) {
-		t.Errorf("successor caches shape key %q, not the interned string %q", sk, key)
+	if to := e.res.Edges[len(e.res.Edges)-1].To; to != key || unsafe.StringData(to) != unsafe.StringData(key) {
+		t.Errorf("the edge holds shape key %q, not the interned string %q", to, key)
 	}
 	if e.in.size() != 1 || e.entry(0).rev != 0 {
 		t.Errorf("%d configurations, entry revision %d: the duplicates changed the table", e.in.size(), e.entry(0).rev)

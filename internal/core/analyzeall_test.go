@@ -4,6 +4,8 @@ package core_test
 
 import (
 	"fmt"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -120,35 +122,85 @@ func TestClonesAvoidedOnEveryWorkload(t *testing.T) {
 	}
 }
 
-// TestMatchCacheHits demonstrates a cache-hit rate > 0 for repeated
-// send-receive match queries: the transpose workload poses the same HSM
-// self-match query on every loop revisit.
+// TestMatchCacheHits checks that the match memo is transparent and hit:
+// on every paper workload, a second analysis with the same, warm matcher
+// reports the first one's finals, ⊤s and matches, and the transpose
+// workload, which poses the same HSM self-match query on every loop
+// revisit, answers every query of the second run from the memo.
 func TestMatchCacheHits(t *testing.T) {
-	w := bench.TransposeSquare()
-	_, g := w.Parse()
-	m := cartesian.New(core.ScanInvariants(g))
-	if _, err := core.Analyze(g, core.Options{Matcher: m}); err != nil {
-		t.Fatal(err)
+	result := func(res *core.Result) string {
+		var b strings.Builder
+		for _, st := range res.Finals {
+			fmt.Fprintf(&b, "final %s\n", st.FullKey())
+		}
+		for _, st := range res.Tops {
+			fmt.Fprintf(&b, "top %s %s\n", st.FullKey(), st.TopWhy)
+		}
+		for _, m := range res.Matches {
+			fmt.Fprintf(&b, "match %s\n", m)
+		}
+		return b.String()
 	}
-	// The single analysis already repeats queries across the join/widen
-	// revisits of the loop head; re-analyzing with the same matcher must
-	// hit for every query of the second run.
-	missesAfterFirst := m.Memo().MissCount()
-	if _, err := core.Analyze(g, core.Options{Matcher: m}); err != nil {
-		t.Fatal(err)
+	transpose := bench.TransposeSquare().Name
+	for _, w := range bench.All() {
+		_, g := w.Parse()
+		m := cartesian.New(core.ScanInvariants(g))
+		cold, err := core.Analyze(g, core.Options{Matcher: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		missesAfterFirst := m.Memo().MissCount()
+		warm, err := core.Analyze(g, core.Options{Matcher: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := result(warm), result(cold); got != want {
+			t.Errorf("%s: a warm memo changed the result:\n%s\nwant\n%s", w.Name, got, want)
+		}
+		if memo := m.Memo(); memo.MissCount() != missesAfterFirst {
+			t.Errorf("%s: second identical analysis missed the memo: %d -> %d misses", w.Name, missesAfterFirst, memo.MissCount())
+		}
+		if w.Name != transpose {
+			continue
+		}
+		if memo := m.Memo(); memo.HitCount() == 0 || memo.HitRate() <= 0 {
+			t.Errorf("%s: no memo hits: hits=%d misses=%d", w.Name, memo.HitCount(), memo.MissCount())
+		}
 	}
-	memo := m.Memo()
-	if memo.HitCount() == 0 {
-		t.Fatalf("no cache hits: hits=%d misses=%d", memo.HitCount(), memo.MissCount())
+}
+
+// TestMemoMissesEqualDecisions checks that the HSM decision memo is asked
+// once per query: every miss runs the decision procedure and stores its
+// decision, so each analysis of the paper workloads, of the testdata
+// programs and of 40 pool-1 programs (safe and buggy), blocking and
+// non-blocking, ends with as many misses as stored decisions.
+func TestMemoMissesEqualDecisions(t *testing.T) {
+	progs := identityPrograms(t, 40)
+	for _, pat := range []string{"../../testdata/*.mpl", "../../testdata/*/*.mpl"} {
+		paths, err := filepath.Glob(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			progs = append(progs, identityProgram{path, loadGraph(t, path), false})
+		}
 	}
-	if memo.MissCount() != missesAfterFirst {
-		t.Errorf("second identical analysis missed the cache: %d -> %d misses", missesAfterFirst, memo.MissCount())
+	decisions := 0
+	for _, p := range progs {
+		for _, nb := range []bool{false, true} {
+			m := cartesian.New(core.ScanInvariants(p.g))
+			if _, err := core.Analyze(p.g, core.Options{Matcher: m, NonBlockingSends: nb}); err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+			memo := m.Memo()
+			if memo.MissCount() != memo.Len() {
+				t.Errorf("%s (nonblocking %v): %d memo misses for %d decisions", p.name, nb, memo.MissCount(), memo.Len())
+			}
+			decisions += memo.Len()
+		}
 	}
-	if memo.HitRate() <= 0 {
-		t.Errorf("HitRate = %v, want > 0", memo.HitRate())
-	}
-	if p := m.Prover(); p.CacheHits == 0 && memo.HitCount() == 0 {
-		t.Error("neither matcher memo nor prover cache hit")
+	if decisions == 0 {
+		t.Fatal("no HSM decision was made")
 	}
 }
 

@@ -193,20 +193,18 @@ type State struct {
 	// the same element set) need no copy.
 	sharedMatches bool
 	sharedPending bool
-	// Canonical-key cache: ShapeKey/identity serializations cost sorts
-	// plus a walk of the whole constraint graph, and the engine asks
-	// for them on every table revisit. A cached key is valid while the
-	// configuration content is unchanged: constraint-graph changes are
-	// tracked by (graph identity, graph version); Sets/Matches/Pending/Top
-	// changes by explicit dirtyKeys calls in the State-level mutators.
-	// Clone deliberately does not copy the cache — transfer functions
-	// mutate fresh clones through direct field writes that bypass
-	// dirtyKeys, so clones must start cold. The binary identity lives in
-	// id, a buffer reused across rebuilds.
-	shapeStamp keyStamp
-	shapeKey   string
-	idStamp    keyStamp
-	id         []byte
+	// Identity cache: the binary identity costs sorts plus a walk of the
+	// whole constraint graph, and the engine asks for it on every table
+	// revisit. A cached identity is valid while the configuration content
+	// is unchanged: constraint-graph changes are tracked by (graph
+	// identity, graph version); Sets/Matches/Pending/Top changes by
+	// explicit dirtyKeys calls in the State-level mutators. Clone
+	// deliberately does not copy the cache — transfer functions mutate
+	// fresh clones through direct field writes that bypass dirtyKeys, so
+	// clones must start cold. The identity lives in id, a buffer reused
+	// across rebuilds.
+	idStamp keyStamp
+	id      []byte
 }
 
 // keyStamp marks a cached canonical key valid for the graph identity and
@@ -227,11 +225,10 @@ func (c *keyStamp) stamp(g *cg.Graph) {
 	*c = keyStamp{ok: true, g: g, gVer: g.Version()}
 }
 
-// dirtyKeys invalidates the cached canonical keys. Every State method that
+// dirtyKeys invalidates the cached identity. Every State method that
 // changes key-relevant content (Sets, Matches, Pending, Top) must call it;
 // constraint-graph mutations are caught by the graph version instead.
 func (st *State) dirtyKeys() {
-	st.shapeStamp.ok = false
 	st.idStamp.ok = false
 }
 
@@ -614,9 +611,9 @@ func eraseSetIDs(b []byte) []byte {
 func (st *State) sortCanonical() {
 	// Fast path: strictly increasing (node ID, blocked) pairs determine
 	// the order on their own — no ties, nothing to sort. This is the
-	// overwhelmingly common case (sortCanonical runs on every step and
-	// every key-cache miss), and it skips both the sort machinery and the
-	// anonymized range keys below.
+	// overwhelmingly common case (sortCanonical runs on every step, every
+	// shape-key render and every identity-cache miss), and it skips both
+	// the sort machinery and the anonymized range keys below.
 	inOrder := true
 	for i := 1; i < len(st.Sets); i++ {
 		a, b := st.Sets[i-1], st.Sets[i]
@@ -671,25 +668,13 @@ func (st *State) ShapeKey() string {
 	if st.Top {
 		return "TOP"
 	}
-	if st.shapeStamp.valid(st.G) {
-		st.G.StatsHandle().AddKeyCacheHits(1)
-		return st.shapeKey
-	}
 	var buf [64]byte
-	st.setShapeKey(string(st.appendShapeKey(buf[:0])))
-	return st.shapeKey
-}
-
-// setShapeKey caches key as st's shape key.
-func (st *State) setShapeKey(key string) {
-	st.shapeKey = key
-	st.shapeStamp.stamp(st.G)
+	return string(st.appendShapeKey(buf[:0]))
 }
 
 // appendShapeKey renders st's shape key into b, after putting the sets and
-// pending records in canonical order, and counts the key-cache miss.
+// pending records in canonical order.
 func (st *State) appendShapeKey(b []byte) []byte {
-	st.G.StatsHandle().AddKeyCacheMisses(1)
 	st.sortCanonical()
 	st.sortPending()
 	for i, p := range st.Sets {

@@ -476,7 +476,7 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 		g:        g,
 		opts:     opts,
 		in:       newInterner(),
-		inv:      NewInvariants(),
+		inv:      ScanInvariants(g),
 		res:      &Result{},
 		visited:  make([]bool, len(g.Nodes)),
 		descs:    make([]string, len(g.Nodes)),
@@ -494,13 +494,6 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 		SetObs(tr *obs.Tracer, pid int, labels bool)
 	}); ok {
 		om.SetObs(opts.Tracer, opts.TracePID, opts.ProfileLabels)
-	}
-	// Pre-scan assume statements for global invariants (np = nrows*ncols
-	// etc.) so the HSM matcher has them from the start.
-	for _, n := range g.Nodes {
-		if n.Kind == cfg.Assume {
-			e.inv.Collect(n.Cond)
-		}
 	}
 	init := NewState(g.Entry, opts.CGOpts)
 	init.SetAssignedVars(assignedVars(g))
@@ -1417,15 +1410,15 @@ func firstFailingBound(old, nw *State) (a, b procset.Atom, ok bool) {
 	if len(old.Pending) == len(nw.Pending) {
 		for i := range old.Pending {
 			po, pn := old.Pending[i], nw.Pending[i]
-			pairs := [][2]procset.Bound{
+			pairs := [4][2]procset.Bound{
 				{po.Senders.LB, pn.Senders.LB}, {po.Senders.UB, pn.Senders.UB},
+				{po.Dests.LB, pn.Dests.LB}, {po.Dests.UB, pn.Dests.UB},
 			}
+			n := 2
 			if po.Shape == PendFan {
-				pairs = append(pairs,
-					[2]procset.Bound{po.Dests.LB, pn.Dests.LB},
-					[2]procset.Bound{po.Dests.UB, pn.Dests.UB})
+				n = 4
 			}
-			for _, pair := range pairs {
+			for _, pair := range pairs[:n] {
 				if !pair[0].SharesAtom(pair[1]) {
 					return pair[0].Primary(), pair[1].Primary(), true
 				}
@@ -1435,38 +1428,12 @@ func firstFailingBound(old, nw *State) (a, b procset.Atom, ok bool) {
 	return procset.Atom{}, procset.Atom{}, false
 }
 
-// sameFailure reports whether range widening would still fail, building
+// sameFailure reports whether range widening would still fail: some bound
+// pair shares no atom, or the pending lists differ in length. It builds
 // nothing.
 func (e *engine) sameFailure(old, nw *State) bool {
-	for i := range old.Sets {
-		if !widens(old.Sets[i].Range, nw.Sets[i].Range) {
-			return true
-		}
-	}
-	if len(old.Pending) != len(nw.Pending) {
-		return true
-	}
-	for i := range old.Pending {
-		po, pn := old.Pending[i], nw.Pending[i]
-		if !widens(po.Senders, pn.Senders) || po.Shape == PendFan && !widens(po.Dests, pn.Dests) {
-			return true
-		}
-	}
-	for _, m := range nw.Matches {
-		for _, om := range old.Matches {
-			if om.SendNode == m.SendNode && om.RecvNode == m.RecvNode &&
-				(!widens(om.Sender, m.Sender) || !widens(om.Receiver, m.Receiver)) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// widens reports whether a.Widen(b) succeeds: both pairs of bounds share
-// an atom.
-func widens(a, b procset.Set) bool {
-	return a.LB.SharesAtom(b.LB) && a.UB.SharesAtom(b.UB)
+	_, _, failing := firstFailingBound(old, nw)
+	return failing || len(old.Pending) != len(nw.Pending)
 }
 
 // ---------------------------------------------------------------------------
@@ -1812,18 +1779,9 @@ func (e *engine) tryPendingMatches(st *State, key string) bool {
 				continue
 			}
 			ns := st.Clone()
-			nr := ns.Set(r.ID)
-			recvNode := nr.Node
 			// Release the matched receivers; leftover pieces stay blocked.
-			ctx := ns.Ctx()
-			nr.Range = pm.RecvMatched
-			for _, rr := range pm.RecvRests {
-				if !rr.IsValid() || rr.Empty(ctx) == tri.True {
-					continue
-				}
-				rest := ns.SplitSet(nr, pm.RecvMatched, rr)
-				rest.Blocked = true
-			}
+			nr := e.applyPlanSide(ns, ns.Set(r.ID), pm.RecvMatched, pm.RecvRests)
+			recvNode := nr.Node
 			ns.ReplacePending(idx, pm.PendingRests)
 			// Value propagation from the frozen payload.
 			rv := pvAtom(nr.ID, recvNode.RecvName)

@@ -95,16 +95,14 @@ func (e *engine) prepare(fromKey string, succs []succ) (preps []prepSucc, tops [
 		}
 		csp := e.span(obs.PhaseCanon, fromKey)
 		sa.st.CanonicalizeParams()
-		// A successor is a fresh clone, so its key cache is cold: the key
-		// is rendered on the stack and looked up as bytes. Only a
-		// configuration seen for the first time allocates its key, and the
-		// state caches the interned string, which the edges share.
+		// The key is rendered on the stack and looked up as bytes. Only a
+		// configuration seen for the first time allocates its key; the
+		// prepared successor and the edge share the interned string.
 		var buf [64]byte
 		b := sa.st.appendShapeKey(buf[:0])
 		csp.End()
 		isp := e.span(obs.PhaseInsert, "")
 		id, key := e.in.internBytes(b)
-		sa.st.setShapeKey(key)
 		preps = append(preps, prepSucc{st: sa.st, action: sa.action, key: key, id: id})
 		e.res.Edges = append(e.res.Edges, PCFGEdge{From: fromKey, To: key, Action: sa.action})
 		isp.WithKey(key).End()

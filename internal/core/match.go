@@ -35,8 +35,6 @@ type MatchPlan struct {
 // One analysis calls its Matcher from one goroutine. Concurrent analyses
 // (AnalyzeAll) each need their own Matcher.
 type Matcher interface {
-	// Name identifies the client analysis.
-	Name() string
 	// Match attempts to match the send facet of sender against the receive
 	// facet of receiver. dest is sender's partner expression, src is
 	// receiver's. Returns a plan on success.
@@ -61,14 +59,6 @@ type Matcher interface {
 // while the analysis runs. The critical section is a map probe — the
 // decision procedure itself runs outside it.
 type MatchMemo struct {
-	// Disable turns the memo off: Lookup always misses (without counting)
-	// and Store drops the decision, so every query re-runs the decision
-	// procedure. Decisions are unchanged — the memo is transparent — but
-	// the hit/miss counters stay at zero. Set before the analysis starts;
-	// used by the bench-history precision fixtures to emulate a broken
-	// cache path.
-	Disable bool
-
 	mu      sync.Mutex
 	hits    int
 	misses  int
@@ -79,9 +69,6 @@ type MatchMemo struct {
 // whether one exists, maintaining the hit/miss counters. It allocates
 // nothing: the key is looked up as bytes.
 func (m *MatchMemo) Lookup(key []byte) (res, ok bool) {
-	if m.Disable {
-		return false, false
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	res, ok = m.entries[string(key)]
@@ -96,9 +83,6 @@ func (m *MatchMemo) Lookup(key []byte) (res, ok bool) {
 // Store records a decision for the key rendered in key, which it copies
 // into a string.
 func (m *MatchMemo) Store(key []byte, res bool) {
-	if m.Disable {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.entries == nil {

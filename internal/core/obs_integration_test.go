@@ -57,7 +57,7 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 			if got := countedSignature(res); got != want {
 				t.Errorf("traced run diverged:\n got: %s\nwant: %s", got, want)
 			}
-			if tr.EventCount() == 0 {
+			if len(tr.Events()) == 0 {
 				t.Error("tracer retained no events")
 			}
 			if probs := obs.Check(tr.Events(), 0); len(probs) != 0 {
@@ -115,7 +115,7 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 
 			// A ring that holds the whole run retains every step, and does
 			// not perturb the result either.
-			ring := obs.NewRing(tr.EventCount())
+			ring := obs.NewRing(len(tr.Events()))
 			_, g = w.Parse()
 			if got := countedSignature(analyzeWith(t, g, core.Options{Tracer: ring})); got != want {
 				t.Errorf("ring-traced run diverged:\n got: %s\nwant: %s", got, want)

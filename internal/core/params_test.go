@@ -183,3 +183,33 @@ func TestIssueSendAggregatesFan(t *testing.T) {
 		t.Errorf("dests = %v", got)
 	}
 }
+
+// TestSameFailureReadsFanDests checks the widening-failure rule on pending
+// sends: a fan's destination bounds count, a shift's do not, and a pair
+// that shares no atom is the one firstFailingBound reports.
+func TestSameFailureReadsFanDests(t *testing.T) {
+	st, _ := newTestState(t)
+	pend := func(shape PendShape, destLB int64) *State {
+		s := st.Clone()
+		s.Pending = []*PendingSend{{
+			Shape:   shape,
+			Senders: procset.Singleton(nil, sym.Zero),
+			Dests:   procset.Range(nil, sym.Const(destLB), sym.VarPlus("np", -1)),
+		}}
+		return s
+	}
+	e := &engine{}
+	if e.sameFailure(pend(PendFan, 2), pend(PendFan, 2)) {
+		t.Error("equal fans fail widening")
+	}
+	old, nw := pend(PendFan, 2), pend(PendFan, 3)
+	if !e.sameFailure(old, nw) {
+		t.Error("fans with unrelated destination bounds widen")
+	}
+	if a, b, ok := firstFailingBound(old, nw); !ok || a.String() != "2" || b.String() != "3" {
+		t.Errorf("firstFailingBound = %v, %v, %v; want the destination lower bounds", a, b, ok)
+	}
+	if e.sameFailure(pend(PendShift, 2), pend(PendShift, 3)) {
+		t.Error("a shift's unused destination bounds fail widening")
+	}
+}

@@ -131,11 +131,6 @@ func TestProgressProverLane(t *testing.T) {
 	w := bench.TransposeSquare()
 	_, g := w.Parse()
 	m := cartesian.New(core.ScanInvariants(g))
-	// Force every decision through the searcher: with the prover memo
-	// disabled, repeated queries re-search instead of hitting the cache,
-	// so the lane is deterministically non-empty even if the match memo
-	// absorbs most traffic.
-	m.Prover().DisableCache = true
 	tracker := obs.NewProgressTracker()
 	if _, err := core.Analyze(g, core.Options{
 		Matcher:  m,

@@ -386,30 +386,25 @@ func NewInvariants() *Invariants {
 // Collect extracts invariants from an assume condition: var == polynomial
 // equalities and var >= c lower bounds, recursing into conjunctions.
 func (inv *Invariants) Collect(cond ast.Expr) {
-	inv.collectLocked(cond)
-}
-
-func (inv *Invariants) collectLocked(cond ast.Expr) {
 	b, ok := cond.(*ast.Binary)
 	if !ok {
 		return
 	}
 	if b.Op == ast.LAnd {
-		inv.collectLocked(b.L)
-		inv.collectLocked(b.R)
+		inv.Collect(b.L)
+		inv.Collect(b.R)
 		return
 	}
-	toPoly := func(e ast.Expr) (sym.Expr, bool) { return astToPoly(e) }
 	switch b.Op {
 	case ast.Eq:
 		if id, ok := b.L.(*ast.Ident); ok && id.Name != sem.IDVar {
-			if rhs, ok := toPoly(b.R); ok && !rhs.Uses(id.Name) {
+			if rhs, ok := astToPoly(b.R); ok && !rhs.Uses(id.Name) {
 				inv.Subst[id.Name] = rhs
 			}
 		}
 	case ast.Ge:
 		if id, ok := b.L.(*ast.Ident); ok && id.Name != sem.IDVar {
-			if rhs, ok := toPoly(b.R); ok {
+			if rhs, ok := astToPoly(b.R); ok {
 				if c, isC := rhs.IsConst(); isC {
 					if cur, exists := inv.LowerBounds[id.Name]; !exists || c > cur {
 						inv.LowerBounds[id.Name] = c

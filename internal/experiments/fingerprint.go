@@ -11,25 +11,6 @@ import (
 	"repro/internal/lint"
 )
 
-// FingerprintOptions configures precision-fingerprint capture. The zero
-// value is the production configuration; the knobs exist so tests (and the
-// regression-gate acceptance fixture) can deliberately degrade precision
-// and watch the fingerprint move.
-type FingerprintOptions struct {
-	// DisableHSMCaches turns off the HSM prover cache path — both the
-	// match-decision memo in front of the prover (core.MatchMemo) and the
-	// prover's own memo table — emulating a broken or disabled cache:
-	// decisions stay identical, but the memo_hits/memo_misses facets
-	// collapse to zero and prover_proofs climbs as every query re-proves,
-	// which the bench gate flags as a precision-fingerprint change.
-	DisableHSMCaches bool
-	// MaxVisits, when > 0, lowers the engine's revisit budget before a
-	// configuration gives up to ⊤. Small values force give-ups on looping
-	// workloads — a genuine (soundness-preserving) precision loss: tops,
-	// widenings and lint PSDF-E005 counts all move.
-	MaxVisits int
-}
-
 // CaptureFingerprint analyzes one workload sequentially with the cartesian
 // client and distills the run into its precision fingerprint: what was
 // proved (matches, topology, clean terminals), what was given up (⊤
@@ -38,18 +19,13 @@ type FingerprintOptions struct {
 // is deterministic, so two captures of the same code on the same workload
 // are facet-for-facet identical; any delta between commits is a real
 // behavioral change.
-func CaptureFingerprint(w *bench.Workload, opts FingerprintOptions) (*benchhist.Fingerprint, error) {
+func CaptureFingerprint(w *bench.Workload) (*benchhist.Fingerprint, error) {
 	prog, g := w.Parse()
 	m := cartesian.New(core.ScanInvariants(g))
-	if opts.DisableHSMCaches {
-		m.Memo().Disable = true
-		m.Prover().DisableCache = true
-	}
 	res, err := core.Analyze(g, core.Options{
 		Matcher:          m,
 		CGOpts:           cg.Options{Backend: cg.ArrayBackend},
 		RecordCommBounds: true,
-		MaxVisits:        opts.MaxVisits,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
@@ -68,10 +44,9 @@ func CaptureFingerprint(w *bench.Workload, opts FingerprintOptions) (*benchhist.
 		HSMAttempts:   m.HSMAttemptCount(),
 		HSMMatches:    m.HSMMatchCount(),
 
-		MemoHits:        m.Memo().HitCount(),
-		MemoMisses:      m.Memo().MissCount(),
-		ProverCacheHits: m.Prover().CacheHits,
-		ProverProofs:    m.Prover().Proofs,
+		MemoHits:     m.Memo().HitCount(),
+		MemoMisses:   m.Memo().MissCount(),
+		ProverProofs: m.Prover().Proofs,
 	}
 
 	// Lint verdicts over the same analysis: finding counts per diagnostic
@@ -93,10 +68,10 @@ func CaptureFingerprint(w *bench.Workload, opts FingerprintOptions) (*benchhist.
 
 // CaptureFingerprints captures the precision fingerprint of every workload
 // in the evaluation suite (bench.All), keyed by workload name.
-func CaptureFingerprints(opts FingerprintOptions) (map[string]*benchhist.Fingerprint, error) {
+func CaptureFingerprints() (map[string]*benchhist.Fingerprint, error) {
 	out := map[string]*benchhist.Fingerprint{}
 	for _, w := range bench.All() {
-		fp, err := CaptureFingerprint(w, opts)
+		fp, err := CaptureFingerprint(w)
 		if err != nil {
 			return nil, err
 		}

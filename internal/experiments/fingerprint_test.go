@@ -1,21 +1,25 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/benchhist"
+	"repro/internal/core"
+	"repro/internal/lint"
 )
 
 // TestFingerprintDeterministic is the foundation of the precision gate: two
 // captures of the same code must agree facet-for-facet, so any inter-commit
 // delta is a real behavioral change, never sampling noise.
 func TestFingerprintDeterministic(t *testing.T) {
-	a, err := CaptureFingerprints(FingerprintOptions{})
+	a, err := CaptureFingerprints()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CaptureFingerprints(FingerprintOptions{})
+	b, err := CaptureFingerprints()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +41,7 @@ func TestFingerprintDeterministic(t *testing.T) {
 // TestFingerprintShape sanity-checks that the captured facets carry real
 // signal on known workloads.
 func TestFingerprintShape(t *testing.T) {
-	fps, err := CaptureFingerprints(FingerprintOptions{})
+	fps, err := CaptureFingerprints()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,18 +75,26 @@ func TestFingerprintShape(t *testing.T) {
 }
 
 // TestDegradedPrecisionMovesFingerprint is the acceptance fixture for the
-// regression gate: disabling the HSM prover cache path must change the
-// fingerprint (cache facets collapse), and the bench gate must fail on the
-// delta while identical captures pass.
+// regression gate: a capture with one workload giving up and another
+// losing its match-memo hits must fail the gate, naming exactly those
+// workloads, while identical captures pass.
 func TestDegradedPrecisionMovesFingerprint(t *testing.T) {
-	clean, err := CaptureFingerprints(FingerprintOptions{})
+	clean, err := CaptureFingerprints()
 	if err != nil {
 		t.Fatal(err)
 	}
-	degraded, err := CaptureFingerprints(FingerprintOptions{DisableHSMCaches: true})
-	if err != nil {
-		t.Fatal(err)
+	degraded := map[string]*benchhist.Fingerprint{}
+	for name, fp := range clean {
+		cp := *fp
+		degraded[name] = &cp
 	}
+	fig2, shift := degraded["fig2_exchange"], degraded["fig7_shift"]
+	if fig2 == nil || shift == nil || shift.MemoHits == 0 {
+		t.Fatalf("fixture workloads missing or without memo hits: %+v, %+v", fig2, shift)
+	}
+	fig2.Tops++
+	shift.MemoMisses += shift.MemoHits
+	shift.MemoHits = 0
 
 	entry := func(fps map[string]*benchhist.Fingerprint) *benchhist.Entry {
 		return &benchhist.Entry{
@@ -93,58 +105,63 @@ func TestDegradedPrecisionMovesFingerprint(t *testing.T) {
 		}
 	}
 
-	// Identical runs: no change, gate passes.
 	same := benchhist.Diff(entry(clean), entry(clean), benchhist.DefaultThresholds())
 	if same.PrecisionChanged() {
 		t.Fatalf("identical captures reported as changed: %+v", same.Fingerprints)
 	}
-	if fails, _ := same.Gate(false); len(fails) != 0 {
+	if fails, _ := same.GateWith(benchhist.GatePolicy{}); len(fails) != 0 {
 		t.Fatalf("gate failed on identical captures: %v", fails)
 	}
 
-	// Degraded run: at least the cache-heavy workloads must move, and the
-	// gate must exit nonzero on the delta.
 	r := benchhist.Diff(entry(clean), entry(degraded), benchhist.DefaultThresholds())
 	if !r.PrecisionChanged() {
-		t.Fatal("disabling the prover cache did not move any fingerprint")
+		t.Fatal("the degraded capture moved no fingerprint")
 	}
-	fails, _ := r.Gate(false)
-	if len(fails) == 0 {
-		t.Fatal("gate passed despite a precision-fingerprint change")
+	fails, _ := r.GateWith(benchhist.GatePolicy{})
+	if len(fails) != 2 {
+		t.Fatalf("gate failures = %v, want one per degraded workload", fails)
 	}
-	// The topology itself must NOT have changed — the cache is transparent
-	// to decisions; only the how-it-was-proved facets move.
-	for name, fc := range clean {
-		if fd := degraded[name]; fd != nil && fc.Topology != fd.Topology {
-			t.Errorf("%s: topology changed with cache disabled: %q vs %q", name, fc.Topology, fd.Topology)
+	for i, want := range []string{
+		"fig2_exchange fingerprint changed: tops: 0 -> 1",
+		fmt.Sprintf("fig7_shift fingerprint changed: memo_hits: %d -> 0", clean["fig7_shift"].MemoHits),
+	} {
+		if !strings.Contains(fails[i], want) {
+			t.Errorf("failure %d = %q, want it to contain %q", i, fails[i], want)
 		}
 	}
 }
 
 // TestMaxVisitsDegradationForcesTops exercises the second degradation axis:
 // a starved revisit budget must surface as ⊤ configurations and PSDF-E005
-// lint findings on a looping workload.
+// lint findings on a looping workload, the facets a fingerprint counts.
 func TestMaxVisitsDegradationForcesTops(t *testing.T) {
 	w := bench.Fig5ExchangeRoot()
-	clean, err := CaptureFingerprint(w, FingerprintOptions{})
-	if err != nil {
-		t.Fatal(err)
+	load := func(opts core.Options) (*lint.Target, *lint.Report) {
+		tg, err := lint.Load(w.Name+".mpl", w.Src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tg, lint.Run(tg, lint.Options{})
 	}
-	if clean.Tops != 0 {
-		t.Fatalf("clean capture has %d tops", clean.Tops)
+	clean, cleanRep := load(core.Options{})
+	if n := len(clean.Res.Tops); n != 0 {
+		t.Fatalf("clean analysis has %d tops", n)
 	}
-	starved, err := CaptureFingerprint(w, FingerprintOptions{MaxVisits: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if starved.Tops == 0 {
+	starved, rep := load(core.Options{MaxVisits: 1})
+	if len(starved.Res.Tops) == 0 {
 		t.Fatal("MaxVisits=1 did not force any give-up")
 	}
-	if starved.LintFindings["PSDF-E005"] == 0 {
-		t.Errorf("starved capture has no PSDF-E005 lint findings: %v", starved.LintFindings)
+	e005 := 0
+	for _, d := range rep.Diags {
+		if d.Code == "PSDF-E005" {
+			e005++
+		}
 	}
-	if diffs := clean.DiffFields(starved); len(diffs) == 0 {
-		t.Error("starved fingerprint identical to clean one")
+	if e005 == 0 {
+		t.Errorf("starved analysis has no PSDF-E005 lint findings: %v", rep.Diags)
+	}
+	if len(rep.Diags) == len(cleanRep.Diags) && len(starved.Res.Matches) == len(clean.Res.Matches) {
+		t.Error("starved analysis reports what the clean one does")
 	}
 }
 

@@ -458,127 +458,6 @@ func TestCtxInvariants(t *testing.T) {
 	}
 }
 
-func TestProverCache(t *testing.T) {
-	ctx := NewCtx()
-	p := NewProver(ctx)
-	// Interleave set-equality needs a real BFS: [[2:3,4]:2,2] ~ [2:6,2].
-	a := Node(Run(sym.Const(2), sym.Const(3), sym.Const(4)), sym.Const(2), sym.Const(2))
-	b := Run(sym.Const(2), sym.Const(6), sym.Const(2))
-	if !p.SetEqual(a, b) {
-		t.Fatal("interleave set-equality failed")
-	}
-	explored := p.StatesExplored
-	if p.CacheHits != 0 {
-		t.Fatalf("CacheHits = %d before any repeat", p.CacheHits)
-	}
-	// Repeat query: answered from the memo, no new states, same decision.
-	if !p.SetEqual(a, b) {
-		t.Fatal("cached decision flipped")
-	}
-	// Symmetric argument order hits the same entry.
-	if !p.SetEqual(b, a) {
-		t.Fatal("symmetric cached decision flipped")
-	}
-	if p.CacheHits != 2 {
-		t.Errorf("CacheHits = %d, want 2", p.CacheHits)
-	}
-	if p.StatesExplored != explored {
-		t.Errorf("cache hit re-ran the search: %d -> %d states", explored, p.StatesExplored)
-	}
-	if p.Proofs != 3 {
-		t.Errorf("Proofs = %d, want 3 (hits still count decisions)", p.Proofs)
-	}
-
-	// Negative decisions are cached too (deterministic search).
-	c := Run(sym.Const(0), sym.Const(6), sym.Const(1))
-	if p.SetEqual(a, c) {
-		t.Fatal("unequal sets proved equal")
-	}
-	failures := p.Failures
-	if p.SetEqual(c, a) {
-		t.Fatal("cached refutation flipped")
-	}
-	if p.Failures != failures+1 || p.CacheHits != 3 {
-		t.Errorf("refutation not served from cache: failures %d->%d, hits %d", failures, p.Failures, p.CacheHits)
-	}
-
-	// SeqEqual decisions are memoized as well.
-	if !p.SeqEqual(b, b) {
-		t.Fatal("SeqEqual reflexivity failed")
-	}
-	hits := p.CacheHits
-	if !p.SeqEqual(b, b) {
-		t.Fatal("cached SeqEqual flipped")
-	}
-	if p.CacheHits != hits+1 {
-		t.Errorf("SeqEqual repeat not cached: hits %d -> %d", hits, p.CacheHits)
-	}
-}
-
-func TestProverCacheKeyedByContext(t *testing.T) {
-	// Same terms under different invariants must not share cache entries:
-	// np = n*n makes [0:np,1] ~ [[0:n,1]:n,n*1] reshapeable, an empty
-	// context does not.
-	a := IDRange(sym.Zero, sym.Var("np"))
-	bInner := Node(IDRange(sym.Zero, sym.Var("n")), sym.Var("n"), sym.Var("n"))
-
-	empty := NewProver(NewCtx())
-	if empty.SetEqual(a, bInner) {
-		t.Fatal("proved set-equality without the np=n*n invariant")
-	}
-	rich := NewProver(NewCtx().
-		WithInvariant("np", sym.Mul(sym.Var("n"), sym.Var("n"))).
-		WithLowerBound("n", 1))
-	if !rich.SetEqual(a, bInner) {
-		t.Fatal("np=n*n reshape not proved")
-	}
-	// Mutating the context invalidates the old entries by key.
-	p := NewProver(NewCtx())
-	if p.SetEqual(a, bInner) {
-		t.Fatal("empty-context proof unexpectedly succeeded")
-	}
-	p.Ctx.WithInvariant("np", sym.Mul(sym.Var("n"), sym.Var("n"))).WithLowerBound("n", 1)
-	if !p.SetEqual(a, bInner) {
-		t.Fatal("stale cached refutation served after context gained the invariant")
-	}
-	if p.CacheHits != 0 {
-		t.Errorf("CacheHits = %d, want 0 (different fingerprints)", p.CacheHits)
-	}
-}
-
-func TestProverDisableCache(t *testing.T) {
-	ctx := NewCtx()
-	p := NewProver(ctx)
-	p.DisableCache = true
-	a := Node(Run(sym.Const(2), sym.Const(3), sym.Const(4)), sym.Const(2), sym.Const(2))
-	b := Run(sym.Const(2), sym.Const(6), sym.Const(2))
-	if !p.SetEqual(a, b) {
-		t.Fatal("interleave set-equality failed")
-	}
-	// The repeat query must re-decide: no cache hits, another full proof.
-	proofs := p.Proofs
-	if !p.SetEqual(a, b) {
-		t.Fatal("repeat decision flipped with cache disabled")
-	}
-	if p.CacheHits != 0 {
-		t.Errorf("CacheHits = %d with DisableCache, want 0", p.CacheHits)
-	}
-	if p.Proofs != proofs+1 {
-		t.Errorf("Proofs %d -> %d, want +1 per re-decided query", proofs, p.Proofs)
-	}
-	// Re-enabling the cache starts cold (disabled queries were not stored).
-	p.DisableCache = false
-	if !p.SetEqual(a, b) {
-		t.Fatal("decision flipped after re-enabling cache")
-	}
-	if p.CacheHits != 0 {
-		t.Errorf("disabled-path queries leaked into the cache: hits = %d", p.CacheHits)
-	}
-	if !p.SetEqual(a, b) || p.CacheHits != 1 {
-		t.Errorf("cache did not resume: hits = %d, want 1", p.CacheHits)
-	}
-}
-
 // TestAppendKeyMatchesReference checks String and AppendKey against the
 // fmt rendering "[child:r,s]" on random nested HSMs.
 func TestAppendKeyMatchesReference(t *testing.T) {

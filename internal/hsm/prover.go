@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -37,47 +36,27 @@ type Prover struct {
 	StatesExplored int
 	Proofs         int
 	Failures       int
-	// CacheHits counts queries answered from the memo table instead of
-	// re-running normalization or the BFS. Proofs/Failures still count
-	// cached decisions, so existing stats keep their meaning.
-	CacheHits int
-	// cache memoizes decided queries. A decision is a pure function of the
-	// two terms, the relation, the search bounds and the context facts, so
-	// the key fingerprints all of them (the context is mutable via
-	// WithInvariant/WithLowerBound, hence the fingerprint rather than an
-	// install-time snapshot). Both proofs and refutations are cached: the
-	// search is deterministic, so a failure at the same bounds repeats.
-	cache map[string]bool
-	// DisableCache turns the memo table off: every query re-runs
-	// normalization and the BFS, and CacheHits stays 0. The decisions are
-	// unchanged (the cache is transparent); only the work and the cache
-	// counters move. Used by the bench-history precision-fingerprint
-	// fixtures to emulate a broken cache path, and handy when profiling
-	// the raw search.
-	DisableCache bool
-	// Tracer, when non-nil, receives one obs.PhaseProver span per search
-	// that misses the memo (cache hits are free and not worth a span). The
-	// spans land on the dedicated prover lane (obs.ProverTid) under
+	// Tracer, when non-nil, receives one obs.PhaseProver span per search.
+	// The spans land on the dedicated prover lane (obs.ProverTid) under
 	// TracePID's process. Only a retaining tracer gets the searched terms
 	// as the key and the explored-state count in the detail, so a tracer
 	// that keeps totals only costs no allocation.
 	Tracer   *obs.Tracer
 	TracePID int
 	// ProfileLabels attaches the psdf_phase=prover pprof goroutine label
-	// to memo-missing searches, so CPU profiles attribute normalization
-	// and BFS samples to the prover alongside the engine's phase labels.
-	// Cache hits stay label-free (they do no search work).
+	// to searches, so CPU profiles attribute normalization and BFS samples
+	// to the prover alongside the engine's phase labels.
 	ProfileLabels bool
-	// Searches / SearchNs count memo-missing searches (SeqEqual and
-	// SetEqual bodies; cache hits are excluded) and their cumulative wall
-	// time. Unlike the plain-int Stats above they are atomics: progress
-	// samplers and the engine profiler read them live from other
-	// goroutines while the matcher-serialized searches run.
+	// Searches / SearchNs count searches (SeqEqual and SetEqual calls) and
+	// their cumulative wall time. Unlike the plain-int Stats above they
+	// are atomics: progress samplers and the engine profiler read them
+	// live from other goroutines while the matcher-serialized searches
+	// run.
 	Searches atomic.Int64
 	SearchNs atomic.Int64
 }
 
-// timed wraps a memo-missing search body with the search counters.
+// timed wraps a search body with the search counters.
 func (p *Prover) timed(fn func() bool) func() bool {
 	return func() bool {
 		start := time.Now()
@@ -105,96 +84,26 @@ func NewProver(ctx *Ctx) *Prover {
 	return &Prover{Ctx: ctx, MaxStates: 4096, MaxDepth: 8}
 }
 
-// ctxFingerprint renders the context facts that influence decisions, in a
-// deterministic order, so cached results survive only as long as the facts
-// they were decided under.
-func (p *Prover) ctxFingerprint() string {
-	c := p.Ctx
-	if c == nil {
-		return ""
-	}
-	parts := make([]string, 0, len(c.Subst)+len(c.LowerBounds))
-	for v, e := range c.Subst {
-		parts = append(parts, v+"="+e.Key())
-	}
-	for v, lb := range c.LowerBounds {
-		parts = append(parts, fmt.Sprintf("%s>=%d", v, lb))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
-}
-
-// cacheKey builds the memo key for relation rel over terms with keys ka, kb.
-func (p *Prover) cacheKey(rel, ka, kb string) string {
-	return fmt.Sprintf("%s\x1f%d\x1f%d\x1f%s\x1f%s\x1f%s",
-		rel, p.maxDepth(), p.maxStates(), p.ctxFingerprint(), ka, kb)
-}
-
-// lookup consults the memo table, maintaining the decision counters so the
-// hit is indistinguishable from a re-run (minus the work).
-func (p *Prover) lookup(key string) (bool, bool) {
-	if p.DisableCache {
-		return false, false
-	}
-	res, ok := p.cache[key]
-	if ok {
-		p.CacheHits++
-		if res {
-			p.Proofs++
-		} else {
-			p.Failures++
-		}
-	}
-	return res, ok
-}
-
-func (p *Prover) store(key string, res bool) {
-	if p.DisableCache {
-		return
-	}
-	if p.cache == nil {
-		p.cache = map[string]bool{}
-	}
-	p.cache[key] = res
-}
-
 // SeqEqual reports whether a and b provably denote the same sequence.
 func (p *Prover) SeqEqual(a, b *HSM) bool {
-	ka, kb := a.Key(), b.Key()
-	key := p.cacheKey("seq", ka, kb)
-	if res, ok := p.lookup(key); ok {
-		return res
-	}
 	return p.labeled(p.timed(func() bool {
-		sp := p.Tracer.Begin(p.TracePID, obs.ProverTid, obs.PhaseProver, p.spanKey(ka, " =seq ", kb))
+		sp := p.Tracer.Begin(p.TracePID, obs.ProverTid, obs.PhaseProver, p.spanKey(a, relSeq, b))
 		defer sp.EndDetail("rel=seq")
 		na := p.Ctx.Normalize(a)
 		nb := p.Ctx.Normalize(b)
 		if Equal(na, nb) {
 			p.Proofs++
-			p.store(key, true)
 			return true
 		}
 		p.Failures++
-		p.store(key, false)
 		return false
 	}))
 }
 
 // SetEqual reports whether a and b provably denote the same set of values.
-// The relation is symmetric, so the key orders the operands canonically and
-// one decision serves both argument orders.
 func (p *Prover) SetEqual(a, b *HSM) bool {
-	ka, kb := a.Key(), b.Key()
-	if kb < ka {
-		ka, kb = kb, ka
-	}
-	key := p.cacheKey("set", ka, kb)
-	if res, ok := p.lookup(key); ok {
-		return res
-	}
 	return p.labeled(p.timed(func() bool {
-		sp := p.Tracer.Begin(p.TracePID, obs.ProverTid, obs.PhaseProver, p.spanKey(ka, " ~set ", kb))
+		sp := p.Tracer.Begin(p.TracePID, obs.ProverTid, obs.PhaseProver, p.spanKey(a, relSet, b))
 		before := p.StatesExplored
 		res := p.setEqualSearch(a, b)
 		detail := "rel=set"
@@ -202,18 +111,28 @@ func (p *Prover) SetEqual(a, b *HSM) bool {
 			detail = fmt.Sprintf("rel=set states=%d", p.StatesExplored-before)
 		}
 		sp.EndDetail(detail)
-		p.store(key, res)
 		return res
 	}))
 }
 
 // spanKey renders a search's span key, for a retaining tracer only.
-func (p *Prover) spanKey(ka, rel, kb string) string {
+// Set-equality is symmetric, so its key orders the operands canonically.
+func (p *Prover) spanKey(a *HSM, rel string, b *HSM) string {
 	if !p.Tracer.Retaining() {
 		return ""
 	}
+	ka, kb := a.Key(), b.Key()
+	if rel == relSet && kb < ka {
+		ka, kb = kb, ka
+	}
 	return ka + rel + kb
 }
+
+// The relations' span-key separators.
+const (
+	relSeq = " =seq "
+	relSet = " ~set "
+)
 
 func (p *Prover) setEqualSearch(a, b *HSM) bool {
 	na := p.Ctx.Normalize(a)

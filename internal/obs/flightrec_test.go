@@ -64,7 +64,7 @@ func TestFlightRecorderCapacity(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			r.Mark(0, 0, PhaseStep, 0, "", "")
 		}
-		if got := r.EventCount(); got != c.want {
+		if got := len(r.Events()); got != c.want {
 			t.Errorf("NewRing(%d) keeps %d events, want %d", c.n, got, c.want)
 		}
 	}
@@ -157,8 +157,8 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	if got := r.Totals()["step"].Count; got != 2000 {
 		t.Fatalf("step total = %d, want 2000", got)
 	}
-	if r.EventCount() != 64 {
-		t.Fatalf("ring kept %d events, want 64", r.EventCount())
+	if len(r.Events()) != 64 {
+		t.Fatalf("ring kept %d events, want 64", len(r.Events()))
 	}
 }
 

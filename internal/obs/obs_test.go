@@ -47,7 +47,7 @@ func TestNilTracerIsInert(t *testing.T) {
 	if d := sp.End(); d != 0 {
 		t.Errorf("nil span End = %v", d)
 	}
-	if tr.Totals() != nil || tr.Events() != nil || tr.EventCount() != 0 {
+	if tr.Totals() != nil || tr.Events() != nil || len(tr.Events()) != 0 {
 		t.Error("nil tracer returned data")
 	}
 }
@@ -84,8 +84,8 @@ func TestTracerTotalsAndEvents(t *testing.T) {
 	if evs[1].Detail != "pairs=3" || evs[1].Key != "cfg-a" {
 		t.Errorf("inner event = %+v", evs[1])
 	}
-	if tr.EventCount() != 2 {
-		t.Errorf("EventCount = %d", tr.EventCount())
+	if len(tr.Events()) != 2 {
+		t.Errorf("events = %d", len(tr.Events()))
 	}
 }
 
@@ -93,8 +93,8 @@ func TestAggregateTracerRetainsNothing(t *testing.T) {
 	tr := NewAggregate()
 	tr.clock = (&fakeClock{}).now
 	tr.Begin(0, 0, PhaseJoin, "").End()
-	if tr.EventCount() != 0 {
-		t.Errorf("aggregate tracer retained %d events", tr.EventCount())
+	if len(tr.Events()) != 0 {
+		t.Errorf("aggregate tracer retained %d events", len(tr.Events()))
 	}
 	if got := tr.Totals()["join"]; got.Count != 1 {
 		t.Errorf("aggregate totals = %+v", tr.Totals())

@@ -43,7 +43,7 @@ func TestTracerConcurrentHammer(t *testing.T) {
 		defer close(done)
 		for {
 			_ = tr.Totals()
-			_ = tr.EventCount()
+			_ = tr.Events()
 			_ = tracker.WritePrometheus(nopWriter{})
 			_ = tracker.WriteStatusz(nopWriter{})
 			select {
@@ -57,7 +57,7 @@ func TestTracerConcurrentHammer(t *testing.T) {
 	close(writersDone)
 	<-done
 
-	if n := tr.EventCount(); n != workers*iters*2 {
+	if n := len(tr.Events()); n != workers*iters*2 {
 		t.Errorf("events = %d, want %d", n, workers*iters*2)
 	}
 	if got := tr.Totals()["step"]; got.Count != workers*iters {

@@ -378,16 +378,6 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// EventCount reports the number of retained spans. Nil-safe.
-func (t *Tracer) EventCount() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
 // Dump writes the retained events of every tracer as JSON lines
 // (WriteJSONL's format, which ReadJSONL and `psdf trace` read) in a single
 // w.Write call, so dumps from concurrent analyses that share one file stay

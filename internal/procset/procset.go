@@ -829,24 +829,6 @@ func (b Bound) OffsetExpr(m *Memo, ofs sym.Expr) Bound {
 	return l.bound(m)
 }
 
-// RemovePoint splits s around a member x, returning the (possibly empty)
-// left part [LB..x-1], the singleton [x..x], and right part [x+1..UB].
-// The caller is responsible for having checked Contains(x).
-func (s Set) RemovePoint(m *Memo, x sym.Expr) (left, mid, right Set) {
-	xb := NewBound(m, x)
-	left = Set{s.LB, xb.Offset(m, -1)}
-	mid = Set{xb, xb}
-	right = Set{xb.Offset(m, 1), s.UB}
-	return left, mid, right
-}
-
-// SplitBelow splits s at pivot x into [LB..x-1] and [x..UB] (elements < x
-// and elements >= x).
-func (s Set) SplitBelow(m *Memo, x sym.Expr) (lt, ge Set) {
-	xb := NewBound(m, x)
-	return Set{s.LB, xb.Offset(m, -1)}, Set{xb, s.UB}
-}
-
 // UnionAdjacent merges s and o when they are adjacent or overlapping
 // contiguous ranges (s before o). ok=false when adjacency cannot be proved.
 func (s Set) UnionAdjacent(ctx Ctx, o Set) (Set, bool) {

@@ -88,35 +88,6 @@ func TestContainsSet(t *testing.T) {
 	}
 }
 
-func TestRemovePoint(t *testing.T) {
-	ctx := ctxWith(func(g *cg.Graph) {
-		g.AddLE(cg.ZeroVar, "np", -4)
-		g.SetConst("i", 1)
-	})
-	rest := Range(nil, sym.Const(1), sym.VarPlus("np", -1))
-	left, mid, right := rest.RemovePoint(nil, sym.Var("i"))
-	if got := left.Empty(ctx); got != tri.True {
-		t.Errorf("left %v Empty = %v with i=1", left, got)
-	}
-	if mid.String() != "[i]" {
-		t.Errorf("mid = %v", mid)
-	}
-	if right.String() != "[i + 1..np - 1]" {
-		t.Errorf("right = %v", right)
-	}
-}
-
-func TestSplitBelow(t *testing.T) {
-	all := Range(nil, sym.Const(0), sym.VarPlus("np", -1))
-	lt, ge := all.SplitBelow(nil, sym.Const(1))
-	if lt.String() != "[0..0]" && lt.String() != "[0]" {
-		t.Errorf("lt = %v", lt)
-	}
-	if ge.String() != "[1..np - 1]" {
-		t.Errorf("ge = %v", ge)
-	}
-}
-
 func TestUnionAdjacent(t *testing.T) {
 	ctx := ctxWith(func(g *cg.Graph) {
 		g.AddLE(cg.ZeroVar, "np", -4)
@@ -279,37 +250,6 @@ func TestQuickConcreteAgreement(t *testing.T) {
 		}
 		if got := s1.ContainsSet(ctx, s2); got != tri.Unknown {
 			if (got == tri.True) != sub {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickRemovePointPartitions(t *testing.T) {
-	// Property: RemovePoint partitions the concrete set.
-	cfg := &quick.Config{MaxCount: 200}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		lo := int64(r.Intn(5))
-		hi := lo + int64(r.Intn(6))
-		x := lo + int64(r.Intn(int(hi-lo+1)))
-		s := Range(nil, sym.Const(lo), sym.Const(hi))
-		left, mid, right := s.RemovePoint(nil, sym.Const(x))
-		env := map[string]int64{}
-		var union []int64
-		union = append(union, left.ConcreteSlice(env)...)
-		union = append(union, mid.ConcreteSlice(env)...)
-		union = append(union, right.ConcreteSlice(env)...)
-		want := s.ConcreteSlice(env)
-		if len(union) != len(want) {
-			return false
-		}
-		for i := range want {
-			if union[i] != want[i] {
 				return false
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/cfg"
 	"repro/internal/obs"
 	"repro/internal/source"
@@ -17,9 +18,9 @@ func testGraph() *cfg.Graph {
 	}
 	return &cfg.Graph{Nodes: []*cfg.Node{
 		{ID: 0, Kind: cfg.Entry},
-		{ID: 1, Kind: cfg.Assign, AssignName: "x", Span: span(1)},
-		{ID: 2, Kind: cfg.Send, Span: span(2)},
-		{ID: 3, Kind: cfg.Recv, Span: span(3), Synthetic: true},
+		{ID: 1, Kind: cfg.Assign, AssignName: "x", AssignRhs: &ast.IntLit{Value: 1}, Span: span(1)},
+		{ID: 2, Kind: cfg.Send, Value: &ast.Ident{Name: "x"}, Dest: &ast.IntLit{Value: 1}, Span: span(2)},
+		{ID: 3, Kind: cfg.Recv, RecvName: "x", Src: &ast.IntLit{Value: 0}, Span: span(3), Synthetic: true},
 	}}
 }
 
@@ -110,8 +111,8 @@ func TestAttachFoldsTracerEvents(t *testing.T) {
 	if r.Totals.Steps != 1 || r.Totals.Spawned != 3 || r.Totals.Matched != 1 || r.Totals.GiveUps != 0 {
 		t.Errorf("totals = %+v", r.Totals)
 	}
-	if tr.EventCount() != 0 {
-		t.Errorf("aggregate tracer retained %d events", tr.EventCount())
+	if len(tr.Events()) != 0 {
+		t.Errorf("aggregate tracer retained %d events", len(tr.Events()))
 	}
 	// Folding allocates nothing per event.
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -102,16 +102,6 @@ func (l *DiagList) Errorf(span Span, format string, args ...any) {
 	l.diags = append(l.diags, Diagnostic{Error, span, fmt.Sprintf(format, args...)})
 }
 
-// Warnf appends a warning diagnostic at span.
-func (l *DiagList) Warnf(span Span, format string, args ...any) {
-	l.diags = append(l.diags, Diagnostic{Warning, span, fmt.Sprintf(format, args...)})
-}
-
-// Notef appends a note diagnostic at span.
-func (l *DiagList) Notef(span Span, format string, args ...any) {
-	l.diags = append(l.diags, Diagnostic{Note, span, fmt.Sprintf(format, args...)})
-}
-
 // Add appends an already-built diagnostic.
 func (l *DiagList) Add(d Diagnostic) { l.diags = append(l.diags, d) }
 

@@ -63,9 +63,9 @@ func TestPosBefore(t *testing.T) {
 func TestDiagList(t *testing.T) {
 	var l DiagList
 	sp := func(line int) Span { return Span{Start: Pos{line, 1}} }
-	l.Warnf(sp(3), "later warning")
+	l.Add(Diagnostic{Severity: Warning, Span: sp(3), Message: "later warning"})
 	l.Errorf(sp(1), "first error")
-	l.Notef(sp(2), "a note")
+	l.Add(Diagnostic{Severity: Note, Span: sp(2), Message: "a note"})
 
 	if !l.HasErrors() {
 		t.Fatal("HasErrors = false, want true")

@@ -303,8 +303,8 @@ func Equal(a, b Expr) bool {
 
 // Key returns a canonical string usable as a map key. Unlike String it
 // serializes the normal form directly — no re-ordering, one builder pass —
-// because Key sits on the hot dedup/memoization paths (bound atom sets, HSM
-// prover cache, match memo).
+// because Key sits on the hot dedup/memoization paths (bound atom sets, the
+// HSM matcher's invariant fingerprint and the prover's search).
 func (e Expr) Key() string {
 	if len(e.terms) == 0 {
 		return "0"
@@ -438,16 +438,6 @@ func (e Expr) AsVarPlusConst() (v string, c int64, ok bool) {
 func (e Expr) Coeff(name string) int64 {
 	for _, t := range e.terms {
 		if len(t.vars) == 1 && t.vars[0] == name {
-			return t.coef
-		}
-	}
-	return 0
-}
-
-// ConstTerm returns the constant (degree-0) part of e.
-func (e Expr) ConstTerm() int64 {
-	for _, t := range e.terms {
-		if len(t.vars) == 0 {
 			return t.coef
 		}
 	}

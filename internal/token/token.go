@@ -153,6 +153,3 @@ func Lookup(name string) Kind {
 	}
 	return Ident
 }
-
-// IsKeyword reports whether k is a keyword kind.
-func IsKeyword(k Kind) bool { return k >= KwVar && k < numKinds }

@@ -20,13 +20,17 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+// TestIsKeyword checks that Lookup recognizes every keyword kind by its
+// spelling and no other kind's spelling as a keyword.
 func TestIsKeyword(t *testing.T) {
-	if !IsKeyword(KwIf) || !IsKeyword(KwFalse) {
-		t.Error("keyword not recognized")
+	for k := KwVar; k < numKinds; k++ {
+		if got := Lookup(k.String()); got != k {
+			t.Errorf("Lookup(%q) = %v, want keyword %v", k.String(), got, k)
+		}
 	}
 	for _, k := range []Kind{Ident, Int, Plus, EOF, Illegal} {
-		if IsKeyword(k) {
-			t.Errorf("%v wrongly a keyword", k)
+		if got := Lookup(k.String()); got != Ident {
+			t.Errorf("%v wrongly a keyword: Lookup(%q) = %v", k, k.String(), got)
 		}
 	}
 }
