@@ -106,16 +106,13 @@ func splitIDs(list string) []string {
 // `psdf bench record` keeps the timings.
 func benchRun(args []string) int {
 	fs := flag.NewFlagSet("bench run", flag.ExitOnError)
-	var (
-		expList  = fs.String("exp", "", "comma-separated spec ids to run (default: all)")
-		parallel = fs.Int("parallel", 0, "specs in flight (0 = one per CPU, 1 = serial)")
-	)
+	expList := fs.String("exp", "", "comma-separated spec ids to run (default: all)")
 	_ = fs.Parse(args)
 	if fs.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "psdf bench run: unexpected arguments", fs.Args())
 		return 2
 	}
-	sampled, err := experiments.RunSampled(splitIDs(*expList), 1, *parallel)
+	sampled, err := experiments.RunSampled(splitIDs(*expList), 1)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psdf bench run:", err)
 		return 1
@@ -129,13 +126,12 @@ func benchRun(args []string) int {
 func benchRecord(args []string) int {
 	fs := flag.NewFlagSet("bench record", flag.ExitOnError)
 	var (
-		samples  = fs.Int("sample", 5, "repetitions per spec (timing samples)")
-		history  = fs.String("history", "BENCH_HISTORY.jsonl", "history file to append to")
-		parallel = fs.Int("parallel", 1, "specs in flight per repetition (1 = serial, the stable-timing default; 0 = one per CPU)")
-		commit   = fs.String("commit", "", "commit SHA to anchor the entry to (default: git rev-parse HEAD)")
-		note     = fs.String("note", "", "free-form annotation stored on the entry")
-		expList  = fs.String("exp", "", "comma-separated spec ids to record (default: all)")
-		fuzzSum  = fs.String("fuzz-summary", "", "attach a differential-fuzz sweep summary JSON (from `psdf fuzz -summary-out`) to the entry")
+		samples = fs.Int("sample", 5, "repetitions per spec (timing samples)")
+		history = fs.String("history", "BENCH_HISTORY.jsonl", "history file to append to")
+		commit  = fs.String("commit", "", "commit SHA to anchor the entry to (default: git rev-parse HEAD)")
+		note    = fs.String("note", "", "free-form annotation stored on the entry")
+		expList = fs.String("exp", "", "comma-separated spec ids to record (default: all)")
+		fuzzSum = fs.String("fuzz-summary", "", "attach a differential-fuzz sweep summary JSON (from `psdf fuzz -summary-out`) to the entry")
 	)
 	_ = fs.Parse(args)
 	if fs.NArg() != 0 {
@@ -155,7 +151,7 @@ func benchRecord(args []string) int {
 	}
 
 	start := time.Now()
-	sampled, err := experiments.RunSampled(ids, *samples, *parallel)
+	sampled, err := experiments.RunSampled(ids, *samples)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psdf bench record:", err)
 		return 1

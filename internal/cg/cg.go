@@ -89,12 +89,6 @@ type Graph struct {
 	opts       Options
 	s          *store
 	consistent bool
-	// ver counts content mutations of this graph struct. Callers that cache
-	// renderings derived from the graph (core.State's canonical keys) pair
-	// it with the graph's identity to detect staleness. Clone copies the
-	// current version; the clone and the original then version
-	// independently.
-	ver uint64
 }
 
 // New returns an empty, consistent graph containing only ZeroVar.
@@ -131,11 +125,8 @@ func (g *Graph) Release() {
 // arena-pooled matrix.
 func (g *Graph) materialize() {
 	// Every content mutation passes through here before writing, so this is
-	// the one place (plus the AddLE/MarkInconsistent early-outs that flip
-	// consistency without touching storage) that advances the version, and
 	// the one place a private store starts a new generation (a copied store
 	// starts in one of its own).
-	g.ver++
 	s := g.s
 	if s.refs.Load() == 1 {
 		s.renew()
@@ -212,15 +203,7 @@ func (g *Graph) HasVarA(a Atom) bool { return g.s.slot(a) >= 0 }
 func (g *Graph) Consistent() bool { return g.consistent }
 
 // MarkInconsistent forces the graph into the unsatisfiable state.
-func (g *Graph) MarkInconsistent() {
-	g.consistent = false
-	g.ver++
-}
-
-// Version returns the mutation counter for this graph struct. Paired with
-// the *Graph identity it tells cached-key holders whether the graph has
-// changed since the key was built.
-func (g *Graph) Version() uint64 { return g.ver }
+func (g *Graph) MarkInconsistent() { g.consistent = false }
 
 // Generation names the content of g's storage: two graphs with the same
 // non-zero generation hold the same variables and constraints, and are
@@ -244,9 +227,6 @@ func (g *Graph) clock() time.Time {
 	return time.Now()
 }
 
-// StatsHandle returns the shared instrumentation sink, or nil.
-func (g *Graph) StatsHandle() *Stats { return g.opts.Stats }
-
 // AddVar ensures name is present (unconstrained if new).
 func (g *Graph) AddVar(name string) { g.slotIntern(Intern(name)) }
 
@@ -266,7 +246,6 @@ func (g *Graph) AddLEA(x, y Atom, c int64) bool {
 	if i == j {
 		if c < 0 {
 			g.consistent = false
-			g.ver++
 		}
 		return g.consistent
 	}
@@ -276,7 +255,6 @@ func (g *Graph) AddLEA(x, y Atom, c int64) bool {
 	// Inconsistency: existing bound j - i <= d with c + d < 0.
 	if d := g.s.get(j, i); d < Inf && c+d < 0 {
 		g.consistent = false
-		g.ver++
 		return false
 	}
 	g.materialize()
@@ -799,7 +777,7 @@ func (g *Graph) RenameA(old, new Atom) {
 // overlap (a swap, a cycle). Each renamed variable keeps its slot, as with
 // RenameA calls through fresh temporaries, in one materialization. Absent
 // atoms of from are skipped, and a relabel that changes nothing leaves
-// Version and Generation alone. Like RenameA, it panics on a collision.
+// the Generation alone. Like RenameA, it panics on a collision.
 func (g *Graph) Relabel(from, to []Atom) {
 	hit := false
 	for k, a := range from {
@@ -843,7 +821,7 @@ func (g *Graph) CloneInto(dst *Graph) {
 	if st := g.opts.Stats; st != nil {
 		st.clonesAvoided.Add(1)
 	}
-	*dst = Graph{opts: g.opts, s: g.s, consistent: g.consistent, ver: g.ver}
+	*dst = Graph{opts: g.opts, s: g.s, consistent: g.consistent}
 }
 
 // alignVars makes both graphs contain the union of their variables.

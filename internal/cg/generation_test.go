@@ -3,17 +3,18 @@ package cg
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // TestGenerationContract pins what Generation promises its cache keys, over
-// random graphs and every kind of mutation: a write that bumps the version
-// starts a generation never seen before (or reports 0 when it leaves the
-// graph inconsistent), an operation that leaves the version alone keeps
-// the generation, clones share a generation until one of them writes, a
-// consistent graph never reports 0, and a store recycled through the arena
-// pool comes back in a new generation.
+// random graphs and every kind of mutation: an operation that changes the
+// graph's content starts a generation never seen before (or reports 0
+// when it leaves the graph inconsistent), a generation that moves at all
+// moves to a new one, clones share a generation until one of them writes,
+// a consistent graph never reports 0, and a store recycled through the
+// arena pool comes back in a new generation.
 func TestGenerationContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	st := &Stats{}
@@ -45,7 +46,7 @@ func TestGenerationContract(t *testing.T) {
 				t.Fatalf("iter %d: clone generation %d, original %d", iter, shared.Generation(), g.Generation())
 			}
 		}
-		gen, ver := g.Generation(), g.Version()
+		gen, before := g.Generation(), content(g)
 		x := witnessVars[rng.Intn(len(witnessVars))]
 		y := witnessVars[rng.Intn(len(witnessVars))]
 		c := int64(rng.Intn(9) - 4)
@@ -102,14 +103,14 @@ func TestGenerationContract(t *testing.T) {
 				g.AddLE(x, y, -d-1) // contradicts y - x <= d without a write
 			}
 		}
-		if g.Version() != ver {
+		if g.Generation() != gen {
 			fresh(iter, kind, g)
 			if shared != nil {
 				kind += " (clone)"
 			}
 			cov[kind]++
-		} else if g.Generation() != gen {
-			t.Fatalf("iter %d: %s left the version at %d but moved the generation %d -> %d", iter, kind, ver, gen, g.Generation())
+		} else if g.Consistent() && content(g) != before {
+			t.Fatalf("iter %d: %s changed the graph but kept generation %d", iter, kind, gen)
 		}
 		if shared != nil && shared.Generation() != gen {
 			t.Fatalf("iter %d: %s on a clone moved the shared generation %d -> %d", iter, kind, gen, shared.Generation())
@@ -148,6 +149,15 @@ func TestGenerationContract(t *testing.T) {
 			t.Errorf("coverage: no %s started a generation", k)
 		}
 	}
+}
+
+// content renders what a generation names: whether g is consistent, its
+// variables in slot order and every finite bound between them.
+func content(g *Graph) string {
+	var b strings.Builder
+	fmt.Fprint(&b, g.Consistent(), slotNames(g))
+	g.ForEachBoundA(func(i, j int32, c int64) { fmt.Fprintf(&b, " %d-%d<=%d", i, j, c) })
+	return b.String()
 }
 
 // TestGenerationCloneRace reads the generation of clones of one shared

@@ -37,9 +37,9 @@ type Stats struct {
 	// sync.Pool vs freshly allocated.
 	arenaHits   atomic.Int64
 	arenaMisses atomic.Int64
-	// Engine accounting: state identities served from the per-state
-	// identity cache vs rebuilt, and worklist pushes coalesced into an
-	// already-queued configuration (re-visits the worklist saved).
+	// Engine accounting: state identities read from the engine's seen log
+	// vs encoded, and worklist pushes coalesced into an already-queued
+	// configuration (re-visits the worklist saved).
 	keyCacheHits   atomic.Int64
 	keyCacheMisses atomic.Int64
 	schedCoalesced atomic.Int64
@@ -72,16 +72,20 @@ func (s *Stats) ArenaHits() int64 { return s.arenaHits.Load() }
 // ArenaMisses returns how many matrix acquisitions had to allocate.
 func (s *Stats) ArenaMisses() int64 { return s.arenaMisses.Load() }
 
-// KeyCacheHits returns how many requests for a state's binary identity,
-// the engine's fixpoint key, were served from the per-state identity
-// cache. Shape keys and FullKey strings are rendered afresh every time and
-// count neither as hits nor as misses.
+// KeyCacheHits returns how many requests for a binary state identity, the
+// engine's fixpoint key, were served without encoding: a table entry's
+// identity read from the record the engine's seen log keeps of it. Shape
+// keys and FullKey strings are rendered afresh every time and count
+// neither as hits nor as misses.
 func (s *Stats) KeyCacheHits() int64 { return s.keyCacheHits.Load() }
 
-// KeyCacheMisses returns how many identity requests rebuilt the identity.
+// KeyCacheMisses returns how many identity requests encoded the identity:
+// every incoming state's and combine result's, and a table entry's whose
+// record the engine does not know.
 func (s *Stats) KeyCacheMisses() int64 { return s.keyCacheMisses.Load() }
 
-// KeyCacheHitRate returns the fraction of key requests served from cache.
+// KeyCacheHitRate returns the fraction of identity requests served without
+// encoding.
 func (s *Stats) KeyCacheHitRate() float64 {
 	h, m := s.keyCacheHits.Load(), s.keyCacheMisses.Load()
 	if h+m == 0 {

@@ -53,7 +53,7 @@ func (m *Matcher) Match(st *core.State, sender *core.ProcSet, dest ast.Expr, rec
 		if !st.EntailsZero(dOfs.Add(sOfs)) {
 			return nil, false
 		}
-		plan = matchShift(st, ctx, S, R, dOfs)
+		plan = core.ShiftPlan(ctx, S, R, dOfs)
 	case d.ID == 0 && s.ID == 1:
 		// All matched senders target the constant dOfs; the receiver at
 		// dOfs expects sender dOfs + sOfs. Identity forces the matched
@@ -80,43 +80,6 @@ func (m *Matcher) Match(st *core.State, sender *core.ProcSet, dest ast.Expr, rec
 	}
 	m.matches.Add(1)
 	return plan, true
-}
-
-// matchShift handles the id+c / id-c case: the image of the senders is the
-// sender range shifted by c; the matched receivers are the intersection of
-// that image with the receiver range. A constant c converts to a shared
-// sym.Const both ways.
-func matchShift(st *core.State, ctx procset.Ctx, S, R procset.Set, c core.Affine) *core.MatchPlan {
-	image := S.OffsetExpr(ctx.Memo, c.Expr())
-	if !image.IsValid() {
-		return nil
-	}
-	inter, ok := intersect(ctx, image, R)
-	// Matching must be exact (Section VI): the matched subset has to be
-	// provably non-empty, otherwise the leftover ranges would not exactly
-	// represent the remaining blocked processes. Ambiguous boundary cases
-	// are resolved by the engine's emptiness case-split instead.
-	if !ok || !inter.IsValid() || inter.Empty(ctx) != tri.False {
-		return nil
-	}
-	matchedSenders := inter.OffsetExpr(ctx.Memo, c.Neg().Expr())
-	if !matchedSenders.IsValid() {
-		return nil
-	}
-	sRests, ok := subtract(ctx, S, matchedSenders)
-	if !ok {
-		return nil
-	}
-	rRests, ok := subtract(ctx, R, inter)
-	if !ok {
-		return nil
-	}
-	return &core.MatchPlan{
-		SenderMatched: matchedSenders,
-		SenderRests:   sRests,
-		RecvMatched:   inter,
-		RecvRests:     rRests,
-	}
 }
 
 // matchSingletons handles the cases where the match pairs a single sender
@@ -153,11 +116,7 @@ func matchSingletons(st *core.State, ctx procset.Ctx, S, R procset.Set, sender, 
 	}
 }
 
-// intersect and subtract delegate to the shared procset range algebra.
-func intersect(ctx procset.Ctx, a, b procset.Set) (procset.Set, bool) {
-	return procset.Intersect(ctx, a, b)
-}
-
+// subtract delegates to the shared procset range algebra.
 func subtract(ctx procset.Ctx, whole, part procset.Set) ([]procset.Set, bool) {
 	return procset.Subtract(ctx, whole, part)
 }

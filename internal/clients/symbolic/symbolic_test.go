@@ -216,7 +216,7 @@ func TestIntersectHelpers(t *testing.T) {
 	ctx := procset.Ctx{}
 	a := procset.Range(nil, sym.Const(0), sym.Const(5))
 	b := procset.Range(nil, sym.Const(3), sym.Const(9))
-	in, ok := intersect(ctx, a, b)
+	in, ok := procset.Intersect(ctx, a, b)
 	if !ok || in.String() != "[3..5]" {
 		t.Errorf("intersect = %v, %v", in, ok)
 	}
@@ -225,7 +225,7 @@ func TestIntersectHelpers(t *testing.T) {
 	}
 	// Unknown ordering fails.
 	c := procset.Range(nil, sym.Var("u"), sym.Var("v"))
-	if _, ok := intersect(ctx, a, c); ok {
+	if _, ok := procset.Intersect(ctx, a, c); ok {
 		t.Error("intersect with unknown bounds succeeded")
 	}
 }
@@ -239,7 +239,7 @@ func coreZeroVar() string { return cg.ZeroVar }
 // coefficients and offsets and deciding the identity condition allocate
 // nothing (a pair that fails it returns before any range is built), nor
 // does the self-match of send -> id with recv <- id, nor converting the
-// offset ±1 into the shared sym constants matchShift shifts ranges by.
+// offset ±1 into the shared sym constants core.ShiftPlan shifts ranges by.
 func TestShiftReadingZeroAlloc(t *testing.T) {
 	h := mkHarness(t, sym.Const(0), sym.Const(3), sym.Const(1), sym.Const(4), nil)
 	m := &Matcher{}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"regexp"
@@ -65,7 +66,7 @@ func TestReviseDuplicateZeroAlloc(t *testing.T) {
 	st.AddMatch(1, 2, procset.Singleton(nil, sym.Zero), procset.Singleton(nil, sym.Const(1)))
 	seen := st.Clone()
 	seen.G.AddLE("np", cg.ZeroVar, 100)
-	if string(seen.identity()) == string(st.identity()) {
+	if string(seen.appendIdentity(nil)) == string(st.appendIdentity(nil)) {
 		t.Fatal("np <= 100 did not change the identity")
 	}
 	e := newReplayEngine(Options{})
@@ -209,25 +210,36 @@ func TestCanonicalizeParamsCanonicalAllocs(t *testing.T) {
 	}
 }
 
-// TestFirstIdentityOneAllocation gates identityVia, which encodes the
-// identity of a state without a buffer (a new table entry at its first
-// revision, a combine result) in a warm scratch buffer and keeps an exact
-// copy: one allocation, whatever the identity's length.
-func TestFirstIdentityOneAllocation(t *testing.T) {
+// TestFirstEntryIdentityZeroAlloc gates the identity of a new table entry
+// at its first revision: entryIdentity encodes it into the engine's warm
+// buffer and records it in the seen log, and neither allocates while the
+// log's chunk has room. The record then serves the next request.
+func TestFirstEntryIdentityZeroAlloc(t *testing.T) {
 	for n := 1; n <= 8; n++ {
 		st := splitState(t, n)
 		st.AddMatch(1, 2, procset.Singleton(nil, sym.Zero), procset.Singleton(nil, sym.Const(1)))
-		scratch := make([]byte, 0, 1024)
-		got := testing.AllocsPerRun(100, func() {
-			st.id = nil
-			st.dirtyKeys()
-			_, scratch = st.identityVia(scratch)
+		e := newReplayEngine(Options{})
+		e.entryIdentity(&tableEntry{st: st}) // warm the buffer and the first chunk
+		const runs = 20
+		entries := make([]tableEntry, runs+1) // AllocsPerRun makes one warm-up call
+		i := 0
+		got := testing.AllocsPerRun(runs, func() {
+			entries[i].st = st
+			e.entryIdentity(&entries[i])
+			i++
 		})
-		if got != 1 {
-			t.Errorf("first identity of a %d-set state allocates %v times, want 1", n, got)
+		if got != 0 {
+			t.Errorf("first identity of a %d-set entry allocates %v times, want 0", n, got)
 		}
-		if len(st.id) != cap(st.id) || string(st.id) != string(st.identity()) {
-			t.Errorf("%d sets: cached identity has length %d, capacity %d", n, len(st.id), cap(st.id))
+		if len(e.seen.chunks) != 1 {
+			t.Fatalf("%d sets: %d chunks, want 1", n, len(e.seen.chunks))
+		}
+		entry := &entries[0]
+		if !bytes.Equal(e.seen.at(entry.cur), st.appendIdentity(nil)) || entry.seen != entry.cur {
+			t.Errorf("%d sets: the entry's record does not hold its identity", n)
+		}
+		if got := testing.AllocsPerRun(100, func() { e.entryIdentity(entry) }); got != 0 || entry.seen != entry.cur {
+			t.Errorf("%d sets: a known identity allocates %v times or is recorded again", n, got)
 		}
 	}
 }
@@ -320,9 +332,10 @@ func TestPrepareCommitInternedZeroAlloc(t *testing.T) {
 }
 
 // TestSeenBookkeepingZeroAlloc gates the duplicate filter's bookkeeping:
-// once the seen log's chunk has room, admitting a revision that is not a
-// duplicate and recording the identity its combine commits allocate
-// nothing, and the filter then refuses every identity it recorded.
+// once the seen log's chunk has room, recording the entry's identity,
+// admitting a revision that is not a duplicate and recording the identity
+// its combine commits allocate nothing, and the filter then refuses every
+// identity it recorded.
 func TestSeenBookkeepingZeroAlloc(t *testing.T) {
 	e := newReplayEngine(Options{})
 	entry := &tableEntry{}
@@ -333,12 +346,13 @@ func TestSeenBookkeepingZeroAlloc(t *testing.T) {
 	entry.seen = e.seen.add(entry.seen, ids[0]) // the first chunk
 	i := 1
 	got := testing.AllocsPerRun(10, func() {
-		fk, before, after := ids[i+1], ids[i], ids[i+2]
-		if !e.admit(entry, fk, before) {
+		before, fk, after := ids[i], ids[i+1], ids[i+2]
+		entry.seen = e.seen.add(entry.seen, before) // as entryIdentity records it
+		if !e.admit(entry, fk) {
 			t.Fatalf("revision %d refused", i)
 		}
 		entry.seen = e.seen.add(entry.seen, after)
-		i += 2
+		i += 3
 	})
 	if got != 0 {
 		t.Errorf("seen bookkeeping of a revision allocates %v times, want 0", got)
@@ -346,12 +360,12 @@ func TestSeenBookkeepingZeroAlloc(t *testing.T) {
 	if len(e.seen.chunks) != 1 {
 		t.Fatalf("%d chunks, want 1", len(e.seen.chunks))
 	}
-	for k := 0; k <= i; k++ { // ids[0..i] are recorded
-		if e.admit(entry, ids[k], ids[len(ids)-1]) {
+	for k := 0; k < i; k++ { // ids[0..i-1] are recorded
+		if e.admit(entry, ids[k]) {
 			t.Errorf("identity %d admitted twice", k)
 		}
 	}
-	if !e.admit(entry, ids[len(ids)-2], ids[len(ids)-1]) {
+	if !e.admit(entry, ids[len(ids)-1]) {
 		t.Error("an unseen identity was refused")
 	}
 }

@@ -193,43 +193,6 @@ type State struct {
 	// the same element set) need no copy.
 	sharedMatches bool
 	sharedPending bool
-	// Identity cache: the binary identity costs sorts plus a walk of the
-	// whole constraint graph, and the engine asks for it on every table
-	// revisit. A cached identity is valid while the configuration content
-	// is unchanged: constraint-graph changes are tracked by (graph
-	// identity, graph version); Sets/Matches/Pending/Top changes by
-	// explicit dirtyKeys calls in the State-level mutators. Clone
-	// deliberately does not copy the cache — transfer functions mutate
-	// fresh clones through direct field writes that bypass dirtyKeys, so
-	// clones must start cold. The identity lives in id, a buffer reused
-	// across rebuilds.
-	idStamp keyStamp
-	id      []byte
-}
-
-// keyStamp marks a cached canonical key valid for the graph identity and
-// version it was built against.
-type keyStamp struct {
-	ok   bool
-	g    *cg.Graph
-	gVer uint64
-}
-
-// valid reports whether the cached key is still trustworthy for graph g.
-func (c *keyStamp) valid(g *cg.Graph) bool {
-	return c.ok && c.g == g && c.gVer == g.Version()
-}
-
-// stamp records that the key was just built against g's current state.
-func (c *keyStamp) stamp(g *cg.Graph) {
-	*c = keyStamp{ok: true, g: g, gVer: g.Version()}
-}
-
-// dirtyKeys invalidates the cached identity. Every State method that
-// changes key-relevant content (Sets, Matches, Pending, Top) must call it;
-// constraint-graph mutations are caught by the graph version instead.
-func (st *State) dirtyKeys() {
-	st.idStamp.ok = false
 }
 
 // SetAssignedVars installs the set of program variables that are written
@@ -418,7 +381,6 @@ func (st *State) Set(id int) *ProcSet {
 // MarkTop sends the configuration to ⊤ with a reason (the framework's
 // give-up transition).
 func (st *State) MarkTop(why string) {
-	st.dirtyKeys()
 	st.Top = true
 	if st.TopWhy == "" {
 		st.TopWhy = why
@@ -485,7 +447,6 @@ func (st *State) DropNamespace(id int) {
 // and a fresh set receives second (with a copied namespace). Returns the new
 // set. Both remain at ps's node with ps's blocked flag.
 func (st *State) SplitSet(ps *ProcSet, first, second procset.Set) *ProcSet {
-	st.dirtyKeys()
 	nid := st.FreshID()
 	st.CopyNamespace(ps.ID, nid)
 	ps.Range = first
@@ -497,7 +458,6 @@ func (st *State) SplitSet(ps *ProcSet, first, second procset.Set) *ProcSet {
 // RemoveSet deletes the set with the given id (discovered empty), forgetting
 // its namespace.
 func (st *State) RemoveSet(id int) {
-	st.dirtyKeys()
 	st.invalidateNamespace(id)
 	st.DropNamespace(id)
 	for i, p := range st.Sets {
@@ -513,7 +473,6 @@ func (st *State) RemoveSet(id int) {
 // join of "a's view" and "b's view renamed to a" — each variable keeps only
 // facts valid for both subsets.
 func (st *State) MergeSets(a, b *ProcSet, merged procset.Set) {
-	st.dirtyKeys()
 	// Ranges and matches may reference per-set variables whose facts the
 	// merge will weaken or drop (e.g. the root's loop counter i with i = np
 	// at the loop exit); rewrite them to equality witnesses first.
@@ -554,7 +513,6 @@ func (st *State) MergeSets(a, b *ProcSet, merged procset.Set) {
 }
 
 func (st *State) removeSetKeepingRanges(id int) {
-	st.dirtyKeys()
 	for i, p := range st.Sets {
 		if p.ID == id {
 			st.Sets = append(st.Sets[:i], st.Sets[i+1:]...)
@@ -612,7 +570,7 @@ func (st *State) sortCanonical() {
 	// Fast path: strictly increasing (node ID, blocked) pairs determine
 	// the order on their own — no ties, nothing to sort. This is the
 	// overwhelmingly common case (sortCanonical runs on every step, every
-	// shape-key render and every identity-cache miss), and it skips both
+	// shape-key render and every identity encoding), and it skips both
 	// the sort machinery and the anonymized range keys below.
 	inOrder := true
 	for i := 1; i < len(st.Sets); i++ {
@@ -706,55 +664,23 @@ const (
 	idExprPoly
 )
 
-// identity is the configuration's binary identity, the engine's fixpoint
-// and duplicate-delivery key: two states have equal identities exactly when
-// their FullKey strings are equal. It encodes the same content FullKey
-// renders — every atom of every range, node IDs and Blocked/Approx flags,
-// the constraint graph through cg.Graph.AppendCanonical, and the match and
-// pending records as far as Set.String shows them — with fixed tags and
-// length prefixes instead of fmt, so the encoding is canonical and exact
-// (no hash, no collision fallback). The result aliases a buffer the state
-// reuses: it stays valid until the next identity call on the same state.
-func (st *State) identity() []byte {
-	b, fresh := st.identityTo(st.id)
-	st.id = b
-	if fresh {
-		st.idStamp.stamp(st.G)
-	}
-	return b
-}
-
-// identityVia is identity for a state that may have no buffer yet (a new
-// table entry, a combine result): a fresh identity is encoded into scratch
-// and cached as an exact-length copy, one allocation where a buffer grown
-// from nil takes several. It returns the identity and scratch, grown.
-func (st *State) identityVia(scratch []byte) (id, grown []byte) {
-	if cap(st.id) > 0 {
-		return st.identity(), scratch
-	}
-	b, fresh := st.identityTo(scratch)
-	if !fresh {
-		return b, scratch
-	}
-	st.id = append(make([]byte, 0, len(b)), b...)
-	st.idStamp.stamp(st.G)
-	return st.id, b
-}
-
-// identityTo returns st's identity without caching a new one: the cached
-// identity when it is still valid, otherwise one encoded into buf[:0]
-// (fresh). It counts key-cache hits and misses as identity does.
-func (st *State) identityTo(buf []byte) (b []byte, fresh bool) {
+// appendIdentity appends the configuration's binary identity to buf[:0]:
+// the engine's fixpoint and duplicate-delivery key. Two states have equal
+// identities exactly when their FullKey strings are equal. It encodes the
+// same content FullKey renders — every atom of every range, node IDs and
+// Blocked/Approx flags, the constraint graph through
+// cg.Graph.AppendCanonical, and the match and pending records as far as
+// Set.String shows them — with fixed tags and length prefixes instead of
+// fmt, so the encoding is canonical and exact (no hash, no collision
+// fallback). Like FullKey it first puts the sets and pending records in
+// canonical order. The engine keeps each table entry's identity in its
+// seen log (tableEntry.cur), so nothing is cached on the state.
+func (st *State) appendIdentity(buf []byte) []byte {
 	if st.Top {
-		return append(append(buf[:0], idTop), st.TopWhy...), false
+		return append(append(buf[:0], idTop), st.TopWhy...)
 	}
-	if st.idStamp.valid(st.G) {
-		st.G.StatsHandle().AddKeyCacheHits(1)
-		return st.id, false
-	}
-	st.G.StatsHandle().AddKeyCacheMisses(1)
 	st.sortCanonical()
-	b = binary.AppendUvarint(append(buf[:0], 0), uint64(len(st.Sets)))
+	b := binary.AppendUvarint(append(buf[:0], 0), uint64(len(st.Sets)))
 	for _, p := range st.Sets {
 		b = appendBoundAll(b, p.Range.LB)
 		b = appendBoundAll(b, p.Range.UB)
@@ -793,7 +719,7 @@ func (st *State) identityTo(buf []byte) (b []byte, fresh bool) {
 			b = append(b, 0)
 		}
 	}
-	return b, true
+	return b
 }
 
 // appendBoundAll encodes every atom of b, as Bound.StringAll renders them.
@@ -861,9 +787,9 @@ func appendString(b []byte, s string) []byte {
 }
 
 // FullKey is the readable rendering of the configuration's identity:
-// ranges, dataflow state and matches. The engine compares identity()
-// instead; FullKey orders the reported finals and serves tests and dumps,
-// so it is not cached.
+// ranges, dataflow state and matches. The engine compares binary
+// identities (appendIdentity) instead; FullKey orders the reported finals
+// and serves tests and dumps.
 func (st *State) FullKey() string {
 	if st.Top {
 		return "TOP:" + st.TopWhy
@@ -918,7 +844,6 @@ func (st *State) AlignTo(ref *State) {
 // renameSets gives st's sets the IDs of ref's, position by position, as
 // one simultaneous renaming of namespaces, ranges and matches.
 func (st *State) renameSets(ref []*ProcSet) {
-	st.dirtyKeys()
 	var fromBuf, toBuf [32]cg.Atom
 	from, to := fromBuf[:0], toBuf[:0]
 	for i, p := range st.Sets {
@@ -970,7 +895,6 @@ func maxID(sets []*ProcSet) int {
 // SubstEverywhere rewrites a variable in all ranges and match records (used
 // by invertible assignments and widening-parameter shifts).
 func (st *State) SubstEverywhere(name string, repl sym.Expr) {
-	st.dirtyKeys()
 	for _, p := range st.Sets {
 		if p.Range.Uses(name) {
 			p.Range = p.Range.Subst(st.memo, name, repl)
@@ -1020,14 +944,12 @@ func (st *State) SubstEverywhere(name string, repl sym.Expr) {
 // witnesses (done before widening so the atom intersection can succeed).
 // Enrichment only adds atoms, so a bound whose atom count is unchanged is
 // unchanged: a state that gains no atom keeps its shared match and pending
-// records and its cached keys.
+// records.
 func (st *State) EnrichEverywhere() {
 	ctx := st.Ctx()
-	changed := false
 	for _, p := range st.Sets {
 		if r := p.Range.Enrich(ctx); grew(p.Range, r) {
 			p.Range = r
-			changed = true
 		}
 	}
 	for i, m := range st.Matches {
@@ -1038,7 +960,6 @@ func (st *State) EnrichEverywhere() {
 		st.ownMatches()
 		m = st.Matches[i]
 		m.Sender, m.Receiver = s, r
-		changed = true
 	}
 	for i, p := range st.Pending {
 		s, d := p.Senders.Enrich(ctx), p.Dests
@@ -1051,10 +972,6 @@ func (st *State) EnrichEverywhere() {
 		st.ownPending()
 		p = st.Pending[i]
 		p.Senders, p.Dests = s, d
-		changed = true
-	}
-	if changed {
-		st.dirtyKeys()
 	}
 }
 
@@ -1067,7 +984,6 @@ func grew(s, enriched procset.Set) bool {
 // for the same CFG node pair when the ranges union cleanly (in either
 // direction — forward pipelines accumulate upward, backward ones downward).
 func (st *State) AddMatch(sendNode, recvNode int, sender, receiver procset.Set) {
-	st.dirtyKeys()
 	st.ownMatches()
 	ctx := st.Ctx()
 	sender = sender.Enrich(ctx)

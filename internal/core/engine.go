@@ -270,6 +270,14 @@ type tableEntry struct {
 	// is not a representation no-op, so without the filter duplicate
 	// traffic could advance the revision chain).
 	seen seenRef
+	// cur is the record on the seen chain of entry.st's identity, or zero
+	// when the next revision must encode it (entryIdentity): the entry,
+	// not its state, keeps the identity. A state-changing commit points cur
+	// at the identity it records, and every ⊤ replacement clears it. A
+	// combine that ends without change clears it too: combineRetry enriches
+	// entry.st in place and parametricWiden may anchor a widening parameter
+	// in it, so the entry's identity can move without a revision.
+	cur seenRef
 	// paramMints counts fresh widening parameters anchored at this key; a
 	// key that keeps needing new parameters is not converging.
 	paramMints int
@@ -291,7 +299,6 @@ type engine struct {
 	// table is the configuration table, indexed by interned shape-key id.
 	table  []*tableEntry
 	work   *worklist
-	inv    *Invariants
 	res    *Result
 	nParam int
 	// steps, widenings, joins and giveUps are atomics because the progress
@@ -327,9 +334,10 @@ type engine struct {
 	// binary key addBoundsObs builds in obsKey.
 	obsSeen map[string]struct{}
 	obsKey  []byte
-	// idBuf is reviseEntry's scratch buffer for incoming identities, and
-	// idCopy the one it encodes cold identities in before copying them.
-	idBuf, idCopy []byte
+	// inBuf and entryBuf are reviseEntry's buffers for identities: inBuf
+	// for the incoming state's, entryBuf for the entry's (entryIdentity)
+	// and the combine result's.
+	inBuf, entryBuf []byte
 	// memo is the matcher's decision memo (nil when the matcher has none):
 	// progress snapshots read its counters, and traced matcher calls carry
 	// the misses they caused.
@@ -476,7 +484,6 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 		g:        g,
 		opts:     opts,
 		in:       newInterner(),
-		inv:      ScanInvariants(g),
 		res:      &Result{},
 		visited:  make([]bool, len(g.Nodes)),
 		descs:    make([]string, len(g.Nodes)),
@@ -501,7 +508,7 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 	if opts.noBoundTable {
 		init.memo.DisableBounds()
 	}
-	InjectAffineConsequences(init.G, e.inv)
+	InjectAffineConsequences(init.G, ScanInvariants(g))
 	e.normalize(init)
 	e.logStart()
 	wd := e.armWatchdog()
@@ -791,24 +798,18 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 		return false
 	}
 	if st.Top {
-		old := entry.st
-		entry.st = st
-		old.Release()
+		entry.replace(st, seenRef{})
 		return true
 	}
-	// st is consumed here, so its identity goes into the engine's scratch
-	// buffer instead of a buffer of its own. before aliases entry.st's
-	// buffer and stays intact through AlignTo and combine: nothing
-	// recomputes entry.st's identity until the next revision, and widened
-	// is a fresh state.
+	// st is consumed here, so its identity goes into an engine buffer.
+	// before is a record of the seen log, which stays intact through
+	// AlignTo and combine, so the combine result's identity can reuse
+	// entryBuf.
 	ksp := e.span(obs.PhaseCanon, key)
-	fk, fresh := st.identityTo(e.idBuf)
-	if fresh {
-		e.idBuf = fk
-	}
-	var before []byte
-	before, e.idCopy = entry.st.identityVia(e.idCopy)
-	if !e.admit(entry, fk, before) {
+	e.inBuf = st.appendIdentity(e.inBuf)
+	e.stats().AddKeyCacheMisses(1)
+	before := e.entryIdentity(entry)
+	if !e.admit(entry, e.inBuf) {
 		ksp.End()
 		st.Release()
 		return false
@@ -831,23 +832,25 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 		if widened.TopKey == "" {
 			widened.TopKey = key
 		}
-		old := entry.st
-		entry.st = widened
-		old.Release()
+		entry.replace(widened, seenRef{})
 		st.Release()
 		return true
 	}
 	ksp = e.span(obs.PhaseCanon, key)
 	remap := widened.CanonicalizeParams()
-	var after []byte
-	after, e.idCopy = widened.identityVia(e.idCopy)
+	e.entryBuf = widened.appendIdentity(e.entryBuf)
+	e.stats().AddKeyCacheMisses(1)
+	after := e.entryBuf
 	ksp.End()
 	if bytes.Equal(after, before) {
 		// Absorbed without change: the ladder does not advance, and the
 		// canonicalization remap is dropped along with the discarded trial
 		// state. Applying the remap here would orphan the widening
 		// parameter — the remap describes renames inside widened, while
-		// entry.st keeps its current names.
+		// entry.st keeps its current names. The combine may have changed
+		// entry.st in place all the same, so its identity is encoded
+		// afresh at the next revision.
+		entry.cur = seenRef{}
 		widened.Release()
 		st.Release()
 		return false
@@ -861,20 +864,17 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	entry.rev++
 	if entry.rev > e.opts.maxVisits() {
 		e.giveUps.Add(1)
-		old := entry.st
-		entry.st = &State{Top: true, TopWhy: "widening did not converge at " + key,
-			TopNode: firstActiveNode(old), TopKey: key}
-		e.mark(obs.PhaseGiveup, entry.st.TopNode, key, "widening did not converge")
-		old.Release()
+		top := &State{Top: true, TopWhy: "widening did not converge at " + key,
+			TopNode: firstActiveNode(entry.st), TopKey: key}
+		e.mark(obs.PhaseGiveup, top.TopNode, key, "widening did not converge")
+		entry.replace(top, seenRef{})
 		widened.Release()
 		st.Release()
 		return true
 	}
 	e.widenings.Add(1)
 	entry.seen = e.seen.add(entry.seen, after)
-	old := entry.st
-	entry.st = widened
-	old.Release()
+	entry.replace(widened, entry.seen)
 	st.Release()
 	if e.opts.Log != nil {
 		e.logState("widened configuration", key, widened)
@@ -882,21 +882,46 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	return true
 }
 
+// replace installs st as the entry's state, with cur the seen-log record
+// of its identity (zero when none is known), and releases the state it
+// replaces.
+func (entry *tableEntry) replace(st *State, cur seenRef) {
+	old := entry.st
+	entry.st, entry.cur = st, cur
+	old.Release()
+}
+
+// entryIdentity returns the identity of entry.st: the record entry.cur
+// points at, a key-cache hit. When cur is zero it encodes entry.st, finds
+// the identity on the entry's seen chain or records it there, and points
+// cur at it: a miss. Either way the result is a record of the seen log,
+// which nothing overwrites.
+func (e *engine) entryIdentity(entry *tableEntry) []byte {
+	if entry.cur.chunk != 0 {
+		e.stats().AddKeyCacheHits(1)
+		return e.seen.at(entry.cur)
+	}
+	e.stats().AddKeyCacheMisses(1)
+	e.entryBuf = entry.st.appendIdentity(e.entryBuf)
+	if entry.cur = e.seen.find(entry.seen, e.entryBuf); entry.cur.chunk == 0 {
+		entry.seen = e.seen.add(entry.seen, e.entryBuf)
+		entry.cur = entry.seen
+	}
+	return e.seen.at(entry.cur)
+}
+
 // admit is the duplicate-delivery filter: it reports whether a delivery
-// with identity fk is new to entry, whose state has identity before, and
-// then records both on the entry's chain. fk == before matters when the
-// entry was just created and its chain is still empty: combining a state
-// with itself is not a representation no-op (multi-atom bounds normalize
-// under G), so without the check a self-delivery would advance the
+// with identity fk is new to entry, and then records fk on the entry's
+// chain. The entry's own identity is on the chain already
+// (entryIdentity), which matters when the entry was just created: combining
+// a state with itself is not a representation no-op (multi-atom bounds
+// normalize under G), so without it a self-delivery would advance the
 // revision chain.
-func (e *engine) admit(entry *tableEntry, fk, before []byte) bool {
-	if bytes.Equal(fk, before) || e.seen.has(entry.seen, fk) {
+func (e *engine) admit(entry *tableEntry, fk []byte) bool {
+	if e.seen.has(entry.seen, fk) {
 		return false
 	}
 	entry.seen = e.seen.add(entry.seen, fk)
-	if !e.seen.has(entry.seen, before) {
-		entry.seen = e.seen.add(entry.seen, before)
-	}
 	return true
 }
 
@@ -1009,35 +1034,33 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, key string, retries 
 	}
 	sc.matchFail, sc.merged = matchFail, merged
 
-	// Pending-send widening (same shape key implies aligned records).
-	old.sortPending()
-	nw.sortPending()
-	pendFail := len(old.Pending) != len(nw.Pending)
+	// Pending-send widening: the records line up (alignPending), so only
+	// their offsets and ranges can fail.
+	alignPending(old, nw)
+	pendFail := false
 	widenedPend := make([]*PendingSend, 0, len(old.Pending))
-	if !pendFail {
-		for i := range old.Pending {
-			po, pn := old.Pending[i], nw.Pending[i]
-			if po.Node != pn.Node || po.Shape != pn.Shape || !sym.Equal(po.Offset, pn.Offset) {
-				pendFail = true
-				break
-			}
-			ws, okS := po.Senders.Widen(old.memo, pn.Senders)
-			wd, okD := procset.Set{}, true
-			if po.Shape == PendFan {
-				wd, okD = po.Dests.Widen(old.memo, pn.Dests)
-			}
-			if !okS || !okD {
-				pendFail = true
-				break
-			}
-			cp := *po
-			cp.Senders = ws
-			if po.Shape == PendFan {
-				cp.Dests = wd
-			}
-			cp.ValOK = po.ValOK && pn.ValOK && sym.Equal(po.Val, pn.Val)
-			widenedPend = append(widenedPend, &cp)
+	for i, po := range old.Pending {
+		pn := nw.Pending[i]
+		if !sym.Equal(po.Offset, pn.Offset) {
+			pendFail = true
+			break
 		}
+		ws, okS := po.Senders.Widen(old.memo, pn.Senders)
+		wd, okD := procset.Set{}, true
+		if po.Shape == PendFan {
+			wd, okD = po.Dests.Widen(old.memo, pn.Dests)
+		}
+		if !okS || !okD {
+			pendFail = true
+			break
+		}
+		cp := *po
+		cp.Senders = ws
+		if po.Shape == PendFan {
+			cp.Dests = wd
+		}
+		cp.ValOK = po.ValOK && pn.ValOK && sym.Equal(po.Val, pn.Val)
+		widenedPend = append(widenedPend, &cp)
 	}
 
 	if len(failing) > 0 || len(matchFail) > 0 || pendFail {
@@ -1134,6 +1157,23 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, key string, retries 
 		out.nextID = nw.nextID
 	}
 	return out
+}
+
+// alignPending puts the pending records of old and nw, two states with one
+// shape key, in canonical order. The shape key names every pending
+// record's node and shape in that order, so the two lists have one length
+// and line up position by position; only a bug can break that, and it
+// panics.
+func alignPending(old, nw *State) {
+	old.sortPending()
+	nw.sortPending()
+	ok := len(old.Pending) == len(nw.Pending)
+	for i := 0; ok && i < len(old.Pending); i++ {
+		ok = old.Pending[i].Node == nw.Pending[i].Node && old.Pending[i].Shape == nw.Pending[i].Shape
+	}
+	if !ok {
+		panic(fmt.Sprintf("core: combine of misaligned pending records %v and %v", old.Pending, nw.Pending))
+	}
 }
 
 // pairMatches holds one node pair's match records on each side of a
@@ -1307,7 +1347,7 @@ func (e *engine) parametricWiden(entry *tableEntry, old, nw *State, key string) 
 			trial.G.Shift(k, delta)
 			trial.SubstEverywhere(k, sym.VarPlus(k, -delta))
 			e.enrich(trial, key)
-			if !e.sameFailure(old, trial) {
+			if _, _, failing := firstFailingBound(old, trial); !failing {
 				return trial, true
 			}
 			trial.Release()
@@ -1329,7 +1369,7 @@ func (e *engine) parametricWiden(entry *tableEntry, old, nw *State, key string) 
 			}
 			e.enrich(trial, key)
 			e.enrich(old, key)
-			if !e.sameFailure(old, trial) {
+			if _, _, failing := firstFailingBound(old, trial); !failing {
 				return trial, true
 			}
 			trial.Release()
@@ -1373,7 +1413,7 @@ func (e *engine) parametricWiden(entry *tableEntry, old, nw *State, key string) 
 		trial.G.AddEqA(ka, newPrim.V, newPrim.C)
 		e.enrich(old, key)
 		e.enrich(trial, key)
-		if !e.sameFailure(old, trial) {
+		if _, _, failing := firstFailingBound(old, trial); !failing {
 			return trial, true
 		}
 	}
@@ -1382,7 +1422,9 @@ func (e *engine) parametricWiden(entry *tableEntry, old, nw *State, key string) 
 }
 
 // firstFailingBound locates the primary atoms of the first bound pair whose
-// atom intersection is empty.
+// atom intersection is empty; ok reports whether range widening would still
+// fail. It builds nothing. The pending records of old and nw must line up
+// (alignPending).
 func firstFailingBound(old, nw *State) (a, b procset.Atom, ok bool) {
 	for i := range old.Sets {
 		or, nr := old.Sets[i].Range, nw.Sets[i].Range
@@ -1407,33 +1449,23 @@ func firstFailingBound(old, nw *State) (a, b procset.Atom, ok bool) {
 			}
 		}
 	}
-	if len(old.Pending) == len(nw.Pending) {
-		for i := range old.Pending {
-			po, pn := old.Pending[i], nw.Pending[i]
-			pairs := [4][2]procset.Bound{
-				{po.Senders.LB, pn.Senders.LB}, {po.Senders.UB, pn.Senders.UB},
-				{po.Dests.LB, pn.Dests.LB}, {po.Dests.UB, pn.Dests.UB},
-			}
-			n := 2
-			if po.Shape == PendFan {
-				n = 4
-			}
-			for _, pair := range pairs[:n] {
-				if !pair[0].SharesAtom(pair[1]) {
-					return pair[0].Primary(), pair[1].Primary(), true
-				}
+	for i, po := range old.Pending {
+		pn := nw.Pending[i]
+		pairs := [4][2]procset.Bound{
+			{po.Senders.LB, pn.Senders.LB}, {po.Senders.UB, pn.Senders.UB},
+			{po.Dests.LB, pn.Dests.LB}, {po.Dests.UB, pn.Dests.UB},
+		}
+		n := 2
+		if po.Shape == PendFan {
+			n = 4
+		}
+		for _, pair := range pairs[:n] {
+			if !pair[0].SharesAtom(pair[1]) {
+				return pair[0].Primary(), pair[1].Primary(), true
 			}
 		}
 	}
 	return procset.Atom{}, procset.Atom{}, false
-}
-
-// sameFailure reports whether range widening would still fail: some bound
-// pair shares no atom, or the pending lists differ in length. It builds
-// nothing.
-func (e *engine) sameFailure(old, nw *State) bool {
-	_, _, failing := firstFailingBound(old, nw)
-	return failing || len(old.Pending) != len(nw.Pending)
 }
 
 // ---------------------------------------------------------------------------
@@ -1547,12 +1579,12 @@ func (e *engine) advanceSet(st *State, id int) {
 	case cfg.Print:
 		e.recordPrint(ns, ps, node)
 		advance(ps)
-	case cfg.Assume:
-		ns.GlobalAssume(ps, node.Cond, e.inv)
-		advance(ps)
-	case cfg.Assert:
-		// Assertions are checked by the verifier; the analysis may assume
-		// them (they hold in non-aborting executions).
+	case cfg.Assume, cfg.Assert:
+		// Affine facts of an assume go to the constraint graph; its
+		// multiplicative equalities reach the matcher and the initial graph
+		// through ScanInvariants before the run. Assertions are checked by
+		// the verifier; the analysis may assume them (they hold in
+		// non-aborting executions).
 		ns.AssumeCond(ps, node.Cond, false)
 		advance(ps)
 	case cfg.Branch:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 
 	"repro/internal/ast"
 	"repro/internal/cfg"
@@ -121,12 +122,8 @@ func ReplayCombines(opts Options, key string, states []*State) []*State {
 	return out
 }
 
-// Identity exposes the engine's binary state identity.
-func Identity(st *State) []byte { return st.identity() }
-
-// DirtyKeys drops st's cached keys, so the next ShapeKey or Identity call
-// rebuilds its key.
-func DirtyKeys(st *State) { st.dirtyKeys() }
+// Identity exposes the engine's binary state identity, encoded afresh.
+func Identity(st *State) []byte { return st.appendIdentity(nil) }
 
 // VarName is the constraint-graph name of program variable name read by
 // set psID, as the translation resolves it.
@@ -198,33 +195,60 @@ type FilterDecision struct {
 // bare engine, so the seen chains of all entries share its seen log as in
 // the run: a key's first delivery creates its entry, the rest go through
 // reviseEntry. It reports every delivery the filter judged (neither the
-// entry nor the incoming state ⊤). Input states are cloned, never
-// consumed.
+// entry nor the incoming state ⊤). The entry's identity is taken as
+// reviseEntry takes it, recording it on the chain if need be, before the
+// chain's head is noted. Input states are cloned, never consumed.
 func ReplayFilter(opts Options, dels []Delivery) []FilterDecision {
-	e := newReplayEngine(opts)
-	entries := map[string]*tableEntry{}
 	var out []FilterDecision
-	for _, d := range dels {
-		st := d.St.Clone()
-		entry := entries[d.Key]
-		if entry == nil {
-			entries[d.Key] = e.newEntry(st)
-			continue
-		}
+	replayDeliveries(opts, dels, func(e *engine, entry *tableEntry, st *State, key string) {
 		if entry.st.Top || st.Top {
-			e.reviseEntry(entry, st, d.Key)
-			continue
+			e.reviseEntry(entry, st, key)
+			return
 		}
-		fd := FilterDecision{Key: d.Key, Incoming: bytes.Clone(st.identity()), Entry: bytes.Clone(entry.st.identity())}
+		fd := FilterDecision{Key: key, Incoming: st.appendIdentity(nil), Entry: bytes.Clone(e.entryIdentity(entry))}
 		head := entry.seen
-		changed := e.reviseEntry(entry, st, d.Key)
+		changed := e.reviseEntry(entry, st, key)
 		fd.Dropped = entry.seen == head
 		if changed && !entry.st.Top {
-			fd.Committed = bytes.Clone(entry.st.identity())
+			fd.Committed = entry.st.appendIdentity(nil)
 		}
 		out = append(out, fd)
-	}
+	})
 	return out
+}
+
+// StaleEntryRecords replays a run's deliveries as ReplayFilter does and
+// checks, after every revision, that an entry which points at a record of
+// its identity (tableEntry.cur) holds exactly that identity. It returns
+// how many revisions left such a record and a description of the first
+// stale one ("" when none is).
+func StaleEntryRecords(opts Options, dels []Delivery) (checked int, stale string) {
+	replayDeliveries(opts, dels, func(e *engine, entry *tableEntry, st *State, key string) {
+		e.reviseEntry(entry, st, key)
+		if entry.cur.chunk == 0 {
+			return
+		}
+		checked++
+		if stale == "" && !bytes.Equal(e.seen.at(entry.cur), entry.st.appendIdentity(nil)) {
+			stale = fmt.Sprintf("revision %d at %s: the entry's identity record is stale", checked, key)
+		}
+	})
+	return checked, stale
+}
+
+// replayDeliveries feeds clones of dels into the table of one bare engine:
+// a key's first delivery creates its entry, and revise handles the rest.
+func replayDeliveries(opts Options, dels []Delivery, revise func(e *engine, entry *tableEntry, st *State, key string)) {
+	e := newReplayEngine(opts)
+	entries := map[string]*tableEntry{}
+	for _, d := range dels {
+		st := d.St.Clone()
+		if entry := entries[d.Key]; entry != nil {
+			revise(e, entry, st, d.Key)
+		} else {
+			entries[d.Key] = e.newEntry(st)
+		}
+	}
 }
 
 // Stepper steps states as the engine steps a table entry, on a bare engine
@@ -234,15 +258,10 @@ type Stepper struct{ e *engine }
 // NewStepper returns a Stepper over g; opts must carry the Matcher.
 func NewStepper(g *cfg.Graph, opts Options) *Stepper {
 	e := newReplayEngine(opts)
-	e.g, e.inv = g, NewInvariants()
+	e.g = g
 	e.visited = make([]bool, len(g.Nodes))
 	e.descs = make([]string, len(g.Nodes))
 	e.branches = make([]string, len(g.Nodes))
-	for _, n := range g.Nodes {
-		if n.Kind == cfg.Assume {
-			e.inv.Collect(n.Cond)
-		}
-	}
 	return &Stepper{e}
 }
 

@@ -97,7 +97,8 @@ const seenHeader = 12
 type seenRef struct{ chunk, off uint32 }
 
 // seenLog holds the duplicate-delivery filter's identities (see
-// tableEntry.seen): each identity a table entry has seen is copied into
+// tableEntry.seen), among them each table entry's current one
+// (tableEntry.cur): each identity a table entry has seen is copied into
 // byte chunks the engine owns, and an entry's records are chained from its
 // newest back to its first. A record is its header and the identity bytes;
 // the records of all entries share the chunks in recording order, and a
@@ -127,15 +128,27 @@ func (l *seenLog) add(head seenRef, id []byte) seenRef {
 	return ref
 }
 
-// has reports whether the chain that starts at head holds id.
-func (l *seenLog) has(head seenRef, id []byte) bool {
+// find returns the record of id on the chain that starts at head, or the
+// zero ref when the chain does not hold id.
+func (l *seenLog) find(head seenRef, id []byte) seenRef {
 	for r := head; r.chunk != 0; {
 		rec := l.chunks[r.chunk-1][r.off:]
 		n := int(binary.LittleEndian.Uint32(rec[8:]))
 		if n == len(id) && bytes.Equal(rec[seenHeader:seenHeader+n], id) {
-			return true
+			return r
 		}
 		r = seenRef{binary.LittleEndian.Uint32(rec), binary.LittleEndian.Uint32(rec[4:])}
 	}
-	return false
+	return seenRef{}
+}
+
+// has reports whether the chain that starts at head holds id.
+func (l *seenLog) has(head seenRef, id []byte) bool { return l.find(head, id).chunk != 0 }
+
+// at returns the identity recorded at ref. It aliases the log, whose
+// records are never overwritten or moved.
+func (l *seenLog) at(ref seenRef) []byte {
+	rec := l.chunks[ref.chunk-1][ref.off:]
+	n := seenHeader + binary.LittleEndian.Uint32(rec[8:])
+	return rec[seenHeader:n:n]
 }

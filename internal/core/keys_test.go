@@ -92,7 +92,7 @@ func TestStateIdentityTargeted(t *testing.T) {
 		c.a(a)
 		c.b(b)
 		keyEq := a.FullKey() == b.FullKey()
-		idEq := bytes.Equal(a.identity(), b.identity())
+		idEq := bytes.Equal(a.appendIdentity(nil), b.appendIdentity(nil))
 		if keyEq != c.equal || idEq != c.equal {
 			t.Errorf("%s: FullKey equal = %v, identity equal = %v, want both %v\n%q\n%q",
 				c.name, keyEq, idEq, c.equal, a.FullKey(), b.FullKey())
@@ -101,31 +101,27 @@ func TestStateIdentityTargeted(t *testing.T) {
 }
 
 // TestStateIdentityZeroAlloc gates the engine's per-revision key work at
-// zero allocations: a cached identity, a seen-set probe with it, a rebuild
-// into the state's warm buffer, and CanonicalizeParams on a state with no
-// helper variable.
+// zero allocations: an identity encoded into a warm buffer, a seen-set
+// probe with it, and CanonicalizeParams on a state with no helper
+// variable.
 func TestStateIdentityZeroAlloc(t *testing.T) {
 	st, _ := newTestState(t)
 	st.G.AddEq(PV(0, "i"), "np", -1)
 	st.G.AddLE(PV(0, "j"), PV(0, "i"), 2)
 	st.Sets[0].Range = procset.Set{LB: procset.NewBound(nil, sym.Zero, sym.Var(PV(0, "j"))), UB: procset.NewBound(nil, sym.VarPlus("np", -1))}
 	st.Matches = []*Match{{SendNode: 1, RecvNode: 2, Sender: AllProcs(), Receiver: procset.Singleton(nil, sym.Zero)}}
-	seen := map[string]struct{}{string(st.identity()): {}}
-	if n := testing.AllocsPerRun(1000, func() { _ = st.identity() }); n != 0 {
-		t.Errorf("cached identity allocates %v per op, want 0", n)
+	buf := st.appendIdentity(nil)
+	seen := map[string]struct{}{string(buf): {}}
+	if n := testing.AllocsPerRun(1000, func() { buf = st.appendIdentity(buf) }); n != 0 {
+		t.Errorf("identity encoding into a warm buffer allocates %v per op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		if _, ok := seen[string(st.identity())]; !ok {
+		buf = st.appendIdentity(buf)
+		if _, ok := seen[string(buf)]; !ok {
 			t.Fatal("seen probe missed")
 		}
 	}); n != 0 {
 		t.Errorf("seen probe allocates %v per op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() {
-		st.dirtyKeys()
-		_ = st.identity()
-	}); n != 0 {
-		t.Errorf("identity rebuild into a warm buffer allocates %v per op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { _ = st.CanonicalizeParams() }); n != 0 {
 		t.Errorf("CanonicalizeParams without helpers allocates %v per op, want 0", n)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/procset"
+	"repro/internal/tri"
 )
 
 // MatchPlan describes the outcome of a successful send-receive match
@@ -21,6 +22,39 @@ type MatchPlan struct {
 	RecvMatched procset.Set
 	// RecvRests are the leftover receiver pieces.
 	RecvRests []procset.Set
+}
+
+// ShiftPlan matches senders whose partner is id + off with receivers whose
+// partner is id - off: the image of the senders is their range shifted by
+// off, and the matched receivers are the intersection of that image with
+// the receivers. It returns nil when the match is not exact. A constant
+// off converts to a shared sym.Const both ways.
+func ShiftPlan(ctx procset.Ctx, senders, receivers procset.Set, off Affine) *MatchPlan {
+	image := senders.OffsetExpr(ctx.Memo, off.Expr())
+	if !image.IsValid() {
+		return nil
+	}
+	inter, ok := procset.Intersect(ctx, image, receivers)
+	// Matching must be exact (Section VI): the matched subset has to be
+	// provably non-empty, otherwise the leftover ranges would not exactly
+	// represent the remaining blocked processes. Ambiguous boundary cases
+	// are resolved by the engine's emptiness case-split instead.
+	if !ok || !inter.IsValid() || inter.Empty(ctx) != tri.False {
+		return nil
+	}
+	matched := inter.OffsetExpr(ctx.Memo, off.Neg().Expr())
+	if !matched.IsValid() {
+		return nil
+	}
+	sRests, ok := procset.Subtract(ctx, senders, matched)
+	if !ok {
+		return nil
+	}
+	rRests, ok := procset.Subtract(ctx, receivers, inter)
+	if !ok {
+		return nil
+	}
+	return &MatchPlan{SenderMatched: matched, SenderRests: sRests, RecvMatched: inter, RecvRests: rRests}
 }
 
 // Matcher is the client-analysis interface of the framework (the underlined

@@ -83,7 +83,6 @@ func refCopyBounds(g *cg.Graph, from, to string) {
 }
 
 func refMergeSets(st *State, a, b *ProcSet, merged procset.Set) {
-	st.dirtyKeys()
 	for _, id := range []int{a.ID, b.ID} {
 		for _, v := range refNamespaceVars(st.G, id) {
 			st.invalidateVar(cg.Intern(v))
@@ -137,7 +136,6 @@ func refSubstAll(s procset.Set, env map[string]sym.Expr) procset.Set {
 }
 
 func refRenameSets(st *State, mapping map[int]int) {
-	st.dirtyKeys()
 	var renames [][2]string
 	for from, to := range mapping {
 		if from == to {
@@ -223,7 +221,6 @@ func refCanonicalizeParams(st *State) map[string]string {
 	if identity {
 		return mapping
 	}
-	st.dirtyKeys()
 	for i, from := range order {
 		if st.G.HasVar(from) {
 			st.G.Rename(from, "$p"+strconv.Itoa(i))
@@ -290,7 +287,7 @@ func CompareNameOps(st *State, cov map[string]int) error {
 		if g, w := slotOrder(got.G), slotOrder(want.G); g != w {
 			return fmt.Errorf("%s: slots\n got: %s\nwant: %s", op, g, w)
 		}
-		if !bytes.Equal(got.identity(), want.identity()) {
+		if !bytes.Equal(got.appendIdentity(nil), want.appendIdentity(nil)) {
 			return fmt.Errorf("%s: identity bytes differ at FullKey %s", op, got.FullKey())
 		}
 		return nil
@@ -402,7 +399,6 @@ func scrambleHelpers(st *State) {
 		}
 		to = append(to, cg.Intern(prefix+strconv.Itoa(1000+i)))
 	}
-	st.dirtyKeys()
 	st.G.Relabel(from, to)
 	st.G.AddLE("wp999", "np", 0)
 	st.ownMatches()

@@ -127,12 +127,11 @@ func (st *State) CanonicalizeParams() map[string]string {
 		}
 	}
 	for _, v := range stale {
-		st.G.DropA(v) // a graph change: cached keys go stale by version
+		st.G.DropA(v)
 	}
 	if len(from) == 0 {
 		return mapping
 	}
-	st.dirtyKeys()
 	st.G.Relabel(from, to)
 	st.renameInRanges(from, to)
 	if len(st.Pending) > 0 {
@@ -212,14 +211,9 @@ func (st *State) ResolveHelpers() {
 			used[v.String()] = true
 		}
 	})
-	dropped := false
 	for _, v := range st.G.Vars() {
 		if sem.IsHelperName(v) && !used[v] {
 			st.G.Drop(v)
-			dropped = true
 		}
-	}
-	if dropped {
-		st.dirtyKeys()
 	}
 }

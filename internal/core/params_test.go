@@ -198,18 +198,53 @@ func TestSameFailureReadsFanDests(t *testing.T) {
 		}}
 		return s
 	}
-	e := &engine{}
-	if e.sameFailure(pend(PendFan, 2), pend(PendFan, 2)) {
+	failing := func(old, nw *State) bool {
+		_, _, ok := firstFailingBound(old, nw)
+		return ok
+	}
+	if failing(pend(PendFan, 2), pend(PendFan, 2)) {
 		t.Error("equal fans fail widening")
 	}
 	old, nw := pend(PendFan, 2), pend(PendFan, 3)
-	if !e.sameFailure(old, nw) {
-		t.Error("fans with unrelated destination bounds widen")
-	}
 	if a, b, ok := firstFailingBound(old, nw); !ok || a.String() != "2" || b.String() != "3" {
 		t.Errorf("firstFailingBound = %v, %v, %v; want the destination lower bounds", a, b, ok)
 	}
-	if e.sameFailure(pend(PendShift, 2), pend(PendShift, 3)) {
+	if failing(pend(PendShift, 2), pend(PendShift, 3)) {
 		t.Error("a shift's unused destination bounds fail widening")
+	}
+}
+
+// TestAlignPendingPanicsOnMismatch checks that the combine refuses pending
+// lists the shape key says cannot meet: of different lengths, or with a
+// record of another node or shape at the same position.
+func TestAlignPendingPanicsOnMismatch(t *testing.T) {
+	st, _ := newTestState(t)
+	pend := func(recs ...PendingSend) *State {
+		s := st.Clone()
+		s.Pending = nil
+		for i := range recs {
+			recs[i].Senders = procset.Singleton(nil, sym.Zero)
+			recs[i].Dests = AllProcs()
+			s.Pending = append(s.Pending, &recs[i])
+		}
+		return s
+	}
+	alignPending(pend(PendingSend{Node: 3, Shape: PendFan}), pend(PendingSend{Node: 3, Shape: PendFan}))
+	for _, c := range []struct {
+		name    string
+		old, nw *State
+	}{
+		{"lengths", pend(PendingSend{Node: 3}), pend()},
+		{"nodes", pend(PendingSend{Node: 3}), pend(PendingSend{Node: 4})},
+		{"shapes", pend(PendingSend{Node: 3, Shape: PendShift}), pend(PendingSend{Node: 3, Shape: PendFan})},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: misaligned pending records did not panic", c.name)
+				}
+			}()
+			alignPending(c.old, c.nw)
+		}()
 	}
 }

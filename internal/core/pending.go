@@ -133,7 +133,6 @@ func (st *State) freeze(e sym.Expr) (sym.Expr, bool) {
 // destination expression is not supported (the caller falls back to the
 // blocking treatment).
 func (st *State) IssueSend(ps *ProcSet, n *cfg.Node) bool {
-	st.dirtyKeys()
 	d, ok := st.AffineID(ps, n.Dest)
 	if !ok {
 		return false
@@ -242,31 +241,19 @@ func (st *State) MatchPending(receiver *ProcSet, src Affine, idx int) (*PendingM
 	switch p.Shape {
 	case PendShift:
 		// Receiver must name sender = id + sOfs with sOfs = -Offset.
-		if sID != 1 || !st.EntailsZero(sOfs.Add(affineOf(p.Offset))) {
+		if sID != 1 {
 			return nil, false
 		}
-		dests := p.DestRange(ctx.Memo)
-		if !dests.IsValid() {
+		off := affineOf(p.Offset)
+		if !st.EntailsZero(sOfs.Add(off)) {
 			return nil, false
 		}
-		inter, ok := procset.Intersect(ctx, dests, receiver.Range)
-		if !ok || !inter.IsValid() || inter.Empty(ctx) != tri.False {
-			return nil, false
-		}
-		sendersMatched := inter.OffsetExpr(ctx.Memo, sym.Neg(p.Offset))
-		if !sendersMatched.IsValid() {
-			return nil, false
-		}
-		recvRests, ok := procset.Subtract(ctx, receiver.Range, inter)
-		if !ok {
-			return nil, false
-		}
-		senderRests, ok := procset.Subtract(ctx, p.Senders, sendersMatched)
-		if !ok {
+		plan := ShiftPlan(ctx, p.Senders, receiver.Range, off)
+		if plan == nil {
 			return nil, false
 		}
 		var pendRests []*PendingSend
-		for _, r := range senderRests {
+		for _, r := range plan.SenderRests {
 			if !r.IsValid() || r.Empty(ctx) == tri.True {
 				continue
 			}
@@ -276,9 +263,9 @@ func (st *State) MatchPending(receiver *ProcSet, src Affine, idx int) (*PendingM
 		}
 		return &PendingMatch{
 			Pending:        p,
-			RecvMatched:    inter,
-			RecvRests:      recvRests,
-			SendersMatched: sendersMatched,
+			RecvMatched:    plan.RecvMatched,
+			RecvRests:      plan.RecvRests,
+			SendersMatched: plan.SenderMatched,
 			PendingRests:   pendRests,
 		}, true
 	case PendFan:
@@ -326,7 +313,6 @@ func (st *State) MatchPending(receiver *ProcSet, src Affine, idx int) (*PendingM
 // sharedPending flag (if set) must stay set — ownPending still deep-copies
 // the elements on the next element write.
 func (st *State) ReplacePending(idx int, rests []*PendingSend) {
-	st.dirtyKeys()
 	out := make([]*PendingSend, 0, len(st.Pending)-1+len(rests))
 	out = append(out, st.Pending[:idx]...)
 	out = append(out, rests...)
@@ -394,7 +380,6 @@ func (st *State) dropEmptyPendings() {
 	if n == len(st.Pending) {
 		return
 	}
-	st.dirtyKeys()
 	out := make([]*PendingSend, 0, n)
 	for _, p := range st.Pending {
 		if keep(p) {

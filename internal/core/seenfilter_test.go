@@ -66,3 +66,32 @@ func TestSeenFilterMatchesMap(t *testing.T) {
 	}
 	t.Logf("%d deliveries judged, %d dropped", judged, dropped)
 }
+
+// TestEntryIdentityRecordNeverStale replays the same deliveries as
+// TestSeenFilterMatchesMap and checks that after every revision an entry
+// that points at a record of its identity holds exactly that identity. The
+// generated programs are needed: the paper programs never have a combine
+// that ends without change while it enriches the entry in place, the case
+// that must clear the record.
+func TestEntryIdentityRecordNeverStale(t *testing.T) {
+	checked := 0
+	for _, p := range identityPrograms(t, 40) {
+		for _, opts := range boundTableModes(p) {
+			var dels []core.Delivery
+			run := core.WithRevisionHook(opts, func(key string, st *core.State) {
+				dels = append(dels, core.Delivery{Key: key, St: st})
+			})
+			analyzeWith(t, p.g, run)
+			opts.Matcher = cartesian.New(core.ScanInvariants(p.g))
+			n, stale := core.StaleEntryRecords(opts, dels)
+			if stale != "" {
+				t.Fatalf("%s (non-blocking %v): %s", p.name, opts.NonBlockingSends, stale)
+			}
+			checked += n
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no revision left an identity record to check")
+	}
+	t.Logf("%d identity records checked", checked)
+}

@@ -329,7 +329,6 @@ func (st *State) invalidateVar(va cg.Atom) {
 	}
 	// No witness: enrich (may add other atoms), then drop atoms using v.
 	st.EnrichEverywhere()
-	st.dirtyKeys()
 	st.ownMatches()
 	st.ownPending()
 	for _, p := range st.Sets {
@@ -356,16 +355,6 @@ func (st *State) RangesValid() bool {
 		}
 	}
 	return true
-}
-
-// GlobalAssume processes an "assume" statement for set ps: affine facts go
-// to the constraint graph; multiplicative equalities (np == nrows * ncols,
-// ncols == 2 * nrows) are recorded as invariants for the HSM matcher.
-func (st *State) GlobalAssume(ps *ProcSet, cond ast.Expr, inv *Invariants) {
-	st.AssumeCond(ps, cond, false)
-	if inv != nil {
-		inv.Collect(cond)
-	}
 }
 
 // Invariants accumulates non-affine global equalities for the cartesian

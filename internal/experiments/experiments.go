@@ -645,23 +645,25 @@ type specRun struct {
 	WallNs int64
 	Phases obs.PhaseTotals
 	// Allocs and AllocBytes are the heap allocation count and allocated
-	// bytes of this run, from runtime.MemStats deltas. Only populated when
-	// the caller ran the spec serially (RunSampled with parallelism 1);
-	// process-global deltas are meaningless with specs in flight
-	// concurrently, so parallel runs leave them zero.
+	// bytes of this run, from runtime.MemStats deltas: process-global, so
+	// they belong to the spec only because RunSampled runs one at a time.
 	Allocs     int64
 	AllocBytes int64
 }
 
 func runSpec(s Spec) (*Table, *specRun, error) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	tr := obs.NewAggregate()
 	start := time.Now()
 	t, err := s.build(tr)
 	wall := time.Since(start)
+	runtime.ReadMemStats(&m1)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", s.ID, err)
 	}
-	return t, &specRun{WallNs: wall.Nanoseconds(), Phases: tr.Totals()}, nil
+	return t, &specRun{WallNs: wall.Nanoseconds(), Phases: tr.Totals(),
+		Allocs: int64(m1.Mallocs - m0.Mallocs), AllocBytes: int64(m1.TotalAlloc - m0.TotalAlloc)}, nil
 }
 
 func yesNo(b bool) string {

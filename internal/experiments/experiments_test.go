@@ -6,7 +6,7 @@ import (
 )
 
 func TestAllExperimentsSucceed(t *testing.T) {
-	ss, err := RunSampled(nil, 1, 1)
+	ss, err := RunSampled(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestAllExperimentsSucceed(t *testing.T) {
 // listed, however many unknown ids there are.
 func TestUnknownSpecErrorDeterministic(t *testing.T) {
 	for i := 0; i < 20; i++ {
-		_, err := RunSampled([]string{"fig2", "nopeA", "nopeB", "nopeC"}, 1, 1)
+		_, err := RunSampled([]string{"fig2", "nopeA", "nopeB", "nopeC"}, 1)
 		if err == nil {
 			t.Fatal("unknown spec ids accepted")
 		}

@@ -166,7 +166,7 @@ func TestMaxVisitsDegradationForcesTops(t *testing.T) {
 }
 
 func TestRunSampled(t *testing.T) {
-	ss, err := RunSampled([]string{"fig2", "table1"}, 3, 1)
+	ss, err := RunSampled([]string{"fig2", "table1"}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestRunSampled(t *testing.T) {
 	if ss[0].Phases == nil {
 		t.Error("fig2: no phase breakdown captured")
 	}
-	if _, err := RunSampled([]string{"nope"}, 1, 1); err == nil {
+	if _, err := RunSampled([]string{"nope"}, 1); err == nil {
 		t.Error("unknown spec id accepted")
 	}
 }

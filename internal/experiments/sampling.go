@@ -3,11 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -29,19 +27,16 @@ type SampledSpec struct {
 	Phases obs.PhaseTotals
 	// AllocsPerOp and BytesPerOp are the mean heap allocations and
 	// allocated bytes per repetition, from runtime.MemStats deltas around
-	// each sample. Only populated for serial records (parallelism 1);
-	// zero otherwise.
+	// each sample.
 	AllocsPerOp int64
 	BytesPerOp  int64
 }
 
 // RunSampled runs the selected specs (nil or empty = the whole registry)
-// `samples` times each and collates per-spec wall-clock samples.
-// parallelism bounds how many specs run concurrently within one repetition
-// (1 = serial, the right choice when the samples feed timing comparisons;
-// 0 = one per CPU). Repetitions are strictly sequential so samples never
-// contend with each other.
-func RunSampled(ids []string, samples, parallelism int) ([]*SampledSpec, error) {
+// `samples` times each and collates per-spec wall-clock samples. Specs
+// run one at a time, so the process-global allocation counts of a sample
+// belong to its spec, and repetitions never contend with each other.
+func RunSampled(ids []string, samples int) ([]*SampledSpec, error) {
 	if samples < 1 {
 		samples = 1
 	}
@@ -53,12 +48,6 @@ func RunSampled(ids []string, samples, parallelism int) ([]*SampledSpec, error) 
 	for i, s := range selected {
 		out[i] = &SampledSpec{ID: s.ID}
 	}
-	// Per-spec allocation accumulators: sum of per-sample MemStats deltas
-	// and the number of samples that carried one (retried samples lose
-	// their measurement, so the mean divides by the measured count).
-	allocSum := make([]int64, len(selected))
-	byteSum := make([]int64, len(selected))
-	allocN := make([]int64, len(selected))
 	for rep := 0; rep < samples; rep++ {
 		// Goroutine labels separate warmup from measured repetitions in CPU
 		// profiles captured over a bench run (free when no profile is being
@@ -69,29 +58,30 @@ func RunSampled(ids []string, samples, parallelism int) ([]*SampledSpec, error) 
 		if rep == 0 && samples > 1 {
 			stage = "warmup"
 		}
-		tables, recs, errs := runSpecsOnce(selected, parallelism, stage, rep)
-		for i, err := range errs {
+		for i, s := range selected {
+			var table *Table
+			var rec *specRun
+			// Label construction happens before runSpec opens its MemStats
+			// window, so the label-set allocations never count.
+			pprof.Do(context.Background(), pprof.Labels(
+				"psdf_spec", s.ID, "psdf_stage", stage, "psdf_rep", strconv.Itoa(rep)),
+				func(context.Context) { table, rec, err = runSpec(s) })
 			// No retries: the analysis is deterministic, so a spec failure
 			// is a real regression and must abort the record immediately.
 			if err != nil {
-				return nil, fmt.Errorf("sample %d of %s: %w", rep+1, selected[i].ID, err)
+				return nil, fmt.Errorf("sample %d of %s: %w", rep+1, s.ID, err)
 			}
-			out[i].Title = tables[i].Title
-			out[i].Table = tables[i]
-			out[i].WallNs = append(out[i].WallNs, recs[i].WallNs)
-			out[i].Phases = recs[i].Phases
-			if recs[i].Allocs > 0 {
-				allocSum[i] += recs[i].Allocs
-				byteSum[i] += recs[i].AllocBytes
-				allocN[i]++
-			}
+			o := out[i]
+			o.Title, o.Table = table.Title, table
+			o.WallNs = append(o.WallNs, rec.WallNs)
+			o.Phases = rec.Phases
+			o.AllocsPerOp += rec.Allocs
+			o.BytesPerOp += rec.AllocBytes
 		}
 	}
-	for i := range out {
-		if allocN[i] > 0 {
-			out[i].AllocsPerOp = allocSum[i] / allocN[i]
-			out[i].BytesPerOp = byteSum[i] / allocN[i]
-		}
+	for _, o := range out {
+		o.AllocsPerOp /= int64(samples)
+		o.BytesPerOp /= int64(samples)
 	}
 	return out, nil
 }
@@ -121,63 +111,4 @@ func selectSpecs(ids []string) ([]Spec, error) {
 		}
 	}
 	return out, nil
-}
-
-// runSpecsOnce runs each selected spec once with up to parallelism specs in
-// flight (<= 0 selects one per CPU), returning per-spec tables, runs and
-// errors positionally. stage/rep become pprof goroutine labels on each spec
-// run.
-func runSpecsOnce(selected []Spec, parallelism int, stage string, rep int) ([]*Table, []*specRun, []error) {
-	tables := make([]*Table, len(selected))
-	recs := make([]*specRun, len(selected))
-	errs := make([]error, len(selected))
-	if parallelism <= 0 {
-		parallelism = runtime.NumCPU()
-	}
-	if parallelism > len(selected) {
-		parallelism = len(selected)
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	serial := parallelism == 1
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(parallelism)
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				run := func() {
-					if serial {
-						// MemStats deltas are process-global, so they are only
-						// attributable to a spec when nothing else runs.
-						var m0, m1 runtime.MemStats
-						runtime.ReadMemStats(&m0)
-						tables[i], recs[i], errs[i] = runSpec(selected[i])
-						runtime.ReadMemStats(&m1)
-						if recs[i] != nil {
-							recs[i].Allocs = int64(m1.Mallocs - m0.Mallocs)
-							recs[i].AllocBytes = int64(m1.TotalAlloc - m0.TotalAlloc)
-						}
-					} else {
-						tables[i], recs[i], errs[i] = runSpec(selected[i])
-					}
-				}
-				// Label construction happens before the MemStats window
-				// opens inside run, so the handful of label-set allocations
-				// never contaminate the per-spec alloc deltas.
-				pprof.Do(context.Background(), pprof.Labels(
-					"psdf_spec", selected[i].ID, "psdf_stage", stage,
-					"psdf_rep", strconv.Itoa(rep)),
-					func(context.Context) { run() })
-			}
-		}()
-	}
-	for i := range selected {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return tables, recs, errs
 }
